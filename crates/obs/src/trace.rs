@@ -405,39 +405,78 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Validate a span event stream: every `end` matches the innermost open
-/// `begin` of its trace (proper nesting), and no span is left open.
-/// Returns per-trace open-span counts on success — all zero — or a
+/// Validate a span event stream against the parent recorded on each
+/// `begin`: a span begins under an open span of its trace (or as a root,
+/// parent 0), ends exactly once, ends only when none of its children is
+/// still open, and no span is left open. Siblings may close in any order —
+/// worker threads parented under one phase span overlap freely. Returns a
 /// description of the first violation. Used by the trace JSONL checks in
 /// CI and the integration tests.
 pub fn validate_span_tree(events: &[TraceEvent]) -> Result<(), String> {
-    use std::collections::HashMap;
-    let mut open: HashMap<u64, Vec<(u64, &'static str)>> = HashMap::new();
+    use std::collections::BTreeMap;
+    struct Open {
+        name: &'static str,
+        parent: u64,
+        open_children: usize,
+    }
+    // (trace, span) → open span; ordered so the first leftover is stable.
+    let mut open: BTreeMap<(u64, u64), Open> = BTreeMap::new();
     for e in events {
-        let stack = open.entry(e.trace).or_default();
         match e.kind {
-            EventKind::Begin => stack.push((e.span, e.name)),
-            EventKind::End => match stack.pop() {
-                Some((span, _)) if span == e.span => {}
-                Some((span, name)) => {
+            EventKind::Begin => {
+                if open.contains_key(&(e.trace, e.span)) {
                     return Err(format!(
-                        "trace {}: end of span {} ({}) while span {} ({}) is innermost",
-                        e.trace, e.span, e.name, span, name
-                    ))
-                }
-                None => {
-                    return Err(format!(
-                        "trace {}: end of span {} ({}) with no open span",
+                        "trace {}: span {} ({}) begins twice",
                         e.trace, e.span, e.name
-                    ))
+                    ));
                 }
-            },
+                if e.parent != 0 {
+                    let Some(parent) = open.get_mut(&(e.trace, e.parent)) else {
+                        return Err(format!(
+                            "trace {}: span {} ({}) begins under span {}, which is not open",
+                            e.trace, e.span, e.name, e.parent
+                        ));
+                    };
+                    parent.open_children += 1;
+                }
+                open.insert(
+                    (e.trace, e.span),
+                    Open {
+                        name: e.name,
+                        parent: e.parent,
+                        open_children: 0,
+                    },
+                );
+            }
+            EventKind::End => {
+                let Some(span) = open.remove(&(e.trace, e.span)) else {
+                    return Err(format!(
+                        "trace {}: end of span {} ({}) with no open begin",
+                        e.trace, e.span, e.name
+                    ));
+                };
+                if span.open_children > 0 {
+                    let (child, child_name) = open
+                        .iter()
+                        .find(|((t, _), o)| *t == e.trace && o.parent == e.span)
+                        .map(|((_, s), o)| (*s, o.name))
+                        .expect("open_children counts spans in `open`");
+                    return Err(format!(
+                        "trace {}: end of span {} ({}) while its child span {} ({}) is open",
+                        e.trace, e.span, e.name, child, child_name
+                    ));
+                }
+                if let Some(parent) = open.get_mut(&(e.trace, span.parent)) {
+                    parent.open_children -= 1;
+                }
+            }
         }
     }
-    for (trace, stack) in &open {
-        if let Some((span, name)) = stack.last() {
-            return Err(format!("trace {trace}: span {span} ({name}) never ended"));
-        }
+    if let Some(((trace, span), o)) = open.iter().next() {
+        return Err(format!(
+            "trace {trace}: span {span} ({}) never ended",
+            o.name
+        ));
     }
     Ok(())
 }
@@ -619,6 +658,62 @@ mod tests {
             ev(1, 0, "a", EventKind::End, 3),
         ])
         .is_ok());
+    }
+
+    #[test]
+    fn validator_follows_recorded_parents_not_event_order() {
+        let ev = |span, parent, kind| TraceEvent {
+            trace: 1,
+            span,
+            parent,
+            name: "s",
+            kind,
+            t_us: 0,
+        };
+        use EventKind::{Begin, End};
+        let under_root = |inner: &[TraceEvent]| {
+            let mut events = vec![ev(1, 0, Begin)];
+            events.extend_from_slice(inner);
+            events.push(ev(1, 0, End));
+            events
+        };
+        // Two workers' spans under one parent overlap: A begin, B begin,
+        // A end, B end.
+        validate_span_tree(&under_root(&[
+            ev(2, 1, Begin),
+            ev(3, 1, Begin),
+            ev(2, 1, End),
+            ev(3, 1, End),
+        ]))
+        .unwrap();
+        // A child outliving its parent.
+        let err = validate_span_tree(&under_root(&[
+            ev(2, 1, Begin),
+            ev(3, 2, Begin),
+            ev(2, 1, End),
+            ev(3, 2, End),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("child span 3"), "{err}");
+        // A parent that never began (or belongs to another trace).
+        let err = validate_span_tree(&under_root(&[ev(2, 9, Begin), ev(2, 9, End)])).unwrap_err();
+        assert!(err.contains("span 9, which is not open"), "{err}");
+        // A span ending twice.
+        let err = validate_span_tree(&under_root(&[
+            ev(2, 1, Begin),
+            ev(2, 1, End),
+            ev(2, 1, End),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("no open begin"), "{err}");
+        // Every span must still end, siblings included.
+        let err = validate_span_tree(&under_root(&[
+            ev(2, 1, Begin),
+            ev(3, 1, Begin),
+            ev(3, 1, End),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("child span 2"), "{err}");
     }
 
     #[test]

@@ -276,6 +276,12 @@ impl PropertyGraph {
         self.live_node_count
     }
 
+    /// Number of node ids ever handed out, tombstoned ones included: every
+    /// raw `NodeId` is below this.
+    pub(crate) fn node_slots(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Estimated resident heap footprint of the store: the interner, node
     /// and edge arrays (with their per-element label/property storage),
     /// tombstone vectors, adjacency lists, and the label and IRI indexes.

@@ -5,6 +5,7 @@
 //! ([`EdgeType`], η), a type hierarchy (γ, via [`NodeType::extends`]), and
 //! PG-Keys constraint expressions ([`CountKey`], K).
 
+pub(crate) mod compiled;
 mod keys;
 mod types;
 

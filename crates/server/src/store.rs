@@ -17,10 +17,16 @@
 //!   on the old state; new reads see the new one. An acknowledged update
 //!   is therefore visible to every read that starts after the ack.
 //!
-//! Snapshot publication clones the RDF graph and PG. That makes writes
-//! O(|G|) — the right trade for a read-mostly serving workload, since it
-//! keeps the read path completely wait-free; a copy-on-write store is the
-//! obvious next step when update volume grows.
+//! Three steps of a write are O(|G|) today, all under the master lock:
+//! the whole-graph `PG ⊨ S_PG` check, and the two clones (RDF graph, PG)
+//! snapshot publication makes. Measured at 37k triples (EXPERIMENTS.md,
+//! "Conformance: one typing pass"): the check ≈ 2 ms, the clones
+//! ≈ 5 + 6 ms, of the ≈ 16 ms an update holds its caller; the background
+//! re-freeze adds ≈ 18 ms off the lock. That is the right trade for a
+//! read-mostly serving workload, since it keeps the read path completely
+//! wait-free; the clones, not the check, are what a copy-on-write store
+//! has to remove when update volume grows. The server reports both as
+//! `s3pg_update_conformance_microseconds` / `s3pg_update_clone_microseconds`.
 //!
 //! ## Background compaction
 //!
@@ -153,15 +159,34 @@ fn fail_stop(message: &str) -> ! {
     std::process::abort();
 }
 
+/// Run one O(|G|) step of the write path as a span under the caller's
+/// innermost open span and record its wall time in `histogram`.
+fn timed_step<T>(
+    registry: &Registry,
+    span: &'static str,
+    histogram: &str,
+    step: impl FnOnce() -> T,
+) -> T {
+    let _span = s3pg_obs::tracer().span_here(span);
+    let started = Instant::now();
+    let out = step();
+    registry
+        .histogram(histogram)
+        .record_micros(started.elapsed().as_micros() as u64);
+    out
+}
+
 /// Build a snapshot and publish its memory/size gauges to `registry`.
+/// `nonconforming` is the number of failures `PG ⊨ S_PG` reported.
 fn publish(
     registry: &Registry,
     rdf: Graph,
     pg: PropertyGraph,
-    conforms: bool,
+    nonconforming: usize,
     epoch: u64,
     seq: u64,
 ) -> Arc<Snapshot> {
+    let conforms = nonconforming == 0;
     let rdf_bytes = rdf.deep_size_bytes() as u64;
     let pg_bytes = pg.deep_size_bytes() as u64;
     registry.gauge("s3pg_mem_rdf_bytes").set_u64(rdf_bytes);
@@ -184,6 +209,9 @@ fn publish(
     registry
         .gauge("s3pg_snapshot_conforms")
         .set_u64(u64::from(conforms));
+    registry
+        .gauge("s3pg_snapshot_nonconforming_elements")
+        .set_u64(nonconforming as u64);
     registry.gauge("s3pg_applied_seq").set_u64(seq);
     Arc::new(Snapshot {
         rdf,
@@ -258,8 +286,15 @@ impl GraphStore {
             schema,
             state,
         } = parts;
-        let conforms = conformance::check(&pg, &schema.pg_schema).conforms();
-        let snapshot = publish(&registry, rdf.clone(), pg.clone(), conforms, 0, applied_seq);
+        let nonconforming = conformance::check(&pg, &schema.pg_schema).failures.len();
+        let snapshot = publish(
+            &registry,
+            rdf.clone(),
+            pg.clone(),
+            nonconforming,
+            0,
+            applied_seq,
+        );
         // The startup graph is served compact from request 1: adopt the
         // checkpoint's frozen form when exact, else freeze synchronously.
         match prebuilt_compact {
@@ -361,6 +396,9 @@ impl GraphStore {
     ) -> Result<(UpdateSummary, Option<u64>), S3pgError> {
         let mut guard = self.master.lock().unwrap_or_else(|e| e.into_inner());
         let master = &mut *guard;
+        // The three steps an update holds the master lock for are spans
+        // under the request's `execute` span: apply, conformance, clone.
+        let apply_span = s3pg_obs::tracer().span_here("update_apply");
         let outcome = apply_ntriples_delta(
             &mut master.pg,
             &mut master.schema,
@@ -378,6 +416,7 @@ impl GraphStore {
             master.rdf.remove(s, p, o);
         }
         master.rdf.absorb(&outcome.additions);
+        drop(apply_span);
 
         // Log under the master lock: WAL order is exactly apply order, so
         // replaying the log is replaying history. The delta was validated
@@ -403,7 +442,12 @@ impl GraphStore {
             self.applied_seq.store(seq, Ordering::SeqCst);
         }
 
-        let conformance = conformance::check(&master.pg, &master.schema.pg_schema);
+        let conformance = timed_step(
+            &self.registry,
+            "update_conformance",
+            "s3pg_update_conformance_microseconds",
+            || conformance::check(&master.pg, &master.schema.pg_schema),
+        );
         let summary = UpdateSummary {
             added_nodes: outcome.counters.entity_nodes as u64
                 + outcome.counters.carrier_nodes as u64,
@@ -414,11 +458,19 @@ impl GraphStore {
         };
 
         self.registry.counter("s3pg_updates_applied_total").inc();
+        // Snapshot publication copies both stores: the O(|G|) part of a
+        // write that remains (see the module docs).
+        let (rdf, pg) = timed_step(
+            &self.registry,
+            "update_clone",
+            "s3pg_update_clone_microseconds",
+            || (master.rdf.clone(), master.pg.clone()),
+        );
         let next = publish(
             &self.registry,
-            master.rdf.clone(),
-            master.pg.clone(),
-            summary.conforms,
+            rdf,
+            pg,
+            conformance.failures.len(),
             self.epoch.fetch_add(1, Ordering::SeqCst),
             visible_seq.unwrap_or(0),
         );

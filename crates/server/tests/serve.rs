@@ -542,9 +542,12 @@ fn explain_profile_and_query_stats_over_tcp() {
     else {
         panic!("expected trace events");
     };
+    // The tracer ring is process-wide and the other tests of this binary
+    // write to it between the two calls (1000+ events is common), so the
+    // count of `newer` is not bounded here; `tests/trace_cursor.rs` asserts
+    // `newer.len() < events.len() + 4` in a process of its own.
     assert!(!newer.is_empty());
     assert!(newer.iter().all(|e| t_us(e) > cursor), "{newer:?}");
-    assert!(newer.len() < events.len() + 4, "cursor failed to filter");
 
     handle.shutdown();
     handle.join();

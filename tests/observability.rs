@@ -213,6 +213,78 @@ fn slow_query_log_records_stage_timings_and_rows() {
 }
 
 #[test]
+fn one_update_publishes_its_write_path_metrics_and_spans() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    client
+        .call(&Request::Update {
+            additions:
+                "<http://ex/d> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
+                 <http://ex/d> <http://ex/name> \"D\" .\n"
+                    .to_string(),
+            deletions: String::new(),
+        })
+        .unwrap();
+
+    let Response::Metrics { exposition } = client.call(&Request::Metrics).unwrap() else {
+        panic!("expected metrics response");
+    };
+    let samples = parse_exposition(&exposition).unwrap();
+    let get = |name: &str| {
+        samples
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from exposition:\n{exposition}"))
+            .value
+    };
+    assert_eq!(get("s3pg_updates_applied_total"), 1.0);
+    assert_eq!(get("s3pg_update_conformance_microseconds_count"), 1.0);
+    assert_eq!(get("s3pg_update_clone_microseconds_count"), 1.0);
+    assert_eq!(get("s3pg_snapshot_conforms"), 1.0);
+    assert_eq!(get("s3pg_snapshot_nonconforming_elements"), 0.0);
+
+    // The three steps held under the master lock are children of the
+    // update request's `execute` span.
+    let Response::Trace { events } = client
+        .call(&Request::Trace {
+            limit: 4096,
+            since: 0,
+        })
+        .unwrap()
+    else {
+        panic!("expected trace response");
+    };
+    use s3pg_server::json::Json;
+    let begins: Vec<Json> = events
+        .iter()
+        .map(|line| s3pg_server::json::parse(line).unwrap())
+        .filter(|v| v.get("ev").and_then(Json::as_str) == Some("begin"))
+        .collect();
+    let id = |v: &Json, field: &str| v.get(field).and_then(Json::as_u64);
+    let named = |name: &str, trace: Option<u64>| {
+        begins
+            .iter()
+            .find(|v| {
+                v.get("name").and_then(Json::as_str) == Some(name)
+                    && (trace.is_none() || id(v, "trace") == trace)
+            })
+            .unwrap_or_else(|| panic!("{name} span missing from tail: {events:#?}"))
+    };
+    let trace = id(named("update_apply", None), "trace");
+    let execute = id(named("execute", trace), "span");
+    for name in ["update_apply", "update_conformance", "update_clone"] {
+        assert_eq!(
+            id(named(name, trace), "parent"),
+            execute,
+            "{name} must hang under the update's execute span"
+        );
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn pipeline_trace_forms_a_valid_span_tree() {
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
