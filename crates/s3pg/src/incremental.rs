@@ -167,14 +167,18 @@ pub struct DeltaOutcome {
     pub deletions: Graph,
 }
 
+/// Parse the two N-Triples documents of a delta — `(additions, deletions)`;
+/// empty strings are empty deltas. Fails with a typed error, never a
+/// panic, and touches no state: a write path parses *before* it mutates,
+/// so a bad frame cannot leave a store half-updated.
+pub fn parse_delta(additions: &str, deletions: &str) -> Result<(Graph, Graph), S3pgError> {
+    let _span = s3pg_obs::tracer().span_here("parse_delta");
+    Ok((parse_ntriples(additions)?, parse_ntriples(deletions)?))
+}
+
 /// Parse `additions` and `deletions` as N-Triples documents and apply them
-/// as one delta (deletions first, like [`apply_delta`]). Empty strings are
-/// empty deltas. Fails with a typed error — never a panic — on malformed
-/// N-Triples, leaving the PG untouched.
-///
-/// This is the wire-facing entry point the `s3pg-serve` write path uses:
-/// both documents are parsed and validated *before* any mutation, so a bad
-/// frame cannot leave the store half-updated.
+/// to the PG as one delta (deletions first, like [`apply_delta`]). Fails
+/// with a typed error on malformed N-Triples, leaving the PG untouched.
 pub fn apply_ntriples_delta(
     pg: &mut PropertyGraph,
     transform: &mut SchemaTransform,
@@ -182,28 +186,58 @@ pub fn apply_ntriples_delta(
     additions: &str,
     deletions: &str,
 ) -> Result<DeltaOutcome, S3pgError> {
-    let add_graph = {
-        let _span = s3pg_obs::tracer().span_here("parse_delta");
-        parse_ntriples(additions)?
-    };
-    let del_graph = parse_ntriples(deletions)?;
+    let (additions, deletions) = parse_delta(additions, deletions)?;
     let _span = s3pg_obs::tracer().span_here("apply_delta");
-    let removed = if !del_graph.is_empty() {
-        apply_deletions(pg, transform, state, &del_graph)
-    } else {
-        0
-    };
-    let counters = if !add_graph.is_empty() {
-        apply_additions(pg, transform, state, &add_graph)
-    } else {
-        TransformCounters::default()
-    };
+    let (counters, removed) = apply_delta(pg, transform, state, &additions, &deletions);
     Ok(DeltaOutcome {
         counters,
         removed,
-        additions: add_graph,
-        deletions: del_graph,
+        additions,
+        deletions,
     })
+}
+
+/// What [`apply_delta_mirrored`] did to the two models.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MirroredOutcome {
+    pub counters: TransformCounters,
+    /// PG mutations the deletions caused.
+    pub removed: usize,
+    /// Triples newly absorbed into the source RDF graph.
+    pub added_triples: usize,
+}
+
+/// Apply one parsed delta to a property graph *and* mirror it into the
+/// source RDF graph it was transformed from (deletions first in both), so
+/// SPARQL on `rdf` and Cypher on `pg` keep serving the same logical state.
+///
+/// This is the one place the two models are stepped together: the server's
+/// live write path, its catch-up of the standby snapshot, and
+/// [`replay_deltas`] all call it. It is deterministic — the same delta
+/// applied to two equal `(rdf, pg, transform, state)` leaves them equal,
+/// down to node ids — which is what lets the server keep two copies in
+/// step by applying every delta to each.
+pub fn apply_delta_mirrored(
+    rdf: &mut Graph,
+    pg: &mut PropertyGraph,
+    transform: &mut SchemaTransform,
+    state: &mut TransformState,
+    additions: &Graph,
+    deletions: &Graph,
+) -> MirroredOutcome {
+    let _span = s3pg_obs::tracer().span_here("apply_delta");
+    let (counters, removed) = apply_delta(pg, transform, state, additions, deletions);
+    for t in deletions.triples() {
+        let s = rdf.import_term(deletions, t.s);
+        let p = rdf.import_sym(deletions, t.p);
+        let o = rdf.import_term(deletions, t.o);
+        rdf.remove(s, p, o);
+    }
+    MirroredOutcome {
+        counters,
+        removed,
+        added_triples: rdf.absorb(additions),
+    }
 }
 
 /// What [`replay_deltas`] did across a whole log tail.
@@ -232,8 +266,8 @@ fn replay_flush(
         return Ok(());
     }
     let graph = parse_ntriples(pending)?;
-    apply_additions(pg, transform, state, &graph);
-    outcome.added_triples += rdf.absorb(&graph);
+    outcome.added_triples +=
+        apply_delta_mirrored(rdf, pg, transform, state, &graph, &Graph::new()).added_triples;
     outcome.batches += 1;
     pending.clear();
     Ok(())
@@ -273,14 +307,9 @@ pub fn replay_deltas<'a>(
             }
         } else {
             replay_flush(&mut pending, rdf, pg, transform, state, &mut outcome)?;
-            let one = apply_ntriples_delta(pg, transform, state, additions, deletions)?;
-            for t in one.deletions.triples() {
-                let s = rdf.import_term(&one.deletions, t.s);
-                let p = rdf.import_sym(&one.deletions, t.p);
-                let o = rdf.import_term(&one.deletions, t.o);
-                rdf.remove(s, p, o);
-            }
-            outcome.added_triples += rdf.absorb(&one.additions);
+            let (add_graph, del_graph) = parse_delta(additions, deletions)?;
+            let one = apply_delta_mirrored(rdf, pg, transform, state, &add_graph, &del_graph);
+            outcome.added_triples += one.added_triples;
             outcome.removed += one.removed;
             outcome.batches += 1;
         }
@@ -426,14 +455,8 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
         let (mut st2, mut pg2, mut state2) = setup(Mode::Parsimonious);
         let mut rdf2 = parse_turtle(BASE).unwrap();
         for (a, d) in &records {
-            let one = apply_ntriples_delta(&mut pg2, &mut st2, &mut state2, a, d).unwrap();
-            for t in one.deletions.triples() {
-                let s = rdf2.import_term(&one.deletions, t.s);
-                let p = rdf2.import_sym(&one.deletions, t.p);
-                let o = rdf2.import_term(&one.deletions, t.o);
-                rdf2.remove(s, p, o);
-            }
-            rdf2.absorb(&one.additions);
+            let (add, del) = parse_delta(a, d).unwrap();
+            apply_delta_mirrored(&mut rdf2, &mut pg2, &mut st2, &mut state2, &add, &del);
         }
 
         assert_eq!(pg1.node_count(), pg2.node_count());

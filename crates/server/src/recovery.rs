@@ -5,7 +5,7 @@
 //! 1. **Base** — the newest intact checkpoint's `rdf.nt`, if one exists;
 //!    otherwise the `--data` file. Either way the base is re-transformed
 //!    through the full pipeline, which deterministically re-derives every
-//!    piece of master state (PG, schema transform, incremental state) —
+//!    piece of writer-side state (PG, schema transform, incremental state) —
 //!    nothing but the RDF text needs to survive a crash.
 //! 2. **Tail replay** — WAL records with `seq >` the checkpoint's are
 //!    replayed through [`s3pg::incremental::replay_deltas`], which

@@ -9,24 +9,45 @@
 //!   Cypher/SPARQL on the immutable snapshot entirely lock-free, so any
 //!   number of queries execute concurrently and a long-running query never
 //!   blocks an update (or another query).
-//! * **Write path** — a [`Mutex`] serializes writers over the *master*
-//!   state (source RDF graph, PG, schema transform, incremental state).
-//!   A delta is applied through [`s3pg::incremental`]'s monotone update
-//!   algorithm — no re-transformation — after which a fresh snapshot is
-//!   built and swapped in. Readers that grabbed the old snapshot finish
-//!   on the old state; new reads see the new one. An acknowledged update
-//!   is therefore visible to every read that starts after the ack.
+//! * **Write path** — a [`Mutex`] serializes writers. A delta is parsed,
+//!   then applied through [`s3pg::incremental`]'s monotone update
+//!   algorithm — no re-transformation — to a side no reader can see, which
+//!   is then swapped in. Readers that grabbed the old snapshot finish on
+//!   the old state; new reads see the new one. An acknowledged update is
+//!   therefore visible to every read that starts after the ack.
 //!
-//! Three steps of a write are O(|G|) today, all under the master lock:
-//! the whole-graph `PG ⊨ S_PG` check, and the two clones (RDF graph, PG)
-//! snapshot publication makes. Measured at 37k triples (EXPERIMENTS.md,
-//! "Conformance: one typing pass"): the check ≈ 2 ms, the clones
-//! ≈ 5 + 6 ms, of the ≈ 16 ms an update holds its caller; the background
-//! re-freeze adds ≈ 18 ms off the lock. That is the right trade for a
-//! read-mostly serving workload, since it keeps the read path completely
-//! wait-free; the clones, not the check, are what a copy-on-write store
-//! has to remove when update volume grows. The server reports both as
-//! `s3pg_update_conformance_microseconds` / `s3pg_update_clone_microseconds`.
+//! ## Left-right publication
+//!
+//! Two full copies of the graph are resident either way (what readers see,
+//! and what the writer may mutate), so both are kept *publishable*: every
+//! [`Snapshot`] carries the schema transform and incremental state a
+//! writer needs, and the one that is not live waits, as the *standby*,
+//! behind the writer mutex together with the one delta it has not seen.
+//! An update takes the standby out of its `Arc`
+//! ([`Arc::try_unwrap`] succeeds only when no reader, checkpoint or freeze
+//! still holds it — so no reader can ever observe a mutation), applies the
+//! missed delta, applies the new one, checks `PG ⊨ S_PG`, publishes it,
+//! and the snapshot it superseded becomes the next standby. Both sides see
+//! the same deltas in the same order through the same deterministic apply
+//! ([`apply_delta_mirrored`]), so they stay identical down to node ids.
+//!
+//! When the standby is still held elsewhere (a query, checkpoint or freeze
+//! that outlived one inter-update gap) or does not exist yet (the first
+//! update after startup), the update deep-copies the live snapshot instead
+//! — the only O(|G|) copy left, counted as
+//! `s3pg_update_side_total{outcome="cloned"}` against `outcome="reused"`.
+//! It never waits for a reader. A superseded snapshot is freed by whoever
+//! drops its last `Arc`; on the reuse path no graph is freed at all.
+//!
+//! What an update still pays per |G| under the writer lock, at 37k triples
+//! (EXPERIMENTS.md, "Left-right publication"): the whole-graph
+//! `PG ⊨ S_PG` check ≈ 2 ms and the size walk behind the memory gauges
+//! ≈ 1.7 ms; obtaining the writable side is ≈ 0.3 ms reused and, cloned,
+//! ≈ 10 ms in a warm loop but 20–30 ms into freshly mapped memory in a
+//! live server. The background re-freeze adds ≈ 20 ms off the lock. The server
+//! reports the steps as `s3pg_update_conformance_microseconds` and
+//! `s3pg_update_clone_microseconds` (the latter times "obtain a writable
+//! side", whichever way).
 //!
 //! ## Background compaction
 //!
@@ -42,10 +63,14 @@
 //! snapshot swap (or epoch bump) is needed — plans are computed from
 //! cardinality statistics that are identical across both representations,
 //! so one epoch covers both. A compaction whose snapshot was already
-//! superseded by a newer update is skipped.
+//! superseded by a newer update is skipped. While it runs, the freeze
+//! thread holds its snapshot like any reader, so an update that finds it
+//! on the standby takes the copy; when a superseded snapshot comes back
+//! into use its frozen form is outdated and is handed to the next freeze
+//! thread to free.
 
 use s3pg::data_transform::TransformState;
-use s3pg::incremental::apply_ntriples_delta;
+use s3pg::incremental::{apply_delta_mirrored, parse_delta, MirroredOutcome};
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::schema_transform::SchemaTransform;
 use s3pg::{Mode, S3pgError};
@@ -57,7 +82,7 @@ use s3pg_rdf::Graph;
 use s3pg_shacl::ShapeSchema;
 use s3pg_wal::{Wal, WalError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, Once, OnceLock, RwLock};
 use std::time::Instant;
 
 /// An immutable point-in-time view served to readers.
@@ -86,6 +111,10 @@ pub struct Snapshot {
     /// startup snapshot). Empty only in the window between an update's
     /// publication and its compaction finishing.
     compact: OnceLock<Arc<CompactGraph>>,
+    /// What a writer needs to apply the next delta to this snapshot once it
+    /// is the standby (see the module docs); readers never look at these.
+    schema: SchemaTransform,
+    state: TransformState,
 }
 
 impl Snapshot {
@@ -107,12 +136,12 @@ pub struct UpdateSummary {
     pub conforms: bool,
 }
 
-/// The master (writer-side) state.
-struct Master {
-    rdf: Graph,
-    pg: PropertyGraph,
-    schema: SchemaTransform,
-    state: TransformState,
+/// The side that is not published: the snapshot the last update
+/// superseded, and the delta — `(additions, deletions)` — that update
+/// applied to the other side, which this one has therefore not seen.
+struct Standby {
+    snapshot: Arc<Snapshot>,
+    missed: (Graph, Graph),
 }
 
 /// Concurrently readable, serially updatable graph store.
@@ -120,33 +149,49 @@ pub struct GraphStore {
     /// `Arc` so detached compaction threads can re-check which snapshot is
     /// current without borrowing the store.
     snapshot: Arc<RwLock<Arc<Snapshot>>>,
-    master: Mutex<Master>,
+    /// Serializes writers. `None` until the first update.
+    writer: Mutex<Option<Standby>>,
     /// Next snapshot's epoch (the startup snapshot is 0). Bumped under the
-    /// master lock, so epochs are published in apply order.
+    /// writer lock, so epochs are published in apply order.
     epoch: AtomicU64,
     /// Per-store metrics: memory gauges, snapshot sizes, update counter.
     /// The server shares this registry for its endpoint metrics, so one
     /// exposition covers both layers.
     registry: Arc<Registry>,
     /// The write-ahead log, when the store is durable. Appends happen
-    /// under the master lock (so WAL order is apply order); the fsync
+    /// under the writer lock (so WAL order is apply order); the fsync
     /// rendezvous in [`Wal::commit`] happens *after* the lock is released,
     /// which is what lets concurrent writers share one flush.
     wal: Option<Arc<Wal>>,
     /// Newest WAL sequence number folded into the served graph. Written
-    /// under the master lock, read lock-free by status endpoints.
+    /// under the writer lock, read lock-free by status endpoints.
     applied_seq: AtomicU64,
     /// Sequence number covered by the newest on-disk checkpoint (0 = none).
     checkpoint_seq: AtomicU64,
 }
 
-/// The writer-side state a recovered (or freshly transformed) graph hands
-/// to [`GraphStore::from_parts`].
+/// The two models and the state that steps them together: what a recovered
+/// (or freshly transformed) graph hands to [`GraphStore::from_parts`], and
+/// what a writer holds of a side while it mutates it.
 pub struct StoreParts {
     pub rdf: Graph,
     pub pg: PropertyGraph,
     pub schema: SchemaTransform,
     pub state: TransformState,
+}
+
+impl StoreParts {
+    /// Apply one parsed delta to both models (deletions first).
+    pub fn apply(&mut self, additions: &Graph, deletions: &Graph) -> MirroredOutcome {
+        apply_delta_mirrored(
+            &mut self.rdf,
+            &mut self.pg,
+            &mut self.schema,
+            &mut self.state,
+            additions,
+            deletions,
+        )
+    }
 }
 
 /// Terminate the process: the in-memory graph has mutated but the WAL
@@ -159,7 +204,7 @@ fn fail_stop(message: &str) -> ! {
     std::process::abort();
 }
 
-/// Run one O(|G|) step of the write path as a span under the caller's
+/// Run one step of the write path as a span under the caller's
 /// innermost open span and record its wall time in `histogram`.
 fn timed_step<T>(
     registry: &Registry,
@@ -180,12 +225,17 @@ fn timed_step<T>(
 /// `nonconforming` is the number of failures `PG ⊨ S_PG` reported.
 fn publish(
     registry: &Registry,
-    rdf: Graph,
-    pg: PropertyGraph,
+    parts: StoreParts,
     nonconforming: usize,
     epoch: u64,
     seq: u64,
 ) -> Arc<Snapshot> {
+    let StoreParts {
+        rdf,
+        pg,
+        schema,
+        state,
+    } = parts;
     let conforms = nonconforming == 0;
     let rdf_bytes = rdf.deep_size_bytes() as u64;
     let pg_bytes = pg.deep_size_bytes() as u64;
@@ -221,6 +271,8 @@ fn publish(
         epoch,
         seq,
         compact: OnceLock::new(),
+        schema,
+        state,
     })
 }
 
@@ -268,11 +320,12 @@ impl GraphStore {
         )
     }
 
-    /// Serve an already-built master state — the recovery path's
-    /// constructor. `applied_seq` is the newest WAL sequence number folded
-    /// into `parts` (0 for a fresh graph); `prebuilt_compact` short-cuts
-    /// the synchronous startup freeze when a checkpoint supplied a frozen
-    /// form that is still exact (no WAL tail was replayed on top of it).
+    /// Serve an already-built graph — the recovery path's constructor;
+    /// `parts` is published as it stands, not copied. `applied_seq` is the
+    /// newest WAL sequence number folded into `parts` (0 for a fresh
+    /// graph); `prebuilt_compact` short-cuts the synchronous startup freeze
+    /// when a checkpoint supplied a frozen form that is still exact (no WAL
+    /// tail was replayed on top of it).
     pub fn from_parts(
         parts: StoreParts,
         registry: Arc<Registry>,
@@ -280,21 +333,10 @@ impl GraphStore {
         applied_seq: u64,
         prebuilt_compact: Option<Arc<CompactGraph>>,
     ) -> GraphStore {
-        let StoreParts {
-            rdf,
-            pg,
-            schema,
-            state,
-        } = parts;
-        let nonconforming = conformance::check(&pg, &schema.pg_schema).failures.len();
-        let snapshot = publish(
-            &registry,
-            rdf.clone(),
-            pg.clone(),
-            nonconforming,
-            0,
-            applied_seq,
-        );
+        let nonconforming = conformance::check(&parts.pg, &parts.schema.pg_schema)
+            .failures
+            .len();
+        let snapshot = publish(&registry, parts, nonconforming, 0, applied_seq);
         // The startup graph is served compact from request 1: adopt the
         // checkpoint's frozen form when exact, else freeze synchronously.
         match prebuilt_compact {
@@ -314,12 +356,7 @@ impl GraphStore {
         }
         GraphStore {
             snapshot: Arc::new(RwLock::new(snapshot)),
-            master: Mutex::new(Master {
-                rdf,
-                pg,
-                schema,
-                state,
-            }),
+            writer: Mutex::new(None),
             epoch: AtomicU64::new(1),
             registry,
             wal,
@@ -362,7 +399,7 @@ impl GraphStore {
     ) -> Result<UpdateSummary, S3pgError> {
         let (summary, commit_seq) = self.apply_and_publish(additions, deletions, None)?;
         if let (Some(wal), Some(seq)) = (&self.wal, commit_seq) {
-            // Durability gate, outside the master lock. A failed fsync
+            // Durability gate, outside the writer lock. A failed fsync
             // means the ack cannot be honoured — fail stop rather than
             // acknowledge a write the log may not replay.
             if let Err(e) = wal.commit(seq) {
@@ -394,31 +431,22 @@ impl GraphStore {
         deletions: &str,
         exact_seq: Option<u64>,
     ) -> Result<(UpdateSummary, Option<u64>), S3pgError> {
-        let mut guard = self.master.lock().unwrap_or_else(|e| e.into_inner());
-        let master = &mut *guard;
-        // The three steps an update holds the master lock for are spans
-        // under the request's `execute` span: apply, conformance, clone.
+        // Validate before anything is locked or touched.
+        let (add_graph, del_graph) = parse_delta(additions, deletions)?;
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        // The three steps an update holds the writer lock for are spans
+        // under the request's `execute` span: clone, apply, conformance.
+        let (mut side, stale_compact) = timed_step(
+            &self.registry,
+            "update_clone",
+            "s3pg_update_clone_microseconds",
+            || self.writable_side(writer.take()),
+        );
         let apply_span = s3pg_obs::tracer().span_here("update_apply");
-        let outcome = apply_ntriples_delta(
-            &mut master.pg,
-            &mut master.schema,
-            &mut master.state,
-            additions,
-            deletions,
-        )?;
-
-        // Mirror the delta into the source RDF graph so SPARQL serves the
-        // same logical state as Cypher.
-        for t in outcome.deletions.triples() {
-            let s = master.rdf.import_term(&outcome.deletions, t.s);
-            let p = master.rdf.import_sym(&outcome.deletions, t.p);
-            let o = master.rdf.import_term(&outcome.deletions, t.o);
-            master.rdf.remove(s, p, o);
-        }
-        master.rdf.absorb(&outcome.additions);
+        let outcome = side.apply(&add_graph, &del_graph);
         drop(apply_span);
 
-        // Log under the master lock: WAL order is exactly apply order, so
+        // Log under the writer lock: WAL order is exactly apply order, so
         // replaying the log is replaying history. The delta was validated
         // above, so only valid records are ever logged. An append failure
         // after mutation would desynchronize log and state — fail stop.
@@ -446,7 +474,7 @@ impl GraphStore {
             &self.registry,
             "update_conformance",
             "s3pg_update_conformance_microseconds",
-            || conformance::check(&master.pg, &master.schema.pg_schema),
+            || conformance::check(&side.pg, &side.schema.pg_schema),
         );
         let summary = UpdateSummary {
             added_nodes: outcome.counters.entity_nodes as u64
@@ -458,42 +486,97 @@ impl GraphStore {
         };
 
         self.registry.counter("s3pg_updates_applied_total").inc();
-        // Snapshot publication copies both stores: the O(|G|) part of a
-        // write that remains (see the module docs).
-        let (rdf, pg) = timed_step(
-            &self.registry,
-            "update_clone",
-            "s3pg_update_clone_microseconds",
-            || (master.rdf.clone(), master.pg.clone()),
-        );
         let next = publish(
             &self.registry,
-            rdf,
-            pg,
+            side,
             conformance.failures.len(),
             self.epoch.fetch_add(1, Ordering::SeqCst),
             visible_seq.unwrap_or(0),
         );
-        // Publish while still holding the master lock, so snapshots are
-        // swapped in the same order updates were applied.
-        *self.snapshot.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&next);
+        // Publish while still holding the writer lock, so snapshots are
+        // swapped in the same order updates were applied. The superseded
+        // snapshot is moved out of the guard, never dropped under it: it
+        // is the next standby, one delta behind.
+        let superseded = std::mem::replace(
+            &mut *self.snapshot.write().unwrap_or_else(|e| e.into_inner()),
+            Arc::clone(&next),
+        );
+        *writer = Some(Standby {
+            snapshot: superseded,
+            missed: (add_graph, del_graph),
+        });
 
         // Compact off the write path: the update is acknowledged (and
         // readable) now; the frozen form lands in `next.compact` whenever
         // the detached thread finishes. Skipped if a newer snapshot was
         // published in the meantime — that one spawns its own compaction.
+        // The thread also frees the reused side's outdated frozen form.
         let registry = Arc::clone(&self.registry);
         let current = Arc::clone(&self.snapshot);
-        std::thread::spawn(move || {
-            let still_current = {
-                let guard = current.read().unwrap_or_else(|e| e.into_inner());
-                Arc::ptr_eq(&guard, &next)
-            };
-            if still_current {
-                compact_into(&registry, &next);
-            }
-        });
+        let spawned = std::thread::Builder::new()
+            .name("s3pg-freeze".to_string())
+            .spawn(move || {
+                drop(stale_compact);
+                let still_current = {
+                    let guard = current.read().unwrap_or_else(|e| e.into_inner());
+                    Arc::ptr_eq(&guard, &next)
+                };
+                if still_current {
+                    compact_into(&registry, &next);
+                }
+            });
+        if let Err(e) = spawned {
+            // The snapshot stays on its mutable form, which every read
+            // path handles; the next update tries again.
+            static LOGGED: Once = Once::new();
+            LOGGED.call_once(|| eprintln!("warning: cannot spawn s3pg-freeze thread: {e}"));
+            self.registry
+                .counter("s3pg_compaction_spawn_failures_total")
+                .inc();
+        }
         Ok((summary, commit_seq))
+    }
+
+    /// A side the writer owns outright, at the live snapshot's state, plus
+    /// the frozen form it carried (now outdated) when it is the standby:
+    /// the standby caught up with the delta it missed when nothing else
+    /// holds it, else a deep copy of the live snapshot. Call under the
+    /// writer lock.
+    fn writable_side(&self, standby: Option<Standby>) -> (StoreParts, Option<Arc<CompactGraph>>) {
+        if let Some(Standby { snapshot, missed }) = standby {
+            if let Ok(snapshot) = Arc::try_unwrap(snapshot) {
+                let Snapshot {
+                    rdf,
+                    pg,
+                    schema,
+                    state,
+                    compact,
+                    ..
+                } = snapshot;
+                let mut side = StoreParts {
+                    rdf,
+                    pg,
+                    schema,
+                    state,
+                };
+                side.apply(&missed.0, &missed.1);
+                self.registry
+                    .counter("s3pg_update_side_total{outcome=\"reused\"}")
+                    .inc();
+                return (side, compact.into_inner());
+            }
+        }
+        let live = self.snapshot();
+        self.registry
+            .counter("s3pg_update_side_total{outcome=\"cloned\"}")
+            .inc();
+        let side = StoreParts {
+            rdf: live.rdf.clone(),
+            pg: live.pg.clone(),
+            schema: live.schema.clone(),
+            state: live.state.clone(),
+        };
+        (side, None)
     }
 
     /// The write-ahead log, when this store is durable.
@@ -534,26 +617,23 @@ impl GraphStore {
     /// on an ephemeral store or when nothing changed since the last
     /// checkpoint.
     ///
-    /// Holds the master lock while serializing the RDF graph so the text
-    /// and the sequence number agree; writers queue behind it for that
-    /// window (reads are unaffected).
+    /// Takes no lock: a snapshot carries the sequence number its RDF graph
+    /// reflects, so text and number agree by construction and writers never
+    /// queue behind the serialization.
     pub fn checkpoint(&self) -> Result<Option<u64>, WalError> {
         let Some(wal) = &self.wal else {
             return Ok(None);
         };
         let started = Instant::now();
-        let (seq, rdf_text, compact) = {
-            let guard = self.master.lock().unwrap_or_else(|e| e.into_inner());
-            let seq = self.applied_seq.load(Ordering::SeqCst);
-            if seq == self.checkpoint_seq.load(Ordering::SeqCst) && seq != 0 {
-                return Ok(None);
-            }
-            let rdf_text = to_ntriples(&guard.rdf);
-            // Under the master lock the current snapshot IS the master
-            // state; its compact form may or may not have landed yet.
-            let compact = self.snapshot().compact().cloned();
-            (seq, rdf_text, compact)
-        };
+        let snap = self.snapshot();
+        let seq = snap.seq;
+        if seq == self.checkpoint_seq.load(Ordering::SeqCst) && seq != 0 {
+            return Ok(None);
+        }
+        let rdf_text = to_ntriples(&snap.rdf);
+        // The compact form may or may not have landed yet.
+        let compact = snap.compact().cloned();
+        drop(snap);
         // Everything the checkpoint covers must be durable before the
         // covered segments become prunable.
         wal.sync_all()?;

@@ -11,6 +11,26 @@ use crate::spec::{DatasetSpec, GeneratedDataset};
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::{Graph, Term};
 
+/// Randomly partition `graph` into `batches` delta graphs at *entity*
+/// granularity: every triple travels in the batch of its subject, so each
+/// delta is a well-formed graph fragment (an entity arrives with its type
+/// statements) — the delta contract the serving write path enforces.
+/// Objects may be forward references to entities of later batches.
+pub fn random_entity_split(graph: &Graph, batches: usize, rng: &mut XorShiftRng) -> Vec<Graph> {
+    let mut out: Vec<Graph> = (0..batches).map(|_| Graph::new()).collect();
+    for s_term in graph.subjects_distinct() {
+        let k = rng.choose_index(batches).expect("at least one batch");
+        let batch = &mut out[k];
+        for t in graph.match_pattern(Some(s_term), None, None) {
+            let s = batch.import_term(graph, t.s);
+            let p = batch.import_sym(graph, t.p);
+            let o = batch.import_term(graph, t.o);
+            batch.insert(s, p, o);
+        }
+    }
+    out
+}
+
 /// Fractions of the base graph affected by the paper's DBpedia Δ.
 #[derive(Debug, Clone, Copy)]
 pub struct EvolutionSpec {

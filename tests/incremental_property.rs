@@ -19,24 +19,8 @@ use s3pg_pg::conformance;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::Graph;
 use s3pg_shacl::extract_shapes;
+use s3pg_workloads::evolution::random_entity_split;
 use s3pg_workloads::spec::{generate, DatasetSpec};
-
-/// Randomly partition `graph` into `batches` delta graphs at entity
-/// granularity (all triples sharing a subject stay together).
-fn random_entity_split(graph: &Graph, batches: usize, rng: &mut XorShiftRng) -> Vec<Graph> {
-    let mut out: Vec<Graph> = (0..batches).map(|_| Graph::new()).collect();
-    for s_term in graph.subjects_distinct() {
-        let k = rng.choose_index(batches).unwrap();
-        let batch = &mut out[k];
-        for t in graph.match_pattern(Some(s_term), None, None) {
-            let s = batch.import_term(graph, t.s);
-            let p = batch.import_sym(graph, t.p);
-            let o = batch.import_term(graph, t.o);
-            batch.insert(s, p, o);
-        }
-    }
-    out
-}
 
 fn workload(seed: u64) -> Graph {
     generate(&DatasetSpec {

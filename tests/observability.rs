@@ -240,11 +240,14 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     assert_eq!(get("s3pg_updates_applied_total"), 1.0);
     assert_eq!(get("s3pg_update_conformance_microseconds_count"), 1.0);
     assert_eq!(get("s3pg_update_clone_microseconds_count"), 1.0);
+    // The first update has no standby yet, so it copied the live snapshot.
+    assert_eq!(get("s3pg_update_side_total{outcome=\"cloned\"}"), 1.0);
+    assert!(!exposition.contains("outcome=\"reused\""), "{exposition}");
     assert_eq!(get("s3pg_snapshot_conforms"), 1.0);
     assert_eq!(get("s3pg_snapshot_nonconforming_elements"), 0.0);
 
-    // The three steps held under the master lock are children of the
-    // update request's `execute` span.
+    // The three steps held under the writer lock are children of the
+    // update request's `execute` span, as is the parse before the lock.
     let Response::Trace { events } = client
         .call(&Request::Trace {
             limit: 4096,
@@ -272,7 +275,12 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     };
     let trace = id(named("update_apply", None), "trace");
     let execute = id(named("execute", trace), "span");
-    for name in ["update_apply", "update_conformance", "update_clone"] {
+    for name in [
+        "parse_delta",
+        "update_clone",
+        "update_apply",
+        "update_conformance",
+    ] {
         assert_eq!(
             id(named(name, trace), "parent"),
             execute,
