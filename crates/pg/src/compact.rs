@@ -22,6 +22,13 @@
 //!   `(label, key, value)` equality index are ranges into shared postings
 //!   arrays, so planner pushdown keeps working at mutable-path speed.
 //!
+//! The build touches each value once and never hashes a posting: the
+//! dictionary is filled in its frozen form while the records are encoded
+//! (`DictBuilder`), the label index is a counting sort, and the equality
+//! index is one `(label, key, value, node)` vector sorted once and cut into
+//! runs. Postings therefore lie in key order — a canonical layout: the
+//! image [`CompactGraph::write_to`] produces is a function of the graph.
+//!
 //! Freezing densely renumbers live nodes and edges in id order, compacting
 //! tombstones away. The renumbering is monotone, so enumeration orders
 //! (label scans, index probes, `all_node_ids`) match the mutable graph's
@@ -98,15 +105,9 @@ pub(crate) type EqEntry = ((Sym, Sym, CValue), (u32, u32));
 /// Shared by [`PropertyGraph::freeze`] and the snapshot codec, which
 /// persists only the entries and rebuilds the slots on load.
 pub(crate) fn build_eq_slots(eq_index: &[EqEntry]) -> Box<[u32]> {
-    let slot_count = (eq_index.len() * 2).next_power_of_two();
-    let mask = slot_count - 1;
-    let mut eq_slots = vec![0u32; if eq_index.is_empty() { 0 } else { slot_count }];
+    let mut eq_slots = vec![0u32; slot_count(eq_index.len())];
     for (i, (key, _)) in eq_index.iter().enumerate() {
-        let mut at = (eq_key_hash(key) >> 32) as usize & mask;
-        while eq_slots[at] != 0 {
-            at = (at + 1) & mask;
-        }
-        eq_slots[at] = i as u32 + 1;
+        place(&mut eq_slots, eq_key_hash(key), i + 1);
     }
     eq_slots.into_boxed_slice()
 }
@@ -119,6 +120,93 @@ fn eq_key_hash(key: &(Sym, Sym, CValue)) -> u64 {
     h.finish()
 }
 
+/// Home slot of a 64-bit hash in a power-of-two slot array.
+#[inline]
+fn home_slot(hash: u64, mask: usize) -> usize {
+    (hash >> 32) as usize & mask
+}
+
+/// A [`FrozenDict`] under construction: the same single string table and
+/// the same open-addressed slots, grown by doubling while values are
+/// encoded. Strings are interned in first-seen order and the slot array
+/// always has the length [`FrozenDict::from_strings`] would pick for the
+/// strings so far, so the finished dictionary is laid out exactly as if it
+/// had been rebuilt from its string table — which is what a snapshot
+/// reload does.
+#[derive(Default)]
+struct DictBuilder {
+    strings: Vec<Box<str>>,
+    /// `dict_hash` of each string, kept so growing never re-reads them.
+    hashes: Vec<u64>,
+    slots: Vec<u32>,
+}
+
+impl DictBuilder {
+    fn intern(&mut self, s: &str) -> Sym {
+        let hash = dict_hash(s);
+        if let Some(sym) = find(&self.slots, &self.strings, hash, s) {
+            return sym;
+        }
+        let sym = Sym::from_index(self.strings.len());
+        self.strings.push(s.into());
+        self.hashes.push(hash);
+        let wanted = slot_count(self.strings.len());
+        if wanted == self.slots.len() {
+            place(&mut self.slots, hash, self.strings.len());
+        } else {
+            self.slots = vec![0; wanted];
+            for (i, &h) in self.hashes.iter().enumerate() {
+                place(&mut self.slots, h, i + 1);
+            }
+        }
+        sym
+    }
+
+    fn finish(self) -> FrozenDict {
+        FrozenDict {
+            strings: self.strings.into_boxed_slice(),
+            slots: self.slots.into_boxed_slice(),
+        }
+    }
+}
+
+/// Slot-array length for `len` entries: a power of two at ≤50% load.
+fn slot_count(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        (len * 2).next_power_of_two()
+    }
+}
+
+/// Probe `slots` for the string `s` (whose `dict_hash` is `hash`).
+fn find(slots: &[u32], strings: &[Box<str>], hash: u64, s: &str) -> Option<Sym> {
+    if slots.is_empty() {
+        return None;
+    }
+    let mask = slots.len() - 1;
+    let mut at = home_slot(hash, mask);
+    while slots[at] != 0 {
+        let i = slots[at] as usize - 1;
+        if strings[i].as_ref() == s {
+            return Some(Sym::from_index(i));
+        }
+        at = (at + 1) & mask;
+    }
+    None
+}
+
+/// Linear-probe `entry` (`index + 1`) into the first free slot from its
+/// hash's home.
+fn place(slots: &mut [u32], hash: u64, entry: usize) {
+    let mask = slots.len() - 1;
+    let mut at = home_slot(hash, mask);
+    while slots[at] != 0 {
+        at = (at + 1) & mask;
+    }
+    slots[at] = entry as u32;
+}
+
 impl FrozenDict {
     fn from_interner(interner: &Interner) -> FrozenDict {
         FrozenDict::from_strings(interner.iter().map(|(_, s)| s.into()).collect())
@@ -127,15 +215,9 @@ impl FrozenDict {
     /// Build a dictionary from its string table alone, recomputing the
     /// probe slots. The snapshot codec persists only the strings.
     pub(crate) fn from_strings(strings: Vec<Box<str>>) -> FrozenDict {
-        let slot_count = (strings.len() * 2).next_power_of_two();
-        let mask = slot_count - 1;
-        let mut slots = vec![0u32; if strings.is_empty() { 0 } else { slot_count }];
+        let mut slots = vec![0u32; slot_count(strings.len())];
         for (i, s) in strings.iter().enumerate() {
-            let mut at = (dict_hash(s) >> 32) as usize & mask;
-            while slots[at] != 0 {
-                at = (at + 1) & mask;
-            }
-            slots[at] = i as u32 + 1;
+            place(&mut slots, dict_hash(s), i + 1);
         }
         FrozenDict {
             strings: strings.into_boxed_slice(),
@@ -149,23 +231,7 @@ impl FrozenDict {
     }
 
     fn get(&self, s: &str) -> Option<Sym> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = (dict_hash(s) >> 32) as usize & mask;
-        loop {
-            match self.slots[at] {
-                0 => return None,
-                slot => {
-                    let i = slot as usize - 1;
-                    if self.strings[i].as_ref() == s {
-                        return Some(Sym::from_index(i));
-                    }
-                }
-            }
-            at = (at + 1) & mask;
-        }
+        find(&self.slots, &self.strings, dict_hash(s), s)
     }
 
     fn len(&self) -> usize {
@@ -229,7 +295,7 @@ pub struct CompactGraph {
 
 /// Encode a mutable-graph value into the dictionary, counting every string
 /// encode so the hit rate can be reported.
-fn encode(value: &Value, dict: &mut Interner, encodes: &mut u64) -> CValue {
+fn encode(value: &Value, dict: &mut DictBuilder, encodes: &mut u64) -> CValue {
     match value {
         Value::String(s) => {
             *encodes += 1;
@@ -258,9 +324,9 @@ impl CompactGraph {
     /// graph's public read API; the source is untouched and writes can keep
     /// targeting it.
     pub fn freeze(pg: &PropertyGraph) -> CompactGraph {
-        // Encoding interns into a transient mutable interner; both
-        // dictionaries are frozen (single-copy) at the end of the build.
-        let mut dict = Interner::new();
+        // The value dictionary is built in its frozen, single-copy form
+        // while the records are encoded.
+        let mut dict = DictBuilder::default();
         let mut dict_encodes: u64 = 0;
 
         // Dense, monotone renumbering of live nodes and edges.
@@ -277,28 +343,26 @@ impl CompactGraph {
             edge_map[old.0 as usize] = new as u32;
         }
 
-        // Columnar nodes + label/equality postings, accumulated per label
-        // in new-id order so every postings list comes out id-sorted.
+        // Columnar nodes, plus one `(label, key, value) → node` pair per
+        // scalar property per label for the equality index. Pairs are
+        // pushed in new-id order; the sort below keeps that order inside
+        // each key's run.
         let mut node_label_offsets = Vec::with_capacity(n + 1);
         let mut node_labels = Vec::new();
         let mut node_prop_offsets = Vec::with_capacity(n + 1);
         let mut node_props = Vec::new();
-        let mut by_label_vecs: FxHashMap<Sym, Vec<NodeId>> = FxHashMap::default();
-        let mut eq_vecs: FxHashMap<(Sym, Sym, CValue), Vec<NodeId>> = FxHashMap::default();
+        let mut eq_pairs: Vec<((Sym, Sym, CValue), NodeId)> = Vec::new();
         node_label_offsets.push(0);
         node_prop_offsets.push(0);
         for (new, &old) in live_nodes.iter().enumerate() {
             let new_id = NodeId(new as u32);
             let node = pg.node(old);
-            for &l in &node.labels {
-                node_labels.push(l);
-                by_label_vecs.entry(l).or_default().push(new_id);
-            }
+            node_labels.extend_from_slice(&node.labels);
             for &(k, ref v) in &node.props {
                 let cv = encode(v, &mut dict, &mut dict_encodes);
                 if !matches!(cv, CValue::List(_)) {
                     for &l in &node.labels {
-                        eq_vecs.entry((l, k, cv.clone())).or_default().push(new_id);
+                        eq_pairs.push(((l, k, cv.clone()), new_id));
                     }
                 }
                 node_props.push((k, cv));
@@ -362,27 +426,50 @@ impl CompactGraph {
             in_offsets.push(in_csr.len() as u32);
         }
 
-        // Flatten the postings maps into shared arrays + range maps.
-        let mut by_label = FxHashMap::default();
-        let mut by_label_postings = Vec::new();
-        for (label, ids) in by_label_vecs {
-            let start = by_label_postings.len() as u32;
-            by_label_postings.extend_from_slice(&ids);
-            by_label.insert(label, (start, by_label_postings.len() as u32));
+        // Label index by counting sort: postings laid out label by label
+        // in symbol order, id-sorted within a label.
+        let mut starts = vec![0u32; pg.interner().len() + 1];
+        for &l in &node_labels {
+            starts[l.index() + 1] += 1;
         }
-        let mut eq_index: Vec<EqEntry> = Vec::with_capacity(eq_vecs.len());
-        let mut eq_postings = Vec::new();
-        for (key, ids) in eq_vecs {
-            let start = eq_postings.len() as u32;
-            eq_postings.extend_from_slice(&ids);
-            eq_index.push((key, (start, eq_postings.len() as u32)));
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
         }
-        eq_index.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut by_label_postings = vec![NodeId(0); node_labels.len()];
+        let mut cursor = starts.clone();
+        for new in 0..n {
+            let row = node_label_offsets[new] as usize..node_label_offsets[new + 1] as usize;
+            for &l in &node_labels[row] {
+                by_label_postings[cursor[l.index()] as usize] = NodeId(new as u32);
+                cursor[l.index()] += 1;
+            }
+        }
+        let by_label: FxHashMap<Sym, (u32, u32)> = starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(i, w)| (Sym::from_index(i), (w[0], w[1])))
+            .collect();
+
+        // Equality index from one sorted run: entries come out key-sorted
+        // and each key's postings are a contiguous, id-sorted range laid
+        // out in the same key order — the image depends on the graph alone.
+        eq_pairs.sort_unstable();
+        let mut eq_index: Vec<EqEntry> = Vec::with_capacity(eq_pairs.len());
+        let mut eq_postings = Vec::with_capacity(eq_pairs.len());
+        for (key, node) in eq_pairs {
+            let at = eq_postings.len() as u32;
+            eq_postings.push(node);
+            match eq_index.last_mut() {
+                Some((last, range)) if *last == key => range.1 = at + 1,
+                _ => eq_index.push((key, (at, at + 1))),
+            }
+        }
         let eq_slots = build_eq_slots(&eq_index);
 
         CompactGraph {
             keys: FrozenDict::from_interner(pg.interner()),
-            dict: FrozenDict::from_interner(&dict),
+            dict: dict.finish(),
             dict_encodes,
             node_label_offsets,
             node_labels,
@@ -623,7 +710,7 @@ impl PgRead for CompactGraph {
             return &[];
         }
         let mask = self.eq_slots.len() - 1;
-        let mut at = (eq_key_hash(&probe) >> 32) as usize & mask;
+        let mut at = home_slot(eq_key_hash(&probe), mask);
         loop {
             match self.eq_slots[at] {
                 0 => return &[],

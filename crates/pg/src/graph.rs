@@ -171,6 +171,11 @@ impl PropertyGraph {
     /// the property value index.
     pub fn add_label(&mut self, node: NodeId, label: &str) {
         let sym = self.interner.intern(label);
+        self.add_label_sym(node, sym);
+    }
+
+    /// [`Self::add_label`] with a pre-interned label.
+    pub fn add_label_sym(&mut self, node: NodeId, sym: Sym) {
         let n = &mut self.nodes[node.0 as usize];
         if !n.labels.contains(&sym) {
             n.labels.push(sym);
@@ -482,19 +487,23 @@ impl PropertyGraph {
     /// Index all of a node's scalar properties under one label (label was
     /// just added to the node).
     fn index_props_for_label(&mut self, node: NodeId, label: Sym) {
-        for i in 0..self.nodes[node.0 as usize].props.len() {
-            let (key, value) = self.nodes[node.0 as usize].props[i].clone();
-            self.index_entry(label, key, &value, node);
+        // The record is lent out for the walk so values are indexed by
+        // reference; `index_entry` touches the index only.
+        let props = std::mem::take(&mut self.nodes[node.0 as usize].props);
+        for (key, value) in &props {
+            self.index_entry(label, *key, value, node);
         }
+        self.nodes[node.0 as usize].props = props;
     }
 
     /// Remove all of a node's scalar properties from the index under one
     /// label (label removal / node removal).
     fn deindex_props_for_label(&mut self, node: NodeId, label: Sym) {
-        for i in 0..self.nodes[node.0 as usize].props.len() {
-            let (key, value) = self.nodes[node.0 as usize].props[i].clone();
-            self.deindex_entry(label, key, &value, node);
+        let props = std::mem::take(&mut self.nodes[node.0 as usize].props);
+        for (key, value) in &props {
+            self.deindex_entry(label, *key, value, node);
         }
+        self.nodes[node.0 as usize].props = props;
     }
 
     /// Live nodes carrying `label` whose scalar property `key` equals

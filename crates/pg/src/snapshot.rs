@@ -32,16 +32,61 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A writer that CRCs everything passing through it.
+/// Bytes gathered before the checksum and the sink see them. The image is
+/// written field by field, four bytes at a time; a word-at-a-time CRC only
+/// pays off over runs much longer than its word.
+const BLOCK: usize = 64 << 10;
+
+/// A writer that CRCs everything passing through it, a block at a time.
 struct CrcWriter<W: Write> {
     inner: W,
     crc: Crc32,
+    block: Vec<u8>,
 }
 
 impl<W: Write> CrcWriter<W> {
+    fn new(inner: W) -> Self {
+        CrcWriter {
+            inner,
+            crc: Crc32::new(),
+            block: Vec::with_capacity(BLOCK),
+        }
+    }
+
+    #[inline]
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.crc.update(bytes);
-        self.inner.write_all(bytes)
+        if self.block.len() + bytes.len() > BLOCK {
+            return self.put_across(bytes);
+        }
+        self.block.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// `put` for bytes that do not fit the block's remaining room.
+    fn put_across(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.drain()?;
+        if bytes.len() >= BLOCK {
+            self.crc.update(bytes);
+            return self.inner.write_all(bytes);
+        }
+        self.block.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Checksum and hand on what the block holds.
+    fn drain(&mut self) -> io::Result<()> {
+        self.crc.update(&self.block);
+        self.inner.write_all(&self.block)?;
+        self.block.clear();
+        Ok(())
+    }
+
+    /// Seal the image: everything put so far, then its CRC-32.
+    fn finish(mut self) -> io::Result<()> {
+        self.drain()?;
+        let crc = self.crc.finish();
+        self.inner.write_all(&crc.to_le_bytes())?;
+        self.inner.flush()
     }
 
     fn put_u32(&mut self, v: u32) -> io::Result<()> {
@@ -222,10 +267,7 @@ impl CompactGraph {
     /// [`CompactGraph::read_from`] verifies a trailing CRC-32 before
     /// trusting any field.
     pub fn write_to<W: Write>(&self, out: W) -> io::Result<()> {
-        let mut w = CrcWriter {
-            inner: out,
-            crc: Crc32::new(),
-        };
+        let mut w = CrcWriter::new(out);
         w.put(SNAPSHOT_MAGIC)?;
         w.put_dict(&self.keys)?;
         w.put_dict(&self.dict)?;
@@ -263,8 +305,12 @@ impl CompactGraph {
             w.put_u32(e.0)?;
         }
 
-        // Persist the label range map in symbol order so identical graphs
-        // produce identical images regardless of hash-map iteration order.
+        // The range map is a hash map: persist it in symbol order. `freeze`
+        // lays the label postings out in that same order and the equality
+        // postings in key order, so nothing in the image of a freshly
+        // frozen graph depends on hash-map iteration order. (Images from
+        // before freeze did — ranges in build order — load all the same:
+        // a range is a range.)
         let mut by_label: Vec<(Sym, (u32, u32))> =
             self.by_label.iter().map(|(&k, &v)| (k, v)).collect();
         by_label.sort_unstable_by_key(|&(k, _)| k.index());
@@ -292,9 +338,7 @@ impl CompactGraph {
             w.put_u32(n.0)?;
         }
 
-        let crc = w.crc.finish();
-        w.inner.write_all(&crc.to_le_bytes())?;
-        w.inner.flush()
+        w.finish()
     }
 
     /// Deserialize a snapshot previously written by
@@ -508,6 +552,66 @@ mod tests {
         cg.write_to(&mut a).unwrap();
         round_trip(&cg).write_to(&mut b).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn image_with_unordered_eq_postings_loads_and_answers_identically() {
+        // Freeze lays each key's postings out in key order. Images written
+        // before it did (same magic, same format) have the ranges in the
+        // hash-iteration order of their build; here they are reversed.
+        // Such an image must keep loading and answering the same.
+        let mut pg = sample();
+        let carol = pg.add_node(["Person"]);
+        pg.set_prop(carol, "name", Value::String("Alice".into()));
+        let canonical = pg.freeze();
+        assert!(
+            canonical
+                .eq_index
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].1 .1 == w[1].1 .0),
+            "freeze must lay postings out in key order"
+        );
+
+        let mut older = canonical.clone();
+        older.eq_postings.clear();
+        let mut eq_index = canonical.eq_index.to_vec();
+        for (i, (_, range)) in eq_index.iter_mut().enumerate().rev() {
+            let (s, t) = canonical.eq_index[i].1;
+            let start = older.eq_postings.len() as u32;
+            older
+                .eq_postings
+                .extend_from_slice(&canonical.eq_postings[s as usize..t as usize]);
+            *range = (start, older.eq_postings.len() as u32);
+        }
+        older.eq_index = eq_index.into_boxed_slice();
+
+        let mut image = Vec::new();
+        older.write_to(&mut image).unwrap();
+        let mut canonical_image = Vec::new();
+        canonical.write_to(&mut canonical_image).unwrap();
+        assert_ne!(image, canonical_image, "the permutation changed nothing");
+
+        let back = CompactGraph::read_from(&image[..]).unwrap();
+        for (label, key, value) in [
+            ("Person", "name", Value::String("Alice".into())),
+            ("Professor", "name", Value::String("Alice".into())),
+            ("Person", "regNo", Value::String("Bs12".into())),
+            ("Student", "age", Value::Int(24)),
+            ("Person", "gpa", Value::Float(3.5)),
+            ("Person", "born", Value::Date("2001-05-17".into())),
+            ("Person", "name", Value::String("Nobody".into())),
+        ] {
+            assert_eq!(
+                PgRead::nodes_with_label_prop(&back, label, key, &value),
+                PgRead::nodes_with_label_prop(&canonical, label, key, &value),
+                "probe ({label}, {key}, {value:?})"
+            );
+        }
+        assert_eq!(
+            PgRead::nodes_with_label_prop(&back, "Person", "name", &Value::String("Alice".into()))
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -203,6 +203,16 @@ impl Value {
         }
     }
 
+    /// Whether [`Value::lexical`] equals `lexical`. The string-backed
+    /// variants compare in place; only numbers, booleans and lists are
+    /// formatted, where the comparison is a round-trip check.
+    pub fn lexical_eq(&self, lexical: &str) -> bool {
+        match self {
+            Value::String(s) | Value::Date(s) | Value::DateTime(s) => s == lexical,
+            formatted => formatted.lexical() == lexical,
+        }
+    }
+
     /// Treat this value as a list: a `List` yields its items, a scalar
     /// yields itself. Mirrors Cypher's `UNWIND` coercion.
     pub fn iter_flat(&self) -> Box<dyn Iterator<Item = &Value> + '_> {
@@ -358,6 +368,8 @@ mod tests {
         for v in cases {
             let ct = v.content_type();
             assert_eq!(Value::from_xsd(&v.lexical(), ct.to_xsd()), v);
+            assert!(v.lexical_eq(&v.lexical()), "{v:?}");
+            assert!(!v.lexical_eq("0042"), "{v:?}");
         }
     }
 

@@ -331,6 +331,19 @@ impl Graph {
         }
     }
 
+    /// The live statements with subject `s`, in insertion order, borrowed
+    /// straight off the subject's postings: what both scans of Algorithm 1
+    /// walk per entity, without the `Vec<Triple>` [`Graph::match_pattern`]
+    /// collects.
+    pub fn statements_of(&self, s: Term) -> impl Iterator<Item = Triple> + '_ {
+        self.by_subject
+            .get(&s)
+            .unwrap_or(&EMPTY_POSTINGS)
+            .iter()
+            .filter(|&&i| self.live[i as usize])
+            .map(|&i| self.triples[i as usize])
+    }
+
     /// Reference implementation of [`Graph::match_pattern`] that ignores
     /// the indexes and scans every live triple. Exists as the baseline for
     /// the index ablation (`benches/ablation.rs` in the bench crate) and as
@@ -607,6 +620,23 @@ mod tests {
         let alice = g.interner().get("http://ex/alice").map(Term::Iri).unwrap();
         assert_eq!(g.match_pattern(None, None, Some(alice)).len(), 1);
         assert_eq!(g.match_pattern(None, None, None).len(), 3);
+    }
+
+    #[test]
+    fn statements_of_borrows_what_match_pattern_collects() {
+        let mut g = tiny();
+        let bob = g.interner().get("http://ex/bob").map(Term::Iri).unwrap();
+        let adv = g.interner().get("http://ex/advisedBy").unwrap();
+        let alice = g.interner().get("http://ex/alice").map(Term::Iri).unwrap();
+        for s in [bob, alice] {
+            let borrowed: Vec<Triple> = g.statements_of(s).collect();
+            assert_eq!(borrowed, g.match_pattern(Some(s), None, None));
+        }
+        // Tombstones are skipped, order is insertion order.
+        g.remove(bob, adv, alice);
+        let borrowed: Vec<Triple> = g.statements_of(bob).collect();
+        assert_eq!(borrowed, g.match_pattern(Some(bob), None, None));
+        assert_eq!(borrowed.len(), 2);
     }
 
     #[test]

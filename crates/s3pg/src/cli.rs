@@ -18,7 +18,7 @@ use crate::metrics::{PhaseSpan, PipelineMetrics};
 use crate::mode::Mode;
 use crate::pipeline::{self, transform_with, PipelineConfig};
 use s3pg_pg::{csv, ddl, yarspg, PgStats};
-use s3pg_rdf::parser::{parse_ntriples, parse_ntriples_parallel, parse_turtle};
+use s3pg_rdf::parser::{parse_ntriples_parallel, parse_turtle};
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, validate, ShapeSchema};
@@ -143,16 +143,15 @@ pub fn load_graph(path: &Path) -> Result<Graph, String> {
 }
 
 /// Load an RDF graph by file extension, parsing N-Triples with `threads`
-/// workers (Turtle parsing is always sequential — its prefix state is a
-/// document-wide stream).
+/// workers (one worker is the sequential parser; Turtle parsing is always
+/// sequential — its prefix state is a document-wide stream).
 pub fn load_graph_with(path: &Path, threads: usize) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     match path.extension().and_then(|e| e.to_str()) {
-        Some("nt") | Some("ntriples") if threads > 1 => {
+        Some("nt") | Some("ntriples") => {
             parse_ntriples_parallel(&text, threads).map_err(|e| e.to_string())
         }
-        Some("nt") | Some("ntriples") => parse_ntriples(&text).map_err(|e| e.to_string()),
         _ => parse_turtle(&text).map_err(|e| e.to_string()),
     }
 }

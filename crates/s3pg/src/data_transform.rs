@@ -6,31 +6,40 @@
 //!    into the entity-type map `Ψ_ETD`, then create one PG node per entity
 //!    with one label per declared type and the entity IRI as a key/value
 //!    (`iri`) property. Untyped subjects get their `Resource` fallback node
-//!    in this phase too, so that entity-ness is frozen before phase 2 —
-//!    the invariant the sharded parallel pipeline
-//!    ([`crate::parallel`]) relies on.
+//!    in this phase too, so that entity-ness is frozen before phase 2.
+//!    This module holds that phase (`ingest_phase1`).
 //! 2. **Properties to key/values and edges** (lines 15–31): stream the
 //!    remaining triples. If the object is a typed entity, create an edge
 //!    (lines 16–20). If the predicate is a single-type literal with
 //!    cardinality at most one and the mode is parsimonious, encode the value
 //!    as a key/value property (lines 21–23). Otherwise create a
 //!    literal-carrier node labelled by the value's datatype, store the value
-//!    under `ov`, and link it (lines 24–31).
+//!    under `ov`, and link it (lines 24–31). One classifier does this for
+//!    the one-shot transform at any thread count and for a delta; it lives
+//!    with the sharded driver in [`crate::parallel`].
 //!
 //! Data that falls outside the schema (unknown predicates, unexpected
 //! datatypes, untyped subjects) never loses information: the schema is
 //! *widened monotonically* on the fly (new carrier types, fallback edge
 //! types, the `Resource` type), so `PG ⊨ S_PG` is maintained.
+//!
+//! # Strings are touched once
+//!
+//! The input graph's terms are interned symbols; everything the mapping
+//! persists — [`TransformState`], the `Mapping`, the PG's `iri` index — is
+//! keyed by string, because every delta arrives with an interner of its
+//! own. `PassTables` is the bridge, built per pass and sized by *that
+//! pass's* interner (so an update stays O(|Δ|)): a dense table from term
+//! symbol to `(NodeId, type-set id)`, filled by one string lookup the first
+//! time a term is met, after which a triple costs array indexing.
 
-use crate::mapping::Handling;
+use crate::metrics::PipelineMetrics;
 use crate::mode::Mode;
-use crate::schema_transform::{
-    ensure_carrier, ensure_entity_type, SchemaTransform, ANY_IRI_DATATYPE, RESOURCE_LABEL,
-    RESOURCE_TYPE,
-};
-use s3pg_pg::{EdgeType, NodeId, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
+use crate::schema_transform::{ensure_entity_type, SchemaTransform, RESOURCE_LABEL, RESOURCE_TYPE};
+use s3pg_pg::{EdgeType, NodeId, PropertyGraph, Value, IRI_KEY};
 use s3pg_rdf::fxhash::FxHashMap;
-use s3pg_rdf::{vocab, Graph, Term};
+use s3pg_rdf::{vocab, Graph, Sym, Term};
+use std::borrow::Cow;
 
 /// Key under which language tags of `rdf:langString` carrier nodes are kept.
 pub const LANG_KEY: &str = "lang";
@@ -106,20 +115,10 @@ pub struct DataTransform {
 
 /// Transform `graph` into a property graph under `transform`'s schema and
 /// mapping. The schema may be widened (monotonically) for out-of-schema
-/// data.
+/// data. One shard: [`crate::parallel::transform_data_with`] at
+/// `threads = 1`.
 pub fn transform_data(graph: &Graph, transform: &mut SchemaTransform, mode: Mode) -> DataTransform {
-    let mut pg = PropertyGraph::with_capacity(graph.len() / 2, graph.len());
-    let mut state = TransformState {
-        mode,
-        ..Default::default()
-    };
-    let mut counters = TransformCounters::default();
-    ingest(graph, transform, &mut pg, &mut state, &mut counters);
-    DataTransform {
-        pg,
-        state,
-        counters,
-    }
+    crate::parallel::transform_data_with(graph, transform, mode, 1, &mut PipelineMetrics::new(1))
 }
 
 /// Run both phases of Algorithm 1 over `graph`, adding to an existing PG.
@@ -132,253 +131,213 @@ pub fn ingest(
     state: &mut TransformState,
     counters: &mut TransformCounters,
 ) {
-    ingest_phase1(graph, transform, pg, state, counters);
-    ingest_phase2(graph, transform, pg, state, counters);
+    crate::parallel::ingest_sharded(graph, transform, pg, state, counters, 1, None);
+}
+
+/// What a pass knows about one resource term of its input graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Not met yet: the next lookup goes through the term's string.
+    Unseen,
+    /// Typed by this graph and waiting for phase 1 to reach it.
+    Queued,
+    /// No entity by this name — cached by phase 2 only, where entity-ness
+    /// is frozen.
+    NotEntity,
+    /// An entity: its node and the id of its node-type set.
+    Entity { node: NodeId, types: u32 },
+}
+
+/// The per-pass symbol tables (see the module docs): term → [`Slot`] with
+/// IRIs and blank nodes kept apart, and the distinct node-type sets met,
+/// which everything per `(subject types, predicate)` is memoised under.
+#[derive(Debug, Clone)]
+pub(crate) struct PassTables {
+    iris: Vec<Slot>,
+    blanks: Vec<Slot>,
+    /// Type-set id → the type names, as `TransformState::entity_types`
+    /// lists them.
+    pub(crate) type_sets: Vec<Vec<String>>,
+    type_set_ids: FxHashMap<Vec<String>, u32>,
+}
+
+impl PassTables {
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let symbols = graph.interner().len();
+        PassTables {
+            iris: vec![Slot::Unseen; symbols],
+            blanks: vec![Slot::Unseen; symbols],
+            type_sets: Vec::new(),
+            type_set_ids: FxHashMap::default(),
+        }
+    }
+
+    fn slot_mut(&mut self, term: Term) -> &mut Slot {
+        match term {
+            Term::Iri(s) => &mut self.iris[s.index()],
+            Term::Blank(s) => &mut self.blanks[s.index()],
+            Term::Literal(_) => unreachable!("literals are not entities"),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, term: Term) -> Slot {
+        match term {
+            Term::Iri(s) => self.iris[s.index()],
+            Term::Blank(s) => self.blanks[s.index()],
+            Term::Literal(_) => Slot::NotEntity,
+        }
+    }
+
+    fn type_set(&mut self, types: &[String]) -> u32 {
+        if let Some(&id) = self.type_set_ids.get(types) {
+            return id;
+        }
+        let id = u32::try_from(self.type_sets.len()).expect("too many type sets");
+        self.type_sets.push(types.to_vec());
+        self.type_set_ids.insert(types.to_vec(), id);
+        id
+    }
+
+    /// Phase 2's view of an object term: an entity known to the frozen
+    /// state, or not one. The answer is cached either way.
+    pub(crate) fn object(
+        &mut self,
+        graph: &Graph,
+        term: Term,
+        state: &TransformState,
+        pg: &PropertyGraph,
+    ) -> Slot {
+        let seen = self.get(term);
+        if seen != Slot::Unseen {
+            return seen;
+        }
+        let entity = entity_ref(graph, term);
+        let slot = match state.entity_types.get(entity.as_ref()) {
+            Some(types) => Slot::Entity {
+                node: pg
+                    .node_by_iri(&entity)
+                    .expect("phase 1 materialised every entity node"),
+                types: self.type_set(types),
+            },
+            None => Slot::NotEntity,
+        };
+        *self.slot_mut(term) = slot;
+        slot
+    }
+}
+
+/// A class of the input graph, registered with the mapping and the schema.
+struct ClassEntry {
+    type_name: String,
+    label: String,
+    /// The label's PG symbol, interned when the first node takes it.
+    sym: Option<Sym>,
 }
 
 /// Phase 1 of Algorithm 1 (lines 4–14): materialise one PG node per entity.
 ///
 /// All entity nodes — typed entities *and* untyped subjects (which get the
 /// `Resource` fallback) — are created here, before any property is
-/// processed. After this phase, `state.entity_types` and the set of entity
-/// nodes are frozen for the rest of the pass, which is what allows phase 2
-/// to run sharded across threads with a read-only view.
+/// processed, in one order whatever the thread count: typed entities by
+/// their first `rdf:type` statement, then untyped `subjects` as given.
+/// After this phase `state.entity_types` and the set of entity nodes are
+/// frozen for the rest of the pass and every subject has its [`Slot`] in
+/// `tables`, which is what lets phase 2 run sharded on a read-only view.
 pub(crate) fn ingest_phase1(
     graph: &Graph,
+    subjects: &[Term],
     transform: &mut SchemaTransform,
     pg: &mut PropertyGraph,
     state: &mut TransformState,
     counters: &mut TransformCounters,
+    tables: &mut PassTables,
 ) {
     let type_p = graph.type_predicate_opt();
 
     if let Some(type_p) = type_p {
-        // Group type triples per entity first so multi-labelled nodes are
-        // created in one step.
-        let mut pending: FxHashMap<String, Vec<String>> = FxHashMap::default();
-        let mut order: Vec<String> = Vec::new();
+        let mut typed: Vec<Term> = Vec::new();
         for t in graph.match_pattern(None, Some(type_p), None) {
-            let Some(class_sym) = t.o.as_iri() else {
-                continue; // a literal "type" is not a class
-            };
-            let entity = entity_ref(graph, t.s);
-            let class_iri = graph.resolve(class_sym).to_string();
-            match pending.get_mut(&entity) {
-                Some(classes) => classes.push(class_iri),
-                None => {
-                    order.push(entity.clone());
-                    pending.insert(entity, vec![class_iri]);
-                }
+            // A literal "type" is not a class.
+            if t.o.is_iri() && tables.get(t.s) == Slot::Unseen {
+                *tables.slot_mut(t.s) = Slot::Queued;
+                typed.push(t.s);
             }
         }
-        for entity in order {
-            let classes = pending.remove(&entity).unwrap();
+        let mut classes: FxHashMap<Sym, ClassEntry> = FxHashMap::default();
+        let mut labels: Vec<Sym> = Vec::new();
+        for s_term in typed {
+            let entity = entity_ref(graph, s_term);
             // Register the entity's types *before* materialising the node so
             // the untyped-Resource fallback does not fire for typed entities.
-            let mut labels = Vec::with_capacity(classes.len());
-            for class_iri in &classes {
-                let (type_name, label) = transform.mapping.register_class(class_iri);
-                ensure_entity_type(&mut transform.pg_schema, &type_name, &label, class_iri);
-                let types = state.entity_types.entry(entity.clone()).or_default();
-                if !types.contains(&type_name) {
-                    types.push(type_name);
+            let types = state
+                .entity_types
+                .entry(entity.as_ref().to_string())
+                .or_default();
+            labels.clear();
+            for class in graph
+                .statements_of(s_term)
+                .filter(|t| t.p == type_p)
+                .filter_map(|t| t.o.as_iri())
+            {
+                let entry = classes.entry(class).or_insert_with(|| {
+                    let class_iri = graph.resolve(class);
+                    let (type_name, label) = transform.mapping.register_class(class_iri);
+                    ensure_entity_type(&mut transform.pg_schema, &type_name, &label, class_iri);
+                    ClassEntry {
+                        type_name,
+                        label,
+                        sym: None,
+                    }
+                });
+                if !types.contains(&entry.type_name) {
+                    types.push(entry.type_name.clone());
                 }
-                labels.push(label);
+                labels.push(class);
             }
+            let types = tables.type_set(types);
             let node = ensure_entity_node(pg, transform, state, &entity, counters);
-            for label in labels {
-                pg.add_label(node, &label);
+            for class in &labels {
+                let entry = classes.get_mut(class).expect("registered above");
+                let sym = *entry.sym.get_or_insert_with(|| pg.intern(&entry.label));
+                pg.add_label_sym(node, sym);
             }
+            *tables.slot_mut(s_term) = Slot::Entity { node, types };
         }
     }
 
     // Untyped subjects with at least one data statement get their
     // `Resource` node now, so that "is the object a typed entity?" in
-    // phase 2 no longer depends on subject processing order.
-    for s_term in graph.subjects_distinct() {
-        let subject = entity_ref(graph, s_term);
-        if state.entity_types.contains_key(&subject) {
+    // phase 2 no longer depends on subject processing order; subjects an
+    // earlier pass typed are looked up here, once.
+    for &s_term in subjects {
+        if tables.get(s_term) != Slot::Unseen {
             continue;
         }
-        let has_data = graph
-            .match_pattern(Some(s_term), None, None)
-            .iter()
-            .any(|t| Some(t.p) != type_p);
-        if has_data {
-            ensure_entity_node(pg, transform, state, &subject, counters);
-        }
-    }
-}
-
-/// Phase 2 of Algorithm 1 (lines 15–31): properties to key/values, edges,
-/// and literal-carrier nodes. Requires [`ingest_phase1`] to have run for
-/// this graph (every entity node exists; `state.entity_types` is final).
-pub(crate) fn ingest_phase2(
-    graph: &Graph,
-    transform: &mut SchemaTransform,
-    pg: &mut PropertyGraph,
-    state: &mut TransformState,
-    counters: &mut TransformCounters,
-) {
-    let type_p = graph.type_predicate_opt();
-
-    // Iterate per distinct subject so the node lookup and the subject's
-    // type list are resolved once per entity instead of once per triple.
-    for s_term in graph.subjects_distinct() {
         let subject = entity_ref(graph, s_term);
-        let statements = graph.match_pattern(Some(s_term), None, None);
-        if statements.iter().all(|t| Some(t.p) == type_p) {
+        if !state.entity_types.contains_key(subject.as_ref())
+            && graph.statements_of(s_term).all(|t| Some(t.p) == type_p)
+        {
             continue;
         }
-        let s_node = ensure_entity_node(pg, transform, state, &subject, counters);
-        let subject_types: Vec<String> = state
-            .entity_types
-            .get(&subject)
-            .cloned()
-            .unwrap_or_default();
-
-        for t in statements {
-            if Some(t.p) == type_p {
-                continue;
-            }
-            let predicate = graph.resolve(t.p);
-            let handling = subject_types
-                .iter()
-                .find_map(|tn| transform.mapping.handling_for(tn, predicate).cloned());
-            let predicate = predicate.to_string();
-            if handling.is_none() {
-                counters.fallback_triples += 1;
-            }
-
-            // Line 16: object exists as a typed entity → edge.
-            let object_ref = t.o.is_resource().then(|| entity_ref(graph, t.o));
-            let object_is_entity = object_ref
-                .as_ref()
-                .is_some_and(|r| state.entity_types.contains_key(r));
-            if object_is_entity {
-                let object_ref = object_ref.unwrap();
-                let o_node = ensure_entity_node(pg, transform, state, &object_ref, counters);
-                let label = match &handling {
-                    Some(Handling::Edge { label }) => label.clone(),
-                    _ => transform.mapping.register_edge_label(&predicate),
-                };
-                let cache_key = widen_cache_key(&subject_types, &label);
-                let cached = {
-                    let targets = state
-                        .entity_types
-                        .get(&object_ref)
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]);
-                    state
-                        .widen_cache
-                        .get(&cache_key)
-                        .is_some_and(|ok| targets.iter().all(|t| ok.contains(t)))
-                };
-                if !cached {
-                    let targets = state
-                        .entity_types
-                        .get(&object_ref)
-                        .cloned()
-                        .unwrap_or_default();
-                    widen_edge_type(
-                        transform,
-                        &subject_types,
-                        &label,
-                        &predicate,
-                        targets.clone(),
-                    );
-                    let entry = state.widen_cache.entry(cache_key).or_default();
-                    entry.extend(targets);
-                }
-                pg.add_edge(s_node, o_node, &label);
-                counters.edges += 1;
-                continue;
-            }
-
-            // Lines 21–23: parsimonious key/value for single-type literals.
-            if let Some(Handling::KeyValue { key, .. }) = &handling {
-                if let Some(lit) = t.o.as_literal() {
-                    if lit.lang.is_none() {
-                        let value =
-                            preserve_value(graph.resolve(lit.lexical), graph.resolve(lit.datatype));
-                        pg.push_prop(s_node, key, value);
-                        counters.key_values += 1;
-                        continue;
-                    }
-                    // Language-tagged values need the carrier path to keep
-                    // the tag — fall through.
-                }
-                // A non-literal object under a literal handling: the object
-                // is an IRI the schema did not anticipate — fall through to
-                // the lossless carrier path.
-            }
-
-            // Lines 24–31: carrier node.
-            let (datatype, value, lang) = describe_object(graph, t.o);
-            let (carrier_type, carrier_label) =
-                ensure_carrier(&mut transform.pg_schema, &mut transform.mapping, &datatype);
-            let label = match &handling {
-                Some(Handling::Edge { label }) => label.clone(),
-                _ => transform.mapping.register_edge_label(&predicate),
-            };
-            let cache_key = widen_cache_key(&subject_types, &label);
-            let cached = state
-                .widen_cache
-                .get(&cache_key)
-                .is_some_and(|ok| ok.contains(&carrier_type));
-            if !cached {
-                widen_edge_type(
-                    transform,
-                    &subject_types,
-                    &label,
-                    &predicate,
-                    vec![carrier_type.clone()],
-                );
-                state
-                    .widen_cache
-                    .entry(cache_key)
-                    .or_default()
-                    .insert(carrier_type);
-            }
-            let o_node = pg.add_node([carrier_label.as_str()]);
-            pg.set_prop(o_node, VALUE_KEY, value);
-            if let Some(lang) = lang {
-                pg.set_prop(o_node, LANG_KEY, Value::String(lang));
-            }
-            pg.add_edge(s_node, o_node, &label);
-            counters.carrier_nodes += 1;
-            counters.edges += 1;
-            // A carrier-ized *resource* object is a forward reference: if
-            // its entity arrives in a later delta, the carrier must become
-            // a real edge.
-            if let Some(object_ref) = object_ref {
-                state
-                    .pending_refs
-                    .entry(object_ref)
-                    .or_default()
-                    .push(PendingRef {
-                        src: s_node,
-                        label: label.clone(),
-                        predicate: predicate.clone(),
-                        carrier: o_node,
-                    });
-            }
-        }
+        let node = ensure_entity_node(pg, transform, state, &subject, counters);
+        let types = tables.type_set(&state.entity_types[subject.as_ref()]);
+        *tables.slot_mut(s_term) = Slot::Entity { node, types };
     }
 }
 
 /// Reference string for an entity term: the IRI, or `_:label` for blanks.
-pub fn entity_ref(graph: &Graph, term: Term) -> String {
+pub fn entity_ref(graph: &Graph, term: Term) -> Cow<'_, str> {
     match term {
-        Term::Iri(s) => graph.resolve(s).to_string(),
-        Term::Blank(s) => format!("_:{}", graph.resolve(s)),
+        Term::Iri(s) => Cow::Borrowed(graph.resolve(s)),
+        Term::Blank(s) => Cow::Owned(format!("_:{}", graph.resolve(s))),
         Term::Literal(_) => unreachable!("literals are not entities"),
     }
 }
 
 /// Get or create the PG node for an entity. Entities first seen in subject
 /// position without any type get the `Resource` label (and type).
-pub(crate) fn ensure_entity_node(
+fn ensure_entity_node(
     pg: &mut PropertyGraph,
     transform: &mut SchemaTransform,
     state: &mut TransformState,
@@ -410,7 +369,7 @@ pub(crate) fn ensure_entity_node(
 /// entity's node types. Invoked whenever an entity node materialises, so
 /// deltas may forward-reference entities of later deltas and the PG still
 /// converges to the one-shot transform.
-pub(crate) fn repair_pending_refs(
+fn repair_pending_refs(
     pg: &mut PropertyGraph,
     transform: &mut SchemaTransform,
     state: &mut TransformState,
@@ -451,36 +410,28 @@ pub(crate) fn repair_pending_refs(
 /// the value is stored as a string so `M(F_dt(G)) = G` holds exactly.
 pub fn preserve_value(lexical: &str, datatype: &str) -> Value {
     let v = Value::from_xsd(lexical, datatype);
-    if v.lexical() == lexical {
+    if v.lexical_eq(lexical) {
         v
     } else {
         Value::String(lexical.to_string())
     }
 }
 
-/// Datatype IRI, value, and optional language tag of an object term that is
-/// not a typed entity.
-pub(crate) fn describe_object(graph: &Graph, o: Term) -> (String, Value, Option<String>) {
+/// The value (and language tag, if any) a carrier node holds for an object
+/// term that is not a typed entity.
+pub(crate) fn carrier_value(graph: &Graph, o: Term) -> (Value, Option<Sym>) {
     match o {
         Term::Literal(l) => {
-            let dt = graph.resolve(l.datatype).to_string();
             let lex = graph.resolve(l.lexical);
-            let lang = l.lang.map(|t| graph.resolve(t).to_string());
-            let value = if lang.is_some() {
+            let value = if l.lang.is_some() {
                 Value::String(lex.to_string())
             } else {
-                preserve_value(lex, &dt)
+                preserve_value(lex, graph.resolve(l.datatype))
             };
-            (dt, value, lang)
+            (value, l.lang)
         }
-        Term::Iri(s) => (
-            ANY_IRI_DATATYPE.to_string(),
-            Value::String(graph.resolve(s).to_string()),
-            None,
-        ),
-        Term::Blank(s) => (
-            ANY_IRI_DATATYPE.to_string(),
-            Value::String(format!("_:{}", graph.resolve(s))),
+        resource => (
+            Value::String(entity_ref(graph, resource).into_owned()),
             None,
         ),
     }
@@ -545,7 +496,7 @@ pub fn is_lang_string(datatype: &str) -> bool {
 mod tests {
     use super::*;
     use crate::schema_transform::transform_schema;
-    use s3pg_pg::conformance;
+    use s3pg_pg::{conformance, VALUE_KEY};
     use s3pg_rdf::parser::parse_turtle;
     use s3pg_shacl::parser::parse_shacl_turtle;
 

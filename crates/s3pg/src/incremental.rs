@@ -9,14 +9,14 @@
 //! which is the point of the non-parsimonious encoding.
 
 use crate::data_transform::{
-    entity_ref, ingest, preserve_value, TransformCounters, TransformState, LANG_KEY,
+    carrier_value, entity_ref, ingest, preserve_value, TransformCounters, TransformState, LANG_KEY,
 };
 use crate::error::S3pgError;
 use crate::mapping::Handling;
 use crate::schema_transform::SchemaTransform;
 use s3pg_pg::{PropertyGraph, Value, VALUE_KEY};
 use s3pg_rdf::parser::parse_ntriples;
-use s3pg_rdf::{Graph, Term};
+use s3pg_rdf::Graph;
 
 /// Apply an additions-only delta. Returns the counters for the delta pass.
 pub fn apply_additions(
@@ -57,7 +57,7 @@ pub fn apply_deletions(
                         changes += 1;
                     }
                     if let Some(type_name) = transform.mapping.type_of_class.get(class_iri) {
-                        if let Some(types) = state.entity_types.get_mut(&subject) {
+                        if let Some(types) = state.entity_types.get_mut(subject.as_ref()) {
                             types.retain(|t| t != type_name);
                         }
                     }
@@ -69,7 +69,7 @@ pub fn apply_deletions(
         let predicate = removed.resolve(t.p).to_string();
         let subject_types = state
             .entity_types
-            .get(&subject)
+            .get(subject.as_ref())
             .cloned()
             .unwrap_or_default();
         let handling = subject_types
@@ -119,16 +119,15 @@ pub fn apply_deletions(
                 None => continue,
             },
         };
-        let expected = expected_carrier_value(removed, t.o);
+        let (value, lang) = carrier_value(removed, t.o);
+        let lang = lang.map(|tag| Value::String(removed.resolve(tag).to_string()));
         let candidate = pg.out_edges(s_node).find(|&e| {
             let edge = pg.edge(e);
             if !pg.edge_labels_of(e).contains(&label.as_str()) {
                 return false;
             }
-            let (value, lang) = &expected;
-            pg.prop(edge.dst, VALUE_KEY) == Some(value)
-                && pg.prop(edge.dst, LANG_KEY).cloned()
-                    == lang.as_ref().map(|l| Value::String(l.clone()))
+            pg.prop(edge.dst, VALUE_KEY) == Some(&value)
+                && pg.prop(edge.dst, LANG_KEY) == lang.as_ref()
         });
         if let Some(e) = candidate {
             let dst = pg.edge(e).dst;
@@ -316,22 +315,6 @@ pub fn replay_deltas<'a>(
     }
     replay_flush(&mut pending, rdf, pg, transform, state, &mut outcome)?;
     Ok(outcome)
-}
-
-fn expected_carrier_value(graph: &Graph, o: Term) -> (Value, Option<String>) {
-    match o {
-        Term::Literal(l) => {
-            let lex = graph.resolve(l.lexical);
-            let lang = l.lang.map(|t| graph.resolve(t).to_string());
-            if lang.is_some() {
-                (Value::String(lex.to_string()), lang)
-            } else {
-                (preserve_value(lex, graph.resolve(l.datatype)), None)
-            }
-        }
-        Term::Iri(s) => (Value::String(graph.resolve(s).to_string()), None),
-        Term::Blank(s) => (Value::String(format!("_:{}", graph.resolve(s))), None),
-    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //!   `N : S_PG → S_G` witnessing information preservation (Prop. 4.1).
 //! * [`query_translate`] — `F_qt`, SPARQL → Cypher over the transformed
 //!   graph (§4.3).
-//! * [`pipeline`] — end-to-end convenience API with stage timings; the
-//!   parallel entry point [`pipeline::transform_with`] shards both phases
-//!   of Algorithm 1 across scoped threads.
+//! * [`pipeline`] — end-to-end convenience API with stage timings;
+//!   [`pipeline::transform_with`] shards phase 2 of Algorithm 1 across
+//!   scoped threads ([`parallel`]: one classifier, one shard at
+//!   `threads = 1`).
 //! * [`metrics`] — per-phase wall-clock spans, throughput, and shard-skew
 //!   reporting for the (parallel) pipeline.
 //!

@@ -53,8 +53,37 @@ pub struct PipelineMetrics {
     pub threads: usize,
     /// Timed phases in execution order.
     pub phases: Vec<PhaseSpan>,
-    /// Phase-2 statements processed per shard (empty when sequential).
+    /// Phase-2 statements processed per shard; one entry at `threads = 1`.
     pub shard_triples: Vec<u64>,
+    /// Distinct node-type sets the pass met, and distinct `(type set,
+    /// predicate)` pairs it resolved to an encoding — the sizes of phase
+    /// 2's two memo tables (the largest shard's). This *schema width*, not
+    /// the node count, is what per-statement work is amortised over.
+    pub type_sets: usize,
+    pub resolved_pairs: usize,
+    /// Phase-2 items by encoding.
+    pub phase2_items: EncodingCounts,
+}
+
+/// What phase 2 produced, split by how Algorithm 1 encoded it: key/value
+/// properties (lines 21–23), edges between entity nodes (lines 16–20), and
+/// literal-carrier nodes with their edge (lines 24–31).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EncodingCounts {
+    pub key_values: u64,
+    pub edges: u64,
+    pub carriers: u64,
+}
+
+impl EncodingCounts {
+    /// `(encoding label, count)` in report order.
+    pub fn by_encoding(&self) -> [(&'static str, u64); 3] {
+        [
+            ("key_value", self.key_values),
+            ("edge", self.edges),
+            ("carrier", self.carriers),
+        ]
+    }
 }
 
 impl PipelineMetrics {
@@ -134,13 +163,24 @@ impl PipelineMetrics {
             }
             let _ = write!(s, "{n}");
         }
-        let _ = write!(s, "],\"shard_skew\":{:.4}}}", self.shard_skew());
+        let _ = write!(
+            s,
+            "],\"shard_skew\":{:.4},\"type_sets\":{},\"resolved_pairs\":{},\"phase2_items\":{{",
+            self.shard_skew(),
+            self.type_sets,
+            self.resolved_pairs
+        );
+        for (i, (encoding, n)) in self.phase2_items.by_encoding().iter().enumerate() {
+            let _ = write!(s, "{}\"{encoding}\":{n}", if i > 0 { "," } else { "" });
+        }
+        s.push_str("}}");
         s
     }
 
     /// Publish this run's numbers as gauges on `registry`:
     /// `s3pg_phase_wall_microseconds{phase=…}`, `s3pg_phase_items{phase=…}`,
-    /// `s3pg_pipeline_threads`, and `s3pg_shard_skew`.
+    /// `s3pg_pipeline_threads`, `s3pg_shard_skew`, `s3pg_pass_type_sets`,
+    /// `s3pg_pass_resolved_pairs` and `s3pg_phase2_items{encoding=…}`.
     pub fn export_to(&self, registry: &s3pg_obs::Registry) {
         for p in &self.phases {
             registry
@@ -157,6 +197,17 @@ impl PipelineMetrics {
             .gauge("s3pg_pipeline_threads")
             .set_u64(self.threads as u64);
         registry.gauge("s3pg_shard_skew").set(self.shard_skew());
+        registry
+            .gauge("s3pg_pass_type_sets")
+            .set_u64(self.type_sets as u64);
+        registry
+            .gauge("s3pg_pass_resolved_pairs")
+            .set_u64(self.resolved_pairs as u64);
+        for (encoding, n) in self.phase2_items.by_encoding() {
+            registry
+                .gauge(&format!("s3pg_phase2_items{{encoding=\"{encoding}\"}}"))
+                .set_u64(n);
+        }
     }
 }
 
@@ -182,6 +233,14 @@ impl fmt::Display for PipelineMetrics {
             "total",
             format_duration(self.total_wall())
         )?;
+        if self.resolved_pairs > 0 {
+            let items = self.phase2_items;
+            writeln!(
+                f,
+                "  phase 2: {} key/values, {} edges, {} carriers over {} type sets, {} (type set, predicate) pairs",
+                items.key_values, items.edges, items.carriers, self.type_sets, self.resolved_pairs
+            )?;
+        }
         if !self.shard_triples.is_empty() {
             let max = self.shard_triples.iter().copied().max().unwrap_or(0);
             writeln!(
@@ -267,6 +326,13 @@ mod tests {
         m.record("parse", Duration::from_millis(10), 500, "triples");
         m.record("phase2_props", Duration::from_millis(5), 250, "triples");
         m.shard_triples = vec![150, 100];
+        m.type_sets = 3;
+        m.resolved_pairs = 17;
+        m.phase2_items = EncodingCounts {
+            key_values: 120,
+            edges: 90,
+            carriers: 40,
+        };
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"threads\":2"), "{json}");
@@ -277,6 +343,13 @@ mod tests {
         assert!(json.contains("\"shard_triples\":[150,100]"), "{json}");
         assert!(json.contains("\"shard_skew\":1.2000"), "{json}");
         assert!(json.contains("\"total_wall_micros\":15000"), "{json}");
+        assert!(
+            json.ends_with(
+                "\"type_sets\":3,\"resolved_pairs\":17,\
+                 \"phase2_items\":{\"key_value\":120,\"edge\":90,\"carrier\":40}}"
+            ),
+            "{json}"
+        );
     }
 
     #[test]
@@ -284,6 +357,8 @@ mod tests {
         let mut m = PipelineMetrics::new(4);
         m.record("phase1_nodes", Duration::from_millis(3), 42, "nodes");
         m.shard_triples = vec![30, 10];
+        m.type_sets = 5;
+        m.phase2_items.carriers = 9;
         let registry = s3pg_obs::Registry::new();
         m.export_to(&registry);
         let text = registry.expose();
@@ -302,5 +377,9 @@ mod tests {
         assert_eq!(get("s3pg_phase_items{phase=\"phase1_nodes\"}"), 42.0);
         assert_eq!(get("s3pg_pipeline_threads"), 4.0);
         assert_eq!(get("s3pg_shard_skew"), 1.5);
+        assert_eq!(get("s3pg_pass_type_sets"), 5.0);
+        assert_eq!(get("s3pg_pass_resolved_pairs"), 0.0);
+        assert_eq!(get("s3pg_phase2_items{encoding=\"carrier\"}"), 9.0);
+        assert_eq!(get("s3pg_phase2_items{encoding=\"edge\"}"), 0.0);
     }
 }

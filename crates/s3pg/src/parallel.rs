@@ -1,53 +1,59 @@
-//! Sharded parallel execution of Algorithm 1 using `std::thread::scope`.
+//! Phase 2 of Algorithm 1 — one classifier — and its sharded driver.
 //!
-//! Both phases of the data transformation shard work by **subject-term
-//! hash**, so every statement of a given subject is handled by exactly one
-//! worker and no two workers ever touch the same entity node:
+//! Phase 1 (`data_transform::ingest_phase1`) runs on the calling
+//! thread: it assigns global `NodeId`s and mutates the shared mapping, and
+//! it leaves the mapping, the entity-type map and the node set frozen.
+//! Phase 2 (properties → key/values, edges, carriers) is then a pure
+//! classification of each statement against that frozen view, so it is
+//! written once, as a worker over a *subject shard*:
 //!
-//! 1. **Phase 1** (entities → nodes): workers group the `rdf:type` triples
-//!    of their shard and resolve all strings in parallel; the
-//!    registration of classes and the actual node materialisation — which
-//!    assign global `NodeId`s and mutate the shared mapping — then run
-//!    sequentially over the per-shard groups. A second parallel sweep
-//!    finds untyped subjects for the `Resource` fallback.
-//! 2. **Phase 2** (properties → key/values, edges, carriers): the mapping,
-//!    the entity-type map, and the node set are frozen after phase 1, so
-//!    workers process their subject shard with a fully read-only view,
-//!    emitting *operation buffers* (edges, key/values, carrier nodes,
-//!    schema-widening requests) with worker-local label/key/datatype
-//!    tables. The buffers are applied sequentially in shard order; labels
-//!    and keys are interned once per shard table entry, so the apply step
-//!    is pure integer work through the property graph's `*_sym` bulk
-//!    entry points.
+//! * `run_shard` streams the shard's subjects and emits an **operation
+//!   buffer** (`Op`) that refers to worker-local label / key / datatype
+//!   tables. Per statement it does array indexing only: the subject's and
+//!   object's `(NodeId, type-set id)` come from the pass's
+//!   `PassTables`; `(type-set id, predicate symbol)` resolves once to an
+//!   encoding (key/value key, edge label, fallback); and a
+//!   `(type-set, label, target)` memo stands in front of
+//!   `TransformState::widen_cache`, so a schema-widening request is emitted
+//!   once per combination.
+//! * `apply_shard` replays a buffer on the calling thread through the
+//!   property graph's `*_sym` bulk entry points. Labels, keys and carrier
+//!   types are registered and interned *lazily, when the first operation
+//!   that uses them is applied*, so `register_edge_label`, `ensure_carrier`
+//!   and `widen_edge_type` run in statement order.
 //!
-//! The parallel output is isomorphic to the sequential one: identical
-//! node/edge/property counts and conformance, though `NodeId` assignment
-//! (and collision-suffixed fresh names) can differ because shard order
-//! replaces global subject order. Workers report progress through relaxed
-//! [`s3pg_obs::Counter`]s, and per-shard statement counts feed the
-//! shard-skew metric. When a trace is active (the caller opened a span on
-//! this thread), each phase records a span and every phase-2 worker
-//! records a `shard` span parented under it.
+//! The drivers differ only in how many shards there are. With one shard
+//! (`threads = 1`, and every delta) the worker runs inline over all
+//! subjects in term order and the output is *the* sequential output: node
+//! ids, edge ids and registration order are pinned by
+//! `tests/fdt_golden.rs`. With `n` shards subjects are split by
+//! subject-term hash, workers run on scoped threads over a read-only view
+//! (each with its own copy of the tables), and buffers are applied in
+//! shard order: entity nodes are the same (phase 1 does not shard), while
+//! carrier-node ids, edge ids and collision-suffixed fresh names follow
+//! shard order — same counts, same conformance, same `M(PG)`.
+//!
+//! For the one-shot pipeline, per-shard statement counts feed the
+//! shard-skew metric and, when a trace is active (the caller opened a span
+//! on this thread), each phase records a span and every phase-2 worker a
+//! `shard` span parented under it. A delta is not instrumented here.
 
 use crate::data_transform::{
-    describe_object, ensure_entity_node, entity_ref, ingest_phase1, ingest_phase2, preserve_value,
-    widen_cache_key, widen_edge_type, DataTransform, PendingRef, TransformCounters, TransformState,
-    LANG_KEY,
+    carrier_value, ingest_phase1, preserve_value, widen_cache_key, widen_edge_type, DataTransform,
+    PassTables, PendingRef, Slot, TransformCounters, TransformState, LANG_KEY,
 };
 use crate::mapping::Handling;
 use crate::metrics::PipelineMetrics;
 use crate::mode::Mode;
-use crate::schema_transform::{ensure_carrier, ensure_entity_type, SchemaTransform};
-use s3pg_obs::{tracer, Counter};
+use crate::schema_transform::{ensure_carrier, SchemaTransform, ANY_IRI_DATATYPE};
+use s3pg_obs::tracer;
 use s3pg_pg::{NodeId, PropertyGraph, Value, VALUE_KEY};
 use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use s3pg_rdf::{Graph, Sym, Term};
 use std::time::Instant;
 
-/// Transform `graph` with `threads` workers, recording per-phase spans and
-/// shard statistics into `metrics`. With `threads <= 1` this runs the
-/// sequential [`crate::data_transform::transform_data`] path (still timed
-/// per phase).
+/// Transform `graph` with `threads` phase-2 workers, recording per-phase
+/// spans and shard statistics into `metrics`.
 pub fn transform_data_with(
     graph: &Graph,
     transform: &mut SchemaTransform,
@@ -55,49 +61,21 @@ pub fn transform_data_with(
     threads: usize,
     metrics: &mut PipelineMetrics,
 ) -> DataTransform {
-    let threads = threads.max(1);
     let mut pg = PropertyGraph::with_capacity(graph.len() / 2, graph.len());
     let mut state = TransformState {
         mode,
         ..Default::default()
     };
     let mut counters = TransformCounters::default();
-
-    if threads == 1 {
-        let t0 = Instant::now();
-        {
-            let _span = tracer().span_here("phase1_nodes");
-            ingest_phase1(graph, transform, &mut pg, &mut state, &mut counters);
-        }
-        metrics.record(
-            "phase1_nodes",
-            t0.elapsed(),
-            counters.entity_nodes as u64,
-            "nodes",
-        );
-        let t1 = Instant::now();
-        {
-            let _span = tracer().span_here("phase2_props");
-            ingest_phase2(graph, transform, &mut pg, &mut state, &mut counters);
-        }
-        metrics.record(
-            "phase2_props",
-            t1.elapsed(),
-            (counters.edges + counters.key_values) as u64,
-            "items",
-        );
-    } else {
-        ingest_parallel(
-            graph,
-            transform,
-            &mut pg,
-            &mut state,
-            &mut counters,
-            threads,
-            metrics,
-        );
-    }
-
+    ingest_sharded(
+        graph,
+        transform,
+        &mut pg,
+        &mut state,
+        &mut counters,
+        threads.max(1),
+        Some(metrics),
+    );
     DataTransform {
         pg,
         state,
@@ -117,34 +95,150 @@ fn shard_of(term: Term, shards: usize) -> usize {
     ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % shards
 }
 
+/// Both phases of Algorithm 1 over `graph`, adding to `pg`: phase 1 on
+/// this thread, phase 2 over `threads` subject shards. `metrics` is the
+/// one-shot pipeline's instrument: with it each phase is timed and, under
+/// an active trace, records its span. The delta path passes `None` and
+/// records nothing — an update's spans are the server's.
+pub(crate) fn ingest_sharded(
+    graph: &Graph,
+    transform: &mut SchemaTransform,
+    pg: &mut PropertyGraph,
+    state: &mut TransformState,
+    counters: &mut TransformCounters,
+    threads: usize,
+    mut metrics: Option<&mut PipelineMetrics>,
+) {
+    let traced = metrics.is_some();
+    let span = |name| traced.then(|| tracer().span_here(name));
+    // The subject list and the symbol tables serve both phases; making
+    // them is phase 1's first step, so the two phase spans cover the pass.
+    let t0 = Instant::now();
+    let phase1_span = span("phase1_nodes");
+    let subjects = graph.subjects_distinct();
+    let mut tables = PassTables::new(graph);
+    ingest_phase1(
+        graph,
+        &subjects,
+        transform,
+        pg,
+        state,
+        counters,
+        &mut tables,
+    );
+    drop(phase1_span);
+    if let Some(metrics) = metrics.as_deref_mut() {
+        let nodes = counters.entity_nodes as u64;
+        metrics.record("phase1_nodes", t0.elapsed(), nodes, "nodes");
+    }
+
+    let t1 = Instant::now();
+    let phase2_span = span("phase2_props");
+    let shard_parent = phase2_span.as_ref().and_then(|span| span.handle());
+    let outputs: Vec<ShardOutput> = {
+        let view = View {
+            graph,
+            transform,
+            state,
+            pg,
+        };
+        let work = |shard: &[Term], tables: PassTables| {
+            let _span = shard_parent.map(|parent| tracer().span_under(&parent, "shard"));
+            run_shard(view, shard, threads, tables)
+        };
+        if threads == 1 {
+            vec![work(&subjects, tables)]
+        } else {
+            let mut shards: Vec<Vec<Term>> = vec![Vec::new(); threads];
+            for &s_term in &subjects {
+                shards[shard_of(s_term, threads)].push(s_term);
+            }
+            let (work, tables) = (&work, &tables);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .iter()
+                    .map(|shard| scope.spawn(move || work(shard, tables.clone())))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("phase-2 worker panicked"))
+                    .collect()
+            })
+        }
+    };
+
+    if let Some(metrics) = metrics.as_deref_mut() {
+        metrics.shard_triples = outputs.iter().map(|o| o.statements).collect();
+    }
+    for output in outputs {
+        if let Some(metrics) = metrics.as_deref_mut() {
+            metrics.type_sets = metrics.type_sets.max(output.type_sets.len());
+            metrics.resolved_pairs = metrics.resolved_pairs.max(output.resolved_pairs);
+            let items = &mut metrics.phase2_items;
+            items.key_values += output.counters.key_values as u64;
+            items.carriers += output.counters.carrier_nodes as u64;
+            items.edges += (output.counters.edges - output.counters.carrier_nodes) as u64;
+        }
+        apply_shard(graph, output, transform, pg, state, counters);
+    }
+    drop(phase2_span);
+    if let Some(metrics) = metrics {
+        let triples = metrics.shard_triples.iter().sum();
+        metrics.record("phase2_props", t1.elapsed(), triples, "triples");
+    }
+}
+
+/// The frozen state a phase-2 worker reads.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    graph: &'a Graph,
+    transform: &'a SchemaTransform,
+    state: &'a TransformState,
+    pg: &'a PropertyGraph,
+}
+
 /// Worker-local reference to an edge label that may not be registered yet.
 enum LabelRef {
     /// Label known from the schema mapping (`Handling::Edge`).
     Known(String),
-    /// No handling: the label must be derived from this predicate by the
-    /// (sequential) apply step via `register_edge_label`.
-    FallbackPredicate(String),
+    /// No edge handling: the label is derived from this predicate by the
+    /// apply step via `register_edge_label`.
+    Fallback(Sym),
 }
 
-/// A widening target that may only be resolvable at apply time.
-enum WidenTarget {
-    /// A node type name from the frozen entity-type map.
-    Type(String),
-    /// The carrier type for datatype-table entry `i` (its name is
-    /// allocated by `ensure_carrier` during apply).
+/// How statements of one `(subject type set, predicate)` pair are encoded,
+/// as indexes into the worker's tables.
+#[derive(Clone, Copy)]
+struct Encoding {
+    /// Key/value key for plain literals (`Handling::KeyValue`).
+    key: Option<u32>,
+    /// Edge label for everything else.
+    label: u32,
+    /// No handling in the schema: counts as a fallback triple.
+    fallback: bool,
+}
+
+/// What a schema-widening request adds to an edge type's targets.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Target {
+    /// The node types of type-set `id`.
+    Types(u32),
+    /// The carrier type of datatype-table entry `i` (its name is allocated
+    /// by `ensure_carrier` during apply).
     CarrierOf(u32),
 }
 
-/// A deduplicated schema-widening request.
-struct WidenOp {
-    label: u32,
-    predicate: String,
-    subject_types: Vec<String>,
-    targets: Vec<WidenTarget>,
-}
-
-/// One fully-resolved phase-2 effect, referencing worker-local tables.
+/// One fully-resolved phase-2 effect, referencing worker-local tables and
+/// the input graph's symbols.
 enum Op {
+    /// First use of `(types, label, target)` in this shard: the edge type
+    /// may need widening. Precedes the edge or carrier that caused it.
+    Widen {
+        types: u32,
+        label: u32,
+        predicate: Sym,
+        target: Target,
+    },
     Edge {
         src: NodeId,
         dst: NodeId,
@@ -160,11 +254,8 @@ enum Op {
         label: u32,
         datatype: u32,
         value: Value,
-        lang: Option<String>,
-        /// `Some((object entity ref, predicate))` when the carrier stands
-        /// in for a resource object — recorded as a pending forward
-        /// reference so a later delta can repair it into a real edge.
-        pending: Option<(String, String)>,
+        lang: Option<Sym>,
+        predicate: Sym,
     },
 }
 
@@ -173,475 +264,304 @@ struct ShardOutput {
     ops: Vec<Op>,
     labels: Vec<LabelRef>,
     keys: Vec<String>,
-    datatypes: Vec<String>,
-    widens: Vec<WidenOp>,
+    /// Carrier datatypes; `None` is the pseudo-datatype of resource objects.
+    datatypes: Vec<Option<Sym>>,
+    type_sets: Vec<Vec<String>>,
+    resolved_pairs: usize,
     counters: TransformCounters,
     statements: u64,
 }
 
-/// Key of the worker-local widen-dedup cache. Carrier targets are keyed by
-/// datatype-table index because their type name is not yet known.
-#[derive(PartialEq, Eq, Hash)]
-enum WidenKey {
-    Type(String),
-    Carrier(u32),
-}
-
-/// Per-shard phase-1 output: entity materialisation order plus the classes
-/// grouped per entity.
-type ShardGroups = (Vec<String>, FxHashMap<String, Vec<String>>);
-
-fn ingest_parallel(
-    graph: &Graph,
-    transform: &mut SchemaTransform,
-    pg: &mut PropertyGraph,
-    state: &mut TransformState,
-    counters: &mut TransformCounters,
-    threads: usize,
-    metrics: &mut PipelineMetrics,
-) {
-    let type_p = graph.type_predicate_opt();
-
-    // ---- Phase 1a: sharded grouping of type triples ----------------------
-    let t0 = Instant::now();
-    let phase1_span = tracer().span_here("phase1_nodes");
-    let groups: Vec<ShardGroups> = match type_p {
-        Some(type_p) => {
-            let type_triples = graph.match_pattern(None, Some(type_p), None);
-            let type_triples = &type_triples;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut pending: FxHashMap<String, Vec<String>> = FxHashMap::default();
-                            let mut order: Vec<String> = Vec::new();
-                            for t in type_triples.iter().filter(|t| shard_of(t.s, threads) == w) {
-                                let Some(class_sym) = t.o.as_iri() else {
-                                    continue;
-                                };
-                                let entity = entity_ref(graph, t.s);
-                                let class_iri = graph.resolve(class_sym).to_string();
-                                match pending.get_mut(&entity) {
-                                    Some(classes) => classes.push(class_iri),
-                                    None => {
-                                        order.push(entity.clone());
-                                        pending.insert(entity, vec![class_iri]);
-                                    }
-                                }
-                            }
-                            (order, pending)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("phase-1 worker panicked"))
-                    .collect()
-            })
-        }
-        None => Vec::new(),
-    };
-
-    // ---- Phase 1b: sequential registration + node materialisation --------
-    // Class registration and NodeId assignment mutate shared structures;
-    // applying the pre-grouped shards keeps this a tight loop.
-    for (order, mut pending) in groups {
-        for entity in order {
-            let classes = pending.remove(&entity).unwrap();
-            let mut labels = Vec::with_capacity(classes.len());
-            for class_iri in &classes {
-                let (type_name, label) = transform.mapping.register_class(class_iri);
-                ensure_entity_type(&mut transform.pg_schema, &type_name, &label, class_iri);
-                let types = state.entity_types.entry(entity.clone()).or_default();
-                if !types.contains(&type_name) {
-                    types.push(type_name);
-                }
-                labels.push(label);
-            }
-            let node = ensure_entity_node(pg, transform, state, &entity, counters);
-            for label in labels {
-                pg.add_label(node, &label);
-            }
-        }
-    }
-
-    // ---- Phase 1c: Resource fallback for untyped subjects ----------------
-    // Detection (string resolution + statement scan) runs sharded against
-    // the now-frozen entity-type map; materialisation stays sequential.
-    let subjects = graph.subjects_distinct();
-    let mut shards: Vec<Vec<Term>> = vec![Vec::new(); threads];
-    for &s_term in &subjects {
-        shards[shard_of(s_term, threads)].push(s_term);
-    }
-    let untyped: Vec<Vec<String>> = {
-        let entity_types = &state.entity_types;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut found = Vec::new();
-                        for &s_term in shard {
-                            let subject = entity_ref(graph, s_term);
-                            if entity_types.contains_key(&subject) {
-                                continue;
-                            }
-                            let has_data = graph
-                                .match_pattern(Some(s_term), None, None)
-                                .iter()
-                                .any(|t| Some(t.p) != type_p);
-                            if has_data {
-                                found.push(subject);
-                            }
-                        }
-                        found
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("phase-1 worker panicked"))
-                .collect()
-        })
-    };
-    for refs in untyped {
-        for subject in refs {
-            ensure_entity_node(pg, transform, state, &subject, counters);
-        }
-    }
-    drop(phase1_span);
-    metrics.record(
-        "phase1_nodes",
-        t0.elapsed(),
-        counters.entity_nodes as u64,
-        "nodes",
-    );
-
-    // ---- Phase 2: sharded property processing ----------------------------
-    let t1 = Instant::now();
-    let phase2_span = tracer().span_here("phase2_props");
-    let shard_parent = phase2_span.handle();
-    let atomic = ShardCounters::default();
-    let outputs: Vec<ShardOutput> = {
-        let transform = &*transform;
-        let state = &*state;
-        let pg = &*pg;
-        let atomic = &atomic;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let _span =
-                            shard_parent.map(|parent| tracer().span_under(&parent, "shard"));
-                        run_shard(graph, transform, state, pg, shard, type_p, atomic)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("phase-2 worker panicked"))
-                .collect()
-        })
-    };
-
-    metrics.shard_triples = outputs.iter().map(|o| o.statements).collect();
-    let processed: u64 = atomic.triples.get();
-    for output in outputs {
-        apply_shard(output, transform, pg, state, counters);
-    }
-    drop(phase2_span);
-    metrics.record("phase2_props", t1.elapsed(), processed, "triples");
-}
-
-/// Lock-free tallies the phase-2 workers bump while streaming their
-/// shards. Purely statistical: ordered against the workers' lifetime by
-/// the `thread::scope` join, not by the counters themselves.
-#[derive(Debug, Default)]
-struct ShardCounters {
-    triples: Counter,
-    edges: Counter,
-    key_values: Counter,
-    carrier_nodes: Counter,
+/// Index of `item` in `table`, appended on first sight through `index`.
+fn table_index<K: std::hash::Hash + Eq, T>(
+    index: &mut FxHashMap<K, u32>,
+    table: &mut Vec<T>,
+    key: K,
+    item: impl FnOnce() -> T,
+) -> u32 {
+    *index.entry(key).or_insert_with(|| {
+        table.push(item());
+        (table.len() - 1) as u32
+    })
 }
 
 /// Phase-2 worker: stream one subject shard against the frozen transform
 /// state, emitting an operation buffer. Pure reads on all shared data.
-fn run_shard(
-    graph: &Graph,
-    transform: &SchemaTransform,
-    state: &TransformState,
-    pg: &PropertyGraph,
-    shard: &[Term],
-    type_p: Option<Sym>,
-    atomic: &ShardCounters,
-) -> ShardOutput {
-    let mut out = ShardOutput {
-        ops: Vec::new(),
-        labels: Vec::new(),
-        keys: Vec::new(),
-        datatypes: Vec::new(),
-        widens: Vec::new(),
-        counters: TransformCounters::default(),
-        statements: 0,
-    };
-    let mut known_labels: FxHashMap<String, u32> = FxHashMap::default();
-    let mut fallback_labels: FxHashMap<String, u32> = FxHashMap::default();
-    let mut keys: FxHashMap<String, u32> = FxHashMap::default();
-    let mut datatypes: FxHashMap<String, u32> = FxHashMap::default();
-    // Worker-local widen memo, nested (label, subject-types key) like the
-    // global `TransformState::widen_cache`.
-    let mut widen_cache: FxHashMap<u32, FxHashMap<String, FxHashSet<WidenKey>>> =
-        FxHashMap::default();
+fn run_shard(view: View<'_>, shard: &[Term], shards: usize, mut tables: PassTables) -> ShardOutput {
+    let View {
+        graph,
+        transform,
+        state,
+        pg,
+    } = view;
+    let type_p = graph.type_predicate_opt();
+    // About one operation per statement; the hash split is close to even.
+    let mut ops = Vec::with_capacity(graph.len() / shards);
+    let (mut labels, mut keys, mut datatypes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut counters = TransformCounters::default();
+    let mut statements = 0u64;
+    let mut encodings: FxHashMap<(u32, Sym), Encoding> = FxHashMap::default();
+    let mut known_labels: FxHashMap<&str, u32> = FxHashMap::default();
+    let mut fallback_labels: FxHashMap<Sym, u32> = FxHashMap::default();
+    let mut key_index: FxHashMap<&str, u32> = FxHashMap::default();
+    let mut datatype_index: FxHashMap<Option<Sym>, u32> = FxHashMap::default();
+    let mut widened: FxHashSet<(u32, u32, Target)> = FxHashSet::default();
 
     for &s_term in shard {
-        let subject = entity_ref(graph, s_term);
-        let statements = graph.match_pattern(Some(s_term), None, None);
-        if statements.iter().all(|t| Some(t.p) == type_p) {
+        // Phase 1 gave every subject with a data statement its slot.
+        let Slot::Entity {
+            node: s_node,
+            types,
+        } = tables.get(s_term)
+        else {
             continue;
-        }
-        let s_node = pg
-            .node_by_iri(&subject)
-            .expect("phase 1 materialised every subject node");
-        let subject_types: Vec<String> = state
-            .entity_types
-            .get(&subject)
-            .cloned()
-            .unwrap_or_default();
-        let types_key = subject_types.join(",");
-        let mut subject_statements = 0u64;
-
-        for t in &statements {
+        };
+        for t in graph.statements_of(s_term) {
             if Some(t.p) == type_p {
                 continue;
             }
-            subject_statements += 1;
-            let predicate = graph.resolve(t.p);
-            let handling = subject_types
-                .iter()
-                .find_map(|tn| transform.mapping.handling_for(tn, predicate).cloned());
-            if handling.is_none() {
-                out.counters.fallback_triples += 1;
-            }
-            let label_of = |out: &mut ShardOutput,
-                            known: &mut FxHashMap<String, u32>,
-                            fallback: &mut FxHashMap<String, u32>|
-             -> u32 {
-                match &handling {
-                    Some(Handling::Edge { label }) => {
-                        *known.entry(label.clone()).or_insert_with(|| {
-                            out.labels.push(LabelRef::Known(label.clone()));
-                            (out.labels.len() - 1) as u32
-                        })
-                    }
-                    _ => *fallback.entry(predicate.to_string()).or_insert_with(|| {
-                        out.labels
-                            .push(LabelRef::FallbackPredicate(predicate.to_string()));
-                        (out.labels.len() - 1) as u32
-                    }),
+            statements += 1;
+            let encoding = *encodings.entry((types, t.p)).or_insert_with(|| {
+                let predicate = graph.resolve(t.p);
+                let handling = tables.type_sets[types as usize]
+                    .iter()
+                    .find_map(|tn| transform.mapping.handling_for(tn, predicate));
+                let mut fallback_label = || {
+                    table_index(&mut fallback_labels, &mut labels, t.p, || {
+                        LabelRef::Fallback(t.p)
+                    })
+                };
+                match handling {
+                    Some(Handling::Edge { label }) => Encoding {
+                        key: None,
+                        label: table_index(&mut known_labels, &mut labels, label, || {
+                            LabelRef::Known(label.clone())
+                        }),
+                        fallback: false,
+                    },
+                    // A key/value property still needs an edge label for
+                    // the objects a key/value cannot hold.
+                    Some(Handling::KeyValue { key, .. }) => Encoding {
+                        key: Some(table_index(&mut key_index, &mut keys, key, || key.clone())),
+                        label: fallback_label(),
+                        fallback: false,
+                    },
+                    None => Encoding {
+                        key: None,
+                        label: fallback_label(),
+                        fallback: true,
+                    },
+                }
+            });
+            counters.fallback_triples += usize::from(encoding.fallback);
+            let label = encoding.label;
+            let mut widen_once = |ops: &mut Vec<Op>, target: Target| {
+                if widened.insert((types, label, target)) {
+                    ops.push(Op::Widen {
+                        types,
+                        label,
+                        predicate: t.p,
+                        target,
+                    });
                 }
             };
 
             // Object is a typed entity → edge (Algorithm 1, line 16).
-            let object_ref = t.o.is_resource().then(|| entity_ref(graph, t.o));
-            let object_is_entity = object_ref
-                .as_ref()
-                .is_some_and(|r| state.entity_types.contains_key(r));
-            if object_is_entity {
-                let object_ref = object_ref.unwrap();
-                let o_node = pg
-                    .node_by_iri(&object_ref)
-                    .expect("phase 1 materialised every entity node");
-                let label = label_of(&mut out, &mut known_labels, &mut fallback_labels);
-                let targets = state
-                    .entity_types
-                    .get(&object_ref)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let cached = widen_cache
-                    .get(&label)
-                    .and_then(|per_types| per_types.get(&types_key))
-                    .is_some_and(|ok| {
-                        targets
-                            .iter()
-                            .all(|t| ok.contains(&WidenKey::Type(t.clone())))
-                    });
-                if !cached {
-                    out.widens.push(WidenOp {
-                        label,
-                        predicate: predicate.to_string(),
-                        subject_types: subject_types.clone(),
-                        targets: targets
-                            .iter()
-                            .map(|t| WidenTarget::Type(t.clone()))
-                            .collect(),
-                    });
-                    let entry = widen_cache
-                        .entry(label)
-                        .or_default()
-                        .entry(types_key.clone())
-                        .or_default();
-                    entry.extend(targets.iter().map(|t| WidenKey::Type(t.clone())));
-                }
-                out.ops.push(Op::Edge {
+            let object = match t.o {
+                Term::Literal(_) => Slot::NotEntity,
+                resource => tables.object(graph, resource, state, pg),
+            };
+            if let Slot::Entity {
+                node: dst,
+                types: target,
+            } = object
+            {
+                widen_once(&mut ops, Target::Types(target));
+                ops.push(Op::Edge {
                     src: s_node,
-                    dst: o_node,
+                    dst,
                     label,
                 });
-                out.counters.edges += 1;
+                counters.edges += 1;
                 continue;
             }
 
-            // Parsimonious key/value (lines 21–23).
-            if let Some(Handling::KeyValue { key, .. }) = &handling {
-                if let Some(lit) = t.o.as_literal() {
-                    if lit.lang.is_none() {
-                        let value =
-                            preserve_value(graph.resolve(lit.lexical), graph.resolve(lit.datatype));
-                        let key = *keys.entry(key.clone()).or_insert_with(|| {
-                            out.keys.push(key.clone());
-                            (out.keys.len() - 1) as u32
-                        });
-                        out.ops.push(Op::KeyValue {
-                            node: s_node,
-                            key,
-                            value,
-                        });
-                        out.counters.key_values += 1;
-                        continue;
-                    }
+            // Parsimonious key/value (lines 21–23). Language-tagged values
+            // need the carrier to keep the tag, and an IRI the schema did
+            // not anticipate takes the lossless carrier path too.
+            if let (Some(key), Term::Literal(lit)) = (encoding.key, t.o) {
+                if lit.lang.is_none() {
+                    let value =
+                        preserve_value(graph.resolve(lit.lexical), graph.resolve(lit.datatype));
+                    ops.push(Op::KeyValue {
+                        node: s_node,
+                        key,
+                        value,
+                    });
+                    counters.key_values += 1;
+                    continue;
                 }
             }
 
             // Carrier node (lines 24–31).
-            let (datatype, value, lang) = describe_object(graph, t.o);
-            let dt = *datatypes.entry(datatype.clone()).or_insert_with(|| {
-                out.datatypes.push(datatype.clone());
-                (out.datatypes.len() - 1) as u32
-            });
-            let label = label_of(&mut out, &mut known_labels, &mut fallback_labels);
-            let cached = widen_cache
-                .get(&label)
-                .and_then(|per_types| per_types.get(&types_key))
-                .is_some_and(|ok| ok.contains(&WidenKey::Carrier(dt)));
-            if !cached {
-                out.widens.push(WidenOp {
-                    label,
-                    predicate: predicate.to_string(),
-                    subject_types: subject_types.clone(),
-                    targets: vec![WidenTarget::CarrierOf(dt)],
-                });
-                widen_cache
-                    .entry(label)
-                    .or_default()
-                    .entry(types_key.clone())
-                    .or_default()
-                    .insert(WidenKey::Carrier(dt));
-            }
-            out.ops.push(Op::Carrier {
+            let datatype = t.o.as_literal().map(|lit| lit.datatype);
+            let datatype = table_index(&mut datatype_index, &mut datatypes, datatype, || datatype);
+            let (value, lang) = carrier_value(graph, t.o);
+            widen_once(&mut ops, Target::CarrierOf(datatype));
+            ops.push(Op::Carrier {
                 src: s_node,
                 label,
-                datatype: dt,
+                datatype,
                 value,
                 lang,
-                pending: object_ref.map(|r| (r, predicate.to_string())),
+                predicate: t.p,
             });
-            out.counters.carrier_nodes += 1;
-            out.counters.edges += 1;
+            counters.carrier_nodes += 1;
+            counters.edges += 1;
         }
-        out.statements += subject_statements;
-        atomic.triples.add(subject_statements);
     }
-    atomic.edges.add(out.counters.edges as u64);
-    atomic.key_values.add(out.counters.key_values as u64);
-    atomic.carrier_nodes.add(out.counters.carrier_nodes as u64);
-    out
+    ShardOutput {
+        ops,
+        labels,
+        keys,
+        datatypes,
+        type_sets: tables.type_sets,
+        resolved_pairs: encodings.len(),
+        counters,
+        statements,
+    }
 }
 
-/// Apply one shard's operation buffer. Label/key/datatype tables are
-/// resolved (registered + interned) once each; the op loop then runs on
-/// symbols and `NodeId`s only.
+/// An edge label of a shard, registered and interned on first use.
+struct EdgeLabel {
+    label: LabelRef,
+    sym: Option<Sym>,
+}
+
+impl EdgeLabel {
+    /// The label's name, registering a fallback predicate with the mapping
+    /// the first time it is asked for.
+    fn name(&mut self, graph: &Graph, transform: &mut SchemaTransform) -> &str {
+        if let LabelRef::Fallback(predicate) = self.label {
+            let predicate = graph.resolve(predicate);
+            self.label = LabelRef::Known(transform.mapping.register_edge_label(predicate));
+        }
+        match &self.label {
+            LabelRef::Known(name) => name,
+            LabelRef::Fallback(_) => unreachable!("registered above"),
+        }
+    }
+
+    /// The label's PG symbol, interned when the first edge takes it.
+    fn sym(&mut self, graph: &Graph, schema: &mut SchemaTransform, pg: &mut PropertyGraph) -> Sym {
+        if self.sym.is_none() {
+            self.sym = Some(pg.intern(self.name(graph, schema)));
+        }
+        self.sym.expect("interned above")
+    }
+}
+
+/// A carrier datatype of a shard: its node type is declared and its label
+/// interned on first use.
+struct CarrierType {
+    datatype: Option<Sym>,
+    /// `(carrier type name, carrier label)` once `ensure_carrier` ran.
+    names: Option<(String, String)>,
+    sym: Option<Sym>,
+}
+
+impl CarrierType {
+    fn names(&mut self, graph: &Graph, transform: &mut SchemaTransform) -> &(String, String) {
+        let datatype = self.datatype;
+        self.names.get_or_insert_with(|| {
+            let datatype = datatype.map_or(ANY_IRI_DATATYPE, |dt| graph.resolve(dt));
+            ensure_carrier(&mut transform.pg_schema, &mut transform.mapping, datatype)
+        })
+    }
+
+    /// The carrier label's PG symbol, interned when the first node takes it.
+    fn sym(&mut self, graph: &Graph, schema: &mut SchemaTransform, pg: &mut PropertyGraph) -> Sym {
+        if self.sym.is_none() {
+            self.sym = Some(pg.intern(&self.names(graph, schema).1));
+        }
+        self.sym.expect("interned above")
+    }
+}
+
+/// Apply one shard's operation buffer on the calling thread. Table entries
+/// are registered and interned when the first operation that uses them is
+/// reached — so the mapping, the schema and the PG's interner see names in
+/// statement order — and from then on an operation is symbols and
+/// `NodeId`s only.
 fn apply_shard(
+    graph: &Graph,
     output: ShardOutput,
     transform: &mut SchemaTransform,
     pg: &mut PropertyGraph,
     state: &mut TransformState,
     counters: &mut TransformCounters,
 ) {
-    // Edge labels: register fallbacks, intern everything once.
-    let labels: Vec<(String, Sym)> = output
+    let type_sets = output.type_sets;
+    let mut labels: Vec<EdgeLabel> = output
         .labels
         .into_iter()
-        .map(|label_ref| {
-            let name = match label_ref {
-                LabelRef::Known(label) => label,
-                LabelRef::FallbackPredicate(pred) => transform.mapping.register_edge_label(&pred),
-            };
-            let sym = pg.intern(&name);
-            (name, sym)
-        })
+        .map(|label| EdgeLabel { label, sym: None })
         .collect();
-    let keys: Vec<Sym> = output.keys.iter().map(|k| pg.intern(k)).collect();
-    // Carrier datatypes: widen the schema with the carrier type, intern the
-    // carrier label.
-    let datatypes: Vec<(String, Sym)> = output
+    let mut keys: Vec<(String, Option<Sym>)> =
+        output.keys.into_iter().map(|key| (key, None)).collect();
+    let mut carriers: Vec<CarrierType> = output
         .datatypes
-        .iter()
-        .map(|dt| {
-            let (carrier_type, carrier_label) =
-                ensure_carrier(&mut transform.pg_schema, &mut transform.mapping, dt);
-            (carrier_type, pg.intern(&carrier_label))
+        .into_iter()
+        .map(|datatype| CarrierType {
+            datatype,
+            names: None,
+            sym: None,
         })
         .collect();
+    let (mut value_key, mut lang_key) = (None, None);
 
-    // Widening: same memoised monotone widening as the sequential path,
-    // applied in shard order.
-    for widen in output.widens {
-        let (label, _) = &labels[widen.label as usize];
-        let targets: Vec<String> = widen
-            .targets
-            .iter()
-            .map(|t| match t {
-                WidenTarget::Type(name) => name.clone(),
-                WidenTarget::CarrierOf(dt) => datatypes[*dt as usize].0.clone(),
-            })
-            .collect();
-        let cache_key = widen_cache_key(&widen.subject_types, label);
-        let cached = state
-            .widen_cache
-            .get(&cache_key)
-            .is_some_and(|ok| targets.iter().all(|t| ok.contains(t)));
-        if !cached {
-            widen_edge_type(
-                transform,
-                &widen.subject_types,
-                label,
-                &widen.predicate,
-                targets.clone(),
-            );
-            state
-                .widen_cache
-                .entry(cache_key)
-                .or_default()
-                .extend(targets);
-        }
-    }
-
-    let value_key = pg.intern(VALUE_KEY);
-    let lang_key = pg.intern(LANG_KEY);
-    let carriers = output
-        .ops
-        .iter()
-        .filter(|op| matches!(op, Op::Carrier { .. }))
-        .count();
-    pg.reserve(carriers, output.counters.edges);
+    pg.reserve(output.counters.carrier_nodes, output.counters.edges);
     for op in output.ops {
         match op {
+            Op::Widen {
+                types,
+                label,
+                predicate,
+                target,
+            } => {
+                // Same memoised monotone widening whatever the shard count:
+                // the shard's memo only spares the string-keyed check.
+                let targets = match target {
+                    Target::Types(id) => type_sets[id as usize].clone(),
+                    Target::CarrierOf(i) => {
+                        vec![carriers[i as usize].names(graph, transform).0.clone()]
+                    }
+                };
+                let label = labels[label as usize].name(graph, transform);
+                let subject_types = &type_sets[types as usize];
+                let cache_key = widen_cache_key(subject_types, label);
+                let cached = state
+                    .widen_cache
+                    .get(&cache_key)
+                    .is_some_and(|ok| targets.iter().all(|t| ok.contains(t)));
+                if !cached {
+                    let predicate = graph.resolve(predicate);
+                    widen_edge_type(transform, subject_types, label, predicate, targets.clone());
+                    state
+                        .widen_cache
+                        .entry(cache_key)
+                        .or_default()
+                        .extend(targets);
+                }
+            }
             Op::Edge { src, dst, label } => {
-                pg.add_edge_sym(src, dst, labels[label as usize].1);
+                let label = labels[label as usize].sym(graph, transform, pg);
+                pg.add_edge_sym(src, dst, label);
             }
             Op::KeyValue { node, key, value } => {
-                pg.push_prop_sym(node, keys[key as usize], value);
+                let (key, sym) = &mut keys[key as usize];
+                let sym = *sym.get_or_insert_with(|| pg.intern(key));
+                pg.push_prop_sym(node, sym, value);
             }
             Op::Carrier {
                 src,
@@ -649,23 +569,42 @@ fn apply_shard(
                 datatype,
                 value,
                 lang,
-                pending,
+                predicate,
             } => {
-                let o_node = pg.add_node_with_label_sym(datatypes[datatype as usize].1);
+                // Schema first — carrier type, then edge label — then the
+                // PG names, each interned as the element that needs it is
+                // added.
+                let carrier = &mut carriers[datatype as usize];
+                carrier.names(graph, transform);
+                let label = &mut labels[label as usize];
+                label.name(graph, transform);
+                // A carrier standing in for a resource holds that entity's
+                // reference: a pending forward reference, so a later delta
+                // can repair it into a real edge.
+                let pending = match (carrier.datatype, &value) {
+                    (None, Value::String(entity)) => Some(entity.clone()),
+                    _ => None,
+                };
+                let carrier = carrier.sym(graph, transform, pg);
+                let o_node = pg.add_node_with_label_sym(carrier);
+                let value_key = *value_key.get_or_insert_with(|| pg.intern(VALUE_KEY));
                 pg.set_prop_sym(o_node, value_key, value);
                 if let Some(lang) = lang {
+                    let lang_key = *lang_key.get_or_insert_with(|| pg.intern(LANG_KEY));
+                    let lang = graph.resolve(lang).to_string();
                     pg.set_prop_sym(o_node, lang_key, Value::String(lang));
                 }
-                pg.add_edge_sym(src, o_node, labels[label as usize].1);
-                if let Some((object_ref, predicate)) = pending {
+                let edge_label = label.sym(graph, transform, pg);
+                pg.add_edge_sym(src, o_node, edge_label);
+                if let Some(entity) = pending {
                     state
                         .pending_refs
-                        .entry(object_ref)
+                        .entry(entity)
                         .or_default()
                         .push(PendingRef {
                             src,
-                            label: labels[label as usize].0.clone(),
-                            predicate,
+                            label: label.name(graph, transform).to_string(),
+                            predicate: graph.resolve(predicate).to_string(),
                             carrier: o_node,
                         });
                 }
@@ -673,7 +612,6 @@ fn apply_shard(
         }
     }
 
-    counters.entity_nodes += output.counters.entity_nodes;
     counters.carrier_nodes += output.counters.carrier_nodes;
     counters.edges += output.counters.edges;
     counters.key_values += output.counters.key_values;
@@ -683,6 +621,8 @@ fn apply_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data_transform::entity_ref;
+    use crate::inverse::recover_graph;
     use crate::schema_transform::transform_schema;
     use s3pg_pg::conformance;
     use s3pg_rdf::parser::parse_turtle;
@@ -717,6 +657,15 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
             if i % 13 == 0 {
                 data.push_str(&format!(":p{i} :label \"étiquette {i}\"@fr .\n"));
             }
+            if i % 17 == 0 {
+                // Blank-node subjects, typed and untyped, referenced before
+                // and after their own statements; an object nobody defines.
+                data.push_str(&format!(":p{i} :knows _:b{i}, _:u{i}, :ghost{i} .\n"));
+                data.push_str(&format!(
+                    "_:b{i} a :Person ; :name \"Blank {i}\" ; :knows :p{i} .\n"
+                ));
+                data.push_str(&format!("_:u{i} :knows _:b{i} ; :label \"loose {i}\" .\n"));
+            }
         }
         data
     }
@@ -738,6 +687,9 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
                 conformance::check(&seq.pg, &st_seq.pg_schema).conforms(),
                 "{mode:?} sequential"
             );
+            let back = recover_graph(&seq.pg, &st_seq.mapping).unwrap();
+            assert!(back.same_triples(&g), "{mode:?} single shard: M(PG) != G");
+            assert_eq!(m_seq.shard_triples.len(), 1);
             for threads in [2, 3, 8] {
                 let mut st_par = transform_schema(&shapes, mode);
                 let mut m_par = PipelineMetrics::new(threads);
@@ -748,6 +700,18 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
                     conformance::check(&par.pg, &st_par.pg_schema).conforms(),
                     "{mode:?} t={threads}"
                 );
+                // Counts cannot tell two graphs apart; the inverse mapping can.
+                let back = recover_graph(&par.pg, &st_par.mapping).unwrap();
+                assert!(back.same_triples(&g), "{mode:?} t={threads}: M(PG) != G");
+                // Phase 1 does not shard: entity nodes keep their ids.
+                for s in g.subjects_distinct() {
+                    let entity = entity_ref(&g, s);
+                    assert_eq!(
+                        par.pg.node_by_iri(&entity),
+                        seq.pg.node_by_iri(&entity),
+                        "{mode:?} t={threads}: {entity}"
+                    );
+                }
                 assert_eq!(m_par.shard_triples.len(), threads);
                 assert!(m_par.phase("phase1_nodes").is_some());
                 assert!(m_par.phase("phase2_props").is_some());

@@ -43,8 +43,8 @@ impl StageTimings {
 /// How to run the pipeline: worker-thread count for the sharded phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Worker threads for parsing-independent transform phases. `1` runs
-    /// the sequential reference path.
+    /// Phase-2 workers, one subject shard each. `1` is the sequential
+    /// case of the same driver: one shard, run inline.
     pub threads: usize,
 }
 
@@ -75,14 +75,14 @@ pub struct TransformOutput {
     pub metrics: PipelineMetrics,
 }
 
-/// Run `F_st` then `F_dt` and check conformance (sequential reference
-/// path; see [`transform_with`] for the parallel pipeline).
+/// Run `F_st` then `F_dt` and check conformance: [`transform_with`] at
+/// `threads = 1`.
 pub fn transform(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
     transform_with(graph, shapes, mode, PipelineConfig::default())
 }
 
-/// Run `F_st` then `F_dt` — sharded over `config.threads` workers — and
-/// check conformance. Phase spans (`schema_transform`, `phase1_nodes`,
+/// Run `F_st` then `F_dt` — phase 2 sharded over `config.threads` workers
+/// — and check conformance. Phase spans (`schema_transform`, `phase1_nodes`,
 /// `phase2_props`, `conformance`) land in [`TransformOutput::metrics`].
 pub fn transform_with(
     graph: &Graph,

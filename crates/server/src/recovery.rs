@@ -23,7 +23,7 @@ use crate::store::{GraphStore, StoreParts};
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::Mode;
 use s3pg_obs::Registry;
-use s3pg_rdf::parser::parse_ntriples;
+use s3pg_rdf::parser::parse_ntriples_parallel;
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, ShapeSchema};
@@ -111,7 +111,7 @@ fn recover_durable(
 
     let (base, base_seq, prebuilt) = match checkpoint {
         Some(cp) => {
-            let graph = parse_ntriples(&cp.rdf)
+            let graph = parse_ntriples_parallel(&cp.rdf, config.threads)
                 .map_err(|e| format!("checkpoint {} rdf.nt is unparsable: {e}", cp.seq))?;
             report.push(format!(
                 "loaded checkpoint seq={} ({} triples{})",
@@ -301,6 +301,20 @@ mod tests {
         // Nothing replays: the checkpoint covered every record.
         assert!(second.report.iter().any(|l| l.contains("checkpoint seq=5")));
         assert!(!second.report.iter().any(|l| l.contains("replayed")));
+
+        // `--threads` reaches the checkpoint's rdf.nt like it reaches the
+        // data file: a sharded restart recovers the same graph.
+        let snapshot = second.store.snapshot();
+        let (triples, nodes) = (snapshot.rdf.len(), snapshot.pg.node_count());
+        drop((snapshot, second));
+        let sharded = RecoveryConfig { threads: 3, ..cfg };
+        let third = recover(&sharded, Arc::new(Registry::new())).unwrap();
+        let snapshot = third.store.snapshot();
+        assert_eq!(
+            (snapshot.rdf.len(), snapshot.pg.node_count()),
+            (triples, nodes)
+        );
+        assert_eq!(third.store.applied_seq(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@ use s3pg::incremental::apply_additions;
 use s3pg::pipeline::transform;
 use s3pg::query_translate;
 use s3pg::Mode;
-use s3pg_pg::{PgRead, PropertyGraph, Value};
+use s3pg_pg::{CompactGraph, EdgeId, NodeId, PgRead, PropertyGraph, Value};
 use s3pg_query::cypher;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::Graph;
@@ -158,9 +158,134 @@ fn query_set(generated: &GeneratedDataset, out: &s3pg::pipeline::TransformOutput
     queries
 }
 
-/// Freeze `pg` and assert representation equivalence over `queries`.
+/// Below the query engines: every [`PgRead`] accessor, every label scan
+/// and every equality probe of the frozen form against the mutable graph
+/// it was frozen from, through the monotone renumbering (the i-th live
+/// node / edge of `pg` is node / edge `i` of `compact`). Adjacency rows
+/// are compared as sorted sets — CSR rows are label-sorted — and every
+/// postings slice as is: both sides promise id order.
+fn assert_reads_match(pg: &PropertyGraph, compact: &CompactGraph, context: &str) {
+    let nodes: Vec<NodeId> = pg.node_ids().collect();
+    let edges: Vec<EdgeId> = pg.edge_ids().collect();
+    let dense = |ids: &[NodeId]| -> Vec<NodeId> {
+        ids.iter()
+            .map(|id| NodeId(nodes.binary_search(id).expect("live node") as u32))
+            .collect()
+    };
+    let dense_edges = |row: &[EdgeId]| -> Vec<EdgeId> {
+        let mut out: Vec<EdgeId> = row
+            .iter()
+            .filter(|&&e| pg.edge_live(e))
+            .map(|e| EdgeId(edges.binary_search(e).expect("live edge") as u32))
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    let names: Vec<String> = pg.interner().iter().map(|(_, s)| s.to_string()).collect();
+    assert_eq!(
+        compact.all_node_ids(),
+        (0..nodes.len() as u32).map(NodeId).collect::<Vec<_>>(),
+        "{context}: node ids are not dense"
+    );
+
+    for name in &names {
+        assert_eq!(
+            compact.nodes_with_label(name),
+            dense(PgRead::nodes_with_label(pg, name)),
+            "{context}: label scan {name}"
+        );
+        assert_eq!(
+            compact.label_cardinality(name),
+            PgRead::label_cardinality(pg, name),
+            "{context}: label cardinality {name}"
+        );
+    }
+    let mut probes = 0usize;
+    for (new, &old) in nodes.iter().enumerate() {
+        let new = NodeId(new as u32);
+        for name in &names {
+            assert_eq!(
+                compact.has_label(new, name),
+                PgRead::has_label(pg, old, name),
+                "{context}: has_label({old:?}, {name})"
+            );
+            let value = pg.prop_value(old, name);
+            assert_eq!(
+                compact.prop_value(new, name),
+                value,
+                "{context}: prop_value({old:?}, {name})"
+            );
+            // Probe with what the node holds — a list probes with each
+            // element, which must miss this node on both sides alike.
+            for item in value.iter().flat_map(Value::iter_flat) {
+                for label in pg.labels_of(old) {
+                    assert_eq!(
+                        compact.nodes_with_label_prop(label, name, item),
+                        dense(PgRead::nodes_with_label_prop(pg, label, name, item)),
+                        "{context}: eq probe ({label}, {name}, {item:?})"
+                    );
+                    probes += 1;
+                }
+            }
+        }
+        let mut out = compact.out_adjacency(new).to_vec();
+        out.sort_unstable();
+        assert_eq!(
+            out,
+            dense_edges(pg.out_adjacency(old)),
+            "{context}: out {old:?}"
+        );
+        let mut inc = compact.in_adjacency(new).to_vec();
+        inc.sort_unstable();
+        assert_eq!(
+            inc,
+            dense_edges(pg.in_adjacency(old)),
+            "{context}: in {old:?}"
+        );
+    }
+    assert!(probes > 0, "{context}: no equality probe was made");
+    for (new, &old) in edges.iter().enumerate() {
+        let new = EdgeId(new as u32);
+        let (src, dst) = PgRead::edge_endpoints(pg, old);
+        assert_eq!(
+            compact.edge_endpoints(new),
+            (dense(&[src])[0], dense(&[dst])[0]),
+            "{context}: endpoints {old:?}"
+        );
+        assert!(compact.edge_live(new));
+        for name in &names {
+            assert_eq!(
+                compact.edge_prop_value(new, name),
+                pg.edge_prop_value(old, name),
+                "{context}: edge_prop_value({old:?}, {name})"
+            );
+            let set = std::slice::from_ref(name);
+            assert_eq!(
+                compact.edge_has_any_label(new, set),
+                pg.edge_has_any_label(old, set),
+                "{context}: edge label {name} on {old:?}"
+            );
+        }
+    }
+
+    // The image is a function of the graph: write → read → write is a
+    // fixed point, and the reloaded graph answers the same.
+    let mut image = Vec::new();
+    compact.write_to(&mut image).expect("write to memory");
+    let reloaded = CompactGraph::read_from(&image[..]).expect("own image loads");
+    let mut again = Vec::new();
+    reloaded.write_to(&mut again).expect("write to memory");
+    assert!(
+        image == again,
+        "{context}: write_to ∘ read_from is not a fixed point"
+    );
+}
+
+/// Freeze `pg` and assert representation equivalence, accessor by
+/// accessor and over `queries`.
 fn assert_compact_matches_mutable(pg: &PropertyGraph, queries: &[String], context: &str) {
     let compact = pg.freeze();
+    assert_reads_match(pg, &compact, context);
     assert_eq!(
         PgRead::node_count(pg),
         compact.node_count(),

@@ -287,6 +287,14 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
             "{name} must hang under the update's execute span"
         );
     }
+    // The delta goes through the pipeline's classifier but not its
+    // instrument: an update's trace holds the server's spans only.
+    for name in ["phase1_nodes", "phase2_props", "shard"] {
+        let leaked = begins
+            .iter()
+            .any(|v| v.get("name").and_then(Json::as_str) == Some(name) && id(v, "trace") == trace);
+        assert!(!leaked, "{name} span recorded under an update: {events:#?}");
+    }
 
     handle.shutdown();
     handle.join();
@@ -309,6 +317,17 @@ fn pipeline_trace_forms_a_valid_span_tree() {
             PipelineConfig { threads: 2 },
         );
         assert!(out.conformance.conforms());
+        // The pass reports its schema width and what phase 2 made of the
+        // statements, split by encoding.
+        let (m, items) = (&out.metrics, out.metrics.phase2_items);
+        assert!(
+            m.type_sets > 0
+                && m.resolved_pairs >= m.type_sets
+                && items.key_values == out.counters.key_values as u64
+                && items.edges + items.carriers == out.counters.edges as u64,
+            "{m:?} vs {:?}",
+            out.counters
+        );
     }
 
     let events = tracer.events_for(trace);

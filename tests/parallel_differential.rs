@@ -1,13 +1,15 @@
-//! Differential test: the sharded parallel pipeline must be isomorphic to
-//! the sequential reference on real workloads — identical node, edge, and
-//! node-property counts, identical transform counters, and a conforming
-//! output (`PG ⊨ S_PG`) — in both parsimonious and non-parsimonious modes.
+//! Differential test: the sharded pipeline against its own single-shard
+//! case (`threads = 1`, the sequential output `tests/fdt_golden.rs` pins) on
+//! real workloads, in both modes — identical node, edge and node-property
+//! counts, identical transform counters, a conforming output
+//! (`PG ⊨ S_PG`), and, because three integers cannot tell two graphs
+//! apart, `M(PG) = G` for every thread count.
 //!
-//! Node identifiers and collision-suffixed names may differ between the
-//! two executions; the counts-plus-conformance criterion is the
-//! isomorphism check used throughout the test suite.
+//! Entity nodes keep their ids (phase 1 does not shard); carrier-node ids,
+//! edge ids and collision-suffixed names follow shard order.
 
-use s3pg::pipeline::{transform, transform_with, PipelineConfig};
+use s3pg::inverse::recover_graph;
+use s3pg::pipeline::{transform, transform_with, PipelineConfig, TransformOutput};
 use s3pg::Mode;
 use s3pg_pg::PropertyGraph;
 use s3pg_rdf::Graph;
@@ -18,7 +20,7 @@ use s3pg_workloads::evolution::{self, EvolutionSpec};
 use s3pg_workloads::spec::generate;
 use s3pg_workloads::university::{self, UniversitySpec};
 
-const THREADS: [usize; 2] = [4, 8];
+const THREADS: [usize; 3] = [2, 3, 8];
 
 fn counts(pg: &PropertyGraph) -> (usize, usize, usize) {
     let node_props: usize = pg.node_ids().map(|n| pg.node(n).props.len()).sum();
@@ -32,6 +34,13 @@ fn assert_isomorphic(graph: &Graph, shapes: &ShapeSchema, label: &str) {
             seq.conformance.conforms(),
             "{label} {mode:?} sequential: {:?}",
             seq.conformance.failures
+        );
+        let recovered = |out: &TransformOutput| {
+            recover_graph(&out.pg, &out.schema.mapping).expect("inverse mapping")
+        };
+        assert!(
+            recovered(&seq).same_triples(graph),
+            "{label} {mode:?} single shard: M(PG) != G"
         );
         for threads in THREADS {
             let par = transform_with(graph, shapes, mode, PipelineConfig { threads });
@@ -48,6 +57,10 @@ fn assert_isomorphic(graph: &Graph, shapes: &ShapeSchema, label: &str) {
                 par.conformance.conforms(),
                 "{label} {mode:?} {threads} threads: {:?}",
                 par.conformance.failures
+            );
+            assert!(
+                recovered(&par).same_triples(graph),
+                "{label} {mode:?} {threads} threads: M(PG) != G"
             );
             assert_eq!(par.metrics.shard_triples.len(), threads);
         }
