@@ -1,15 +1,26 @@
 //! The indexed, set-semantics RDF triple store (Definition 2.1).
 //!
-//! A [`Graph`] owns its [`Interner`] and stores triples append-only with a
-//! tombstone set for deletion, plus three adjacency indexes (by subject, by
-//! predicate, by object) so that the pattern-matching primitives used by the
-//! SPARQL engine, the SHACL validator/extractor, and Algorithm 1 of the
-//! paper are all index lookups rather than scans.
+//! A [`Graph`] owns its [`Interner`] and stores triples append-only in a
+//! log with a tombstone vector for deletion. Beside the log sit the
+//! membership table — open-addressed `(hash tag, log index)` slots, the
+//! triples themselves stay in the log — and postings by subject, by
+//! predicate and by object, so that the pattern-matching primitives used by
+//! the SPARQL engine, the SHACL validator/extractor, and Algorithm 1 of the
+//! paper are all index lookups rather than scans. A posting list is a chain
+//! threaded through one `next` array parallel to the log: each key maps to
+//! its chain's head, tail and length, and every statement carries the log
+//! index of the next statement with the same subject, the same predicate
+//! and the same object. Inserting therefore allocates nothing, walking a
+//! chain visits statements in insertion order, cloning the store copies a
+//! handful of flat arrays and dropping it frees them.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::interner::{Interner, Sym};
+use crate::table::{finish_tag, Probe, TagTable};
 use crate::term::{Literal, Term};
 use crate::vocab;
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 
 /// A single `<subject, predicate, object>` statement.
 ///
@@ -22,16 +33,75 @@ pub struct Triple {
     pub o: Term,
 }
 
-/// An in-memory RDF graph with set semantics and SPO/P/O indexes.
+/// End of a chain in [`Graph::next`].
+const NIL: u32 = u32::MAX;
+
+/// Which link of a [`Graph::next`] entry a chain follows.
+const SUBJECT: usize = 0;
+const PREDICATE: usize = 1;
+const OBJECT: usize = 2;
+
+/// One posting list: the log indexes of the statements that share a
+/// subject, predicate or object, linked in insertion order. `len` counts
+/// tombstoned statements too.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// The membership table's tag for a triple.
+#[inline]
+fn tag_of(t: &Triple) -> u32 {
+    let mut h = FxHasher::default();
+    t.hash(&mut h);
+    finish_tag(&h)
+}
+
+/// Append log index `idx` to `key`'s chain.
+#[inline]
+fn link<K: Hash + Eq>(
+    chains: &mut FxHashMap<K, Chain>,
+    next: &mut [[u32; 3]],
+    position: usize,
+    key: K,
+    idx: u32,
+) {
+    match chains.entry(key) {
+        Entry::Occupied(mut entry) => {
+            let chain = entry.get_mut();
+            next[chain.tail as usize][position] = idx;
+            chain.tail = idx;
+            chain.len += 1;
+        }
+        Entry::Vacant(entry) => {
+            entry.insert(Chain {
+                head: idx,
+                tail: idx,
+                len: 1,
+            });
+        }
+    }
+}
+
+/// An in-memory RDF graph with set semantics and postings by subject,
+/// predicate and object.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
     interner: Interner,
+    /// The log: every statement ever inserted, in insertion order.
     triples: Vec<Triple>,
+    /// `live[i]` is false once log entry `i` has been removed.
     live: Vec<bool>,
-    set: FxHashSet<Triple>,
-    by_subject: FxHashMap<Term, Vec<u32>>,
-    by_predicate: FxHashMap<Sym, Vec<u32>>,
-    by_object: FxHashMap<Term, Vec<u32>>,
+    /// `next[i]` is the log index of the next statement with entry `i`'s
+    /// subject, predicate and object ([`NIL`] at a chain's end).
+    next: Vec<[u32; 3]>,
+    /// Triple → its latest log index, live or not.
+    table: TagTable,
+    by_subject: FxHashMap<Term, Chain>,
+    by_predicate: FxHashMap<Sym, Chain>,
+    by_object: FxHashMap<Term, Chain>,
     len: usize,
     type_predicate: Option<Sym>,
 }
@@ -48,7 +118,8 @@ impl Graph {
             interner: Interner::with_capacity(triples / 2),
             triples: Vec::with_capacity(triples),
             live: Vec::with_capacity(triples),
-            set: FxHashSet::with_capacity_and_hasher(triples, Default::default()),
+            next: Vec::with_capacity(triples),
+            table: TagTable::with_capacity(triples),
             by_subject: FxHashMap::default(),
             by_predicate: FxHashMap::default(),
             by_object: FxHashMap::default(),
@@ -73,6 +144,12 @@ impl Graph {
     /// Borrow the underlying interner.
     pub fn interner(&self) -> &Interner {
         &self.interner
+    }
+
+    /// The interner, for the N-Triples reader to intern a chunk's tokens
+    /// ahead of indexing its statements.
+    pub(crate) fn interner_mut(&mut self) -> &mut Interner {
+        &mut self.interner
     }
 
     /// Intern an IRI and wrap it as a [`Term`].
@@ -141,18 +218,44 @@ impl Graph {
     pub fn insert(&mut self, s: Term, p: impl IntoPredicate, o: Term) -> bool {
         debug_assert!(s.is_resource(), "literal in subject position");
         let p = p.into_predicate();
-        let t = Triple { s, p, o };
-        if !self.set.insert(t) {
-            return false;
-        }
+        self.insert_triple(Triple { s, p, o })
+    }
+
+    fn insert_triple(&mut self, t: Triple) -> bool {
+        let tag = tag_of(&t);
+        let probe = self.table.probe(tag, |i| self.triples[i as usize] == t);
         let idx = u32::try_from(self.triples.len()).expect("graph exceeds u32::MAX triples");
+        match probe {
+            Probe::Found(slot) if self.live[self.table.index_at(slot) as usize] => return false,
+            // A statement coming back after its removal is appended like
+            // any other and takes over the dead entry's slot.
+            Probe::Found(slot) => self.table.set_index(slot, idx),
+            Probe::Vacant(slot) => self.table.occupy(slot, tag, idx),
+        }
         self.triples.push(t);
         self.live.push(true);
-        self.by_subject.entry(s).or_default().push(idx);
-        self.by_predicate.entry(p).or_default().push(idx);
-        self.by_object.entry(o).or_default().push(idx);
+        self.next.push([NIL; 3]);
+        link(&mut self.by_subject, &mut self.next, SUBJECT, t.s, idx);
+        link(&mut self.by_predicate, &mut self.next, PREDICATE, t.p, idx);
+        link(&mut self.by_object, &mut self.next, OBJECT, t.o, idx);
         self.len += 1;
         true
+    }
+
+    /// Insert every statement of `batch` in order; returns how many were
+    /// not already present. The bulk path of the N-Triples reader and of
+    /// [`Graph::absorb_remapped`]: the log and the membership table are
+    /// sized once for the batch instead of doubling their way there.
+    pub(crate) fn insert_batch(&mut self, batch: impl IntoIterator<Item = Triple>) -> usize {
+        let batch = batch.into_iter();
+        // A `Vec`'s length, or the length of another graph's log.
+        let (lower, upper) = batch.size_hint();
+        let expected = upper.unwrap_or(lower);
+        self.triples.reserve(expected);
+        self.live.reserve(expected);
+        self.next.reserve(expected);
+        self.table.reserve(expected);
+        batch.filter(|&t| self.insert_triple(t)).count()
     }
 
     /// Convenience: insert a triple built from raw strings
@@ -175,23 +278,31 @@ impl Graph {
     /// Remove a triple; returns `true` if it was present.
     pub fn remove(&mut self, s: Term, p: impl IntoPredicate, o: Term) -> bool {
         let p = p.into_predicate();
-        let t = Triple { s, p, o };
-        if !self.set.remove(&t) {
-            return false;
-        }
-        // Tombstone: find the live index via the (shortest) subject posting
-        // list. Index vectors keep the dead entry; iteration filters on
-        // `live`.
-        if let Some(postings) = self.by_subject.get(&s) {
-            for &idx in postings {
-                if self.live[idx as usize] && self.triples[idx as usize] == t {
-                    self.live[idx as usize] = false;
-                    self.len -= 1;
-                    return true;
-                }
+        // Tombstone: the table and the chains keep the dead entry;
+        // membership and iteration filter on `live`.
+        match self.live_index(Triple { s, p, o }) {
+            Some(idx) => {
+                self.live[idx] = false;
+                self.len -= 1;
+                true
             }
+            None => false,
         }
-        unreachable!("triple present in set but absent from index");
+    }
+
+    /// The log index of `t` if it is present.
+    #[inline]
+    fn live_index(&self, t: Triple) -> Option<usize> {
+        match self
+            .table
+            .probe(tag_of(&t), |i| self.triples[i as usize] == t)
+        {
+            Probe::Found(slot) => {
+                let idx = self.table.index_at(slot) as usize;
+                self.live[idx].then_some(idx)
+            }
+            Probe::Vacant(_) => None,
+        }
     }
 
     /// Absorb all triples of `other` into `self`, re-interning symbols.
@@ -231,13 +342,11 @@ impl Graph {
                 }),
             }
         };
-        let mut added = 0;
-        for t in other.triples() {
-            if self.insert(remap(t.s), map[t.p.index()], remap(t.o)) {
-                added += 1;
-            }
-        }
-        added
+        self.insert_batch(other.triples().map(|t| Triple {
+            s: remap(t.s),
+            p: map[t.p.index()],
+            o: remap(t.o),
+        }))
     }
 
     /// Re-intern a symbol from another graph's interner into this one.
@@ -273,29 +382,25 @@ impl Graph {
     }
 
     /// Estimated resident heap footprint of the store: the interner, the
-    /// triple log and tombstone vector, the membership set, and all three
-    /// adjacency indexes with their postings lists. Feeds the
+    /// triple log with its tombstone vector and chain links, the
+    /// membership table, and the three key → chain maps. Feeds the
     /// `s3pg_mem_rdf_bytes` gauge.
     pub fn deep_size_bytes(&self) -> usize {
-        use s3pg_obs::mem::{map_bytes, set_bytes, vec_bytes};
-        let postings = |index: &FxHashMap<Term, Vec<u32>>| {
-            map_bytes::<Term, Vec<u32>>(index.capacity())
-                + index.values().map(vec_bytes).sum::<usize>()
-        };
+        use s3pg_obs::mem::{map_bytes, vec_bytes};
         self.interner.deep_size_bytes()
             + vec_bytes(&self.triples)
             + vec_bytes(&self.live)
-            + set_bytes::<Triple>(self.set.capacity())
-            + postings(&self.by_subject)
-            + postings(&self.by_object)
-            + map_bytes::<Sym, Vec<u32>>(self.by_predicate.capacity())
-            + self.by_predicate.values().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.next)
+            + self.table.heap_bytes()
+            + map_bytes::<Term, Chain>(self.by_subject.capacity())
+            + map_bytes::<Sym, Chain>(self.by_predicate.capacity())
+            + map_bytes::<Term, Chain>(self.by_object.capacity())
     }
 
     /// Membership test.
     pub fn contains(&self, s: Term, p: impl IntoPredicate, o: Term) -> bool {
         let p = p.into_predicate();
-        self.set.contains(&Triple { s, p, o })
+        self.live_index(Triple { s, p, o }).is_some()
     }
 
     /// Iterate over all live triples in insertion order.
@@ -311,37 +416,43 @@ impl Graph {
     /// Chooses the most selective available index (bound subject, then bound
     /// object, then bound predicate, then full scan).
     pub fn match_pattern(&self, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> Vec<Triple> {
-        let postings: Option<&Vec<u32>> = match (s, o, p) {
-            (Some(s), _, _) => Some(self.by_subject.get(&s).unwrap_or(&EMPTY_POSTINGS)),
-            (None, Some(o), _) => Some(self.by_object.get(&o).unwrap_or(&EMPTY_POSTINGS)),
-            (None, None, Some(p)) => Some(self.by_predicate.get(&p).unwrap_or(&EMPTY_POSTINGS)),
-            (None, None, None) => None,
+        let candidates = match (s, o, p) {
+            (Some(s), _, _) => self.chain(self.by_subject.get(&s), SUBJECT),
+            (None, Some(o), _) => self.chain(self.by_object.get(&o), OBJECT),
+            (None, None, Some(p)) => self.chain(self.by_predicate.get(&p), PREDICATE),
+            (None, None, None) => return self.triples().collect(),
         };
-        let matches = |t: &Triple| {
-            s.is_none_or(|s| t.s == s) && p.is_none_or(|p| t.p == p) && o.is_none_or(|o| t.o == o)
-        };
-        match postings {
-            Some(list) => list
-                .iter()
-                .filter(|&&i| self.live[i as usize])
-                .map(|&i| self.triples[i as usize])
-                .filter(matches)
-                .collect(),
-            None => self.triples().collect(),
-        }
+        candidates
+            .filter(|t| {
+                s.is_none_or(|s| t.s == s)
+                    && p.is_none_or(|p| t.p == p)
+                    && o.is_none_or(|o| t.o == o)
+            })
+            .collect()
+    }
+
+    /// The live statements of one chain (none for a key without one), in
+    /// insertion order.
+    fn chain(&self, chain: Option<&Chain>, position: usize) -> impl Iterator<Item = Triple> + '_ {
+        let mut at = chain.map_or(NIL, |c| c.head);
+        std::iter::from_fn(move || {
+            while at != NIL {
+                let i = at as usize;
+                at = self.next[i][position];
+                if self.live[i] {
+                    return Some(self.triples[i]);
+                }
+            }
+            None
+        })
     }
 
     /// The live statements with subject `s`, in insertion order, borrowed
-    /// straight off the subject's postings: what both scans of Algorithm 1
+    /// straight off the subject's chain: what both scans of Algorithm 1
     /// walk per entity, without the `Vec<Triple>` [`Graph::match_pattern`]
     /// collects.
     pub fn statements_of(&self, s: Term) -> impl Iterator<Item = Triple> + '_ {
-        self.by_subject
-            .get(&s)
-            .unwrap_or(&EMPTY_POSTINGS)
-            .iter()
-            .filter(|&&i| self.live[i as usize])
-            .map(|&i| self.triples[i as usize])
+        self.chain(self.by_subject.get(&s), SUBJECT)
     }
 
     /// Reference implementation of [`Graph::match_pattern`] that ignores
@@ -368,9 +479,9 @@ impl Graph {
     /// the SPARQL engine for greedy join ordering.
     pub fn pattern_cardinality(&self, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> usize {
         match (s, o, p) {
-            (Some(s), _, _) => self.by_subject.get(&s).map_or(0, Vec::len),
-            (None, Some(o), _) => self.by_object.get(&o).map_or(0, Vec::len),
-            (None, None, Some(p)) => self.by_predicate.get(&p).map_or(0, Vec::len),
+            (Some(s), _, _) => self.by_subject.get(&s).map_or(0, |c| c.len as usize),
+            (None, Some(o), _) => self.by_object.get(&o).map_or(0, |c| c.len as usize),
+            (None, None, Some(p)) => self.by_predicate.get(&p).map_or(0, |c| c.len as usize),
             (None, None, None) => self.triples.len(),
         }
     }
@@ -412,7 +523,7 @@ impl Graph {
         let mut out: Vec<Sym> = self
             .by_predicate
             .iter()
-            .filter(|(_, v)| v.iter().any(|&i| self.live[i as usize]))
+            .filter(|(_, c)| self.chain(Some(c), PREDICATE).next().is_some())
             .map(|(&p, _)| p)
             .collect();
         out.sort_unstable();
@@ -424,7 +535,7 @@ impl Graph {
         let mut out: Vec<Term> = self
             .by_subject
             .iter()
-            .filter(|(_, v)| v.iter().any(|&i| self.live[i as usize]))
+            .filter(|(_, c)| self.chain(Some(c), SUBJECT).next().is_some())
             .map(|(&s, _)| s)
             .collect();
         out.sort_unstable();
@@ -490,7 +601,7 @@ impl Graph {
         let Some(o) = self.lookup_term(other_graph, other_triple.o) else {
             return false;
         };
-        self.set.contains(&Triple { s, p, o })
+        self.live_index(Triple { s, p, o }).is_some()
     }
 
     fn lookup_term(&self, other: &Graph, term: Term) -> Option<Term> {
@@ -515,8 +626,6 @@ impl Graph {
         self.len() == other.len() && self.triples().all(|t| other.contains_resolved(self, t))
     }
 }
-
-static EMPTY_POSTINGS: Vec<u32> = Vec::new();
 
 /// Accepts either a bare predicate symbol or an IRI `Term` where a predicate
 /// is expected, so call sites can pass whichever they hold.

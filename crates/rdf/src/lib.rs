@@ -40,6 +40,7 @@ pub mod parser;
 pub mod rng;
 pub mod serializer;
 pub mod stats;
+mod table;
 pub mod term;
 pub mod vocab;
 

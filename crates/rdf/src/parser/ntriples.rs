@@ -2,11 +2,24 @@
 //!
 //! N-Triples is the serialization the paper's dumps (DBpedia, Bio2RDF CT)
 //! use; Algorithm 1 "reads F triple by triple to process the stream of
-//! triples", which this parser supports via [`parse_ntriples_into`] feeding a
-//! graph line by line without materialising intermediate structures.
+//! triples", and this reader is the floor under that scan. It borrows: a
+//! token is a slice of the input, interned straight from where it lies, and
+//! a `String` is built only for a literal that holds a backslash escape.
+//! It remembers what a dump repeats — the previous line's subject, the last
+//! datatype IRI, the `xsd:string` and `rdf:langString` symbols — and
+//! compares bytes before it hashes. And it works in two strokes per chunk:
+//! tokenize a run of lines into a batch of [`Triple`]s (the text streams
+//! past the interner), then index the batch (the store's tables are probed
+//! with the text out of the way).
+//!
+//! Symbols are handed out in the order the line is written — subject,
+//! predicate, then the object's parts — and that order is load-bearing:
+//! [`Graph::subjects_distinct`] sorts by [`Sym`], so F_dt's node ids
+//! follow it.
 
 use crate::error::RdfError;
-use crate::graph::Graph;
+use crate::graph::{Graph, Triple};
+use crate::interner::{Interner, Sym};
 use crate::term::{unescape_literal, Literal, Term};
 use crate::vocab;
 
@@ -23,26 +36,42 @@ pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<usize, RdfE
     parse_ntriples_offset(input, 0, graph)
 }
 
+/// Most statements tokenized before they are indexed. The longer the two
+/// strokes run apart the faster both are, and a document that fits one
+/// batch gives the store its exact size up front; the bound keeps the
+/// batch itself (36 bytes a statement) a footnote beside a large input.
+const BATCH: usize = 1 << 20;
+
 /// Parse a chunk of an N-Triples document whose first line is line
 /// `line_offset + 1` of the full document, so syntax errors report
-/// document-absolute line numbers even from parallel workers.
+/// document-absolute line numbers even from parallel workers. The
+/// statements before a malformed line are inserted, as they would be
+/// reading line by line.
 fn parse_ntriples_offset(
     input: &str,
     line_offset: usize,
     graph: &mut Graph,
 ) -> Result<usize, RdfError> {
+    let mut tokenizer = Tokenizer::default();
+    let mut batch: Vec<Triple> = Vec::new();
     let mut added = 0;
     for (lineno, raw) in input.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (s, p, o) = parse_line(line, line_offset + lineno + 1, graph)?;
-        if graph.insert(s, p, o) {
-            added += 1;
+        match tokenizer.statement(line, line_offset + lineno + 1, graph.interner_mut()) {
+            Ok(triple) => batch.push(triple),
+            Err(e) => {
+                graph.insert_batch(batch);
+                return Err(e);
+            }
+        }
+        if batch.len() == BATCH {
+            added += graph.insert_batch(batch.drain(..));
         }
     }
-    Ok(added)
+    Ok(added + graph.insert_batch(batch))
 }
 
 /// Parse an N-Triples document with `threads` parallel workers.
@@ -109,155 +138,64 @@ fn chunk_lines(input: &str, parts: usize) -> Vec<(usize, usize, usize)> {
     chunks
 }
 
-fn parse_line(line: &str, lineno: usize, g: &mut Graph) -> Result<(Term, Term, Term), RdfError> {
-    let mut cursor = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-        line: lineno,
-    };
-    let s = cursor.term(g)?;
-    if s.is_literal() {
-        return Err(RdfError::syntax(lineno, "literal in subject position"));
-    }
-    cursor.skip_ws();
-    let p = cursor.term(g)?;
-    if !p.is_iri() {
-        return Err(RdfError::syntax(lineno, "predicate must be an IRI"));
-    }
-    cursor.skip_ws();
-    let o = cursor.term(g)?;
-    cursor.skip_ws();
-    if !cursor.eat(b'.') {
-        return Err(RdfError::syntax(lineno, "expected '.' at end of statement"));
-    }
-    Ok((s, p, o))
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
+/// Position in one trimmed, non-empty line.
+struct Scanner<'a> {
+    line: &'a str,
     pos: usize,
-    line: usize,
+    lineno: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Scanner<'a> {
+    fn error(&self, message: impl Into<String>) -> RdfError {
+        RdfError::syntax(self.lineno, message)
+    }
+
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_ascii_whitespace() {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.line.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let found = self.peek() == Some(b);
+        self.pos += found as usize;
+        found
+    }
+
+    /// The text up to the next `delim` (ASCII), which is consumed.
+    fn take_until(&mut self, delim: char) -> Result<&'a str, RdfError> {
+        let rest = &self.line[self.pos..];
+        match rest.find(delim) {
+            Some(end) => {
+                self.pos += end + 1;
+                Ok(&rest[..end])
+            }
+            None => Err(self.error(format!("unterminated token, expected '{delim}'"))),
         }
     }
 
-    fn take_until(&mut self, delim: u8) -> Result<&'a str, RdfError> {
+    /// The remainder of a double-quoted string (opening quote already
+    /// consumed) as written, and whether it holds a backslash escape.
+    fn quoted(&mut self) -> Result<(&'a str, bool), RdfError> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == delim {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| RdfError::syntax(self.line, "invalid UTF-8"))?;
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(RdfError::syntax(
-            self.line,
-            format!("unterminated token, expected '{}'", delim as char),
-        ))
-    }
-
-    fn term(&mut self, g: &mut Graph) -> Result<Term, RdfError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'<') => {
-                self.pos += 1;
-                let iri = self.take_until(b'>')?;
-                Ok(g.intern_iri(iri))
-            }
-            Some(b'_') => {
-                self.pos += 1;
-                if !self.eat(b':') {
-                    return Err(RdfError::syntax(self.line, "expected ':' after '_'"));
-                }
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if (b as char).is_ascii_whitespace() || b == b'.' && self.at_statement_end() {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let label = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                Ok(g.intern_blank(label))
-            }
-            Some(b'"') => {
-                self.pos += 1;
-                let lexical = self.quoted_string()?;
-                // Optional @lang or ^^<datatype>
-                if self.eat(b'@') {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if (b as char).is_ascii_alphanumeric() || b == b'-' {
-                            self.pos += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    let lang = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                    Ok(Term::Literal(Literal {
-                        lexical: g.intern(&lexical),
-                        datatype: g.intern(vocab::rdf::LANG_STRING),
-                        lang: Some(g.intern(lang)),
-                    }))
-                } else if self.eat(b'^') {
-                    if !self.eat(b'^') || !self.eat(b'<') {
-                        return Err(RdfError::syntax(self.line, "malformed datatype suffix"));
-                    }
-                    let dt = self.take_until(b'>')?;
-                    let dt = g.intern(dt);
-                    Ok(Term::Literal(Literal {
-                        lexical: g.intern(&lexical),
-                        datatype: dt,
-                        lang: None,
-                    }))
-                } else {
-                    Ok(g.string_literal(&lexical))
-                }
-            }
-            Some(other) => Err(RdfError::syntax(
-                self.line,
-                format!("unexpected character '{}'", other as char),
-            )),
-            None => Err(RdfError::syntax(self.line, "unexpected end of line")),
-        }
-    }
-
-    /// Read the remainder of a double-quoted string (opening quote already
-    /// consumed), handling backslash escapes.
-    fn quoted_string(&mut self) -> Result<String, RdfError> {
-        let start = self.pos;
+        let mut escaped = false;
         loop {
             match self.peek() {
                 Some(b'"') => {
-                    let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| RdfError::syntax(self.line, "invalid UTF-8"))?;
+                    let raw = &self.line[start..self.pos];
                     self.pos += 1;
-                    return unescape_literal(raw).map_err(|e| RdfError::syntax(self.line, e));
+                    return Ok((raw, escaped));
                 }
                 Some(b'\\') => {
+                    escaped = true;
                     self.pos += 2; // skip escape pair
                 }
                 Some(_) => self.pos += 1,
-                None => return Err(RdfError::syntax(self.line, "unterminated string literal")),
+                None => return Err(self.error("unterminated string literal")),
             }
         }
     }
@@ -265,9 +203,167 @@ impl<'a> Cursor<'a> {
     /// Whether the current `.` is the statement terminator (followed only by
     /// whitespace or a comment) rather than part of a blank-node label.
     fn at_statement_end(&self) -> bool {
-        self.bytes[self.pos + 1..]
+        self.line.as_bytes()[self.pos + 1..]
             .iter()
-            .all(|&b| (b as char).is_ascii_whitespace() || b == b'#')
+            .all(|&b| b.is_ascii_whitespace() || b == b'#')
+    }
+}
+
+/// What the reader carries from line to line: symbols it would otherwise
+/// look up again for every literal, and the two tokens a dump repeats in
+/// runs. The cached tokens are compared as bytes, so a hit is exact.
+#[derive(Default)]
+struct Tokenizer<'a> {
+    xsd_string: Option<Sym>,
+    lang_string: Option<Sym>,
+    /// The last `^^<datatype>` IRI and its symbol.
+    datatype: Option<(&'a str, Sym)>,
+    /// The previous statement's subject token as written (`<iri>` or
+    /// `_:label`) and its term.
+    subject: Option<(&'a str, Term)>,
+}
+
+impl<'a> Tokenizer<'a> {
+    /// Tokenize one statement, interning its strings in written order.
+    fn statement(
+        &mut self,
+        line: &'a str,
+        lineno: usize,
+        strings: &mut Interner,
+    ) -> Result<Triple, RdfError> {
+        let mut scan = Scanner {
+            line,
+            pos: 0,
+            lineno,
+        };
+        let s = match self.subject {
+            // The same token followed by whitespace ends where it ended
+            // before: an IRI at its first `>`, a label at the whitespace.
+            Some((token, term))
+                if line.starts_with(token)
+                    && line
+                        .as_bytes()
+                        .get(token.len())
+                        .is_some_and(u8::is_ascii_whitespace) =>
+            {
+                scan.pos = token.len();
+                term
+            }
+            _ => {
+                let s = self.term(&mut scan, strings)?;
+                if s.is_literal() {
+                    return Err(scan.error("literal in subject position"));
+                }
+                self.subject = Some((&line[..scan.pos], s));
+                s
+            }
+        };
+        let Term::Iri(p) = self.term(&mut scan, strings)? else {
+            return Err(scan.error("predicate must be an IRI"));
+        };
+        let o = self.term(&mut scan, strings)?;
+        scan.skip_ws();
+        if !scan.eat(b'.') {
+            return Err(scan.error("expected '.' at end of statement"));
+        }
+        scan.skip_ws();
+        if !matches!(scan.peek(), None | Some(b'#')) {
+            return Err(scan.error("unexpected text after the statement's '.'"));
+        }
+        Ok(Triple { s, p, o })
+    }
+
+    fn term(&mut self, scan: &mut Scanner<'a>, strings: &mut Interner) -> Result<Term, RdfError> {
+        scan.skip_ws();
+        match scan.peek() {
+            Some(b'<') => {
+                scan.pos += 1;
+                Ok(Term::Iri(strings.intern(scan.take_until('>')?)))
+            }
+            Some(b'_') => {
+                scan.pos += 1;
+                if !scan.eat(b':') {
+                    return Err(scan.error("expected ':' after '_'"));
+                }
+                let start = scan.pos;
+                while let Some(b) = scan.peek() {
+                    if b.is_ascii_whitespace() || b == b'.' && scan.at_statement_end() {
+                        break;
+                    }
+                    scan.pos += 1;
+                }
+                Ok(Term::Blank(strings.intern(&scan.line[start..scan.pos])))
+            }
+            Some(b'"') => {
+                scan.pos += 1;
+                self.literal(scan, strings)
+            }
+            Some(other) => Err(scan.error(format!("unexpected character '{}'", other as char))),
+            None => Err(scan.error("unexpected end of line")),
+        }
+    }
+
+    /// A literal whose opening quote has been consumed.
+    fn literal(
+        &mut self,
+        scan: &mut Scanner<'a>,
+        strings: &mut Interner,
+    ) -> Result<Term, RdfError> {
+        let (raw, escaped) = scan.quoted()?;
+        let unescaped;
+        let lexical = if escaped {
+            unescaped = unescape_literal(raw).map_err(|e| scan.error(e))?;
+            unescaped.as_str()
+        } else {
+            raw
+        };
+        // Optional @lang or ^^<datatype>. Each arm interns in the order its
+        // symbols have always been numbered in.
+        if scan.eat(b'@') {
+            let start = scan.pos;
+            while scan
+                .peek()
+                .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'-')
+            {
+                scan.pos += 1;
+            }
+            if scan.pos == start {
+                return Err(scan.error("empty language tag"));
+            }
+            Ok(Term::Literal(Literal {
+                lexical: strings.intern(lexical),
+                datatype: *self
+                    .lang_string
+                    .get_or_insert_with(|| strings.intern(vocab::rdf::LANG_STRING)),
+                lang: Some(strings.intern(&scan.line[start..scan.pos])),
+            }))
+        } else if scan.eat(b'^') {
+            if !scan.eat(b'^') || !scan.eat(b'<') {
+                return Err(scan.error("malformed datatype suffix"));
+            }
+            let iri = scan.take_until('>')?;
+            let datatype = match self.datatype {
+                Some((last, sym)) if last == iri => sym,
+                _ => {
+                    let sym = strings.intern(iri);
+                    self.datatype = Some((iri, sym));
+                    sym
+                }
+            };
+            Ok(Term::Literal(Literal {
+                lexical: strings.intern(lexical),
+                datatype,
+                lang: None,
+            }))
+        } else {
+            Ok(Term::Literal(Literal {
+                lexical: strings.intern(lexical),
+                datatype: *self
+                    .xsd_string
+                    .get_or_insert_with(|| strings.intern(vocab::xsd::STRING)),
+                lang: None,
+            }))
+        }
     }
 }
 

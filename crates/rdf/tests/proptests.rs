@@ -1,6 +1,7 @@
 //! Randomized tests for the RDF substrate: serializer/parser round-trips
-//! over arbitrary graphs, set semantics, and index/scan equivalence (the
-//! differential oracle for the index ablation).
+//! over arbitrary graphs, set semantics, index/scan equivalence (the
+//! differential oracle for the index ablation), and the store against a
+//! naive log-and-tombstones model under random mutation.
 //!
 //! Formerly proptest suites; now driven by the in-tree deterministic
 //! [`XorShiftRng`] so the offline build needs no external registry crates.
@@ -10,7 +11,7 @@
 use s3pg_rdf::parser::parse_ntriples;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::serializer::to_ntriples;
-use s3pg_rdf::{vocab, Graph, Term};
+use s3pg_rdf::{vocab, Graph, Sym, Term, Triple};
 
 /// Characters that stress literal escaping: printable ASCII plus non-ASCII
 /// and the escape-sensitive backslash/quote/newline/tab.
@@ -232,4 +233,277 @@ fn scan_and_index_agree_on_wildcard() {
         g.match_pattern_scan(Some(a), None, None)
     );
     assert_eq!(g.match_pattern(None, None, None).len(), 2);
+}
+
+/// The store as its documentation describes it and nothing more: the log
+/// and the tombstones, every question answered by a scan.
+#[derive(Clone, Default)]
+struct Model {
+    log: Vec<Triple>,
+    live: Vec<bool>,
+}
+
+fn matches(t: &Triple, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> bool {
+    s.is_none_or(|s| t.s == s) && p.is_none_or(|p| t.p == p) && o.is_none_or(|o| t.o == o)
+}
+
+impl Model {
+    fn position(&self, t: Triple) -> Option<usize> {
+        (0..self.log.len()).find(|&i| self.live[i] && self.log[i] == t)
+    }
+
+    fn insert(&mut self, t: Triple) -> bool {
+        let fresh = self.position(t).is_none();
+        if fresh {
+            self.log.push(t);
+            self.live.push(true);
+        }
+        fresh
+    }
+
+    fn remove(&mut self, t: Triple) -> bool {
+        let at = self.position(t);
+        if let Some(i) = at {
+            self.live[i] = false;
+        }
+        at.is_some()
+    }
+
+    fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
+        (0..self.log.len())
+            .filter(|&i| self.live[i])
+            .map(|i| self.log[i])
+    }
+
+    fn match_pattern(&self, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> Vec<Triple> {
+        self.triples().filter(|t| matches(t, s, p, o)).collect()
+    }
+
+    /// Entries, dead ones included, of the postings the store would pick:
+    /// the subject's, else the object's, else the predicate's, else the log.
+    fn pattern_cardinality(&self, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> usize {
+        let (s, p, o) = match (s, o, p) {
+            (Some(s), _, _) => (Some(s), None, None),
+            (None, Some(o), _) => (None, None, Some(o)),
+            (None, None, p) => (None, p, None),
+        };
+        self.log.iter().filter(|t| matches(t, s, p, o)).count()
+    }
+}
+
+/// Everything a caller can ask the store, against the model.
+fn assert_store_is_model(g: &Graph, m: &Model, terms: &Pools, context: &str) {
+    let live: Vec<Triple> = m.triples().collect();
+    assert_eq!(g.len(), live.len(), "len, {context}");
+    assert_eq!(g.is_empty(), live.is_empty(), "is_empty, {context}");
+    assert_eq!(g.triples().collect::<Vec<_>>(), live, "triples, {context}");
+    let mut predicates: Vec<Sym> = live.iter().map(|t| t.p).collect();
+    predicates.sort_unstable();
+    predicates.dedup();
+    assert_eq!(g.predicates(), predicates, "predicates, {context}");
+    let mut subjects: Vec<Term> = live.iter().map(|t| t.s).collect();
+    subjects.sort_unstable();
+    subjects.dedup();
+    assert_eq!(
+        g.subjects_distinct(),
+        subjects,
+        "subjects_distinct, {context}"
+    );
+    for &s in &terms.subjects {
+        assert_eq!(
+            g.statements_of(s).collect::<Vec<_>>(),
+            m.match_pattern(Some(s), None, None),
+            "statements_of, {context}"
+        );
+    }
+    // Every binding shape, over patterns that hit and patterns that miss.
+    for (i, &s) in terms.subjects.iter().enumerate() {
+        let p = terms.predicates[i % terms.predicates.len()];
+        for &o in terms.objects.iter().skip(i % 3).step_by(3) {
+            for mask in 0u8..8 {
+                let s = (mask & 1 != 0).then_some(s);
+                let p = (mask & 2 != 0).then_some(p);
+                let o = (mask & 4 != 0).then_some(o);
+                let expected = m.match_pattern(s, p, o);
+                assert_eq!(
+                    g.match_pattern(s, p, o),
+                    expected,
+                    "match_pattern {mask}, {context}"
+                );
+                assert_eq!(
+                    g.match_pattern_scan(s, p, o),
+                    expected,
+                    "scan {mask}, {context}"
+                );
+                assert_eq!(
+                    g.pattern_cardinality(s, p, o),
+                    m.pattern_cardinality(s, p, o),
+                    "pattern_cardinality {mask}, {context}"
+                );
+            }
+            let t = Triple { s, p, o };
+            assert_eq!(
+                g.contains(s, p, o),
+                live.contains(&t),
+                "contains, {context}"
+            );
+        }
+    }
+}
+
+/// The terms the random operations draw from, interned in the store under
+/// test (clones of it share the numbering).
+struct Pools {
+    subjects: Vec<Term>,
+    predicates: Vec<Sym>,
+    objects: Vec<Term>,
+}
+
+impl Pools {
+    fn new(g: &mut Graph) -> Pools {
+        let mut subjects: Vec<Term> = (0..10)
+            .map(|i| g.intern_iri(&format!("http://ex.org/s{i}")))
+            .collect();
+        subjects.push(g.intern_blank("b0"));
+        subjects.push(g.intern_blank("b1"));
+        let predicates = (0..5)
+            .map(|i| g.intern(&format!("http://ex.org/p{i}")))
+            .collect();
+        let mut objects = subjects.clone();
+        for i in 0..4 {
+            objects.push(g.string_literal(&format!("v{i}")));
+            objects.push(g.integer_literal(i));
+            objects.push(g.lang_literal(&format!("v{i}"), "en"));
+        }
+        Pools {
+            subjects,
+            predicates,
+            objects,
+        }
+    }
+
+    fn triple(&self, rng: &mut XorShiftRng) -> Triple {
+        Triple {
+            s: self.subjects[rng.random_range(0..self.subjects.len())],
+            p: self.predicates[rng.random_range(0..self.predicates.len())],
+            o: self.objects[rng.random_range(0..self.objects.len())],
+        }
+    }
+}
+
+/// One random mutation applied to the store and the model alike.
+fn mutate(g: &mut Graph, m: &mut Model, terms: &Pools, rng: &mut XorShiftRng, context: &str) {
+    match rng.random_range(0..10u8) {
+        // Insert: fresh, duplicate, or the return of a removed statement.
+        0..=5 => {
+            let t = terms.triple(rng);
+            assert_eq!(g.insert(t.s, t.p, t.o), m.insert(t), "insert, {context}");
+        }
+        // Remove something drawn the same way: present about half the time.
+        6..=7 => {
+            let t = terms.triple(rng);
+            assert_eq!(g.remove(t.s, t.p, t.o), m.remove(t), "remove, {context}");
+        }
+        // Remove a statement known to be live, then perhaps put it back.
+        8 => {
+            let live: Vec<Triple> = m.triples().collect();
+            if let Some(i) = rng.choose_index(live.len()) {
+                let t = live[i];
+                assert!(
+                    g.remove(t.s, t.p, t.o) && m.remove(t),
+                    "remove live, {context}"
+                );
+                assert!(!g.remove(t.s, t.p, t.o), "remove twice, {context}");
+                if rng.random_bool(0.5) {
+                    assert!(
+                        g.insert(t.s, t.p, t.o) && m.insert(t),
+                        "re-insert, {context}"
+                    );
+                }
+            }
+        }
+        // Absorb a graph with its own numbering; both merge paths must
+        // add exactly what the model adds, in the other graph's order.
+        _ => {
+            let mut other = Graph::new();
+            for _ in 0..rng.random_range(1..40usize) {
+                let t = terms.triple(rng);
+                let (s, p, o) = (
+                    other.import_term(g, t.s),
+                    other.import_sym(g, t.p),
+                    other.import_term(g, t.o),
+                );
+                other.insert(s, p, o);
+                if rng.random_bool(0.1) {
+                    other.remove(s, p, o);
+                }
+            }
+            let mut expected = 0;
+            for t in other.triples() {
+                let t = Triple {
+                    s: g.import_term(&other, t.s),
+                    p: g.import_sym(&other, t.p),
+                    o: g.import_term(&other, t.o),
+                };
+                expected += m.insert(t) as usize;
+            }
+            let added = if rng.random_bool(0.5) {
+                g.absorb(&other)
+            } else {
+                g.absorb_remapped(&other)
+            };
+            assert_eq!(added, expected, "absorb, {context}");
+        }
+    }
+}
+
+/// The store ≡ the naive model under random insert / remove / re-insert /
+/// absorb, through several growths of its tables, and a clone diverges
+/// from its original without either disturbing the other.
+#[test]
+fn store_matches_naive_model() {
+    for seed in 0..4u64 {
+        let mut rng = XorShiftRng::seed_from_u64(5_000 + seed);
+        let mut g = Graph::new();
+        let terms = Pools::new(&mut g);
+        let mut m = Model::default();
+        let mut fork: Option<(Graph, Model)> = None;
+        for step in 0..1_000 {
+            let context = format!("seed {seed} step {step}");
+            mutate(&mut g, &mut m, &terms, &mut rng, &context);
+            if let Some((fg, fm)) = &mut fork {
+                mutate(fg, fm, &terms, &mut rng, &format!("{context} (fork)"));
+            }
+            if step % 250 == 100 {
+                assert_store_is_model(&g, &m, &terms, &context);
+                if let Some((fg, fm)) = &fork {
+                    assert_store_is_model(fg, fm, &terms, &format!("{context} (fork)"));
+                    let sorted = |m: &Model| {
+                        let mut live: Vec<Triple> = m.triples().collect();
+                        live.sort_unstable();
+                        live
+                    };
+                    assert_eq!(
+                        g.same_triples(fg),
+                        sorted(&m) == sorted(fm),
+                        "same_triples, {context}"
+                    );
+                }
+                fork = Some((g.clone(), m.clone()));
+                let (fg, _) = fork.as_ref().unwrap();
+                assert!(
+                    g.same_triples(fg) && fg.same_triples(&g),
+                    "clone, {context}"
+                );
+            }
+        }
+        // Over a thousand log entries: the membership table has doubled
+        // eight times on the way, the log's vectors about as often.
+        assert!(
+            m.log.len() > 1_000,
+            "seed {seed}: {} log entries",
+            m.log.len()
+        );
+        assert_store_is_model(&g, &m, &terms, &format!("seed {seed} at the end"));
+    }
 }

@@ -148,11 +148,21 @@ pub fn load_graph(path: &Path) -> Result<Graph, String> {
 pub fn load_graph_with(path: &Path, threads: usize) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("nt") | Some("ntriples") => {
-            parse_ntriples_parallel(&text, threads).map_err(|e| e.to_string())
-        }
-        _ => parse_turtle(&text).map_err(|e| e.to_string()),
+    parse_graph(path, &text, threads)
+}
+
+fn is_ntriples(path: &Path) -> bool {
+    matches!(
+        path.extension().and_then(|e| e.to_str()),
+        Some("nt") | Some("ntriples")
+    )
+}
+
+fn parse_graph(path: &Path, text: &str, threads: usize) -> Result<Graph, String> {
+    if is_ntriples(path) {
+        parse_ntriples_parallel(text, threads).map_err(|e| e.to_string())
+    } else {
+        parse_turtle(text).map_err(|e| e.to_string())
     }
 }
 
@@ -167,12 +177,38 @@ pub fn run(options: &Options) -> Result<String, String> {
 
     let mut report = String::new();
     let parse_start = std::time::Instant::now();
-    let graph = {
+    let (graph, text) = {
         let _span = tracer.span_here("parse");
-        load_graph_with(&options.data, options.threads)?
+        let text = std::fs::read_to_string(&options.data)
+            .map_err(|e| format!("cannot read {}: {e}", options.data.display()))?;
+        (parse_graph(&options.data, &text, options.threads)?, text)
     };
     let parse_time = parse_start.elapsed();
     let _ = writeln!(report, "input: {} triples", graph.len());
+    if options.show_metrics {
+        let _ = write!(
+            report,
+            "parse: {:.1} MB at {:.1} MB/s, {} distinct strings",
+            text.len() as f64 / 1e6,
+            text.len() as f64 / 1e6 / parse_time.as_secs_f64().max(1e-9),
+            graph.interner().len()
+        );
+        // One statement a line is N-Triples' rule, not Turtle's.
+        if is_ntriples(&options.data) {
+            let statements = text
+                .lines()
+                .map(str::trim)
+                .filter(|line| !line.is_empty() && !line.starts_with('#'))
+                .count();
+            let _ = write!(
+                report,
+                ", {} duplicate statements dropped",
+                statements - graph.len()
+            );
+        }
+        report.push('\n');
+    }
+    drop(text);
 
     let schema: ShapeSchema = match &options.shapes {
         Some(path) => {
@@ -534,6 +570,8 @@ mod tests {
         assert!(report.contains("PG ⊨ S_PG"));
         assert!(report.contains("round-trip: M(F_dt(G)) = G"));
         assert!(report.contains("parse"), "{report}");
+        // Turtle input: no one-statement-a-line count to take duplicates from.
+        assert!(report.contains(" distinct strings\n"), "{report}");
         assert!(report.contains("shard skew"), "{report}");
         assert!(report.contains("wrote metrics.json"), "{report}");
         assert!(report.contains("compact: "), "{report}");

@@ -4,8 +4,8 @@
 //! typed [`Response`] enum so callers (the loadgen, the differential
 //! tests) never string-match frames.
 
-use crate::protocol::{Request, Response};
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{write_frame, Request, Response};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -63,14 +63,14 @@ impl Client {
 
     /// Send one request and wait for its response.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        writeln!(self.writer, "{}", request.encode())?;
+        write_frame(&mut self.writer, request.encode())?;
         self.read_response()
     }
 
     /// Send a raw line (possibly malformed — for protocol testing) and
     /// wait for the response frame.
     pub fn call_raw(&mut self, line: &str) -> Result<Response, ClientError> {
-        writeln!(self.writer, "{line}")?;
+        write_frame(&mut self.writer, line.to_string())?;
         self.read_response()
     }
 

@@ -18,10 +18,20 @@
 use crate::json::{self, Json};
 use s3pg_query::profile::PlanNode;
 use std::fmt;
+use std::io::{self, Write};
 
 /// How many trace events a `trace` request tails when the client does not
 /// say how many it wants.
 pub const DEFAULT_TRACE_LIMIT: u64 = 256;
+
+/// Put one encoded frame on the wire, newline included, in a single
+/// `write`. On an unbuffered `TCP_NODELAY` socket `writeln!` makes two —
+/// the frame, then `"\n"` — which is two system calls and two segments,
+/// and the peer's `read_line` cannot return before the second arrives.
+pub(crate) fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())
+}
 
 /// A client request: one endpoint invocation.
 ///
@@ -919,6 +929,37 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_frame_is_one_write_ending_in_a_newline() {
+        /// Records what each `write` call was handed.
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let frames = [
+            Response::Pong.encode(),
+            Response::Error(ErrorFrame {
+                kind: ErrorKind::Overloaded,
+                message: "accept queue full".to_string(),
+            })
+            .encode(),
+            Request::cypher("MATCH (n) RETURN n").encode(),
+            String::new(),
+        ];
+        for frame in frames {
+            let mut calls = Calls(Vec::new());
+            write_frame(&mut calls, frame.clone()).unwrap();
+            assert_eq!(calls.0.len(), 1, "{frame:?}");
+            assert_eq!(calls.0[0], format!("{frame}\n").as_bytes());
+        }
+    }
 
     #[test]
     fn requests_round_trip() {

@@ -19,10 +19,10 @@
 //! differential test in `tests/durability.rs` checks this equivalence
 //! against a never-killed reference, record for record.
 
-use crate::store::{GraphStore, StoreParts};
+use crate::store::{boot_step, GraphStore, StoreParts};
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::Mode;
-use s3pg_obs::Registry;
+use s3pg_obs::{tracer, Registry};
 use s3pg_rdf::parser::parse_ntriples_parallel;
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
@@ -64,32 +64,45 @@ fn load_shapes(config: &RecoveryConfig, base: &Graph) -> Result<ShapeSchema, Str
     }
 }
 
-fn transform(config: &RecoveryConfig, rdf: Graph, shapes: &ShapeSchema) -> StoreParts {
-    let out = transform_with(
-        &rdf,
-        shapes,
-        config.mode,
-        PipelineConfig {
-            threads: config.threads,
-        },
-    );
-    StoreParts {
-        rdf,
-        pg: out.pg,
-        schema: out.schema,
-        state: out.state,
-    }
+/// The `transform` step of a boot: the shapes, then the whole pipeline.
+fn transform(
+    config: &RecoveryConfig,
+    registry: &Registry,
+    rdf: Graph,
+) -> Result<StoreParts, String> {
+    boot_step(registry, "transform", || {
+        let shapes = load_shapes(config, &rdf)?;
+        let out = transform_with(
+            &rdf,
+            &shapes,
+            config.mode,
+            PipelineConfig {
+                threads: config.threads,
+            },
+        );
+        Ok(StoreParts {
+            rdf,
+            pg: out.pg,
+            schema: out.schema,
+            state: out.state,
+        })
+    })
 }
 
 /// Build the store: either ephemeral (no WAL) or recovered from
 /// checkpoint + WAL tail. `registry` is the serving registry created
 /// before recovery began, so recovery metrics (WAL bytes, fsyncs) are
-/// visible from the first scrape.
+/// visible from the first scrape. The whole boot is one `boot` span whose
+/// children — `parse`, `transform`, `replay` on a durable store, `freeze`
+/// — are also the `s3pg_boot_step_seconds{step=…}` gauges.
 pub fn recover(config: &RecoveryConfig, registry: Arc<Registry>) -> Result<RecoveredStore, String> {
+    let tracer = tracer();
+    let _boot = tracer.span(tracer.new_trace(), "boot");
     let Some(wal_dir) = config.wal_dir.clone() else {
-        let base = s3pg::cli::load_graph_with(&config.data, config.threads)?;
-        let shapes = load_shapes(config, &base)?;
-        let parts = transform(config, base, &shapes);
+        let base = boot_step(&registry, "parse", || {
+            s3pg::cli::load_graph_with(&config.data, config.threads)
+        })?;
+        let parts = transform(config, &registry, base)?;
         return Ok(RecoveredStore {
             store: Arc::new(GraphStore::from_parts(parts, registry, None, 0, None)),
             report: vec![
@@ -111,8 +124,10 @@ fn recover_durable(
 
     let (base, base_seq, prebuilt) = match checkpoint {
         Some(cp) => {
-            let graph = parse_ntriples_parallel(&cp.rdf, config.threads)
-                .map_err(|e| format!("checkpoint {} rdf.nt is unparsable: {e}", cp.seq))?;
+            let graph = boot_step(&registry, "parse", || {
+                parse_ntriples_parallel(&cp.rdf, config.threads)
+            })
+            .map_err(|e| format!("checkpoint {} rdf.nt is unparsable: {e}", cp.seq))?;
             report.push(format!(
                 "loaded checkpoint seq={} ({} triples{})",
                 cp.seq,
@@ -126,7 +141,9 @@ fn recover_durable(
             (graph, cp.seq, cp.compact)
         }
         None => {
-            let graph = s3pg::cli::load_graph_with(&config.data, config.threads)?;
+            let graph = boot_step(&registry, "parse", || {
+                s3pg::cli::load_graph_with(&config.data, config.threads)
+            })?;
             report.push(format!(
                 "no checkpoint; cold start from {} ({} triples)",
                 config.data.display(),
@@ -136,8 +153,7 @@ fn recover_durable(
         }
     };
 
-    let shapes = load_shapes(config, &base)?;
-    let mut parts = transform(config, base, &shapes);
+    let mut parts = transform(config, &registry, base)?;
 
     let (wal, recovered) = Wal::open(wal_dir, config.wal_options, &registry)
         .map_err(|e| format!("cannot open WAL in {}: {e}", wal_dir.display()))?;
@@ -181,14 +197,16 @@ fn recover_durable(
     }
     let applied_seq = tail.last().map(|r| r.seq).unwrap_or(base_seq);
 
-    let outcome = s3pg::incremental::replay_deltas(
-        &mut parts.rdf,
-        &mut parts.pg,
-        &mut parts.schema,
-        &mut parts.state,
-        tail.iter()
-            .map(|r| (r.additions.as_str(), r.deletions.as_str())),
-    )
+    let outcome = boot_step(&registry, "replay", || {
+        s3pg::incremental::replay_deltas(
+            &mut parts.rdf,
+            &mut parts.pg,
+            &mut parts.schema,
+            &mut parts.state,
+            tail.iter()
+                .map(|r| (r.additions.as_str(), r.deletions.as_str())),
+        )
+    })
     .map_err(|e| format!("WAL replay failed at a logged record: {e}"))?;
     if outcome.records > 0 {
         report.push(format!(

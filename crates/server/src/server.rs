@@ -30,7 +30,7 @@
 use crate::json::Json;
 use crate::params;
 use crate::plan_cache::{CachedCypher, CachedEntry, CachedSparql, PlanCache};
-use crate::protocol::{plan_to_json, ErrorFrame, ErrorKind, Request, Response};
+use crate::protocol::{plan_to_json, write_frame, ErrorFrame, ErrorKind, Request, Response};
 use crate::query_stats::QueryStats;
 use crate::store::GraphStore;
 use s3pg::S3pgError;
@@ -38,7 +38,7 @@ use s3pg_obs::{tracer, Counter, Histogram, Registry};
 use s3pg_query::profile::ProfSink;
 use s3pg_query::{cypher, render_term, render_value, sparql};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -840,7 +840,7 @@ fn shed(mut stream: TcpStream, kind: ErrorKind, message: &str) {
         message: message.to_string(),
     });
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = writeln!(stream, "{}", frame.encode());
+    let _ = write_frame(&mut stream, frame.encode());
 }
 
 fn worker_loop(shared: &Shared) {
@@ -902,7 +902,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 let reply = respond(&line, shared);
                 line.clear();
-                if writeln!(writer, "{}", reply.encoded).is_err() {
+                if write_frame(&mut writer, reply.encoded).is_err() {
                     return;
                 }
                 if reply.shutdown_ack {
@@ -927,7 +927,7 @@ fn shed_open(writer: &mut TcpStream) {
         kind: ErrorKind::ShuttingDown,
         message: "server is shutting down".to_string(),
     });
-    let _ = writeln!(writer, "{}", frame.encode());
+    let _ = write_frame(writer, frame.encode());
 }
 
 /// One fully processed request line, ready to write back.

@@ -74,7 +74,7 @@ use s3pg::incremental::{apply_delta_mirrored, parse_delta, MirroredOutcome};
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::schema_transform::SchemaTransform;
 use s3pg::{Mode, S3pgError};
-use s3pg_obs::Registry;
+use s3pg_obs::{tracer, Registry};
 use s3pg_pg::conformance;
 use s3pg_pg::{CompactGraph, PropertyGraph};
 use s3pg_rdf::serializer::to_ntriples;
@@ -299,6 +299,19 @@ fn compact_into(registry: &Registry, snap: &Snapshot) {
     let _ = snap.compact.set(compact);
 }
 
+/// Run one step of a cold start or recovery as a child of the open `boot`
+/// span and leave its wall time in `s3pg_boot_step_seconds{step=…}`: the
+/// split of what a benchmark sees as `setup_s`. Set once per process.
+pub(crate) fn boot_step<T>(registry: &Registry, step: &'static str, run: impl FnOnce() -> T) -> T {
+    let _span = tracer().span_here(step);
+    let started = Instant::now();
+    let out = run();
+    registry
+        .gauge(&format!("s3pg_boot_step_seconds{{step=\"{step}\"}}"))
+        .set(started.elapsed().as_secs_f64());
+    out
+}
+
 impl GraphStore {
     /// Transform `rdf` under `shapes` and serve the result, without a WAL
     /// (an ephemeral store: tests, benchmarks, `--wal-dir`-less serving).
@@ -339,7 +352,7 @@ impl GraphStore {
         let snapshot = publish(&registry, parts, nonconforming, 0, applied_seq);
         // The startup graph is served compact from request 1: adopt the
         // checkpoint's frozen form when exact, else freeze synchronously.
-        match prebuilt_compact {
+        boot_step(&registry, "freeze", || match prebuilt_compact {
             Some(compact) => {
                 registry
                     .gauge("s3pg_mem_pg_compact_bytes")
@@ -353,7 +366,7 @@ impl GraphStore {
                 let _ = snapshot.compact.set(compact);
             }
             None => compact_into(&registry, &snapshot),
-        }
+        });
         GraphStore {
             snapshot: Arc::new(RwLock::new(snapshot)),
             writer: Mutex::new(None),

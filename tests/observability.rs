@@ -301,6 +301,66 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
 }
 
 #[test]
+fn a_boot_times_its_four_steps() {
+    use s3pg_server::recovery::{recover, RecoveryConfig};
+    let dir = std::env::temp_dir().join(format!("s3pg-obs-boot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.nt");
+    std::fs::write(
+        &data,
+        "<http://ex/a> <http://ex/knows> <http://ex/b> .\n<http://ex/a> <http://ex/name> \"A\" .\n",
+    )
+    .unwrap();
+    let config = RecoveryConfig {
+        data,
+        shapes: None,
+        mode: Mode::Parsimonious,
+        threads: 1,
+        wal_dir: Some(dir.join("wal")),
+        wal_options: Default::default(),
+    };
+    let tracer = tracer();
+    tracer.set_enabled(true);
+    // A first boot, one acknowledged update, then the boot that replays it.
+    let first = recover(&config, Default::default()).unwrap();
+    first
+        .store
+        .apply_update("<http://ex/b> <http://ex/name> \"B\" .\n", "")
+        .unwrap();
+    drop(first);
+    let registry = std::sync::Arc::new(s3pg_obs::Registry::new());
+    let second = recover(&config, registry.clone()).unwrap();
+    assert_eq!(second.store.snapshot().rdf.len(), 3);
+
+    let samples = parse_exposition(&registry.expose()).unwrap();
+    for step in ["parse", "transform", "replay", "freeze"] {
+        let name = format!("s3pg_boot_step_seconds{{step=\"{step}\"}}");
+        let sample = samples.iter().find(|s| s.name == name);
+        assert!(
+            sample.is_some_and(|s| s.value > 0.0 && s.value < 60.0),
+            "{name}: {sample:?}"
+        );
+    }
+    // The same four steps are the children of the last `boot` span.
+    let events = tracer.tail(usize::MAX);
+    let boot = events
+        .iter()
+        .rev()
+        .find(|e| e.kind == EventKind::Begin && e.name == "boot")
+        .expect("a boot span");
+    assert_eq!(boot.parent, 0);
+    let steps: Vec<&str> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.trace == boot.trace && e.parent == boot.span)
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(steps, ["parse", "transform", "replay", "freeze"]);
+    validate_span_tree(&tracer.events_for(boot.trace)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn pipeline_trace_forms_a_valid_span_tree() {
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
