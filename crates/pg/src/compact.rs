@@ -590,60 +590,6 @@ impl CompactGraph {
             .collect()
     }
 
-    // ---- Batch accessors for the vectorized execution pipeline ----
-    //
-    // The row-at-a-time `PgRead` surface takes `&str` labels/keys and
-    // re-probes the key dictionary on every call. Vectorized operators
-    // resolve each label/key to a `Sym` once per batch and then work
-    // against these symbol-keyed accessors, which answer from the
-    // columnar arrays with no hashing and no allocation.
-
-    /// Resolve a label or property key to its frozen symbol. `None` means
-    /// the graph has never seen the string — every probe with it is empty.
-    #[inline]
-    pub fn key_sym(&self, name: &str) -> Option<Sym> {
-        self.keys.get(name)
-    }
-
-    /// The id-sorted label postings slice for an already-resolved label.
-    #[inline]
-    pub fn label_postings(&self, label: Sym) -> &[NodeId] {
-        self.by_label
-            .get(&label)
-            .map(|&(s, t)| &self.by_label_postings[s as usize..t as usize])
-            .unwrap_or(&[])
-    }
-
-    /// The label symbols of a node (columnar row slice).
-    #[inline]
-    pub fn node_label_syms(&self, id: NodeId) -> &[Sym] {
-        self.node_labels_row(id)
-    }
-
-    /// The label symbols of an edge (columnar row slice).
-    #[inline]
-    pub fn edge_label_syms(&self, id: EdgeId) -> &[Sym] {
-        self.edge_labels_row(id)
-    }
-
-    /// A node property by already-resolved key symbol, decoded.
-    #[inline]
-    pub fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<Value> {
-        self.node_props_row(id)
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| self.decode(v))
-    }
-
-    /// An edge property by already-resolved key symbol, decoded.
-    #[inline]
-    pub fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value> {
-        self.edge_props_row(id)
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| self.decode(v))
-    }
-
     #[inline]
     fn node_labels_row(&self, id: NodeId) -> &[Sym] {
         let s = self.node_label_offsets[id.0 as usize] as usize;
@@ -725,41 +671,39 @@ impl PgRead for CompactGraph {
         }
     }
 
-    fn has_label(&self, id: NodeId, label: &str) -> bool {
-        match self.keys.get(label) {
-            Some(sym) => self.node_labels_row(id).contains(&sym),
-            None => false,
-        }
+    #[inline]
+    fn key_sym(&self, name: &str) -> Option<Sym> {
+        self.keys.get(name)
     }
 
-    fn prop_value(&self, id: NodeId, key: &str) -> Option<Value> {
-        let sym = self.keys.get(key)?;
+    #[inline]
+    fn node_label_syms(&self, id: NodeId) -> &[Sym] {
+        self.node_labels_row(id)
+    }
+
+    #[inline]
+    fn edge_label_syms(&self, id: EdgeId) -> &[Sym] {
+        self.edge_labels_row(id)
+    }
+
+    #[inline]
+    fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<Value> {
         self.node_props_row(id)
             .iter()
-            .find(|(k, _)| *k == sym)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| self.decode(v))
     }
 
-    fn edge_prop_value(&self, id: EdgeId, key: &str) -> Option<Value> {
-        let sym = self.keys.get(key)?;
+    #[inline]
+    fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value> {
         self.edge_props_row(id)
             .iter()
-            .find(|(k, _)| *k == sym)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| self.decode(v))
     }
 
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         self.edge_endpoints[id.0 as usize]
-    }
-
-    fn edge_has_any_label(&self, id: EdgeId, labels: &[String]) -> bool {
-        if labels.is_empty() {
-            return true;
-        }
-        let row = self.edge_labels_row(id);
-        labels
-            .iter()
-            .any(|l| self.keys.get(l).is_some_and(|sym| row.contains(&sym)))
     }
 
     fn out_adjacency(&self, id: NodeId) -> &[EdgeId] {
@@ -774,12 +718,9 @@ impl PgRead for CompactGraph {
         &self.in_csr[s..t]
     }
 
+    #[inline]
     fn edge_live(&self, _id: EdgeId) -> bool {
         true
-    }
-
-    fn as_compact(&self) -> Option<&CompactGraph> {
-        Some(self)
     }
 }
 

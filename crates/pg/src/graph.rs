@@ -811,33 +811,37 @@ impl crate::read::PgRead for PropertyGraph {
         PropertyGraph::nodes_with_label_prop(self, label, key, value)
     }
 
-    fn has_label(&self, id: NodeId, label: &str) -> bool {
-        PropertyGraph::has_label(self, id, label)
+    fn key_sym(&self, name: &str) -> Option<Sym> {
+        self.interner.get(name)
     }
 
-    fn prop_value(&self, id: NodeId, key: &str) -> Option<Value> {
-        self.prop(id, key).cloned()
+    fn node_label_syms(&self, id: NodeId) -> &[Sym] {
+        &self.nodes[id.0 as usize].labels
     }
 
-    fn edge_prop_value(&self, id: EdgeId, key: &str) -> Option<Value> {
-        self.edge_prop(id, key).cloned()
+    fn edge_label_syms(&self, id: EdgeId) -> &[Sym] {
+        &self.edges[id.0 as usize].labels
+    }
+
+    fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<Value> {
+        let props = &self.nodes[id.0 as usize].props;
+        props
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    }
+
+    fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value> {
+        let props = &self.edges[id.0 as usize].props;
+        props
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
     }
 
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         let e = &self.edges[id.0 as usize];
         (e.src, e.dst)
-    }
-
-    fn edge_has_any_label(&self, id: EdgeId, labels: &[String]) -> bool {
-        if labels.is_empty() {
-            return true;
-        }
-        let e = &self.edges[id.0 as usize];
-        labels.iter().any(|l| {
-            self.interner
-                .get(l)
-                .is_some_and(|sym| e.labels.contains(&sym))
-        })
     }
 
     fn out_adjacency(&self, id: NodeId) -> &[EdgeId] {

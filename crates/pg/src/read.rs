@@ -1,28 +1,33 @@
 //! Read-side storage abstraction over property-graph representations.
 //!
 //! The Cypher engine (and the SPARQL-over-PG path that translates into it)
-//! is generic over [`PgRead`], so planned, sequential, and parallel
-//! evaluation run unchanged over either the mutable
-//! [`PropertyGraph`](crate::graph::PropertyGraph) or the frozen, read-optimized
-//! [`CompactGraph`]. The trait is shaped so
-//! both implementations answer from slices with no per-call allocation:
+//! is generic over [`PgRead`], so one executor runs unchanged over either
+//! the mutable [`PropertyGraph`](crate::graph::PropertyGraph) or the
+//! frozen, read-optimized [`CompactGraph`](crate::compact::CompactGraph).
+//! The trait is shaped so both implementations answer from slices with no
+//! per-call allocation:
 //!
+//! * labels and property keys resolve to [`Sym`]s once ([`key_sym`]); the
+//!   executor then reads label rows and properties by symbol, with no
+//!   hashing per row — both stores already hold exactly these rows;
 //! * adjacency is exposed as raw `&[EdgeId]` rows plus an [`edge_live`]
 //!   predicate — the mutable graph's rows contain tombstones that callers
 //!   skip, while the compact form returns contiguous CSR rows where every
 //!   edge is live (the predicate is constant `true`);
-//! * label membership tests take label *sets* ([`edge_has_any_label`]) so
-//!   inner match loops never materialize per-edge label vectors;
-//! * property reads return owned [`Value`]s, matching the `.cloned()` cost
-//!   the engine already paid — the compact form decodes from its dictionary
-//!   on the fly.
+//! * property reads return owned [`Value`]s — the compact form decodes
+//!   from its dictionary on the fly.
 //!
+//! The string-keyed reads ([`has_label`], [`prop_value`], …) are provided
+//! on top of the symbol-keyed ones, for callers that touch one row.
+//!
+//! [`key_sym`]: PgRead::key_sym
 //! [`edge_live`]: PgRead::edge_live
-//! [`edge_has_any_label`]: PgRead::edge_has_any_label
+//! [`has_label`]: PgRead::has_label
+//! [`prop_value`]: PgRead::prop_value
 
-use crate::compact::CompactGraph;
 use crate::graph::{EdgeId, NodeId};
 use crate::value::Value;
+use s3pg_rdf::Sym;
 
 /// Read-only access to a property graph, sufficient for query planning and
 /// evaluation. `Sync` so parallel evaluation can share the graph across
@@ -47,21 +52,24 @@ pub trait PgRead: Sync {
     /// `value` — the equality-pushdown index probe.
     fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId];
 
-    /// Whether a node carries a label.
-    fn has_label(&self, id: NodeId, label: &str) -> bool;
+    /// Resolve a label or property key to this graph's symbol. `None`
+    /// means the graph has never seen the string — nothing carries it.
+    fn key_sym(&self, name: &str) -> Option<Sym>;
 
-    /// A node property, decoded to an owned value.
-    fn prop_value(&self, id: NodeId, key: &str) -> Option<Value>;
+    /// The label symbols of a node.
+    fn node_label_syms(&self, id: NodeId) -> &[Sym];
 
-    /// An edge property, decoded to an owned value.
-    fn edge_prop_value(&self, id: EdgeId, key: &str) -> Option<Value>;
+    /// The label symbols of an edge.
+    fn edge_label_syms(&self, id: EdgeId) -> &[Sym];
+
+    /// A node property by resolved key symbol, as an owned value.
+    fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<Value>;
+
+    /// An edge property by resolved key symbol, as an owned value.
+    fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value>;
 
     /// Source and destination of an edge.
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId);
-
-    /// Whether the edge carries at least one of `labels`; an empty set
-    /// matches every edge (an unlabelled relationship pattern).
-    fn edge_has_any_label(&self, id: EdgeId, labels: &[String]) -> bool;
 
     /// The raw outgoing adjacency row of a node. May contain tombstoned
     /// edges — callers must filter with [`PgRead::edge_live`].
@@ -73,14 +81,31 @@ pub trait PgRead: Sync {
     /// Whether an edge id from an adjacency row refers to a live edge.
     fn edge_live(&self, id: EdgeId) -> bool;
 
-    /// Downcast to the frozen [`CompactGraph`] when this reader is one.
-    ///
-    /// The vectorized execution pipeline needs the compact form's batch
-    /// accessors (symbol-keyed columns, postings slices, CSR gathers);
-    /// generic callers probe through this hook and fall back to the
-    /// row-at-a-time interpreter when it returns `None` (the mutable
-    /// graph, or test doubles).
-    fn as_compact(&self) -> Option<&CompactGraph> {
-        None
+    /// Whether a node carries a label.
+    fn has_label(&self, id: NodeId, label: &str) -> bool {
+        self.key_sym(label)
+            .is_some_and(|sym| self.node_label_syms(id).contains(&sym))
+    }
+
+    /// A node property, decoded to an owned value.
+    fn prop_value(&self, id: NodeId, key: &str) -> Option<Value> {
+        self.node_prop_sym(id, self.key_sym(key)?)
+    }
+
+    /// An edge property, decoded to an owned value.
+    fn edge_prop_value(&self, id: EdgeId, key: &str) -> Option<Value> {
+        self.edge_prop_sym(id, self.key_sym(key)?)
+    }
+
+    /// Whether the edge carries at least one of `labels`; an empty set
+    /// matches every edge (an unlabelled relationship pattern).
+    fn edge_has_any_label(&self, id: EdgeId, labels: &[String]) -> bool {
+        if labels.is_empty() {
+            return true;
+        }
+        let row = self.edge_label_syms(id);
+        labels
+            .iter()
+            .any(|l| self.key_sym(l).is_some_and(|sym| row.contains(&sym)))
     }
 }

@@ -474,11 +474,14 @@ fn pattern_vars(p: &PathPattern) -> impl Iterator<Item = &str> {
 // ---- explain ---------------------------------------------------------------
 
 /// Render the operator tree [`evaluate_planned_params`] would execute —
-/// without executing anything. `threads` is the worker budget evaluation
-/// would be given; with `threads > 1` each part shows a `ParallelFanOut`
-/// operator (engaged at run time only when the plan's work estimate
-/// clears `PARALLEL_MIN_WORK`). Operator ids match the ones
-/// [`evaluate_planned_profiled`] records, so
+/// without executing anything. The tree is the same over either snapshot
+/// form: one executor runs both. `threads` is the worker budget evaluation
+/// would be given; with `threads > 1` each part shows a `MorselFanOut`
+/// operator (engaged at run time only when the plan's work estimate clears
+/// `min_work`) with the morsel-size ceiling. A `Sort` the executor
+/// satisfies with the bounded top-K heap (ORDER BY + LIMIT, no DISTINCT,
+/// no aggregates, no OPTIONAL MATCH) renders as `TopKSort` with its bound.
+/// Operator ids match the ones [`evaluate_planned_profiled`] records, so
 /// [`PlanNode::annotate`](crate::profile::PlanNode::annotate) joins a
 /// profiled run onto this exact tree.
 pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
@@ -499,74 +502,19 @@ pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNo
     }
 }
 
-/// [`explain`] for evaluation over a compact snapshot: the same operator
-/// tree with `vectorized=true` on every operator the batched columnar
-/// pipeline executes. Parts with `OPTIONAL MATCH` fall back to the
-/// interpreter after pattern expansion, so only their pattern-phase
-/// operators carry the marker.
-///
-/// On the compact path the parallel fan-out is morsel-driven, so the
-/// `ParallelFanOut` node is retagged `MorselFanOut` (same `parallel`
-/// operator id) with the morsel size, and a `Sort` that the executor can
-/// satisfy with the bounded top-K heap (ORDER BY + LIMIT, no DISTINCT, no
-/// aggregates) is retagged `TopKSort` (same `sort` id) with its bound.
+/// An alias of [`explain`]: the operator tree does not depend on the
+/// snapshot form.
+#[doc(hidden)]
 pub fn explain_compact(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
-    let mut tree = explain(query, plan, threads);
-    for (i, part) in query.parts.iter().enumerate() {
-        mark_vectorized(&mut tree, i, part.optional_patterns.is_empty());
-        mark_morsel(&mut tree, i, part);
-    }
-    tree
-}
-
-/// Retag part `i`'s physical operators for the compact executor: the
-/// fan-out becomes `MorselFanOut` and a pushdown-eligible `Sort` becomes
-/// `TopKSort`. Operator ids are untouched so profile records still join.
-fn mark_morsel(node: &mut PlanNode, part: usize, q: &SingleQuery) {
-    let prefix = format!("p{part}.");
-    if let Some(rest) = node.id.strip_prefix(&prefix) {
-        if rest == "parallel" && node.op == "ParallelFanOut" {
-            node.op = "MorselFanOut".into();
-            // The ceiling: the executor shrinks morsels on short runs
-            // (`morsel_size_for`), and EXPLAIN runs before candidates are
-            // counted.
-            node.args.push((
-                "morsel_size_max".into(),
-                crate::morsel::MORSEL_SIZE.to_string(),
-            ));
-        }
-        if rest == "sort" && node.op == "Sort" && crate::morsel::topk_eligible(q) {
-            node.op = "TopKSort".into();
-            let k = q.skip.unwrap_or(0).saturating_add(q.limit.unwrap_or(0));
-            node.args.push(("k".into(), k.to_string()));
-        }
-    }
-    for child in &mut node.children {
-        mark_morsel(child, part, q);
-    }
-}
-
-/// Tag part `i`'s operators with `vectorized=true`: all of them when the
-/// whole part runs batched (`all`), otherwise only the pattern-expansion
-/// spine (`pat*` operator ids and the parallel fan-out).
-fn mark_vectorized(node: &mut PlanNode, part: usize, all: bool) {
-    let prefix = format!("p{part}.");
-    if let Some(rest) = node.id.strip_prefix(&prefix) {
-        if all || rest.starts_with("pat") || rest == "parallel" {
-            node.args.push(("vectorized".into(), "true".into()));
-        }
-    }
-    for child in &mut node.children {
-        mark_vectorized(child, part, all);
-    }
+    explain(query, plan, threads)
 }
 
 /// One UNION part's operator spine, leaf (first executed pattern) first.
 fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize, threads: usize) -> PlanNode {
     let id = |s: &str| format!("p{i}.{s}");
     // Pattern chain in planned execution order: each pattern's operators
-    // take the previous pattern's chain as their innermost input
-    // (nested-loop join, exactly how `expand_patterns_planned` runs them).
+    // take the previous pattern's chain as their innermost input (each
+    // pattern expands the batch the previous one produced).
     let mut bound: FxHashSet<&str> = FxHashSet::default();
     let mut chain: Option<PlanNode> = None;
     for &pi in &sp.order {
@@ -624,10 +572,14 @@ fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize, threads: usize) ->
     }
     let mut node = chain.unwrap_or_else(|| PlanNode::new("Empty", id("empty")));
     if threads > 1 {
+        // The ceiling: the executor shrinks morsels on short runs
+        // (`morsel_size_for`), and EXPLAIN runs before candidates are
+        // counted.
         node = node.feed(
-            PlanNode::new("ParallelFanOut", id("parallel"))
+            PlanNode::new("MorselFanOut", id("parallel"))
                 .arg("threads", threads.to_string())
-                .arg("min_work", PARALLEL_MIN_WORK.to_string()),
+                .arg("min_work", crate::morsel::PARALLEL_MIN_WORK.to_string())
+                .arg("morsel_size_max", crate::morsel::MORSEL_SIZE.to_string()),
         );
     }
     for (k, pattern) in q.optional_patterns.iter().enumerate() {
@@ -666,11 +618,15 @@ fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize, threads: usize) ->
         node = node.feed(PlanNode::new("Distinct", id("distinct")));
     }
     if let Some((index, descending)) = q.order_by {
-        node = node.feed(
-            PlanNode::new("Sort", id("sort"))
-                .arg("key", q.return_items[index].1.clone())
-                .arg("dir", if descending { "desc" } else { "asc" }),
-        );
+        let mut sort = PlanNode::new("Sort", id("sort"))
+            .arg("key", q.return_items[index].1.clone())
+            .arg("dir", if descending { "desc" } else { "asc" });
+        if crate::morsel::topk_eligible(q) {
+            let k = q.skip.unwrap_or(0).saturating_add(q.limit.unwrap_or(0));
+            sort.op = "TopKSort".into();
+            sort = sort.arg("k", k.to_string());
+        }
+        node = node.feed(sort);
     }
     if let Some(n) = q.skip {
         node = node.feed(PlanNode::new("Skip", id("skip")).arg("n", n.to_string()));
@@ -1479,8 +1435,8 @@ pub fn evaluate<G: PgRead>(pg: &G, query: &CypherQuery) -> Result<Rows, CypherEr
 }
 
 /// Evaluate a parsed query with up to `threads` workers. The first
-/// pattern's candidate bindings are partitioned across a scoped worker set
-/// and the per-chunk rows merged in chunk order, so the result is
+/// pattern's candidates are cut into morsels that a scoped worker pool
+/// pulls, and per-morsel rows merge in morsel order, so the result is
 /// byte-identical to the single-threaded evaluation.
 pub fn evaluate_threads<G: PgRead>(
     pg: &G,
@@ -1488,23 +1444,14 @@ pub fn evaluate_threads<G: PgRead>(
     threads: usize,
 ) -> Result<Rows, CypherError> {
     let p = plan(pg, query);
-    evaluate_planned(pg, query, &p, threads)
+    evaluate_planned_params(pg, query, &p, &Params::default(), threads)
 }
 
 /// Evaluate a parsed query under a precomputed plan (the server's cached
-/// hot path). `plan` must have been computed from this `query`.
-pub fn evaluate_planned<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_params(pg, query, plan, &Params::default(), threads)
-}
-
-/// [`evaluate_planned`] with parameter bindings. The plan is value-free —
-/// param probes carry a name slot, resolved here — so one cached plan
-/// serves every binding of the same query text.
+/// hot path) with parameter bindings. `plan` must have been computed from
+/// this `query`. The plan is value-free — param probes carry a name slot,
+/// resolved here — so one cached plan serves every binding of the same
+/// query text.
 pub fn evaluate_planned_params<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
@@ -1512,63 +1459,7 @@ pub fn evaluate_planned_params<G: PgRead>(
     params: &Params,
     threads: usize,
 ) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
-        params,
-        threads,
-        None,
-        true,
-        ExecTuning::default(),
-    )
-}
-
-/// Which parallel scheduler the compact (vectorized) executor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Fixed-size morsels pulled from a shared work queue — skew-robust,
-    /// the default.
-    #[default]
-    Morsel,
-    /// One static contiguous chunk per thread — the pre-morsel design,
-    /// kept as the A/B baseline for benchmarks and differential tests.
-    Static,
-}
-
-/// Executor tuning knobs for [`evaluate_planned_tuned`]. Every setting
-/// produces bit-identical rows; only the physical strategy changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecTuning {
-    /// Parallel scheduling strategy over the first pattern's candidates.
-    pub scheduler: Scheduler,
-    /// Satisfy `ORDER BY … LIMIT …` (no DISTINCT, no aggregates) with a
-    /// bounded top-K heap instead of a full materialize-then-sort.
-    pub topk_pushdown: bool,
-}
-
-impl Default for ExecTuning {
-    fn default() -> ExecTuning {
-        ExecTuning {
-            scheduler: Scheduler::Morsel,
-            topk_pushdown: true,
-        }
-    }
-}
-
-/// [`evaluate_planned_params`] with explicit executor tuning — benchmarks
-/// and differential tests use this to pit the morsel scheduler against
-/// static chunking and top-K pushdown against the full sort on identical
-/// inputs. Answers are bit-identical across every tuning.
-pub fn evaluate_planned_tuned<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-    tuning: ExecTuning,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(pg, query, plan, params, threads, None, true, tuning)
+    evaluate_planned_inner(pg, query, plan, params, threads, None)
 }
 
 /// [`evaluate_planned_params`] with per-operator profiling: every operator
@@ -1584,43 +1475,9 @@ pub fn evaluate_planned_profiled<G: PgRead>(
     threads: usize,
     sink: &ProfSink,
 ) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
-        params,
-        threads,
-        Some(sink),
-        true,
-        ExecTuning::default(),
-    )
+    evaluate_planned_inner(pg, query, plan, params, threads, Some(sink))
 }
 
-/// [`evaluate_planned_params`] with the vectorized-over-compact dispatch
-/// disabled: every operator runs the row-at-a-time interpreter even when
-/// `pg` is a [`CompactGraph`](s3pg_pg::CompactGraph). This is the
-/// differential reference the vectorized pipeline is pinned against, and
-/// the A-side of the vectorized benchmark.
-pub fn evaluate_planned_interpreted<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    plan: &CypherPlan,
-    params: &Params,
-    threads: usize,
-) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(
-        pg,
-        query,
-        plan,
-        params,
-        threads,
-        None,
-        false,
-        ExecTuning::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn evaluate_planned_inner<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
@@ -1628,8 +1485,6 @@ fn evaluate_planned_inner<G: PgRead>(
     params: &Params,
     threads: usize,
     prof: Option<&ProfSink>,
-    vectorize: bool,
-    tuning: ExecTuning,
 ) -> Result<Rows, CypherError> {
     debug_assert_eq!(plan.plans.len(), query.parts.len());
     for name in param_names(query) {
@@ -1637,49 +1492,19 @@ fn evaluate_planned_inner<G: PgRead>(
             return err(format!("parameter ${name} is not bound"));
         }
     }
-    // Physical dispatch: over the frozen compact snapshot the same plan
-    // runs through the batched columnar operators; over the mutable graph
-    // (or when the caller pins the interpreted reference) it runs the
-    // row-at-a-time interpreter. Both produce bit-identical rows.
-    let compact = if vectorize { pg.as_compact() } else { None };
     let mut columns: Vec<String> = Vec::new();
     let mut all_rows: Vec<Vec<Option<Value>>> = Vec::new();
     for (i, part) in query.parts.iter().enumerate() {
-        let probes = resolve_probes(&plan.plans[i].probes, params);
+        let sp = &plan.plans[i];
+        let probes = resolve_probes(&sp.probes, params);
         // Dispatch once per UNION part: the unprofiled arm monomorphizes
         // with the zero-sized NoProf hook, so its loop bodies carry no
         // instrumentation at all.
-        let part_rows = match (compact, prof) {
-            (Some(cg), None) => crate::vectorized::evaluate_part_vectorized(
-                cg,
-                part,
-                &plan.plans[i],
-                &probes,
-                params,
-                threads,
-                tuning,
-                NoProf,
-            )?,
-            (Some(cg), Some(sink)) => crate::vectorized::evaluate_part_vectorized(
-                cg,
-                part,
-                &plan.plans[i],
-                &probes,
-                params,
-                threads,
-                tuning,
-                Prof { sink, part: i },
-            )?,
-            (None, None) => {
-                let rows =
-                    expand_patterns_planned(pg, part, &plan.plans[i], &probes, threads, NoProf)?;
-                finish_single_inner(pg, part, rows, params, NoProf)?
-            }
-            (None, Some(sink)) => {
+        let part_rows = match prof {
+            None => crate::morsel::evaluate_part(pg, part, sp, &probes, params, threads, NoProf)?,
+            Some(sink) => {
                 let hook = Prof { sink, part: i };
-                let rows =
-                    expand_patterns_planned(pg, part, &plan.plans[i], &probes, threads, hook)?;
-                finish_single_inner(pg, part, rows, params, hook)?
+                crate::morsel::evaluate_part(pg, part, sp, &probes, params, threads, hook)?
             }
         };
         if i == 0 {
@@ -1750,16 +1575,17 @@ fn resolve_probes(probes: &[Option<Probe>], params: &Params) -> Vec<Option<Probe
         .collect()
 }
 
-/// The pre-planner baseline: evaluate with MATCH patterns in written order
-/// and label-scan candidate enumeration only (no index pushdown, no
-/// reordering, single-threaded). Kept as the reference for differential
-/// tests and the scan-vs-indexed benchmark.
+/// The planner-independent oracle: evaluate with MATCH patterns in written
+/// order, one hash-map row per binding, and label-scan candidate
+/// enumeration only (no index pushdown, no reordering, single-threaded).
+/// Every differential test and the benchmark's answer check compare the
+/// executor against it.
 pub fn evaluate_scan<G: PgRead>(pg: &G, query: &CypherQuery) -> Result<Rows, CypherError> {
     evaluate_scan_params(pg, query, &Params::default())
 }
 
-/// [`evaluate_scan`] with parameter bindings — the unplanned reference for
-/// differential tests of parameterized evaluation.
+/// [`evaluate_scan`] with parameter bindings — the oracle for
+/// parameterized evaluation.
 pub fn evaluate_scan_params<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
@@ -1775,12 +1601,12 @@ pub fn evaluate_scan_params<G: PgRead>(
     for (i, part) in query.parts.iter().enumerate() {
         let mut rows: Vec<Row> = vec![Row::default()];
         for pattern in &part.patterns {
-            rows = expand_path(pg, pattern, None, rows)?;
+            rows = expand_path(pg, pattern, rows)?;
             if rows.is_empty() {
                 break;
             }
         }
-        let part_rows = finish_single(pg, part, rows, params)?;
+        let part_rows = finish_single_inner(pg, part, rows, params, NoProf)?;
         if i == 0 {
             columns = part_rows.columns;
         }
@@ -1792,123 +1618,13 @@ pub fn evaluate_scan_params<G: PgRead>(
     })
 }
 
-/// Smallest estimated total work — first-pattern candidates × per-row
-/// cost of the remaining patterns — worth spawning workers for. Scoped
-/// thread spawn costs tens of microseconds per worker, more than a small
-/// query's entire runtime, so parallelism engages only when the plan's
-/// own cardinality estimates predict enough work to amortize it.
-pub(crate) const PARALLEL_MIN_WORK: usize = 4096;
-
-/// Expand the required MATCH patterns in planned order. With `threads > 1`
-/// and enough start candidates, the first pattern's candidates are split
-/// into contiguous chunks, each expanded through the whole pattern chain by
-/// a scoped worker; concatenating per-chunk rows in chunk order reproduces
-/// the sequential row order exactly.
-pub(crate) fn expand_patterns_planned<G: PgRead, P: ProfHook>(
-    pg: &G,
-    q: &SingleQuery,
-    sp: &SinglePlan,
-    probes: &[Option<Probe>],
-    threads: usize,
-    prof: P,
-) -> Result<Vec<Row>, CypherError> {
-    if threads > 1 {
-        if let Some(&first) = sp.order.first() {
-            let pattern = &q.patterns[first];
-            let candidates = start_candidates(pg, &pattern.start, probes[first].as_ref());
-            let candidates = candidates.as_slice();
-            // Estimated per-row cost of everything after the first pattern:
-            // bound anchors and reversed patterns are O(degree) (counted 1),
-            // forward-unbound patterns rescan their bucket per row.
-            let per_row: usize = 1 + sp.order[1..]
-                .iter()
-                .map(|&pi| sp.cost[pi].max(1))
-                .sum::<usize>();
-            let work = candidates.len().saturating_mul(per_row);
-            // Engagement is based on estimated total work alone: a small
-            // candidate set with a huge per-row fan-out still parallelizes.
-            // (`work >= PARALLEL_MIN_WORK` implies a non-empty candidate
-            // slice, so the chunk arithmetic below stays safe.)
-            if work >= PARALLEL_MIN_WORK {
-                let rest = &sp.order[1..];
-                let chunk_size = candidates.len().div_ceil(threads);
-                let fan_out = prof.begin();
-                let outcomes: Vec<Result<Vec<Row>, CypherError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = candidates
-                        .chunks(chunk_size)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                // Per-chunk records accumulate in the shared
-                                // sink: rows sum, times sum (cumulative
-                                // operator time, not wall time).
-                                let started = prof.begin();
-                                let seed = seed_rows(pg, &pattern.start, chunk, Row::default());
-                                let mut rows = expand_hops(pg, pattern, seed)?;
-                                prof.record(format_args!("pat{first}"), rows.len(), started);
-                                for &pi in rest {
-                                    if rows.is_empty() {
-                                        break;
-                                    }
-                                    let started = prof.begin();
-                                    rows = if sp.reversed[pi] {
-                                        expand_path_reversed(pg, &q.patterns[pi], rows)?
-                                    } else {
-                                        expand_path(pg, &q.patterns[pi], probes[pi].as_ref(), rows)?
-                                    };
-                                    prof.record(format_args!("pat{pi}"), rows.len(), started);
-                                }
-                                Ok(rows)
-                            })
-                        })
-                        .collect();
-                    prof.note_chunks(format_args!("parallel"), handles.len());
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("cypher worker panicked"))
-                        .collect()
-                });
-                let mut merged = Vec::new();
-                for outcome in outcomes {
-                    merged.extend(outcome?);
-                }
-                prof.record(format_args!("parallel"), merged.len(), fan_out);
-                return Ok(merged);
-            }
-        }
-    }
-    let mut rows: Vec<Row> = vec![Row::default()];
-    for &pi in &sp.order {
-        let started = prof.begin();
-        rows = if sp.reversed[pi] {
-            expand_path_reversed(pg, &q.patterns[pi], rows)?
-        } else {
-            expand_path(pg, &q.patterns[pi], probes[pi].as_ref(), rows)?
-        };
-        prof.record(format_args!("pat{pi}"), rows.len(), started);
-        if rows.is_empty() {
-            break;
-        }
-    }
-    Ok(rows)
-}
-
 /// Everything after required-pattern expansion: OPTIONAL MATCH left-joins,
-/// WHERE, UNWIND, projection/aggregation, DISTINCT, ORDER BY, SKIP, LIMIT.
-/// Shared by the planned and the baseline scan paths.
-fn finish_single<G: PgRead>(
-    pg: &G,
-    q: &SingleQuery,
-    rows: Vec<Row>,
-    params: &Params,
-) -> Result<Rows, CypherError> {
-    finish_single_inner(pg, q, rows, params, NoProf)
-}
-
-/// [`finish_single`] with stage profiling. With the [`NoProf`] hook (the
-/// scan reference and every unprofiled call) each stage compiles exactly
-/// as if uninstrumented; when profiling, stage boundaries record
-/// `rows.len()` and elapsed time — never anything per row, so output is
-/// identical.
+/// WHERE, UNWIND, projection/aggregation, DISTINCT, ORDER BY, SKIP, LIMIT —
+/// the scan oracle's tail, and the executor's for parts with `OPTIONAL
+/// MATCH`. With the [`NoProf`] hook (the oracle and every unprofiled
+/// call) each stage compiles exactly as if uninstrumented; when
+/// profiling, stage boundaries record `rows.len()` and elapsed time —
+/// never anything per row, so output is identical.
 pub(crate) fn finish_single_inner<G: PgRead, P: ProfHook>(
     pg: &G,
     q: &SingleQuery,
@@ -1922,7 +1638,7 @@ pub(crate) fn finish_single_inner<G: PgRead, P: ProfHook>(
         let started = prof.begin();
         let mut extended = Vec::with_capacity(rows.len());
         for row in rows {
-            let sub = expand_path(pg, pattern, None, vec![row.clone()])?;
+            let sub = expand_path(pg, pattern, vec![row.clone()])?;
             if sub.is_empty() {
                 extended.push(row);
             } else {
@@ -1988,9 +1704,8 @@ pub(crate) fn finish_single_inner<G: PgRead, P: ProfHook>(
     Ok(Rows { columns, rows: out })
 }
 
-/// The result-shaping tail every evaluation path shares: DISTINCT,
-/// ORDER BY, SKIP, LIMIT over already-projected value rows. Factored out
-/// so the vectorized pipeline runs byte-identical shaping code.
+/// The result-shaping tail both evaluators share: DISTINCT, ORDER BY,
+/// SKIP, LIMIT over already-projected value rows.
 pub(crate) fn shape_rows<P: ProfHook>(q: &SingleQuery, out: &mut Vec<Vec<Option<Value>>>, prof: P) {
     if q.distinct {
         let started = prof.begin();
@@ -2061,37 +1776,27 @@ pub(crate) fn order_cmp(
 /// key; each aggregate accumulates within its group. `count(expr)` and
 /// `sum(expr)` skip NULLs; `count(DISTINCT expr)` / `sum(DISTINCT expr)`
 /// deduplicate non-NULL values first; `min`/`max` pick extremes under the
-/// ORDER BY comparator.
+/// ORDER BY comparator. Rows flow through the executor's
+/// [`GroupTable`](crate::morsel::GroupTable), so both evaluators aggregate
+/// by identical rules.
 fn aggregate_rows<G: PgRead>(
     pg: &G,
     q: &SingleQuery,
     rows: &[Row],
     params: &Params,
 ) -> Vec<Vec<Option<Value>>> {
-    aggregate_core(q, rows.len(), |row, item_index| {
-        let expr = match &q.return_items[item_index].0 {
-            ReturnItem::Expr(e) => e,
-            // Only called for aggregate items that carry an argument.
-            ReturnItem::Agg { arg, .. } => arg.as_ref().expect("aggregate item has an argument"),
-        };
-        eval(pg, expr, &rows[row], params)
-    })
-}
-
-/// The grouping/accumulation core of [`aggregate_rows`], parameterized over
-/// how a return item is evaluated for a row index — the interpreted path
-/// evaluates against binding rows, the vectorized path against batch
-/// columns, and both flow through the shared
-/// [`GroupTable`](crate::morsel::GroupTable), the same accumulator the
-/// morsel workers merge, so every path aggregates by identical rules.
-pub(crate) fn aggregate_core(
-    q: &SingleQuery,
-    n_rows: usize,
-    mut eval_item: impl FnMut(usize, usize) -> Option<Value>,
-) -> Vec<Vec<Option<Value>>> {
-    let mut table = crate::morsel::GroupTable::new(q);
-    for row in 0..n_rows {
-        table.add_row(q, (0, row as u64), |item| eval_item(row, item));
+    let mut table = crate::morsel::GroupTable::default();
+    for (i, row) in rows.iter().enumerate() {
+        table.add_row(q, (0, i as u64), |item| {
+            let expr = match &q.return_items[item].0 {
+                ReturnItem::Expr(e) => e,
+                // Only called for aggregate items that carry an argument.
+                ReturnItem::Agg { arg, .. } => {
+                    arg.as_ref().expect("aggregate item has an argument")
+                }
+            };
+            eval(pg, expr, row, params)
+        });
     }
     table.finish(q)
 }
@@ -2158,86 +1863,9 @@ fn seed_rows<G: PgRead>(pg: &G, start: &NodePattern, candidates: &[NodeId], row:
     out
 }
 
-/// Evaluate a single-hop pattern anchored at its already-bound *end* node:
-/// walk the opposite adjacency list and bind matching start nodes. Produces
-/// the same row multiset as the forward expansion — one row per qualifying
-/// edge — but follows the end node's adjacency order instead of
-/// start-bucket id order, so within-pattern row order may differ. Chosen by
-/// the planner for value joins (`MATCH (a:X)-[:r]->(v) MATCH (b:Y)-[:s]->(v)`),
-/// where the forward expansion would rescan the full `Y` bucket per row.
-fn expand_path_reversed<G: PgRead>(
+fn expand_path<G: PgRead>(
     pg: &G,
     pattern: &PathPattern,
-    rows: Vec<Row>,
-) -> Result<Vec<Row>, CypherError> {
-    let (rel, end) = &pattern.hops[0];
-    let end_var = end
-        .var
-        .as_deref()
-        .expect("reversed pattern has an end variable");
-    let mut out: Vec<Row> = Vec::new();
-    let mut candidates: Vec<(EdgeId, NodeId)> = Vec::new();
-    for row in rows {
-        let anchor = match row.get(end_var) {
-            Some(Binding::Node(n)) => *n,
-            // A non-node binding never matches a node pattern; the forward
-            // path would filter every candidate, so produce no rows.
-            Some(_) => continue,
-            // Defensive: the planner only reverses patterns whose end
-            // variable is bound by an earlier pattern, but fall back to the
-            // forward expansion rather than miscompute.
-            None => {
-                out.extend(expand_path(pg, pattern, None, vec![row])?);
-                continue;
-            }
-        };
-        if !node_matches(pg, anchor, end) {
-            continue;
-        }
-        candidates.clear();
-        let mut collect = |edges: &[EdgeId], incoming: bool| {
-            for &e in edges {
-                if !pg.edge_live(e) {
-                    continue;
-                }
-                if pg.edge_has_any_label(e, &rel.labels) {
-                    let (src, dst) = pg.edge_endpoints(e);
-                    let other = if incoming { src } else { dst };
-                    candidates.push((e, other));
-                }
-            }
-        };
-        // The hop direction is written relative to the start node; anchored
-        // at the end we walk the opposite adjacency list.
-        match rel.direction {
-            Direction::Out => collect(pg.in_adjacency(anchor), true),
-            Direction::In => collect(pg.out_adjacency(anchor), false),
-            Direction::Undirected => {
-                collect(pg.out_adjacency(anchor), false);
-                collect(pg.in_adjacency(anchor), true);
-            }
-        }
-        for &(e, start_node) in &candidates {
-            if !node_matches(pg, start_node, &pattern.start) {
-                continue;
-            }
-            let mut r = row.clone();
-            if let Some(v) = &rel.var {
-                r.insert(v.clone(), Binding::Edge(e));
-            }
-            if let Some(v) = &pattern.start.var {
-                r.insert(v.clone(), Binding::Node(start_node));
-            }
-            out.push(r);
-        }
-    }
-    Ok(out)
-}
-
-pub(crate) fn expand_path<G: PgRead>(
-    pg: &G,
-    pattern: &PathPattern,
-    probe: Option<&Probe>,
     rows: Vec<Row>,
 ) -> Result<Vec<Row>, CypherError> {
     // Bind the start node. Start candidates are row-independent, so they
@@ -2261,7 +1889,7 @@ pub(crate) fn expand_path<G: PgRead>(
             }
             None => {
                 let candidates =
-                    candidates.get_or_insert_with(|| start_candidates(pg, &pattern.start, probe));
+                    candidates.get_or_insert_with(|| start_candidates(pg, &pattern.start, None));
                 current.extend(seed_rows(pg, &pattern.start, candidates.as_slice(), row));
             }
         }
@@ -2340,7 +1968,7 @@ fn expand_hops<G: PgRead>(
     Ok(current)
 }
 
-pub(crate) fn node_matches<G: PgRead>(pg: &G, node: NodeId, pattern: &NodePattern) -> bool {
+fn node_matches<G: PgRead>(pg: &G, node: NodeId, pattern: &NodePattern) -> bool {
     pattern.labels.iter().all(|l| pg.has_label(node, l))
 }
 

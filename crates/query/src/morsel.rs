@@ -1,24 +1,25 @@
-//! Morsel-driven parallel execution and batch-native result shaping.
+//! The Cypher executor: one morsel-driven batch pipeline over any
+//! [`PgRead`], and its batch-native result shaping.
 //!
-//! The static scheduler ([`Scheduler::Static`](crate::cypher::Scheduler))
-//! splits the first pattern's candidates into one contiguous chunk per
-//! thread; a single hot vertex (skewed degree) then leaves every other
-//! core idle while one chunk does all the expansion. This module replaces
-//! that with **morsel-driven parallelism**: the candidate run is cut into
-//! fixed-size morsels of [`MORSEL_SIZE`] ids behind a shared atomic
-//! cursor, and a scoped worker pool pulls morsels until the queue drains.
-//! Each worker drives its morsel through the *entire* vectorized pipeline
-//! (seed → CSR expand → predicate → shaping), so a heavy morsel occupies
-//! one core while the rest of the pool chews through the tail.
+//! Planned Cypher takes exactly one physical path, whichever snapshot form
+//! serves it. The first pattern's candidate run is the unit of work. On
+//! one thread, or when the plan's estimated work is small, one worker runs
+//! inline on the calling thread with the whole run as a single morsel.
+//! Otherwise the run is cut into **morsels** of at most [`MORSEL_SIZE`]
+//! ids behind a shared atomic cursor, and a scoped worker pool pulls
+//! morsels until the queue drains. Each worker drives its morsel through
+//! the *entire* batch pipeline of [`crate::vectorized`] (seed → expand →
+//! predicate → shaping), so a heavy morsel — a hub vertex of a skewed
+//! graph — occupies one core while the rest of the pool chews through the
+//! tail.
 //!
 //! **Merge contract.** Every per-morsel result is tagged with its morsel
 //! index and merged in index order. Morsel order equals candidate order
-//! equals sequential row order, so the merged output is bit-identical to
-//! a sequential run — the same contract the static chunking had, now
-//! skew-robust.
+//! equals single-thread row order, so the merged output is bit-identical
+//! at every thread count.
 //!
-//! **Batch-native shaping.** Instead of materializing every row and
-//! handing the tail to the interpreter's shaping:
+//! **Batch-native shaping.** Instead of materializing every row before
+//! shaping:
 //!
 //! * aggregates (`count`/`sum`/`min`/`max` + implicit GROUP BY) accumulate
 //!   into one [`GroupTable`] per worker, merged order-insensitively —
@@ -29,26 +30,25 @@
 //!   [`TopK`] of `SKIP+LIMIT` rows per worker under the exact
 //!   [`order_cmp`] ordering plus a row-sequence tiebreak, so the merged
 //!   top-K equals the first K rows of the stable full sort it replaces;
-//! * `DISTINCT` rows are pre-deduplicated per worker (sound because the
-//!   globally earliest occurrence of a key can never have an earlier
-//!   duplicate inside its own worker), shrinking the merge before the
-//!   shared [`shape_rows`] dedups across workers.
+//! * with several workers, `DISTINCT` rows are pre-deduplicated per worker
+//!   (sound because the globally earliest occurrence of a key can never
+//!   have an earlier duplicate inside its own worker), shrinking the merge
+//!   before the shared [`shape_rows`] dedups across workers.
 //!
-//! Queries with `OPTIONAL MATCH` still interpret their tail: workers
-//! expand patterns only, per-morsel batches merge in order, and the
-//! merged batch flows through the interpreter finish — the same fallback
-//! the sequential vectorized path takes.
+//! Queries with `OPTIONAL MATCH` expand their required patterns here, then
+//! merge the per-morsel batches in order and hand the rows to the scan
+//! oracle's left join and finish, which are row-oriented by nature.
 
 use crate::cypher::{
-    finish_single_inner, has_aggregate, order_cmp, shape_rows, total_cmp_values, AggFunc,
-    CypherError, Params, Probe, ReturnItem, Rows, SinglePlan, SingleQuery,
+    finish_single_inner, has_aggregate, order_cmp, shape_rows, start_candidates, total_cmp_values,
+    AggFunc, Candidates, CypherError, Params, Probe, ReturnItem, Rows, SinglePlan, SingleQuery,
 };
 use crate::profile::ProfHook;
 use crate::vectorized::{
     apply_row_stages, batch_to_rows, compile_return_items, expand_hops_batch, expand_pattern,
     seed_chunk, Batch,
 };
-use s3pg_pg::{CompactGraph, NodeId, Value};
+use s3pg_pg::{NodeId, PgRead, Value};
 use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -67,7 +67,7 @@ const MORSELS_PER_WORKER: usize = 4;
 /// shrunk on short runs so every worker still gets ≥ [`MORSELS_PER_WORKER`]
 /// morsels. Without the shrink, a 9k-candidate run at 4 threads would cut
 /// into five 2048-id morsels — one worker draws two and the wall clock is
-/// 2 morsels, *worse* than static chunking's balanced quarter. Correctness
+/// 2 morsels, *worse* than one balanced quarter per worker. Correctness
 /// never depends on the size (merge is by morsel index), only balance.
 pub(crate) fn morsel_size_for(len: usize, threads: usize) -> usize {
     MORSEL_SIZE
@@ -83,7 +83,7 @@ type Seq = (u64, u64);
 /// Whether the executor may satisfy this part's `ORDER BY` with the
 /// bounded top-K heap: an ORDER BY plus LIMIT, no DISTINCT (dedup needs
 /// all rows), no aggregates (grouping shrinks rows before the sort), and
-/// no `OPTIONAL MATCH` (interpreter tail).
+/// no `OPTIONAL MATCH` (row-oriented tail).
 pub(crate) fn topk_eligible(q: &SingleQuery) -> bool {
     q.order_by.is_some()
         && q.limit.is_some()
@@ -378,23 +378,17 @@ struct GroupAcc {
     slots: Vec<AggAcc>,
 }
 
-/// The hash aggregation table every aggregating path shares: the
-/// interpreter and the sequential vectorized finish feed it row by row
-/// (`aggregate_core`), and each morsel worker builds its own and merges.
-/// Grouping keys, NULL handling, accumulation, and output order (groups
-/// sorted by rendered key, the old `BTreeMap` iteration order) are defined
-/// once here, so every execution strategy aggregates by identical rules.
+/// The hash aggregation table both evaluators share: the scan oracle
+/// feeds one row by row, and each executor worker builds its own and
+/// merges. Grouping keys, NULL handling, accumulation, and output order
+/// (groups sorted by rendered key) are defined once here, so the oracle
+/// and the executor aggregate by identical rules.
+#[derive(Default)]
 pub(crate) struct GroupTable {
     groups: FxHashMap<Vec<String>, GroupAcc>,
 }
 
 impl GroupTable {
-    pub(crate) fn new(_q: &SingleQuery) -> GroupTable {
-        GroupTable {
-            groups: FxHashMap::default(),
-        }
-    }
-
     /// Accumulate one row. `eval_item(i)` evaluates return item `i` for
     /// this row; `seq` is the row's global sequence for min/max ties.
     pub(crate) fn add_row(
@@ -455,8 +449,8 @@ impl GroupTable {
         }
     }
 
-    /// Emit one output row per group, sorted by rendered key (the order
-    /// the interpreter's `BTreeMap` produced). Zero rows with nothing but
+    /// Emit one output row per group, sorted by rendered key. Zero rows
+    /// with nothing but
     /// aggregates yields the single empty-input row (`count(*)` = 0).
     pub(crate) fn finish(self, q: &SingleQuery) -> Vec<Vec<Option<Value>>> {
         let n_aggs = q
@@ -599,12 +593,19 @@ pub(crate) fn merge_topk<P: ProfHook>(
     out
 }
 
-// ---- the morsel scheduler --------------------------------------------------
+// ---- the executor ----------------------------------------------------------
+
+/// Smallest estimated total work — first-pattern candidates × per-row
+/// cost of the remaining patterns — worth spawning workers for. Scoped
+/// thread spawn costs tens of microseconds per worker, more than a small
+/// query's entire runtime, so parallelism engages only when the plan's
+/// own cardinality estimates predict enough work to amortize it.
+pub(crate) const PARALLEL_MIN_WORK: usize = 4096;
 
 /// How a worker folds its per-morsel batches down.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    /// `OPTIONAL MATCH` tail: expand only, merge batches, interpret.
+    /// `OPTIONAL MATCH` tail: expand only, merge batches, left-join rows.
     Batches,
     /// Aggregates: per-worker [`GroupTable`], order-insensitive merge.
     Agg,
@@ -614,86 +615,152 @@ enum Mode {
     Rows,
 }
 
+/// Everything the workers of one UNION part share.
+struct Part<'a, G> {
+    pg: &'a G,
+    q: &'a SingleQuery,
+    sp: &'a SinglePlan,
+    probes: &'a [Option<Probe>],
+    params: &'a Params,
+    /// The first pattern's start candidates, the run morsels are cut from.
+    candidates: &'a [NodeId],
+    mode: Mode,
+}
+
+/// The shared work queue over a run of `len` candidates: `count` morsels
+/// of `size` candidates each (the last one shorter) behind one atomic
+/// cursor.
+struct Queue {
+    cursor: AtomicUsize,
+    len: usize,
+    size: usize,
+    count: usize,
+}
+
+impl Queue {
+    fn new(len: usize, size: usize) -> Queue {
+        Queue {
+            cursor: AtomicUsize::new(0),
+            len,
+            size,
+            count: len.div_ceil(size).max(1),
+        }
+    }
+
+    /// The next morsel's index and candidate range, until the queue drains.
+    fn pop(&self) -> Option<(usize, std::ops::Range<usize>)> {
+        let m = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (m < self.count).then(|| (m, m * self.size..((m + 1) * self.size).min(self.len)))
+    }
+}
+
 /// What one worker hands back after the queue drains.
 struct WorkerOut {
     /// Rows emitted by pattern expansion (the `parallel` operator stat).
     expanded: usize,
+    /// Morsels this worker pulled.
+    morsels: usize,
     tagged_rows: Vec<(usize, Vec<Vec<Option<Value>>>)>,
     tagged_batches: Vec<(usize, Batch)>,
     table: Option<GroupTable>,
     heap: Option<TopK>,
 }
 
-/// One UNION part, morsel-parallel, end to end. The caller has already
-/// established: `sp.order` is non-empty, `threads > 1`, and the estimated
-/// work clears `PARALLEL_MIN_WORK` (so `candidates` is non-empty).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_part_morsel<P: ProfHook>(
-    cg: &CompactGraph,
+/// One UNION part, end to end — the one physical path planned Cypher
+/// takes over any [`PgRead`].
+///
+/// The first pattern's candidate run is the unit of work. At one thread,
+/// or when the plan's estimated work is below [`PARALLEL_MIN_WORK`], one
+/// worker runs inline on the calling thread with the whole run as a
+/// single morsel; otherwise the run is cut into morsels behind a shared
+/// cursor and scoped workers pull them until it drains. A part with no
+/// required pattern seeds one unit row.
+pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
+    pg: &G,
     q: &SingleQuery,
     sp: &SinglePlan,
     probes: &[Option<Probe>],
     params: &Params,
-    candidates: &[NodeId],
     threads: usize,
-    topk: bool,
     prof: P,
 ) -> Result<Rows, CypherError> {
-    let morsel_size = morsel_size_for(candidates.len(), threads);
-    let n_morsels = candidates.len().div_ceil(morsel_size).max(1);
-    let n_workers = threads.min(n_morsels);
-    let mode = if !q.optional_patterns.is_empty() {
-        Mode::Batches
-    } else if has_aggregate(q) {
-        Mode::Agg
-    } else if topk && topk_eligible(q) {
-        Mode::TopK
-    } else {
-        Mode::Rows
+    let candidates = match sp.order.first() {
+        Some(&first) => start_candidates(pg, &q.patterns[first].start, probes[first].as_ref()),
+        None => Candidates::Owned(Vec::new()),
     };
-    let cursor = AtomicUsize::new(0);
+    let part = Part {
+        pg,
+        q,
+        sp,
+        probes,
+        params,
+        candidates: candidates.as_slice(),
+        mode: if !q.optional_patterns.is_empty() {
+            Mode::Batches
+        } else if has_aggregate(q) {
+            Mode::Agg
+        } else if topk_eligible(q) {
+            Mode::TopK
+        } else {
+            Mode::Rows
+        },
+    };
+    let len = part.candidates.len();
+    // Estimated per-row cost of everything after the first pattern: bound
+    // anchors and reversed patterns are O(degree) (counted 1), forward-
+    // unbound patterns rescan their bucket per row. Engagement is decided
+    // on estimated total work alone: a small candidate set with a huge
+    // per-row fan-out still parallelizes.
+    let per_row: usize = 1 + sp
+        .order
+        .iter()
+        .skip(1)
+        .map(|&pi| sp.cost[pi].max(1))
+        .sum::<usize>();
+    if threads <= 1 || len.saturating_mul(per_row) < PARALLEL_MIN_WORK {
+        let out = run_worker(&part, &Queue::new(len, len.max(1)), false, prof)?;
+        return merge(&part, vec![out], prof);
+    }
+    let queue = Queue::new(len, morsel_size_for(len, threads));
     let fan_out = prof.begin();
     let outcomes: Vec<Result<WorkerOut, CypherError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
+        let handles: Vec<_> = (0..threads.min(queue.count))
             .map(|w| {
-                let cursor = &cursor;
+                let (part, queue) = (&part, &queue);
                 scope.spawn(move || {
-                    run_worker(
-                        cg,
-                        q,
-                        sp,
-                        probes,
-                        params,
-                        candidates,
-                        cursor,
-                        morsel_size,
-                        n_morsels,
-                        mode,
-                        w,
-                        prof,
-                    )
+                    let started = prof.begin();
+                    let out = run_worker(part, queue, true, prof)?;
+                    prof.record(format_args!("parallel.w{w}"), out.expanded, started);
+                    prof.note_morsels(format_args!("parallel.w{w}"), out.morsels);
+                    Ok(out)
                 })
             })
             .collect();
         prof.note_chunks(format_args!("parallel"), handles.len());
-        prof.note_morsels(format_args!("parallel"), n_morsels);
+        prof.note_morsels(format_args!("parallel"), queue.count);
         handles
             .into_iter()
             .map(|h| h.join().expect("morsel worker panicked"))
             .collect()
     });
-    let mut outs: Vec<WorkerOut> = Vec::with_capacity(outcomes.len());
-    let mut expanded = 0usize;
-    for outcome in outcomes {
-        let out = outcome?;
-        expanded += out.expanded;
-        outs.push(out);
-    }
+    let outs = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let expanded = outs.iter().map(|o| o.expanded).sum();
     prof.record(format_args!("parallel"), expanded, fan_out);
     prof.note_batches(format_args!("parallel"), 1);
+    merge(&part, outs, prof)
+}
 
+/// Fold the workers' outputs into the part's rows: batches merged in
+/// morsel order then left-joined, group tables merged, top-K heaps merged,
+/// or row vectors concatenated in morsel order — then the shared shaping.
+fn merge<G: PgRead, P: ProfHook>(
+    part: &Part<'_, G>,
+    outs: Vec<WorkerOut>,
+    prof: P,
+) -> Result<Rows, CypherError> {
+    let q = part.q;
     let columns: Vec<String> = q.return_items.iter().map(|(_, a)| a.clone()).collect();
-    match mode {
+    match part.mode {
         Mode::Batches => {
             let mut tagged: Vec<(usize, Batch)> =
                 outs.into_iter().flat_map(|o| o.tagged_batches).collect();
@@ -707,7 +774,7 @@ pub(crate) fn evaluate_part_morsel<P: ProfHook>(
             }
             let batch = merged.unwrap_or_else(Batch::empty);
             let rows = batch_to_rows(&batch);
-            finish_single_inner(cg, q, rows, params, prof)
+            finish_single_inner(part.pg, q, rows, part.params, prof)
         }
         Mode::Agg => {
             let mut merged: Option<GroupTable> = None;
@@ -720,7 +787,7 @@ pub(crate) fn evaluate_part_morsel<P: ProfHook>(
                 }
             }
             let started = prof.begin();
-            let mut rows = merged.unwrap_or_else(|| GroupTable::new(q)).finish(q);
+            let mut rows = merged.unwrap_or_default().finish(q);
             prof.record(format_args!("aggregate"), rows.len(), started);
             shape_rows(q, &mut rows, prof);
             Ok(Rows { columns, rows })
@@ -742,32 +809,35 @@ pub(crate) fn evaluate_part_morsel<P: ProfHook>(
     }
 }
 
-/// One worker: pull morsels off the shared cursor until the queue drains,
-/// drive each through the full pipeline, fold into the mode's sink.
-#[allow(clippy::too_many_arguments)]
-fn run_worker<P: ProfHook>(
-    cg: &CompactGraph,
-    q: &SingleQuery,
-    sp: &SinglePlan,
-    probes: &[Option<Probe>],
-    params: &Params,
-    candidates: &[NodeId],
-    cursor: &AtomicUsize,
-    morsel_size: usize,
-    n_morsels: usize,
-    mode: Mode,
-    w: usize,
+/// One worker: pull morsels off the queue until it drains, drive each
+/// through the full pipeline, fold into the mode's sink. `pre_dedup`
+/// drops DISTINCT repeats inside the worker before the merge — worth it
+/// only when several workers' outputs are merged.
+fn run_worker<G: PgRead, P: ProfHook>(
+    part: &Part<'_, G>,
+    queue: &Queue,
+    pre_dedup: bool,
     prof: P,
 ) -> Result<WorkerOut, CypherError> {
-    let first = sp.order[0];
-    let pattern = &q.patterns[first];
-    let rest = &sp.order[1..];
-    let worker_started = prof.begin();
+    let Part {
+        pg,
+        q,
+        sp,
+        probes,
+        params,
+        candidates,
+        mode,
+    } = *part;
+    let (first, rest) = match sp.order.split_first() {
+        Some((&first, rest)) => (Some(first), rest),
+        None => (None, &[][..]),
+    };
     let mut out = WorkerOut {
         expanded: 0,
+        morsels: 0,
         tagged_rows: Vec::new(),
         tagged_batches: Vec::new(),
-        table: (mode == Mode::Agg).then(|| GroupTable::new(q)),
+        table: (mode == Mode::Agg).then(GroupTable::default),
         heap: (mode == Mode::TopK).then(|| {
             let (index, descending) = q.order_by.expect("top-K requires ORDER BY");
             let k = q.skip.unwrap_or(0).saturating_add(q.limit.unwrap_or(0));
@@ -775,29 +845,29 @@ fn run_worker<P: ProfHook>(
         }),
     };
     let mut seen: FxHashSet<Vec<String>> = FxHashSet::default();
-    let mut my_morsels = 0usize;
-    loop {
-        let m = cursor.fetch_add(1, Ordering::Relaxed);
-        if m >= n_morsels {
-            break;
-        }
-        my_morsels += 1;
-        let lo = m * morsel_size;
-        let hi = (lo + morsel_size).min(candidates.len());
+    while let Some((m, range)) = queue.pop() {
+        out.morsels += 1;
         // Per-morsel records accumulate in the shared sink under the same
         // operator ids the explain renderer assigns — rows sum, times sum.
-        let started = prof.begin();
-        let (seeded, anchors) = seed_chunk(cg, &pattern.start, &candidates[lo..hi]);
-        let mut batch = expand_hops_batch(cg, pattern, seeded, anchors)?;
-        prof.record(format_args!("pat{first}"), batch.len, started);
-        prof.note_batches(format_args!("pat{first}"), 1);
+        let mut batch = match first {
+            Some(first) => {
+                let started = prof.begin();
+                let pattern = &q.patterns[first];
+                let (seeded, anchors) = seed_chunk(pg, &pattern.start, &candidates[range]);
+                let batch = expand_hops_batch(pg, pattern, seeded, anchors)?;
+                prof.record(format_args!("pat{first}"), batch.len, started);
+                prof.note_batches(format_args!("pat{first}"), 1);
+                batch
+            }
+            None => Batch::unit(),
+        };
         for &pi in rest {
             if batch.len == 0 {
                 break;
             }
             let started = prof.begin();
             batch = expand_pattern(
-                cg,
+                pg,
                 &q.patterns[pi],
                 probes[pi].as_ref(),
                 sp.reversed[pi],
@@ -813,11 +883,14 @@ fn run_worker<P: ProfHook>(
             }
             continue;
         }
-        let batch = apply_row_stages(cg, q, batch, params, prof)?;
-        if batch.len == 0 {
-            continue;
-        }
-        let compiled = compile_return_items(cg, q, &batch, params);
+        let batch = apply_row_stages(pg, q, batch, params, prof)?;
+        let compiled = compile_return_items(pg, q, &batch, params);
+        let row = |i: usize| -> Vec<Option<Value>> {
+            compiled
+                .iter()
+                .map(|ve| ve.as_ref().and_then(|ve| ve.eval(pg, &batch, i)))
+                .collect()
+        };
         match mode {
             Mode::Agg => {
                 let started = prof.begin();
@@ -826,7 +899,7 @@ fn run_worker<P: ProfHook>(
                     table.add_row(q, (m as u64, i as u64), |item| {
                         compiled[item]
                             .as_ref()
-                            .and_then(|ve| ve.eval(cg, &batch, i))
+                            .and_then(|ve| ve.eval(pg, &batch, i))
                     });
                 }
                 // Per-morsel accumulation time; the merge records the
@@ -838,28 +911,17 @@ fn run_worker<P: ProfHook>(
                 let started = prof.begin();
                 let heap = out.heap.as_mut().expect("top-K mode has a heap");
                 for i in 0..batch.len {
-                    let row: Vec<Option<Value>> = compiled
-                        .iter()
-                        .map(|ve| ve.as_ref().and_then(|ve| ve.eval(cg, &batch, i)))
-                        .collect();
-                    heap.push((m as u64, i as u64), row);
+                    heap.push((m as u64, i as u64), row(i));
                 }
                 prof.record(format_args!("project"), batch.len, started);
                 prof.note_batches(format_args!("project"), 1);
             }
             Mode::Rows => {
                 let started = prof.begin();
-                let mut rows: Vec<Vec<Option<Value>>> = (0..batch.len)
-                    .map(|i| {
-                        compiled
-                            .iter()
-                            .map(|ve| ve.as_ref().and_then(|ve| ve.eval(cg, &batch, i)))
-                            .collect()
-                    })
-                    .collect();
+                let mut rows: Vec<Vec<Option<Value>>> = (0..batch.len).map(row).collect();
                 prof.record(format_args!("project"), rows.len(), started);
                 prof.note_batches(format_args!("project"), 1);
-                if q.distinct {
+                if q.distinct && pre_dedup {
                     // Worker-local pre-dedup: the globally earliest
                     // occurrence of a key cannot have an earlier duplicate
                     // inside its own worker (morsels are pulled in
@@ -874,8 +936,6 @@ fn run_worker<P: ProfHook>(
             Mode::Batches => unreachable!("handled above"),
         }
     }
-    prof.record(format_args!("parallel.w{w}"), out.expanded, worker_started);
-    prof.note_morsels(format_args!("parallel.w{w}"), my_morsels);
     Ok(out)
 }
 

@@ -928,7 +928,7 @@ fn join_patterns_threads<P: ProfHook>(
     // Engagement is decided on estimated total work alone — morsels handle
     // granularity, so a small first-pattern run with a huge per-row
     // fan-out still parallelizes.
-    if first_rows.len().saturating_mul(per_row) < crate::cypher::PARALLEL_MIN_WORK {
+    if first_rows.len().saturating_mul(per_row) < crate::morsel::PARALLEL_MIN_WORK {
         return join_in_order(graph, compiled, &order[1..], first_rows, prof);
     }
     let rest = &order[1..];

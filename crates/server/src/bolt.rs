@@ -367,14 +367,15 @@ impl Session<'_> {
         // one failed request, not a dead session thread.
         let store = serving.store.as_ref();
         let started = Instant::now();
-        let response = catch_unwind(AssertUnwindSafe(|| {
+        let (response, form) = catch_unwind(AssertUnwindSafe(|| {
             self.shared.run_cypher(store, query, &params, "bolt")
         }))
         .unwrap_or_else(|panic| {
-            Response::Error(crate::protocol::ErrorFrame {
+            let frame = crate::protocol::ErrorFrame {
                 kind: ErrorKind::Internal,
                 message: format!("handler panicked: {}", panic_message(&panic)),
-            })
+            };
+            (Response::Error(frame), None)
         });
         let elapsed = started.elapsed();
         let ok = response.is_ok();
@@ -387,6 +388,7 @@ impl Session<'_> {
                 self.shared.log_slow_query(SlowQuery {
                     endpoint: "cypher",
                     listener: "bolt",
+                    form,
                     query: query.to_string(),
                     rows: match &response {
                         Response::Cypher { rows, .. } | Response::Profile { rows, .. } => {

@@ -35,6 +35,7 @@ use crate::query_stats::QueryStats;
 use crate::store::GraphStore;
 use s3pg::S3pgError;
 use s3pg_obs::{tracer, Counter, Histogram, Registry};
+use s3pg_pg::PgRead;
 use s3pg_query::profile::ProfSink;
 use s3pg_query::{cypher, render_term, render_value, sparql};
 use std::collections::VecDeque;
@@ -90,15 +91,26 @@ struct EndpointHandles {
     latency: Arc<Histogram>,
 }
 
+/// The two snapshot forms a Cypher evaluation can run on: the frozen
+/// compact graph, or the mutable graph in the window after an update
+/// publishes and before its freeze lands. Slow-query entries and
+/// `s3pg_cypher_evaluations_total{form}` name them with these strings.
+const FORMS: [&str; 2] = ["compact", "mutable"];
+
 /// Per-endpoint metric handles, in [`Request::ENDPOINTS`] order, backed
 /// by the store's [`Registry`].
 struct ServerMetrics {
     endpoints: Vec<(&'static str, EndpointHandles)>,
+    /// `s3pg_cypher_evaluations_total{form}`, in [`FORMS`] order.
+    cypher_evaluations: [Arc<Counter>; 2],
 }
 
 impl ServerMetrics {
     fn new(registry: &Registry) -> Self {
         ServerMetrics {
+            cypher_evaluations: FORMS.map(|form| {
+                registry.counter(&format!("s3pg_cypher_evaluations_total{{form=\"{form}\"}}"))
+            }),
             endpoints: Request::ENDPOINTS
                 .iter()
                 .map(|&name| {
@@ -127,6 +139,14 @@ impl ServerMetrics {
             .unwrap_or_else(|| &self.endpoints[self.endpoints.len() - 1].1)
     }
 
+    /// Count one Cypher evaluation on snapshot form `form` (one of
+    /// [`FORMS`]).
+    fn count_cypher_evaluation(&self, form: &str) {
+        if let Some(i) = FORMS.iter().position(|f| *f == form) {
+            self.cypher_evaluations[i].inc();
+        }
+    }
+
     fn observe(&self, endpoint: &str, elapsed: Duration, ok: bool) {
         let handles = self.of(endpoint);
         handles.requests.inc();
@@ -143,6 +163,10 @@ pub struct SlowQuery {
     pub endpoint: &'static str,
     /// Which listener served the request: `"json"` or `"bolt"`.
     pub listener: &'static str,
+    /// Which snapshot form a Cypher evaluation ran on: `"compact"` or
+    /// `"mutable"`. `None` when nothing was evaluated on a property graph
+    /// (other endpoints, `EXPLAIN`, a request rejected before evaluation).
+    pub form: Option<&'static str>,
     /// The query text for `cypher`/`sparql`, a size summary for `update`,
     /// empty for bodyless endpoints.
     pub query: String,
@@ -271,17 +295,19 @@ impl Shared {
     /// pipeline. `listener` labels the cache accounting
     /// (`s3pg_plan_cache_*_total{listener=...}`); both the JSON dispatch
     /// and the Bolt session funnel through here, so the two wire protocols
-    /// cannot drift in semantics.
+    /// cannot drift in semantics. Returns the response and the snapshot
+    /// form the evaluation ran on, if it ran (see [`SlowQuery::form`]).
     pub(crate) fn run_cypher(
         &self,
         store: &GraphStore,
         query: &str,
         params: &[(String, Json)],
         listener: &'static str,
-    ) -> Response {
+    ) -> (Response, Option<&'static str>) {
         let started = Instant::now();
         let (mode, bare) = strip_introspection(query);
-        let response = self.run_cypher_inner(store, bare, mode, params, listener);
+        let mut form = None;
+        let response = self.run_cypher_inner(store, bare, mode, params, listener, &mut form);
         // EXPLAIN executes nothing, so it does not count as a query
         // execution in the statistics registry.
         if mode != Introspect::Explain {
@@ -293,7 +319,7 @@ impl Shared {
                 response_rows(&response),
             );
         }
-        response
+        (response, form)
     }
 
     fn run_cypher_inner(
@@ -303,8 +329,11 @@ impl Shared {
         mode: Introspect,
         params: &[(String, Json)],
         listener: &'static str,
+        form: &mut Option<&'static str>,
     ) -> Response {
         let snap = store.snapshot();
+        // Read the form once: the frozen form may land mid-request.
+        let compact = snap.compact();
         // Plan-cache hit: no reparse, no `query_plan` span. Miss: parse +
         // plan under one `query_plan` span, then cache the outcome (parse
         // errors included) for the next issue. Parameter values are not in
@@ -320,19 +349,14 @@ impl Shared {
                         // Plan against whichever representation the
                         // evaluation below will use; the statistics
                         // (and so the plan) are identical either way.
-                        let plan = Arc::new(match snap.compact() {
+                        let plan = Arc::new(match compact {
                             Some(compact) => cypher::plan(compact.as_ref(), &ast),
                             None => cypher::plan(&snap.pg, &ast),
                         });
                         // A fresh plan is the cheapest moment to render the
                         // operator tree once, so the statistics registry
                         // and slow-query log always have a plan to show.
-                        // Over the compact form the vectorized operators
-                        // are what will actually run, so mark them.
-                        let tree = match snap.compact() {
-                            Some(_) => cypher::explain_compact(&ast, &plan, 1),
-                            None => cypher::explain(&ast, &plan, 1),
-                        };
+                        let tree = cypher::explain(&ast, &plan, 1);
                         self.query_stats.record_plan("cypher", query, tree);
                         Ok(CachedCypher::new(ast, snap.epoch, plan))
                     }
@@ -356,16 +380,11 @@ impl Shared {
         // return before parameter validation — a plan never depends on
         // parameter values, so `EXPLAIN q` works without bindings.
         if mode == Introspect::Explain {
-            let tree = match snap.compact() {
-                Some(compact) => {
-                    let plan = cached.plan_for(compact.as_ref(), snap.epoch, replans);
-                    cypher::explain_compact(&cached.ast, &plan, 1)
-                }
-                None => {
-                    let plan = cached.plan_for(&snap.pg, snap.epoch, replans);
-                    cypher::explain(&cached.ast, &plan, 1)
-                }
+            let plan = match compact {
+                Some(compact) => cached.plan_for(compact.as_ref(), snap.epoch, replans),
+                None => cached.plan_for(&snap.pg, snap.epoch, replans),
             };
+            let tree = cypher::explain(&cached.ast, &plan, 1);
             self.query_stats.record_plan("cypher", query, tree.clone());
             return Response::Explain {
                 language: "cypher".to_string(),
@@ -383,51 +402,22 @@ impl Shared {
         };
         // Serve from the read-optimized compact form when background
         // compaction has landed it; fall back to the mutable PG in the
-        // window right after an update. PROFILE threads a sink through the
-        // same planned evaluation — answers stay bit-identical.
+        // window right after an update. Both run the same executor.
+        // PROFILE threads a sink through the same planned evaluation —
+        // answers stay bit-identical.
         let sink = (mode == Introspect::Profile).then(ProfSink::new);
-        let (result, plan, vectorized) = match snap.compact() {
-            Some(compact) => {
-                let plan = cached.plan_for(compact.as_ref(), snap.epoch, replans);
-                let _span = tracer().span_here("query_eval");
-                let result = match &sink {
-                    Some(sink) => cypher::evaluate_planned_profiled(
-                        compact.as_ref(),
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                        sink,
-                    ),
-                    None => cypher::evaluate_planned_params(
-                        compact.as_ref(),
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                    ),
-                };
-                (result, plan, true)
-            }
-            None => {
-                let plan = cached.plan_for(&snap.pg, snap.epoch, replans);
-                let _span = tracer().span_here("query_eval");
-                let result = match &sink {
-                    Some(sink) => cypher::evaluate_planned_profiled(
-                        &snap.pg,
-                        &cached.ast,
-                        &plan,
-                        &bound,
-                        1,
-                        sink,
-                    ),
-                    None => {
-                        cypher::evaluate_planned_params(&snap.pg, &cached.ast, &plan, &bound, 1)
-                    }
-                };
-                (result, plan, false)
-            }
+        let (served, (result, plan)) = match compact {
+            Some(compact) => (
+                "compact",
+                evaluate_cypher(compact.as_ref(), cached, snap.epoch, replans, &bound, &sink),
+            ),
+            None => (
+                "mutable",
+                evaluate_cypher(&snap.pg, cached, snap.epoch, replans, &bound, &sink),
+            ),
         };
+        *form = Some(served);
+        self.metrics.count_cypher_evaluation(served);
         match result {
             Ok(rows) => {
                 let rendered: Vec<Vec<Option<String>>> = rows
@@ -437,11 +427,7 @@ impl Shared {
                     .collect();
                 match sink {
                     Some(sink) => {
-                        let mut tree = if vectorized {
-                            cypher::explain_compact(&cached.ast, &plan, 1)
-                        } else {
-                            cypher::explain(&cached.ast, &plan, 1)
-                        };
+                        let mut tree = cypher::explain(&cached.ast, &plan, 1);
                         tree.annotate(&sink);
                         self.query_stats.record_plan("cypher", query, tree.clone());
                         Response::Profile {
@@ -949,6 +935,7 @@ fn respond(line: &str, shared: &Shared) -> Reply {
         Request::decode(line)
     };
     let decoded_at = Instant::now();
+    let mut form = None;
     let (response, endpoint, query) = match decoded {
         Ok(request) => {
             let endpoint = request.endpoint();
@@ -963,14 +950,13 @@ fn respond(line: &str, shared: &Shared) -> Reply {
             // it into a typed internal error and keep serving.
             let response = {
                 let _span = tracer.span_here("execute");
-                catch_unwind(AssertUnwindSafe(|| dispatch(&request, shared))).unwrap_or_else(
-                    |panic| {
+                catch_unwind(AssertUnwindSafe(|| dispatch(&request, shared, &mut form)))
+                    .unwrap_or_else(|panic| {
                         Response::Error(ErrorFrame {
                             kind: ErrorKind::Internal,
                             message: format!("handler panicked: {}", panic_message(&panic)),
                         })
-                    },
-                )
+                    })
             };
             (response, endpoint, query)
         }
@@ -996,6 +982,7 @@ fn respond(line: &str, shared: &Shared) -> Reply {
                 SlowQuery {
                     endpoint,
                     listener: "json",
+                    form,
                     query,
                     rows: rows_returned(&response),
                     total_micros: total.as_micros() as u64,
@@ -1012,6 +999,29 @@ fn respond(line: &str, shared: &Shared) -> Reply {
         endpoint,
         shutdown_ack: matches!(response, Response::ShuttingDown),
     }
+}
+
+/// Plan (refreshing the cached plan for the snapshot's `epoch`) and
+/// evaluate one Cypher query on one snapshot form — the compact and the
+/// mutable form run this same code. `sink` turns the run into a PROFILE.
+fn evaluate_cypher<G: PgRead>(
+    pg: &G,
+    cached: &CachedCypher,
+    epoch: u64,
+    replans: &Counter,
+    bound: &cypher::Params,
+    sink: &Option<ProfSink>,
+) -> (
+    Result<cypher::Rows, cypher::CypherError>,
+    Arc<cypher::CypherPlan>,
+) {
+    let plan = cached.plan_for(pg, epoch, replans);
+    let _span = tracer().span_here("query_eval");
+    let result = match sink {
+        Some(sink) => cypher::evaluate_planned_profiled(pg, &cached.ast, &plan, bound, 1, sink),
+        None => cypher::evaluate_planned_params(pg, &cached.ast, &plan, bound, 1),
+    };
+    (result, plan)
 }
 
 /// What the slow-query log shows as the request body.
@@ -1036,9 +1046,10 @@ fn rows_returned(response: &Response) -> u64 {
 
 fn record_slow_query(shared: &Shared, entry: SlowQuery) {
     eprintln!(
-        "slow-query endpoint={} listener={} total_us={} decode_us={} execute_us={} serialize_us={} rows={} query={:?} plan={}",
+        "slow-query endpoint={} listener={} form={} total_us={} decode_us={} execute_us={} serialize_us={} rows={} query={:?} plan={}",
         entry.endpoint,
         entry.listener,
+        entry.form.unwrap_or("-"),
         entry.total_micros,
         entry.decode_micros,
         entry.execute_micros,
@@ -1065,7 +1076,9 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("unknown panic")
 }
 
-fn dispatch(request: &Request, shared: &Shared) -> Response {
+/// Answer one decoded request. `form` receives the snapshot form a Cypher
+/// evaluation ran on, for the slow-query log.
+fn dispatch(request: &Request, shared: &Shared, form: &mut Option<&'static str>) -> Response {
     // Endpoints that don't need graph state work even while the store is
     // still recovering — health checks and metrics scrapes must succeed
     // during a long WAL replay.
@@ -1098,7 +1111,11 @@ fn dispatch(request: &Request, shared: &Shared) -> Response {
     };
     let store = serving.store.as_ref();
     match request {
-        Request::Cypher { query, params } => shared.run_cypher(store, query, params, "json"),
+        Request::Cypher { query, params } => {
+            let (response, served) = shared.run_cypher(store, query, params, "json");
+            *form = served;
+            response
+        }
         Request::Sparql { query, params } => shared.run_sparql(store, query, params, "json"),
         Request::Update {
             additions,

@@ -141,14 +141,14 @@ fn load_one(dir: &Path) -> io::Result<Checkpoint> {
     }
     let mut seq = None;
     let mut rdf_crc = None;
-    let mut has_compact = false;
+    let mut compact_present = false;
     for line in lines {
         if let Some(v) = line.strip_prefix("seq=") {
             seq = v.parse::<u64>().ok();
         } else if let Some(v) = line.strip_prefix("rdf_crc=") {
             rdf_crc = u32::from_str_radix(v, 16).ok();
         } else if line == "compact=present" {
-            has_compact = true;
+            compact_present = true;
         }
     }
     let seq = seq.ok_or_else(|| corrupt("META missing seq"))?;
@@ -161,7 +161,7 @@ fn load_one(dir: &Path) -> io::Result<Checkpoint> {
     }
 
     // compact.bin validates itself; failure only costs the shortcut.
-    let compact = if has_compact {
+    let compact = if compact_present {
         File::open(dir.join("compact.bin"))
             .and_then(|f| CompactGraph::read_from(BufReader::new(f)))
             .ok()

@@ -6,6 +6,9 @@
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::Mode;
 use s3pg_bench::serving::{demo_data_turtle, demo_shapes_turtle};
+use s3pg_bolt::message::{self, ClientMessage, ServerMessage};
+use s3pg_bolt::packstream::Value as BoltValue;
+use s3pg_bolt::{frame, handshake, DEFAULT_MAX_MESSAGE_BYTES};
 use s3pg_obs::{parse_exposition, tracer, validate_span_tree, EventKind};
 use s3pg_rdf::parser::parse_turtle;
 use s3pg_server::client::Client;
@@ -58,6 +61,10 @@ fn metrics_endpoint_exposes_counters_and_memory_gauges() {
     assert_eq!(get("s3pg_requests_total{endpoint=\"stats\"}"), 1.0);
     assert_eq!(get("s3pg_requests_total{endpoint=\"metrics\"}"), 0.0);
     assert_eq!(get("s3pg_request_errors_total{endpoint=\"cypher\"}"), 0.0);
+    // Startup freezes synchronously, so the one query ran on the compact
+    // form; both form series are registered from the start.
+    assert_eq!(get("s3pg_cypher_evaluations_total{form=\"compact\"}"), 1.0);
+    assert_eq!(get("s3pg_cypher_evaluations_total{form=\"mutable\"}"), 0.0);
     // Latency summaries carry counts and quantiles.
     assert_eq!(
         get("s3pg_request_latency_microseconds_count{endpoint=\"ping\"}"),
@@ -201,12 +208,137 @@ fn slow_query_log_records_stage_timings_and_rows() {
     assert_eq!(slow.endpoint, "cypher");
     assert_eq!(slow.query, query);
     assert_eq!(slow.rows, 3);
+    assert_eq!(slow.form, Some("compact"));
     assert!(
         slow.total_micros >= slow.decode_micros + slow.execute_micros + slow.serialize_micros,
         "stage timings must not exceed the total: {slow:?}"
     );
     assert_eq!(log[1].endpoint, "ping");
     assert_eq!(log[1].rows, 0);
+    assert_eq!(log[1].form, None);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A scripted Bolt session: handshake, HELLO, then one RUN + PULL per
+/// query.
+struct BoltSession(std::net::TcpStream);
+
+impl BoltSession {
+    fn connect(addr: std::net::SocketAddr) -> BoltSession {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        handshake::client_handshake(&mut stream).unwrap();
+        let mut session = BoltSession(stream);
+        let hello = session.call(ClientMessage::Hello(Vec::new()));
+        assert!(matches!(hello, ServerMessage::Success(_)), "{hello:?}");
+        session
+    }
+
+    fn call(&mut self, message: ClientMessage) -> ServerMessage {
+        frame::write_message(&mut self.0, &message::encode_client(&message)).unwrap();
+        let payload = frame::read_message(&mut self.0, DEFAULT_MAX_MESSAGE_BYTES)
+            .unwrap()
+            .expect("server closed the session");
+        message::decode_server(&payload).unwrap()
+    }
+
+    /// RUN + PULL every row; panics on a failure.
+    fn run(&mut self, query: &str) {
+        let run = self.call(ClientMessage::Run {
+            query: query.to_string(),
+            parameters: Vec::new(),
+            extra: Vec::new(),
+        });
+        assert!(matches!(run, ServerMessage::Success(_)), "{run:?}");
+        let mut answer = self.call(ClientMessage::Pull(vec![("n".into(), BoltValue::Int(-1))]));
+        while let ServerMessage::Record(_) = answer {
+            let payload = frame::read_message(&mut self.0, DEFAULT_MAX_MESSAGE_BYTES)
+                .unwrap()
+                .expect("server closed the session");
+            answer = message::decode_server(&payload).unwrap();
+        }
+        assert!(matches!(answer, ServerMessage::Success(_)), "{answer:?}");
+    }
+}
+
+#[test]
+fn slow_query_lines_and_counters_name_the_snapshot_form() {
+    let rdf = parse_turtle(demo_data_turtle()).unwrap();
+    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let config = ServerConfig {
+        slow_query_threshold: Some(Duration::ZERO),
+        ..ServerConfig::default()
+    };
+    let mut handle = serve("127.0.0.1:0", store, config).unwrap();
+    let mut bolt = BoltSession::connect(handle.listen_bolt("127.0.0.1:0").unwrap());
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    let cypher = |query: &str| Request::Cypher {
+        query: query.to_string(),
+        params: Vec::new(),
+    };
+    let query = "MATCH (p:Person) RETURN p.name";
+
+    // Startup froze synchronously: both listeners are served compact.
+    client.call(&cypher(query)).unwrap();
+    bolt.run(query);
+    // Nothing is evaluated on a graph for EXPLAIN or for other endpoints.
+    client.call(&cypher(&format!("EXPLAIN {query}"))).unwrap();
+    client.call(&Request::Ping).unwrap();
+    let log = handle.slow_queries();
+    let forms: Vec<(&str, &str, Option<&str>)> = log
+        .iter()
+        .map(|e| (e.endpoint, e.listener, e.form))
+        .collect();
+    assert_eq!(
+        forms,
+        [
+            ("cypher", "json", Some("compact")),
+            ("cypher", "bolt", Some("compact")),
+            ("cypher", "json", None),
+            ("ping", "json", None),
+        ]
+    );
+
+    // Right after an update either form may serve (the freeze runs in the
+    // background); whichever did is named, and the counters agree with
+    // the log entry by entry.
+    client
+        .call(&Request::Update {
+            additions: "<http://ex/d> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n"
+                .to_string(),
+            deletions: String::new(),
+        })
+        .unwrap();
+    client.call(&cypher(query)).unwrap();
+    bolt.run(query);
+    let log = handle.slow_queries();
+    let Response::Metrics { exposition } = client.call(&Request::Metrics).unwrap() else {
+        panic!("expected metrics response");
+    };
+    let samples = parse_exposition(&exposition).unwrap();
+    for form in ["compact", "mutable"] {
+        let series = format!("s3pg_cypher_evaluations_total{{form=\"{form}\"}}");
+        let counted = samples.iter().find(|s| s.name == series).map(|s| s.value);
+        let logged = log.iter().filter(|e| e.form == Some(form)).count();
+        assert_eq!(counted, Some(logged as f64), "{series}: {log:#?}");
+    }
+    let evaluated: Vec<Option<&str>> = log
+        .iter()
+        .filter(|e| e.endpoint == "cypher" && !e.query.starts_with("EXPLAIN"))
+        .map(|e| e.form)
+        .collect();
+    assert_eq!(evaluated.len(), 4, "{log:#?}");
+    assert!(
+        evaluated
+            .iter()
+            .all(|f| matches!(f, Some("compact") | Some("mutable"))),
+        "{log:#?}"
+    );
 
     handle.shutdown();
     handle.join();
