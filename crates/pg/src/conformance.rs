@@ -10,13 +10,21 @@
 //! Content records are treated as *open*: extra keys (notably the `iri` and
 //! `ov` bookkeeping keys S3PG adds) do not break conformance, which matches
 //! the LOOSE graph-type option the paper adopts for transformed graphs.
+//!
+//! [`check`] decides the whole graph; [`check_since`] re-decides only what
+//! a delta touched and merges that into the previous report (§5.4: under an
+//! unchanged schema, elements a delta did not touch keep their verdicts).
 
-use crate::graph::{EdgeId, NodeId, PropertyGraph, IRI_KEY, VALUE_KEY};
-use crate::schema::compiled::{has_type, intersects, set_type, CompiledSchema, CompiledSpec};
+use crate::graph::{EdgeId, NodeId, PropertyGraph, Touched, IRI_KEY, VALUE_KEY};
+use crate::schema::compiled::{
+    has_type, intersects, set_type, CompiledKey, CompiledSchema, CompiledSpec,
+};
 use crate::schema::{NodeType, PgSchema};
 use crate::value::{ContentType, Value};
+use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::Sym;
 use std::fmt;
+use std::sync::Arc;
 
 /// A conformance failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +61,50 @@ impl fmt::Display for NonConformance {
     }
 }
 
-/// The result of checking `PG ⊨ S_PG`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The result of checking `PG ⊨ S_PG`. Equality and `Debug` cover the
+/// failures only.
+#[derive(Clone, Default)]
 pub struct ConformanceReport {
     /// All failures found.
     pub failures: Vec<NonConformance>,
+    /// What the report was taken against, for [`check_since`]; `None` for
+    /// a report no check produced.
+    basis: Option<Basis>,
+}
+
+/// The schema a report was taken against: its [`PgSchema::revision`], and
+/// its compiled form with the length of the interner it was compiled at.
+#[derive(Clone)]
+struct Basis {
+    schema_revision: u64,
+    interner_len: usize,
+    compiled: Arc<CompiledSchema>,
+}
+
+impl Basis {
+    fn new(pg: &PropertyGraph, schema: &PgSchema, compiled: Arc<CompiledSchema>) -> Self {
+        Basis {
+            schema_revision: schema.revision(),
+            interner_len: pg.interner().len(),
+            compiled,
+        }
+    }
+}
+
+impl PartialEq for ConformanceReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.failures == other.failures
+    }
+}
+
+impl Eq for ConformanceReport {}
+
+impl fmt::Debug for ConformanceReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConformanceReport")
+            .field("failures", &self.failures)
+            .finish()
+    }
 }
 
 impl ConformanceReport {
@@ -79,84 +126,390 @@ impl ConformanceReport {
 /// same report the per-element predicates below would build, which
 /// `tests/conformance_differential.rs` holds it to.
 pub fn check(pg: &PropertyGraph, schema: &PgSchema) -> ConformanceReport {
-    let mut report = ConformanceReport::default();
-    let compiled = CompiledSchema::new(schema, pg.interner());
-    let words = compiled.words;
+    let mut failures = Vec::new();
+    let compiled = Arc::new(CompiledSchema::new(schema, pg.interner()));
 
     // T(v), indexed by raw node id; tombstoned nodes keep an empty row.
-    let mut typing = vec![0u64; pg.node_slots() * words];
+    let mut typing = Typing::dense(compiled.words, pg.node_slots());
     for node in pg.node_ids() {
-        let n = pg.node(node);
-        let row = &mut typing[node.0 as usize * words..][..words];
-        for &label in &n.labels {
-            for &t in compiled.types_with_label(label) {
-                if compiled
-                    .specs_of(t)
-                    .is_some_and(|specs| record_fits(&n.props, specs))
-                {
-                    set_type(row, t);
-                }
-            }
-        }
-        if row.iter().all(|&w| w == 0) {
-            report.failures.push(NonConformance::UntypedNode {
-                node,
-                labels: n
-                    .labels
-                    .iter()
-                    .map(|&l| pg.resolve(l).to_string())
-                    .collect(),
-            });
+        let row = typing.row_mut(node);
+        type_node(pg, &compiled, node, row);
+        if is_empty(row) {
+            failures.push(untyped_node(pg, node));
         }
     }
-    let types_of = |node: NodeId| &typing[node.0 as usize * words..][..words];
-
     for edge in pg.edge_ids() {
-        let e = pg.edge(edge);
-        let (src, dst) = (types_of(e.src), types_of(e.dst));
-        let typed = e.labels.iter().any(|&label| {
-            compiled
-                .rules_with_label(label)
-                .iter()
-                .any(|rule| has_type(src, rule.source) && intersects(dst, &rule.targets))
-        });
-        if !typed {
-            let label = e
-                .labels
-                .first()
-                .map(|&l| pg.resolve(l).to_string())
-                .unwrap_or_default();
-            report
-                .failures
-                .push(NonConformance::UntypedEdge { edge, label });
+        if !edge_typed(pg, &compiled, &typing, edge) {
+            failures.push(untyped_edge(pg, edge));
         }
     }
-
     for k in &compiled.keys {
         // Nodes of the FOR type: those carrying its primary label and conforming.
-        for &node in pg.nodes_with_label(k.for_label) {
-            if !has_type(types_of(node), k.for_type) {
-                continue;
-            }
-            let count = k.edge_label.map_or(0, |label| {
-                pg.out_edges(node)
-                    .filter(|&e| {
-                        let edge = pg.edge(e);
-                        edge.labels.contains(&label) && intersects(types_of(edge.dst), &k.targets)
-                    })
-                    .count()
-            });
-            if !k.key.admits(count) {
-                report.failures.push(NonConformance::KeyViolation {
-                    node,
-                    key: k.key.to_string(),
-                    count,
-                });
-            }
+        for &node in pg.nodes_with_label(&k.for_label) {
+            failures.extend(key_violation(pg, k, &typing, node));
         }
     }
 
-    report
+    ConformanceReport {
+        failures,
+        basis: Some(Basis::new(pg, schema, compiled)),
+    }
+}
+
+/// How [`check_since`] decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckScope {
+    /// Only what the delta touched was re-decided.
+    Delta,
+    /// The whole graph was checked.
+    Full,
+}
+
+impl CheckScope {
+    /// The scope's name, as metric labels spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CheckScope::Delta => "delta",
+            CheckScope::Full => "full",
+        }
+    }
+}
+
+/// [`check`] in O(|Δ|): the report `check(pg, schema)` returns, computed
+/// from `previous` and what changed since.
+///
+/// `previous` must be the report of an earlier state of this graph, and
+/// `touched` must cover every change made since that state (a superset is
+/// fine; [`PropertyGraph::drain_touched`] records one). Under an unchanged
+/// schema, an element's verdict can only move when something it depends on
+/// was touched, so this re-decides exactly those elements:
+///
+/// * the touched nodes' typing;
+/// * edges incident to a touched node, and the touched edges;
+/// * PG-Key counts of touched nodes, of touched edges' sources, and of
+///   touched nodes' in-neighbours. Adding an edge *to* a hub recounts the
+///   edge's source only, not the hub's in-neighbours.
+///
+/// Symbols the graph interned since `previous` occur only on touched
+/// elements, so compiling the schema against the grown interner moves no
+/// other verdict; while the interner has not grown, `previous`'s compiled
+/// schema is reused. Falls back to [`check`] when `touched` is `None` (the
+/// graph's first drain) or the schema's revision moved since `previous`.
+pub fn check_since(
+    pg: &PropertyGraph,
+    schema: &PgSchema,
+    previous: &ConformanceReport,
+    touched: Option<&Touched>,
+) -> (ConformanceReport, CheckScope) {
+    let full = || (check(pg, schema), CheckScope::Full);
+    let Some(touched) = touched else {
+        return full();
+    };
+    let Some(basis) = previous
+        .basis
+        .as_ref()
+        .filter(|b| b.schema_revision == schema.revision())
+    else {
+        return full();
+    };
+    let compiled = if basis.interner_len == pg.interner().len() {
+        Arc::clone(&basis.compiled)
+    } else {
+        Arc::new(CompiledSchema::new(schema, pg.interner()))
+    };
+    let Some(sections) = Sections::split(previous, &compiled) else {
+        return full();
+    };
+
+    // What to re-decide.
+    let src = |e: EdgeId| pg.edge(e).src;
+    let mut edges = touched.edges().to_vec();
+    let mut counted = touched.nodes().to_vec();
+    counted.extend(touched.edges().iter().map(|&e| src(e)));
+    for &node in touched.nodes() {
+        edges.extend(pg.out_edges(node).chain(pg.in_edges(node)));
+        counted.extend(pg.in_edges(node).map(src));
+    }
+    sort_dedup(&mut edges);
+    sort_dedup(&mut counted);
+
+    // Every node a decision reads the typing of.
+    let mut typed = touched.nodes().to_vec();
+    for &edge in &edges {
+        let e = pg.edge(edge);
+        typed.extend([e.src, e.dst]);
+    }
+    typed.extend(&counted);
+    if !compiled.keys.is_empty() {
+        for &node in &counted {
+            typed.extend(pg.out_edges(node).map(|e| pg.edge(e).dst));
+        }
+    }
+    sort_dedup(&mut typed);
+    let typing = Typing::sparse(pg, &compiled, &typed);
+
+    // Each section: the previous verdicts of what was not re-decided, plus
+    // the new failures, in id order.
+    let kept = |redecided: &[NodeId], f: &&NonConformance| {
+        redecided.binary_search(&NodeId(f.id())).is_err()
+    };
+    let mut failures = Vec::with_capacity(previous.failures.len());
+    extend_in_id_order(
+        &mut failures,
+        sections
+            .nodes
+            .into_iter()
+            .filter(|f| kept(touched.nodes(), f))
+            .cloned()
+            .chain(
+                touched
+                    .nodes()
+                    .iter()
+                    .filter(|&&n| pg.node_is_live(n) && is_empty(typing.row(n)))
+                    .map(|&n| untyped_node(pg, n)),
+            ),
+    );
+    extend_in_id_order(
+        &mut failures,
+        sections
+            .edges
+            .into_iter()
+            .filter(|f| edges.binary_search(&EdgeId(f.id())).is_err())
+            .cloned()
+            .chain(
+                edges
+                    .iter()
+                    .filter(|&&e| pg.edge_is_live(e) && !edge_typed(pg, &compiled, &typing, e))
+                    .map(|&e| untyped_edge(pg, e)),
+            ),
+    );
+    for (k, before) in compiled.keys.iter().zip(sections.keys) {
+        extend_in_id_order(
+            &mut failures,
+            before
+                .into_iter()
+                .filter(|f| kept(&counted, f))
+                .cloned()
+                .chain(
+                    counted
+                        .iter()
+                        .filter(|&&n| pg.node_is_live(n))
+                        .filter_map(|&n| key_violation(pg, k, &typing, n)),
+                ),
+        );
+    }
+
+    let report = ConformanceReport {
+        failures,
+        basis: Some(Basis::new(pg, schema, compiled)),
+    };
+    (report, CheckScope::Delta)
+}
+
+fn sort_dedup<T: Ord>(ids: &mut Vec<T>) {
+    ids.sort_unstable();
+    ids.dedup();
+}
+
+impl NonConformance {
+    /// The raw id of the node (untyped node, key violation) or edge
+    /// (untyped edge) the failure is about: [`check`] orders each section
+    /// by it.
+    fn id(&self) -> u32 {
+        match self {
+            NonConformance::UntypedNode { node, .. }
+            | NonConformance::KeyViolation { node, .. } => node.0,
+            NonConformance::UntypedEdge { edge, .. } => edge.0,
+        }
+    }
+}
+
+/// Append one section's failures in id order.
+fn extend_in_id_order(
+    out: &mut Vec<NonConformance>,
+    section: impl Iterator<Item = NonConformance>,
+) {
+    let start = out.len();
+    out.extend(section);
+    out[start..].sort_by_key(NonConformance::id);
+}
+
+/// A previous report cut into [`check`]'s sections: untyped nodes, untyped
+/// edges, then one run of key violations per compiled key.
+struct Sections<'r> {
+    nodes: Vec<&'r NonConformance>,
+    edges: Vec<&'r NonConformance>,
+    keys: Vec<Vec<&'r NonConformance>>,
+}
+
+impl<'r> Sections<'r> {
+    /// `None` when the report does not have `check`'s shape under
+    /// `compiled` (then it cannot be the report of this schema).
+    fn split(report: &'r ConformanceReport, compiled: &CompiledSchema) -> Option<Self> {
+        let mut sections = Sections {
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            keys: Vec::new(),
+        };
+        let mut violations = Vec::new();
+        for f in &report.failures {
+            match f {
+                NonConformance::UntypedNode { .. } => sections.nodes.push(f),
+                NonConformance::UntypedEdge { .. } => sections.edges.push(f),
+                NonConformance::KeyViolation { .. } => violations.push(f),
+            }
+        }
+        // A key's run is strictly ascending by node and names the key; two
+        // keys that print alike are the same key and have the same run.
+        let mut rest = violations.as_slice();
+        for k in &compiled.keys {
+            let mut len = 0;
+            while let Some(NonConformance::KeyViolation { node, key, .. }) = rest.get(len) {
+                if *key != k.text || (len > 0 && rest[len - 1].id() >= node.0) {
+                    break;
+                }
+                len += 1;
+            }
+            sections.keys.push(rest[..len].to_vec());
+            rest = &rest[len..];
+        }
+        rest.is_empty().then_some(sections)
+    }
+}
+
+/// `T(v)` rows for the nodes a check reads.
+struct Typing {
+    words: usize,
+    /// `None`: a row per node slot, node `n`'s at `n · words`. `Some`: the
+    /// row index of each typed node.
+    index: Option<FxHashMap<NodeId, usize>>,
+    bits: Vec<u64>,
+}
+
+impl Typing {
+    fn dense(words: usize, slots: usize) -> Self {
+        Typing {
+            words,
+            index: None,
+            bits: vec![0; slots * words],
+        }
+    }
+
+    /// The rows of `nodes` alone; tombstoned nodes get an empty row.
+    fn sparse(pg: &PropertyGraph, compiled: &CompiledSchema, nodes: &[NodeId]) -> Self {
+        let mut typing = Typing {
+            words: compiled.words,
+            index: Some(nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect()),
+            bits: vec![0; nodes.len() * compiled.words],
+        };
+        for &node in nodes {
+            if pg.node_is_live(node) {
+                type_node(pg, compiled, node, typing.row_mut(node));
+            }
+        }
+        typing
+    }
+
+    fn at(&self, node: NodeId) -> usize {
+        self.words
+            * match &self.index {
+                None => node.0 as usize,
+                Some(index) => index[&node],
+            }
+    }
+
+    fn row(&self, node: NodeId) -> &[u64] {
+        &self.bits[self.at(node)..][..self.words]
+    }
+
+    fn row_mut(&mut self, node: NodeId) -> &mut [u64] {
+        let at = self.at(node);
+        &mut self.bits[at..][..self.words]
+    }
+}
+
+fn is_empty(row: &[u64]) -> bool {
+    row.iter().all(|&w| w == 0)
+}
+
+/// Set `T(v)`'s bits, visiting only the types carrying one of its labels.
+fn type_node(pg: &PropertyGraph, compiled: &CompiledSchema, node: NodeId, row: &mut [u64]) {
+    let n = pg.node(node);
+    for &label in &n.labels {
+        for &t in compiled.types_with_label(label) {
+            if compiled
+                .specs_of(t)
+                .is_some_and(|specs| record_fits(&n.props, specs))
+            {
+                set_type(row, t);
+            }
+        }
+    }
+}
+
+fn untyped_node(pg: &PropertyGraph, node: NodeId) -> NonConformance {
+    NonConformance::UntypedNode {
+        node,
+        labels: pg
+            .node(node)
+            .labels
+            .iter()
+            .map(|&l| pg.resolve(l).to_string())
+            .collect(),
+    }
+}
+
+/// Whether some edge type admits `edge` given its endpoints' typing.
+fn edge_typed(
+    pg: &PropertyGraph,
+    compiled: &CompiledSchema,
+    typing: &Typing,
+    edge: EdgeId,
+) -> bool {
+    let e = pg.edge(edge);
+    let (src, dst) = (typing.row(e.src), typing.row(e.dst));
+    e.labels.iter().any(|&label| {
+        compiled
+            .rules_with_label(label)
+            .iter()
+            .any(|rule| has_type(src, rule.source) && intersects(dst, &rule.targets))
+    })
+}
+
+fn untyped_edge(pg: &PropertyGraph, edge: EdgeId) -> NonConformance {
+    let label = pg
+        .edge(edge)
+        .labels
+        .first()
+        .map(|&l| pg.resolve(l).to_string())
+        .unwrap_or_default();
+    NonConformance::UntypedEdge { edge, label }
+}
+
+/// The violation of `k` at `node`, if `node` is of the key's FOR type and
+/// its count of matching out-edges falls outside the key's bounds.
+fn key_violation(
+    pg: &PropertyGraph,
+    k: &CompiledKey,
+    typing: &Typing,
+    node: NodeId,
+) -> Option<NonConformance> {
+    if !has_type(typing.row(node), k.for_type) {
+        return None;
+    }
+    let count = k.edge_label.map_or(0, |label| {
+        pg.out_edges(node)
+            .filter(|&e| {
+                let edge = pg.edge(e);
+                edge.labels.contains(&label) && intersects(typing.row(edge.dst), &k.targets)
+            })
+            .count()
+    });
+    (!k.key.admits(count)).then(|| NonConformance::KeyViolation {
+        node,
+        key: k.text.clone(),
+        count,
+    })
 }
 
 /// Whether a node record satisfies a node type's compiled effective specs.
@@ -371,6 +724,57 @@ mod tests {
             .filter(|f| matches!(f, NonConformance::KeyViolation { .. }))
             .collect();
         assert_eq!(key_violations.len(), 1);
+    }
+
+    #[test]
+    fn check_since_re_decides_what_changed_and_falls_back_when_it_must() {
+        let mut s = schema();
+        s.add_key(CountKey {
+            for_type: "personType".into(),
+            edge_label: "worksFor".into(),
+            min: 1,
+            max: Some(1),
+            target_types: vec!["departmentType".into()],
+        });
+        let mut pg = conforming_graph();
+        let (alice, bob, cs) = (NodeId(0), NodeId(1), NodeId(2));
+        let since = |pg: &mut PropertyGraph, s: &PgSchema, previous: &ConformanceReport| {
+            let touched = pg.drain_touched();
+            let (report, scope) = check_since(pg, s, previous, touched.as_ref());
+            assert_eq!(report, check(pg, s), "{scope:?}");
+            (report, scope)
+        };
+
+        // Bob works nowhere. The first drain recorded nothing: whole check.
+        let first = check(&pg, &s);
+        let (report, scope) = since(&mut pg, &s, &first);
+        assert_eq!((report.failures.len(), scope), (1, CheckScope::Full));
+
+        // Bob gets a department, Alice a second one.
+        pg.add_edge(bob, cs, "worksFor");
+        pg.add_edge(alice, cs, "worksFor");
+        let (report, scope) = since(&mut pg, &s, &report);
+        assert_eq!(scope, CheckScope::Delta);
+        assert!(matches!(
+            report.failures[..],
+            [NonConformance::KeyViolation { node, count: 2, .. }] if node == alice
+        ));
+
+        // The department loses its label: the edges into it and both
+        // in-neighbours' counts move, though only `cs` was touched.
+        assert!(pg.remove_label(cs, "Department"));
+        let (report, scope) = since(&mut pg, &s, &report);
+        assert_eq!(scope, CheckScope::Delta);
+        assert_eq!(report.failures.len(), 1 + 3 + 2);
+
+        // A schema the report was not taken against: whole check.
+        s.keys_mut()[0].min = 0;
+        let (_, scope) = since(&mut pg, &s, &report);
+        assert_eq!(scope, CheckScope::Full);
+        // Nor can a report no check produced be merged into.
+        let touched = pg.drain_touched();
+        let (_, scope) = check_since(&pg, &s, &ConformanceReport::default(), touched.as_ref());
+        assert_eq!(scope, CheckScope::Full);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! index over scalar node properties that backs equality-predicate pushdown
 //! in the Cypher planner. Every property mutator maintains the value index,
 //! so the incremental transformation keeps it consistent for free.
+//!
+//! A long-lived graph can also record what its mutators touch (see
+//! [`PropertyGraph::drain_touched`]), which is what lets the conformance
+//! check of an update look at the delta instead of the whole graph.
 
 use crate::value::Value;
 use s3pg_rdf::fxhash::FxHashMap;
@@ -49,6 +53,29 @@ pub struct Edge {
     pub props: Vec<(Sym, Value)>,
 }
 
+/// The elements a graph's mutators changed between two
+/// [`PropertyGraph::drain_touched`] calls, each list sorted and free of
+/// duplicates. `nodes` are nodes whose labels, properties or liveness
+/// changed (new nodes included); `edges` are edges added or removed. Edge
+/// properties are not tracked: no conformance rule reads them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Touched {
+    nodes: Vec<NodeId>,
+    edges: Vec<EdgeId>,
+}
+
+impl Touched {
+    /// The touched nodes, ascending.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// The touched edges, ascending.
+    pub fn edges(&self) -> &[EdgeId] {
+        &self.edges
+    }
+}
+
 /// An in-memory property graph with label, adjacency, and IRI indexes.
 #[derive(Debug, Default, Clone)]
 pub struct PropertyGraph {
@@ -70,6 +97,9 @@ pub struct PropertyGraph {
     /// "incomparable", so an equality probe can never select a list-valued
     /// property. Buckets hold only live nodes (removal deindexes).
     prop_index: FxHashMap<(Sym, Sym), FxHashMap<Value, Vec<NodeId>>>,
+    /// What changed since the last drain; `None` until the first drain
+    /// turns recording on, so bulk transforms pay nothing.
+    touched: Option<Touched>,
 }
 
 impl PropertyGraph {
@@ -86,6 +116,35 @@ impl PropertyGraph {
             out_edges: Vec::with_capacity(nodes),
             in_edges: Vec::with_capacity(nodes),
             ..Default::default()
+        }
+    }
+
+    // ---- change tracking -------------------------------------------------
+
+    /// Take what the mutators touched since the previous call and keep
+    /// recording. The first call turns recording on and returns `None`:
+    /// nothing was recorded, so a caller must treat everything as changed.
+    /// A clone inherits the recording state and what was recorded so far.
+    pub fn drain_touched(&mut self) -> Option<Touched> {
+        let mut drained = self.touched.replace(Touched::default())?;
+        drained.nodes.sort_unstable();
+        drained.nodes.dedup();
+        drained.edges.sort_unstable();
+        drained.edges.dedup();
+        Some(drained)
+    }
+
+    #[inline]
+    fn touch_node(&mut self, id: NodeId) {
+        if let Some(touched) = &mut self.touched {
+            touched.nodes.push(id);
+        }
+    }
+
+    #[inline]
+    fn touch_edge(&mut self, id: EdgeId) {
+        if let Some(touched) = &mut self.touched {
+            touched.edges.push(id);
         }
     }
 
@@ -125,6 +184,7 @@ impl PropertyGraph {
         self.live_node_count += 1;
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
+        self.touch_node(id);
         id
     }
 
@@ -143,6 +203,7 @@ impl PropertyGraph {
         }
         self.node_live[id.0 as usize] = false;
         self.live_node_count -= 1;
+        self.touch_node(id);
         if let Some(Value::String(iri)) = self.prop(id, IRI_KEY).cloned() {
             self.by_iri.remove(&iri);
         }
@@ -187,6 +248,7 @@ impl PropertyGraph {
                 postings.insert(pos, node);
             }
             self.index_props_for_label(node, sym);
+            self.touch_node(node);
         }
     }
 
@@ -204,6 +266,7 @@ impl PropertyGraph {
             postings.retain(|&id| id != node);
         }
         self.deindex_props_for_label(node, sym);
+        self.touch_node(node);
         true
     }
 
@@ -328,6 +391,10 @@ impl PropertyGraph {
             + map_bytes::<String, NodeId>(self.by_iri.capacity())
             + self.by_iri.keys().map(|k| k.capacity()).sum::<usize>()
             + self.prop_index_size_bytes()
+            + self
+                .touched
+                .as_ref()
+                .map_or(0, |t| vec_bytes(&t.nodes) + vec_bytes(&t.edges))
     }
 
     // ---- bulk insertion --------------------------------------------------
@@ -360,6 +427,7 @@ impl PropertyGraph {
         self.out_edges.push(Vec::new());
         self.in_edges.push(Vec::new());
         self.by_label.entry(label).or_default().push(id);
+        self.touch_node(id);
         id
     }
 
@@ -377,6 +445,7 @@ impl PropertyGraph {
         self.by_edge_label.entry(label).or_default().push(id);
         self.out_edges[src.0 as usize].push(id);
         self.in_edges[dst.0 as usize].push(id);
+        self.touch_edge(id);
         id
     }
 
@@ -404,6 +473,7 @@ impl PropertyGraph {
             Some((_, v)) => *v = value,
             None => props.push((key, value)),
         }
+        self.touch_node(node);
     }
 
     /// [`Self::push_prop`] with a pre-interned key. The scalar → list
@@ -425,6 +495,7 @@ impl PropertyGraph {
                 self.nodes[node.0 as usize].props.push((key, value));
             }
         }
+        self.touch_node(node);
     }
 
     // ---- property value index --------------------------------------------
@@ -577,6 +648,7 @@ impl PropertyGraph {
         self.by_edge_label.entry(sym).or_default().push(id);
         self.out_edges[src.0 as usize].push(id);
         self.in_edges[dst.0 as usize].push(id);
+        self.touch_edge(id);
         id
     }
 
@@ -597,6 +669,7 @@ impl PropertyGraph {
             Some(e) => {
                 self.edge_live[e.0 as usize] = false;
                 self.live_edge_count -= 1;
+                self.touch_edge(e);
                 true
             }
             None => false,
@@ -614,6 +687,7 @@ impl PropertyGraph {
         if self.edge_live[id.0 as usize] {
             self.edge_live[id.0 as usize] = false;
             self.live_edge_count -= 1;
+            self.touch_edge(id);
             true
         } else {
             false
@@ -627,6 +701,7 @@ impl PropertyGraph {
         let pos = props.iter().position(|(k, _)| *k == sym)?;
         let value = props.remove(pos).1;
         self.deindex_prop(node, sym, &value);
+        self.touch_node(node);
         Some(value)
     }
 
@@ -676,6 +751,7 @@ impl PropertyGraph {
         if let Some(v) = indexed {
             self.index_prop(node, sym, &v);
         }
+        self.touch_node(node);
         true
     }
 
@@ -1128,6 +1204,38 @@ mod tests {
         let (pg, ..) = figure2c();
         assert!(pg.prop_index_size_bytes() > 0);
         assert!(pg.deep_size_bytes() > pg.prop_index_size_bytes());
+    }
+
+    #[test]
+    fn drain_touched_records_only_after_the_first_drain() {
+        let (mut pg, bob, alice, _) = figure2c();
+        assert_eq!(pg.drain_touched(), None, "nothing recorded before");
+        assert_eq!(pg.drain_touched(), Some(Touched::default()));
+
+        pg.set_prop(bob, "nick", Value::String("bobby".into()));
+        pg.add_label(alice, "Alum");
+        let knows = pg.add_edge(alice, bob, "knows");
+        pg.set_edge_prop(knows, "since", Value::Year(2020));
+        pg.push_prop(bob, "nick", Value::String("rob".into()));
+        let carrier = pg.add_node(["STRING"]);
+        assert!(pg.remove_edge(bob, alice, "advisedBy"));
+        assert_eq!(
+            pg.drain_touched(),
+            Some(Touched {
+                nodes: vec![bob, alice, carrier],
+                edges: vec![EdgeId(0), knows],
+            })
+        );
+        // A failed mutation and an edge property touch nothing.
+        assert!(!pg.remove_label(alice, "Nope"));
+        pg.set_edge_prop(knows, "until", Value::Year(2021));
+        assert_eq!(pg.drain_touched(), Some(Touched::default()));
+
+        // A clone keeps recording.
+        let mut copy = pg.clone();
+        assert!(copy.remove_node(carrier));
+        assert_eq!(copy.drain_touched().unwrap().nodes(), [carrier]);
+        assert_eq!(pg.drain_touched(), Some(Touched::default()));
     }
 
     #[test]

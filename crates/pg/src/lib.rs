@@ -35,9 +35,9 @@ pub mod value;
 pub mod yarspg;
 
 pub use compact::{CValue, CompactGraph};
-pub use conformance::{check, ConformanceReport, NonConformance};
+pub use conformance::{check, check_since, CheckScope, ConformanceReport, NonConformance};
 pub use ddl_parse::parse_ddl;
-pub use graph::{Edge, EdgeId, Node, NodeId, PropertyGraph, IRI_KEY, VALUE_KEY};
+pub use graph::{Edge, EdgeId, Node, NodeId, PropertyGraph, Touched, IRI_KEY, VALUE_KEY};
 pub use read::PgRead;
 pub use schema::{CountKey, EdgeType, NodeType, NodeTypeKind, PgSchema, PropertySpec};
 pub use stats::PgStats;

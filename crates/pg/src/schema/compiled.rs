@@ -12,8 +12,10 @@
 //! resolves to "cannot occur", which is exactly what a by-name lookup
 //! against the graph would have answered.
 //!
-//! The compiled form borrows nothing from the graph and is built per
-//! check; it is only meaningful for the interner it was compiled against.
+//! The compiled form borrows nothing from the schema or the graph. It is
+//! only meaningful for the schema revision and the interner it was
+//! compiled against; a conformance report keeps it so the next
+//! delta-scoped check can reuse it while neither has moved.
 
 use super::{CountKey, PgSchema};
 use crate::value::ContentType;
@@ -55,18 +57,20 @@ pub(crate) struct EdgeRule {
 }
 
 /// One PG-Key whose FOR type exists.
-pub(crate) struct CompiledKey<'a> {
-    pub key: &'a CountKey,
+pub(crate) struct CompiledKey {
+    pub key: CountKey,
+    /// `key` as failures name it.
+    pub text: String,
     pub for_type: u32,
     /// The FOR type's label: its postings are the candidate nodes.
-    pub for_label: &'a str,
+    pub for_label: String,
     /// `None` when no edge of the graph carries the key's label.
     pub edge_label: Option<Sym>,
     pub targets: TypeMask,
 }
 
 /// See the module documentation.
-pub(crate) struct CompiledSchema<'a> {
+pub(crate) struct CompiledSchema {
     /// Words per type set: `⌈|N_S| / 64⌉`.
     pub words: usize,
     /// Per node type: the effective specs a node must satisfy, or `None`
@@ -79,12 +83,12 @@ pub(crate) struct CompiledSchema<'a> {
     /// source type exists.
     rules_by_label: Vec<Vec<EdgeRule>>,
     /// PG-Keys in schema order, without those whose FOR type is unknown.
-    pub keys: Vec<CompiledKey<'a>>,
+    pub keys: Vec<CompiledKey>,
 }
 
-impl<'a> CompiledSchema<'a> {
+impl CompiledSchema {
     /// Resolve `schema` against `interner` (the graph's).
-    pub fn new(schema: &'a PgSchema, interner: &Interner) -> Self {
+    pub fn new(schema: &PgSchema, interner: &Interner) -> Self {
         let words = schema.node_types.len().div_ceil(64);
         let type_index = |name: &str| schema.node_by_name.get(name).map(|&i| i as u32);
         let mask_of = |names: &[String]| {
@@ -138,9 +142,10 @@ impl<'a> CompiledSchema<'a> {
             .filter_map(|key| {
                 let for_type = type_index(&key.for_type)?;
                 Some(CompiledKey {
-                    key,
+                    key: key.clone(),
+                    text: key.to_string(),
                     for_type,
-                    for_label: &schema.node_types[for_type as usize].label,
+                    for_label: schema.node_types[for_type as usize].label.clone(),
                     edge_label: interner.get(&key.edge_label),
                     targets: mask_of(&key.target_types),
                 })

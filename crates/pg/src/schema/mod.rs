@@ -15,7 +15,9 @@ pub use types::{EdgeType, NodeType, NodeTypeKind, PropertySpec};
 use s3pg_rdf::fxhash::FxHashMap;
 
 /// A complete PG schema.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Equality compares the schema's content only, not its [revision](Self::revision).
+#[derive(Debug, Clone, Default)]
 pub struct PgSchema {
     node_types: Vec<NodeType>,
     edge_types: Vec<EdgeType>,
@@ -23,6 +25,19 @@ pub struct PgSchema {
     node_by_name: FxHashMap<String, usize>,
     node_by_label: FxHashMap<String, usize>,
     edge_by_name: FxHashMap<String, usize>,
+    /// Bumped by every `&mut` accessor; see [`Self::revision`].
+    revision: u64,
+}
+
+impl PartialEq for PgSchema {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_types == other.node_types
+            && self.edge_types == other.edge_types
+            && self.keys == other.keys
+            && self.node_by_name == other.node_by_name
+            && self.node_by_label == other.node_by_label
+            && self.edge_by_name == other.edge_by_name
+    }
 }
 
 impl PgSchema {
@@ -31,8 +46,19 @@ impl PgSchema {
         Self::default()
     }
 
+    /// A counter every `&mut` accessor bumps, whether or not it changes
+    /// anything. A conformance report remembers the revision it was taken
+    /// at, so [`check_since`](crate::conformance::check_since) can tell
+    /// that the schema it is asked about is still the one the report
+    /// describes. Two schemas stepped through the same calls from one
+    /// clone have the same revision.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
     /// Add (or replace, by name) a node type.
     pub fn add_node_type(&mut self, nt: NodeType) {
+        self.revision += 1;
         if let Some(&i) = self.node_by_name.get(&nt.name) {
             self.node_by_label.remove(&self.node_types[i].label);
             self.node_by_label.insert(nt.label.clone(), i);
@@ -47,6 +73,7 @@ impl PgSchema {
 
     /// Add (or replace, by name) an edge type.
     pub fn add_edge_type(&mut self, et: EdgeType) {
+        self.revision += 1;
         if let Some(&i) = self.edge_by_name.get(&et.name) {
             self.edge_types[i] = et;
             return;
@@ -58,6 +85,7 @@ impl PgSchema {
 
     /// Add a PG-Key constraint.
     pub fn add_key(&mut self, key: CountKey) {
+        self.revision += 1;
         self.keys.push(key);
     }
 
@@ -78,6 +106,7 @@ impl PgSchema {
 
     /// Mutable access to PG-Keys (monotone updates widen cardinalities).
     pub fn keys_mut(&mut self) -> &mut Vec<CountKey> {
+        self.revision += 1;
         &mut self.keys
     }
 
@@ -88,6 +117,7 @@ impl PgSchema {
 
     /// Mutable lookup by name.
     pub fn node_type_mut(&mut self, name: &str) -> Option<&mut NodeType> {
+        self.revision += 1;
         self.node_by_name
             .get(name)
             .copied()
@@ -106,6 +136,7 @@ impl PgSchema {
 
     /// Mutable lookup of an edge type by name.
     pub fn edge_type_mut(&mut self, name: &str) -> Option<&mut EdgeType> {
+        self.revision += 1;
         self.edge_by_name
             .get(name)
             .copied()
@@ -258,6 +289,31 @@ mod tests {
         let s = sample();
         assert_eq!(s.keys().len(), 1);
         assert_eq!(s.keys()[0].edge_label, "advisedBy");
+    }
+
+    #[test]
+    fn every_mut_accessor_bumps_the_revision_and_equality_ignores_it() {
+        let mut s = sample();
+        let before = s.clone();
+        let mut r = s.revision();
+        let mut bumped = |s: &PgSchema| {
+            assert!(s.revision() > r);
+            r = s.revision();
+        };
+        s.node_type_mut("personType");
+        bumped(&s);
+        s.edge_type_mut("advisedByType");
+        bumped(&s);
+        s.keys_mut();
+        bumped(&s);
+        assert_eq!(s, before, "no content changed");
+        s.add_key(s.keys()[0].clone());
+        bumped(&s);
+        assert_ne!(s, before);
+        s.add_node_type(NodeType::entity("tType", "T", "http://ex/T"));
+        bumped(&s);
+        s.add_edge_type(s.edge_types()[0].clone());
+        bumped(&s);
     }
 
     #[test]

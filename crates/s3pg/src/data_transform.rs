@@ -36,7 +36,7 @@
 use crate::metrics::PipelineMetrics;
 use crate::mode::Mode;
 use crate::schema_transform::{ensure_entity_type, SchemaTransform, RESOURCE_LABEL, RESOURCE_TYPE};
-use s3pg_pg::{EdgeType, NodeId, PropertyGraph, Value, IRI_KEY};
+use s3pg_pg::{CountKey, EdgeType, NodeId, PropertyGraph, Value, IRI_KEY};
 use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::{vocab, Graph, Sym, Term};
 use std::borrow::Cow;
@@ -449,15 +449,23 @@ pub(crate) fn widen_edge_type(
     // Prefer an edge type already declared for any of the subject's types
     // (the common case: the schema transformation declared it on the shape
     // that owns the property); only declare a fresh one when none exists.
+    // The schema is borrowed mutably only to change it, so a widening that
+    // admits nothing new leaves its revision alone.
+    let schema = &transform.pg_schema;
     let existing = subject_types
         .iter()
         .map(|tn| format!("{label}_{tn}"))
-        .find(|name| transform.pg_schema.edge_type(name).is_some());
+        .find(|name| schema.edge_type(name).is_some());
     match existing {
         Some(name) => {
-            let et = transform.pg_schema.edge_type_mut(&name).unwrap();
-            for t in &targets {
-                et.add_target(t.clone());
+            if !targets
+                .iter()
+                .all(|t| schema.edge_type(&name).unwrap().allows_target(t))
+            {
+                let et = transform.pg_schema.edge_type_mut(&name).unwrap();
+                for t in &targets {
+                    et.add_target(t.clone());
+                }
             }
         }
         None => {
@@ -476,11 +484,18 @@ pub(crate) fn widen_edge_type(
     }
     // PG-Keys counting this edge label must admit the new target types too,
     // or previously valid nodes would spuriously violate their COUNT keys.
-    for key in transform.pg_schema.keys_mut() {
-        if key.edge_label == label && subject_types.contains(&key.for_type) {
-            for t in &targets {
-                if !key.target_types.contains(t) {
-                    key.target_types.push(t.clone());
+    let narrow = |key: &CountKey| {
+        key.edge_label == label
+            && subject_types.contains(&key.for_type)
+            && targets.iter().any(|t| !key.target_types.contains(t))
+    };
+    if transform.pg_schema.keys().iter().any(narrow) {
+        for key in transform.pg_schema.keys_mut() {
+            if narrow(key) {
+                for t in &targets {
+                    if !key.target_types.contains(t) {
+                        key.target_types.push(t.clone());
+                    }
                 }
             }
         }

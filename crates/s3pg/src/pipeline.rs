@@ -12,7 +12,7 @@
 //! mutating as deltas arrive — one-shot and incrementally-maintained
 //! outputs stay isomorphic.
 
-use crate::data_transform::{TransformCounters, TransformState};
+use crate::data_transform::{DataTransform, TransformCounters, TransformState};
 use crate::metrics::PipelineMetrics;
 use crate::mode::Mode;
 use crate::parallel::transform_data_with;
@@ -90,20 +90,7 @@ pub fn transform_with(
     mode: Mode,
     config: PipelineConfig,
 ) -> TransformOutput {
-    let mut metrics = PipelineMetrics::new(config.threads);
-
-    let t0 = Instant::now();
-    let mut schema = {
-        let _span = s3pg_obs::tracer().span_here("schema_transform");
-        transform_schema(shapes, mode)
-    };
-    let schema_time = t0.elapsed();
-    metrics.record("schema_transform", schema_time, 0, "");
-
-    let t1 = Instant::now();
-    let data = transform_data_with(graph, &mut schema, mode, config.threads, &mut metrics);
-    let data_time = t1.elapsed();
-
+    let (schema, data, timings, mut metrics) = transform_stages(graph, shapes, mode, config);
     let t2 = Instant::now();
     let conformance = {
         let _span = s3pg_obs::tracer().span_here("conformance");
@@ -122,12 +109,53 @@ pub fn transform_with(
         state: data.state,
         counters: data.counters,
         conformance,
-        timings: StageTimings {
-            schema_transform: schema_time,
-            data_transform: data_time,
-        },
+        timings,
         metrics,
     }
+}
+
+/// [`transform_with`] without its closing `PG ⊨ S_PG` check: for a caller
+/// that changes the graph further (a recovering server replaying its WAL
+/// tail) and checks once at the end.
+pub fn transform_unchecked(
+    graph: &Graph,
+    shapes: &ShapeSchema,
+    mode: Mode,
+    config: PipelineConfig,
+) -> (SchemaTransform, DataTransform) {
+    let (schema, data, ..) = transform_stages(graph, shapes, mode, config);
+    (schema, data)
+}
+
+/// `F_st` then `F_dt`, timed and traced.
+fn transform_stages(
+    graph: &Graph,
+    shapes: &ShapeSchema,
+    mode: Mode,
+    config: PipelineConfig,
+) -> (
+    SchemaTransform,
+    DataTransform,
+    StageTimings,
+    PipelineMetrics,
+) {
+    let mut metrics = PipelineMetrics::new(config.threads);
+
+    let t0 = Instant::now();
+    let mut schema = {
+        let _span = s3pg_obs::tracer().span_here("schema_transform");
+        transform_schema(shapes, mode)
+    };
+    let schema_time = t0.elapsed();
+    metrics.record("schema_transform", schema_time, 0, "");
+
+    let t1 = Instant::now();
+    let data = transform_data_with(graph, &mut schema, mode, config.threads, &mut metrics);
+    let timings = StageTimings {
+        schema_transform: schema_time,
+        data_transform: t1.elapsed(),
+    };
+    (schema, data, timings, metrics)
 }
 
 /// Simulate the loading stage: CSV bulk export + indexed re-ingest.

@@ -219,7 +219,7 @@ pub fn start(options: &Options) -> Result<(ServerHandle, String), String> {
         snapshot.pg.node_count(),
         snapshot.pg.edge_count(),
         options.mode.name(),
-        if snapshot.conforms { "⊨" } else { "⊭" },
+        if snapshot.conforms() { "⊨" } else { "⊭" },
     );
     for line in &recovered.report {
         report.push('\n');

@@ -14,13 +14,16 @@
 //! 3. **Adopt** — when the tail was empty the checkpoint's `compact.bin`
 //!    is served as-is, skipping the startup freeze.
 //!
+//! `PG ⊨ S_PG` is checked once per boot: by the transform when nothing
+//! replays on top of it, else after the replay.
+//!
 //! The recovered store ends at exactly the state of the pre-crash store
 //! at its last *committed* (fsynced) record — the crash-recovery
 //! differential test in `tests/durability.rs` checks this equivalence
 //! against a never-killed reference, record for record.
 
 use crate::store::{boot_step, GraphStore, StoreParts};
-use s3pg::pipeline::{transform_with, PipelineConfig};
+use s3pg::pipeline::{transform_unchecked, transform_with, PipelineConfig};
 use s3pg::Mode;
 use s3pg_obs::{tracer, Registry};
 use s3pg_rdf::parser::parse_ntriples_parallel;
@@ -64,27 +67,38 @@ fn load_shapes(config: &RecoveryConfig, base: &Graph) -> Result<ShapeSchema, Str
     }
 }
 
-/// The `transform` step of a boot: the shapes, then the whole pipeline.
+/// The `transform` step of a boot: the shapes, then the whole pipeline —
+/// without its closing check when a WAL tail will change the graph first
+/// (`from_parts` checks after the replay instead).
 fn transform(
     config: &RecoveryConfig,
     registry: &Registry,
     rdf: Graph,
+    tail_follows: bool,
 ) -> Result<StoreParts, String> {
     boot_step(registry, "transform", || {
         let shapes = load_shapes(config, &rdf)?;
-        let out = transform_with(
-            &rdf,
-            &shapes,
-            config.mode,
-            PipelineConfig {
-                threads: config.threads,
-            },
-        );
-        Ok(StoreParts {
-            rdf,
-            pg: out.pg,
-            schema: out.schema,
-            state: out.state,
+        let pipeline = PipelineConfig {
+            threads: config.threads,
+        };
+        Ok(if tail_follows {
+            let (schema, data) = transform_unchecked(&rdf, &shapes, config.mode, pipeline);
+            StoreParts {
+                rdf,
+                pg: data.pg,
+                schema,
+                state: data.state,
+                conformance: None,
+            }
+        } else {
+            let out = transform_with(&rdf, &shapes, config.mode, pipeline);
+            StoreParts {
+                rdf,
+                pg: out.pg,
+                schema: out.schema,
+                state: out.state,
+                conformance: Some(out.conformance),
+            }
         })
     })
 }
@@ -102,7 +116,7 @@ pub fn recover(config: &RecoveryConfig, registry: Arc<Registry>) -> Result<Recov
         let base = boot_step(&registry, "parse", || {
             s3pg::cli::load_graph_with(&config.data, config.threads)
         })?;
-        let parts = transform(config, &registry, base)?;
+        let parts = transform(config, &registry, base, false)?;
         return Ok(RecoveredStore {
             store: Arc::new(GraphStore::from_parts(parts, registry, None, 0, None)),
             report: vec![
@@ -153,8 +167,6 @@ fn recover_durable(
         }
     };
 
-    let mut parts = transform(config, &registry, base)?;
-
     let (wal, recovered) = Wal::open(wal_dir, config.wal_options, &registry)
         .map_err(|e| format!("cannot open WAL in {}: {e}", wal_dir.display()))?;
     if recovered.truncated_bytes > 0 {
@@ -197,6 +209,7 @@ fn recover_durable(
     }
     let applied_seq = tail.last().map(|r| r.seq).unwrap_or(base_seq);
 
+    let mut parts = transform(config, &registry, base, !tail.is_empty())?;
     let outcome = boot_step(&registry, "replay", || {
         s3pg::incremental::replay_deltas(
             &mut parts.rdf,

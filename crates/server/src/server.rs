@@ -1151,8 +1151,8 @@ fn dispatch(request: &Request, shared: &Shared, form: &mut Option<&'static str>)
                 nodes: snap.pg.node_count() as u64,
                 edges: snap.pg.edge_count() as u64,
                 triples: snap.rdf.len() as u64,
-                conforms: snap.conforms,
-                mem_bytes: snap.mem_bytes,
+                conforms: snap.conforms(),
+                mem_bytes: snap.mem_bytes(),
             }
         }
         Request::Replicate { from, max } => match store.wal() {

@@ -39,15 +39,26 @@
 //! It never waits for a reader. A superseded snapshot is freed by whoever
 //! drops its last `Arc`; on the reuse path no graph is freed at all.
 //!
-//! What an update still pays per |G| under the writer lock, at 37k triples
-//! (EXPERIMENTS.md, "Left-right publication"): the whole-graph
-//! `PG ⊨ S_PG` check ≈ 2 ms and the size walk behind the memory gauges
-//! ≈ 1.7 ms; obtaining the writable side is ≈ 0.3 ms reused and, cloned,
-//! ≈ 10 ms in a warm loop but 20–30 ms into freshly mapped memory in a
-//! live server. The background re-freeze adds ≈ 20 ms off the lock. The server
-//! reports the steps as `s3pg_update_conformance_microseconds` and
-//! `s3pg_update_clone_microseconds` (the latter times "obtain a writable
-//! side", whichever way).
+//! ## What an update pays
+//!
+//! Under the writer lock an update is O(|Δ|) on the reuse path: catching
+//! the standby up and applying the delta touch what the two deltas touch,
+//! and the check is [`conformance::check_since`] — every snapshot keeps its
+//! report, and the side's graph records what its two deltas changed, so
+//! only those elements are re-decided (EXPERIMENTS.md, "An O(|Δ|)
+//! acknowledged update"). The whole-graph check runs only when an update
+//! widened the schema or the side has no record of its changes, counted as
+//! `s3pg_conformance_checks_total{scope="full"}` against `scope="delta"`.
+//! The one O(|G|) step left on the lock is the fallback copy: ≈ 10 ms in
+//! a warm loop at 37k triples, 20–30 ms into freshly mapped memory in a
+//! live server. Off the lock, the `s3pg-freeze` thread re-freezes the
+//! snapshot (≈ 10 ms, `s3pg_compaction_wall_microseconds`) and walks it
+//! for the memory gauges; the fsync that acknowledges the update waits
+//! for company only when writers are arriving together (see
+//! `s3pg_wal::log`). The server reports the steps as
+//! `s3pg_update_clone_microseconds` ("obtain a writable side", whichever
+//! way), `s3pg_update_conformance_microseconds` and
+//! `s3pg_update_commit_microseconds`.
 //!
 //! ## Background compaction
 //!
@@ -75,7 +86,7 @@ use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::schema_transform::SchemaTransform;
 use s3pg::{Mode, S3pgError};
 use s3pg_obs::{tracer, Registry};
-use s3pg_pg::conformance;
+use s3pg_pg::conformance::{self, ConformanceReport};
 use s3pg_pg::{CompactGraph, PropertyGraph};
 use s3pg_rdf::serializer::to_ntriples;
 use s3pg_rdf::Graph;
@@ -92,11 +103,9 @@ pub struct Snapshot {
     pub rdf: Graph,
     /// The transformed property graph (Cypher endpoint reads this).
     pub pg: PropertyGraph,
-    /// Whether `PG ⊨ S_PG` held when this snapshot was published.
-    pub conforms: bool,
-    /// Estimated resident footprint of this snapshot in bytes (deep size
-    /// of the RDF store plus the PG store, including index capacity).
-    pub mem_bytes: u64,
+    /// `PG ⊨ S_PG` for this snapshot: the failures, if any. The next
+    /// update's delta-scoped check starts from it.
+    pub conformance: ConformanceReport,
     /// Monotone publication counter: 0 for the startup snapshot, +1 per
     /// applied update. The server's plan cache tags each cached query plan
     /// with the epoch it was computed against; an epoch mismatch means the
@@ -111,6 +120,8 @@ pub struct Snapshot {
     /// startup snapshot). Empty only in the window between an update's
     /// publication and its compaction finishing.
     compact: OnceLock<Arc<CompactGraph>>,
+    /// [`Snapshot::mem_bytes`], walked once on first use.
+    mem_bytes: OnceLock<u64>,
     /// What a writer needs to apply the next delta to this snapshot once it
     /// is the standby (see the module docs); readers never look at these.
     schema: SchemaTransform,
@@ -121,6 +132,21 @@ impl Snapshot {
     /// The compact form, once background compaction has landed it.
     pub fn compact(&self) -> Option<&Arc<CompactGraph>> {
         self.compact.get()
+    }
+
+    /// Whether `PG ⊨ S_PG` held when this snapshot was published.
+    pub fn conforms(&self) -> bool {
+        self.conformance.conforms()
+    }
+
+    /// Estimated resident footprint of this snapshot in bytes (deep size
+    /// of the RDF store plus the PG store, including index capacity). The
+    /// walk runs once, normally on the freeze thread that sets the memory
+    /// gauges.
+    pub fn mem_bytes(&self) -> u64 {
+        *self
+            .mem_bytes
+            .get_or_init(|| (self.rdf.deep_size_bytes() + self.pg.deep_size_bytes()) as u64)
     }
 }
 
@@ -178,6 +204,10 @@ pub struct StoreParts {
     pub pg: PropertyGraph,
     pub schema: SchemaTransform,
     pub state: TransformState,
+    /// `PG ⊨ S_PG` for exactly this state, when the caller already checked
+    /// it (a transform's own report); `from_parts` checks when `None`. A
+    /// writer's side carries `None`.
+    pub conformance: Option<ConformanceReport>,
 }
 
 impl StoreParts {
@@ -221,12 +251,12 @@ fn timed_step<T>(
     out
 }
 
-/// Build a snapshot and publish its memory/size gauges to `registry`.
-/// `nonconforming` is the number of failures `PG ⊨ S_PG` reported.
+/// Build a snapshot and publish its size and conformance gauges to
+/// `registry` (the memory gauges are [`memory_gauges`], off the lock).
 fn publish(
     registry: &Registry,
     parts: StoreParts,
-    nonconforming: usize,
+    conformance: ConformanceReport,
     epoch: u64,
     seq: u64,
 ) -> Arc<Snapshot> {
@@ -235,18 +265,9 @@ fn publish(
         pg,
         schema,
         state,
+        ..
     } = parts;
-    let conforms = nonconforming == 0;
-    let rdf_bytes = rdf.deep_size_bytes() as u64;
-    let pg_bytes = pg.deep_size_bytes() as u64;
-    registry.gauge("s3pg_mem_rdf_bytes").set_u64(rdf_bytes);
-    registry.gauge("s3pg_mem_pg_bytes").set_u64(pg_bytes);
-    registry
-        .gauge("s3pg_mem_pg_prop_index_bytes")
-        .set_u64(pg.prop_index_size_bytes() as u64);
-    registry
-        .gauge("s3pg_mem_total_bytes")
-        .set_u64(rdf_bytes + pg_bytes);
+    let conforms = conformance.conforms();
     registry
         .gauge("s3pg_snapshot_triples")
         .set_u64(rdf.len() as u64);
@@ -261,19 +282,35 @@ fn publish(
         .set_u64(u64::from(conforms));
     registry
         .gauge("s3pg_snapshot_nonconforming_elements")
-        .set_u64(nonconforming as u64);
+        .set_u64(conformance.failures.len() as u64);
     registry.gauge("s3pg_applied_seq").set_u64(seq);
     Arc::new(Snapshot {
         rdf,
         pg,
-        conforms,
-        mem_bytes: rdf_bytes + pg_bytes,
+        conformance,
         epoch,
         seq,
         compact: OnceLock::new(),
+        mem_bytes: OnceLock::new(),
         schema,
         state,
     })
+}
+
+/// Walk `snap` for the memory gauges (and its [`Snapshot::mem_bytes`]).
+/// O(|G|): the freeze thread runs it, never the writer.
+fn memory_gauges(registry: &Registry, snap: &Snapshot) {
+    let rdf_bytes = snap.rdf.deep_size_bytes() as u64;
+    let pg_bytes = snap.pg.deep_size_bytes() as u64;
+    let _ = snap.mem_bytes.set(rdf_bytes + pg_bytes);
+    registry.gauge("s3pg_mem_rdf_bytes").set_u64(rdf_bytes);
+    registry.gauge("s3pg_mem_pg_bytes").set_u64(pg_bytes);
+    registry
+        .gauge("s3pg_mem_pg_prop_index_bytes")
+        .set_u64(snap.pg.prop_index_size_bytes() as u64);
+    registry
+        .gauge("s3pg_mem_total_bytes")
+        .set_u64(rdf_bytes + pg_bytes);
 }
 
 /// Freeze `snap.pg` into its compact form, publish the compaction gauges,
@@ -297,6 +334,11 @@ fn compact_into(registry: &Registry, snap: &Snapshot) {
     // `set` can only lose a race against another compaction of the same
     // snapshot, which `apply_update` never spawns; ignore the result.
     let _ = snap.compact.set(compact);
+}
+
+/// The update-path check counter for one [`conformance::CheckScope`].
+fn checks_total(scope: &str) -> String {
+    format!("s3pg_conformance_checks_total{{scope=\"{scope}\"}}")
 }
 
 /// Run one step of a cold start or recovery as a child of the open `boot`
@@ -325,6 +367,7 @@ impl GraphStore {
                 pg: out.pg,
                 schema: out.schema,
                 state: out.state,
+                conformance: Some(out.conformance),
             },
             Arc::new(Registry::new()),
             None,
@@ -334,22 +377,32 @@ impl GraphStore {
     }
 
     /// Serve an already-built graph — the recovery path's constructor;
-    /// `parts` is published as it stands, not copied. `applied_seq` is the
+    /// `parts` is published as it stands, not copied, and checked unless it
+    /// carries its report. From here on its graph records what each update
+    /// touches. `applied_seq` is the
     /// newest WAL sequence number folded into `parts` (0 for a fresh
     /// graph); `prebuilt_compact` short-cuts the synchronous startup freeze
     /// when a checkpoint supplied a frozen form that is still exact (no WAL
     /// tail was replayed on top of it).
     pub fn from_parts(
-        parts: StoreParts,
+        mut parts: StoreParts,
         registry: Arc<Registry>,
         wal: Option<Arc<Wal>>,
         applied_seq: u64,
         prebuilt_compact: Option<Arc<CompactGraph>>,
     ) -> GraphStore {
-        let nonconforming = conformance::check(&parts.pg, &parts.schema.pg_schema)
-            .failures
-            .len();
-        let snapshot = publish(&registry, parts, nonconforming, 0, applied_seq);
+        let conformance = match parts.conformance.take() {
+            Some(report) => report,
+            None => conformance::check(&parts.pg, &parts.schema.pg_schema),
+        };
+        // Turn change recording on: the first update's check is then
+        // delta-scoped too, on either path to a side.
+        parts.pg.drain_touched();
+        for scope in ["delta", "full"] {
+            registry.counter(&checks_total(scope));
+        }
+        let snapshot = publish(&registry, parts, conformance, 0, applied_seq);
+        memory_gauges(&registry, &snapshot);
         // The startup graph is served compact from request 1: adopt the
         // checkpoint's frozen form when exact, else freeze synchronously.
         boot_step(&registry, "freeze", || match prebuilt_compact {
@@ -415,7 +468,13 @@ impl GraphStore {
             // Durability gate, outside the writer lock. A failed fsync
             // means the ack cannot be honoured — fail stop rather than
             // acknowledge a write the log may not replay.
-            if let Err(e) = wal.commit(seq) {
+            let committed = timed_step(
+                &self.registry,
+                "update_commit",
+                "s3pg_update_commit_microseconds",
+                || wal.commit(seq),
+            );
+            if let Err(e) = committed {
                 fail_stop(&format!(
                     "WAL commit failed, cannot acknowledge update: {e}"
                 ));
@@ -447,13 +506,16 @@ impl GraphStore {
         // Validate before anything is locked or touched.
         let (add_graph, del_graph) = parse_delta(additions, deletions)?;
         let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        // Under the writer lock the live snapshot is the state before this
+        // update; its report is where the check starts.
+        let live = self.snapshot();
         // The three steps an update holds the writer lock for are spans
         // under the request's `execute` span: clone, apply, conformance.
         let (mut side, stale_compact) = timed_step(
             &self.registry,
             "update_clone",
             "s3pg_update_clone_microseconds",
-            || self.writable_side(writer.take()),
+            || self.writable_side(writer.take(), &live),
         );
         let apply_span = s3pg_obs::tracer().span_here("update_apply");
         let outcome = side.apply(&add_graph, &del_graph);
@@ -483,12 +545,24 @@ impl GraphStore {
             self.applied_seq.store(seq, Ordering::SeqCst);
         }
 
-        let conformance = timed_step(
+        // The side's record holds the caught-up missed delta and this one:
+        // everything that differs from the live snapshot.
+        let touched = side.pg.drain_touched();
+        let (conformance, scope) = timed_step(
             &self.registry,
             "update_conformance",
             "s3pg_update_conformance_microseconds",
-            || conformance::check(&side.pg, &side.schema.pg_schema),
+            || {
+                conformance::check_since(
+                    &side.pg,
+                    &side.schema.pg_schema,
+                    &live.conformance,
+                    touched.as_ref(),
+                )
+            },
         );
+        drop(live);
+        self.registry.counter(&checks_total(scope.as_str())).inc();
         let summary = UpdateSummary {
             added_nodes: outcome.counters.entity_nodes as u64
                 + outcome.counters.carrier_nodes as u64,
@@ -502,7 +576,7 @@ impl GraphStore {
         let next = publish(
             &self.registry,
             side,
-            conformance.failures.len(),
+            conformance,
             self.epoch.fetch_add(1, Ordering::SeqCst),
             visible_seq.unwrap_or(0),
         );
@@ -536,6 +610,7 @@ impl GraphStore {
                 };
                 if still_current {
                     compact_into(&registry, &next);
+                    memory_gauges(&registry, &next);
                 }
             });
         if let Err(e) = spawned {
@@ -555,7 +630,11 @@ impl GraphStore {
     /// the standby caught up with the delta it missed when nothing else
     /// holds it, else a deep copy of the live snapshot. Call under the
     /// writer lock.
-    fn writable_side(&self, standby: Option<Standby>) -> (StoreParts, Option<Arc<CompactGraph>>) {
+    fn writable_side(
+        &self,
+        standby: Option<Standby>,
+        live: &Snapshot,
+    ) -> (StoreParts, Option<Arc<CompactGraph>>) {
         if let Some(Standby { snapshot, missed }) = standby {
             if let Ok(snapshot) = Arc::try_unwrap(snapshot) {
                 let Snapshot {
@@ -571,6 +650,7 @@ impl GraphStore {
                     pg,
                     schema,
                     state,
+                    conformance: None,
                 };
                 side.apply(&missed.0, &missed.1);
                 self.registry
@@ -579,7 +659,6 @@ impl GraphStore {
                 return (side, compact.into_inner());
             }
         }
-        let live = self.snapshot();
         self.registry
             .counter("s3pg_update_side_total{outcome=\"cloned\"}")
             .inc();
@@ -588,6 +667,7 @@ impl GraphStore {
             pg: live.pg.clone(),
             schema: live.schema.clone(),
             state: live.state.clone(),
+            conformance: None,
         };
         (side, None)
     }
@@ -696,7 +776,7 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.pg.node_count(), 2);
         assert_eq!(snap.rdf.len(), 5);
-        assert!(snap.conforms);
+        assert!(snap.conforms());
     }
 
     #[test]
@@ -749,7 +829,7 @@ mod tests {
     fn snapshot_reports_memory_and_gauges() {
         let store = store();
         let before = store.snapshot();
-        assert!(before.mem_bytes > 0);
+        assert!(before.mem_bytes() > 0);
         let text = store.registry().expose();
         for family in [
             "s3pg_mem_rdf_bytes",
@@ -769,7 +849,7 @@ mod tests {
             )
             .unwrap();
         let after = store.snapshot();
-        assert!(after.mem_bytes >= before.mem_bytes);
+        assert!(after.mem_bytes() >= before.mem_bytes());
         assert_eq!(
             store.registry().counter("s3pg_updates_applied_total").get(),
             1
@@ -851,6 +931,6 @@ mod tests {
         });
         let snap = store.snapshot();
         assert_eq!(snap.pg.node_count(), 2 + writers * updates_each);
-        assert!(snap.conforms);
+        assert!(snap.conforms());
     }
 }

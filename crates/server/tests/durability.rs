@@ -439,9 +439,11 @@ fn clean_shutdown_leaves_no_tail_to_lose() {
     let wal = dir.join("wal");
     let wal_arg = wal.to_str().unwrap();
 
-    // A long dally window (the ack itself waits it out): without the
-    // shutdown flush, a write whose group-commit window was still open at
-    // exit could be lost by a clean shutdown.
+    // A long dally window. A lone write no longer waits it out (its flush
+    // is not a batch, so the leader does not dally), and the acknowledged
+    // record is durable either way; what this pins is that a clean
+    // shutdown flushes the tail too, so recovery sees every record at
+    // once, durable watermark included.
     let mut server = Server::spawn(&["--data", data, "--wal-dir", wal_arg, "--fsync-ms", "1500"]);
     let mut client = server.client();
     client

@@ -8,13 +8,15 @@
 //! Snapshots are compared by fingerprint: the source graph as N-Triples
 //! (insertion order) and the PG frozen and serialized with
 //! `CompactGraph::write_to` — equal fingerprints mean equal down to node
-//! ids and dictionary order.
+//! ids and dictionary order. Every published `PG ⊨ S_PG` verdict, which
+//! the store derives from the previous one and what changed, must also be
+//! what a fresh whole-graph check of the reference says.
 
 use s3pg::incremental::parse_delta;
 use s3pg::pipeline::{transform_with, PipelineConfig};
 use s3pg::Mode;
 use s3pg_obs::Registry;
-use s3pg_pg::PropertyGraph;
+use s3pg_pg::{conformance, PropertyGraph};
 use s3pg_query::{cypher, sparql};
 use s3pg_rdf::parser::{parse_ntriples, parse_turtle};
 use s3pg_rdf::rng::XorShiftRng;
@@ -53,6 +55,27 @@ impl Reference {
         let (rdf, pg) = (self.0.rdf.clone(), self.0.pg.clone());
         fingerprint(&rdf, &pg)
     }
+
+    /// The published report, `conforms` and nonconforming-elements gauge
+    /// against a fresh `check` of the reference's state.
+    fn assert_verdict_published(&self, store: &GraphStore, context: &str) {
+        let fresh = conformance::check(&self.0.pg, &self.0.schema.pg_schema);
+        let snap = store.snapshot();
+        assert_eq!(
+            format!("{:?}", snap.conformance),
+            format!("{fresh:?}"),
+            "{context}: published report differs from a fresh check"
+        );
+        assert_eq!(snap.conforms(), fresh.conforms(), "{context}: conforms");
+        assert_eq!(
+            store
+                .registry()
+                .gauge("s3pg_snapshot_nonconforming_elements")
+                .get(),
+            fresh.failures.len() as f64,
+            "{context}: s3pg_snapshot_nonconforming_elements"
+        );
+    }
 }
 
 /// A store and a reference over equal copies of `F_dt(rdf)`.
@@ -63,12 +86,14 @@ fn store_and_reference(rdf: Graph, shapes: &ShapeSchema, mode: Mode) -> (GraphSt
         pg: out.pg.clone(),
         schema: out.schema.clone(),
         state: out.state.clone(),
+        conformance: None,
     });
     let parts = StoreParts {
         rdf,
         pg: out.pg,
         schema: out.schema,
         state: out.state,
+        conformance: Some(out.conformance),
     };
     let store = GraphStore::from_parts(parts, Arc::new(Registry::new()), None, 0, None);
     (store, reference)
@@ -149,6 +174,7 @@ fn assert_left_right_equals_sequential(mode: Mode, graph_seed: u64, rng_seed: u6
             live == reference.apply(&additions, &deletions),
             "{context}: delta {i}: published snapshot differs from sequential apply + clone"
         );
+        reference.assert_verdict_published(&store, &format!("{context}: delta {i}"));
         applied_lines.extend(additions.lines().map(str::to_string));
         settle(&store, &context);
 
@@ -161,6 +187,7 @@ fn assert_left_right_equals_sequential(mode: Mode, graph_seed: u64, rng_seed: u6
                 published(&store) == live,
                 "{context}: after delta {i}: caught-up standby differs from the live side"
             );
+            reference.assert_verdict_published(&store, &format!("{context}: after delta {i}"));
             settle(&store, &context);
         }
     }
@@ -177,6 +204,26 @@ fn assert_left_right_equals_sequential(mode: Mode, graph_seed: u64, rng_seed: u6
         side_counts(&store),
         (updates - 1, 1),
         "{context}: (reused, cloned) over {updates} updates"
+    );
+    let checks = |scope: &str| {
+        store
+            .registry()
+            .counter(&format!(
+                "s3pg_conformance_checks_total{{scope=\"{scope}\"}}"
+            ))
+            .get()
+    };
+    assert_eq!(
+        checks("delta") + checks("full"),
+        updates,
+        "{context}: one check per update"
+    );
+    // Only a delta that widened the schema takes the whole-graph check.
+    assert!(
+        checks("delta") > checks("full"),
+        "{context}: {} delta-scoped checks, {} full",
+        checks("delta"),
+        checks("full")
     );
 }
 
@@ -257,6 +304,7 @@ fn a_pinned_snapshot_never_changes_and_forces_the_copy() {
             fingerprint(&snap.rdf, &snap.pg) == expected,
             "round {round}: published snapshot differs from the reference"
         );
+        reference.assert_verdict_published(&store, &format!("round {round}"));
         assert_eq!(
             answers(&snap.rdf, &snap.pg),
             answers(&reference.0.rdf, &reference.0.pg),
@@ -311,6 +359,7 @@ fn a_malformed_delta_after_a_catch_up_changes_nothing() {
     assert_eq!((summary.added_nodes, summary.removed), (1, 1));
     assert!(summary.conforms);
     assert!(published(&store) == reference.apply(&delta, deletions));
+    reference.assert_verdict_published(&store, "after m3");
     assert_eq!(side_counts(&store), (2, 1), "(reused, cloned)");
     let snap = store.snapshot();
     assert_eq!(
@@ -374,7 +423,7 @@ fn concurrent_writers_and_readers_see_only_whole_updates() {
     let snap = store.snapshot();
     assert_eq!(snap.epoch, updates);
     assert_eq!(snap.pg.node_count(), BASE_NODES + updates as usize);
-    assert!(snap.conforms);
+    assert!(snap.conforms());
     let (reused, cloned) = side_counts(&store);
     assert_eq!(
         reused + cloned,

@@ -15,14 +15,18 @@
 //! Appends buffer the frame into the segment file under a short internal
 //! lock and return immediately; durability comes from [`Wal::commit`],
 //! which callers invoke *outside* any store-wide write lock. The first
-//! committer to arrive becomes the **leader**: it optionally dallies
-//! [`WalOptions::fsync_ms`] to let more appends accumulate (skipping the
-//! dally once [`WalOptions::fsync_batch`] records are pending), issues a
-//! single `fdatasync` covering every record appended so far, advances the
-//! durable watermark, and wakes the **followers** — committers that
-//! arrived while the leader was flushing and merely wait for the
-//! watermark to pass their sequence number. One disk flush thus pays for
-//! a whole batch of acknowledgements.
+//! committer to arrive becomes the **leader**: when the previous flush
+//! covered more than one record — writers are arriving together — it
+//! dallies [`WalOptions::fsync_ms`] to let more appends accumulate
+//! (skipping the dally once [`WalOptions::fsync_batch`] records are
+//! pending); it then issues a single `fdatasync` covering every record
+//! appended so far, advances the durable watermark, and wakes the
+//! **followers** — committers that arrived while the leader was flushing
+//! and merely wait for the watermark to pass their sequence number. One
+//! disk flush thus pays for a whole batch of acknowledgements, and a lone
+//! writer, whose flushes each cover its own record, never waits for
+//! company that is not coming. Records appended during a flush make the
+//! next flush a batch, so concurrent writers switch the dally back on.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -41,8 +45,9 @@ use crate::record::{decode_all, DecodeError, Record};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalOptions {
     /// How long a group-commit leader dallies for followers before
-    /// flushing, in milliseconds. `0` flushes immediately (every commit
-    /// may still batch whatever appended concurrently).
+    /// flushing, in milliseconds, when the previous flush covered more
+    /// than one record. `0` flushes immediately (every commit may still
+    /// batch whatever appended concurrently).
     pub fsync_ms: u64,
     /// Flush without dallying once this many records are pending.
     pub fsync_batch: u64,
@@ -120,6 +125,9 @@ struct SyncState {
     durable_seq: u64,
     /// Whether a leader is currently flushing.
     leader_active: bool,
+    /// Records the previous flush covered: a leader dallies only after a
+    /// flush of more than one.
+    last_batch: u64,
     /// Set when a group-commit fsync fails, and never cleared: every
     /// later commit and replication read fails with
     /// [`WalError::Poisoned`] instead of re-flushing a file whose error
@@ -314,6 +322,7 @@ impl Wal {
             sync: Mutex::new(SyncState {
                 durable_seq: last_seq,
                 leader_active: false,
+                last_batch: 0,
                 poisoned: None,
             }),
             synced: Condvar::new(),
@@ -404,10 +413,11 @@ impl Wal {
             sync = self.synced.wait(sync).unwrap();
         }
         sync.leader_active = true;
+        let dally = self.opts.fsync_ms > 0 && sync.last_batch > 1;
         drop(sync);
 
         // Dally for followers unless a full batch is already pending.
-        if self.opts.fsync_ms > 0 {
+        if dally {
             let deadline = Instant::now() + Duration::from_millis(self.opts.fsync_ms);
             loop {
                 let pending = {
@@ -438,6 +448,7 @@ impl Wal {
             (Ok(()), flushed_seq) => {
                 let batch = flushed_seq.saturating_sub(sync.durable_seq);
                 sync.durable_seq = flushed_seq;
+                sync.last_batch = batch;
                 self.metrics.fsyncs.inc();
                 self.metrics.batch.record_micros(batch);
                 self.metrics.durable_seq.set_u64(flushed_seq);
@@ -789,14 +800,19 @@ mod tests {
         )
         .unwrap();
         let wal = Arc::new(wal);
+        // Every round, all eight writers append before any commits, so
+        // whichever commit leads flushes the whole round: the batching
+        // does not depend on how the threads happen to be scheduled.
+        let round = Arc::new(std::sync::Barrier::new(8));
         let threads: Vec<_> = (0..8)
             .map(|t| {
-                let wal = Arc::clone(&wal);
+                let (wal, round) = (Arc::clone(&wal), Arc::clone(&round));
                 std::thread::spawn(move || {
                     for i in 0..16 {
                         let seq = wal
                             .append(&format!("<http://ex/t{t}i{i}> <http://ex/p> \"x\" .\n"), "")
                             .unwrap();
+                        round.wait();
                         wal.commit(seq).unwrap();
                     }
                 })
@@ -807,11 +823,54 @@ mod tests {
         }
         assert_eq!(wal.durable_seq(), 8 * 16);
         let fsyncs = registry.counter("s3pg_wal_fsyncs_total").get();
-        assert!(fsyncs >= 1);
         assert!(
-            fsyncs < 8 * 16,
-            "group commit should batch: {fsyncs} fsyncs for 128 commits"
+            (1..=16).contains(&fsyncs),
+            "group commit should batch each round: {fsyncs} fsyncs for 128 commits"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lone_writer_does_not_wait_out_the_dally() {
+        let dir = tmpdir("lone");
+        let registry = Registry::new();
+        let (wal, _) = Wal::open(
+            &dir,
+            WalOptions {
+                fsync_ms: 1500,
+                fsync_batch: 64,
+                segment_bytes: 64 << 20,
+            },
+            &registry,
+        )
+        .unwrap();
+        for i in 1..=3u64 {
+            let seq = wal
+                .append(&format!("<http://ex/n{i}> <http://ex/p> \"{i}\" .\n"), "")
+                .unwrap();
+            let started = Instant::now();
+            wal.commit(seq).unwrap();
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_millis(500),
+                "commit {i} of a lone writer took {waited:?} under a 1500 ms dally"
+            );
+        }
+        assert_eq!(registry.counter("s3pg_wal_fsyncs_total").get(), 3);
+
+        // Two records in one flush: the next leader expects company.
+        wal.append("<http://ex/a> <http://ex/p> \"a\" .\n", "")
+            .unwrap();
+        let seq = wal
+            .append("<http://ex/b> <http://ex/p> \"b\" .\n", "")
+            .unwrap();
+        wal.commit(seq).unwrap();
+        let seq = wal
+            .append("<http://ex/c> <http://ex/p> \"c\" .\n", "")
+            .unwrap();
+        let started = Instant::now();
+        wal.commit(seq).unwrap();
+        assert!(started.elapsed() >= Duration::from_millis(1500));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -67,6 +67,16 @@ done
 STATUS=$(request "$ADDR" '{"op":"wal"}')
 echo "pre-crash wal status: $STATUS"
 echo "$STATUS" | grep -q '"durable_seq":10' || { echo "acks outran durability"; exit 1; }
+# One PG ⊨ S_PG check per update. The untyped deltas may widen the schema,
+# which takes the whole-graph check, so only the sum of the two scopes is
+# fixed.
+CHECKS=$(request "$ADDR" '{"op":"metrics"}' | python3 -c '
+import json, sys
+text = json.load(sys.stdin)["exposition"]
+print(int(sum(float(line.rsplit(" ", 1)[1]) for line in text.splitlines()
+              if line.startswith("s3pg_conformance_checks_total{"))))')
+echo "update-path conformance checks: $CHECKS"
+[ "$CHECKS" = 10 ] || { echo "expected 10 update-path conformance checks, saw $CHECKS"; exit 1; }
 
 echo "== SIGKILL the primary (simulated crash) =="
 kill -9 "$PRIMARY_PID"

@@ -9,24 +9,32 @@
 //! deletions tombstoned nodes and edges and removed labels, and after a
 //! delta widened the schema.
 //!
+//! `check_since`, the delta-scoped check, is held to `check` the same way:
+//! byte-identical reports after every delta of random entity batchings,
+//! with deletions, forward-reference repairs, tombstones, a schema-widening
+//! delta, hub edges and every planted-violation kind applied as a delta.
+//!
 //! Randomness is the in-tree xorshift; every assertion message carries the
 //! seed that reproduces it.
 
 use s3pg::incremental::{apply_deletions, apply_ntriples_delta};
 use s3pg::pipeline::{transform, TransformOutput};
+use s3pg::schema_transform::SchemaTransform;
 use s3pg::Mode;
 use s3pg_pg::conformance::{
-    self, edge_conforms_any, node_conforms, ConformanceReport, NonConformance,
+    self, edge_conforms_any, node_conforms, CheckScope, ConformanceReport, NonConformance,
 };
 use s3pg_pg::{
-    ContentType, EdgeId, NodeId, NodeType, PgSchema, PropertyGraph, PropertySpec, Value,
+    ContentType, EdgeId, NodeId, NodeType, PgSchema, PropertyGraph, PropertySpec, Value, IRI_KEY,
 };
 use s3pg_rdf::rng::XorShiftRng;
+use s3pg_rdf::serializer::to_ntriples;
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, ShapeSchema};
 use s3pg_workloads::bio2rdf::bio2rdf_ct;
 use s3pg_workloads::dbpedia::dbpedia2022;
+use s3pg_workloads::evolution::random_entity_split;
 use s3pg_workloads::university::{self, UniversitySpec};
 use s3pg_workloads::{generate, generate_skewed};
 
@@ -490,6 +498,22 @@ fn graphs_after_deletions_agree() {
     assert!(raw_ids_ran_past_count, "no dataset left a tombstoned node");
 }
 
+/// The additions that widen the schema: an entity of an unseen class with
+/// an unseen predicate linking to an existing subject, and one of that
+/// subject's literal statements repeated with a datatype it never had.
+fn widening_additions(graph: &Graph, rng: &mut XorShiftRng) -> String {
+    let literal_triples: Vec<_> = graph.triples().filter(|t| t.o.is_literal()).collect();
+    let t = literal_triples[rng.random_range(0..literal_triples.len())];
+    let subject = graph.resolve(t.s.as_iri().expect("generated subjects are IRIs"));
+    let predicate = graph.resolve(t.p);
+    format!(
+        "<http://planted.test/e1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://planted.test/Fresh> .\n\
+         <http://planted.test/e1> <http://planted.test/freshProp> \"v\" .\n\
+         <http://planted.test/e1> <http://planted.test/freshLink> <{subject}> .\n\
+         <{subject}> <{predicate}> \"1999-12-31\"^^<http://www.w3.org/2001/XMLSchema#date> .\n"
+    )
+}
+
 #[test]
 fn graphs_after_a_schema_widening_delta_agree() {
     for (d_idx, d) in datasets().into_iter().enumerate() {
@@ -504,21 +528,7 @@ fn graphs_after_a_schema_widening_delta_agree() {
             } = transform(&d.graph, &d.shapes, mode);
             let context = format!("{} {mode:?} seed {seed:#x}", d.name);
 
-            // An entity of an unseen class with an unseen predicate, and an
-            // existing literal-valued statement repeated on its subject with
-            // a datatype that predicate never had.
-            let literal_triples: Vec<_> = d.graph.triples().filter(|t| t.o.is_literal()).collect();
-            let t = literal_triples[rng.random_range(0..literal_triples.len())];
-            let subject = d
-                .graph
-                .resolve(t.s.as_iri().expect("generated subjects are IRIs"));
-            let predicate = d.graph.resolve(t.p);
-            let additions = format!(
-                "<http://planted.test/e1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://planted.test/Fresh> .\n\
-                 <http://planted.test/e1> <http://planted.test/freshProp> \"v\" .\n\
-                 <http://planted.test/e1> <http://planted.test/freshLink> <{subject}> .\n\
-                 <{subject}> <{predicate}> \"1999-12-31\"^^<http://www.w3.org/2001/XMLSchema#date> .\n"
-            );
+            let additions = widening_additions(&d.graph, &mut rng);
             let (types_before, edge_types_before) = (
                 schema.pg_schema.node_type_count(),
                 schema.pg_schema.edge_type_count(),
@@ -533,4 +543,178 @@ fn graphs_after_a_schema_widening_delta_agree() {
             assert_same(&pg, &schema.pg_schema, &format!("{context}: after delta"));
         }
     }
+}
+
+// ---- the delta-scoped check -----------------------------------------------
+
+/// Drain what changed since `previous`, ask `check_since`, and hold its
+/// report to a fresh `check` byte for byte.
+fn check_since_agrees(
+    pg: &mut PropertyGraph,
+    schema: &PgSchema,
+    previous: &ConformanceReport,
+    context: &str,
+) -> (ConformanceReport, CheckScope) {
+    let touched = pg.drain_touched();
+    let (since, scope) = conformance::check_since(pg, schema, previous, touched.as_ref());
+    let full = conformance::check(pg, schema);
+    if format!("{since:?}") != format!("{full:?}") {
+        let i = (0..since.failures.len().max(full.failures.len()))
+            .find(|&i| since.failures.get(i) != full.failures.get(i));
+        panic!(
+            "{context}: check_since ({scope:?}) differs from check at failure {i:?} \
+             ({} vs {} failures): check_since = {:?}, check = {:?}",
+            since.failures.len(),
+            full.failures.len(),
+            i.and_then(|i| since.failures.get(i)),
+            i.and_then(|i| full.failures.get(i)),
+        );
+    }
+    (since, scope)
+}
+
+/// The live node with the most live in-edges.
+fn hub(pg: &PropertyGraph) -> NodeId {
+    pg.node_ids()
+        .max_by_key(|&n| pg.in_edges(n).count())
+        .expect("a node")
+}
+
+/// One more edge into the hub, copying one of its in-edges, and one more
+/// out of it, copying one of its out-edges when it has any.
+fn hub_edges(pg: &mut PropertyGraph) {
+    let hub = hub(pg);
+    let copy = |pg: &mut PropertyGraph, edge: EdgeId| {
+        let (src, dst) = (pg.edge(edge).src, pg.edge(edge).dst);
+        let label = pg.edge_labels_of(edge)[0].to_string();
+        pg.add_edge(src, dst, &label);
+    };
+    let into = pg.in_edges(hub).next().expect("a hub has in-edges");
+    let out = pg.out_edges(hub).next();
+    copy(pg, into);
+    if let Some(out) = out {
+        copy(pg, out);
+    }
+}
+
+#[test]
+fn check_since_equals_check_after_every_delta() {
+    let mut repaired_somewhere = false;
+    for (d_idx, d) in datasets().into_iter().enumerate() {
+        for mode in MODES {
+            let seed = 0xD17A_0000 + (d_idx as u64) * 10 + mode as u64;
+            let mut rng = XorShiftRng::seed_from_u64(seed);
+            let context = format!("{} {mode:?} seed {seed:#x}", d.name);
+            let TransformOutput {
+                mut pg,
+                mut schema,
+                mut state,
+                conformance: mut report,
+                ..
+            } = transform(&Graph::new(), &d.shapes, mode);
+            let mut scopes = (0usize, 0usize);
+            let mut step = |pg: &mut PropertyGraph,
+                            schema: &SchemaTransform,
+                            report: &mut ConformanceReport,
+                            what: &str| {
+                let (next, scope) = check_since_agrees(
+                    pg,
+                    &schema.pg_schema,
+                    report,
+                    &format!("{context}: {what}"),
+                );
+                *report = next;
+                match scope {
+                    CheckScope::Delta => scopes.0 += 1,
+                    CheckScope::Full => scopes.1 += 1,
+                }
+                scope
+            };
+
+            // Random entity batchings: every 10th delta also deletes three
+            // earlier lines and tombstones the literal carriers that
+            // isolates (entities stay: later deltas may name them).
+            let batches = random_entity_split(&d.graph, 24, &mut rng);
+            let mut applied: Vec<String> = Vec::new();
+            for (i, batch) in batches.iter().enumerate() {
+                let additions = to_ntriples(batch);
+                let mut deletions = String::new();
+                if i % 10 == 9 {
+                    for _ in 0..3 {
+                        if let Some(k) = rng.choose_index(applied.len()) {
+                            deletions.push_str(&applied.swap_remove(k));
+                            deletions.push('\n');
+                        }
+                    }
+                }
+                let pending = state.pending_refs.len();
+                apply_ntriples_delta(&mut pg, &mut schema, &mut state, &additions, &deletions)
+                    .unwrap_or_else(|e| panic!("{context}: delta {i}: {e}"));
+                repaired_somewhere |= state.pending_refs.len() < pending;
+                if i % 10 == 9 {
+                    let isolated: Vec<NodeId> = pg
+                        .node_ids()
+                        .filter(|&n| pg.prop(n, IRI_KEY).is_none())
+                        .filter(|&n| pg.out_edges(n).chain(pg.in_edges(n)).next().is_none())
+                        .collect();
+                    for node in isolated {
+                        pg.remove_node(node);
+                    }
+                }
+                let scope = step(&mut pg, &schema, &mut report, &format!("delta {i}"));
+                if i == 0 {
+                    assert_eq!(
+                        scope,
+                        CheckScope::Full,
+                        "{context}: the first drain records nothing"
+                    );
+                }
+                applied.extend(additions.lines().map(str::to_string));
+            }
+
+            let revision = schema.pg_schema.revision();
+            let additions = widening_additions(&d.graph, &mut rng);
+            apply_ntriples_delta(&mut pg, &mut schema, &mut state, &additions, "")
+                .unwrap_or_else(|e| panic!("{context}: widening delta: {e}"));
+            assert_ne!(
+                schema.pg_schema.revision(),
+                revision,
+                "{context}: nothing widened"
+            );
+            assert_eq!(
+                step(&mut pg, &schema, &mut report, "widening delta"),
+                CheckScope::Full,
+                "{context}: a widened schema must take the whole-graph check"
+            );
+
+            hub_edges(&mut pg);
+            assert_eq!(
+                step(&mut pg, &schema, &mut report, "hub edges"),
+                CheckScope::Delta,
+                "{context}: hub edges leave the schema alone"
+            );
+
+            // Every planted-violation kind as a delta: alone on a copy, then
+            // piled onto the graph one after another.
+            for (kind, mutate) in MUTATIONS {
+                let (mut pg, mut schema, mut report) = (pg.clone(), schema.clone(), report.clone());
+                if mutate(&mut pg, &mut schema.pg_schema, &mut rng).is_some() {
+                    step(&mut pg, &schema, &mut report, &format!("{kind} alone"));
+                }
+            }
+            for (kind, mutate) in MUTATIONS {
+                mutate(&mut pg, &mut schema.pg_schema, &mut rng);
+                step(&mut pg, &schema, &mut report, &format!("{kind} piled"));
+            }
+            let (delta, full) = scopes;
+            assert!(
+                delta > full,
+                "{context}: {delta} delta-scoped checks against {full} full ones"
+            );
+        }
+    }
+    assert!(
+        repaired_somewhere,
+        "no batching repaired a forward reference"
+    );
 }

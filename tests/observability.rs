@@ -14,8 +14,10 @@ use s3pg_rdf::parser::parse_turtle;
 use s3pg_server::client::Client;
 use s3pg_server::protocol::{Request, Response};
 use s3pg_server::server::{serve, ServerConfig, ServerHandle};
-use s3pg_server::store::GraphStore;
+use s3pg_server::store::{GraphStore, StoreParts};
 use s3pg_shacl::parser::parse_shacl_turtle;
+use s3pg_wal::{Wal, WalOptions};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn start_server(config: ServerConfig) -> ServerHandle {
@@ -346,7 +348,23 @@ fn slow_query_lines_and_counters_name_the_snapshot_form() {
 
 #[test]
 fn one_update_publishes_its_write_path_metrics_and_spans() {
-    let handle = start_server(ServerConfig::default());
+    // A durable store, so the update also waits on its WAL commit.
+    let dir = std::env::temp_dir().join(format!("s3pg-obs-update-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Arc::new(s3pg_obs::Registry::new());
+    let (wal, _) = Wal::open(&dir, WalOptions::default(), &registry).unwrap();
+    let rdf = parse_turtle(demo_data_turtle()).unwrap();
+    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let out = transform_with(&rdf, &shapes, Mode::Parsimonious, PipelineConfig::default());
+    let parts = StoreParts {
+        rdf,
+        pg: out.pg,
+        schema: out.schema,
+        state: out.state,
+        conformance: Some(out.conformance),
+    };
+    let store = GraphStore::from_parts(parts, registry, Some(Arc::new(wal)), 0, None);
+    let handle = serve("127.0.0.1:0", store, ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
     client
         .call(&Request::Update {
@@ -372,6 +390,14 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     assert_eq!(get("s3pg_updates_applied_total"), 1.0);
     assert_eq!(get("s3pg_update_conformance_microseconds_count"), 1.0);
     assert_eq!(get("s3pg_update_clone_microseconds_count"), 1.0);
+    assert_eq!(get("s3pg_update_commit_microseconds_count"), 1.0);
+    // The startup graph records its changes from the start, so even the
+    // first update's check is delta-scoped; both series exist from boot.
+    assert_eq!(get("s3pg_conformance_checks_total{scope=\"delta\"}"), 1.0);
+    assert_eq!(get("s3pg_conformance_checks_total{scope=\"full\"}"), 0.0);
+    // A lone writer's flush covers its own record only.
+    assert_eq!(get("s3pg_wal_group_commit_batch_count"), 1.0);
+    assert_eq!(get("s3pg_wal_group_commit_batch_sum"), 1.0);
     // The first update has no standby yet, so it copied the live snapshot.
     assert_eq!(get("s3pg_update_side_total{outcome=\"cloned\"}"), 1.0);
     assert!(!exposition.contains("outcome=\"reused\""), "{exposition}");
@@ -405,13 +431,15 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
             })
             .unwrap_or_else(|| panic!("{name} span missing from tail: {events:#?}"))
     };
-    let trace = id(named("update_apply", None), "trace");
+    // Other tests' servers take ephemeral updates; only this one commits.
+    let trace = id(named("update_commit", None), "trace");
     let execute = id(named("execute", trace), "span");
     for name in [
         "parse_delta",
         "update_clone",
         "update_apply",
         "update_conformance",
+        "update_commit",
     ] {
         assert_eq!(
             id(named(name, trace), "parent"),
@@ -430,6 +458,7 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
 
     handle.shutdown();
     handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
