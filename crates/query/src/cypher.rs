@@ -256,7 +256,7 @@ pub(crate) enum ProbeKeys {
 pub(crate) struct SinglePlan {
     /// Pattern execution order: indices into `SingleQuery::patterns`,
     /// greedily arranged by estimated start cardinality (bound-variable
-    /// anchors first, mirroring the SPARQL `join_patterns` order).
+    /// anchors first, mirroring the SPARQL `order_patterns` order).
     pub(crate) order: Vec<usize>,
     /// Per pattern (aligned with `SingleQuery::patterns`): index probe for
     /// the start binding, when a `WHERE var.key = literal` conjunct applies.

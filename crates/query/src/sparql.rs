@@ -1,22 +1,48 @@
 //! A SPARQL subset over [`s3pg_rdf::Graph`].
 //!
-//! Supported grammar:
+//! The grammar the parser accepts (keywords are case-insensitive, `#`
+//! starts a comment):
 //!
 //! ```text
-//! query    := prefix* SELECT DISTINCT? (var+ | '*') WHERE '{' pattern* '}' (LIMIT n)?
-//! prefix   := PREFIX name ':' '<' iri '>'
-//! pattern  := term term term '.'  |  FILTER '(' expr ')'
-//! term     := '?'name | '<'iri'>' | prefixed | 'a' | literal
-//! expr     := isLiteral(?v) | isIRI(?v) | ?v op const | expr && expr | expr || expr | !expr
+//! query      := prefix* SELECT DISTINCT? projection WHERE '{' element* '}' modifier*
+//! prefix     := PREFIX name ':' '<' iri '>'
+//! projection := var+ | '*' | '(' COUNT '(' DISTINCT? ('*' | var) ')' AS var ')'
+//! element    := triples '.'?
+//!             | OPTIONAL '{' (term term term '.'?)+ '}' '.'?
+//!             | FILTER '(' expr ')' '.'?
+//! triples    := term term term (',' term | ';' term term)* ';'?
+//! term       := var | '$'name | '<'iri'>' | prefix':'name | 'a' | literal | digits
+//! literal    := '"' chars '"' ('^^' ('<'iri'>' | prefix':'name))?
+//! expr       := atom (('&&' | '||') expr)?      -- right-associative, one precedence
+//! atom       := '!' atom | '(' expr ')' | isLiteral '(' var ')'
+//!             | (isIRI | isURI) '(' var ')' | var op ('"' chars '"' | name)
+//! op         := '=' | '!=' | '<' | '<=' | '>' | '>='
+//! modifier   := ORDER BY (var | ASC '(' var ')' | DESC '(' var ')') | LIMIT n | OFFSET n
+//! var        := '?'name
 //! ```
 //!
-//! Evaluation is bottom-up BGP matching with greedy join ordering: at each
-//! step the pattern with the smallest index-estimated candidate count under
-//! the current bindings is expanded.
+//! `$name` is a parameter, bound per evaluation from [`Params`]. A
+//! comparison is numeric when both sides parse as `f64` and on the
+//! strings otherwise; `NaN` and an unbound variable make it false.
+//!
+//! Evaluation follows one plan per call, computed once: the join
+//! order of the required patterns plus a filter schedule. The order is
+//! greedy. A pattern that shares a variable with the patterns already
+//! ordered ranks by its index cardinality; a seed candidate (one that
+//! joins nothing bound) ranks after those, by its cardinality scaled —
+//! past 64 index matches — by the pass rate of the filters it alone
+//! binds, measured on its first 64 matches: `card·(pass+1)/(seen+1)`.
+//! Each FILTER runs right after the join step that binds its last
+//! variable; one that reads a variable no required pattern binds runs
+//! after the OPTIONAL groups, which never rebind a required variable.
+//! The joins walk [`Graph::matches`] without collecting. The sequential
+//! join, the threaded one, [`explain`] and [`evaluate_outcome_profiled`]
+//! all read the same plan; [`evaluate_scan`] is the planner-free oracle.
 
 use crate::profile::{NoProf, PlanNode, ProfHook, ProfSink};
 use s3pg_rdf::fxhash::FxHashMap;
-use s3pg_rdf::{Graph, Sym, Term};
+use s3pg_rdf::{Graph, Sym, Term, Triple};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parse or evaluation error.
@@ -684,18 +710,13 @@ pub fn execute_params(
     }
 }
 
-/// Evaluate a parsed query over `graph`.
-
+/// One position of a compiled pattern.
 #[derive(Clone, Copy)]
 enum Slot {
     Var(usize),
-    Bound(Option<TermSlot>),
-}
-
-#[derive(Clone, Copy)]
-enum TermSlot {
-    T(Term),
-    P(Sym),
+    /// A constant; `None` when the graph has never interned it, so the
+    /// pattern cannot match.
+    Const(Option<Term>),
 }
 
 struct Compiled {
@@ -704,47 +725,90 @@ struct Compiled {
     o: Slot,
 }
 
-enum ResolvedSlot {
-    Term(Option<Term>),
-    Pred(Option<Sym>),
-    Free(usize),
-    Never,
+/// A pattern's positions under one row: what the index walk is keyed on,
+/// and the slot each position binds where the row leaves it free.
+struct Probe {
+    s: Option<Term>,
+    p: Option<Sym>,
+    o: Option<Term>,
+    free: [Option<usize>; 3],
 }
 
-/// Compile pattern terms against the graph's interner; constants absent
-/// from the interner mean the pattern can never match.
+impl Compiled {
+    /// The slots of the pattern's variables.
+    fn vars(&self) -> impl Iterator<Item = usize> {
+        [self.s, self.p, self.o]
+            .into_iter()
+            .filter_map(|slot| match slot {
+                Slot::Var(i) => Some(i),
+                Slot::Const(_) => None,
+            })
+    }
+
+    /// The pattern under `row`; `None` when it cannot match (a constant
+    /// the graph has never interned, or a non-IRI bound as predicate).
+    fn probe(&self, row: &[Option<Term>]) -> Option<Probe> {
+        let mut free = [None; 3];
+        let mut value = |k: usize, slot: Slot| match slot {
+            Slot::Var(i) => {
+                if row[i].is_none() {
+                    free[k] = Some(i);
+                }
+                Some(row[i])
+            }
+            Slot::Const(term) => term.map(Some),
+        };
+        let s = value(0, self.s)?;
+        let p = match value(1, self.p)? {
+            Some(Term::Iri(p)) => Some(p),
+            Some(_) => return None,
+            None => None,
+        };
+        let o = value(2, self.o)?;
+        Some(Probe { s, p, o, free })
+    }
+}
+
+impl Probe {
+    /// Bind `t` into the free slots of `row`; false when a variable
+    /// repeated within the pattern would take two values.
+    #[inline]
+    fn bind(&self, t: Triple, row: &mut [Option<Term>]) -> bool {
+        for (slot, value) in self.free.into_iter().zip([t.s, Term::Iri(t.p), t.o]) {
+            if let Some(i) = slot {
+                match row[i] {
+                    None => row[i] = Some(value),
+                    Some(bound) if bound == value => {}
+                    Some(_) => return false,
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Compile pattern terms against the graph's interner.
 fn compile_patterns(
     graph: &Graph,
     patterns: &[TriplePattern],
     var_index: &FxHashMap<String, usize>,
 ) -> Result<Vec<Compiled>, SparqlError> {
-    let compile = |term: &PatternTerm, predicate_pos: bool| -> Result<Slot, SparqlError> {
+    let interner = graph.interner();
+    let compile = |term: &PatternTerm| -> Result<Slot, SparqlError> {
         Ok(match term {
             PatternTerm::Var(name) => Slot::Var(var_index[name.as_str()]),
-            PatternTerm::Iri(iri) => match graph.interner().get(iri) {
-                Some(sym) => Slot::Bound(Some(if predicate_pos {
-                    TermSlot::P(sym)
-                } else {
-                    TermSlot::T(Term::Iri(sym))
-                })),
-                None => Slot::Bound(None),
-            },
+            PatternTerm::Iri(iri) => Slot::Const(interner.get(iri).map(Term::Iri)),
             PatternTerm::Literal { lexical, datatype } => {
-                let dt = datatype
-                    .clone()
-                    .unwrap_or_else(|| s3pg_rdf::vocab::xsd::STRING.to_string());
-                let lex = graph.interner().get(lexical);
-                let dts = graph.interner().get(&dt);
-                match (lex, dts) {
-                    (Some(lex), Some(dts)) => {
-                        Slot::Bound(Some(TermSlot::T(Term::Literal(s3pg_rdf::Literal {
-                            lexical: lex,
-                            datatype: dts,
+                let datatype = datatype.as_deref().unwrap_or(s3pg_rdf::vocab::xsd::STRING);
+                Slot::Const(interner.get(lexical).zip(interner.get(datatype)).map(
+                    |(lexical, datatype)| {
+                        Term::Literal(s3pg_rdf::Literal {
+                            lexical,
+                            datatype,
                             lang: None,
-                        }))))
-                    }
-                    _ => Slot::Bound(None),
-                }
+                        })
+                    },
+                ))
             }
             PatternTerm::Param(name) => {
                 return err(format!("parameter ${name} is not bound"));
@@ -755,183 +819,311 @@ fn compile_patterns(
         .iter()
         .map(|pat| {
             Ok(Compiled {
-                s: compile(&pat.s, false)?,
-                p: compile(&pat.p, true)?,
-                o: compile(&pat.o, false)?,
+                s: compile(&pat.s)?,
+                p: compile(&pat.p)?,
+                o: compile(&pat.o)?,
             })
         })
         .collect()
 }
 
-fn resolve_slot(slot: Slot, binding: &[Option<Term>]) -> ResolvedSlot {
-    match slot {
-        Slot::Var(i) => match binding[i] {
-            Some(t) => ResolvedSlot::Term(Some(t)),
-            None => ResolvedSlot::Free(i),
-        },
-        Slot::Bound(Some(TermSlot::T(t))) => ResolvedSlot::Term(Some(t)),
-        Slot::Bound(Some(TermSlot::P(p))) => ResolvedSlot::Pred(Some(p)),
-        Slot::Bound(None) => ResolvedSlot::Never,
+/// A term's string form as FILTER and ORDER BY see it: an IRI or blank
+/// node's label, a literal's lexical form.
+#[inline]
+fn lexical(graph: &Graph, term: Term) -> &str {
+    match term {
+        Term::Iri(s) | Term::Blank(s) => graph.resolve(s),
+        Term::Literal(l) => graph.resolve(l.lexical),
     }
 }
 
-/// Compute a full greedy join order up front: at each step pick the
-/// remaining pattern with the smallest index-estimated cardinality under
-/// the initial probe binding, preferring patterns that join on a variable
-/// an earlier-ordered pattern already binds. Deciding the whole order
-/// before execution keeps it identical between the sequential and the
-/// partitioned parallel evaluation.
-fn order_patterns(graph: &Graph, compiled: &[Compiled], probe: &[Option<Term>]) -> Vec<usize> {
-    let slot_var = |slot: Slot| match slot {
-        Slot::Var(i) => Some(i),
-        Slot::Bound(_) => None,
+impl CompareOp {
+    fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CompareOp::Eq => ord.is_eq(),
+            CompareOp::Ne => ord.is_ne(),
+            CompareOp::Lt => ord.is_lt(),
+            CompareOp::Le => ord.is_le(),
+            CompareOp::Gt => ord.is_gt(),
+            CompareOp::Ge => ord.is_ge(),
+        }
+    }
+}
+
+/// A FILTER compiled against the variable slots. A comparison's constant
+/// is parsed once; each row's value is borrowed from the interner. A
+/// variable no pattern binds compiles to a `None` slot and, like an
+/// unbound one, fails every test.
+enum Test<'q> {
+    IsLiteral(Option<usize>),
+    IsIri(Option<usize>),
+    Compare {
+        slot: Option<usize>,
+        op: CompareOp,
+        value: &'q str,
+        /// `value` as a number, if it parses as one.
+        number: Option<f64>,
+    },
+    And(Box<Test<'q>>, Box<Test<'q>>),
+    Or(Box<Test<'q>>, Box<Test<'q>>),
+    Not(Box<Test<'q>>),
+}
+
+impl<'q> Test<'q> {
+    fn compile(expr: &'q FilterExpr, var_index: &FxHashMap<String, usize>) -> Test<'q> {
+        let slot = |var: &str| var_index.get(var).copied();
+        let sub = |e: &'q FilterExpr| Box::new(Test::compile(e, var_index));
+        match expr {
+            FilterExpr::IsLiteral(v) => Test::IsLiteral(slot(v)),
+            FilterExpr::IsIri(v) => Test::IsIri(slot(v)),
+            FilterExpr::Compare { var, op, value } => Test::Compare {
+                slot: slot(var),
+                op: *op,
+                value,
+                number: value.parse().ok(),
+            },
+            FilterExpr::And(a, b) => Test::And(sub(a), sub(b)),
+            FilterExpr::Or(a, b) => Test::Or(sub(a), sub(b)),
+            FilterExpr::Not(a) => Test::Not(sub(a)),
+        }
+    }
+
+    /// The slots the test reads; `None` when it names a variable no
+    /// pattern binds.
+    fn slots(&self) -> Option<Vec<usize>> {
+        match self {
+            Test::IsLiteral(slot) | Test::IsIri(slot) | Test::Compare { slot, .. } => {
+                slot.map(|i| vec![i])
+            }
+            Test::And(a, b) | Test::Or(a, b) => {
+                let mut slots = a.slots()?;
+                slots.extend(b.slots()?);
+                Some(slots)
+            }
+            Test::Not(a) => a.slots(),
+        }
+    }
+
+    /// Compare as numbers when both sides parse as `f64`, else as strings;
+    /// an unbound variable or a `NaN` operand fails.
+    fn eval(&self, graph: &Graph, row: &[Option<Term>]) -> bool {
+        match self {
+            Test::IsLiteral(slot) => slot.and_then(|i| row[i]).is_some_and(|t| t.is_literal()),
+            Test::IsIri(slot) => slot.and_then(|i| row[i]).is_some_and(|t| t.is_iri()),
+            Test::Compare {
+                slot,
+                op,
+                value,
+                number,
+            } => {
+                let Some(term) = slot.and_then(|i| row[i]) else {
+                    return false;
+                };
+                let actual = lexical(graph, term);
+                let ord = match number.map(|b| (actual.parse::<f64>(), b)) {
+                    Some((Ok(a), b)) => a.partial_cmp(&b),
+                    _ => Some(actual.cmp(value)),
+                };
+                ord.is_some_and(|ord| op.holds(ord))
+            }
+            Test::And(a, b) => a.eval(graph, row) && b.eval(graph, row),
+            Test::Or(a, b) => a.eval(graph, row) || b.eval(graph, row),
+            Test::Not(a) => !a.eval(graph, row),
+        }
+    }
+}
+
+fn compile_filters<'q>(
+    filters: &'q [FilterExpr],
+    var_index: &FxHashMap<String, usize>,
+) -> Vec<Test<'q>> {
+    filters
+        .iter()
+        .map(|f| Test::compile(f, var_index))
+        .collect()
+}
+
+/// One join step: the pattern it expands, the planner's estimate of the
+/// rows it reads, and the filters that run right after it.
+struct Step {
+    pattern: usize,
+    est_rows: usize,
+    /// Whether the pattern shares a variable with an earlier step.
+    joins: bool,
+    filters: Vec<usize>,
+}
+
+/// One evaluation's plan, computed once and read by the sequential join,
+/// the threaded join, [`explain`] and the profiled path alike.
+struct Plan {
+    /// The required patterns in join order, each with the filters whose
+    /// last variable it binds.
+    steps: Vec<Step>,
+    /// Filters that read a variable no required pattern binds (an
+    /// OPTIONAL-only or unknown one): they run after the OPTIONAL groups.
+    tail: Vec<usize>,
+}
+
+/// Past this many index matches a seed candidate's estimate is scaled by
+/// the pass rate of its own filters, measured on this many matches.
+const SAMPLE: usize = 64;
+
+/// The rows a seed candidate (a pattern joining nothing bound) is expected
+/// to leave: its index cardinality, scaled — when it exceeds [`SAMPLE`] —
+/// by the pass rate of the filters it alone binds on its first [`SAMPLE`]
+/// matches, `card·(pass+1)/(seen+1)`. Chains walk in insertion order, so
+/// the estimate is deterministic.
+fn seed_estimate(graph: &Graph, c: &Compiled, tests: &[Test], row: &[Option<Term>]) -> usize {
+    let Some(probe) = c.probe(row) else {
+        return 0;
     };
-    let mut bound: Vec<bool> = probe.iter().map(Option::is_some).collect();
+    let card = graph.pattern_cardinality(probe.s, probe.p, probe.o);
+    if card <= SAMPLE {
+        return card;
+    }
+    let own: Vec<&Test> = tests
+        .iter()
+        .filter(|t| {
+            t.slots()
+                .is_some_and(|slots| slots.iter().all(|i| probe.free.contains(&Some(*i))))
+        })
+        .collect();
+    if own.is_empty() {
+        return card;
+    }
+    let (mut seen, mut pass) = (0usize, 0usize);
+    let mut scratch = row.to_vec();
+    for t in graph.matches(probe.s, probe.p, probe.o).take(SAMPLE) {
+        scratch.copy_from_slice(row);
+        seen += 1;
+        if probe.bind(t, &mut scratch) && own.iter().all(|f| f.eval(graph, &scratch)) {
+            pass += 1;
+        }
+    }
+    card * (pass + 1) / (seen + 1)
+}
+
+/// Compute a full greedy join order up front: at each step pick the
+/// remaining pattern with the smallest estimate under `row`, preferring
+/// patterns that join on a variable an earlier-ordered pattern already
+/// binds. A joining pattern's estimate is its index cardinality, a seed
+/// candidate's its [`seed_estimate`] under `tests`. Deciding the whole
+/// order before execution keeps it identical between the sequential and
+/// the partitioned parallel evaluation. The steps carry no filters.
+fn order_patterns(
+    graph: &Graph,
+    compiled: &[Compiled],
+    tests: &[Test],
+    row: &[Option<Term>],
+) -> Vec<Step> {
+    let mut bound: Vec<bool> = row.iter().map(Option::is_some).collect();
     let mut remaining: Vec<usize> = (0..compiled.len()).collect();
-    let mut order = Vec::with_capacity(remaining.len());
+    let mut seeds: Vec<Option<usize>> = vec![None; compiled.len()];
+    let mut steps = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
-        let (pick_pos, _) = remaining
+        let (pick_pos, (_, est_rows)) = remaining
             .iter()
             .enumerate()
             .map(|(pos, &pi)| {
                 let c = &compiled[pi];
-                let s = match resolve_slot(c.s, probe) {
-                    ResolvedSlot::Term(t) => t,
-                    ResolvedSlot::Never => return (pos, (0, 0)),
-                    _ => None,
+                let Some(probe) = c.probe(row) else {
+                    return (pos, (0, 0));
                 };
-                let p = match resolve_slot(c.p, probe) {
-                    ResolvedSlot::Pred(p) => p,
-                    ResolvedSlot::Never => return (pos, (0, 0)),
-                    _ => None,
-                };
-                let o = match resolve_slot(c.o, probe) {
-                    ResolvedSlot::Term(t) => t,
-                    ResolvedSlot::Never => return (pos, (0, 0)),
-                    _ => None,
-                };
-                let joins_bound = [c.s, c.p, c.o]
-                    .into_iter()
-                    .filter_map(slot_var)
-                    .any(|i| bound[i]);
-                (
-                    pos,
+                if c.vars().any(|i| bound[i]) {
                     (
-                        usize::from(!joins_bound),
-                        graph.pattern_cardinality(s, p, o),
-                    ),
-                )
+                        pos,
+                        (0, graph.pattern_cardinality(probe.s, probe.p, probe.o)),
+                    )
+                } else {
+                    let est = *seeds[pi].get_or_insert_with(|| seed_estimate(graph, c, tests, row));
+                    (pos, (1, est))
+                }
             })
             .min_by_key(|&(_, key)| key)
-            .unwrap();
-        let pi = remaining.remove(pick_pos);
-        for slot in [compiled[pi].s, compiled[pi].p, compiled[pi].o] {
-            if let Some(i) = slot_var(slot) {
-                bound[i] = true;
-            }
+            .expect("the loop runs while patterns remain");
+        let pattern = remaining.remove(pick_pos);
+        let joins = compiled[pattern].vars().any(|i| bound[i]);
+        for i in compiled[pattern].vars() {
+            bound[i] = true;
         }
-        order.push(pi);
+        steps.push(Step {
+            pattern,
+            est_rows,
+            joins,
+            filters: Vec::new(),
+        });
     }
-    order
+    steps
 }
 
-/// Join a basic graph pattern group into the given binding rows in the
-/// greedy order chosen by [`order_patterns`].
-fn join_patterns(
-    graph: &Graph,
-    compiled: &[Compiled],
-    results: Vec<Vec<Option<Term>>>,
-) -> Vec<Vec<Option<Term>>> {
-    let Some(probe) = results.first().cloned() else {
-        return results;
-    };
-    let order = order_patterns(graph, compiled, &probe);
-    join_in_order(graph, compiled, &order, results, NoProf)
+/// The required group's plan: the join order, and each filter scheduled
+/// right after the step that binds its last variable. A filter that reads
+/// a variable no required pattern binds stays in the tail, after the
+/// OPTIONAL groups; it commutes with them, since OPTIONAL never rebinds a
+/// required variable.
+fn plan(graph: &Graph, compiled: &[Compiled], tests: &[Test], nvars: usize) -> Plan {
+    let row = vec![None; nvars];
+    let mut steps = order_patterns(graph, compiled, tests, &row);
+    let mut pending: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut tail = Vec::new();
+    for (j, test) in tests.iter().enumerate() {
+        match test.slots() {
+            Some(slots) => pending.push((j, slots)),
+            None => tail.push(j),
+        }
+    }
+    let mut bound = vec![false; nvars];
+    for step in &mut steps {
+        for i in compiled[step.pattern].vars() {
+            bound[i] = true;
+        }
+        pending.retain(|(j, slots)| {
+            let ready = slots.iter().all(|&i| bound[i]);
+            if ready {
+                step.filters.push(*j);
+            }
+            !ready
+        });
+    }
+    tail.extend(pending.into_iter().map(|(j, _)| j));
+    tail.sort_unstable();
+    Plan { steps, tail }
 }
 
-/// Join with up to `threads` workers, morsel-driven: the first ordered
-/// pattern expands sequentially, then its result rows are cut into
-/// fixed-size morsels behind a shared cursor; workers pull morsels and
-/// join the remaining patterns per morsel. Per-morsel results are tagged
-/// with their morsel index and merged in index order — byte-identical to
-/// the sequential join, but skew-robust (one heavy row run no longer
+/// Join with up to `threads` workers, morsel-driven: the first step (and
+/// its filters) runs sequentially, then its result rows are cut into
+/// fixed-size morsels behind a shared cursor; workers pull morsels and run
+/// the remaining steps per morsel. Per-morsel results are tagged with
+/// their morsel index and merged in index order — byte-identical to the
+/// sequential join, but skew-robust (one heavy row run no longer
 /// serializes a whole contiguous chunk on a single worker).
-fn join_patterns_threads<P: ProfHook>(
+fn join_threads<P: ProfHook>(
     graph: &Graph,
     compiled: &[Compiled],
+    tests: &[Test],
+    steps: &[Step],
     results: Vec<Vec<Option<Term>>>,
     threads: usize,
     prof: P,
 ) -> Vec<Vec<Option<Term>>> {
-    let Some(probe) = results.first().cloned() else {
-        return results;
-    };
-    let order = order_patterns(graph, compiled, &probe);
-    if threads <= 1 || order.len() < 2 {
-        return join_in_order(graph, compiled, &order, results, prof);
+    if threads <= 1 || steps.len() < 2 {
+        return join_in_order(graph, compiled, tests, steps, results, prof);
     }
-    let first_rows = join_in_order(graph, compiled, &order[..1], results, prof);
+    let first_rows = join_in_order(graph, compiled, tests, &steps[..1], results, prof);
+    let rest = &steps[1..];
     // Same work floor as the Cypher path: scoped spawn costs tens of
     // microseconds per worker — more than a small join's entire runtime —
     // so workers engage only when row count × estimated per-row cost of
-    // the remaining patterns clears the threshold. Patterns joining an
+    // the remaining steps clears the threshold. Steps joining an
     // already-bound variable are cheap probes (counted 1); unconstrained
-    // patterns cost their index-estimated cardinality per row.
-    let slot_var = |slot: Slot| match slot {
-        Slot::Var(i) => Some(i),
-        Slot::Bound(_) => None,
-    };
-    let mut est_bound: Vec<bool> = probe.iter().map(Option::is_some).collect();
-    for slot in [
-        compiled[order[0]].s,
-        compiled[order[0]].p,
-        compiled[order[0]].o,
-    ] {
-        if let Some(i) = slot_var(slot) {
-            est_bound[i] = true;
-        }
-    }
-    let mut per_row = 1usize;
-    for &pi in &order[1..] {
-        let c = &compiled[pi];
-        let joins_bound = [c.s, c.p, c.o]
-            .into_iter()
-            .filter_map(slot_var)
-            .any(|i| est_bound[i]);
-        let cost = if joins_bound {
-            1
-        } else {
-            let term = |slot: Slot| match resolve_slot(slot, &probe) {
-                ResolvedSlot::Term(t) => t,
-                _ => None,
-            };
-            let pred = |slot: Slot| match resolve_slot(slot, &probe) {
-                ResolvedSlot::Pred(p) => p,
-                _ => None,
-            };
-            let never = [c.s, c.p, c.o]
-                .into_iter()
-                .any(|slot| matches!(resolve_slot(slot, &probe), ResolvedSlot::Never));
-            if never {
-                0
-            } else {
-                graph.pattern_cardinality(term(c.s), pred(c.p), term(c.o))
-            }
-        };
-        per_row = per_row.saturating_add(cost);
-        for slot in [c.s, c.p, c.o] {
-            if let Some(i) = slot_var(slot) {
-                est_bound[i] = true;
-            }
-        }
-    }
-    // Engagement is decided on estimated total work alone — morsels handle
-    // granularity, so a small first-pattern run with a huge per-row
-    // fan-out still parallelizes.
+    // ones cost their estimate per row. Morsels handle granularity, so a
+    // small first step with a huge per-row fan-out still parallelizes.
+    let per_row = rest.iter().fold(1usize, |acc, step| {
+        acc.saturating_add(if step.joins { 1 } else { step.est_rows })
+    });
     if first_rows.len().saturating_mul(per_row) < crate::morsel::PARALLEL_MIN_WORK {
-        return join_in_order(graph, compiled, &order[1..], first_rows, prof);
+        return join_in_order(graph, compiled, tests, rest, first_rows, prof);
     }
-    let rest = &order[1..];
     let morsel_size = crate::morsel::morsel_size_for(first_rows.len(), threads);
     let n_morsels = first_rows.len().div_ceil(morsel_size).max(1);
     let n_workers = threads.min(n_morsels);
@@ -951,8 +1143,14 @@ fn join_patterns_threads<P: ProfHook>(
                         }
                         let lo = m * morsel_size;
                         let hi = (lo + morsel_size).min(first_rows.len());
-                        let rows =
-                            join_in_order(graph, compiled, rest, first_rows[lo..hi].to_vec(), prof);
+                        let rows = join_in_order(
+                            graph,
+                            compiled,
+                            tests,
+                            rest,
+                            first_rows[lo..hi].to_vec(),
+                            prof,
+                        );
                         if !rows.is_empty() {
                             out.push((m, rows));
                         }
@@ -975,89 +1173,68 @@ fn join_patterns_threads<P: ProfHook>(
     merged
 }
 
+/// Run `steps` over `results`: each step extends every row by the
+/// pattern's index matches, then its scheduled filters drop the rows that
+/// fail them.
 fn join_in_order<P: ProfHook>(
     graph: &Graph,
     compiled: &[Compiled],
-    order: &[usize],
+    tests: &[Test],
+    steps: &[Step],
     results: Vec<Vec<Option<Term>>>,
     prof: P,
 ) -> Vec<Vec<Option<Term>>> {
-    if order.is_empty() || results.is_empty() {
+    if steps.is_empty() || results.is_empty() {
         return results;
     }
-    // Bindings travel through the join as one flat column-major-agnostic
-    // buffer of `stride` slots per row ([`Term`] is `Copy`): each match
-    // extends the output by `memcpy` instead of cloning a fresh `Vec` per
-    // emitted row, and a repeated-variable mismatch just truncates the
-    // appended slice. Row order and contents are identical to the old
-    // row-at-a-time join; only the allocation pattern changes.
+    // Bindings travel through the join as one flat buffer of `stride`
+    // slots per row ([`Term`] is `Copy`): each match extends the output by
+    // `memcpy` instead of cloning a fresh `Vec` per emitted row, a
+    // repeated-variable mismatch just truncates the appended slice, and a
+    // filter compacts the buffer in place.
     let stride = results[0].len();
     let mut n_rows = results.len();
-    let mut flat: Vec<Option<Term>> = Vec::with_capacity(n_rows * stride);
-    for row in &results {
-        flat.extend_from_slice(row);
-    }
-    for &pattern_index in order {
+    let mut flat: Vec<Option<Term>> = results.concat();
+    for step in steps {
         if n_rows == 0 {
             break;
         }
         let started = prof.begin();
-        let c = &compiled[pattern_index];
-
+        let c = &compiled[step.pattern];
         let mut next: Vec<Option<Term>> = Vec::new();
         let mut next_rows = 0usize;
         for r in 0..n_rows {
-            let binding = &flat[r * stride..(r + 1) * stride];
-            let (s, s_free) = match resolve_slot(c.s, binding) {
-                ResolvedSlot::Term(t) => (t, None),
-                ResolvedSlot::Free(i) => (None, Some(i)),
-                ResolvedSlot::Never => continue,
-                ResolvedSlot::Pred(_) => unreachable!(),
+            let row = &flat[r * stride..(r + 1) * stride];
+            let Some(probe) = c.probe(row) else {
+                continue;
             };
-            let (p, p_free) = match resolve_slot(c.p, binding) {
-                ResolvedSlot::Pred(p) => (p, None),
-                ResolvedSlot::Term(Some(Term::Iri(sym))) => (Some(sym), None),
-                ResolvedSlot::Term(_) => continue, // non-IRI bound as predicate
-                ResolvedSlot::Free(i) => (None, Some(i)),
-                ResolvedSlot::Never => continue,
-            };
-            let (o, o_free) = match resolve_slot(c.o, binding) {
-                ResolvedSlot::Term(t) => (t, None),
-                ResolvedSlot::Free(i) => (None, Some(i)),
-                ResolvedSlot::Never => continue,
-                ResolvedSlot::Pred(_) => unreachable!(),
-            };
-            for t in graph.match_pattern(s, p, o) {
+            for t in graph.matches(probe.s, probe.p, probe.o) {
                 let base = next.len();
-                next.extend_from_slice(&flat[r * stride..(r + 1) * stride]);
-                if let Some(i) = s_free {
-                    next[base + i] = Some(t.s);
+                next.extend_from_slice(row);
+                if probe.bind(t, &mut next[base..]) {
+                    next_rows += 1;
+                } else {
+                    next.truncate(base);
                 }
-                if let Some(i) = p_free {
-                    let pt = Term::Iri(t.p);
-                    if s_free == Some(i) && next[base + i] != Some(pt) {
-                        next.truncate(base);
-                        continue;
-                    }
-                    next[base + i] = Some(pt);
-                }
-                if let Some(i) = o_free {
-                    // Same variable may repeat within a pattern.
-                    if (s_free == Some(i) && next[base + i] != Some(t.o))
-                        || (p_free == Some(i) && next[base + i] != Some(t.o))
-                    {
-                        next.truncate(base);
-                        continue;
-                    }
-                    next[base + i] = Some(t.o);
-                }
-                next_rows += 1;
             }
         }
         flat = next;
         n_rows = next_rows;
-        prof.record(format_args!("pat{pattern_index}"), n_rows, started);
-        prof.note_batches(format_args!("pat{pattern_index}"), 1);
+        prof.record(format_args!("pat{}", step.pattern), n_rows, started);
+        prof.note_batches(format_args!("pat{}", step.pattern), 1);
+        for &j in &step.filters {
+            let started = prof.begin();
+            let mut kept = 0;
+            for r in 0..n_rows {
+                if tests[j].eval(graph, &flat[r * stride..(r + 1) * stride]) {
+                    flat.copy_within(r * stride..(r + 1) * stride, kept * stride);
+                    kept += 1;
+                }
+            }
+            flat.truncate(kept * stride);
+            n_rows = kept;
+            prof.record(format_args!("filter{j}"), n_rows, started);
+        }
     }
     (0..n_rows)
         .map(|r| flat[r * stride..(r + 1) * stride].to_vec())
@@ -1124,10 +1301,10 @@ pub fn evaluate_outcome_threads_params(
 }
 
 /// [`evaluate_outcome_threads_params`] with per-operator profiling: every
-/// join step and solution modifier records rows emitted and wall time into
-/// `sink` under the same ids [`explain`] assigns. Counting happens at
-/// stage boundaries, so the outcome is bit-identical to the unprofiled
-/// evaluation.
+/// join step, filter and solution modifier records rows emitted and wall
+/// time into `sink` under the same ids [`explain`] assigns. Counting
+/// happens at stage boundaries, so the outcome is bit-identical to the
+/// unprofiled evaluation.
 pub fn evaluate_outcome_profiled(
     graph: &Graph,
     query: &SelectQuery,
@@ -1138,22 +1315,15 @@ pub fn evaluate_outcome_profiled(
     evaluate_outcome_params_inner(graph, query, params, threads, Some(sink))
 }
 
-fn evaluate_outcome_params_inner(
-    graph: &Graph,
-    query: &SelectQuery,
+/// `query` with every `$param` substituted from `params` (borrowed as is
+/// when it has none). Fails on an unbound parameter.
+fn bind_params<'q>(
+    query: &'q SelectQuery,
     params: &Params,
-    threads: usize,
-    prof: Option<&ProfSink>,
-) -> Result<Outcome, SparqlError> {
+) -> Result<Cow<'q, SelectQuery>, SparqlError> {
     let names = param_names(query);
     if names.is_empty() {
-        // Dispatch once: the unprofiled arm monomorphizes with the
-        // zero-sized NoProf hook, so its loop bodies carry no
-        // instrumentation at all.
-        return match prof {
-            None => evaluate_outcome_inner(graph, query, threads, NoProf),
-            Some(sink) => evaluate_outcome_inner(graph, query, threads, sink),
-        };
+        return Ok(Cow::Borrowed(query));
     }
     for name in &names {
         if !params.contains_key(name) {
@@ -1167,9 +1337,22 @@ fn evaluate_outcome_params_inner(
         .iter()
         .map(|group| substitute(group, params))
         .collect::<Result<_, _>>()?;
+    Ok(Cow::Owned(q))
+}
+
+fn evaluate_outcome_params_inner(
+    graph: &Graph,
+    query: &SelectQuery,
+    params: &Params,
+    threads: usize,
+    prof: Option<&ProfSink>,
+) -> Result<Outcome, SparqlError> {
+    let query = bind_params(query, params)?;
+    // Dispatch once: the unprofiled arm monomorphizes with the zero-sized
+    // NoProf hook, so its loop bodies carry no instrumentation at all.
     match prof {
-        None => evaluate_outcome_inner(graph, &q, threads, NoProf),
-        Some(sink) => evaluate_outcome_inner(graph, &q, threads, sink),
+        None => evaluate_outcome_inner(graph, &query, threads, NoProf),
+        Some(sink) => evaluate_outcome_inner(graph, &query, threads, sink),
     }
 }
 
@@ -1209,35 +1392,92 @@ fn evaluate_outcome_inner<P: ProfHook>(
     let nvars = var_names.len();
 
     let compiled = compile_patterns(graph, &query.patterns, &var_index)?;
-    let mut results: Vec<Vec<Option<Term>>> = vec![vec![None; nvars]];
-    results = join_patterns_threads(graph, &compiled, results, threads, prof);
+    let tests = compile_filters(&query.filters, &var_index);
+    let plan = plan(graph, &compiled, &tests, nvars);
+    let start = vec![vec![None; nvars]];
+    let mut results = join_threads(graph, &compiled, &tests, &plan.steps, start, threads, prof);
 
-    // OPTIONAL groups: left-join — rows that the group cannot extend are
-    // kept with the group's variables unbound.
     for (k, group) in query.optionals.iter().enumerate() {
         let started = prof.begin();
         let compiled_group = compile_patterns(graph, group, &var_index)?;
-        let mut extended = Vec::with_capacity(results.len());
-        for row in results {
-            let sub = join_patterns(graph, &compiled_group, vec![row.clone()]);
-            if sub.is_empty() {
-                extended.push(row);
-            } else {
-                extended.extend(sub);
-            }
-        }
-        results = extended;
+        results = left_join(results, |row| {
+            let steps = order_patterns(graph, &compiled_group, &[], row);
+            join_in_order(
+                graph,
+                &compiled_group,
+                &[],
+                &steps,
+                vec![row.to_vec()],
+                NoProf,
+            )
+        });
         prof.record(format_args!("optional{k}"), results.len(), started);
     }
 
-    // FILTERs.
-    for (j, filter) in query.filters.iter().enumerate() {
+    for &j in &plan.tail {
         let started = prof.begin();
-        results.retain(|row| eval_filter(graph, filter, &var_index, row));
+        results.retain(|row| tests[j].eval(graph, row));
         prof.record(format_args!("filter{j}"), results.len(), started);
     }
+    finish(graph, query, &var_index, var_names, results, prof)
+}
 
-    // Aggregate projection.
+/// An OPTIONAL group's left join: each row becomes the rows `extend`
+/// joins it into, or stays as it is, its group variables unbound, when
+/// there are none.
+fn left_join(
+    rows: Vec<Vec<Option<Term>>>,
+    extend: impl Fn(&[Option<Term>]) -> Vec<Vec<Option<Term>>>,
+) -> Vec<Vec<Option<Term>>> {
+    let mut joined = Vec::with_capacity(rows.len());
+    for row in rows {
+        let extended = extend(&row);
+        if extended.is_empty() {
+            joined.push(row);
+        } else {
+            joined.extend(extended);
+        }
+    }
+    joined
+}
+
+/// An ORDER BY key computed once per row: the lexical form and, when it
+/// parses, its number; `None` for an unbound value.
+type SortKey<'g> = Option<(&'g str, Option<f64>)>;
+
+fn sort_key(graph: &Graph, value: Option<Term>) -> SortKey<'_> {
+    value.map(|t| {
+        let text = lexical(graph, t);
+        (text, text.parse().ok())
+    })
+}
+
+/// SPARQL-ish term ordering: numeric when both lexical forms parse as
+/// numbers, lexicographic otherwise; unbound sorts first.
+fn compare_keys(a: &SortKey, b: &SortKey) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    match (a, b) {
+        (Some((x, nx)), Some((y, ny))) => match (nx, ny) {
+            (Some(nx), Some(ny)) => nx.partial_cmp(ny).unwrap_or(Ordering::Equal),
+            _ => x.cmp(y),
+        },
+        (None, None) => Ordering::Equal,
+        (None, Some(_)) => Ordering::Less,
+        (Some(_), None) => Ordering::Greater,
+    }
+}
+
+/// The solution modifiers over the joined, filtered rows, in evaluation
+/// order: COUNT (which ends the query), ORDER BY, projection, DISTINCT,
+/// OFFSET, LIMIT.
+fn finish<P: ProfHook>(
+    graph: &Graph,
+    query: &SelectQuery,
+    var_index: &FxHashMap<String, usize>,
+    var_names: Vec<String>,
+    mut results: Vec<Vec<Option<Term>>>,
+    prof: P,
+) -> Result<Outcome, SparqlError> {
     if let Some(agg) = &query.aggregate {
         let started = prof.begin();
         let value = match &agg.var {
@@ -1265,32 +1505,33 @@ fn evaluate_outcome_inner<P: ProfHook>(
         });
     }
 
-    // ORDER BY (before projection: the sort variable need not be projected).
+    // ORDER BY (before projection: the sort variable need not be
+    // projected). A stable sort on keys computed once per row.
     if let Some((var, descending)) = &query.order_by {
         let started = prof.begin();
         let Some(&i) = var_index.get(var.as_str()) else {
             return err(format!("ORDER BY unbound variable ?{var}"));
         };
-        results.sort_by(|a, b| {
-            let ord = match (a[i], b[i]) {
-                (Some(x), Some(y)) => compare_terms(graph, x, y),
-                (None, None) => std::cmp::Ordering::Equal,
-                (None, Some(_)) => std::cmp::Ordering::Less, // unbound sorts first
-                (Some(_), None) => std::cmp::Ordering::Greater,
-            };
+        let mut keyed: Vec<(SortKey, Vec<Option<Term>>)> = results
+            .into_iter()
+            .map(|row| (sort_key(graph, row[i]), row))
+            .collect();
+        keyed.sort_by(|(a, _), (b, _)| {
+            let ord = compare_keys(a, b);
             if *descending {
                 ord.reverse()
             } else {
                 ord
             }
         });
+        results = keyed.into_iter().map(|(_, row)| row).collect();
         prof.record(format_args!("sort"), results.len(), started);
     }
 
     // Projection.
     let started = prof.begin();
     let projected: Vec<String> = if query.vars.is_empty() {
-        var_names.clone()
+        var_names
     } else {
         query.vars.clone()
     };
@@ -1328,65 +1569,102 @@ fn evaluate_outcome_inner<P: ProfHook>(
     }))
 }
 
-/// SPARQL-ish term ordering: numeric when both lexical forms parse as
-/// numbers, lexicographic by resolved string otherwise.
-fn compare_terms(graph: &Graph, a: Term, b: Term) -> std::cmp::Ordering {
-    let render = |t: Term| match t {
-        Term::Iri(s) | Term::Blank(s) => graph.resolve(s).to_string(),
-        Term::Literal(l) => graph.resolve(l.lexical).to_string(),
-    };
-    let (x, y) = (render(a), render(b));
-    match (x.parse::<f64>(), y.parse::<f64>()) {
-        (Ok(nx), Ok(ny)) => nx.partial_cmp(&ny).unwrap_or(std::cmp::Ordering::Equal),
-        _ => x.cmp(&y),
-    }
+// ---- the planner-free oracle ------------------------------------------------
+
+/// Evaluate `query` with no planner: the required patterns join in textual
+/// order over [`Graph::match_pattern_scan`], each OPTIONAL group extends
+/// the rows one at a time the same way, every FILTER runs on the joined
+/// rows at the end, and the solution modifiers follow. The differential
+/// reference for the engine's join order, filter schedule and index
+/// walks, as [`crate::cypher::evaluate_scan`] is for Cypher.
+pub fn evaluate_scan(graph: &Graph, query: &SelectQuery) -> Result<Outcome, SparqlError> {
+    evaluate_scan_params(graph, query, &Params::default())
 }
 
-fn eval_filter(
+/// [`evaluate_scan`] with parameter bindings.
+pub fn evaluate_scan_params(
+    graph: &Graph,
+    query: &SelectQuery,
+    params: &Params,
+) -> Result<Outcome, SparqlError> {
+    let query = bind_params(query, params)?;
+    let (var_index, var_names) = register_vars(&query);
+    let compiled = compile_patterns(graph, &query.patterns, &var_index)?;
+    let mut rows = scan_join(graph, &compiled, vec![vec![None; var_names.len()]]);
+    for group in &query.optionals {
+        let compiled_group = compile_patterns(graph, group, &var_index)?;
+        rows = left_join(rows, |row| {
+            scan_join(graph, &compiled_group, vec![row.to_vec()])
+        });
+    }
+    rows.retain(|row| {
+        query
+            .filters
+            .iter()
+            .all(|f| filter_holds(graph, f, &var_index, row))
+    });
+    finish(graph, &query, &var_index, var_names, rows, NoProf)
+}
+
+/// Nested loops in textual order, each pattern matched by a full scan.
+fn scan_join(
+    graph: &Graph,
+    compiled: &[Compiled],
+    mut rows: Vec<Vec<Option<Term>>>,
+) -> Vec<Vec<Option<Term>>> {
+    for c in compiled {
+        let mut next = Vec::new();
+        for row in &rows {
+            let Some(probe) = c.probe(row) else {
+                continue;
+            };
+            for t in graph.match_pattern_scan(probe.s, probe.p, probe.o) {
+                let mut extended = row.clone();
+                if probe.bind(t, &mut extended) {
+                    next.push(extended);
+                }
+            }
+        }
+        rows = next;
+    }
+    rows
+}
+
+/// The FILTER semantics written out plainly: render the value, parse both
+/// sides as numbers, compare numerically if both parse and as strings
+/// otherwise; an unbound or unknown variable fails.
+fn filter_holds(
     graph: &Graph,
     filter: &FilterExpr,
     var_index: &FxHashMap<String, usize>,
     row: &[Option<Term>],
 ) -> bool {
+    let value = |var: &str| var_index.get(var).and_then(|&i| row[i]);
     match filter {
-        FilterExpr::IsLiteral(v) => var_index
-            .get(v.as_str())
-            .and_then(|&i| row[i])
-            .is_some_and(|t| t.is_literal()),
-        FilterExpr::IsIri(v) => var_index
-            .get(v.as_str())
-            .and_then(|&i| row[i])
-            .is_some_and(|t| t.is_iri()),
-        FilterExpr::Compare { var, op, value } => {
-            let Some(term) = var_index.get(var.as_str()).and_then(|&i| row[i]) else {
+        FilterExpr::IsLiteral(v) => value(v).is_some_and(|t| t.is_literal()),
+        FilterExpr::IsIri(v) => value(v).is_some_and(|t| t.is_iri()),
+        FilterExpr::Compare {
+            var,
+            op,
+            value: constant,
+        } => {
+            let Some(term) = value(var) else {
                 return false;
             };
-            let actual = match term {
-                Term::Iri(s) | Term::Blank(s) => graph.resolve(s).to_string(),
-                Term::Literal(l) => graph.resolve(l.lexical).to_string(),
-            };
-            // Numeric comparison when both sides parse as f64.
-            let result = match (actual.parse::<f64>(), value.parse::<f64>()) {
+            let actual = lexical(graph, term).to_string();
+            let ord = match (actual.parse::<f64>(), constant.parse::<f64>()) {
                 (Ok(a), Ok(b)) => a.partial_cmp(&b),
-                _ => Some(actual.as_str().cmp(value.as_str())),
+                _ => Some(actual.as_str().cmp(constant.as_str())),
             };
-            let Some(ord) = result else { return false };
-            match op {
-                CompareOp::Eq => ord.is_eq(),
-                CompareOp::Ne => ord.is_ne(),
-                CompareOp::Lt => ord.is_lt(),
-                CompareOp::Le => ord.is_le(),
-                CompareOp::Gt => ord.is_gt(),
-                CompareOp::Ge => ord.is_ge(),
-            }
+            ord.is_some_and(|ord| op.holds(ord))
         }
         FilterExpr::And(a, b) => {
-            eval_filter(graph, a, var_index, row) && eval_filter(graph, b, var_index, row)
+            filter_holds(graph, a, var_index, row) && filter_holds(graph, b, var_index, row)
         }
         FilterExpr::Or(a, b) => {
-            eval_filter(graph, a, var_index, row) || eval_filter(graph, b, var_index, row)
+            filter_holds(graph, a, var_index, row) || filter_holds(graph, b, var_index, row)
         }
-        FilterExpr::Not(a) => !eval_filter(graph, a, var_index, row),
+        FilterExpr::Not(a) => !filter_holds(graph, a, var_index, row),
     }
 }
 
@@ -1395,76 +1673,60 @@ fn eval_filter(
 /// Render the query's execution strategy as an operator tree without
 /// executing it.
 ///
-/// The tree mirrors [`evaluate_outcome_threads_params`] exactly: triple
-/// patterns appear in the greedy join order `order_patterns` picks
-/// (`TriplePatternScan` for the seed pattern, `TriplePatternJoin` for each
-/// subsequent one), followed by the solution modifiers in evaluation order.
-/// Operator ids match the ids [`evaluate_outcome_profiled`] records, so a
-/// `PROFILE` run annotates this same tree via [`PlanNode::annotate`].
+/// The tree is the plan [`evaluate_outcome_threads_params`] runs: triple
+/// patterns in join order (`TriplePatternScan` for the seed pattern,
+/// `TriplePatternJoin` for each subsequent one), each pushed `Filter`
+/// directly above the step it runs after, then the OPTIONAL groups, the
+/// filters left for the end, and the solution modifiers in evaluation
+/// order. Operator ids match the ids [`evaluate_outcome_profiled`]
+/// records, so a `PROFILE` run annotates this same tree via
+/// [`PlanNode::annotate`].
 ///
 /// Pattern arguments are rendered from the *original* query terms, so
 /// parameter slots stay value-free (`$name`) in cached/logged plans; join
-/// ordering and the `est_rows` cardinality estimates use the substituted
-/// terms, exactly as evaluation would.
+/// ordering and the `est_rows` estimates (a seed's sampled one included)
+/// use the substituted terms, exactly as evaluation does.
 pub fn explain(
     graph: &Graph,
     query: &SelectQuery,
     params: &Params,
     threads: usize,
 ) -> Result<PlanNode, SparqlError> {
-    for name in &param_names(query) {
-        if !params.contains_key(name) {
-            return err(format!("parameter ${name} is not bound"));
-        }
-    }
-    let substituted = substitute(&query.patterns, params)?;
+    let bound = bind_params(query, params)?;
     let (var_index, var_names) = register_vars(query);
-    let compiled = compile_patterns(graph, &substituted, &var_index)?;
-    let probe: Vec<Option<Term>> = vec![None; var_names.len()];
-    let order = order_patterns(graph, &compiled, &probe);
-
-    let est_rows = |c: &Compiled| -> usize {
-        let term = |slot: Slot| match resolve_slot(slot, &probe) {
-            ResolvedSlot::Term(t) => t,
-            _ => None,
-        };
-        let pred = |slot: Slot| match resolve_slot(slot, &probe) {
-            ResolvedSlot::Pred(p) => p,
-            _ => None,
-        };
-        if [c.s, c.p, c.o]
-            .into_iter()
-            .any(|slot| matches!(resolve_slot(slot, &probe), ResolvedSlot::Never))
-        {
-            0
-        } else {
-            graph.pattern_cardinality(term(c.s), pred(c.p), term(c.o))
-        }
+    let compiled = compile_patterns(graph, &bound.patterns, &var_index)?;
+    let tests = compile_filters(&bound.filters, &var_index);
+    let plan = plan(graph, &compiled, &tests, var_names.len());
+    let filter = |j: usize| {
+        PlanNode::new("Filter", format!("filter{j}"))
+            .arg("predicate", render_filter(&query.filters[j]))
     };
 
     let mut node: Option<PlanNode> = None;
-    for (i, &pi) in order.iter().enumerate() {
+    for (i, step) in plan.steps.iter().enumerate() {
         let op = if i == 0 {
             "TriplePatternScan"
         } else {
             "TriplePatternJoin"
         };
-        let next = PlanNode::new(op, format!("pat{pi}"))
-            .arg("pattern", render_pattern(&query.patterns[pi]))
-            .arg("est_rows", est_rows(&compiled[pi]).to_string())
-            .arg("vectorized", "true");
-        node = Some(match node {
+        let next = PlanNode::new(op, format!("pat{}", step.pattern))
+            .arg("pattern", render_pattern(&query.patterns[step.pattern]))
+            .arg("est_rows", step.est_rows.to_string());
+        let mut next = match node {
             Some(prev) => prev.feed(next),
             None => next,
-        });
+        };
+        for &j in &step.filters {
+            next = next.feed(filter(j));
+        }
+        node = Some(next);
     }
     let mut node = node.unwrap_or_else(|| PlanNode::new("TriplePatternScan", "pat0"));
-    if threads > 1 && order.len() >= 2 {
+    if threads > 1 && plan.steps.len() >= 2 {
         node = node.feed(
             PlanNode::new("MorselFanOut", "parallel")
                 .arg("threads", threads.to_string())
-                .arg("morsel_size_max", crate::morsel::MORSEL_SIZE.to_string())
-                .arg("vectorized", "true"),
+                .arg("morsel_size_max", crate::morsel::MORSEL_SIZE.to_string()),
         );
     }
     for (k, group) in query.optionals.iter().enumerate() {
@@ -1474,10 +1736,8 @@ pub fn explain(
                 .arg("patterns", rendered.join(" . ")),
         );
     }
-    for (j, filter) in query.filters.iter().enumerate() {
-        node = node.feed(
-            PlanNode::new("Filter", format!("filter{j}")).arg("predicate", render_filter(filter)),
-        );
+    for &j in &plan.tail {
+        node = node.feed(filter(j));
     }
     if let Some(agg) = &query.aggregate {
         let mut agg_node = PlanNode::new("Aggregate", "aggregate").arg(
@@ -1863,6 +2123,103 @@ mod tests {
     fn order_by_unbound_variable_errors() {
         let q = "PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s a ex:Student . } ORDER BY ?nope";
         assert!(execute(&graph(), q).is_err());
+    }
+
+    /// The comparator ORDER BY used before keys were computed once per
+    /// row: render both terms, parse both, compare.
+    fn compare_terms_rendered(graph: &Graph, a: Term, b: Term) -> std::cmp::Ordering {
+        let render = |t: Term| match t {
+            Term::Iri(s) | Term::Blank(s) => graph.resolve(s).to_string(),
+            Term::Literal(l) => graph.resolve(l.lexical).to_string(),
+        };
+        let (x, y) = (render(a), render(b));
+        match (x.parse::<f64>(), y.parse::<f64>()) {
+            (Ok(nx), Ok(ny)) => nx.partial_cmp(&ny).unwrap_or(std::cmp::Ordering::Equal),
+            _ => x.cmp(&y),
+        }
+    }
+
+    #[test]
+    fn sort_keys_order_rows_like_the_rendering_comparator() {
+        let mut g = Graph::new();
+        // The comparator is a total order only while no value is `NaN`
+        // and every non-numeric form sorts past the digits (`"2x"` with
+        // `"10"` and `"3"` is a cycle, which `sort_by` may panic on, old
+        // and new alike).
+        let mut values: Vec<Option<Term>> = [
+            "10", "9", "abc", "1e3", "-3.5", "inf", "", "007", "7", "lit",
+        ]
+        .iter()
+        .map(|v| Some(g.string_literal(v)))
+        .collect();
+        values.push(Some(g.integer_literal(12)));
+        values.push(Some(g.intern_iri("http://ex/9")));
+        values.push(Some(g.intern_blank("b1")));
+        values.push(None);
+        let mut rng = s3pg_rdf::rng::XorShiftRng::seed_from_u64(0x50F7);
+        for round in 0..40 {
+            // (value, original position): ties must keep their order.
+            let rows: Vec<(Option<Term>, usize)> = (0..rng.random_range(0..40usize))
+                .map(|i| (values[rng.random_range(0..values.len())], i))
+                .collect();
+            for descending in [false, true] {
+                let directed =
+                    |ord: std::cmp::Ordering| if descending { ord.reverse() } else { ord };
+                let mut old = rows.clone();
+                old.sort_by(|(a, _), (b, _)| {
+                    directed(match (a, b) {
+                        (Some(x), Some(y)) => compare_terms_rendered(&g, *x, *y),
+                        (None, None) => std::cmp::Ordering::Equal,
+                        (None, Some(_)) => std::cmp::Ordering::Less,
+                        (Some(_), None) => std::cmp::Ordering::Greater,
+                    })
+                });
+                let mut keyed: Vec<(SortKey, usize)> =
+                    rows.iter().map(|&(v, i)| (sort_key(&g, v), i)).collect();
+                keyed.sort_by(|(a, _), (b, _)| directed(compare_keys(a, b)));
+                let old: Vec<usize> = old.into_iter().map(|(_, i)| i).collect();
+                let new: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+                assert_eq!(old, new, "round {round} descending {descending}");
+            }
+        }
+    }
+
+    /// A threshold only the last few ranks pass: the rank pattern's
+    /// sampled estimate (no pass in its first 64 matches) undercuts the
+    /// equally large link pattern, so it seeds, and the filter runs right
+    /// above it.
+    #[test]
+    fn explain_puts_the_filter_above_the_sampled_seed() {
+        let mut g = Graph::new();
+        for i in 0..200 {
+            let t = g.intern_iri(&format!("http://ex/t{i}"));
+            let rank = g.intern("http://ex/rank");
+            let r = g.integer_literal(i);
+            g.insert(t, rank, r);
+            g.insert_iri(
+                &format!("http://ex/s{}", i % 10),
+                "http://ex/linksTo",
+                &format!("http://ex/t{i}"),
+            );
+        }
+        let text = "PREFIX ex: <http://ex/> SELECT ?s ?r WHERE { ?s ex:linksTo ?t . ?t ex:rank ?r . FILTER(?r > 195) }";
+        let q = parse(text).unwrap();
+        let plan = explain(&g, &q, &Params::default(), 1).unwrap();
+        let filter = plan.find("filter0").expect("a filter node");
+        assert_eq!(filter.children.len(), 1);
+        let seed = &filter.children[0];
+        assert_eq!(
+            (seed.op.as_str(), seed.id.as_str()),
+            ("TriplePatternScan", "pat1")
+        );
+        // 200 matches, none of the first 64 pass: 200·(0+1)/(64+1).
+        assert!(
+            seed.args.contains(&("est_rows".into(), "3".into())),
+            "{seed:?}"
+        );
+        assert!(plan.args.iter().all(|(k, _)| k != "vectorized"));
+        assert_eq!(plan.find("pat0").unwrap().op, "TriplePatternJoin");
+        assert_eq!(execute(&g, text).unwrap().len(), 4);
     }
 
     #[test]

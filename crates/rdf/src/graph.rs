@@ -51,6 +51,39 @@ struct Chain {
     len: u32,
 }
 
+/// Where [`Graph::matches`] reads its candidates: one chain, or a run of
+/// the log (the whole log for a full scan, one entry for a membership
+/// probe).
+enum Walk {
+    Chain { at: u32, position: usize },
+    Log { at: usize, end: usize },
+}
+
+impl Walk {
+    fn chain(chain: Option<&Chain>, position: usize) -> Walk {
+        Walk::Chain {
+            at: chain.map_or(NIL, |c| c.head),
+            position,
+        }
+    }
+
+    /// The next candidate's log index, live or not.
+    #[inline]
+    fn step(&mut self, next: &[[u32; 3]]) -> Option<usize> {
+        match self {
+            Walk::Chain { at, position } => (*at != NIL).then(|| {
+                let i = *at as usize;
+                *at = next[i][*position];
+                i
+            }),
+            Walk::Log { at, end } => (*at < *end).then(|| {
+                *at += 1;
+                *at - 1
+            }),
+        }
+    }
+}
+
 /// The membership table's tag for a triple.
 #[inline]
 fn tag_of(t: &Triple) -> u32 {
@@ -411,34 +444,45 @@ impl Graph {
             .filter_map(|(t, &alive)| alive.then_some(*t))
     }
 
-    /// Match a triple pattern; `None` components are wildcards.
-    ///
-    /// Chooses the most selective available index (bound subject, then bound
-    /// object, then bound predicate, then full scan).
+    /// Match a triple pattern; `None` components are wildcards. The
+    /// collected form of [`Graph::matches`].
     pub fn match_pattern(&self, s: Option<Term>, p: Option<Sym>, o: Option<Term>) -> Vec<Triple> {
-        let candidates = match (s, o, p) {
-            (Some(s), _, _) => self.chain(self.by_subject.get(&s), SUBJECT),
-            (None, Some(o), _) => self.chain(self.by_object.get(&o), OBJECT),
-            (None, None, Some(p)) => self.chain(self.by_predicate.get(&p), PREDICATE),
-            (None, None, None) => return self.triples().collect(),
-        };
-        candidates
-            .filter(|t| {
-                s.is_none_or(|s| t.s == s)
-                    && p.is_none_or(|p| t.p == p)
-                    && o.is_none_or(|o| t.o == o)
-            })
-            .collect()
+        self.matches(s, p, o).collect()
     }
 
-    /// The live statements of one chain (none for a key without one), in
-    /// insertion order.
-    fn chain(&self, chain: Option<&Chain>, position: usize) -> impl Iterator<Item = Triple> + '_ {
-        let mut at = chain.map_or(NIL, |c| c.head);
+    /// The live statements matching a triple pattern (`None` components
+    /// are wildcards), in insertion order, borrowed off the most selective
+    /// index: one membership probe when all three positions are bound,
+    /// else the subject's chain, the object's chain, the predicate's chain,
+    /// or the whole log, in that order of preference.
+    pub fn matches(
+        &self,
+        s: Option<Term>,
+        p: Option<Sym>,
+        o: Option<Term>,
+    ) -> impl Iterator<Item = Triple> + '_ {
+        let walk = match (s, o, p) {
+            (Some(s), Some(o), Some(p)) => match self.live_index(Triple { s, p, o }) {
+                Some(i) => Walk::Log { at: i, end: i + 1 },
+                None => Walk::Log { at: 0, end: 0 },
+            },
+            (Some(s), _, _) => Walk::chain(self.by_subject.get(&s), SUBJECT),
+            (None, Some(o), _) => Walk::chain(self.by_object.get(&o), OBJECT),
+            (None, None, Some(p)) => Walk::chain(self.by_predicate.get(&p), PREDICATE),
+            (None, None, None) => Walk::Log {
+                at: 0,
+                end: self.triples.len(),
+            },
+        };
+        self.live(walk).filter(move |t| {
+            s.is_none_or(|s| t.s == s) && p.is_none_or(|p| t.p == p) && o.is_none_or(|o| t.o == o)
+        })
+    }
+
+    /// The live statements `walk` reaches, in its order.
+    fn live(&self, mut walk: Walk) -> impl Iterator<Item = Triple> + '_ {
         std::iter::from_fn(move || {
-            while at != NIL {
-                let i = at as usize;
-                at = self.next[i][position];
+            while let Some(i) = walk.step(&self.next) {
                 if self.live[i] {
                     return Some(self.triples[i]);
                 }
@@ -452,7 +496,7 @@ impl Graph {
     /// walk per entity, without the `Vec<Triple>` [`Graph::match_pattern`]
     /// collects.
     pub fn statements_of(&self, s: Term) -> impl Iterator<Item = Triple> + '_ {
-        self.chain(self.by_subject.get(&s), SUBJECT)
+        self.live(Walk::chain(self.by_subject.get(&s), SUBJECT))
     }
 
     /// Reference implementation of [`Graph::match_pattern`] that ignores
@@ -523,7 +567,7 @@ impl Graph {
         let mut out: Vec<Sym> = self
             .by_predicate
             .iter()
-            .filter(|(_, c)| self.chain(Some(c), PREDICATE).next().is_some())
+            .filter(|(_, c)| self.live(Walk::chain(Some(c), PREDICATE)).next().is_some())
             .map(|(&p, _)| p)
             .collect();
         out.sort_unstable();
@@ -535,7 +579,7 @@ impl Graph {
         let mut out: Vec<Term> = self
             .by_subject
             .iter()
-            .filter(|(_, c)| self.chain(Some(c), SUBJECT).next().is_some())
+            .filter(|(_, c)| self.live(Walk::chain(Some(c), SUBJECT)).next().is_some())
             .map(|(&s, _)| s)
             .collect();
         out.sort_unstable();

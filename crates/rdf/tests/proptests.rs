@@ -336,6 +336,11 @@ fn assert_store_is_model(g: &Graph, m: &Model, terms: &Pools, context: &str) {
                     "scan {mask}, {context}"
                 );
                 assert_eq!(
+                    g.matches(s, p, o).collect::<Vec<_>>(),
+                    expected,
+                    "matches {mask}, {context}"
+                );
+                assert_eq!(
                     g.pattern_cardinality(s, p, o),
                     m.pattern_cardinality(s, p, o),
                     "pattern_cardinality {mask}, {context}"
@@ -505,5 +510,49 @@ fn store_matches_naive_model() {
             m.log.len()
         );
         assert_store_is_model(&g, &m, &terms, &format!("seed {seed} at the end"));
+    }
+}
+
+/// The borrowed walk ≡ the full scan after every step of a random insert /
+/// remove / re-insert churn: same statements in the same (log) order as
+/// `match_pattern` collects, for all 8 masks — among them the membership
+/// probe a fully bound pattern takes, over tombstoned and revived entries.
+#[test]
+fn matches_is_scan_under_churn() {
+    for seed in 0..CASES {
+        let mut rng = XorShiftRng::seed_from_u64(6_000 + seed);
+        let mut g = Graph::new();
+        let terms = Pools::new(&mut g);
+        let mut removed: Vec<Triple> = Vec::new();
+        for step in 0..200 {
+            match rng.random_range(0..4u8) {
+                0 | 1 => {
+                    let t = terms.triple(&mut rng);
+                    g.insert(t.s, t.p, t.o);
+                }
+                2 => {
+                    let t = terms.triple(&mut rng);
+                    if g.remove(t.s, t.p, t.o) {
+                        removed.push(t);
+                    }
+                }
+                _ => {
+                    if let Some(i) = rng.choose_index(removed.len()) {
+                        let t = removed.swap_remove(i);
+                        g.insert(t.s, t.p, t.o);
+                    }
+                }
+            }
+            let t = terms.triple(&mut rng);
+            for mask in 0u8..8 {
+                let s = (mask & 1 != 0).then_some(t.s);
+                let p = (mask & 2 != 0).then_some(t.p);
+                let o = (mask & 4 != 0).then_some(t.o);
+                let walked: Vec<Triple> = g.matches(s, p, o).collect();
+                let context = format!("seed {seed} step {step} mask {mask}");
+                assert_eq!(walked, g.match_pattern_scan(s, p, o), "{context}");
+                assert_eq!(walked, g.match_pattern(s, p, o), "{context}");
+            }
+        }
     }
 }

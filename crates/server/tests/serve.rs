@@ -553,6 +553,60 @@ fn explain_profile_and_query_stats_over_tcp() {
     handle.join();
 }
 
+/// PROFILE of the join-filter shape: the rank-like pattern seeds (none
+/// of its first 64 names passes the filter, so its sampled estimate
+/// undercuts the `knows` pattern), and its FILTER sits directly above the
+/// seed scan, profiled with the rows that survive it.
+#[test]
+fn profile_shows_the_filter_directly_above_the_seed_scan() {
+    let mut rdf = s3pg_rdf::Graph::new();
+    for i in 0..200 {
+        let person = format!("http://ex/p{i}");
+        rdf.insert_type(&person, "http://ex/Person");
+        rdf.insert_iri(
+            &person,
+            "http://ex/knows",
+            &format!("http://ex/p{}", (i + 1) % 200),
+        );
+        let (s, name, value) = (
+            rdf.intern_iri(&person),
+            rdf.intern("http://ex/name"),
+            rdf.string_literal(&format!("P{i}")),
+        );
+        rdf.insert(s, name, value);
+    }
+    let shapes = parse_shacl_turtle(SHAPES).unwrap();
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let handle = serve("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+    let mut client = connect(&handle);
+
+    let text = r#"PREFIX ex: <http://ex/> SELECT ?s ?n WHERE { ?s ex:knows ?t . ?t ex:name ?n . FILTER(?n > "P95") }"#;
+    let response = client
+        .call(&Request::Sparql {
+            query: format!("PROFILE {text}"),
+            params: Vec::new(),
+        })
+        .unwrap();
+    let Response::Profile { rows, plan, .. } = response else {
+        panic!("expected profile, got {response:?}");
+    };
+    // P96 … P99.
+    assert_eq!(rows.len(), 4, "{rows:?}");
+    let filter = plan.find("filter0").expect("a Filter node");
+    assert_eq!(filter.rows, Some(4), "{plan:?}");
+    let [seed] = filter.children.as_slice() else {
+        panic!("the filter has one input: {plan:?}");
+    };
+    assert_eq!(
+        (seed.op.as_str(), seed.id.as_str(), seed.rows),
+        ("TriplePatternScan", "pat1", Some(200)),
+        "{plan:?}"
+    );
+
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn sheds_load_with_typed_rejection_when_saturated() {
     // One worker, queue of one: the third concurrent connection must be

@@ -9,7 +9,8 @@
 //!    engines, at 2/4/8 workers. Alongside the workload query set, a
 //!    cartesian two-pattern query per engine is sized so its estimated
 //!    work clears the parallel engagement threshold and the worker path
-//!    actually runs.
+//!    actually runs, and SPARQL joins whose FILTERs run between join
+//!    steps hold at 2 and 8 workers too.
 //! 2. **Planned ≡ scan** — byte-identical on the single-pattern workload
 //!    query set (index probes enumerate id-sorted, matching label-scan
 //!    order); multiset-identical on multi-pattern value joins, where
@@ -23,12 +24,13 @@ use s3pg::pipeline::transform;
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{NodeId, PropertyGraph, Value};
+use s3pg_query::profile::ProfSink;
 use s3pg_query::{cypher, sparql};
 use s3pg_rdf::rng::XorShiftRng;
-use s3pg_rdf::Graph;
+use s3pg_rdf::{Graph, Term};
 use s3pg_shacl::extract_shapes;
-use s3pg_workloads::generate_queries;
 use s3pg_workloads::spec::{generate, DatasetSpec, GeneratedDataset};
+use s3pg_workloads::{generate_queries, generate_skewed, skew};
 use std::collections::BTreeMap;
 
 /// Large enough that a two-class cartesian query's estimated work
@@ -132,6 +134,72 @@ fn parallel_branch_engages_on_heavy_cartesian_queries() {
         let par = cypher::evaluate_threads(&out.pg, &q, threads).unwrap();
         assert_eq!(seq, par, "cypher {text} at {threads} threads");
     }
+}
+
+/// Pushed filters under the morsel scheduler: the benchmark's two skew
+/// join templates at thresholds passing no, a few, half and all targets,
+/// and a filtered cartesian product, answer at 2 and 8 threads exactly as
+/// at one — rows and order, profiled or not — and the workers engage on
+/// at least one of them.
+#[test]
+fn parallel_join_with_pushed_filters_matches_sequential() {
+    let skewed = generate_skewed(0.3, 0xF117).graph;
+    let rank = skewed.interner().get(skew::RANK).unwrap();
+    let mut ranks: Vec<i64> = skewed
+        .matches(None, Some(rank), None)
+        .map(|t| match t.o {
+            Term::Literal(l) => skewed.resolve(l.lexical).parse().unwrap(),
+            _ => unreachable!("ranks are literals"),
+        })
+        .collect();
+    ranks.sort_unstable();
+    let n = ranks.len();
+    let (links, rank) = (skew::LINKS_TO, skew::RANK);
+    let (source, target) = (skew::SOURCE_CLASS, skew::TARGET_CLASS);
+    let mut cases: Vec<(&Graph, String)> = Vec::new();
+    for k in [ranks[n - 1], ranks[n - 4], ranks[n / 2], ranks[0] - 1] {
+        cases.push((
+            &skewed,
+            format!("SELECT ?s ?r WHERE {{ ?s <{links}> ?t . ?t <{rank}> ?r . FILTER(?r > {k}) }}"),
+        ));
+        cases.push((
+            &skewed,
+            format!(
+                "SELECT ?s ?t WHERE {{ ?s a <{source}> . ?s <{links}> ?t . ?t a <{target}> . ?t <{rank}> ?r . FILTER(?r > {k}) }}"
+            ),
+        ));
+    }
+    let generated = workload();
+    let (c0, c1) = (&generated.meta.classes[0], &generated.meta.classes[1]);
+    let c0_type = Term::Iri(generated.graph.interner().get(c0).unwrap());
+    let mid = generated
+        .graph
+        .subjects(generated.graph.type_predicate_opt().unwrap(), c0_type)[INSTANCES / 2];
+    let mid = generated.graph.resolve(match mid {
+        Term::Iri(s) => s,
+        _ => unreachable!("instances are IRIs"),
+    });
+    cases.push((
+        &generated.graph,
+        format!("SELECT ?a ?b WHERE {{ ?a a <{c0}> . ?b a <{c1}> . FILTER(?a > \"{mid}\" || !isIRI(?b)) }}"),
+    ));
+
+    let params = sparql::Params::default();
+    let mut engaged = false;
+    for (graph, text) in &cases {
+        let q = sparql::parse(text).unwrap();
+        let seq = sparql::evaluate_outcome_threads_params(graph, &q, &params, 1).unwrap();
+        for threads in [2, 8] {
+            let par = sparql::evaluate_outcome_threads_params(graph, &q, &params, threads).unwrap();
+            assert_eq!(seq, par, "sparql {text} at {threads} threads");
+            let sink = ProfSink::new();
+            let profiled =
+                sparql::evaluate_outcome_profiled(graph, &q, &params, threads, &sink).unwrap();
+            assert_eq!(seq, profiled, "profiled sparql {text} at {threads} threads");
+            engaged |= sink.get("parallel").is_some();
+        }
+    }
+    assert!(engaged, "no filtered join engaged the workers");
 }
 
 /// The two identifier-safe node labels with the most live nodes.
