@@ -47,7 +47,7 @@ fn main() {
         let cy = mean(|| {
             cypher::evaluate_planned_params(&cx.s3pg.pg, &cypher_q, &plan, &params, 1).unwrap()
         });
-        let sp = mean(|| sparql::evaluate_outcome_threads(graph, &sparql_q, 1).unwrap());
+        let sp = mean(|| sparql::evaluate_outcome(graph, &sparql_q).unwrap());
         println!("cypher/q{qi}: {}ns", cy.as_nanos());
         println!("sparql/q{qi}: {}ns", sp.as_nanos());
         cy_total += cy;

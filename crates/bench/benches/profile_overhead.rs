@@ -88,7 +88,7 @@ fn main() {
         });
         let enabled = mean(|| {
             let sink = ProfSink::new();
-            sparql::evaluate_outcome_profiled(graph, &sparql_q, &sparql_params, 1, &sink).unwrap()
+            sparql::evaluate_outcome_profiled(graph, &sparql_q, &sparql_params, &sink).unwrap()
         });
         report(&format!("sparql/{name}"), disabled, enabled);
         sp_disabled += disabled;

@@ -1,31 +1,26 @@
 //! Figure 6 benchmark: query runtime per category on the source RDF graph
-//! (SPARQL) and on the three transformed PGs (Cypher) — plus a
-//! machine-readable `BENCH_query.json` comparing the pre-planner scan
-//! baseline against indexed/planned evaluation at 1/2/4/8 threads, and
-//! index-probe vs label-scan on equality-predicate queries.
+//! (SPARQL) and on the three transformed PGs (Cypher) — plus the
+//! pre-planner scan baseline against planned evaluation on the workload
+//! mix and on multi-pattern value joins, and index probe vs label scan on
+//! equality-predicate queries.
 //!
 //! ```text
-//! cargo bench --bench query_runtime -- [--scale F] [--out BENCH_query.json]
+//! cargo bench --bench query_runtime -- [--scale F] [--inspect]
 //! ```
 
 use s3pg::query_translate;
 use s3pg_baselines::NeoSemantics;
 use s3pg_bench::experiments::{accuracy_context, Dataset, Scale};
-use s3pg_bench::timing::{bench, bench_samples, section, Samples};
+use s3pg_bench::timing::{bench, bench_samples, section};
 use s3pg_pg::{PropertyGraph, Value};
 use s3pg_query::{cypher, sparql};
 use s3pg_workloads::generate_queries;
 use s3pg_workloads::QueryCategory;
-use std::fmt::Write as _;
-
-/// Worker counts for the parallel comparison sweeps.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     // `cargo bench` forwards arguments after `--`; it also passes
     // `--bench` itself, which is ignored like any other unknown flag.
     let mut scale = 0.15f64;
-    let mut out_path = "BENCH_query.json".to_string();
     let mut inspect = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -33,11 +28,6 @@ fn main() {
             "--scale" => {
                 if let Some(v) = it.next().and_then(|v| v.parse::<f64>().ok()) {
                     scale = v;
-                }
-            }
-            "--out" => {
-                if let Some(v) = it.next() {
-                    out_path = v;
                 }
             }
             "--inspect" => inspect = true,
@@ -81,15 +71,7 @@ fn main() {
         });
     }
 
-    // ---- BENCH_query.json: workload mix, scan vs planned vs parallel ----
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"dataset\": \"{}\",", cx.prepared.dataset.name());
-    let _ = writeln!(json, "  \"scale\": {scale},");
-    let _ = writeln!(json, "  \"threads\": [1, 2, 4, 8],");
-    json.push_str("  \"workload\": [\n");
-
-    section("workload mix: scan vs planned, threads 1/2/4/8");
-    let mut first = true;
+    section("workload mix: scan vs planned");
     for q in &queries {
         let name = format!("{}-Q{}", q.category.name(), q.id);
         let sparql_q = sparql::parse(&q.sparql).unwrap();
@@ -97,98 +79,34 @@ fn main() {
             &query_translate::translate_str(&q.sparql, &cx.s3pg.schema.mapping).unwrap(),
         )
         .unwrap();
-
-        let scan = bench_samples(&format!("cypher-scan/{name}"), || {
+        bench(&format!("cypher-scan/{name}"), || {
             cypher::evaluate_scan(&cx.s3pg.pg, &s3pg_q).unwrap()
         });
-        let cypher_t: Vec<(usize, Samples)> = THREADS
-            .iter()
-            .map(|&t| {
-                (
-                    t,
-                    bench_samples(&format!("cypher-t{t}/{name}"), || {
-                        cypher::evaluate_threads(&cx.s3pg.pg, &s3pg_q, t).unwrap()
-                    }),
-                )
-            })
-            .collect();
-        let sparql_t: Vec<(usize, Samples)> = THREADS
-            .iter()
-            .map(|&t| {
-                (
-                    t,
-                    bench_samples(&format!("sparql-t{t}/{name}"), || {
-                        sparql::evaluate_threads(graph, &sparql_q, t).unwrap()
-                    }),
-                )
-            })
-            .collect();
-
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"id\": {},", q.id);
-        let _ = writeln!(json, "      \"category\": \"{}\",", q.category.name());
-        let _ = writeln!(json, "      \"cypher_scan\": {},", samples_json(&scan));
-        json.push_str("      \"cypher_threads\": {");
-        json.push_str(&threads_json(&cypher_t));
-        json.push_str("},\n");
-        json.push_str("      \"sparql_threads\": {");
-        json.push_str(&threads_json(&sparql_t));
-        json.push_str("}\n    }");
+        bench(&format!("cypher/{name}"), || {
+            cypher::evaluate(&cx.s3pg.pg, &s3pg_q).unwrap()
+        });
+        bench(&format!("sparql/{name}"), || {
+            sparql::evaluate(graph, &sparql_q).unwrap()
+        });
     }
-    json.push_str("\n  ],\n");
 
-    // ---- Multi-pattern value joins: scan vs planned, threads sweep ----
-    // Two MATCH patterns sharing a carrier variable — the nested-loop
-    // join the parallel evaluator is built for: the first pattern's
-    // candidates are partitioned and each worker runs the whole second
-    // pattern for its chunk.
-    section("multi-pattern value joins: scan vs planned, threads 1/2/4/8");
-    json.push_str("  \"multi_pattern\": [\n");
-    let mut first = true;
+    // Two MATCH patterns sharing a carrier variable: the planner
+    // reverse-anchors the second pattern instead of rescanning its bucket.
+    section("multi-pattern value joins: scan vs planned");
     for text in join_queries(&cx.s3pg.pg, 3) {
         let parsed = cypher::parse(&text).unwrap();
         let tag = short_tag(&text);
         let scan = bench_samples(&format!("join-scan/{tag}"), || {
             cypher::evaluate_scan(&cx.s3pg.pg, &parsed).unwrap()
         });
-        let join_t: Vec<(usize, Samples)> = THREADS
-            .iter()
-            .map(|&t| {
-                (
-                    t,
-                    bench_samples(&format!("join-t{t}/{tag}"), || {
-                        cypher::evaluate_threads(&cx.s3pg.pg, &parsed, t).unwrap()
-                    }),
-                )
-            })
-            .collect();
-        let scan_ns = scan.p50.as_nanos().max(1) as f64;
-        let t4 = join_t[2].1.p50.as_nanos().max(1) as f64;
-        let speedup = scan_ns / t4;
-        println!("{tag:<56} planned @4 threads vs scan {speedup:.1}x (p50)");
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"query\": {},", json_string(&text));
-        let _ = writeln!(json, "      \"cypher_scan\": {},", samples_json(&scan));
-        json.push_str("      \"cypher_threads\": {");
-        json.push_str(&threads_json(&join_t));
-        json.push_str("},\n");
-        let _ = writeln!(json, "      \"p50_speedup_t4_vs_scan\": {speedup:.2}");
-        json.push_str("    }");
+        let planned = bench_samples(&format!("join/{tag}"), || {
+            cypher::evaluate(&cx.s3pg.pg, &parsed).unwrap()
+        });
+        let speedup = scan.p50.as_nanos() as f64 / planned.p50.as_nanos().max(1) as f64;
+        println!("{tag:<56} planned vs scan {speedup:.1}x (p50)");
     }
-    json.push_str("\n  ],\n");
 
-    // ---- Equality predicates: index probe vs label scan ----
     section("equality predicates: index vs scan");
-    json.push_str("  \"equality\": [\n");
-    let mut first = true;
     for (label, key, literal) in equality_targets(&cx.s3pg.pg, 4) {
         let text = format!("MATCH (n:{label}) WHERE n.{key} = {literal} RETURN n.{key}");
         let parsed = cypher::parse(&text).unwrap();
@@ -201,61 +119,7 @@ fn main() {
         });
         let speedup = scan.p50.as_nanos() as f64 / indexed.p50.as_nanos().max(1) as f64;
         println!("{tag:<56} index speedup {speedup:.1}x (p50)");
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        json.push_str("    {\n");
-        let _ = writeln!(json, "      \"query\": {},", json_string(&text));
-        let _ = writeln!(json, "      \"label\": {},", json_string(&label));
-        let _ = writeln!(json, "      \"key\": {},", json_string(&key));
-        let _ = writeln!(json, "      \"scan\": {},", samples_json(&scan));
-        let _ = writeln!(json, "      \"indexed\": {},", samples_json(&indexed));
-        let _ = writeln!(json, "      \"p50_speedup\": {speedup:.2}");
-        json.push_str("    }");
     }
-    json.push_str("\n  ]\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write BENCH_query.json");
-    println!("\nwrote {out_path}");
-}
-
-/// `{"p50_us": …, "p99_us": …, "mean_us": …, "iters": …}` for one sample set.
-fn samples_json(s: &Samples) -> String {
-    format!(
-        "{{\"p50_us\": {:.2}, \"p99_us\": {:.2}, \"mean_us\": {:.2}, \"iters\": {}}}",
-        s.p50.as_nanos() as f64 / 1_000.0,
-        s.p99.as_nanos() as f64 / 1_000.0,
-        s.mean.as_nanos() as f64 / 1_000.0,
-        s.iters
-    )
-}
-
-/// `"1": {…}, "2": {…}, …` for a per-thread-count sweep.
-fn threads_json(sweep: &[(usize, Samples)]) -> String {
-    sweep
-        .iter()
-        .map(|(t, s)| format!("\"{t}\": {}", samples_json(s)))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// First 3 tokens of a query as a display tag.

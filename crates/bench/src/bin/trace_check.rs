@@ -3,14 +3,12 @@
 //! Validates a `--trace-out` JSONL file (every line parses, required
 //! fields present, begins/ends balanced with proper nesting via
 //! [`s3pg_obs::validate_span_tree`]), optionally the `metrics.json`
-//! summary `s3pg-convert --metrics` writes, the `BENCH_query.json`
-//! document the `query_runtime` bench emits, and/or the
+//! summary `s3pg-convert --metrics` writes, and/or the
 //! `BENCH_compact.json` document the `compact` bench emits — without
 //! needing any external tooling in CI.
 //!
 //! ```text
 //! trace_check --trace out/trace.jsonl [--metrics out/metrics.json]
-//! trace_check --query-bench BENCH_query.json
 //! trace_check --compact-bench BENCH_compact.json
 //! ```
 //!
@@ -22,20 +20,18 @@ use s3pg_server::json::{self, Json};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: trace_check [--trace FILE.jsonl] [--metrics FILE.json] \
-     [--query-bench FILE.json] [--compact-bench FILE.json]";
+const USAGE: &str =
+    "usage: trace_check [--trace FILE.jsonl] [--metrics FILE.json] [--compact-bench FILE.json]";
 
 fn main() {
     let mut trace_path: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut query_bench_path: Option<PathBuf> = None;
     let mut compact_bench_path: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => trace_path = it.next().map(PathBuf::from),
             "--metrics" => metrics_path = it.next().map(PathBuf::from),
-            "--query-bench" => query_bench_path = it.next().map(PathBuf::from),
             "--compact-bench" => compact_bench_path = it.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -44,10 +40,8 @@ fn main() {
             other => fail(&format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    if trace_path.is_none() && query_bench_path.is_none() && compact_bench_path.is_none() {
-        fail(&format!(
-            "--trace, --query-bench, or --compact-bench is required\n{USAGE}"
-        ));
+    if trace_path.is_none() && compact_bench_path.is_none() {
+        fail(&format!("--trace or --compact-bench is required\n{USAGE}"));
     }
 
     if let Some(trace_path) = trace_path {
@@ -65,15 +59,6 @@ fn main() {
         match check_metrics(&text) {
             Ok(summary) => println!("{}: {summary}", metrics_path.display()),
             Err(e) => fail(&format!("{}: {e}", metrics_path.display())),
-        }
-    }
-
-    if let Some(path) = query_bench_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-        match check_query_bench(&text) {
-            Ok(summary) => println!("{}: {summary}", path.display()),
-            Err(e) => fail(&format!("{}: {e}", path.display())),
         }
     }
 
@@ -151,136 +136,11 @@ fn check_trace(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Validate the `BENCH_query.json` document emitted by the
-/// `query_runtime` bench: shape only, not perf thresholds — CI runs it on
-/// a workload too small for stable speedup ratios.
-fn check_query_bench(text: &str) -> Result<String, String> {
-    let value = json::parse(text.trim()).map_err(|e| e.to_string())?;
-    value
-        .get("dataset")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"dataset\"")?;
-    value
-        .get("scale")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field \"scale\"")?;
-    let threads = value
-        .get("threads")
-        .and_then(Json::as_array)
-        .ok_or("missing \"threads\" array")?;
-    let thread_keys: Vec<String> = threads
-        .iter()
-        .map(|t| t.as_u64().map(|t| t.to_string()))
-        .collect::<Option<_>>()
-        .ok_or("non-integer entry in \"threads\"")?;
-    if thread_keys.is_empty() {
-        return Err("\"threads\" is empty".to_string());
-    }
-
-    let samples_value_ok = |s: &Json, context: &str| -> Result<(), String> {
-        for stat in ["p50_us", "p99_us", "mean_us"] {
-            let v = s
-                .get(stat)
-                .and_then(Json::as_f64)
-                .ok_or(format!("{context}: missing numeric \"{stat}\""))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{context}.{stat}: bad value {v}"));
-            }
-        }
-        s.get("iters")
-            .and_then(Json::as_u64)
-            .filter(|&n| n > 0)
-            .ok_or(format!("{context}: missing positive \"iters\""))?;
-        Ok(())
-    };
-    let samples_ok = |entry: &Json, field: &str, context: &str| -> Result<(), String> {
-        let s = entry
-            .get(field)
-            .ok_or(format!("{context}: missing field \"{field}\""))?;
-        samples_value_ok(s, &format!("{context}.{field}"))
-    };
-    let sweep_ok = |entry: &Json, field: &str, context: &str| -> Result<(), String> {
-        let sweep = entry
-            .get(field)
-            .ok_or(format!("{context}: missing field \"{field}\""))?;
-        for t in &thread_keys {
-            let s = sweep
-                .get(t)
-                .ok_or(format!("{context}.{field}: missing thread entry \"{t}\""))?;
-            samples_value_ok(s, &format!("{context}.{field}.{t}"))?;
-        }
-        Ok(())
-    };
-
-    let workload = value
-        .get("workload")
-        .and_then(Json::as_array)
-        .ok_or("missing \"workload\" array")?;
-    if workload.is_empty() {
-        return Err("\"workload\" is empty".to_string());
-    }
-    for (i, entry) in workload.iter().enumerate() {
-        let context = format!("workload[{i}]");
-        entry
-            .get("category")
-            .and_then(Json::as_str)
-            .ok_or(format!("{context}: missing string field \"category\""))?;
-        samples_ok(entry, "cypher_scan", &context)?;
-        sweep_ok(entry, "cypher_threads", &context)?;
-        sweep_ok(entry, "sparql_threads", &context)?;
-    }
-
-    let multi = value
-        .get("multi_pattern")
-        .and_then(Json::as_array)
-        .ok_or("missing \"multi_pattern\" array")?;
-    for (i, entry) in multi.iter().enumerate() {
-        let context = format!("multi_pattern[{i}]");
-        entry
-            .get("query")
-            .and_then(Json::as_str)
-            .ok_or(format!("{context}: missing string field \"query\""))?;
-        samples_ok(entry, "cypher_scan", &context)?;
-        sweep_ok(entry, "cypher_threads", &context)?;
-        entry
-            .get("p50_speedup_t4_vs_scan")
-            .and_then(Json::as_f64)
-            .ok_or(format!(
-                "{context}: missing numeric \"p50_speedup_t4_vs_scan\""
-            ))?;
-    }
-
-    let equality = value
-        .get("equality")
-        .and_then(Json::as_array)
-        .ok_or("missing \"equality\" array")?;
-    if equality.is_empty() {
-        return Err("\"equality\" is empty".to_string());
-    }
-    for (i, entry) in equality.iter().enumerate() {
-        let context = format!("equality[{i}]");
-        samples_ok(entry, "scan", &context)?;
-        samples_ok(entry, "indexed", &context)?;
-        entry
-            .get("p50_speedup")
-            .and_then(Json::as_f64)
-            .ok_or(format!("{context}: missing numeric \"p50_speedup\""))?;
-    }
-
-    Ok(format!(
-        "ok — {} workload queries, {} joins, {} equality probes, threads {:?}",
-        workload.len(),
-        multi.len(),
-        equality.len(),
-        thread_keys,
-    ))
-}
-
 /// Validate the `BENCH_compact.json` document emitted by the `compact`
 /// bench. Byte sizes are deterministic for a fixed dataset and scale, so
 /// the ≥2× compaction ratio is enforced outright; latency ratios are
-/// shape-checked only — like `--query-bench`, CI runs on a workload too
-/// small for stable timing thresholds.
+/// shape-checked only — CI runs on a workload too small for stable timing
+/// thresholds.
 fn check_compact_bench(text: &str) -> Result<String, String> {
     let value = json::parse(text.trim()).map_err(|e| e.to_string())?;
     value

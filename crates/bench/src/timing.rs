@@ -81,8 +81,8 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
 }
 
 /// Like [`bench()`], but returns the full latency distribution (exact
-/// p50/p99 over the collected iterations) for machine-readable reports
-/// such as `BENCH_query.json`.
+/// p50/p99 over the collected iterations) for ratios and
+/// machine-readable reports such as `BENCH_compact.json`.
 pub fn bench_samples<R>(name: &str, mut f: impl FnMut() -> R) -> Samples {
     let s = measure(&mut f);
     println!(

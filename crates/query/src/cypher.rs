@@ -268,8 +268,8 @@ pub(crate) struct SinglePlan {
     pub(crate) reversed: Vec<bool>,
     /// Per pattern (aligned with `SingleQuery::patterns`): the start
     /// cardinality estimate at selection time — 0 for a bound anchor, 1
-    /// for a reversed pattern, otherwise the probe/bucket size. Feeds the
-    /// parallel-engagement work estimate.
+    /// for a reversed pattern, otherwise the probe/bucket size. EXPLAIN
+    /// shows it as `est_rows`.
     pub(crate) cost: Vec<usize>,
 }
 
@@ -475,23 +475,20 @@ fn pattern_vars(p: &PathPattern) -> impl Iterator<Item = &str> {
 
 /// Render the operator tree [`evaluate_planned_params`] would execute —
 /// without executing anything. The tree is the same over either snapshot
-/// form: one executor runs both. `threads` is the worker budget evaluation
-/// would be given; with `threads > 1` each part shows a `MorselFanOut`
-/// operator (engaged at run time only when the plan's work estimate clears
-/// `min_work`) with the morsel-size ceiling. A `Sort` the executor
+/// form: one executor runs both. A `Sort` the executor
 /// satisfies with the bounded top-K heap (ORDER BY + LIMIT, no DISTINCT,
 /// no aggregates, no OPTIONAL MATCH) renders as `TopKSort` with its bound.
 /// Operator ids match the ones [`evaluate_planned_profiled`] records, so
 /// [`PlanNode::annotate`](crate::profile::PlanNode::annotate) joins a
 /// profiled run onto this exact tree.
-pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
+pub fn explain(query: &CypherQuery, plan: &CypherPlan) -> PlanNode {
     debug_assert_eq!(plan.plans.len(), query.parts.len());
     let mut parts: Vec<PlanNode> = query
         .parts
         .iter()
         .zip(&plan.plans)
         .enumerate()
-        .map(|(i, (part, sp))| explain_single(part, sp, i, threads))
+        .map(|(i, (part, sp))| explain_single(part, sp, i))
         .collect();
     if parts.len() == 1 {
         parts.pop().unwrap()
@@ -503,14 +500,16 @@ pub fn explain(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNo
 }
 
 /// An alias of [`explain`]: the operator tree does not depend on the
-/// snapshot form.
+/// snapshot form. `_threads` is ignored: evaluation is single-threaded.
+/// The argument stays only for `benchmark/src/replay.rs` and goes with
+/// ROADMAP 1(b).
 #[doc(hidden)]
-pub fn explain_compact(query: &CypherQuery, plan: &CypherPlan, threads: usize) -> PlanNode {
-    explain(query, plan, threads)
+pub fn explain_compact(query: &CypherQuery, plan: &CypherPlan, _threads: usize) -> PlanNode {
+    explain(query, plan)
 }
 
 /// One UNION part's operator spine, leaf (first executed pattern) first.
-fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize, threads: usize) -> PlanNode {
+fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize) -> PlanNode {
     let id = |s: &str| format!("p{i}.{s}");
     // Pattern chain in planned execution order: each pattern's operators
     // take the previous pattern's chain as their innermost input (each
@@ -571,17 +570,6 @@ fn explain_single(q: &SingleQuery, sp: &SinglePlan, i: usize, threads: usize) ->
         chain = Some(node);
     }
     let mut node = chain.unwrap_or_else(|| PlanNode::new("Empty", id("empty")));
-    if threads > 1 {
-        // The ceiling: the executor shrinks morsels on short runs
-        // (`morsel_size_for`), and EXPLAIN runs before candidates are
-        // counted.
-        node = node.feed(
-            PlanNode::new("MorselFanOut", id("parallel"))
-                .arg("threads", threads.to_string())
-                .arg("min_work", crate::morsel::PARALLEL_MIN_WORK.to_string())
-                .arg("morsel_size_max", crate::morsel::MORSEL_SIZE.to_string()),
-        );
-    }
     for (k, pattern) in q.optional_patterns.iter().enumerate() {
         node = node.feed(
             PlanNode::new("OptionalExpand", id(&format!("optional{k}")))
@@ -1429,53 +1417,44 @@ pub fn execute_params<G: PgRead>(
 }
 
 /// Evaluate a parsed query over `pg`: plans (pattern ordering + equality
-/// pushdown) and runs single-threaded.
+/// pushdown), then runs the plan.
 pub fn evaluate<G: PgRead>(pg: &G, query: &CypherQuery) -> Result<Rows, CypherError> {
-    evaluate_threads(pg, query, 1)
-}
-
-/// Evaluate a parsed query with up to `threads` workers. The first
-/// pattern's candidates are cut into morsels that a scoped worker pool
-/// pulls, and per-morsel rows merge in morsel order, so the result is
-/// byte-identical to the single-threaded evaluation.
-pub fn evaluate_threads<G: PgRead>(
-    pg: &G,
-    query: &CypherQuery,
-    threads: usize,
-) -> Result<Rows, CypherError> {
     let p = plan(pg, query);
-    evaluate_planned_params(pg, query, &p, &Params::default(), threads)
+    evaluate_planned_inner(pg, query, &p, &Params::default(), None)
 }
 
 /// Evaluate a parsed query under a precomputed plan (the server's cached
 /// hot path) with parameter bindings. `plan` must have been computed from
 /// this `query`. The plan is value-free — param probes carry a name slot,
 /// resolved here — so one cached plan serves every binding of the same
-/// query text.
+/// query text. `_threads` is ignored: evaluation is single-threaded. The
+/// argument stays only for `benchmark/src/replay.rs` and goes with
+/// ROADMAP 1(b).
 pub fn evaluate_planned_params<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
     plan: &CypherPlan,
     params: &Params,
-    threads: usize,
+    _threads: usize,
 ) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(pg, query, plan, params, threads, None)
+    evaluate_planned_inner(pg, query, plan, params, None)
 }
 
 /// [`evaluate_planned_params`] with per-operator profiling: every operator
 /// records rows emitted and wall time into `sink` under the same ids
 /// [`explain`] assigns, so [`PlanNode::annotate`] joins the two. Counting
 /// happens at stage boundaries (`Vec::len`), never per row, so the answer
-/// is bit-identical to the unprofiled evaluation.
+/// is bit-identical to the unprofiled evaluation. `_threads` is ignored,
+/// as in [`evaluate_planned_params`], and goes with ROADMAP 1(b).
 pub fn evaluate_planned_profiled<G: PgRead>(
     pg: &G,
     query: &CypherQuery,
     plan: &CypherPlan,
     params: &Params,
-    threads: usize,
+    _threads: usize,
     sink: &ProfSink,
 ) -> Result<Rows, CypherError> {
-    evaluate_planned_inner(pg, query, plan, params, threads, Some(sink))
+    evaluate_planned_inner(pg, query, plan, params, Some(sink))
 }
 
 fn evaluate_planned_inner<G: PgRead>(
@@ -1483,7 +1462,6 @@ fn evaluate_planned_inner<G: PgRead>(
     query: &CypherQuery,
     plan: &CypherPlan,
     params: &Params,
-    threads: usize,
     prof: Option<&ProfSink>,
 ) -> Result<Rows, CypherError> {
     debug_assert_eq!(plan.plans.len(), query.parts.len());
@@ -1501,10 +1479,10 @@ fn evaluate_planned_inner<G: PgRead>(
         // with the zero-sized NoProf hook, so its loop bodies carry no
         // instrumentation at all.
         let part_rows = match prof {
-            None => crate::morsel::evaluate_part(pg, part, sp, &probes, params, threads, NoProf)?,
+            None => crate::morsel::evaluate_part(pg, part, sp, &probes, params, NoProf)?,
             Some(sink) => {
                 let hook = Prof { sink, part: i };
-                crate::morsel::evaluate_part(pg, part, sp, &probes, params, threads, hook)?
+                crate::morsel::evaluate_part(pg, part, sp, &probes, params, hook)?
             }
         };
         if i == 0 {
@@ -1537,19 +1515,9 @@ impl ProfHook for Prof<'_> {
             .record(&format!("p{}.{id}", self.part), rows as u64, elapsed);
     }
 
-    fn note_chunks(self, id: std::fmt::Arguments<'_>, chunks: usize) {
-        self.sink
-            .note_chunks(&format!("p{}.{id}", self.part), chunks as u64);
-    }
-
     fn note_batches(self, id: std::fmt::Arguments<'_>, batches: usize) {
         self.sink
             .note_batches(&format!("p{}.{id}", self.part), batches as u64);
-    }
-
-    fn note_morsels(self, id: std::fmt::Arguments<'_>, morsels: usize) {
-        self.sink
-            .note_morsels(&format!("p{}.{id}", self.part), morsels as u64);
     }
 }
 
@@ -1786,8 +1754,8 @@ fn aggregate_rows<G: PgRead>(
     params: &Params,
 ) -> Vec<Vec<Option<Value>>> {
     let mut table = crate::morsel::GroupTable::default();
-    for (i, row) in rows.iter().enumerate() {
-        table.add_row(q, (0, i as u64), |item| {
+    for row in rows {
+        table.add_row(q, |item| {
             let expr = match &q.return_items[item].0 {
                 ReturnItem::Expr(e) => e,
                 // Only called for aggregate items that carry an argument.
@@ -2172,7 +2140,7 @@ mod tests {
     #[test]
     fn parameterized_plan_is_value_free() {
         // The same plan (computed once) must answer different parameter
-        // values correctly in parallel mode too.
+        // values correctly.
         let mut pg = PropertyGraph::new();
         for i in 0..2000i64 {
             let n = pg.add_node(["Person"]);
@@ -2183,11 +2151,9 @@ mod tests {
         let p = plan(&pg, &q);
         for i in [0i64, 7, 1999] {
             let binding = params(&[("i", Value::Int(i))]);
-            for threads in [1, 4] {
-                let rows = evaluate_planned_params(&pg, &q, &p, &binding, threads).unwrap();
-                assert_eq!(rows.len(), 1, "i={i} threads={threads}");
-                assert_eq!(rows.rows[0][0], Some(Value::String(format!("p{i}"))));
-            }
+            let rows = evaluate_planned_params(&pg, &q, &p, &binding, 1).unwrap();
+            assert_eq!(rows.len(), 1, "i={i}");
+            assert_eq!(rows.rows[0][0], Some(Value::String(format!("p{i}"))));
         }
     }
 
@@ -2217,8 +2183,6 @@ mod tests {
         let scan = evaluate_scan(&pg, &q).unwrap();
         assert_eq!(planned.len(), 5);
         assert_eq!(sorted_rows(&planned), sorted_rows(&scan));
-        // Parallel merge must reproduce the sequential planned order exactly.
-        assert_eq!(planned, evaluate_threads(&pg, &q, 4).unwrap());
     }
 
     #[test]
@@ -2252,7 +2216,6 @@ mod tests {
             let scan = evaluate_scan(&pg, &q).unwrap();
             assert!(!planned.is_empty(), "no rows for {text}");
             assert_eq!(sorted_rows(&planned), sorted_rows(&scan), "{text}");
-            assert_eq!(planned, evaluate_threads(&pg, &q, 4).unwrap(), "{text}");
         }
     }
 

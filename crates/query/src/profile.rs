@@ -2,7 +2,7 @@
 //!
 //! Both engines ([`crate::cypher`] and [`crate::sparql`]) can render their
 //! execution strategy as a [`PlanNode`] tree — label scans, index probes,
-//! adjacency expansions, join order, filters, parallel fan-out — without
+//! adjacency expansions, join order, filters, shaping — without
 //! executing anything (`EXPLAIN`), and can thread a [`ProfSink`] through
 //! planned evaluation to annotate that same tree with per-operator row
 //! counts and wall time (`PROFILE`).
@@ -26,10 +26,8 @@ use std::time::{Duration, Instant};
 
 /// One operator in a rendered execution plan.
 ///
-/// `rows`/`time_us`/`chunks` are `None` for `EXPLAIN` (nothing executed)
-/// and filled in by [`PlanNode::annotate`] after a `PROFILE` run. `time_us`
-/// is cumulative operator time — under parallel fan-out the per-chunk
-/// times of all workers sum, so it can exceed wall time.
+/// `rows`/`time_us`/`batches` are `None` for `EXPLAIN` (nothing executed)
+/// and filled in by [`PlanNode::annotate`] after a `PROFILE` run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlanNode {
     /// Operator name, e.g. `NodeByLabelScan`, `Expand`, `Filter`.
@@ -42,14 +40,9 @@ pub struct PlanNode {
     pub rows: Option<u64>,
     /// Cumulative time spent in this operator, microseconds (profile only).
     pub time_us: Option<u64>,
-    /// Parallel chunks this operator fanned out into (profile only).
-    pub chunks: Option<u64>,
     /// Column batches this operator processed on the vectorized path
     /// (profile only; absent for interpreted operators).
     pub batches: Option<u64>,
-    /// Morsels this operator scheduled on the morsel-driven parallel path
-    /// (profile only; absent for static chunking and sequential runs).
-    pub morsels: Option<u64>,
     /// Input operators (leaf-first execution: children run before parents).
     pub children: Vec<PlanNode>,
 }
@@ -77,32 +70,15 @@ impl PlanNode {
         parent
     }
 
-    /// Fill `rows`/`time_us`/`chunks` from `sink` wherever an operator id
+    /// Fill `rows`/`time_us`/`batches` from `sink` wherever an operator id
     /// has a recorded stat; untouched operators keep `None` (e.g. stages
     /// skipped because an earlier stage produced no rows).
-    ///
-    /// A fan-out operator whose workers recorded per-worker stats under
-    /// `{id}.w{k}` additionally gains one synthesized `Worker` child per
-    /// recorded worker, so `PROFILE` output shows how evenly the morsel
-    /// scheduler balanced the load.
     pub fn annotate(&mut self, sink: &ProfSink) {
         if let Some(stat) = sink.get(&self.id) {
             self.rows = Some(stat.rows);
             self.time_us = Some(stat.time_us);
-            if stat.chunks > 0 {
-                self.chunks = Some(stat.chunks);
-            }
             if stat.batches > 0 {
                 self.batches = Some(stat.batches);
-            }
-            if stat.morsels > 0 {
-                self.morsels = Some(stat.morsels);
-            }
-            for w in 0..stat.chunks {
-                let wid = format!("{}.w{w}", self.id);
-                if sink.get(&wid).is_some() && self.find(&wid).is_none() {
-                    self.children.push(PlanNode::new("Worker", wid));
-                }
             }
         }
         for child in &mut self.children {
@@ -136,27 +112,22 @@ impl PlanNode {
 /// Accumulated execution statistics for one operator id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpStat {
-    /// Rows emitted, summed across invocations (and parallel chunks).
+    /// Rows emitted, summed across invocations.
     pub rows: u64,
     /// Cumulative operator time in microseconds.
     pub time_us: u64,
-    /// Times the operator ran (per UNION part once; per chunk in parallel).
+    /// Times the operator ran.
     pub invocations: u64,
-    /// Parallel chunks recorded via [`ProfSink::note_chunks`].
-    pub chunks: u64,
     /// Column batches recorded via [`ProfSink::note_batches`] (vectorized
     /// operators only; zero on the interpreted path).
     pub batches: u64,
-    /// Morsels recorded via [`ProfSink::note_morsels`] (morsel-driven
-    /// parallel runs only; zero elsewhere).
-    pub morsels: u64,
 }
 
 /// A sink collecting per-operator stats during one profiled evaluation.
 ///
-/// Shared by reference with parallel workers; recording takes a mutex, but
-/// records happen once per operator per chunk — never per row — so the
-/// lock is cold.
+/// Recording takes a mutex, so a sink can be shared by reference across
+/// threads, but records happen once per operator stage — never per row —
+/// so the lock is cold.
 #[derive(Debug, Default)]
 pub struct ProfSink {
     stats: Mutex<HashMap<String, OpStat>>,
@@ -177,24 +148,11 @@ impl ProfSink {
         stat.invocations += 1;
     }
 
-    /// Record that operator `id` fanned out into `n` parallel chunks.
-    pub fn note_chunks(&self, id: &str, n: u64) {
-        let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.entry(id.to_string()).or_default().chunks += n;
-    }
-
     /// Record that operator `id` processed `n` column batches (the
-    /// vectorized physical path; summed across parallel chunks).
+    /// vectorized physical path).
     pub fn note_batches(&self, id: &str, n: u64) {
         let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         stats.entry(id.to_string()).or_default().batches += n;
-    }
-
-    /// Record that operator `id` scheduled `n` morsels onto its worker
-    /// pool (the morsel-driven parallel path).
-    pub fn note_morsels(&self, id: &str, n: u64) {
-        let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.entry(id.to_string()).or_default().morsels += n;
     }
 
     /// The accumulated stat for `id`, if any invocation recorded.
@@ -225,19 +183,14 @@ impl ProfSink {
 /// no instrumentation at all. The profiled path instantiates a sink-backed
 /// hook. Operator ids are passed as [`Arguments`] so the disabled path
 /// never formats a string.
-pub(crate) trait ProfHook: Copy + Send + Sync {
+pub(crate) trait ProfHook: Copy {
     /// Stage start mark — `None` when profiling is off.
     fn begin(self) -> Option<Instant>;
     /// Record `rows` emitted by stage `id` since `started`.
     fn record(self, id: Arguments<'_>, rows: usize, started: Option<Instant>);
-    /// Record that stage `id` fanned out into `chunks` parallel workers.
-    fn note_chunks(self, id: Arguments<'_>, chunks: usize);
     /// Record that stage `id` processed `batches` column batches
     /// (vectorized operators only).
     fn note_batches(self, id: Arguments<'_>, batches: usize);
-    /// Record that stage `id` scheduled `morsels` morsels onto its
-    /// worker pool (morsel-driven parallel runs only).
-    fn note_morsels(self, id: Arguments<'_>, morsels: usize);
 }
 
 /// The disabled hook: all methods compile away.
@@ -252,11 +205,7 @@ impl ProfHook for NoProf {
     #[inline(always)]
     fn record(self, _id: Arguments<'_>, _rows: usize, _started: Option<Instant>) {}
     #[inline(always)]
-    fn note_chunks(self, _id: Arguments<'_>, _chunks: usize) {}
-    #[inline(always)]
     fn note_batches(self, _id: Arguments<'_>, _batches: usize) {}
-    #[inline(always)]
-    fn note_morsels(self, _id: Arguments<'_>, _morsels: usize) {}
 }
 
 /// The enabled hook with unprefixed ids (the SPARQL engine).
@@ -268,14 +217,8 @@ impl ProfHook for &ProfSink {
         let elapsed = started.map(|s| s.elapsed()).unwrap_or_default();
         ProfSink::record(self, &id.to_string(), rows as u64, elapsed);
     }
-    fn note_chunks(self, id: Arguments<'_>, chunks: usize) {
-        ProfSink::note_chunks(self, &id.to_string(), chunks as u64);
-    }
     fn note_batches(self, id: Arguments<'_>, batches: usize) {
         ProfSink::note_batches(self, &id.to_string(), batches as u64);
-    }
-    fn note_morsels(self, id: Arguments<'_>, morsels: usize) {
-        ProfSink::note_morsels(self, &id.to_string(), morsels as u64);
     }
 }
 
@@ -288,7 +231,7 @@ mod tests {
         let sink = ProfSink::new();
         sink.record("scan", 10, Duration::from_micros(5));
         sink.record("scan", 7, Duration::from_micros(3));
-        sink.note_chunks("scan", 2);
+        sink.note_batches("scan", 2);
         let mut tree = PlanNode::new("NodeByLabelScan", "scan")
             .arg("label", "Person")
             .feed(PlanNode::new("Filter", "filter"));
@@ -296,7 +239,7 @@ mod tests {
         let scan = tree.find("scan").unwrap();
         assert_eq!(scan.rows, Some(17));
         assert_eq!(scan.time_us, Some(8));
-        assert_eq!(scan.chunks, Some(2));
+        assert_eq!(scan.batches, Some(2));
         // Unrecorded operators stay unannotated.
         assert_eq!(tree.rows, None);
         assert_eq!(tree.ops(), ["Filter", "NodeByLabelScan"]);

@@ -24,6 +24,9 @@
 //! `$name` is a parameter, bound per evaluation from [`Params`]. A
 //! comparison is numeric when both sides parse as `f64` and on the
 //! strings otherwise; `NaN` and an unbound variable make it false.
+//! ORDER BY is a total order: unbound first, then the keys that parse as a
+//! number other than `NaN`, by value, then every other key by its lexical
+//! form.
 //!
 //! Evaluation follows one plan per call, computed once: the join
 //! order of the required patterns plus a filter schedule. The order is
@@ -35,9 +38,9 @@
 //! Each FILTER runs right after the join step that binds its last
 //! variable; one that reads a variable no required pattern binds runs
 //! after the OPTIONAL groups, which never rebind a required variable.
-//! The joins walk [`Graph::matches`] without collecting. The sequential
-//! join, the threaded one, [`explain`] and [`evaluate_outcome_profiled`]
-//! all read the same plan; [`evaluate_scan`] is the planner-free oracle.
+//! The joins walk [`Graph::matches`] without collecting, on the calling
+//! thread. The join, [`explain`] and [`evaluate_outcome_profiled`] all
+//! read the same plan; [`evaluate_scan`] is the planner-free oracle.
 
 use crate::profile::{NoProf, PlanNode, ProfHook, ProfSink};
 use s3pg_rdf::fxhash::FxHashMap;
@@ -704,9 +707,9 @@ pub fn execute_params(
         parse(query)?
     };
     let _span = s3pg_obs::tracer().span_here("query_eval");
-    match evaluate_outcome_threads_params(graph, &q, params, 1)? {
+    match evaluate_outcome_params_inner(graph, &q, params, None)? {
         Outcome::Solutions(s) => Ok(s),
-        Outcome::Count { .. } => err("aggregate query: use execute_outcome/evaluate_outcome"),
+        Outcome::Count { .. } => err("aggregate query: use evaluate_outcome"),
     }
 }
 
@@ -948,13 +951,11 @@ fn compile_filters<'q>(
 struct Step {
     pattern: usize,
     est_rows: usize,
-    /// Whether the pattern shares a variable with an earlier step.
-    joins: bool,
     filters: Vec<usize>,
 }
 
-/// One evaluation's plan, computed once and read by the sequential join,
-/// the threaded join, [`explain`] and the profiled path alike.
+/// One evaluation's plan, computed once and read by the join, [`explain`]
+/// and the profiled path alike.
 struct Plan {
     /// The required patterns in join order, each with the filters whose
     /// last variable it binds.
@@ -1008,8 +1009,8 @@ fn seed_estimate(graph: &Graph, c: &Compiled, tests: &[Test], row: &[Option<Term
 /// patterns that join on a variable an earlier-ordered pattern already
 /// binds. A joining pattern's estimate is its index cardinality, a seed
 /// candidate's its [`seed_estimate`] under `tests`. Deciding the whole
-/// order before execution keeps it identical between the sequential and
-/// the partitioned parallel evaluation. The steps carry no filters.
+/// order before execution lets [`explain`] show exactly the order the join
+/// runs. The steps carry no filters.
 fn order_patterns(
     graph: &Graph,
     compiled: &[Compiled],
@@ -1042,14 +1043,12 @@ fn order_patterns(
             .min_by_key(|&(_, key)| key)
             .expect("the loop runs while patterns remain");
         let pattern = remaining.remove(pick_pos);
-        let joins = compiled[pattern].vars().any(|i| bound[i]);
         for i in compiled[pattern].vars() {
             bound[i] = true;
         }
         steps.push(Step {
             pattern,
             est_rows,
-            joins,
             filters: Vec::new(),
         });
     }
@@ -1088,89 +1087,6 @@ fn plan(graph: &Graph, compiled: &[Compiled], tests: &[Test], nvars: usize) -> P
     tail.extend(pending.into_iter().map(|(j, _)| j));
     tail.sort_unstable();
     Plan { steps, tail }
-}
-
-/// Join with up to `threads` workers, morsel-driven: the first step (and
-/// its filters) runs sequentially, then its result rows are cut into
-/// fixed-size morsels behind a shared cursor; workers pull morsels and run
-/// the remaining steps per morsel. Per-morsel results are tagged with
-/// their morsel index and merged in index order — byte-identical to the
-/// sequential join, but skew-robust (one heavy row run no longer
-/// serializes a whole contiguous chunk on a single worker).
-fn join_threads<P: ProfHook>(
-    graph: &Graph,
-    compiled: &[Compiled],
-    tests: &[Test],
-    steps: &[Step],
-    results: Vec<Vec<Option<Term>>>,
-    threads: usize,
-    prof: P,
-) -> Vec<Vec<Option<Term>>> {
-    if threads <= 1 || steps.len() < 2 {
-        return join_in_order(graph, compiled, tests, steps, results, prof);
-    }
-    let first_rows = join_in_order(graph, compiled, tests, &steps[..1], results, prof);
-    let rest = &steps[1..];
-    // Same work floor as the Cypher path: scoped spawn costs tens of
-    // microseconds per worker — more than a small join's entire runtime —
-    // so workers engage only when row count × estimated per-row cost of
-    // the remaining steps clears the threshold. Steps joining an
-    // already-bound variable are cheap probes (counted 1); unconstrained
-    // ones cost their estimate per row. Morsels handle granularity, so a
-    // small first step with a huge per-row fan-out still parallelizes.
-    let per_row = rest.iter().fold(1usize, |acc, step| {
-        acc.saturating_add(if step.joins { 1 } else { step.est_rows })
-    });
-    if first_rows.len().saturating_mul(per_row) < crate::morsel::PARALLEL_MIN_WORK {
-        return join_in_order(graph, compiled, tests, rest, first_rows, prof);
-    }
-    let morsel_size = crate::morsel::morsel_size_for(first_rows.len(), threads);
-    let n_morsels = first_rows.len().div_ceil(morsel_size).max(1);
-    let n_workers = threads.min(n_morsels);
-    let first_rows = &first_rows;
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let fan_out = prof.begin();
-    let mut tagged: Vec<(usize, Vec<Vec<Option<Term>>>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut out: Vec<(usize, Vec<Vec<Option<Term>>>)> = Vec::new();
-                    loop {
-                        let m = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if m >= n_morsels {
-                            return out;
-                        }
-                        let lo = m * morsel_size;
-                        let hi = (lo + morsel_size).min(first_rows.len());
-                        let rows = join_in_order(
-                            graph,
-                            compiled,
-                            tests,
-                            rest,
-                            first_rows[lo..hi].to_vec(),
-                            prof,
-                        );
-                        if !rows.is_empty() {
-                            out.push((m, rows));
-                        }
-                    }
-                })
-            })
-            .collect();
-        prof.note_chunks(format_args!("parallel"), handles.len());
-        prof.note_morsels(format_args!("parallel"), n_morsels);
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sparql worker panicked"))
-            .collect()
-    });
-    // Morsel order equals first-row order, so sorting the tags restores
-    // exactly the sequential output order.
-    tagged.sort_unstable_by_key(|&(m, _)| m);
-    let merged: Vec<Vec<Option<Term>>> = tagged.into_iter().flat_map(|(_, r)| r).collect();
-    prof.record(format_args!("parallel"), merged.len(), fan_out);
-    merged
 }
 
 /// Run `steps` over `results`: each step extends every row by the
@@ -1248,60 +1164,37 @@ pub enum Outcome {
     Count { alias: String, value: usize },
 }
 
-/// Parse and evaluate, supporting aggregate (`COUNT`) projections.
-pub fn execute_outcome(graph: &Graph, query: &str) -> Result<Outcome, SparqlError> {
-    let q = parse(query)?;
-    evaluate_outcome(graph, &q)
-}
-
 /// Evaluate a parsed query, rejecting aggregates (see [`evaluate_outcome`]).
 pub fn evaluate(graph: &Graph, query: &SelectQuery) -> Result<Solutions, SparqlError> {
-    evaluate_threads(graph, query, 1)
-}
-
-/// [`evaluate`] with up to `threads` scoped workers joining the required
-/// pattern group. Rows merge in partition order, so the solutions are
-/// byte-identical to the single-threaded evaluation.
-pub fn evaluate_threads(
-    graph: &Graph,
-    query: &SelectQuery,
-    threads: usize,
-) -> Result<Solutions, SparqlError> {
-    match evaluate_outcome_threads(graph, query, threads)? {
+    match evaluate_outcome(graph, query)? {
         Outcome::Solutions(s) => Ok(s),
-        Outcome::Count { .. } => err("aggregate query: use execute_outcome/evaluate_outcome"),
+        Outcome::Count { .. } => err("aggregate query: use evaluate_outcome"),
     }
 }
 
 /// Evaluate a parsed query over `graph`, producing rows or a count.
 pub fn evaluate_outcome(graph: &Graph, query: &SelectQuery) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_threads(graph, query, 1)
+    evaluate_outcome_params_inner(graph, query, &Params::default(), None)
 }
 
-/// [`evaluate_outcome`] with up to `threads` scoped workers.
-pub fn evaluate_outcome_threads(
-    graph: &Graph,
-    query: &SelectQuery,
-    threads: usize,
-) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_threads_params(graph, query, &Params::default(), threads)
-}
-
-/// [`evaluate_outcome_threads`] with parameter bindings: every `$name`
-/// term is substituted from `params` before the patterns are compiled
-/// against the interner, so parameterized queries parse once and evaluate
-/// with per-call values.
+/// [`evaluate_outcome`] with parameter bindings: every `$name` term is
+/// substituted from `params` before the patterns are compiled against the
+/// interner, so parameterized queries parse once and evaluate with
+/// per-call values. `_threads` is ignored: evaluation is single-threaded.
+/// The argument stays only for `benchmark/src/replay.rs` and goes with
+/// ROADMAP 1(b).
 pub fn evaluate_outcome_threads_params(
     graph: &Graph,
     query: &SelectQuery,
     params: &Params,
-    threads: usize,
+    _threads: usize,
 ) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_params_inner(graph, query, params, threads, None)
+    evaluate_outcome_params_inner(graph, query, params, None)
 }
 
-/// [`evaluate_outcome_threads_params`] with per-operator profiling: every
-/// join step, filter and solution modifier records rows emitted and wall
+/// [`evaluate_outcome`] with parameter bindings and per-operator
+/// profiling: every join step, filter and solution modifier records rows
+/// emitted and wall
 /// time into `sink` under the same ids [`explain`] assigns. Counting
 /// happens at stage boundaries, so the outcome is bit-identical to the
 /// unprofiled evaluation.
@@ -1309,10 +1202,9 @@ pub fn evaluate_outcome_profiled(
     graph: &Graph,
     query: &SelectQuery,
     params: &Params,
-    threads: usize,
     sink: &ProfSink,
 ) -> Result<Outcome, SparqlError> {
-    evaluate_outcome_params_inner(graph, query, params, threads, Some(sink))
+    evaluate_outcome_params_inner(graph, query, params, Some(sink))
 }
 
 /// `query` with every `$param` substituted from `params` (borrowed as is
@@ -1344,15 +1236,14 @@ fn evaluate_outcome_params_inner(
     graph: &Graph,
     query: &SelectQuery,
     params: &Params,
-    threads: usize,
     prof: Option<&ProfSink>,
 ) -> Result<Outcome, SparqlError> {
     let query = bind_params(query, params)?;
     // Dispatch once: the unprofiled arm monomorphizes with the zero-sized
     // NoProf hook, so its loop bodies carry no instrumentation at all.
     match prof {
-        None => evaluate_outcome_inner(graph, &query, threads, NoProf),
-        Some(sink) => evaluate_outcome_inner(graph, &query, threads, sink),
+        None => evaluate_outcome_inner(graph, &query, NoProf),
+        Some(sink) => evaluate_outcome_inner(graph, &query, sink),
     }
 }
 
@@ -1385,7 +1276,6 @@ fn register_vars(query: &SelectQuery) -> (FxHashMap<String, usize>, Vec<String>)
 fn evaluate_outcome_inner<P: ProfHook>(
     graph: &Graph,
     query: &SelectQuery,
-    threads: usize,
     prof: P,
 ) -> Result<Outcome, SparqlError> {
     let (var_index, var_names) = register_vars(query);
@@ -1395,7 +1285,7 @@ fn evaluate_outcome_inner<P: ProfHook>(
     let tests = compile_filters(&query.filters, &var_index);
     let plan = plan(graph, &compiled, &tests, nvars);
     let start = vec![vec![None; nvars]];
-    let mut results = join_threads(graph, &compiled, &tests, &plan.steps, start, threads, prof);
+    let mut results = join_in_order(graph, &compiled, &tests, &plan.steps, start, prof);
 
     for (k, group) in query.optionals.iter().enumerate() {
         let started = prof.begin();
@@ -1442,24 +1332,28 @@ fn left_join(
 }
 
 /// An ORDER BY key computed once per row: the lexical form and, when it
-/// parses, its number; `None` for an unbound value.
+/// parses to a number other than `NaN`, that number; `None` for an
+/// unbound value.
 type SortKey<'g> = Option<(&'g str, Option<f64>)>;
 
 fn sort_key(graph: &Graph, value: Option<Term>) -> SortKey<'_> {
     value.map(|t| {
         let text = lexical(graph, t);
-        (text, text.parse().ok())
+        (text, text.parse().ok().filter(|n: &f64| !n.is_nan()))
     })
 }
 
-/// SPARQL-ish term ordering: numeric when both lexical forms parse as
-/// numbers, lexicographic otherwise; unbound sorts first.
+/// The ORDER BY total order: unbound first, then the numeric keys by
+/// value, then every other key by its lexical form.
 fn compare_keys(a: &SortKey, b: &SortKey) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (Some((x, nx)), Some((y, ny))) => match (nx, ny) {
+            // Neither is NaN, so `partial_cmp` always answers.
             (Some(nx), Some(ny)) => nx.partial_cmp(ny).unwrap_or(Ordering::Equal),
-            _ => x.cmp(y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => x.cmp(y),
         },
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
@@ -1673,7 +1567,7 @@ fn filter_holds(
 /// Render the query's execution strategy as an operator tree without
 /// executing it.
 ///
-/// The tree is the plan [`evaluate_outcome_threads_params`] runs: triple
+/// The tree is the plan [`evaluate_outcome`] runs: triple
 /// patterns in join order (`TriplePatternScan` for the seed pattern,
 /// `TriplePatternJoin` for each subsequent one), each pushed `Filter`
 /// directly above the step it runs after, then the OPTIONAL groups, the
@@ -1690,7 +1584,6 @@ pub fn explain(
     graph: &Graph,
     query: &SelectQuery,
     params: &Params,
-    threads: usize,
 ) -> Result<PlanNode, SparqlError> {
     let bound = bind_params(query, params)?;
     let (var_index, var_names) = register_vars(query);
@@ -1722,13 +1615,6 @@ pub fn explain(
         node = Some(next);
     }
     let mut node = node.unwrap_or_else(|| PlanNode::new("TriplePatternScan", "pat0"));
-    if threads > 1 && plan.steps.len() >= 2 {
-        node = node.feed(
-            PlanNode::new("MorselFanOut", "parallel")
-                .arg("threads", threads.to_string())
-                .arg("morsel_size_max", crate::morsel::MORSEL_SIZE.to_string()),
-        );
-    }
     for (k, group) in query.optionals.iter().enumerate() {
         let rendered: Vec<String> = group.iter().map(render_pattern).collect();
         node = node.feed(
@@ -2055,11 +1941,10 @@ mod tests {
 
     #[test]
     fn count_star_aggregate() {
-        let out = execute_outcome(
-            &graph(),
-            "PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:Student . }",
-        )
-        .unwrap();
+        let q =
+            parse("PREFIX ex: <http://ex/> SELECT (COUNT(*) AS ?c) WHERE { ?s a ex:Student . }")
+                .unwrap();
+        let out = evaluate_outcome(&graph(), &q).unwrap();
         assert_eq!(
             out,
             Outcome::Count {
@@ -2071,11 +1956,11 @@ mod tests {
 
     #[test]
     fn count_distinct_variable() {
-        let out = execute_outcome(
-            &graph(),
+        let q = parse(
             "PREFIX ex: <http://ex/> SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?s ex:takesCourse ?c . }",
         )
         .unwrap();
+        let out = evaluate_outcome(&graph(), &q).unwrap();
         // db, "Self Study" → 2 distinct values over 3 rows.
         assert_eq!(
             out,
@@ -2125,29 +2010,45 @@ mod tests {
         assert!(execute(&graph(), q).is_err());
     }
 
-    /// The comparator ORDER BY used before keys were computed once per
-    /// row: render both terms, parse both, compare.
-    fn compare_terms_rendered(graph: &Graph, a: Term, b: Term) -> std::cmp::Ordering {
+    /// The ORDER BY order written out plainly over rendered terms: unbound
+    /// first, then numbers (`NaN` is not one), then strings.
+    fn compare_terms_rendered(
+        graph: &Graph,
+        a: Option<Term>,
+        b: Option<Term>,
+    ) -> std::cmp::Ordering {
         let render = |t: Term| match t {
             Term::Iri(s) | Term::Blank(s) => graph.resolve(s).to_string(),
             Term::Literal(l) => graph.resolve(l.lexical).to_string(),
         };
-        let (x, y) = (render(a), render(b));
-        match (x.parse::<f64>(), y.parse::<f64>()) {
-            (Ok(nx), Ok(ny)) => nx.partial_cmp(&ny).unwrap_or(std::cmp::Ordering::Equal),
-            _ => x.cmp(&y),
-        }
+        let rank = |t: Option<Term>| match t {
+            None => (0, None, String::new()),
+            Some(t) => {
+                let text = render(t);
+                match text.parse::<f64>() {
+                    Ok(n) if !n.is_nan() => (1, Some(n), String::new()),
+                    _ => (2, None, text),
+                }
+            }
+        };
+        let (ra, na, ta) = rank(a);
+        let (rb, nb, tb) = rank(b);
+        ra.cmp(&rb)
+            .then_with(|| match (na, nb) {
+                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap(),
+                _ => std::cmp::Ordering::Equal,
+            })
+            .then_with(|| ta.cmp(&tb))
     }
 
     #[test]
     fn sort_keys_order_rows_like_the_rendering_comparator() {
         let mut g = Graph::new();
-        // The comparator is a total order only while no value is `NaN`
-        // and every non-numeric form sorts past the digits (`"2x"` with
-        // `"10"` and `"3"` is a cycle, which `sort_by` may panic on, old
-        // and new alike).
+        // Mixed numeric and non-numeric keys, `NaN`, infinities and the
+        // empty string: the order must stay total on all of them.
         let mut values: Vec<Option<Term>> = [
-            "10", "9", "abc", "1e3", "-3.5", "inf", "", "007", "7", "lit",
+            "10", "9", "abc", "1e3", "-3.5", "inf", "", "007", "7", "lit", "2x", "NaN", "-inf",
+            "-0", "0",
         ]
         .iter()
         .map(|v| Some(g.string_literal(v)))
@@ -2165,23 +2066,70 @@ mod tests {
             for descending in [false, true] {
                 let directed =
                     |ord: std::cmp::Ordering| if descending { ord.reverse() } else { ord };
-                let mut old = rows.clone();
-                old.sort_by(|(a, _), (b, _)| {
-                    directed(match (a, b) {
-                        (Some(x), Some(y)) => compare_terms_rendered(&g, *x, *y),
-                        (None, None) => std::cmp::Ordering::Equal,
-                        (None, Some(_)) => std::cmp::Ordering::Less,
-                        (Some(_), None) => std::cmp::Ordering::Greater,
-                    })
-                });
+                let mut plain = rows.clone();
+                plain.sort_by(|(a, _), (b, _)| directed(compare_terms_rendered(&g, *a, *b)));
                 let mut keyed: Vec<(SortKey, usize)> =
                     rows.iter().map(|&(v, i)| (sort_key(&g, v), i)).collect();
                 keyed.sort_by(|(a, _), (b, _)| directed(compare_keys(a, b)));
-                let old: Vec<usize> = old.into_iter().map(|(_, i)| i).collect();
-                let new: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
-                assert_eq!(old, new, "round {round} descending {descending}");
+                let plain: Vec<usize> = plain.into_iter().map(|(_, i)| i).collect();
+                let keyed: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+                assert_eq!(plain, keyed, "round {round} descending {descending}");
             }
         }
+    }
+
+    /// `?s ex:key ?k` for every key, plus one subject with no key, sorted
+    /// by `?k`: the rendered keys in answer order, `None` for unbound.
+    fn order_by_keys(keys: &[&str], descending: bool) -> Vec<Option<String>> {
+        let mut g = Graph::new();
+        let (a, class, key) = (
+            g.intern("http://ex/a"),
+            g.intern_iri("http://ex/C"),
+            g.intern("http://ex/key"),
+        );
+        for i in 0..=keys.len() {
+            let s = g.intern_iri(&format!("http://ex/s{i}"));
+            g.insert(s, a, class);
+            if let Some(k) = keys.get(i) {
+                let o = g.string_literal(k);
+                g.insert(s, key, o);
+            }
+        }
+        let dir = if descending { "DESC(?k)" } else { "?k" };
+        let q = format!(
+            "SELECT ?k WHERE {{ ?s <http://ex/a> <http://ex/C> . OPTIONAL {{ ?s <http://ex/key> ?k }} }} ORDER BY {dir}"
+        );
+        execute(&g, &q)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].map(|t| lexical(&g, t).to_string()))
+            .collect()
+    }
+
+    fn some(keys: &[&str]) -> Vec<Option<String>> {
+        keys.iter().map(|k| Some(k.to_string())).collect()
+    }
+
+    #[test]
+    fn order_by_breaks_the_mixed_key_cycle() {
+        // Pairwise, numbers-or-strings compares "10" < "2x" < "3" < "10".
+        let mut want = vec![None];
+        want.extend(some(&["3", "10", "2x"]));
+        assert_eq!(order_by_keys(&["10", "2x", "3"], false), want);
+        assert_eq!(order_by_keys(&["2x", "3", "10"], false), want);
+        want.reverse();
+        assert_eq!(order_by_keys(&["3", "10", "2x"], true), want);
+    }
+
+    #[test]
+    fn order_by_sorts_nan_empty_and_infinities_as_a_total_order() {
+        let mut want = vec![None];
+        want.extend(some(&["-inf", "-2", "0.5", "7", "inf", "", "NaN", "abc"]));
+        assert_eq!(
+            order_by_keys(&["NaN", "7", "", "inf", "abc", "-2", "-inf", "0.5"], false),
+            want
+        );
     }
 
     /// A threshold only the last few ranks pass: the rank pattern's
@@ -2204,7 +2152,7 @@ mod tests {
         }
         let text = "PREFIX ex: <http://ex/> SELECT ?s ?r WHERE { ?s ex:linksTo ?t . ?t ex:rank ?r . FILTER(?r > 195) }";
         let q = parse(text).unwrap();
-        let plan = explain(&g, &q, &Params::default(), 1).unwrap();
+        let plan = explain(&g, &q, &Params::default()).unwrap();
         let filter = plan.find("filter0").expect("a filter node");
         assert_eq!(filter.children.len(), 1);
         let seed = &filter.children[0];

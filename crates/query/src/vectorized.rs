@@ -18,8 +18,8 @@
 //!   label/key strings are resolved to symbols **once per batch**, then
 //!   evaluated over id vectors.
 //!
-//! [`crate::morsel`] drives these operators — inline on the calling thread
-//! or morsel-parallel — and owns the shaping tail. Answers agree with the
+//! [`crate::morsel`] drives these operators on the calling thread and
+//! owns the shaping tail. Answers agree with the
 //! scan oracle as multisets (pinned by `tests/vectorized_differential.rs`):
 //! operators apply the same three-valued NULL logic via the shared
 //! [`compare`], and the `OPTIONAL MATCH` tail, which is row-oriented by
@@ -52,15 +52,6 @@ impl Col {
             Col::Val(v) => Col::Val(sel.iter().map(|&i| v[i as usize].clone()).collect()),
         }
     }
-
-    fn extend(&mut self, other: Col) {
-        match (self, other) {
-            (Col::Node(a), Col::Node(b)) => a.extend(b),
-            (Col::Edge(a), Col::Edge(b)) => a.extend(b),
-            (Col::Val(a), Col::Val(b)) => a.extend(b),
-            _ => unreachable!("morsel batches follow the same operator sequence"),
-        }
-    }
 }
 
 /// A batch of intermediate rows in columnar form: named columns of equal
@@ -79,13 +70,6 @@ impl Batch {
         Batch {
             cols: Vec::new(),
             len: 1,
-        }
-    }
-
-    pub(crate) fn empty() -> Batch {
-        Batch {
-            cols: Vec::new(),
-            len: 0,
         }
     }
 
@@ -117,20 +101,6 @@ impl Batch {
         match self.col_index(name) {
             Some(i) => self.cols[i].1 = col,
             None => self.cols.push((name.to_string(), col)),
-        }
-    }
-
-    /// Concatenate another batch with the same schema (morsel merge, order
-    /// preserved by the caller).
-    pub(crate) fn append(&mut self, other: Batch) {
-        debug_assert!(self
-            .cols
-            .iter()
-            .zip(&other.cols)
-            .all(|((a, _), (b, _))| a == b));
-        self.len += other.len;
-        for ((_, a), (_, b)) in self.cols.iter_mut().zip(other.cols) {
-            a.extend(b);
         }
     }
 }
@@ -239,15 +209,15 @@ fn seed_batch<G: PgRead>(
     }
 }
 
-/// Seed the first pattern from one morsel of its candidate run (the
-/// worker entry — the oracle's `seed_rows` over a slice).
-pub(crate) fn seed_chunk<G: PgRead>(
+/// Seed the first pattern from its candidate run (the oracle's
+/// `seed_rows` over a slice).
+pub(crate) fn seed_candidates<G: PgRead>(
     pg: &G,
     start: &NodePattern,
-    chunk: &[NodeId],
+    candidates: &[NodeId],
 ) -> (Batch, Vec<NodeId>) {
     let labels = resolve_node_labels(pg, &start.labels);
-    let matching: Vec<NodeId> = chunk
+    let matching: Vec<NodeId> = candidates
         .iter()
         .copied()
         .filter(|&n| labels_match(pg, &labels, n))
@@ -568,9 +538,8 @@ pub(crate) fn batch_to_rows(batch: &Batch) -> Vec<Row> {
 }
 
 /// The row-stage middle of a part: WHERE / UNWIND / post-UNWIND WHERE as
-/// selection-vector filters over compiled expressions, run on every morsel
-/// (per-morsel invocations accumulate under the same operator ids, so
-/// PROFILE rows still sum).
+/// selection-vector filters over compiled expressions, recorded under the
+/// operator ids EXPLAIN assigns.
 pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
     pg: &G,
     q: &SingleQuery,

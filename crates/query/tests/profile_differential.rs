@@ -142,7 +142,7 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
         // The sink's ids join onto the explain tree; after annotation the
         // root operator's row count is the observed result size (union
         // roots are synthetic and never execute, so check their parts).
-        let mut tree = cypher::explain(&q, &plan, 1);
+        let mut tree = cypher::explain(&q, &plan);
         tree.annotate(&sink);
         if q.parts.len() == 1 {
             assert_eq!(
@@ -158,15 +158,6 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
                 "union rows: seed {seed} {form} {text}"
             );
         }
-
-        // Parallel profiled evaluation stays bit-identical too.
-        let psink = ProfSink::new();
-        let parallel =
-            cypher::evaluate_planned_profiled(pg, &q, &plan, &params, 4, &psink).unwrap();
-        assert_eq!(
-            parallel, plain,
-            "parallel profiled: seed {seed} {form} {text}"
-        );
     }
 }
 
@@ -215,13 +206,13 @@ fn sparql_profiled_matches_plain_and_annotates_explain() {
         let g = build_rdf(seed);
         for text in SPARQL_QUERIES {
             let q = sparql::parse(text).unwrap();
-            let plain = sparql::evaluate_outcome_threads_params(&g, &q, &params, 1).unwrap();
+            let plain = sparql::evaluate_outcome(&g, &q).unwrap();
             let sink = ProfSink::new();
-            let profiled = sparql::evaluate_outcome_profiled(&g, &q, &params, 1, &sink).unwrap();
+            let profiled = sparql::evaluate_outcome_profiled(&g, &q, &params, &sink).unwrap();
             assert_eq!(profiled, plain, "profiled ≠ plain: seed {seed} {text}");
             assert!(!sink.is_empty(), "empty sink: seed {seed} {text}");
 
-            let mut tree = sparql::explain(&g, &q, &params, 1).unwrap();
+            let mut tree = sparql::explain(&g, &q, &params).unwrap();
             tree.annotate(&sink);
             match &plain {
                 Outcome::Solutions(s) => assert_eq!(
@@ -233,11 +224,6 @@ fn sparql_profiled_matches_plain_and_annotates_explain() {
                     assert_eq!(tree.rows, Some(1), "aggregate rows: seed {seed} {text}")
                 }
             }
-
-            // Parallel profiled evaluation stays bit-identical.
-            let psink = ProfSink::new();
-            let parallel = sparql::evaluate_outcome_profiled(&g, &q, &params, 4, &psink).unwrap();
-            assert_eq!(parallel, plain, "parallel profiled: seed {seed} {text}");
         }
     }
 }

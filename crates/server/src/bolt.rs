@@ -530,9 +530,6 @@ fn plan_value(node: &PlanNode) -> Value {
     if let Some(time_us) = node.time_us {
         args.push(("time_us".to_string(), Value::Int(time_us as i64)));
     }
-    if let Some(chunks) = node.chunks {
-        args.push(("chunks".to_string(), Value::Int(chunks as i64)));
-    }
     let mut map = vec![
         ("operatorType".to_string(), Value::String(node.op.clone())),
         ("args".to_string(), Value::Map(args)),

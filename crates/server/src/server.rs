@@ -356,7 +356,7 @@ impl Shared {
                         // A fresh plan is the cheapest moment to render the
                         // operator tree once, so the statistics registry
                         // and slow-query log always have a plan to show.
-                        let tree = cypher::explain(&ast, &plan, 1);
+                        let tree = cypher::explain(&ast, &plan);
                         self.query_stats.record_plan("cypher", query, tree);
                         Ok(CachedCypher::new(ast, snap.epoch, plan))
                     }
@@ -384,7 +384,7 @@ impl Shared {
                 Some(compact) => cached.plan_for(compact.as_ref(), snap.epoch, replans),
                 None => cached.plan_for(&snap.pg, snap.epoch, replans),
             };
-            let tree = cypher::explain(&cached.ast, &plan, 1);
+            let tree = cypher::explain(&cached.ast, &plan);
             self.query_stats.record_plan("cypher", query, tree.clone());
             return Response::Explain {
                 language: "cypher".to_string(),
@@ -427,7 +427,7 @@ impl Shared {
                     .collect();
                 match sink {
                     Some(sink) => {
-                        let mut tree = cypher::explain(&cached.ast, &plan, 1);
+                        let mut tree = cypher::explain(&cached.ast, &plan);
                         tree.annotate(&sink);
                         self.query_stats.record_plan("cypher", query, tree.clone());
                         Response::Profile {
@@ -516,7 +516,7 @@ impl Shared {
         // per evaluation, so EXPLAIN renders it fresh (after parameter
         // binding — ordering uses the substituted cardinalities).
         if mode == Introspect::Explain {
-            return match sparql::explain(&snap.rdf, &cached.ast, &bound, 1) {
+            return match sparql::explain(&snap.rdf, &cached.ast, &bound) {
                 Ok(tree) => {
                     self.query_stats.record_plan("sparql", query, tree.clone());
                     Response::Explain {
@@ -535,7 +535,7 @@ impl Shared {
             let _span = tracer().span_here("query_eval");
             match &sink {
                 Some(sink) => {
-                    sparql::evaluate_outcome_profiled(&snap.rdf, &cached.ast, &bound, 1, sink)
+                    sparql::evaluate_outcome_profiled(&snap.rdf, &cached.ast, &bound, sink)
                 }
                 None => sparql::evaluate_outcome_threads_params(&snap.rdf, &cached.ast, &bound, 1),
             }
@@ -552,7 +552,7 @@ impl Shared {
                     })
                     .collect();
                 match sink {
-                    Some(sink) => match sparql::explain(&snap.rdf, &cached.ast, &bound, 1) {
+                    Some(sink) => match sparql::explain(&snap.rdf, &cached.ast, &bound) {
                         Ok(mut tree) => {
                             tree.annotate(&sink);
                             self.query_stats.record_plan("sparql", query, tree.clone());
@@ -575,7 +575,7 @@ impl Shared {
                 }
             }
             // The wire endpoints have never served aggregate projections;
-            // keep the engine's own error message for them.
+            // keep the error message they have always answered with.
             Ok(sparql::Outcome::Count { .. }) => Response::Error(ErrorFrame {
                 kind: ErrorKind::Query,
                 message: "aggregate query: use execute_outcome/evaluate_outcome".to_string(),

@@ -11,9 +11,9 @@
 //! * one **hub** source vertex owns [`HUB_EDGE_SHARE`] (~30%) of all
 //!   edges;
 //! * four **warm** vertices own 10% each, spaced [`HOT_SPACING`] ids
-//!   apart so they land in *different* scheduler morsels (and, at the
-//!   benchmark scales, in the same static chunk — the worst case for
-//!   contiguous chunking);
+//!   apart so they land in *different* 2048-id pieces of the candidate
+//!   run (and, at the benchmark scales, in the same static chunk — the
+//!   worst case for contiguous chunking);
 //! * the remaining edges spread uniformly over the source tail.
 //!
 //! Every source has type `Source`, every target type `Target` plus an
@@ -41,17 +41,14 @@ pub const WARM_EDGE_SHARE: f64 = 0.10;
 /// Number of warm vertices.
 pub const WARM_COUNT: usize = 4;
 
-/// Id distance between consecutive hot vertices. Matches the query
-/// engine's morsel-size ceiling (hard-coded here — this crate cannot
-/// depend on the query crate; at bench scale the candidate run is long
-/// enough that the executor's adaptive sizing stays at the ceiling) so
-/// each hot vertex lands in its own morsel: a skewed graph whose hot
-/// vertices all share one morsel would serialize on the morsel scheduler
-/// too and measure nothing.
+/// Id distance between consecutive hot vertices: far enough apart that
+/// cutting the candidate run into pieces of up to 2048 ids puts each hot
+/// vertex in its own piece, so a skewed graph does not hide its hot
+/// vertices in one unit of work. The benchmark's skewed inputs are
+/// generated with it, so it stays fixed.
 pub const HOT_SPACING: usize = 2048;
 
-/// Base source count at scale 1 (4000 < the engine's parallel work floor,
-/// so the ×1 tier exercises the sequential path on both schedulers).
+/// Base source count at scale 1.
 pub const BASE_SOURCES: usize = 4000;
 /// Base target count at scale 1. Deliberately larger than the hub's edge
 /// budget (`0.3 × 8 × BASE_SOURCES = 9600`): an RDF graph is a *set* of

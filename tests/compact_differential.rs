@@ -1,16 +1,14 @@
 //! Differential gate for compact snapshots: the frozen [`CompactGraph`]
 //! must answer every query exactly like the mutable [`PropertyGraph`] it
-//! was frozen from — direct Cypher and translated SPARQL, sequential and
-//! 4-thread parallel — on the pristine transform, after tombstone-heavy
-//! mutation, and after incremental delta batches whose forward references
-//! were rewired through placeholder upgrades.
+//! was frozen from — direct Cypher and translated SPARQL — on the pristine
+//! transform, after tombstone-heavy mutation, and after incremental delta
+//! batches whose forward references were rewired through placeholder
+//! upgrades.
 //!
 //! Freezing renumbers live nodes and edges densely and sorts CSR
 //! adjacency rows by edge label, so edge enumeration order can legally
 //! differ between the two representations. Rows carry *values*, never
-//! ids, so the gate compares result multisets across representations and
-//! demands byte-identical rows between sequential and parallel runs of
-//! the *same* representation.
+//! ids, so the gate compares result multisets across representations.
 
 use s3pg::incremental::apply_additions;
 use s3pg::pipeline::transform;
@@ -25,8 +23,8 @@ use s3pg_workloads::generate_queries;
 use s3pg_workloads::spec::{generate, DatasetSpec, GeneratedDataset};
 use std::collections::BTreeMap;
 
-/// Big enough that the cartesian queries clear the parallel engagement
-/// threshold, so the worker path is exercised on both representations.
+/// Big enough that the cartesian query answers roughly INSTANCES² rows on
+/// both representations.
 const INSTANCES: usize = 120;
 
 fn workload() -> GeneratedDataset {
@@ -309,17 +307,6 @@ fn assert_compact_matches_mutable(pg: &PropertyGraph, queries: &[String], contex
             sorted_rows(&on_mutable),
             sorted_rows(&on_compact),
             "{context}: rows diverge for {text}"
-        );
-        // Within one representation, parallel is byte-identical.
-        let par_mutable = cypher::evaluate_threads(pg, &q, 4).unwrap();
-        assert_eq!(
-            on_mutable, par_mutable,
-            "{context}: parallel mutable diverges for {text}"
-        );
-        let par_compact = cypher::evaluate_threads(&compact, &q, 4).unwrap();
-        assert_eq!(
-            on_compact, par_compact,
-            "{context}: parallel compact diverges for {text}"
         );
         nonempty += usize::from(!on_mutable.is_empty());
     }

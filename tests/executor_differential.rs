@@ -2,19 +2,16 @@
 //! skewed graph whose hub vertex owns ~30% of all edges: over the frozen
 //! [`CompactGraph`], the same snapshot after a round trip through its
 //! binary codec, and the mutable `PropertyGraph` it was frozen from, the
-//! morsel batch pipeline must answer every query with the same row
-//! multiset as the planner-independent scan oracle (`evaluate_scan`), and
-//! rows at 2 and 8 threads must be identical, in order, to the rows at
-//! 1 thread. The uniform workload runs through the same harness in
-//! `vectorized_differential` and `morsel_differential`.
+//! batch pipeline must answer every query with the same row multiset as
+//! the planner-independent scan oracle (`evaluate_scan`). The uniform
+//! workload runs through the same harness in `vectorized_differential`.
 //!
 //! The skew set covers hub-heavy traversal; grouped `count`/`sum`/`min`/
 //! `max` including `DISTINCT` aggregates and the zero-row aggregate;
 //! `DISTINCT`; `ORDER BY` with and without a top-K-eligible `LIMIT`; the
 //! probe-seeded top-K reads of the benchmark (`hub-topk`, `warm-topk`);
-//! and the empty cases. The file also pins the SPARQL flat-batch join
-//! sequential ≡ parallel. Every failure message names the xorshift seed
-//! its graph came from.
+//! and the empty cases. Every failure message names the xorshift seed its
+//! graph came from.
 //!
 //! [`CompactGraph`]: s3pg_pg::CompactGraph
 
@@ -25,17 +22,15 @@ mod support;
 use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_pg::Value;
-use s3pg_query::sparql;
 use s3pg_shacl::extract_shapes;
-use s3pg_workloads::generate_queries;
 use s3pg_workloads::skew::{self, generate_skewed};
-use support::{assert_executor_matches, plain, workload, Query, WORKLOAD_SEED};
+use support::{assert_executor_matches, plain, Query};
 
 /// Seed of the skew generator.
 const SKEW_SEED: u64 = 0xD1CE;
 
-/// Skew scale picked so estimated work clears the parallel engagement
-/// floor (4800 sources × per-row cost > 4096) while the gate stays fast.
+/// Skew scale: 4800 sources, a hub owning ~30% of the edges, and a gate
+/// that stays fast.
 const SKEW_SCALE: f64 = 1.2;
 
 /// The skew query set: hub-heavy traversal, grouped and distinct
@@ -97,19 +92,4 @@ fn executor_matches_scan_on_skewed_graph() {
         &skew_queries(),
         &format!("skewed (seed {SKEW_SEED:#x})"),
     );
-}
-
-#[test]
-fn sparql_flat_join_is_thread_invariant() {
-    let generated = workload();
-    for spec in generate_queries(&generated.meta, 3) {
-        let q = sparql::parse(&spec.sparql).unwrap();
-        let seq = sparql::evaluate(&generated.graph, &q).unwrap();
-        let par = sparql::evaluate_threads(&generated.graph, &q, 4).unwrap();
-        assert_eq!(
-            seq, par,
-            "sparql {} diverges at 4 threads (seed {WORKLOAD_SEED:#x})",
-            spec.sparql
-        );
-    }
 }

@@ -1,21 +1,18 @@
 //! Differential tests for the query-performance layer: planned/indexed
-//! and parallel evaluation must agree with the pre-planner sequential
-//! scan path on real workloads, and the `(label, key, value)` property
-//! index must stay consistent through removals and incremental deltas.
+//! evaluation must agree with the pre-planner scan path on real workloads,
+//! profiling must not change a SPARQL join's answer, and the
+//! `(label, key, value)` property index must stay consistent through
+//! removals and incremental deltas.
 //!
-//! Three gates, mirroring the layer's invariants:
+//! Two gates, mirroring the layer's invariants:
 //!
-//! 1. **Parallel ≡ sequential** — same rows in the same order, for both
-//!    engines, at 2/4/8 workers. Alongside the workload query set, a
-//!    cartesian two-pattern query per engine is sized so its estimated
-//!    work clears the parallel engagement threshold and the worker path
-//!    actually runs, and SPARQL joins whose FILTERs run between join
-//!    steps hold at 2 and 8 workers too.
-//! 2. **Planned ≡ scan** — byte-identical on the single-pattern workload
+//! 1. **Planned ≡ scan** — byte-identical on the single-pattern workload
 //!    query set (index probes enumerate id-sorted, matching label-scan
-//!    order); multiset-identical on multi-pattern value joins, where
-//!    reverse anchoring follows adjacency order instead of bucket order.
-//! 3. **Index ≡ full scan** — after arbitrary removals and after each
+//!    order); multiset-identical on multi-pattern value joins and on a
+//!    cartesian two-pattern query per engine, where the planner's order
+//!    differs from the written one. Beside them, SPARQL joins whose
+//!    FILTERs run between join steps answer the same profiled or not.
+//! 2. **Index ≡ full scan** — after arbitrary removals and after each
 //!    incremental delta batch, every `(label, key, value)` posting list
 //!    ever observed equals the answer a fresh full scan gives.
 
@@ -25,6 +22,7 @@ use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{NodeId, PropertyGraph, Value};
 use s3pg_query::profile::ProfSink;
+use s3pg_query::sparql::Outcome;
 use s3pg_query::{cypher, sparql};
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::{Graph, Term};
@@ -33,9 +31,8 @@ use s3pg_workloads::spec::{generate, DatasetSpec, GeneratedDataset};
 use s3pg_workloads::{generate_queries, generate_skewed, skew};
 use std::collections::BTreeMap;
 
-/// Large enough that a two-class cartesian query's estimated work
-/// (~INSTANCES² candidate × per-row cost) clears the parallel engagement
-/// threshold (4096) with room to spare.
+/// Large enough that a two-class cartesian query answers tens of
+/// thousands of rows (~INSTANCES²).
 const INSTANCES: usize = 150;
 
 fn workload() -> GeneratedDataset {
@@ -63,42 +60,10 @@ fn sorted_rows(rows: &cypher::Rows) -> Vec<String> {
     out
 }
 
+/// Cartesian two-pattern queries of roughly INSTANCES² ≈ 22k rows: both
+/// engines answer them as their planner-free oracles do.
 #[test]
-fn parallel_evaluation_matches_sequential_rows_and_order() {
-    let generated = workload();
-    let shapes = extract_shapes(&generated.graph);
-    let out = transform(&generated.graph, &shapes, Mode::Parsimonious);
-    let queries = generate_queries(&generated.meta, 2);
-    assert!(!queries.is_empty(), "workload produced no queries");
-
-    let mut exercised_parallel = false;
-    for spec in &queries {
-        let sparql_q = sparql::parse(&spec.sparql).unwrap();
-        let seq = sparql::evaluate(&generated.graph, &sparql_q).unwrap();
-        for threads in [2, 4, 8] {
-            let par = sparql::evaluate_threads(&generated.graph, &sparql_q, threads).unwrap();
-            assert_eq!(seq, par, "sparql {} at {threads} threads", spec.sparql);
-        }
-
-        let text = query_translate::translate_str(&spec.sparql, &out.schema.mapping).unwrap();
-        let cypher_q = cypher::parse(&text).unwrap();
-        let seq = cypher::evaluate(&out.pg, &cypher_q).unwrap();
-        for threads in [2, 4, 8] {
-            let par = cypher::evaluate_threads(&out.pg, &cypher_q, threads).unwrap();
-            assert_eq!(seq, par, "cypher {text} at {threads} threads");
-        }
-        exercised_parallel |= !seq.is_empty();
-    }
-    assert!(exercised_parallel, "every workload query returned no rows");
-}
-
-/// Cartesian two-pattern queries whose estimated work (first-pattern
-/// candidates × per-row cost of the unconstrained second pattern, roughly
-/// INSTANCES² ≈ 22k ≥ 4096) is guaranteed to engage the worker path in
-/// both engines — the workload queries above are small enough that the
-/// work-aware heuristic keeps them sequential.
-#[test]
-fn parallel_branch_engages_on_heavy_cartesian_queries() {
+fn planned_matches_scan_on_heavy_cartesian_queries() {
     let generated = workload();
     let shapes = extract_shapes(&generated.graph);
     let out = transform(&generated.graph, &shapes, Mode::Parsimonious);
@@ -107,42 +72,40 @@ fn parallel_branch_engages_on_heavy_cartesian_queries() {
     let (c0, c1) = (&generated.meta.classes[0], &generated.meta.classes[1]);
     let text = format!("SELECT ?a ?b WHERE {{ ?a a <{c0}> . ?b a <{c1}> . }}");
     let q = sparql::parse(&text).unwrap();
-    let seq = sparql::evaluate(&generated.graph, &q).unwrap();
+    let planned = sparql::evaluate(&generated.graph, &q).unwrap();
     assert!(
-        seq.len() >= INSTANCES * INSTANCES,
-        "cartesian sparql too small to engage workers: {} rows",
-        seq.len()
+        planned.len() >= INSTANCES * INSTANCES,
+        "cartesian sparql too small: {} rows",
+        planned.len()
     );
-    for threads in [2, 4, 8] {
-        let par = sparql::evaluate_threads(&generated.graph, &q, threads).unwrap();
-        assert_eq!(seq, par, "sparql {text} at {threads} threads");
-    }
+    let Outcome::Solutions(scan) = sparql::evaluate_scan(&generated.graph, &q).unwrap() else {
+        unreachable!("no aggregate")
+    };
+    let (mut planned, mut scan) = (planned.rows, scan.rows);
+    planned.sort();
+    scan.sort();
+    assert_eq!(planned, scan, "sparql {text}");
 
     // Cypher: same shape over the two busiest node labels.
     let (l0, l1) = busiest_labels(&out.pg);
     let text = format!("MATCH (a:{l0}) MATCH (b:{l1}) RETURN a.iri, b.iri");
     let q = cypher::parse(&text).unwrap();
-    let seq = cypher::evaluate(&out.pg, &q).unwrap();
+    let planned = cypher::evaluate(&out.pg, &q).unwrap();
     assert!(
-        seq.rows.len() >= INSTANCES * INSTANCES,
-        "cartesian cypher too small to engage workers: {} rows",
-        seq.rows.len()
+        planned.rows.len() >= INSTANCES * INSTANCES,
+        "cartesian cypher too small: {} rows",
+        planned.rows.len()
     );
     let scan = cypher::evaluate_scan(&out.pg, &q).unwrap();
-    assert_eq!(sorted_rows(&scan), sorted_rows(&seq), "{text}");
-    for threads in [2, 4, 8] {
-        let par = cypher::evaluate_threads(&out.pg, &q, threads).unwrap();
-        assert_eq!(seq, par, "cypher {text} at {threads} threads");
-    }
+    assert_eq!(sorted_rows(&scan), sorted_rows(&planned), "{text}");
 }
 
-/// Pushed filters under the morsel scheduler: the benchmark's two skew
-/// join templates at thresholds passing no, a few, half and all targets,
-/// and a filtered cartesian product, answer at 2 and 8 threads exactly as
-/// at one — rows and order, profiled or not — and the workers engage on
-/// at least one of them.
+/// Pushed filters under PROFILE: the benchmark's two skew join templates
+/// at thresholds passing no, a few, half and all targets, and a filtered
+/// cartesian product, answer profiled exactly as unprofiled — rows and
+/// order — and the profile records each pushed filter.
 #[test]
-fn parallel_join_with_pushed_filters_matches_sequential() {
+fn profiled_join_with_pushed_filters_matches_unprofiled() {
     let skewed = generate_skewed(0.3, 0xF117).graph;
     let rank = skewed.interner().get(skew::RANK).unwrap();
     let mut ranks: Vec<i64> = skewed
@@ -185,21 +148,14 @@ fn parallel_join_with_pushed_filters_matches_sequential() {
     ));
 
     let params = sparql::Params::default();
-    let mut engaged = false;
     for (graph, text) in &cases {
         let q = sparql::parse(text).unwrap();
-        let seq = sparql::evaluate_outcome_threads_params(graph, &q, &params, 1).unwrap();
-        for threads in [2, 8] {
-            let par = sparql::evaluate_outcome_threads_params(graph, &q, &params, threads).unwrap();
-            assert_eq!(seq, par, "sparql {text} at {threads} threads");
-            let sink = ProfSink::new();
-            let profiled =
-                sparql::evaluate_outcome_profiled(graph, &q, &params, threads, &sink).unwrap();
-            assert_eq!(seq, profiled, "profiled sparql {text} at {threads} threads");
-            engaged |= sink.get("parallel").is_some();
-        }
+        let plain = sparql::evaluate_outcome(graph, &q).unwrap();
+        let sink = ProfSink::new();
+        let profiled = sparql::evaluate_outcome_profiled(graph, &q, &params, &sink).unwrap();
+        assert_eq!(plain, profiled, "profiled sparql {text}");
+        assert!(sink.get("filter0").is_some(), "no filter ran: {text}");
     }
-    assert!(engaged, "no filtered join engaged the workers");
 }
 
 /// The two identifier-safe node labels with the most live nodes.
@@ -242,8 +198,7 @@ fn planned_evaluation_matches_scan_on_workload_queries() {
     }
 
     // Multi-pattern value join on the busiest edge label: the planner
-    // reverse-anchors the second pattern, so compare as multisets and
-    // pin parallel to the planned sequential order.
+    // reverse-anchors the second pattern, so compare as multisets.
     let (edge_label, src_label) = busiest_edge(&out.pg);
     let text = format!(
         "MATCH (a:{src_label})-[:{edge_label}]->(v) \
@@ -254,10 +209,6 @@ fn planned_evaluation_matches_scan_on_workload_queries() {
     let planned = cypher::evaluate(&out.pg, &q).unwrap();
     assert!(!planned.is_empty(), "join query returned no rows: {text}");
     assert_eq!(sorted_rows(&scan), sorted_rows(&planned), "{text}");
-    for threads in [2, 4, 8] {
-        let par = cypher::evaluate_threads(&out.pg, &q, threads).unwrap();
-        assert_eq!(planned, par, "join {text} at {threads} threads");
-    }
 }
 
 /// The identifier-safe edge label with the most live edges, paired with

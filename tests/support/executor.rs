@@ -1,11 +1,9 @@
 //! Shared harness of the Cypher executor gates (`executor_differential`,
-//! `vectorized_differential`, `morsel_differential`): the workload
-//! generator and its query set, and the check that holds the morsel batch
-//! pipeline to the scan oracle on every snapshot form — the frozen
-//! [`CompactGraph`], the same snapshot after a round trip through its
-//! binary codec, and the mutable [`PropertyGraph`] it was frozen from —
-//! with rows at 2 and 8 threads identical, in order, to the rows at
-//! 1 thread.
+//! `vectorized_differential`): the workload generator and its query set,
+//! and the check that holds the batch pipeline to the scan oracle on
+//! every snapshot form — the frozen [`CompactGraph`], the same snapshot
+//! after a round trip through its binary codec, and the mutable
+//! [`PropertyGraph`] it was frozen from.
 
 use s3pg::pipeline::{transform, TransformOutput};
 use s3pg::query_translate;
@@ -22,12 +20,9 @@ pub const WORKLOAD_SEED: u64 = 0x5EED;
 /// Seed of the tombstone pass.
 pub const TOMBSTONE_SEED: u64 = 0x7157;
 
-/// Big enough that the cartesian queries clear the parallel engagement
-/// threshold, so the morsel workers run on every form.
+/// Big enough that the cartesian queries answer tens of thousands of
+/// rows on every form.
 const INSTANCES: usize = 150;
-
-/// Thread counts compared against the single-thread rows.
-const THREADS: [usize; 2] = [2, 8];
 
 pub fn workload() -> GeneratedDataset {
     generate(&DatasetSpec {
@@ -131,9 +126,10 @@ fn busiest_edge(pg: &PropertyGraph) -> (String, String) {
 }
 
 /// The workload query set: translated workload SPARQL, cartesian products
-/// and joins, one-hop / two-hop / reverse-anchored traversals, a filter,
-/// aggregation, shaping, UNWIND, `OPTIONAL MATCH`, and the empty-postings
-/// / all-filtered edge cases.
+/// (one with a top-K `ORDER BY … LIMIT`) and joins, one-hop / two-hop /
+/// reverse-anchored traversals, a filter, grouped and ungrouped
+/// aggregates, `DISTINCT`, `UNION ALL`, UNWIND, `OPTIONAL MATCH`, and the
+/// empty-postings / all-filtered edge cases.
 pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> Vec<Query> {
     let mut queries: Vec<String> = generate_queries(&generated.meta, 2)
         .iter()
@@ -155,6 +151,9 @@ pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> 
         format!(
             "MATCH (a:{l0}) RETURN count(*) AS n UNION ALL MATCH (b:{l1}) RETURN count(b) AS n"
         ),
+        format!(
+            "MATCH (a:{l0}) RETURN count(a) AS n UNION ALL MATCH (b:{l1}) RETURN count(b) AS n"
+        ),
         format!("MATCH (a:{l0}) RETURN DISTINCT a.iri ORDER BY a.iri DESC SKIP 3 LIMIT 7"),
         format!("MATCH (a:{l0}) MATCH (b:{l1}) RETURN a.iri ORDER BY a.iri LIMIT 11"),
         format!("MATCH (a:{l0}) UNWIND a.iri AS x RETURN x LIMIT 40"),
@@ -166,30 +165,21 @@ pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> 
     queries.into_iter().map(plain).collect()
 }
 
-/// One query on one form: the executor's rows at 1 thread agree with the
-/// oracle as a multiset, and the rows at every other thread count are
-/// identical to them, in order. Returns the 1-thread rows.
+/// One query on one form: the executor's rows agree with the oracle as a
+/// multiset. Returns the rows.
 fn check_form<G: PgRead>(pg: &G, query: &Query, oracle: &[String], ctx: &str) -> cypher::Rows {
     let q =
         cypher::parse(&query.text).unwrap_or_else(|e| panic!("{ctx}: parse {}: {e}", query.text));
     let plan = cypher::plan(pg, &q);
-    let one = cypher::evaluate_planned_params(pg, &q, &plan, &query.params, 1)
+    let rows = cypher::evaluate_planned_params(pg, &q, &plan, &query.params, 1)
         .unwrap_or_else(|e| panic!("{ctx}: {}: {e}", query.text));
     assert_eq!(
-        sorted_rows(&one),
+        sorted_rows(&rows),
         oracle,
         "{ctx}: executor != scan for {}",
         query.text
     );
-    for threads in THREADS {
-        let many = cypher::evaluate_planned_params(pg, &q, &plan, &query.params, threads).unwrap();
-        assert_eq!(
-            one, many,
-            "{ctx}: {} at {threads} threads != 1 thread",
-            query.text
-        );
-    }
-    one
+    rows
 }
 
 /// Every query on every form of `pg` against the scan oracle over the

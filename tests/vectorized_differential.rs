@@ -6,14 +6,17 @@
 //! same row multiset as the scan oracle (`evaluate_scan`), and the two
 //! compact forms bit-identically — on a pristine transform, after
 //! tombstone-heavy mutation (the mutable form's adjacency rows then hold
-//! tombstones the operators must skip), and after re-growth.
+//! tombstones the operators must skip), after re-growth, and after a
+//! quarter of the nodes and a third of the edges are tombstoned.
 //!
 //! Alongside the translated workload queries, the set covers the
 //! vectorized edge cases: a label absent from the dictionary (empty
 //! postings run), an always-false predicate (every row filtered, empty
 //! selection vector), and multi-hop traversal under a property filter
-//! (selection vectors threaded through consecutive gathers). Every
-//! failure message names the xorshift seeds its graph came from.
+//! (selection vectors threaded through consecutive gathers); and the
+//! executor's shaping: cartesian products, grouped aggregates, `DISTINCT`,
+//! top-K and `UNION ALL`. Every failure message names the xorshift seeds
+//! its graph came from.
 //!
 //! [`CompactGraph`]: s3pg_pg::CompactGraph
 
@@ -94,4 +97,29 @@ fn vectorized_matches_references_after_tombstone_heavy_mutation() {
         "MATCH (a)-[:regrown]->(b) RETURN a.iri, b.readd".to_string(),
     ));
     assert_executor_matches(&pg, &regrown, &ctx);
+}
+
+#[test]
+fn vectorized_matches_references_after_node_tombstones() {
+    let (generated, out) = transformed_workload();
+    let queries = workload_queries(&generated, &out);
+    let mut pg = out.pg;
+    let mut rng = XorShiftRng::seed_from_u64(TOMBSTONE_SEED);
+    let ids: Vec<_> = pg.node_ids().collect();
+    for id in ids {
+        if rng.choose_index(4).unwrap() == 0 {
+            pg.remove_node(id);
+        }
+    }
+    let edge_ids: Vec<_> = pg.edge_ids().collect();
+    for (i, id) in edge_ids.into_iter().enumerate() {
+        if i % 3 == 0 {
+            pg.remove_edge_by_id(id);
+        }
+    }
+    assert_executor_matches(
+        &pg,
+        &queries,
+        &format!("after node tombstones (seeds {WORKLOAD_SEED:#x}, {TOMBSTONE_SEED:#x})"),
+    );
 }
