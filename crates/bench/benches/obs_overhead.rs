@@ -3,7 +3,7 @@
 //! the raw cost of the individual obs primitives. The acceptance bar for
 //! the tracing layer is < 3% end-to-end overhead.
 
-use s3pg::pipeline::{transform_with, PipelineConfig};
+use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_bench::experiments::{prepare, Dataset, Scale};
 use s3pg_bench::timing::{bench, section};
@@ -29,8 +29,7 @@ fn mean<R>(mut f: impl FnMut() -> R) -> Duration {
 fn main() {
     let prepared = prepare(Dataset::DBpedia2022, SCALE);
     let graph = &prepared.generated.graph;
-    let config = PipelineConfig { threads: 4 };
-    let run = || transform_with(graph, &prepared.shapes, Mode::Parsimonious, config);
+    let run = || transform(graph, &prepared.shapes, Mode::Parsimonious);
 
     section("obs/transform_overhead");
     tracer().set_enabled(false);
@@ -46,7 +45,7 @@ fn main() {
     tracer().set_enabled(false);
     let overhead = (enabled.as_secs_f64() / disabled.as_secs_f64() - 1.0) * 100.0;
     println!(
-        "transform ({} triples, 4 threads): disabled {disabled:?}, enabled {enabled:?}",
+        "transform ({} triples): disabled {disabled:?}, enabled {enabled:?}",
         graph.len()
     );
     println!("tracing overhead: {overhead:+.2}% (acceptance bar: < 3%)");

@@ -1,17 +1,13 @@
 //! Table 4 benchmark: transformation + loading time of S3PG vs the two
-//! baselines on each emulated dataset, plus the parallel pipeline's
-//! thread-scaling curve on the largest one.
+//! baselines on each emulated dataset.
 
-use s3pg::pipeline::{self, PipelineConfig};
+use s3pg::pipeline;
 use s3pg::Mode;
 use s3pg_baselines::{NeoSemantics, Rdf2Pg};
-use s3pg_bench::experiments::{parallel_scaling, prepare, Dataset, Scale};
+use s3pg_bench::experiments::{prepare, Dataset, Scale};
 use s3pg_bench::timing::{bench, section};
 
 const SCALE: Scale = Scale(0.15);
-/// Larger scale for the thread-scaling curve — parallelism needs enough
-/// triples per shard to amortize the fork/join overhead.
-const SCALING_SCALE: Scale = Scale(1.0);
 
 fn main() {
     section("table4/transform");
@@ -41,26 +37,4 @@ fn main() {
             pipeline::load(&out.pg)
         });
     }
-
-    section("parallel/threads");
-    let prepared = prepare(Dataset::DBpedia2022, SCALING_SCALE);
-    let graph = &prepared.generated.graph;
-    for threads in [1, 2, 4, 8] {
-        bench(&format!("transform_with/{threads}t"), || {
-            pipeline::transform_with(
-                graph,
-                &prepared.shapes,
-                Mode::Parsimonious,
-                PipelineConfig { threads },
-            )
-        });
-    }
-
-    section("parallel/scaling_curve");
-    let (table, result) = parallel_scaling(Dataset::DBpedia2022, SCALING_SCALE, &[1, 2, 4, 8]);
-    println!("{}", table.render());
-    assert!(
-        result.isomorphic,
-        "parallel output diverged from sequential"
-    );
 }

@@ -1,14 +1,14 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! run_experiments [--scale F] [table2|table3|table4|table5|table6|table7|figure6|monotonicity|optimize|scaling|all]
+//! run_experiments [--scale F] [table2|table3|table4|table5|table6|table7|figure6|monotonicity|optimize|all]
 //! ```
 //!
 //! With no artifact argument, everything is produced in paper order.
 
 use s3pg_bench::experiments::{
-    accuracy_table, figure6, monotonicity, optimize_experiment, parallel_scaling, table2, table3,
-    table4, table5, Dataset, Scale,
+    accuracy_table, figure6, monotonicity, optimize_experiment, table2, table3, table4, table5,
+    Dataset, Scale,
 };
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ fn main() {
                 println!(
                     "usage: run_experiments [--scale F] \
                      [table2|table3|table4|table5|table6|table7|figure6|monotonicity|optimize|\
-                     scaling|all]"
+                     all]"
                 );
                 return;
             }
@@ -63,7 +63,6 @@ fn main() {
                 println!("{}", figure6(Dataset::DBpedia2022, scale, 4, 10).0.render())
             }
             "monotonicity" => println!("{}", monotonicity(scale).0.render()),
-            "scaling" => println!("{}", run_scaling(scale).render()),
             "optimize" => {
                 println!(
                     "{}",
@@ -89,7 +88,6 @@ fn main() {
                     "{}",
                     optimize_experiment(Dataset::DBpedia2022, scale).0.render()
                 );
-                println!("{}", run_scaling(scale).render());
             }
             other => die(&format!("unknown experiment '{other}'")),
         }
@@ -99,18 +97,6 @@ fn main() {
         started.elapsed(),
         scale.0
     );
-}
-
-/// Thread-scaling curve of the sharded pipeline. The `--scale` flag is a
-/// multiplier here too, on top of a base that keeps the workload in the
-/// ≥100k-triple range where parallelism pays off.
-fn run_scaling(scale: Scale) -> s3pg_bench::report::Table {
-    let (table, result) = parallel_scaling(Dataset::Bio2RdfCt, Scale(2.0 * scale.0), &[1, 2, 4, 8]);
-    assert!(
-        result.isomorphic,
-        "parallel output diverged from sequential"
-    );
-    table
 }
 
 fn die(msg: &str) -> ! {

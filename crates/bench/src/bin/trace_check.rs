@@ -2,14 +2,12 @@
 //!
 //! Validates a `--trace-out` JSONL file (every line parses, required
 //! fields present, begins/ends balanced with proper nesting via
-//! [`s3pg_obs::validate_span_tree`]), optionally the `metrics.json`
-//! summary `s3pg-convert --metrics` writes, and/or the
-//! `BENCH_compact.json` document the `compact` bench emits — without
-//! needing any external tooling in CI.
+//! [`s3pg_obs::validate_span_tree`]) and optionally the `metrics.json`
+//! summary `s3pg-convert --metrics` writes — without needing any external
+//! tooling in CI.
 //!
 //! ```text
 //! trace_check --trace out/trace.jsonl [--metrics out/metrics.json]
-//! trace_check --compact-bench BENCH_compact.json
 //! ```
 //!
 //! Exits 0 and prints one summary line per artifact on success; prints
@@ -20,19 +18,16 @@ use s3pg_server::json::{self, Json};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-const USAGE: &str =
-    "usage: trace_check [--trace FILE.jsonl] [--metrics FILE.json] [--compact-bench FILE.json]";
+const USAGE: &str = "usage: trace_check --trace FILE.jsonl [--metrics FILE.json]";
 
 fn main() {
     let mut trace_path: Option<PathBuf> = None;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut compact_bench_path: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => trace_path = it.next().map(PathBuf::from),
             "--metrics" => metrics_path = it.next().map(PathBuf::from),
-            "--compact-bench" => compact_bench_path = it.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -40,17 +35,15 @@ fn main() {
             other => fail(&format!("unknown argument '{other}'\n{USAGE}")),
         }
     }
-    if trace_path.is_none() && compact_bench_path.is_none() {
-        fail(&format!("--trace or --compact-bench is required\n{USAGE}"));
-    }
+    let Some(trace_path) = trace_path else {
+        fail(&format!("--trace is required\n{USAGE}"));
+    };
 
-    if let Some(trace_path) = trace_path {
-        let text = std::fs::read_to_string(&trace_path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", trace_path.display())));
-        match check_trace(&text) {
-            Ok(summary) => println!("{}: {summary}", trace_path.display()),
-            Err(e) => fail(&format!("{}: {e}", trace_path.display())),
-        }
+    let text = std::fs::read_to_string(&trace_path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", trace_path.display())));
+    match check_trace(&text) {
+        Ok(summary) => println!("{}: {summary}", trace_path.display()),
+        Err(e) => fail(&format!("{}: {e}", trace_path.display())),
     }
 
     if let Some(metrics_path) = metrics_path {
@@ -59,15 +52,6 @@ fn main() {
         match check_metrics(&text) {
             Ok(summary) => println!("{}: {summary}", metrics_path.display()),
             Err(e) => fail(&format!("{}: {e}", metrics_path.display())),
-        }
-    }
-
-    if let Some(path) = compact_bench_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", path.display())));
-        match check_compact_bench(&text) {
-            Ok(summary) => println!("{}: {summary}", path.display()),
-            Err(e) => fail(&format!("{}: {e}", path.display())),
         }
     }
 }
@@ -136,122 +120,6 @@ fn check_trace(text: &str) -> Result<String, String> {
     ))
 }
 
-/// Validate the `BENCH_compact.json` document emitted by the `compact`
-/// bench. Byte sizes are deterministic for a fixed dataset and scale, so
-/// the ≥2× compaction ratio is enforced outright; latency ratios are
-/// shape-checked only — CI runs on a workload too small for stable timing
-/// thresholds.
-fn check_compact_bench(text: &str) -> Result<String, String> {
-    let value = json::parse(text.trim()).map_err(|e| e.to_string())?;
-    value
-        .get("dataset")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"dataset\"")?;
-    value
-        .get("scale")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field \"scale\"")?;
-    let mutable_bytes = value
-        .get("mutable_bytes")
-        .and_then(Json::as_u64)
-        .filter(|&b| b > 0)
-        .ok_or("missing positive field \"mutable_bytes\"")?;
-    let compact_bytes = value
-        .get("compact_bytes")
-        .and_then(Json::as_u64)
-        .filter(|&b| b > 0)
-        .ok_or("missing positive field \"compact_bytes\"")?;
-    let ratio = value
-        .get("bytes_ratio_mutable_over_compact")
-        .and_then(Json::as_f64)
-        .ok_or("missing numeric field \"bytes_ratio_mutable_over_compact\"")?;
-    let recomputed = mutable_bytes as f64 / compact_bytes as f64;
-    if (ratio - recomputed).abs() > 0.01 {
-        return Err(format!(
-            "bytes ratio {ratio} disagrees with mutable/compact = {recomputed:.3}"
-        ));
-    }
-    if ratio < 2.0 {
-        return Err(format!(
-            "compact form is only {ratio:.2}x smaller than mutable (need >= 2x): \
-             {compact_bytes} vs {mutable_bytes} bytes"
-        ));
-    }
-    value
-        .get("freeze_micros")
-        .and_then(Json::as_u64)
-        .ok_or("missing numeric field \"freeze_micros\"")?;
-    let dict = value.get("dict").ok_or("missing \"dict\" object")?;
-    for field in ["entries", "bytes", "encodes"] {
-        dict.get(field)
-            .and_then(Json::as_u64)
-            .ok_or(format!("dict: missing numeric field \"{field}\""))?;
-    }
-    let hit_rate = dict
-        .get("hit_rate")
-        .and_then(Json::as_f64)
-        .ok_or("dict: missing numeric field \"hit_rate\"")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(format!("dict.hit_rate {hit_rate} outside [0, 1]"));
-    }
-
-    let queries = value
-        .get("queries")
-        .and_then(Json::as_array)
-        .ok_or("missing \"queries\" array")?;
-    if queries.is_empty() {
-        return Err("\"queries\" is empty".to_string());
-    }
-    for (i, entry) in queries.iter().enumerate() {
-        let context = format!("queries[{i}]");
-        for field in ["tag", "query"] {
-            entry
-                .get(field)
-                .and_then(Json::as_str)
-                .ok_or(format!("{context}: missing string field \"{field}\""))?;
-        }
-        entry
-            .get("rows")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{context}: missing numeric field \"rows\""))?;
-        for side in ["mutable", "compact"] {
-            let s = entry
-                .get(side)
-                .ok_or(format!("{context}: missing field \"{side}\""))?;
-            for stat in ["p50_us", "p99_us", "mean_us"] {
-                let v = s
-                    .get(stat)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("{context}.{side}: missing numeric \"{stat}\""))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!("{context}.{side}.{stat}: bad value {v}"));
-                }
-            }
-            s.get("iters")
-                .and_then(Json::as_u64)
-                .filter(|&n| n > 0)
-                .ok_or(format!("{context}.{side}: missing positive \"iters\""))?;
-        }
-        let p50_ratio = entry
-            .get("p50_compact_over_mutable")
-            .and_then(Json::as_f64)
-            .ok_or(format!(
-                "{context}: missing numeric \"p50_compact_over_mutable\""
-            ))?;
-        if !p50_ratio.is_finite() || p50_ratio <= 0.0 {
-            return Err(format!(
-                "{context}.p50_compact_over_mutable: bad value {p50_ratio}"
-            ));
-        }
-    }
-
-    Ok(format!(
-        "ok — compact {ratio:.2}x smaller ({compact_bytes} vs {mutable_bytes} bytes), \
-         {} queries benched",
-        queries.len(),
-    ))
-}
-
 /// Validate the machine-readable `metrics.json` summary.
 fn check_metrics(text: &str) -> Result<String, String> {
     let value = json::parse(text.trim()).map_err(|e| e.to_string())?;
@@ -278,8 +146,5 @@ fn check_metrics(text: &str) -> Result<String, String> {
         .get("total_wall_micros")
         .and_then(Json::as_u64)
         .ok_or("missing numeric field \"total_wall_micros\"")?;
-    value
-        .get("shard_skew")
-        .ok_or("missing field \"shard_skew\"")?;
     Ok(format!("ok — {} phases", phases.len()))
 }

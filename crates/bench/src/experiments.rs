@@ -10,8 +10,7 @@
 
 use crate::report::{fmt_accuracy, fmt_duration, Table};
 use s3pg::incremental;
-use s3pg::metrics::PipelineMetrics;
-use s3pg::pipeline::{self, PipelineConfig, TransformOutput};
+use s3pg::pipeline::{self, TransformOutput};
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_baselines::neosem::{NeoSemOutput, NeoSemantics};
@@ -623,134 +622,6 @@ pub fn monotonicity(scale: Scale) -> (Table, MonotonicityResult) {
 }
 
 // ---------------------------------------------------------------------------
-// E9 — parallel thread-scaling experiment
-// ---------------------------------------------------------------------------
-
-/// Measurements of the parallel pipeline at one thread count.
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    pub threads: usize,
-    /// N-Triples parse time at this thread count.
-    pub parse: Duration,
-    /// End-to-end `F_st` + `F_dt` + conformance time.
-    pub transform: Duration,
-    /// Per-phase spans and shard statistics from the pipeline.
-    pub metrics: PipelineMetrics,
-    /// (nodes, edges) of the produced PG — must be constant across points.
-    pub counts: (usize, usize),
-}
-
-/// The thread-scaling curve of the sharded pipeline.
-#[derive(Debug, Clone)]
-pub struct ScalingResult {
-    pub triples: usize,
-    pub points: Vec<ScalingPoint>,
-    /// All thread counts produced identical node/edge counts and a
-    /// conforming PG.
-    pub isomorphic: bool,
-}
-
-impl ScalingResult {
-    /// Speedup of a given point relative to the first (sequential) point,
-    /// over parse + transform combined.
-    pub fn speedup(&self, threads: usize) -> f64 {
-        let total = |p: &ScalingPoint| (p.parse + p.transform).as_secs_f64();
-        let base = self.points.first().map(total).unwrap_or(0.0);
-        let at = self.points.iter().find(|p| p.threads == threads);
-        match at {
-            Some(p) if total(p) > 0.0 => base / total(p),
-            _ => 0.0,
-        }
-    }
-}
-
-/// Measure the sharded pipeline's thread-scaling curve on one dataset:
-/// serialize the generated graph to N-Triples, then for each thread count
-/// run the chunked parallel parse followed by the two-phase sharded
-/// transform, asserting the outputs stay isomorphic to the sequential
-/// reference.
-pub fn parallel_scaling(
-    dataset: Dataset,
-    scale: Scale,
-    thread_counts: &[usize],
-) -> (Table, ScalingResult) {
-    let prepared = prepare(dataset, scale);
-    let nt = s3pg_rdf::serializer::to_ntriples(&prepared.generated.graph);
-    let triples = prepared.generated.graph.len();
-
-    let mut points: Vec<ScalingPoint> = Vec::new();
-    let mut isomorphic = true;
-    for &threads in thread_counts {
-        let t = Instant::now();
-        let graph = s3pg_rdf::parser::parse_ntriples_parallel(&nt, threads)
-            .expect("own serialization parses");
-        let parse = t.elapsed();
-
-        let t = Instant::now();
-        let out = pipeline::transform_with(
-            &graph,
-            &prepared.shapes,
-            Mode::Parsimonious,
-            PipelineConfig { threads },
-        );
-        let transform = t.elapsed();
-
-        let counts = (out.pg.node_count(), out.pg.edge_count());
-        if !out.conformance.conforms() {
-            isomorphic = false;
-        }
-        if let Some(first) = points.first() {
-            if first.counts != counts {
-                isomorphic = false;
-            }
-        }
-        points.push(ScalingPoint {
-            threads,
-            parse,
-            transform,
-            metrics: out.metrics,
-            counts,
-        });
-    }
-
-    let result = ScalingResult {
-        triples,
-        points,
-        isomorphic,
-    };
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut table = Table::new(
-        format!(
-            "Thread scaling of the sharded pipeline on {} ({} triples, {} core{})",
-            dataset.name(),
-            triples,
-            cores,
-            if cores == 1 { "" } else { "s" }
-        ),
-        &["threads", "parse", "phase1", "phase2", "total", "speedup"],
-    );
-    for p in &result.points {
-        let phase = |name: &str| {
-            p.metrics
-                .phase(name)
-                .map(|s| fmt_duration(s.wall))
-                .unwrap_or_else(|| "-".into())
-        };
-        table.row(vec![
-            p.threads.to_string(),
-            fmt_duration(p.parse),
-            phase("phase1_nodes"),
-            phase("phase2_props"),
-            fmt_duration(p.parse + p.transform),
-            format!("{:.2}x", result.speedup(p.threads)),
-        ]);
-    }
-    (table, result)
-}
-
-// ---------------------------------------------------------------------------
 // Extension (§7 future work): optimizing non-parsimonious PGs
 // ---------------------------------------------------------------------------
 
@@ -955,19 +826,6 @@ mod tests {
         assert!(result.nodes_after < result.nodes_before);
         assert!(result.csv_bytes_after < result.csv_bytes_before);
         assert_eq!(result.accuracy_after, 100.0);
-    }
-
-    #[test]
-    fn parallel_scaling_stays_isomorphic() {
-        let (table, result) = parallel_scaling(Dataset::DBpedia2022, SMALL, &[1, 2, 4]);
-        assert!(result.isomorphic);
-        assert_eq!(result.points.len(), 3);
-        assert!(result.triples > 0);
-        assert!(table.len() >= 3);
-        for p in &result.points {
-            assert!(p.metrics.phase("phase1_nodes").is_some());
-            assert!(p.metrics.phase("phase2_props").is_some());
-        }
     }
 
     #[test]

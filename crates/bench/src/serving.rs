@@ -141,22 +141,6 @@ impl LoadReport {
             .map(|s| s.value)
     }
 
-    /// Client-observed latency quantile for one endpoint.
-    pub fn endpoint_quantile(&self, endpoint: &str, q: f64) -> Duration {
-        let mut samples: Vec<Duration> = self
-            .latencies
-            .iter()
-            .filter(|s| s.endpoint == endpoint)
-            .map(|s| s.latency)
-            .collect();
-        if samples.is_empty() {
-            return Duration::ZERO;
-        }
-        samples.sort();
-        let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize).max(1) - 1;
-        samples[rank.min(samples.len() - 1)]
-    }
-
     /// Render the run as a human-readable report.
     pub fn render(&self, show_server_metrics: bool) -> String {
         use std::fmt::Write as _;

@@ -82,7 +82,7 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) {
 
 /// Like [`bench()`], but returns the full latency distribution (exact
 /// p50/p99 over the collected iterations) for ratios and
-/// machine-readable reports such as `BENCH_compact.json`.
+/// machine-readable reports.
 pub fn bench_samples<R>(name: &str, mut f: impl FnMut() -> R) -> Samples {
     let s = measure(&mut f);
     println!(

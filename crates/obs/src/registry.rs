@@ -317,7 +317,7 @@ mod tests {
         r.counter("s3pg_requests_total{endpoint=\"cypher\"}").add(5);
         r.counter("s3pg_requests_total{endpoint=\"sparql\"}").add(2);
         r.gauge("s3pg_mem_pg_bytes").set_u64(1_234_567);
-        r.gauge("s3pg_shard_skew").set(1.25);
+        r.gauge("s3pg_example_ratio").set(1.25);
         r.histogram("s3pg_request_duration_microseconds{endpoint=\"cypher\"}")
             .record(Duration::from_micros(500));
         let text = r.expose();
@@ -332,7 +332,7 @@ mod tests {
         assert_eq!(get("s3pg_requests_total{endpoint=\"cypher\"}"), 5.0);
         assert_eq!(get("s3pg_requests_total{endpoint=\"sparql\"}"), 2.0);
         assert_eq!(get("s3pg_mem_pg_bytes"), 1_234_567.0);
-        assert_eq!(get("s3pg_shard_skew"), 1.25);
+        assert_eq!(get("s3pg_example_ratio"), 1.25);
         assert_eq!(
             get("s3pg_request_duration_microseconds_count{endpoint=\"cypher\"}"),
             1.0

@@ -276,12 +276,11 @@ impl Graph {
     }
 
     /// Insert every statement of `batch` in order; returns how many were
-    /// not already present. The bulk path of the N-Triples reader and of
-    /// [`Graph::absorb_remapped`]: the log and the membership table are
-    /// sized once for the batch instead of doubling their way there.
+    /// not already present. The bulk path of the N-Triples reader: the log
+    /// and the membership table are sized once for the batch instead of
+    /// doubling their way there.
     pub(crate) fn insert_batch(&mut self, batch: impl IntoIterator<Item = Triple>) -> usize {
         let batch = batch.into_iter();
-        // A `Vec`'s length, or the length of another graph's log.
         let (lower, upper) = batch.size_hint();
         let expected = upper.unwrap_or(lower);
         self.triples.reserve(expected);
@@ -351,35 +350,6 @@ impl Graph {
             }
         }
         added
-    }
-
-    /// Absorb all triples of `other` using a precomputed interner remap
-    /// table instead of per-term string lookups. Returns the number of
-    /// newly added triples.
-    ///
-    /// This is the fast merge path of the parallel parser: the remap table
-    /// costs one hash lookup per *distinct* string in `other`, after which
-    /// every triple transfers with pure integer translation. Insertion
-    /// order of `other` is preserved, so merging worker graphs in chunk
-    /// order reproduces the sequential parse exactly.
-    pub fn absorb_remapped(&mut self, other: &Graph) -> usize {
-        let map = self.interner.merge_map(other.interner());
-        let remap = |term: Term| -> Term {
-            match term {
-                Term::Iri(s) => Term::Iri(map[s.index()]),
-                Term::Blank(s) => Term::Blank(map[s.index()]),
-                Term::Literal(l) => Term::Literal(Literal {
-                    lexical: map[l.lexical.index()],
-                    datatype: map[l.datatype.index()],
-                    lang: l.lang.map(|t| map[t.index()]),
-                }),
-            }
-        };
-        self.insert_batch(other.triples().map(|t| Triple {
-            s: remap(t.s),
-            p: map[t.p.index()],
-            o: remap(t.o),
-        }))
     }
 
     /// Re-intern a symbol from another graph's interner into this one.
@@ -839,28 +809,13 @@ mod tests {
         assert_eq!(g1.len(), 4);
         // Absorbing again adds nothing (set semantics by value).
         assert_eq!(g1.absorb(&g2), 0);
-    }
-
-    #[test]
-    fn absorb_remapped_matches_absorb() {
-        let mut g2 = Graph::new();
-        g2.insert_iri("http://ex/carol", "http://ex/advisedBy", "http://ex/alice");
-        g2.insert_type("http://ex/carol", "http://ex/Student");
-        let s = g2.intern_iri("http://ex/carol");
+        // Blank nodes and language-tagged literals re-intern too.
+        let s = g2.intern_blank("b0");
         let p = g2.intern("http://ex/name");
         let o = g2.lang_literal("Carol", "en");
         g2.insert(s, p, o);
-        let b = g2.intern_blank("b0");
-        g2.insert(b, p, o);
-
-        let mut via_absorb = tiny();
-        via_absorb.absorb(&g2);
-        let mut via_remap = tiny();
-        let added = via_remap.absorb_remapped(&g2);
-        assert_eq!(added, 4);
-        assert!(via_absorb.same_triples(&via_remap));
-        // Merging the same graph again is a no-op under set semantics.
-        assert_eq!(via_remap.absorb_remapped(&g2), 0);
+        assert_eq!(g1.absorb(&g2), 1);
+        assert!(g2.difference(&g1).is_empty());
     }
 
     #[test]

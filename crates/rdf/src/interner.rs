@@ -145,17 +145,6 @@ impl Interner {
         self.data.capacity() + s3pg_obs::mem::vec_bytes(&self.ends) + self.table.heap_bytes()
     }
 
-    /// Merge every string of `other` into `self` and return the remap table:
-    /// entry `i` is the symbol in `self` for the string `other` interned as
-    /// symbol index `i`.
-    ///
-    /// This is the merge step of the parallel parser: each worker interns
-    /// into a private interner, and the deltas are folded into the global
-    /// interner with exactly one hash lookup per *distinct* worker string.
-    pub fn merge_map(&mut self, other: &Interner) -> Vec<Sym> {
-        other.iter().map(|(_, s)| self.intern(s)).collect()
-    }
-
     /// Iterate over all `(Sym, &str)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
         let mut start = 0;
@@ -225,23 +214,6 @@ mod tests {
             i.intern(&format!("http://example.org/entity/{n}"));
         }
         assert!(i.deep_size_bytes() > small);
-    }
-
-    #[test]
-    fn merge_map_translates_symbols() {
-        let mut global = Interner::new();
-        let shared = global.intern("shared");
-        let mut worker = Interner::new();
-        let w_new = worker.intern("worker-only");
-        let w_shared = worker.intern("shared");
-        let map = global.merge_map(&worker);
-        assert_eq!(map.len(), worker.len());
-        assert_eq!(map[w_shared.index()], shared);
-        assert_eq!(global.resolve(map[w_new.index()]), "worker-only");
-        // Merging again is idempotent: no new symbols appear.
-        let before = global.len();
-        assert_eq!(global.merge_map(&worker), map);
-        assert_eq!(global.len(), before);
     }
 
     #[test]

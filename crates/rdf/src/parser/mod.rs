@@ -10,5 +10,5 @@
 pub mod ntriples;
 pub mod turtle;
 
-pub use ntriples::{parse_ntriples, parse_ntriples_parallel};
+pub use ntriples::parse_ntriples;
 pub use turtle::parse_turtle;

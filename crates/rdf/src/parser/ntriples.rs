@@ -7,7 +7,7 @@
 //! a `String` is built only for a literal that holds a backslash escape.
 //! It remembers what a dump repeats — the previous line's subject, the last
 //! datatype IRI, the `xsd:string` and `rdf:langString` symbols — and
-//! compares bytes before it hashes. And it works in two strokes per chunk:
+//! compares bytes before it hashes. And it works in two strokes per batch:
 //! tokenize a run of lines into a batch of [`Triple`]s (the text streams
 //! past the interner), then index the batch (the store's tables are probed
 //! with the text out of the way).
@@ -30,28 +30,17 @@ pub fn parse_ntriples(input: &str) -> Result<Graph, RdfError> {
     Ok(g)
 }
 
-/// Parse an N-Triples document, inserting triples into an existing graph.
-/// Returns the number of triples inserted (duplicates not counted).
-pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
-    parse_ntriples_offset(input, 0, graph)
-}
-
 /// Most statements tokenized before they are indexed. The longer the two
 /// strokes run apart the faster both are, and a document that fits one
 /// batch gives the store its exact size up front; the bound keeps the
 /// batch itself (36 bytes a statement) a footnote beside a large input.
 const BATCH: usize = 1 << 20;
 
-/// Parse a chunk of an N-Triples document whose first line is line
-/// `line_offset + 1` of the full document, so syntax errors report
-/// document-absolute line numbers even from parallel workers. The
+/// Parse an N-Triples document, inserting triples into an existing graph.
+/// Returns the number of triples inserted (duplicates not counted). The
 /// statements before a malformed line are inserted, as they would be
 /// reading line by line.
-fn parse_ntriples_offset(
-    input: &str,
-    line_offset: usize,
-    graph: &mut Graph,
-) -> Result<usize, RdfError> {
+pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
     let mut tokenizer = Tokenizer::default();
     let mut batch: Vec<Triple> = Vec::new();
     let mut added = 0;
@@ -60,7 +49,7 @@ fn parse_ntriples_offset(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match tokenizer.statement(line, line_offset + lineno + 1, graph.interner_mut()) {
+        match tokenizer.statement(line, lineno + 1, graph.interner_mut()) {
             Ok(triple) => batch.push(triple),
             Err(e) => {
                 graph.insert_batch(batch);
@@ -72,70 +61,6 @@ fn parse_ntriples_offset(
         }
     }
     Ok(added + graph.insert_batch(batch))
-}
-
-/// Parse an N-Triples document with `threads` parallel workers.
-///
-/// The input is split into `threads` byte ranges snapped to line
-/// boundaries (N-Triples is a line-oriented format, so lines are
-/// independent work units). Each worker parses its chunk into a private
-/// [`Graph`] with a private interner; the chunks are then merged in
-/// document order via [`Graph::absorb_remapped`], which folds each
-/// worker's interner delta into the global interner with one hash lookup
-/// per distinct string. The result is identical to [`parse_ntriples`]:
-/// same triples, same insertion order, same first-error line number.
-pub fn parse_ntriples_parallel(input: &str, threads: usize) -> Result<Graph, RdfError> {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return parse_ntriples(input);
-    }
-    let chunks = chunk_lines(input, threads);
-    let parsed: Vec<Result<Graph, RdfError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(range_start, range_end, line_offset)| {
-                let chunk = &input[range_start..range_end];
-                scope.spawn(move || {
-                    let mut g = Graph::new();
-                    parse_ntriples_offset(chunk, line_offset, &mut g)?;
-                    Ok(g)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("N-Triples parser worker panicked"))
-            .collect()
-    });
-    let mut out = Graph::with_capacity(input.len() / 64);
-    // Chunks are disjoint, ordered ranges and each worker stops at its
-    // first error, so the first failing chunk holds the document's first
-    // error — matching the sequential parser's behavior.
-    for result in parsed {
-        out.absorb_remapped(&result?);
-    }
-    Ok(out)
-}
-
-/// Split `input` into at most `parts` `(start, end, line_offset)` ranges,
-/// each ending on a line boundary. `line_offset` is the number of lines
-/// preceding the range in the document.
-fn chunk_lines(input: &str, parts: usize) -> Vec<(usize, usize, usize)> {
-    let bytes = input.as_bytes();
-    let target = input.len().div_ceil(parts).max(1);
-    let mut chunks = Vec::with_capacity(parts);
-    let mut start = 0;
-    let mut line_offset = 0;
-    while start < bytes.len() {
-        let mut end = (start + target).min(bytes.len());
-        while end < bytes.len() && bytes[end - 1] != b'\n' {
-            end += 1;
-        }
-        chunks.push((start, end, line_offset));
-        line_offset += bytes[start..end].iter().filter(|&&b| b == b'\n').count();
-        start = end;
-    }
-    chunks
 }
 
 /// Position in one trimmed, non-empty line.
@@ -431,43 +356,6 @@ mod tests {
         let err = parse_ntriples(doc).unwrap_err();
         match err {
             RdfError::Syntax { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut doc = String::new();
-        for i in 0..500 {
-            doc.push_str(&format!(
-                "<http://ex/e{i}> <http://ex/p{}> <http://ex/e{}> .\n",
-                i % 7,
-                (i * 13) % 500
-            ));
-            doc.push_str(&format!(
-                "<http://ex/e{i}> <http://ex/name> \"name {i}\"@en .\n"
-            ));
-        }
-        // Duplicates that span chunk boundaries must still collapse.
-        doc.push_str("<http://ex/e0> <http://ex/p0> <http://ex/e0> .\n");
-        let sequential = parse_ntriples(&doc).unwrap();
-        for threads in [1, 2, 4, 8, 33] {
-            let parallel = parse_ntriples_parallel(&doc, threads).unwrap();
-            assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
-            assert!(parallel.same_triples(&sequential), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_reports_absolute_error_line() {
-        let mut doc = String::new();
-        for i in 0..100 {
-            doc.push_str(&format!("<http://ex/e{i}> <http://ex/p> <http://ex/o> .\n"));
-        }
-        doc.push_str("broken line\n");
-        let err = parse_ntriples_parallel(&doc, 4).unwrap_err();
-        match err {
-            RdfError::Syntax { line, .. } => assert_eq!(line, 101),
             other => panic!("unexpected error {other:?}"),
         }
     }

@@ -7,14 +7,13 @@
 //! kept beside the word-at-a-time one. The new reader must hand back the
 //! same triples in the same order *with the same `Sym` for every string* —
 //! `subjects_distinct()` sorts by `Sym`, so F_dt's node ids follow the
-//! numbering — and the same first error otherwise, sequentially and from
-//! `parse_ntriples_parallel` at any thread count.
+//! numbering — and the same first error otherwise.
 //!
 //! Two shapes the reference accepts are now errors and are listed in
 //! [`newly_rejected`]: text after a statement's `.` and an empty language
 //! tag.
 
-use s3pg_rdf::parser::{parse_ntriples, parse_ntriples_parallel};
+use s3pg_rdf::parser::parse_ntriples;
 use s3pg_rdf::rng::XorShiftRng;
 use s3pg_rdf::serializer::to_ntriples;
 use s3pg_rdf::{Graph, RdfError, Triple};
@@ -221,31 +220,21 @@ fn fingerprint(g: &Graph) -> (Vec<Triple>, Vec<&str>) {
     )
 }
 
-const THREADS: [usize; 3] = [2, 4, 33];
-
-/// The new reader, sequential and parallel, against the reference on one
-/// document: equal graphs down to the numbering, or the same error.
+/// The new reader against the reference on one document: equal graphs
+/// down to the numbering, or the same error.
 fn assert_same(doc: &str, what: &str) {
-    let expected = reference::parse(doc);
-    let check = |actual: Result<Graph, RdfError>, how: &str| match (&expected, actual) {
+    match (reference::parse(doc), parse_ntriples(doc)) {
         (Ok(want), Ok(got)) => {
-            let (want, got) = (fingerprint(want), fingerprint(&got));
-            assert_eq!(want.0, got.0, "{what}: triples, {how}");
-            assert_eq!(want.1, got.1, "{what}: Sym numbering, {how}");
+            let (want, got) = (fingerprint(&want), fingerprint(&got));
+            assert_eq!(want.0, got.0, "{what}: triples");
+            assert_eq!(want.1, got.1, "{what}: Sym numbering");
         }
-        (Err(want), Err(got)) => assert_eq!(want, &got, "{what}: error, {how}"),
+        (Err(want), Err(got)) => assert_eq!(want, got, "{what}: error"),
         (want, got) => panic!(
-            "{what}: reference {:?}, {how} {:?}",
+            "{what}: reference {:?}, reader {:?}",
             want.as_ref().map(Graph::len),
             got.as_ref().map(Graph::len)
         ),
-    };
-    check(parse_ntriples(doc), "sequential");
-    for threads in THREADS {
-        check(
-            parse_ntriples_parallel(doc, threads),
-            &format!("{threads} threads"),
-        );
     }
 }
 
@@ -400,8 +389,8 @@ fn malformed_lines_fail_as_they_did() {
         assert_eq!(line, 4, "{bad:?}");
         assert_same(&doc, &format!("{bad:?} on line 4"));
     }
-    // A long document, so every thread count puts the defect in a
-    // different chunk.
+    // A defect deep in a long document: the first error, and the
+    // statements before it, are the reference's.
     for bad in MALFORMED.iter().step_by(5) {
         let mut doc = String::new();
         for i in 0..300 {
@@ -432,11 +421,9 @@ fn newly_rejected() {
         let before = reference::parse(bad).unwrap_or_else(|e| panic!("reference on {bad:?}: {e}"));
         assert_eq!(before.len(), statements, "{bad:?}");
         let doc = format!("<http://ex/s> <http://ex/p> <http://ex/o> .\n{bad}\n");
-        for threads in [1, 2] {
-            match parse_ntriples_parallel(&doc, threads) {
-                Err(RdfError::Syntax { line: 2, .. }) => {}
-                other => panic!("{bad:?} at {threads} threads: {:?}", other.map(|g| g.len())),
-            }
+        match parse_ntriples(&doc) {
+            Err(RdfError::Syntax { line: 2, .. }) => {}
+            other => panic!("{bad:?}: {:?}", other.map(|g| g.len())),
         }
     }
     // Still legal: no space before the dot, a comment after it.

@@ -3,7 +3,7 @@
 //! ```text
 //! s3pg-convert --data graph.ttl [--shapes shapes.ttl] [--mode parsimonious]
 //!              [--out-dir out/] [--emit csv,ddl,yarspg,g2gml] [--validate]
-//!              [--threads N] [--metrics] [--stats]
+//!              [--metrics] [--stats]
 //! ```
 //!
 //! Reads an RDF graph (Turtle `.ttl` or N-Triples `.nt`), obtains a SHACL
@@ -16,9 +16,9 @@ use crate::g2gml::to_g2gml;
 use crate::inverse::recover_graph;
 use crate::metrics::{PhaseSpan, PipelineMetrics};
 use crate::mode::Mode;
-use crate::pipeline::{self, transform_with, PipelineConfig};
+use crate::pipeline::{self, transform};
 use s3pg_pg::{csv, ddl, yarspg, PgStats};
-use s3pg_rdf::parser::{parse_ntriples_parallel, parse_turtle};
+use s3pg_rdf::parser::{parse_ntriples, parse_turtle};
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, validate, ShapeSchema};
@@ -35,8 +35,6 @@ pub struct Options {
     pub emit: Vec<Artifact>,
     pub validate_input: bool,
     pub verify_roundtrip: bool,
-    /// Worker threads for the parallel parse + transform (1 = sequential).
-    pub threads: usize,
     /// Append the per-phase metrics report to the output (and write a
     /// machine-readable `metrics.json` next to the artifacts).
     pub show_metrics: bool,
@@ -61,7 +59,7 @@ pub enum Artifact {
 pub const USAGE: &str = "usage: s3pg-convert --data FILE[.ttl|.nt] [--shapes FILE.ttl] \
                          [--mode parsimonious|non-parsimonious] [--out-dir DIR] \
                          [--emit csv,ddl,yarspg,g2gml] [--validate] [--verify-roundtrip] \
-                         [--threads N] [--metrics] [--stats] [--trace-out FILE.jsonl]";
+                         [--metrics] [--stats] [--trace-out FILE.jsonl]";
 
 /// Parse argv-style arguments (without the program name).
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
@@ -72,7 +70,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
     let mut emit = vec![Artifact::Csv, Artifact::Ddl];
     let mut validate_input = false;
     let mut verify_roundtrip = false;
-    let mut threads = 1usize;
     let mut show_metrics = false;
     let mut show_stats = false;
     let mut trace_out = None;
@@ -105,14 +102,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
             }
             "--validate" => validate_input = true,
             "--verify-roundtrip" => verify_roundtrip = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                threads = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("--threads needs a positive integer, got '{n}'"))?;
-            }
             "--metrics" => show_metrics = true,
             "--stats" => show_stats = true,
             "--trace-out" => {
@@ -130,7 +119,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
         emit,
         validate_input,
         verify_roundtrip,
-        threads,
         show_metrics,
         show_stats,
         trace_out,
@@ -139,16 +127,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
 
 /// Load an RDF graph by file extension.
 pub fn load_graph(path: &Path) -> Result<Graph, String> {
-    load_graph_with(path, 1)
-}
-
-/// Load an RDF graph by file extension, parsing N-Triples with `threads`
-/// workers (one worker is the sequential parser; Turtle parsing is always
-/// sequential — its prefix state is a document-wide stream).
-pub fn load_graph_with(path: &Path, threads: usize) -> Result<Graph, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_graph(path, &text, threads)
+    parse_graph(path, &text)
 }
 
 fn is_ntriples(path: &Path) -> bool {
@@ -158,9 +139,9 @@ fn is_ntriples(path: &Path) -> bool {
     )
 }
 
-fn parse_graph(path: &Path, text: &str, threads: usize) -> Result<Graph, String> {
+fn parse_graph(path: &Path, text: &str) -> Result<Graph, String> {
     if is_ntriples(path) {
-        parse_ntriples_parallel(text, threads).map_err(|e| e.to_string())
+        parse_ntriples(text).map_err(|e| e.to_string())
     } else {
         parse_turtle(text).map_err(|e| e.to_string())
     }
@@ -181,7 +162,7 @@ pub fn run(options: &Options) -> Result<String, String> {
         let _span = tracer.span_here("parse");
         let text = std::fs::read_to_string(&options.data)
             .map_err(|e| format!("cannot read {}: {e}", options.data.display()))?;
-        (parse_graph(&options.data, &text, options.threads)?, text)
+        (parse_graph(&options.data, &text)?, text)
     };
     let parse_time = parse_start.elapsed();
     let _ = writeln!(report, "input: {} triples", graph.len());
@@ -244,14 +225,7 @@ pub fn run(options: &Options) -> Result<String, String> {
 
     let out = {
         let _span = tracer.span_here("transform");
-        transform_with(
-            &graph,
-            &schema,
-            options.mode,
-            PipelineConfig {
-                threads: options.threads,
-            },
-        )
+        transform(&graph, &schema, options.mode)
     };
     let stats = PgStats::of(&out.pg);
     let _ = writeln!(
@@ -426,7 +400,6 @@ mod tests {
         assert_eq!(o.mode, Mode::Parsimonious);
         assert_eq!(o.emit, vec![Artifact::Csv, Artifact::Ddl]);
         assert!(!o.validate_input);
-        assert_eq!(o.threads, 1);
         assert!(!o.show_metrics);
         assert!(!o.show_stats);
         assert_eq!(o.trace_out, None);
@@ -447,8 +420,6 @@ mod tests {
             "csv,yarspg,g2gml",
             "--validate",
             "--verify-roundtrip",
-            "--threads",
-            "8",
             "--metrics",
             "--stats",
             "--trace-out",
@@ -461,7 +432,6 @@ mod tests {
             vec![Artifact::Csv, Artifact::YarsPg, Artifact::G2gml]
         );
         assert!(o.validate_input && o.verify_roundtrip);
-        assert_eq!(o.threads, 8);
         assert!(o.show_metrics);
         assert!(o.show_stats);
         assert_eq!(o.trace_out, Some(PathBuf::from("trace.jsonl")));
@@ -474,9 +444,9 @@ mod tests {
         assert!(args(&["--data", "g.ttl", "--mode", "fancy"]).is_err());
         assert!(args(&["--data", "g.ttl", "--emit", "png"]).is_err());
         assert!(args(&["--frobnicate"]).is_err());
-        assert!(args(&["--data", "g.ttl", "--threads"]).is_err());
-        assert!(args(&["--data", "g.ttl", "--threads", "0"]).is_err());
-        assert!(args(&["--data", "g.ttl", "--threads", "four"]).is_err());
+        // The pipeline runs on one thread; there is nothing to set.
+        let err = args(&["--data", "g.ttl", "--threads", "2"]).unwrap_err();
+        assert!(err.starts_with("unknown argument '--threads'"), "{err}");
         assert!(args(&["--data", "g.ttl", "--trace-out"]).is_err());
     }
 
@@ -493,7 +463,6 @@ mod tests {
                 emit: vec![Artifact::Csv],
                 validate_input: false,
                 verify_roundtrip: false,
-                threads: 1,
                 show_metrics: false,
                 show_stats: false,
                 trace_out: None,
@@ -559,7 +528,6 @@ mod tests {
             ],
             validate_input: true,
             verify_roundtrip: true,
-            threads: 2,
             show_metrics: true,
             show_stats: true,
             trace_out: Some(dir.join("out/trace.jsonl")),
@@ -572,7 +540,7 @@ mod tests {
         assert!(report.contains("parse"), "{report}");
         // Turtle input: no one-statement-a-line count to take duplicates from.
         assert!(report.contains(" distinct strings\n"), "{report}");
-        assert!(report.contains("shard skew"), "{report}");
+        assert!(report.contains("phase 2: "), "{report}");
         assert!(report.contains("wrote metrics.json"), "{report}");
         assert!(report.contains("compact: "), "{report}");
         assert!(report.contains("% hit rate"), "{report}");
@@ -599,7 +567,7 @@ mod tests {
         ] {
             assert!(json.contains(&format!("\"name\":\"{phase}\"")), "{json}");
         }
-        assert!(json.contains("\"shard_skew\":"), "{json}");
+        assert!(json.contains("\"phase2_items\":"), "{json}");
         // The trace JSONL is balanced and covers the whole span taxonomy.
         let trace = std::fs::read_to_string(dir.join("out/trace.jsonl")).unwrap();
         let lines: Vec<&str> = trace.lines().collect();
@@ -612,7 +580,7 @@ mod tests {
             "schema_transform",
             "phase1_nodes",
             "phase2_props",
-            "shard",
+            "phase2_classify",
             "conformance",
             "compact",
             "emit",

@@ -15,8 +15,8 @@
 //!    as a key/value property (lines 21–23). Otherwise create a
 //!    literal-carrier node labelled by the value's datatype, store the value
 //!    under `ov`, and link it (lines 24–31). One classifier does this for
-//!    the one-shot transform at any thread count and for a delta; it lives
-//!    with the sharded driver in [`crate::parallel`].
+//!    the one-shot transform and for a delta; it lives with the driver of
+//!    both phases in `phase2.rs`.
 //!
 //! Data that falls outside the schema (unknown predicates, unexpected
 //! datatypes, untyped subjects) never loses information: the schema is
@@ -115,10 +115,38 @@ pub struct DataTransform {
 
 /// Transform `graph` into a property graph under `transform`'s schema and
 /// mapping. The schema may be widened (monotonically) for out-of-schema
-/// data. One shard: [`crate::parallel::transform_data_with`] at
-/// `threads = 1`.
+/// data.
 pub fn transform_data(graph: &Graph, transform: &mut SchemaTransform, mode: Mode) -> DataTransform {
-    crate::parallel::transform_data_with(graph, transform, mode, 1, &mut PipelineMetrics::new(1))
+    transform_data_with(graph, transform, mode, &mut PipelineMetrics::default())
+}
+
+/// [`transform_data`], recording per-phase spans and phase-2 counts into
+/// `metrics`.
+pub(crate) fn transform_data_with(
+    graph: &Graph,
+    transform: &mut SchemaTransform,
+    mode: Mode,
+    metrics: &mut PipelineMetrics,
+) -> DataTransform {
+    let mut pg = PropertyGraph::with_capacity(graph.len() / 2, graph.len());
+    let mut state = TransformState {
+        mode,
+        ..Default::default()
+    };
+    let mut counters = TransformCounters::default();
+    crate::phase2::ingest(
+        graph,
+        transform,
+        &mut pg,
+        &mut state,
+        &mut counters,
+        Some(metrics),
+    );
+    DataTransform {
+        pg,
+        state,
+        counters,
+    }
 }
 
 /// Run both phases of Algorithm 1 over `graph`, adding to an existing PG.
@@ -131,7 +159,7 @@ pub fn ingest(
     state: &mut TransformState,
     counters: &mut TransformCounters,
 ) {
-    crate::parallel::ingest_sharded(graph, transform, pg, state, counters, 1, None);
+    crate::phase2::ingest(graph, transform, pg, state, counters, None);
 }
 
 /// What a pass knows about one resource term of its input graph.
@@ -151,7 +179,7 @@ pub(crate) enum Slot {
 /// The per-pass symbol tables (see the module docs): term → [`Slot`] with
 /// IRIs and blank nodes kept apart, and the distinct node-type sets met,
 /// which everything per `(subject types, predicate)` is memoised under.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PassTables {
     iris: Vec<Slot>,
     blanks: Vec<Slot>,

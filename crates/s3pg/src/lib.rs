@@ -14,12 +14,12 @@
 //!   `N : S_PG → S_G` witnessing information preservation (Prop. 4.1).
 //! * [`query_translate`] — `F_qt`, SPARQL → Cypher over the transformed
 //!   graph (§4.3).
-//! * [`pipeline`] — end-to-end convenience API with stage timings;
-//!   [`pipeline::transform_with`] shards phase 2 of Algorithm 1 across
-//!   scoped threads ([`parallel`]: one classifier, one shard at
-//!   `threads = 1`).
-//! * [`metrics`] — per-phase wall-clock spans, throughput, and shard-skew
-//!   reporting for the (parallel) pipeline.
+//! * [`pipeline`] — end-to-end API with stage timings: parse → `F_st` →
+//!   `F_dt` → `PG ⊨ S_PG`, one sequential pass on the calling thread
+//!   (`phase2.rs` holds phase 2's classifier and the driver of both
+//!   phases).
+//! * [`metrics`] — per-phase wall-clock spans, throughput, and phase 2's
+//!   table sizes for that pipeline.
 //!
 //! ```
 //! use s3pg::{pipeline::transform, Mode};
@@ -53,7 +53,7 @@ pub mod mapping;
 pub mod metrics;
 pub mod mode;
 pub mod optimize;
-pub mod parallel;
+mod phase2;
 pub mod pipeline;
 pub mod query_translate;
 pub mod schema_transform;

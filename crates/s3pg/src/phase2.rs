@@ -1,50 +1,43 @@
-//! Phase 2 of Algorithm 1 — one classifier — and its sharded driver.
+//! Phase 2 of Algorithm 1 — classify, then apply — and the driver that
+//! runs both phases.
 //!
-//! Phase 1 (`data_transform::ingest_phase1`) runs on the calling
-//! thread: it assigns global `NodeId`s and mutates the shared mapping, and
-//! it leaves the mapping, the entity-type map and the node set frozen.
-//! Phase 2 (properties → key/values, edges, carriers) is then a pure
-//! classification of each statement against that frozen view, so it is
-//! written once, as a worker over a *subject shard*:
+//! Phase 1 (`data_transform::ingest_phase1`) assigns every entity its
+//! `NodeId` and mutates the mapping, and it leaves the mapping, the
+//! entity-type map and the node set frozen. Phase 2 (properties →
+//! key/values, edges, carriers) is then a classification of each statement
+//! against that frozen view, done in two halves:
 //!
-//! * `run_shard` streams the shard's subjects and emits an **operation
-//!   buffer** (`Op`) that refers to worker-local label / key / datatype
-//!   tables. Per statement it does array indexing only: the subject's and
-//!   object's `(NodeId, type-set id)` come from the pass's
+//! * `classify` streams the subjects in term order and emits an
+//!   **operation buffer** (`Op`) that refers to pass-local label / key /
+//!   datatype tables. Per statement it does array indexing only: the
+//!   subject's and object's `(NodeId, type-set id)` come from the pass's
 //!   `PassTables`; `(type-set id, predicate symbol)` resolves once to an
 //!   encoding (key/value key, edge label, fallback); and a
 //!   `(type-set, label, target)` memo stands in front of
 //!   `TransformState::widen_cache`, so a schema-widening request is emitted
 //!   once per combination.
-//! * `apply_shard` replays a buffer on the calling thread through the
-//!   property graph's `*_sym` bulk entry points. Labels, keys and carrier
-//!   types are registered and interned *lazily, when the first operation
-//!   that uses them is applied*, so `register_edge_label`, `ensure_carrier`
-//!   and `widen_edge_type` run in statement order.
+//! * `apply` replays the buffer through the property graph's `*_sym` bulk
+//!   entry points. Labels, keys and carrier types are registered and
+//!   interned *lazily, when the first operation that uses them is applied*,
+//!   so `register_edge_label`, `ensure_carrier` and `widen_edge_type` run in
+//!   statement order.
 //!
-//! The drivers differ only in how many shards there are. With one shard
-//! (`threads = 1`, and every delta) the worker runs inline over all
-//! subjects in term order and the output is *the* sequential output: node
-//! ids, edge ids and registration order are pinned by
-//! `tests/fdt_golden.rs`. With `n` shards subjects are split by
-//! subject-term hash, workers run on scoped threads over a read-only view
-//! (each with its own copy of the tables), and buffers are applied in
-//! shard order: entity nodes are the same (phase 1 does not shard), while
-//! carrier-node ids, edge ids and collision-suffixed fresh names follow
-//! shard order — same counts, same conformance, same `M(PG)`.
+//! The one-shot transform and every delta run the same [`ingest`] on the
+//! calling thread, so F_dt's output — node ids, carrier ids, edge ids,
+//! collision-suffixed names and registration order — is a function of
+//! `(G, S_G, mode)` alone; `tests/fdt_golden.rs` pins it.
 //!
-//! For the one-shot pipeline, per-shard statement counts feed the
-//! shard-skew metric and, when a trace is active (the caller opened a span
-//! on this thread), each phase records a span and every phase-2 worker a
-//! `shard` span parented under it. A delta is not instrumented here.
+//! For the one-shot pipeline, when a trace is active (the caller opened a
+//! span on this thread), each phase records a span and `classify` a
+//! `phase2_classify` span inside `phase2_props`. A delta is not
+//! instrumented here.
 
 use crate::data_transform::{
-    carrier_value, ingest_phase1, preserve_value, widen_cache_key, widen_edge_type, DataTransform,
-    PassTables, PendingRef, Slot, TransformCounters, TransformState, LANG_KEY,
+    carrier_value, ingest_phase1, preserve_value, widen_cache_key, widen_edge_type, PassTables,
+    PendingRef, Slot, TransformCounters, TransformState, LANG_KEY,
 };
 use crate::mapping::Handling;
-use crate::metrics::PipelineMetrics;
-use crate::mode::Mode;
+use crate::metrics::{EncodingCounts, PipelineMetrics};
 use crate::schema_transform::{ensure_carrier, SchemaTransform, ANY_IRI_DATATYPE};
 use s3pg_obs::tracer;
 use s3pg_pg::{NodeId, PropertyGraph, Value, VALUE_KEY};
@@ -52,61 +45,16 @@ use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use s3pg_rdf::{Graph, Sym, Term};
 use std::time::Instant;
 
-/// Transform `graph` with `threads` phase-2 workers, recording per-phase
-/// spans and shard statistics into `metrics`.
-pub fn transform_data_with(
-    graph: &Graph,
-    transform: &mut SchemaTransform,
-    mode: Mode,
-    threads: usize,
-    metrics: &mut PipelineMetrics,
-) -> DataTransform {
-    let mut pg = PropertyGraph::with_capacity(graph.len() / 2, graph.len());
-    let mut state = TransformState {
-        mode,
-        ..Default::default()
-    };
-    let mut counters = TransformCounters::default();
-    ingest_sharded(
-        graph,
-        transform,
-        &mut pg,
-        &mut state,
-        &mut counters,
-        threads.max(1),
-        Some(metrics),
-    );
-    DataTransform {
-        pg,
-        state,
-        counters,
-    }
-}
-
-/// Shard index for a subject term: a multiplicative hash of its interned
-/// symbol (stable within one graph), with the term kind mixed in so blank
-/// nodes and IRIs sharing a symbol index do not collide systematically.
-fn shard_of(term: Term, shards: usize) -> usize {
-    let seed = match term {
-        Term::Iri(s) => (s.index() as u64) << 1,
-        Term::Blank(s) => ((s.index() as u64) << 1) | 1,
-        Term::Literal(_) => unreachable!("literal in subject position"),
-    };
-    ((seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % shards
-}
-
-/// Both phases of Algorithm 1 over `graph`, adding to `pg`: phase 1 on
-/// this thread, phase 2 over `threads` subject shards. `metrics` is the
-/// one-shot pipeline's instrument: with it each phase is timed and, under
-/// an active trace, records its span. The delta path passes `None` and
-/// records nothing — an update's spans are the server's.
-pub(crate) fn ingest_sharded(
+/// Both phases of Algorithm 1 over `graph`, adding to `pg`. `metrics` is
+/// the one-shot pipeline's instrument: with it each phase is timed and,
+/// under an active trace, records its span. The delta path passes `None`
+/// and records nothing — an update's spans are the server's.
+pub(crate) fn ingest(
     graph: &Graph,
     transform: &mut SchemaTransform,
     pg: &mut PropertyGraph,
     state: &mut TransformState,
     counters: &mut TransformCounters,
-    threads: usize,
     mut metrics: Option<&mut PipelineMetrics>,
 ) {
     let traced = metrics.is_some();
@@ -134,70 +82,28 @@ pub(crate) fn ingest_sharded(
 
     let t1 = Instant::now();
     let phase2_span = span("phase2_props");
-    let shard_parent = phase2_span.as_ref().and_then(|span| span.handle());
-    let outputs: Vec<ShardOutput> = {
-        let view = View {
-            graph,
-            transform,
-            state,
-            pg,
-        };
-        let work = |shard: &[Term], tables: PassTables| {
-            let _span = shard_parent.map(|parent| tracer().span_under(&parent, "shard"));
-            run_shard(view, shard, threads, tables)
-        };
-        if threads == 1 {
-            vec![work(&subjects, tables)]
-        } else {
-            let mut shards: Vec<Vec<Term>> = vec![Vec::new(); threads];
-            for &s_term in &subjects {
-                shards[shard_of(s_term, threads)].push(s_term);
-            }
-            let (work, tables) = (&work, &tables);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || work(shard, tables.clone())))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("phase-2 worker panicked"))
-                    .collect()
-            })
-        }
-    };
-
+    let classify_span = span("phase2_classify");
+    let classified = classify(graph, transform, state, pg, &subjects, tables);
+    drop(classify_span);
+    let statements = classified.statements;
     if let Some(metrics) = metrics.as_deref_mut() {
-        metrics.shard_triples = outputs.iter().map(|o| o.statements).collect();
+        metrics.type_sets = classified.type_sets.len();
+        metrics.resolved_pairs = classified.resolved_pairs;
+        let done = &classified.counters;
+        metrics.phase2_items = EncodingCounts {
+            key_values: done.key_values as u64,
+            carriers: done.carrier_nodes as u64,
+            edges: (done.edges - done.carrier_nodes) as u64,
+        };
     }
-    for output in outputs {
-        if let Some(metrics) = metrics.as_deref_mut() {
-            metrics.type_sets = metrics.type_sets.max(output.type_sets.len());
-            metrics.resolved_pairs = metrics.resolved_pairs.max(output.resolved_pairs);
-            let items = &mut metrics.phase2_items;
-            items.key_values += output.counters.key_values as u64;
-            items.carriers += output.counters.carrier_nodes as u64;
-            items.edges += (output.counters.edges - output.counters.carrier_nodes) as u64;
-        }
-        apply_shard(graph, output, transform, pg, state, counters);
-    }
+    apply(graph, classified, transform, pg, state, counters);
     drop(phase2_span);
     if let Some(metrics) = metrics {
-        let triples = metrics.shard_triples.iter().sum();
-        metrics.record("phase2_props", t1.elapsed(), triples, "triples");
+        metrics.record("phase2_props", t1.elapsed(), statements, "triples");
     }
 }
 
-/// The frozen state a phase-2 worker reads.
-#[derive(Clone, Copy)]
-struct View<'a> {
-    graph: &'a Graph,
-    transform: &'a SchemaTransform,
-    state: &'a TransformState,
-    pg: &'a PropertyGraph,
-}
-
-/// Worker-local reference to an edge label that may not be registered yet.
+/// Pass-local reference to an edge label that may not be registered yet.
 enum LabelRef {
     /// Label known from the schema mapping (`Handling::Edge`).
     Known(String),
@@ -207,7 +113,7 @@ enum LabelRef {
 }
 
 /// How statements of one `(subject type set, predicate)` pair are encoded,
-/// as indexes into the worker's tables.
+/// as indexes into the pass's tables.
 #[derive(Clone, Copy)]
 struct Encoding {
     /// Key/value key for plain literals (`Handling::KeyValue`).
@@ -228,10 +134,10 @@ enum Target {
     CarrierOf(u32),
 }
 
-/// One fully-resolved phase-2 effect, referencing worker-local tables and
+/// One fully-resolved phase-2 effect, referencing pass-local tables and
 /// the input graph's symbols.
 enum Op {
-    /// First use of `(types, label, target)` in this shard: the edge type
+    /// First use of `(types, label, target)` in this pass: the edge type
     /// may need widening. Precedes the edge or carrier that caused it.
     Widen {
         types: u32,
@@ -259,8 +165,8 @@ enum Op {
     },
 }
 
-/// Everything a phase-2 worker produced for its shard.
-struct ShardOutput {
+/// Everything `classify` produced: the buffer, its tables and counts.
+struct Classified {
     ops: Vec<Op>,
     labels: Vec<LabelRef>,
     keys: Vec<String>,
@@ -285,18 +191,19 @@ fn table_index<K: std::hash::Hash + Eq, T>(
     })
 }
 
-/// Phase-2 worker: stream one subject shard against the frozen transform
-/// state, emitting an operation buffer. Pure reads on all shared data.
-fn run_shard(view: View<'_>, shard: &[Term], shards: usize, mut tables: PassTables) -> ShardOutput {
-    let View {
-        graph,
-        transform,
-        state,
-        pg,
-    } = view;
+/// Phase 2's first half: stream `subjects` against the transform state
+/// phase 1 froze, emitting an operation buffer. Reads only.
+fn classify(
+    graph: &Graph,
+    transform: &SchemaTransform,
+    state: &TransformState,
+    pg: &PropertyGraph,
+    subjects: &[Term],
+    mut tables: PassTables,
+) -> Classified {
     let type_p = graph.type_predicate_opt();
-    // About one operation per statement; the hash split is close to even.
-    let mut ops = Vec::with_capacity(graph.len() / shards);
+    // About one operation per statement.
+    let mut ops = Vec::with_capacity(graph.len());
     let (mut labels, mut keys, mut datatypes) = (Vec::new(), Vec::new(), Vec::new());
     let mut counters = TransformCounters::default();
     let mut statements = 0u64;
@@ -307,7 +214,7 @@ fn run_shard(view: View<'_>, shard: &[Term], shards: usize, mut tables: PassTabl
     let mut datatype_index: FxHashMap<Option<Sym>, u32> = FxHashMap::default();
     let mut widened: FxHashSet<(u32, u32, Target)> = FxHashSet::default();
 
-    for &s_term in shard {
+    for &s_term in subjects {
         // Phase 1 gave every subject with a data statement its slot.
         let Slot::Entity {
             node: s_node,
@@ -420,7 +327,7 @@ fn run_shard(view: View<'_>, shard: &[Term], shards: usize, mut tables: PassTabl
             counters.edges += 1;
         }
     }
-    ShardOutput {
+    Classified {
         ops,
         labels,
         keys,
@@ -432,7 +339,7 @@ fn run_shard(view: View<'_>, shard: &[Term], shards: usize, mut tables: PassTabl
     }
 }
 
-/// An edge label of a shard, registered and interned on first use.
+/// An edge label of the pass, registered and interned on first use.
 struct EdgeLabel {
     label: LabelRef,
     sym: Option<Sym>,
@@ -461,7 +368,7 @@ impl EdgeLabel {
     }
 }
 
-/// A carrier datatype of a shard: its node type is declared and its label
+/// A carrier datatype of the pass: its node type is declared and its label
 /// interned on first use.
 struct CarrierType {
     datatype: Option<Sym>,
@@ -488,14 +395,14 @@ impl CarrierType {
     }
 }
 
-/// Apply one shard's operation buffer on the calling thread. Table entries
+/// Phase 2's second half: apply the operation buffer. Table entries
 /// are registered and interned when the first operation that uses them is
 /// reached — so the mapping, the schema and the PG's interner see names in
 /// statement order — and from then on an operation is symbols and
 /// `NodeId`s only.
-fn apply_shard(
+fn apply(
     graph: &Graph,
-    output: ShardOutput,
+    output: Classified,
     transform: &mut SchemaTransform,
     pg: &mut PropertyGraph,
     state: &mut TransformState,
@@ -529,8 +436,8 @@ fn apply_shard(
                 predicate,
                 target,
             } => {
-                // Same memoised monotone widening whatever the shard count:
-                // the shard's memo only spares the string-keyed check.
+                // The memoised monotone widening: the pass's memo only
+                // spares the string-keyed check.
                 let targets = match target {
                     Target::Types(id) => type_sets[id as usize].clone(),
                     Target::CarrierOf(i) => {
@@ -621,10 +528,11 @@ fn apply_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data_transform::entity_ref;
+    use crate::data_transform::{transform_data, transform_data_with};
     use crate::inverse::recover_graph;
+    use crate::mode::Mode;
     use crate::schema_transform::transform_schema;
-    use s3pg_pg::conformance;
+    use s3pg_pg::{conformance, csv};
     use s3pg_rdf::parser::parse_turtle;
     use s3pg_shacl::parser::parse_shacl_turtle;
 
@@ -670,63 +578,35 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
         data
     }
 
-    fn counts(pg: &PropertyGraph) -> (usize, usize, usize) {
-        let node_props: usize = pg.node_ids().map(|n| pg.node(n).props.len()).sum();
-        (pg.node_count(), pg.edge_count(), node_props)
-    }
-
     #[test]
-    fn parallel_is_isomorphic_to_sequential() {
+    fn one_pass_conforms_round_trips_and_repeats() {
         let shapes = parse_shacl_turtle(SCHEMA).unwrap();
         let g = parse_turtle(&dataset()).unwrap();
         for mode in [Mode::Parsimonious, Mode::NonParsimonious] {
-            let mut st_seq = transform_schema(&shapes, mode);
-            let mut m_seq = PipelineMetrics::new(1);
-            let seq = transform_data_with(&g, &mut st_seq, mode, 1, &mut m_seq);
+            let mut st = transform_schema(&shapes, mode);
+            let mut metrics = PipelineMetrics::default();
+            let out = transform_data_with(&g, &mut st, mode, &mut metrics);
             assert!(
-                conformance::check(&seq.pg, &st_seq.pg_schema).conforms(),
-                "{mode:?} sequential"
+                conformance::check(&out.pg, &st.pg_schema).conforms(),
+                "{mode:?}"
             );
-            let back = recover_graph(&seq.pg, &st_seq.mapping).unwrap();
-            assert!(back.same_triples(&g), "{mode:?} single shard: M(PG) != G");
-            assert_eq!(m_seq.shard_triples.len(), 1);
-            for threads in [2, 3, 8] {
-                let mut st_par = transform_schema(&shapes, mode);
-                let mut m_par = PipelineMetrics::new(threads);
-                let par = transform_data_with(&g, &mut st_par, mode, threads, &mut m_par);
-                assert_eq!(counts(&par.pg), counts(&seq.pg), "{mode:?} t={threads}");
-                assert_eq!(par.counters, seq.counters, "{mode:?} t={threads}");
-                assert!(
-                    conformance::check(&par.pg, &st_par.pg_schema).conforms(),
-                    "{mode:?} t={threads}"
-                );
-                // Counts cannot tell two graphs apart; the inverse mapping can.
-                let back = recover_graph(&par.pg, &st_par.mapping).unwrap();
-                assert!(back.same_triples(&g), "{mode:?} t={threads}: M(PG) != G");
-                // Phase 1 does not shard: entity nodes keep their ids.
-                for s in g.subjects_distinct() {
-                    let entity = entity_ref(&g, s);
-                    assert_eq!(
-                        par.pg.node_by_iri(&entity),
-                        seq.pg.node_by_iri(&entity),
-                        "{mode:?} t={threads}: {entity}"
-                    );
-                }
-                assert_eq!(m_par.shard_triples.len(), threads);
-                assert!(m_par.phase("phase1_nodes").is_some());
-                assert!(m_par.phase("phase2_props").is_some());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        let mut g = Graph::new();
-        for i in 0..64 {
-            let s = g.intern_iri(&format!("http://ex/s{i}"));
-            let first = shard_of(s, 7);
-            assert!(first < 7);
-            assert_eq!(shard_of(s, 7), first);
+            // Counts cannot tell two graphs apart; the inverse mapping can.
+            let back = recover_graph(&out.pg, &st.mapping).unwrap();
+            assert!(back.same_triples(&g), "{mode:?}: M(PG) != G");
+            assert!(metrics.phase("phase1_nodes").is_some());
+            assert!(metrics.phase("phase2_props").is_some());
+            let items = metrics.phase2_items;
+            assert_eq!(items.carriers, out.counters.carrier_nodes as u64);
+            assert_eq!(
+                items.key_values + items.edges + items.carriers,
+                (out.counters.key_values + out.counters.edges) as u64
+            );
+            // The output is a function of (G, S_G, mode): a second pass
+            // hands out the same ids in the same order.
+            let mut st_again = transform_schema(&shapes, mode);
+            let again = transform_data(&g, &mut st_again, mode);
+            assert_eq!(again.counters, out.counters, "{mode:?}");
+            assert_eq!(csv::export(&again.pg), csv::export(&out.pg), "{mode:?}");
         }
     }
 }

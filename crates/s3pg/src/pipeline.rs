@@ -12,10 +12,11 @@
 //! mutating as deltas arrive — one-shot and incrementally-maintained
 //! outputs stay isomorphic.
 
-use crate::data_transform::{DataTransform, TransformCounters, TransformState};
+use crate::data_transform::{
+    transform_data_with, DataTransform, TransformCounters, TransformState,
+};
 use crate::metrics::PipelineMetrics;
 use crate::mode::Mode;
-use crate::parallel::transform_data_with;
 use crate::schema_transform::{transform_schema, SchemaTransform};
 use s3pg_pg::conformance::{self, ConformanceReport};
 use s3pg_pg::csv;
@@ -40,18 +41,13 @@ impl StageTimings {
     }
 }
 
-/// How to run the pipeline: worker-thread count for the sharded phases.
+/// The argument of [`transform_with`]. The pipeline runs on the calling
+/// thread and ignores `threads`; the struct stays only for
+/// `benchmark/src/replay.rs` and goes with ROADMAP 1(b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Phase-2 workers, one subject shard each. `1` is the sequential
-    /// case of the same driver: one shard, run inline.
+    /// Ignored.
     pub threads: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig { threads: 1 }
-    }
 }
 
 /// The result of the full pipeline.
@@ -71,26 +67,15 @@ pub struct TransformOutput {
     pub conformance: ConformanceReport,
     /// Stage timings.
     pub timings: StageTimings,
-    /// Per-phase spans, throughput, and shard statistics.
+    /// Per-phase spans, throughput, and phase 2's table sizes.
     pub metrics: PipelineMetrics,
 }
 
-/// Run `F_st` then `F_dt` and check conformance: [`transform_with`] at
-/// `threads = 1`.
+/// Run `F_st` then `F_dt` and check conformance, on the calling thread.
+/// Phase spans (`schema_transform`, `phase1_nodes`, `phase2_props`,
+/// `conformance`) land in [`TransformOutput::metrics`].
 pub fn transform(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
-    transform_with(graph, shapes, mode, PipelineConfig::default())
-}
-
-/// Run `F_st` then `F_dt` — phase 2 sharded over `config.threads` workers
-/// — and check conformance. Phase spans (`schema_transform`, `phase1_nodes`,
-/// `phase2_props`, `conformance`) land in [`TransformOutput::metrics`].
-pub fn transform_with(
-    graph: &Graph,
-    shapes: &ShapeSchema,
-    mode: Mode,
-    config: PipelineConfig,
-) -> TransformOutput {
-    let (schema, data, timings, mut metrics) = transform_stages(graph, shapes, mode, config);
+    let (schema, data, timings, mut metrics) = transform_stages(graph, shapes, mode);
     let t2 = Instant::now();
     let conformance = {
         let _span = s3pg_obs::tracer().span_here("conformance");
@@ -114,16 +99,27 @@ pub fn transform_with(
     }
 }
 
-/// [`transform_with`] without its closing `PG ⊨ S_PG` check: for a caller
+/// [`transform`]; `_config` is ignored. Kept only for
+/// `benchmark/src/replay.rs`; it goes with ROADMAP 1(b).
+#[doc(hidden)]
+pub fn transform_with(
+    graph: &Graph,
+    shapes: &ShapeSchema,
+    mode: Mode,
+    _config: PipelineConfig,
+) -> TransformOutput {
+    transform(graph, shapes, mode)
+}
+
+/// [`transform`] without its closing `PG ⊨ S_PG` check: for a caller
 /// that changes the graph further (a recovering server replaying its WAL
 /// tail) and checks once at the end.
 pub fn transform_unchecked(
     graph: &Graph,
     shapes: &ShapeSchema,
     mode: Mode,
-    config: PipelineConfig,
 ) -> (SchemaTransform, DataTransform) {
-    let (schema, data, ..) = transform_stages(graph, shapes, mode, config);
+    let (schema, data, ..) = transform_stages(graph, shapes, mode);
     (schema, data)
 }
 
@@ -132,14 +128,13 @@ fn transform_stages(
     graph: &Graph,
     shapes: &ShapeSchema,
     mode: Mode,
-    config: PipelineConfig,
 ) -> (
     SchemaTransform,
     DataTransform,
     StageTimings,
     PipelineMetrics,
 ) {
-    let mut metrics = PipelineMetrics::new(config.threads);
+    let mut metrics = PipelineMetrics::default();
 
     let t0 = Instant::now();
     let mut schema = {
@@ -150,7 +145,7 @@ fn transform_stages(
     metrics.record("schema_transform", schema_time, 0, "");
 
     let t1 = Instant::now();
-    let data = transform_data_with(graph, &mut schema, mode, config.threads, &mut metrics);
+    let data = transform_data_with(graph, &mut schema, mode, &mut metrics);
     let timings = StageTimings {
         schema_transform: schema_time,
         data_transform: t1.elapsed(),
@@ -233,23 +228,18 @@ shape:Course a sh:NodeShape ; sh:targetClass :Course ;
     }
 
     #[test]
-    fn transform_with_reports_metrics_and_matches_sequential() {
+    fn transform_reports_metrics_for_every_phase() {
         let (g, s) = inputs();
-        let seq = transform(&g, &s, Mode::Parsimonious);
-        let par = transform_with(&g, &s, Mode::Parsimonious, PipelineConfig { threads: 4 });
-        assert_eq!(par.pg.node_count(), seq.pg.node_count());
-        assert_eq!(par.pg.edge_count(), seq.pg.edge_count());
-        assert!(par.conformance.conforms());
+        let out = transform(&g, &s, Mode::Parsimonious);
+        assert!(out.conformance.conforms());
         for phase in [
             "schema_transform",
             "phase1_nodes",
             "phase2_props",
             "conformance",
         ] {
-            assert!(par.metrics.phase(phase).is_some(), "missing {phase}");
+            assert!(out.metrics.phase(phase).is_some(), "missing {phase}");
         }
-        assert_eq!(par.metrics.threads, 4);
-        assert_eq!(par.metrics.shard_triples.len(), 4);
-        assert!(par.metrics.report().contains("shard skew"));
+        assert!(out.metrics.report().contains("phase 2:"));
     }
 }

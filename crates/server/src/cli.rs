@@ -29,8 +29,6 @@ pub struct Options {
     pub bolt_addr: Option<String>,
     pub workers: usize,
     pub queue_capacity: usize,
-    /// Threads for the startup transform only.
-    pub threads: usize,
     /// Slow-query log threshold in milliseconds (`None` disables the log,
     /// `0` logs every request).
     pub slow_query_ms: Option<u64>,
@@ -51,7 +49,7 @@ pub struct Options {
 pub const USAGE: &str = "usage: s3pg-serve --data FILE[.ttl|.nt] [--shapes FILE.ttl] \
                          [--mode parsimonious|non-parsimonious] [--addr HOST:PORT] \
                          [--bolt-addr HOST:PORT] \
-                         [--workers N] [--queue N] [--threads N] [--slow-query-ms MS] \
+                         [--workers N] [--queue N] [--slow-query-ms MS] \
                          [--wal-dir DIR] [--checkpoint-every N] [--fsync-ms MS] \
                          [--fsync-batch N] [--replica-of HOST:PORT]";
 
@@ -64,7 +62,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
     let mut bolt_addr = None;
     let mut workers = 4usize;
     let mut queue_capacity = 64usize;
-    let mut threads = 1usize;
     let mut slow_query_ms = None;
     let mut wal_dir = None;
     let mut checkpoint_every = 512u64;
@@ -101,7 +98,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
             "--bolt-addr" => bolt_addr = Some(it.next().ok_or("--bolt-addr needs HOST:PORT")?),
             "--workers" => workers = positive("--workers", it.next())?,
             "--queue" => queue_capacity = positive("--queue", it.next())?,
-            "--threads" => threads = positive("--threads", it.next())?,
             "--slow-query-ms" => {
                 slow_query_ms = Some(non_negative("--slow-query-ms", it.next())?);
             }
@@ -126,7 +122,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, St
         bolt_addr,
         workers,
         queue_capacity,
-        threads,
         slow_query_ms,
         wal_dir,
         checkpoint_every,
@@ -172,7 +167,6 @@ pub fn start(options: &Options) -> Result<(ServerHandle, String), String> {
             data: options.data.clone(),
             shapes: options.shapes.clone(),
             mode: options.mode,
-            threads: options.threads,
             wal_dir: options.wal_dir.clone(),
             wal_options: WalOptions {
                 fsync_ms: options.fsync_ms,
@@ -279,7 +273,7 @@ mod tests {
         assert_eq!(o.data, PathBuf::from("g.ttl"));
         assert_eq!(o.mode, Mode::Parsimonious);
         assert_eq!(o.addr, "127.0.0.1:7878");
-        assert_eq!((o.workers, o.queue_capacity, o.threads), (4, 64, 1));
+        assert_eq!((o.workers, o.queue_capacity), (4, 64));
         assert_eq!(o.slow_query_ms, None);
         assert_eq!(o.bolt_addr, None);
     }
@@ -301,15 +295,13 @@ mod tests {
             "8",
             "--queue",
             "2",
-            "--threads",
-            "4",
             "--slow-query-ms",
             "250",
         ])
         .unwrap();
         assert_eq!(o.mode, Mode::NonParsimonious);
         assert_eq!(o.addr, "0.0.0.0:0");
-        assert_eq!((o.workers, o.queue_capacity, o.threads), (8, 2, 4));
+        assert_eq!((o.workers, o.queue_capacity), (8, 2));
         assert_eq!(o.shapes, Some(PathBuf::from("s.ttl")));
         assert_eq!(o.slow_query_ms, Some(250));
         assert_eq!(o.bolt_addr.as_deref(), Some("127.0.0.1:7687"));
@@ -326,6 +318,9 @@ mod tests {
         assert!(args(&["--data", "g.ttl", "--slow-query-ms"]).is_err());
         assert!(args(&["--data", "g.ttl", "--slow-query-ms", "fast"]).is_err());
         assert!(args(&["--data", "g.ttl", "--flag"]).is_err());
+        // The boot transform runs on one thread; there is nothing to set.
+        let err = args(&["--data", "g.ttl", "--threads", "2"]).unwrap_err();
+        assert!(err.starts_with("unknown argument '--threads'"), "{err}");
         assert!(args(&["--help"]).is_err());
     }
 

@@ -58,7 +58,7 @@
 //!
 //! let rdf = s3pg_rdf::parser::parse_turtle("…").unwrap();
 //! let shapes = s3pg_shacl::extract_shapes(&rdf);
-//! let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+//! let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
 //! let handle = server::serve("127.0.0.1:0", store, Default::default()).unwrap();
 //! let mut client = Client::connect(&handle.addr.to_string()).unwrap();
 //! let pong = client.call(&Request::Ping).unwrap();

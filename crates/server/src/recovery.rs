@@ -23,10 +23,10 @@
 //! against a never-killed reference, record for record.
 
 use crate::store::{boot_step, GraphStore, StoreParts};
-use s3pg::pipeline::{transform_unchecked, transform_with, PipelineConfig};
+use s3pg::pipeline::{self, transform_unchecked};
 use s3pg::Mode;
 use s3pg_obs::{tracer, Registry};
-use s3pg_rdf::parser::parse_ntriples_parallel;
+use s3pg_rdf::parser::parse_ntriples;
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, ShapeSchema};
@@ -42,8 +42,6 @@ pub struct RecoveryConfig {
     /// Explicit SHACL shapes; `None` extracts them from the base graph.
     pub shapes: Option<PathBuf>,
     pub mode: Mode,
-    /// Threads for the base re-transform.
-    pub threads: usize,
     /// WAL directory; `None` builds an ephemeral store.
     pub wal_dir: Option<PathBuf>,
     pub wal_options: WalOptions,
@@ -78,11 +76,8 @@ fn transform(
 ) -> Result<StoreParts, String> {
     boot_step(registry, "transform", || {
         let shapes = load_shapes(config, &rdf)?;
-        let pipeline = PipelineConfig {
-            threads: config.threads,
-        };
         Ok(if tail_follows {
-            let (schema, data) = transform_unchecked(&rdf, &shapes, config.mode, pipeline);
+            let (schema, data) = transform_unchecked(&rdf, &shapes, config.mode);
             StoreParts {
                 rdf,
                 pg: data.pg,
@@ -91,7 +86,7 @@ fn transform(
                 conformance: None,
             }
         } else {
-            let out = transform_with(&rdf, &shapes, config.mode, pipeline);
+            let out = pipeline::transform(&rdf, &shapes, config.mode);
             StoreParts {
                 rdf,
                 pg: out.pg,
@@ -113,9 +108,7 @@ pub fn recover(config: &RecoveryConfig, registry: Arc<Registry>) -> Result<Recov
     let tracer = tracer();
     let _boot = tracer.span(tracer.new_trace(), "boot");
     let Some(wal_dir) = config.wal_dir.clone() else {
-        let base = boot_step(&registry, "parse", || {
-            s3pg::cli::load_graph_with(&config.data, config.threads)
-        })?;
+        let base = boot_step(&registry, "parse", || s3pg::cli::load_graph(&config.data))?;
         let parts = transform(config, &registry, base, false)?;
         return Ok(RecoveredStore {
             store: Arc::new(GraphStore::from_parts(parts, registry, None, 0, None)),
@@ -138,10 +131,8 @@ fn recover_durable(
 
     let (base, base_seq, prebuilt) = match checkpoint {
         Some(cp) => {
-            let graph = boot_step(&registry, "parse", || {
-                parse_ntriples_parallel(&cp.rdf, config.threads)
-            })
-            .map_err(|e| format!("checkpoint {} rdf.nt is unparsable: {e}", cp.seq))?;
+            let graph = boot_step(&registry, "parse", || parse_ntriples(&cp.rdf))
+                .map_err(|e| format!("checkpoint {} rdf.nt is unparsable: {e}", cp.seq))?;
             report.push(format!(
                 "loaded checkpoint seq={} ({} triples{})",
                 cp.seq,
@@ -155,9 +146,7 @@ fn recover_durable(
             (graph, cp.seq, cp.compact)
         }
         None => {
-            let graph = boot_step(&registry, "parse", || {
-                s3pg::cli::load_graph_with(&config.data, config.threads)
-            })?;
+            let graph = boot_step(&registry, "parse", || s3pg::cli::load_graph(&config.data))?;
             report.push(format!(
                 "no checkpoint; cold start from {} ({} triples)",
                 config.data.display(),
@@ -269,7 +258,6 @@ mod tests {
             data: data.to_path_buf(),
             shapes: None,
             mode: Mode::Parsimonious,
-            threads: 1,
             wal_dir: Some(dir.join("wal")),
             wal_options: WalOptions::default(),
         }
@@ -333,19 +321,6 @@ mod tests {
         assert!(second.report.iter().any(|l| l.contains("checkpoint seq=5")));
         assert!(!second.report.iter().any(|l| l.contains("replayed")));
 
-        // `--threads` reaches the checkpoint's rdf.nt like it reaches the
-        // data file: a sharded restart recovers the same graph.
-        let snapshot = second.store.snapshot();
-        let (triples, nodes) = (snapshot.rdf.len(), snapshot.pg.node_count());
-        drop((snapshot, second));
-        let sharded = RecoveryConfig { threads: 3, ..cfg };
-        let third = recover(&sharded, Arc::new(Registry::new())).unwrap();
-        let snapshot = third.store.snapshot();
-        assert_eq!(
-            (snapshot.rdf.len(), snapshot.pg.node_count()),
-            (triples, nodes)
-        );
-        assert_eq!(third.store.applied_seq(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -82,7 +82,7 @@
 
 use s3pg::data_transform::TransformState;
 use s3pg::incremental::{apply_delta_mirrored, parse_delta, MirroredOutcome};
-use s3pg::pipeline::{transform_with, PipelineConfig};
+use s3pg::pipeline::transform;
 use s3pg::schema_transform::SchemaTransform;
 use s3pg::{Mode, S3pgError};
 use s3pg_obs::{tracer, Registry};
@@ -357,10 +357,9 @@ pub(crate) fn boot_step<T>(registry: &Registry, step: &'static str, run: impl Fn
 impl GraphStore {
     /// Transform `rdf` under `shapes` and serve the result, without a WAL
     /// (an ephemeral store: tests, benchmarks, `--wal-dir`-less serving).
-    /// `threads` parallelizes the one-shot startup transform only;
-    /// steady-state updates go through the incremental path.
-    pub fn new(rdf: Graph, shapes: &ShapeSchema, mode: Mode, threads: usize) -> GraphStore {
-        let out = transform_with(&rdf, shapes, mode, PipelineConfig { threads });
+    /// Steady-state updates go through the incremental path.
+    pub fn new(rdf: Graph, shapes: &ShapeSchema, mode: Mode) -> GraphStore {
+        let out = transform(&rdf, shapes, mode);
         GraphStore::from_parts(
             StoreParts {
                 rdf,
@@ -767,7 +766,7 @@ mod tests {
     fn store() -> GraphStore {
         let rdf = parse_turtle(DATA).unwrap();
         let shapes = parse_shacl_turtle(SHAPES).unwrap();
-        GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1)
+        GraphStore::new(rdf, &shapes, Mode::Parsimonious)
     }
 
     #[test]
@@ -904,31 +903,33 @@ mod tests {
         let store = Arc::new(store());
         let writers = 4;
         let updates_each = 10;
-        std::thread::scope(|scope| {
-            for w in 0..writers {
-                let store = Arc::clone(&store);
-                scope.spawn(move || {
-                    for i in 0..updates_each {
-                        let delta = format!(
-                            "<http://ex/w{w}n{i}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
-                             <http://ex/w{w}n{i}> <http://ex/name> \"w{w}n{i}\" .\n"
-                        );
-                        store.apply_update(&delta, "").unwrap();
-                    }
-                });
-            }
-            for _ in 0..4 {
-                let store = Arc::clone(&store);
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        let snap = store.snapshot();
-                        // Snapshots are internally consistent: nodes only grow.
-                        assert!(snap.pg.node_count() >= 2);
-                        assert!(snap.rdf.len() >= 5);
-                    }
-                });
-            }
-        });
+        let mut handles = Vec::new();
+        for w in 0..writers {
+            let store = Arc::clone(&store);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..updates_each {
+                    let delta = format!(
+                        "<http://ex/w{w}n{i}> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
+                         <http://ex/w{w}n{i}> <http://ex/name> \"w{w}n{i}\" .\n"
+                    );
+                    store.apply_update(&delta, "").unwrap();
+                }
+            }));
+        }
+        for _ in 0..4 {
+            let store = Arc::clone(&store);
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..50 {
+                    let snap = store.snapshot();
+                    // Snapshots are internally consistent: nodes only grow.
+                    assert!(snap.pg.node_count() >= 2);
+                    assert!(snap.rdf.len() >= 5);
+                }
+            }));
+        }
+        for handle in handles {
+            handle.join().expect("reader or writer panicked");
+        }
         let snap = store.snapshot();
         assert_eq!(snap.pg.node_count(), 2 + writers * updates_each);
         assert!(snap.conforms());

@@ -40,7 +40,7 @@ const DATA: &str = r#"
 fn start_server() -> (ServerHandle, SocketAddr) {
     let rdf = parse_turtle(DATA).unwrap();
     let shapes = parse_shacl_turtle(SHAPES).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let mut handle = serve("127.0.0.1:0", store, ServerConfig::default()).unwrap();
     let bolt = handle.listen_bolt("127.0.0.1:0").unwrap();
     (handle, bolt)
@@ -392,7 +392,7 @@ fn explain_profile_and_stats_over_bolt() {
     // test can assert Bolt-path entries carry the listener tag.
     let rdf = parse_turtle(DATA).unwrap();
     let shapes = parse_shacl_turtle(SHAPES).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let mut handle = serve(
         "127.0.0.1:0",
         store,

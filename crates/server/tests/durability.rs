@@ -419,7 +419,7 @@ fn recovering_frame_served_until_store_installs() {
     // Install a store; the same connection starts getting answers.
     let rdf = s3pg_rdf::parser::parse_ntriples(BASE).unwrap();
     let shapes = s3pg_shacl::extract_shapes(&rdf);
-    let store = s3pg_server::store::GraphStore::new(rdf, &shapes, s3pg::Mode::Parsimonious, 1);
+    let store = s3pg_server::store::GraphStore::new(rdf, &shapes, s3pg::Mode::Parsimonious);
     installer.install(Arc::new(store), false);
     assert!(matches!(
         client.call(&Request::Stats).unwrap(),

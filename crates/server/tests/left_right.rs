@@ -13,7 +13,7 @@
 //! what a fresh whole-graph check of the reference says.
 
 use s3pg::incremental::parse_delta;
-use s3pg::pipeline::{transform_with, PipelineConfig};
+use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_obs::Registry;
 use s3pg_pg::{conformance, PropertyGraph};
@@ -80,7 +80,7 @@ impl Reference {
 
 /// A store and a reference over equal copies of `F_dt(rdf)`.
 fn store_and_reference(rdf: Graph, shapes: &ShapeSchema, mode: Mode) -> (GraphStore, Reference) {
-    let out = transform_with(&rdf, shapes, mode, PipelineConfig { threads: 1 });
+    let out = transform(&rdf, shapes, mode);
     let reference = Reference(StoreParts {
         rdf: rdf.clone(),
         pg: out.pg.clone(),

@@ -31,7 +31,7 @@ const DATA: &str = r#"
 fn start_server(config: ServerConfig) -> ServerHandle {
     let rdf = parse_turtle(DATA).unwrap();
     let shapes = parse_shacl_turtle(SHAPES).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     serve("127.0.0.1:0", store, config).unwrap()
 }
 
@@ -576,7 +576,7 @@ fn profile_shows_the_filter_directly_above_the_seed_scan() {
         rdf.insert(s, name, value);
     }
     let shapes = parse_shacl_turtle(SHAPES).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let handle = serve("127.0.0.1:0", store, ServerConfig::default()).unwrap();
     let mut client = connect(&handle);
 

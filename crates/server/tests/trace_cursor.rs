@@ -39,7 +39,7 @@ fn trace(client: &mut Client, since: u64) -> Vec<String> {
 fn since_returns_only_events_newer_than_the_cursor() {
     let rdf = parse_turtle(DATA).unwrap();
     let shapes = parse_shacl_turtle(SHAPES).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let handle = serve("127.0.0.1:0", store, ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
 

@@ -28,15 +28,15 @@ echo "== write demo dataset =="
 
 echo "== convert with --metrics --trace-out =="
 "$CONVERT" --data "$OUT/data.ttl" --shapes "$OUT/shapes.ttl" \
-           --out-dir "$OUT/convert" --threads 2 --metrics \
+           --out-dir "$OUT/convert" --metrics \
            --trace-out "$OUT/convert/trace.jsonl"
 
 echo "== validate trace JSONL and metrics.json =="
 "$TRACE_CHECK" --trace "$OUT/convert/trace.jsonl" \
                --metrics "$OUT/convert/metrics.json"
 
-echo "== the parallel path must have recorded shard spans =="
-grep -q '"name":"shard"' "$OUT/convert/trace.jsonl" \
-    || { echo "no shard spans in trace"; exit 1; }
+echo "== phase 2 must have recorded its classification span =="
+grep -q '"name":"phase2_classify"' "$OUT/convert/trace.jsonl" \
+    || { echo "no phase2_classify span in trace"; exit 1; }
 
 echo "obs smoke OK"

@@ -320,7 +320,8 @@ fn a_deleted_item_does_not_resolve() {
     let sources = sources(&repo_root());
     let path = |p: &str| p.split("::").map(str::to_string).collect::<Vec<_>>();
     assert!(resolves(&path("morsel::evaluate_part"), &sources));
-    assert!(resolves(&path("s3pg::parallel::ingest_sharded"), &sources));
+    assert!(resolves(&path("s3pg::phase2::ingest"), &sources));
+    assert!(!resolves(&path("s3pg::parallel::ingest_sharded"), &sources));
     assert!(!resolves(&path("sparql::evaluate_threads"), &sources));
     assert!(!resolves(&path("PARALLEL_MIN_WORK"), &sources));
     // Defined, but in another module than the one named.

@@ -3,7 +3,7 @@
 //! span-tree validity of the traces both the pipeline and the serving
 //! path record.
 
-use s3pg::pipeline::{transform_with, PipelineConfig};
+use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_bench::serving::{demo_data_turtle, demo_shapes_turtle};
 use s3pg_bolt::message::{self, ClientMessage, ServerMessage};
@@ -23,7 +23,7 @@ use std::time::Duration;
 fn start_server(config: ServerConfig) -> ServerHandle {
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     serve("127.0.0.1:0", store, config).unwrap()
 }
 
@@ -271,7 +271,7 @@ impl BoltSession {
 fn slow_query_lines_and_counters_name_the_snapshot_form() {
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
-    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious, 1);
+    let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let config = ServerConfig {
         slow_query_threshold: Some(Duration::ZERO),
         ..ServerConfig::default()
@@ -355,7 +355,7 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     let (wal, _) = Wal::open(&dir, WalOptions::default(), &registry).unwrap();
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
-    let out = transform_with(&rdf, &shapes, Mode::Parsimonious, PipelineConfig::default());
+    let out = transform(&rdf, &shapes, Mode::Parsimonious);
     let parts = StoreParts {
         rdf,
         pg: out.pg,
@@ -449,7 +449,7 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     }
     // The delta goes through the pipeline's classifier but not its
     // instrument: an update's trace holds the server's spans only.
-    for name in ["phase1_nodes", "phase2_props", "shard"] {
+    for name in ["phase1_nodes", "phase2_props", "phase2_classify"] {
         let leaked = begins
             .iter()
             .any(|v| v.get("name").and_then(Json::as_str) == Some(name) && id(v, "trace") == trace);
@@ -477,7 +477,6 @@ fn a_boot_times_its_four_steps() {
         data,
         shapes: None,
         mode: Mode::Parsimonious,
-        threads: 1,
         wal_dir: Some(dir.join("wal")),
         wal_options: Default::default(),
     };
@@ -531,12 +530,7 @@ fn pipeline_trace_forms_a_valid_span_tree() {
     let trace = tracer.new_trace();
     {
         let _root = tracer.span(trace, "convert");
-        let out = transform_with(
-            &rdf,
-            &shapes,
-            Mode::Parsimonious,
-            PipelineConfig { threads: 2 },
-        );
+        let out = transform(&rdf, &shapes, Mode::Parsimonious);
         assert!(out.conformance.conforms());
         // The pass reports its schema width and what phase 2 made of the
         // statements, split by encoding.
@@ -564,11 +558,159 @@ fn pipeline_trace_forms_a_valid_span_tree() {
         "schema_transform",
         "phase1_nodes",
         "phase2_props",
-        "shard",
+        "phase2_classify",
         "conformance",
     ] {
         assert!(begins.contains(&name), "{name} missing from {begins:?}");
     }
-    // Two parallel shards, each its own child span of phase2.
-    assert_eq!(begins.iter().filter(|n| **n == "shard").count(), 2);
+    // One pass: phase 2 classifies once, inside its own span.
+    let begun = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.kind == EventKind::Begin && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    let (phase2, classify) = (begun("phase2_props"), begun("phase2_classify"));
+    assert_eq!((phase2.len(), classify.len()), (1, 1), "{begins:?}");
+    assert_eq!(classify[0].parent, phase2[0].span);
+}
+
+/// OPERATIONS.md §7's metric rows: `(family, documented type, subsection)`.
+fn documented_metrics() -> Vec<(String, String, String)> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OPERATIONS.md");
+    let text = std::fs::read_to_string(path).unwrap();
+    let section = text
+        .split("\n## 7. ")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## 8. ").next())
+        .expect("OPERATIONS.md has a §7 before a §8");
+    let mut heading = String::new();
+    let mut rows = Vec::new();
+    for line in section.lines() {
+        if let Some(h) = line.strip_prefix("### ") {
+            heading = h.to_string();
+            continue;
+        }
+        // `| `name` | type | meaning |`
+        let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+        let Some(name) = cells
+            .get(1)
+            .and_then(|c| c.strip_prefix("`s3pg_"))
+            .and_then(|c| c.strip_suffix('`'))
+        else {
+            continue;
+        };
+        let family = format!("s3pg_{}", s3pg_obs::family_of(name));
+        rows.push((family, cells[2].to_string(), heading.clone()));
+    }
+    rows
+}
+
+/// §7 rows that a durable boot with one update and one query per language
+/// does not register, with what registers them.
+const REGISTERED_LATER: [(&str, &str); 3] = [
+    (
+        "s3pg_compaction_spawn_failures_total",
+        "the OS refusing a background freeze thread",
+    ),
+    ("s3pg_checkpoints_total", "the first checkpoint"),
+    ("s3pg_checkpoint_wall_microseconds", "the first checkpoint"),
+];
+
+#[test]
+fn operations_metric_reference_matches_the_registry() {
+    let dir = std::env::temp_dir().join(format!("s3pg-obs-reference-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data.ttl");
+    std::fs::write(&data, demo_data_turtle()).unwrap();
+    let shapes = dir.join("shapes.ttl");
+    std::fs::write(&shapes, demo_shapes_turtle()).unwrap();
+    let path = |p: &std::path::Path| p.to_string_lossy().to_string();
+    let argv = [
+        "--data",
+        &path(&data),
+        "--shapes",
+        &path(&shapes),
+        "--addr",
+        "127.0.0.1:0",
+        "--bolt-addr",
+        "127.0.0.1:0",
+        "--wal-dir",
+        &path(&dir.join("wal")),
+    ];
+    let options = s3pg_server::cli::parse_args(argv.iter().map(|s| s.to_string())).unwrap();
+    let (handle, _) = s3pg_server::cli::start(&options).unwrap();
+    let mut client = Client::connect(&handle.addr.to_string()).unwrap();
+    client
+        .call(&Request::Update {
+            additions: "<http://ex/d> <http://ex/name> \"D\" .\n".to_string(),
+            deletions: String::new(),
+        })
+        .unwrap();
+    client
+        .call(&Request::Cypher {
+            query: "MATCH (p:Person) RETURN p.name".to_string(),
+            params: Vec::new(),
+        })
+        .unwrap();
+    client
+        .call(&Request::Sparql {
+            query: "SELECT ?s WHERE { ?s <http://ex/name> ?n }".to_string(),
+            params: Vec::new(),
+        })
+        .unwrap();
+    let Response::Metrics { exposition } = client.call(&Request::Metrics).unwrap() else {
+        panic!("expected metrics response");
+    };
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    parse_exposition(&exposition).unwrap();
+    // The registry exposes a histogram as a Prometheus summary.
+    let registered: std::collections::BTreeMap<&str, &str> = exposition
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split_once(' '))
+        .filter(|(family, _)| family.starts_with("s3pg_"))
+        .map(|(family, kind)| (family, if kind == "summary" { "histogram" } else { kind }))
+        .collect();
+    let documented = documented_metrics();
+    assert!(documented.len() > 40, "§7 scan found {documented:?}");
+
+    let mut wrong = Vec::new();
+    for (&family, &kind) in &registered {
+        match documented.iter().find(|(name, ..)| name == family) {
+            None => wrong.push(format!("{family} ({kind}) is registered but not in §7")),
+            Some((_, doc, _)) if doc != kind => {
+                wrong.push(format!("{family} is a {kind}, §7 says {doc}"))
+            }
+            Some(_) => {}
+        }
+    }
+    for (family, kind, heading) in &documented {
+        let later = REGISTERED_LATER.iter().find(|(name, _)| name == family);
+        if !registered.contains_key(family.as_str())
+            && later.is_none()
+            && heading != "Replica (replicas only)"
+        {
+            wrong.push(format!(
+                "§7 {heading}: {family} ({kind}) is never registered"
+            ));
+        }
+    }
+    for (family, condition) in REGISTERED_LATER {
+        if !documented.iter().any(|(name, ..)| name == family) {
+            wrong.push(format!(
+                "{family} is listed as registered later but not in §7"
+            ));
+        }
+        if registered.contains_key(family) {
+            wrong.push(format!(
+                "{family} is registered at boot, not by {condition}"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

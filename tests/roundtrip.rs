@@ -7,7 +7,9 @@ use s3pg::inverse::{recover_graph, recover_schema};
 use s3pg::pipeline::transform;
 use s3pg::Mode;
 use s3pg_rdf::rng::XorShiftRng;
-use s3pg_shacl::extract_shapes;
+use s3pg_shacl::parser::parse_shacl_turtle;
+use s3pg_shacl::{extract_shapes, ShapeSchema};
+use s3pg_workloads::evolution::{self, EvolutionSpec};
 use s3pg_workloads::spec::{generate, DatasetSpec};
 use s3pg_workloads::university::{self, UniversitySpec};
 use s3pg_workloads::{bio2rdf, dbpedia};
@@ -27,6 +29,46 @@ fn roundtrip_graph(graph: &s3pg_rdf::Graph, mode: Mode) {
         recovered.same_triples(graph),
         "recovered graph differs from source in {mode:?}"
     );
+}
+
+/// `PG ⊨ S_PG` and `M(PG) = G` in both modes under the given shapes.
+fn conforms_and_roundtrips(graph: &s3pg_rdf::Graph, shapes: &ShapeSchema, label: &str) {
+    for mode in [Mode::Parsimonious, Mode::NonParsimonious] {
+        let out = transform(graph, shapes, mode);
+        assert!(
+            out.conformance.conforms(),
+            "{label} {mode:?}: {:?}",
+            out.conformance.failures
+        );
+        let recovered = recover_graph(&out.pg, &out.schema.mapping).expect("inverse mapping");
+        assert!(
+            recovered.same_triples(graph),
+            "{label} {mode:?}: M(PG) != G"
+        );
+    }
+}
+
+#[test]
+fn university_with_fig2b_shapes_conforms_and_roundtrips() {
+    let graph = university::generate(&UniversitySpec {
+        departments: 4,
+        professors: 25,
+        students: 150,
+        courses: 40,
+        seed: 11,
+    });
+    let shapes = parse_shacl_turtle(university::shacl_schema()).expect("university schema");
+    conforms_and_roundtrips(&graph, &shapes, "university");
+}
+
+#[test]
+fn evolution_snapshot2_conforms_and_roundtrips() {
+    let spec = dbpedia::dbpedia2022(0.25);
+    let base = generate(&spec);
+    let evo = evolution::evolve(&base, &spec, &EvolutionSpec::default());
+    let snapshot2 = evo.apply(&base.graph);
+    let shapes = extract_shapes(&snapshot2);
+    conforms_and_roundtrips(&snapshot2, &shapes, "evolution snapshot2");
 }
 
 #[test]

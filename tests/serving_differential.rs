@@ -15,7 +15,7 @@ use s3pg_shacl::parser::parse_shacl_turtle;
 fn start_demo_server(workers: usize, mode: Mode) -> ServerHandle {
     let rdf = parse_turtle(demo_data_turtle()).unwrap();
     let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
-    let store = GraphStore::new(rdf, &shapes, mode, 1);
+    let store = GraphStore::new(rdf, &shapes, mode);
     serve(
         "127.0.0.1:0",
         store,
