@@ -10,7 +10,6 @@
 
 pub mod experiments;
 pub mod report;
-pub mod serving;
 pub mod timing;
 
 pub use experiments::{Dataset, Scale};

@@ -88,8 +88,8 @@ pub fn serve_handshake(stream: &mut (impl Read + Write)) -> Result<Option<Versio
     }
 }
 
-/// Run the client side of the handshake (used by tests and the smoke
-/// probe): propose 5.4 with a full back-range plus 4.4, return what the
+/// Run the client side of the handshake (used by tests and the
+/// benchmark): propose 5.4 with a full back-range plus 4.4, return what the
 /// server picked, or `None` if it answered all zeros.
 pub fn client_handshake(stream: &mut (impl Read + Write)) -> Result<Option<Version>, Error> {
     let mut hello = Vec::with_capacity(20);

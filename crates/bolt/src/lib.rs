@@ -8,7 +8,7 @@
 //!
 //! This crate is pure codec: no sockets, no threads, no engine types.
 //! The server crate owns the listener and session state machine and uses
-//! these building blocks; tests and the smoke-test probe use the same
+//! these building blocks; tests and the benchmark use the same
 //! codec from the client side, so both directions are exercised by
 //! construction.
 //!

@@ -140,8 +140,8 @@ fn expect_fields(name: &str, got: usize, want: usize) -> Result<(), Error> {
     }
 }
 
-/// A response from the server, decoded by test clients and the smoke
-/// probe.
+/// A response from the server, decoded by test clients and the
+/// benchmark's Bolt client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerMessage {
     Success(Vec<(String, Value)>),
@@ -237,7 +237,7 @@ pub fn encode_failure(code: &str, message: &str) -> Vec<u8> {
     out
 }
 
-/// Encode a client message (used by tests and the smoke probe).
+/// Encode a client message (used by tests and the benchmark).
 pub fn encode_client(message: &ClientMessage) -> Vec<u8> {
     let mut out = Vec::new();
     match message {

@@ -31,7 +31,7 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{family_of, parse_exposition, Registry, Sample};
 pub use trace::{
-    validate_span_tree, EventKind, SpanGuard, SpanHandle, TraceEvent, Tracer, DEFAULT_RING_CAPACITY,
+    validate_span_tree, EventKind, SpanGuard, TraceEvent, Tracer, DEFAULT_RING_CAPACITY,
 };
 
 use std::sync::OnceLock;
@@ -42,9 +42,4 @@ use std::sync::OnceLock;
 pub fn tracer() -> &'static Tracer {
     static TRACER: OnceLock<Tracer> = OnceLock::new();
     TRACER.get_or_init(Tracer::default)
-}
-
-/// The process-global metrics registry (see [`registry::global`]).
-pub fn global_registry() -> &'static Registry {
-    registry::global()
 }

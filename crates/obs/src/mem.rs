@@ -21,11 +21,6 @@ pub fn string_bytes(s: &str) -> usize {
     s.len()
 }
 
-/// Heap bytes of a `Box<str>`.
-pub fn boxed_str_bytes(s: &str) -> usize {
-    s.len()
-}
-
 /// Heap bytes owned by a `Box<[T]>`: length × element size (boxed slices
 /// have no spare capacity). Excludes element-owned heap.
 pub fn boxed_slice_bytes<T>(s: &[T]) -> usize {

@@ -10,14 +10,13 @@
 //! [`Registry::expose`] renders the whole registry in the Prometheus text
 //! format (counters and gauges as samples, histograms as summaries with
 //! `quantile` labels plus `_sum`/`_count`), and [`parse_exposition`]
-//! validates such a document back into samples — used by the loadgen and
-//! the smoke tests to assert that every line the server emits is
-//! well-formed.
+//! validates such a document back into samples — used by the server's
+//! integration tests to assert that every line it emits is well-formed.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// A named collection of counters, gauges, and histograms.
 ///
@@ -30,12 +29,6 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-}
-
-/// The process-wide default registry.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
 }
 
 impl Registry {
@@ -174,8 +167,8 @@ impl Sample {
 ///
 /// Accepts `# TYPE family kind` / `# HELP` comments and `name value`
 /// samples; rejects anything else with a description of the offending
-/// line. This is the well-formedness check the loadgen and smoke tests
-/// run over the server's `metrics` endpoint output.
+/// line. This is the well-formedness check the integration tests run
+/// over the server's `metrics` endpoint output.
 pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
     let mut samples = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -385,11 +378,5 @@ mod tests {
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].family(), "m");
         assert_eq!(samples[0].value, 4.5);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        global().counter("obs_test_global_total").inc();
-        assert!(global().counter("obs_test_global_total").get() >= 1);
     }
 }

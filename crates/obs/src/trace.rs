@@ -11,11 +11,10 @@
 //! constructed by [`crate::tracer`] until a consumer enables it) the whole
 //! facility is one relaxed atomic load per span.
 //!
-//! Span nesting is implicit within a thread — a thread-local stack makes
-//! each new span a child of the innermost open one — and explicit across
-//! threads: a [`SpanHandle`] captured from a parent span can be passed to
-//! workers, whose spans then attach under it (the pipeline does this for
-//! its sharded phases).
+//! Span nesting is implicit: a thread-local stack makes each new span a
+//! child of the innermost open one on its thread. A span that should
+//! start a tree of its own opens with an explicit trace ID
+//! ([`Tracer::span`]).
 //!
 //! Export is line-delimited JSON, one event per line:
 //! `{"trace":1,"span":3,"parent":2,"name":"phase1_nodes","ev":"begin","t_us":123}`.
@@ -214,19 +213,6 @@ impl Tracer {
         SPAN_STACK.with(|s| s.borrow().last().map(|&(trace, _)| trace))
     }
 
-    /// Begin a span with an explicit parent — the cross-thread form used
-    /// by shard workers, which inherit the parent from a [`SpanHandle`]
-    /// captured on the coordinating thread.
-    pub fn span_under(&self, parent: &SpanHandle, name: &'static str) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard {
-                tracer: self,
-                handle: None,
-            };
-        }
-        self.begin_at(parent.trace, parent.span, name)
-    }
-
     fn begin_at(&self, trace: u64, parent: u64, name: &'static str) -> SpanGuard<'_> {
         let span = self.next_span.fetch_add(1, Ordering::Relaxed);
         let name_idx = self.intern(name);
@@ -360,25 +346,12 @@ impl Tracer {
     }
 }
 
-/// The identity of an open span, safe to send to worker threads so their
-/// spans nest under it.
+/// The identity of an open span: what its guard needs to end it.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanHandle {
+struct SpanHandle {
     trace: u64,
     span: u64,
     name_idx: u64,
-}
-
-impl SpanHandle {
-    /// The trace this span belongs to.
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
-
-    /// The span ID.
-    pub fn span(&self) -> u64 {
-        self.span
-    }
 }
 
 /// Ends its span when dropped. A no-op guard (from a disabled tracer)
@@ -387,14 +360,6 @@ impl SpanHandle {
 pub struct SpanGuard<'a> {
     tracer: &'a Tracer,
     handle: Option<SpanHandle>,
-}
-
-impl SpanGuard<'_> {
-    /// The span's cross-thread handle, for parenting worker spans. `None`
-    /// when tracing was disabled at span begin.
-    pub fn handle(&self) -> Option<SpanHandle> {
-        self.handle
-    }
 }
 
 impl Drop for SpanGuard<'_> {
@@ -408,10 +373,9 @@ impl Drop for SpanGuard<'_> {
 /// Validate a span event stream against the parent recorded on each
 /// `begin`: a span begins under an open span of its trace (or as a root,
 /// parent 0), ends exactly once, ends only when none of its children is
-/// still open, and no span is left open. Siblings may close in any order —
-/// worker threads parented under one phase span overlap freely. Returns a
-/// description of the first violation. Used by the trace JSONL checks in
-/// CI and the integration tests.
+/// still open, and no span is left open. Siblings may close in any order.
+/// Returns a description of the first violation. Used by the integration
+/// tests on in-process traces and on `--trace-out` files.
 pub fn validate_span_tree(events: &[TraceEvent]) -> Result<(), String> {
     use std::collections::BTreeMap;
     struct Open {
@@ -503,10 +467,10 @@ mod tests {
         let trace = t.new_trace();
         {
             let root = t.span(trace, "root");
-            let root_span = root.handle().unwrap().span();
+            let root_span = root.handle.unwrap().span;
             {
                 let child = t.span(trace, "child");
-                assert_ne!(child.handle().unwrap().span(), root_span);
+                assert_ne!(child.handle.unwrap().span, root_span);
             }
             let _second = t.span(trace, "second");
         }
@@ -550,33 +514,6 @@ mod tests {
             .find(|e| e.name == "inner" && e.kind == EventKind::Begin)
             .unwrap();
         assert_eq!(inner.parent, root_span);
-    }
-
-    #[test]
-    fn span_handles_parent_across_threads() {
-        let t = Tracer::with_capacity(256);
-        t.set_enabled(true);
-        let trace = t.new_trace();
-        {
-            let root = t.span(trace, "root");
-            let handle = root.handle().unwrap();
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        let _worker = t.span_under(&handle, "shard");
-                    });
-                }
-            });
-        }
-        let events = t.events_for(trace);
-        validate_span_tree(&events).unwrap();
-        let root_span = events.iter().find(|e| e.name == "root").unwrap().span;
-        let shard_begins: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "shard" && e.kind == EventKind::Begin)
-            .collect();
-        assert_eq!(shard_begins.len(), 4);
-        assert!(shard_begins.iter().all(|e| e.parent == root_span));
     }
 
     #[test]
@@ -677,8 +614,7 @@ mod tests {
             events.push(ev(1, 0, End));
             events
         };
-        // Two workers' spans under one parent overlap: A begin, B begin,
-        // A end, B end.
+        // Two sibling spans overlap: A begin, B begin, A end, B end.
         validate_span_tree(&under_root(&[
             ev(2, 1, Begin),
             ev(3, 1, Begin),

@@ -1,8 +1,8 @@
 //! A minimal blocking client for the `s3pg-serve` wire protocol.
 //!
 //! One request/response exchange per call; responses are decoded into the
-//! typed [`Response`] enum so callers (the loadgen, the differential
-//! tests) never string-match frames.
+//! typed [`Response`] enum so callers (the replica, the tests) never
+//! string-match frames.
 
 use crate::protocol::{write_frame, Request, Response};
 use std::io::{BufRead, BufReader};

@@ -49,7 +49,7 @@
 //!   frames while the WAL replays), and the `replicate`/`wal` endpoints.
 //! * [`recovery`] — boot-time checkpoint load + WAL tail replay.
 //! * [`replica`] — the read replica's pull-and-apply loop.
-//! * [`client`] — blocking typed client (loadgen and tests).
+//! * [`client`] — blocking typed client (the replica and the tests).
 //! * [`cli`] — argument parsing/startup for the `s3pg-serve` binary.
 //!
 //! ```no_run

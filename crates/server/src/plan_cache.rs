@@ -27,8 +27,8 @@
 //!
 //! A hit skips the `query_plan` span entirely: repeat queries show
 //! `request → execute → query_eval` with no planning child, which
-//! `serve_smoke.sh` asserts. Accounting is per listener — the JSON and
-//! Bolt front ends share one cache but report
+//! `tests/observability.rs` asserts. Accounting is per listener — the
+//! JSON and Bolt front ends share one cache but report
 //! `s3pg_plan_cache_{hits,misses,replans}_total{listener="..."}`
 //! separately, so each wire protocol's cache effectiveness is visible on
 //! its own.

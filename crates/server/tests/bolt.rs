@@ -280,6 +280,9 @@ fn bolt_and_json_agree_across_graph_lifecycles() {
 
     // Parameter validation is shared verbatim: same message either way.
     let query = "MATCH (p:Person) WHERE p.name = $name RETURN p.name";
+    for bindings in [&[][..], &[("name", "A"), ("typo", "x")][..]] {
+        assert_listeners_agree(&mut json, &mut bolt, query, bindings);
+    }
     let (code, message) = bolt.run(query, vec![]).unwrap_err();
     assert_eq!(code, "Neo.ClientError.Request.Invalid");
     assert!(message.contains("undeclared parameter $name"), "{message}");
@@ -450,18 +453,31 @@ fn explain_profile_and_stats_over_bolt() {
         parameters: vec![],
         extra: vec![],
     });
-    assert!(matches!(answer, ServerMessage::Success(_)), "{answer:?}");
+    let ServerMessage::Success(run_meta) = answer else {
+        panic!("PROFILE RUN must succeed, got {answer:?}");
+    };
     bolt.send(ClientMessage::Pull(vec![("n".into(), Value::Int(-1))]));
-    let mut rows = 0u64;
+    let mut rows: Vec<Vec<Option<String>>> = Vec::new();
     let meta = loop {
         match bolt.recv() {
-            ServerMessage::Record(_) => rows += 1,
+            ServerMessage::Record(values) => rows.push(
+                values
+                    .iter()
+                    .map(|v| v.as_str().map(str::to_string))
+                    .collect(),
+            ),
             ServerMessage::Success(meta) => break meta,
             other => panic!("unexpected PULL answer {other:?}"),
         }
     };
-    assert_eq!(rows, 2);
+    assert_eq!(rows.len(), 2);
     let profile = meta_plan(&meta, "profile");
+    assert!(
+        profile
+            .iter()
+            .any(|(k, v)| k == "operatorType" && matches!(v, Value::String(_))),
+        "{profile:?}"
+    );
     assert_eq!(
         profile.iter().find(|(k, _)| k == "rows").map(|(_, v)| v),
         Some(&Value::Int(2)),
@@ -469,10 +485,16 @@ fn explain_profile_and_stats_over_bolt() {
     );
     assert!(profile.iter().any(|(k, _)| k == "dbHits"), "{profile:?}");
 
-    // A plain Bolt run counts in the registry under bolt_calls; the
-    // EXPLAIN above did not (nothing executed).
-    let (_, plain) = bolt.run(text, vec![]).unwrap();
-    assert_eq!(plain.len(), 2);
+    // A plain Bolt run answers what PROFILE did, and counts in the
+    // registry under bolt_calls; the EXPLAIN above did not (nothing
+    // executed).
+    let (fields, plain) = bolt.run(text, vec![]).unwrap();
+    let fields = Value::List(fields.into_iter().map(Value::String).collect());
+    assert_eq!(
+        run_meta.iter().find(|(k, _)| k == "fields").map(|(_, v)| v),
+        Some(&fields)
+    );
+    assert_eq!(rows, plain);
     let Response::QueryStats { queries } = json.call(&Request::QueryStats).unwrap() else {
         panic!("expected query stats");
     };

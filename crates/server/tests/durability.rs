@@ -7,12 +7,16 @@
 //! updates. The WAL's contract is exactly "recovered state ≡ the state at
 //! the last committed record", and monotonicity (§4.2.1) is what makes
 //! replaying logged deltas a faithful reconstruction.
+//!
+//! Every child the tests stop through the protocol must also drain, exit
+//! 0 and print `shutdown complete`.
 
 use s3pg_server::client::Client;
 use s3pg_server::protocol::{ErrorKind, Request, Response};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const BASE: &str = "<http://ex/alice> <http://ex/name> \"Alice\" .\n\
@@ -26,10 +30,21 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A spawned `s3pg-serve` process and its ephemeral address.
+/// A spawned `s3pg-serve` process, its ephemeral address, and the
+/// threads draining its output.
 struct Server {
     child: Child,
     addr: String,
+    stdout: Option<JoinHandle<Vec<String>>>,
+    stderr: Option<JoinHandle<Vec<String>>>,
+}
+
+/// Collect a child's output lines on a thread, so the child never blocks
+/// on a full pipe.
+fn drain(
+    lines: impl Iterator<Item = std::io::Result<String>> + Send + 'static,
+) -> JoinHandle<Vec<String>> {
+    std::thread::spawn(move || lines.map_while(Result::ok).collect())
 }
 
 impl Server {
@@ -40,11 +55,11 @@ impl Server {
             .arg("--addr")
             .arg("127.0.0.1:0")
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn s3pg-serve");
-        let stdout = child.stdout.take().unwrap();
-        let mut lines = BufReader::new(stdout).lines();
+        let stderr = drain(BufReader::new(child.stderr.take().unwrap()).lines());
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
         let addr = loop {
             let line = lines
                 .next()
@@ -54,9 +69,12 @@ impl Server {
                 break rest.split_whitespace().next().unwrap().to_string();
             }
         };
-        // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        Server { child, addr }
+        Server {
+            child,
+            addr,
+            stdout: Some(drain(lines)),
+            stderr: Some(stderr),
+        }
     }
 
     fn client(&self) -> Client {
@@ -74,11 +92,23 @@ impl Server {
         let _ = self.child.wait();
     }
 
-    fn shutdown(&mut self) {
-        if let Ok(mut c) = Client::connect(&self.addr) {
-            let _ = c.call(&Request::Shutdown);
-        }
-        let _ = self.child.wait();
+    /// Protocol shutdown: the process drains, exits 0 and prints
+    /// `shutdown complete` last. Returns its stderr lines.
+    fn shutdown(&mut self) -> Vec<String> {
+        assert_eq!(
+            self.client().call(&Request::Shutdown).unwrap(),
+            Response::ShuttingDown
+        );
+        let status = self.child.wait().unwrap();
+        let stdout = self.stdout.take().unwrap().join().unwrap();
+        let stderr = self.stderr.take().unwrap().join().unwrap();
+        assert!(status.success(), "{status}: {stderr:#?}");
+        assert_eq!(
+            stdout.last().map(String::as_str),
+            Some("shutdown complete"),
+            "{stdout:#?}"
+        );
+        stderr
     }
 }
 
@@ -86,6 +116,12 @@ impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        for drain in [self.stdout.take(), self.stderr.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = drain.join();
+        }
     }
 }
 
@@ -459,6 +495,36 @@ fn clean_shutdown_leaves_no_tail_to_lose() {
     let (_, last_seq, durable_seq, applied_seq) = wal_status(&mut client);
     assert_eq!((last_seq, durable_seq, applied_seq), (1, 1, 1));
     recovered.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With `--slow-query-ms 0` the binary logs every query on stderr, the
+/// line naming its listener, and a profiled query's line embeds its
+/// operator tree.
+#[test]
+fn slow_query_lines_name_the_listener_and_embed_the_plan() {
+    let dir = temp_dir("slowlog");
+    let data = dir.join("base.nt");
+    std::fs::write(&data, BASE).unwrap();
+
+    let mut server = Server::spawn(&["--data", data.to_str().unwrap(), "--slow-query-ms", "0"]);
+    let response = server
+        .client()
+        .call(&Request::Cypher {
+            query: "PROFILE MATCH (p) RETURN p.name".to_string(),
+            params: Vec::new(),
+        })
+        .unwrap();
+    assert!(matches!(response, Response::Profile { .. }), "{response:?}");
+
+    let stderr = server.shutdown();
+    let line = stderr.iter().find(|line| line.starts_with("slow-query "));
+    assert!(
+        line.is_some_and(
+            |l| l.contains("endpoint=cypher listener=json") && l.contains("plan={\"op\"")
+        ),
+        "{stderr:#?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

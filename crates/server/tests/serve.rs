@@ -240,17 +240,24 @@ fn parameterized_queries_plan_once_and_validate_names() {
     let mut client = connect(&handle);
 
     let query = "MATCH (p:Person) WHERE p.name = $who RETURN p.name";
-    let run = |client: &mut Client, who: &str| {
+    let rows = |client: &mut Client, query: &str, params: Vec<(String, Json)>| {
         let response = client
             .call(&Request::Cypher {
                 query: query.to_string(),
-                params: vec![("who".to_string(), Json::Str(who.to_string()))],
+                params,
             })
             .unwrap();
         let Response::Cypher { rows, .. } = response else {
             panic!("expected cypher rows, got {response:?}");
         };
         rows
+    };
+    let run = |client: &mut Client, who: &str| {
+        rows(
+            client,
+            query,
+            vec![("who".to_string(), Json::Str(who.to_string()))],
+        )
     };
 
     let cache_series = |handle: &ServerHandle, family: &str| {
@@ -265,18 +272,36 @@ fn parameterized_queries_plan_once_and_validate_names() {
 
     // Two different bindings of one query text: correct rows both times,
     // and the second issue is a plan-cache hit (same normalized text).
-    let hits_before = cache_series(&handle, "hits");
     assert_eq!(run(&mut client, "A"), vec![vec![Some("A".to_string())]]);
+    let (hits, misses) = (
+        cache_series(&handle, "hits"),
+        cache_series(&handle, "misses"),
+    );
     assert_eq!(run(&mut client, "B"), vec![vec![Some("B".to_string())]]);
     assert_eq!(
         run(&mut client, "nobody"),
         Vec::<Vec<Option<String>>>::new()
     );
-    let hits_after = cache_series(&handle, "hits");
-    assert!(
-        hits_after >= hits_before + 2,
-        "expected ≥2 new hits, got {hits_before} → {hits_after}"
-    );
+    // Inlined as literal text, each value is a new query string that
+    // misses, and answers what the bound form does.
+    for who in ["A", "B", "nobody"] {
+        let literal = format!("MATCH (p:Person) WHERE p.name = \"{who}\" RETURN p.name");
+        let bound = run(&mut client, who);
+        assert_eq!(rows(&mut client, &literal, Vec::new()), bound, "{who:?}");
+    }
+    // Every bound issue after the first hit; every literal text missed.
+    assert_eq!(cache_series(&handle, "hits"), hits + 5);
+    assert_eq!(cache_series(&handle, "misses"), misses + 3);
+
+    // Values never reach the query-stats key: six bindings, one entry.
+    let Response::QueryStats { queries } = client.call(&Request::QueryStats).unwrap() else {
+        panic!("expected query stats");
+    };
+    let entry = queries
+        .iter()
+        .find(|e| e.endpoint == "cypher" && e.query == query)
+        .unwrap_or_else(|| panic!("no entry for {query}: {queries:?}"));
+    assert_eq!(entry.calls, 6);
 
     // Unused binding (query never references $typo) → typed bad_request.
     let response = client
@@ -383,6 +408,7 @@ fn explain_profile_and_query_stats_over_tcp() {
         "{:?}",
         plan.ops()
     );
+    assert!(plan.rows.is_none(), "EXPLAIN must carry no profile fields");
 
     // Neither EXPLAIN counted as an execution: the registry captured the
     // plans but shows zero calls for both texts.

@@ -8,18 +8,12 @@
 
 use crate::error::ShaclError;
 use crate::schema::{Cardinality, NodeShape, PropertyShape, ShapeSchema, TypeConstraint};
-use s3pg_rdf::parser::{parse_ntriples, parse_turtle};
+use s3pg_rdf::parser::parse_turtle;
 use s3pg_rdf::{vocab, Graph, Term};
 
 /// Parse a Turtle SHACL document.
 pub fn parse_shacl_turtle(input: &str) -> Result<ShapeSchema, ShaclError> {
     let graph = parse_turtle(input)?;
-    from_graph(&graph)
-}
-
-/// Parse an N-Triples SHACL document.
-pub fn parse_shacl_ntriples(input: &str) -> Result<ShapeSchema, ShaclError> {
-    let graph = parse_ntriples(input)?;
     from_graph(&graph)
 }
 

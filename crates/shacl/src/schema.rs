@@ -33,13 +33,6 @@ impl Cardinality {
         Cardinality { min, max }
     }
 
-    /// Whether a property with this cardinality can hold at most one value —
-    /// the condition under which the *parsimonious* transformation encodes a
-    /// literal as a node key/value property (Algorithm 1, lines 21–23).
-    pub fn at_most_one(self) -> bool {
-        self.max == Some(1)
-    }
-
     /// Whether `count` occurrences satisfy this constraint.
     pub fn admits(self, count: usize) -> bool {
         count >= self.min as usize && self.max.is_none_or(|m| count <= m as usize)
@@ -335,11 +328,6 @@ impl ShapeSchema {
                 }
             }
         }
-    }
-
-    /// Total number of property shapes (own, not counting inheritance).
-    pub fn property_shape_count(&self) -> usize {
-        self.shapes.iter().map(|s| s.properties.len()).sum()
     }
 }
 

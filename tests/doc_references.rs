@@ -9,6 +9,9 @@
 //!
 //! A `module::item` path or a `SCREAMING_CASE` constant must name an item
 //! defined under `crates/*/src` (see [`resolves`]).
+//!
+//! A `--flag` must be one that `s3pg-convert`, `s3pg-serve` or the
+//! benchmark accepts (see [`accepted_flags`]).
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -326,4 +329,89 @@ fn a_deleted_item_does_not_resolve() {
     assert!(!resolves(&path("PARALLEL_MIN_WORK"), &sources));
     // Defined, but in another module than the one named.
     assert!(!resolves(&path("sparql::evaluate_part"), &sources));
+}
+
+// ---- command-line flags -----------------------------------------------------
+
+/// The `--flag` words of `text`: a `--` followed by a lower-case letter,
+/// up to the first character that is not alphanumeric or `-`.
+fn flag_words(text: &str) -> Vec<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| {
+            w.strip_prefix("--")
+                .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_lowercase()))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every flag a document spans in backticks, with its 1-based line
+/// number: each `--flag` of a span that opens with a flag or with one of
+/// this repository's command lines (`s3pg-convert`, `s3pg-serve`,
+/// `benchmark/run.sh`). Spans that open with another tool (`cargo test
+/// --test x`) are not this repository's flags.
+fn referenced_flags(text: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            let first = span.split_whitespace().next().unwrap_or_default();
+            let ours = first.starts_with("--")
+                || ["s3pg-convert", "s3pg-serve", "benchmark/run.sh"].contains(&first);
+            if ours {
+                out.extend(flag_words(span).into_iter().map(|f| (n + 1, f)));
+            }
+        }
+    }
+    out
+}
+
+/// The flags the three command lines accept: `s3pg-convert` and
+/// `s3pg-serve` by their usage text, the benchmark by its argument
+/// parser's source.
+fn accepted_flags() -> HashSet<String> {
+    let benchmark = std::fs::read_to_string(repo_root().join("benchmark/src/main.rs")).unwrap();
+    [s3pg::cli::USAGE, s3pg_server::cli::USAGE, &benchmark]
+        .iter()
+        .flat_map(|text| flag_words(text))
+        .collect()
+}
+
+#[test]
+fn every_backticked_flag_is_accepted() {
+    let accepted = accepted_flags();
+    let mut unknown = Vec::new();
+    for doc in DOCUMENTS {
+        let text = std::fs::read_to_string(repo_root().join(doc)).unwrap();
+        for (line, flag) in referenced_flags(&text) {
+            if !accepted.contains(&flag) {
+                unknown.push(format!("{doc}:{line}: `{flag}`"));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "documents name flags no command line accepts:\n{}",
+        unknown.join("\n")
+    );
+}
+
+#[test]
+fn flag_scan_reads_our_command_lines_only() {
+    let refs = referenced_flags(
+        "`--wal-dir DIR`, `s3pg-serve --slow-query-ms MS` and\n\
+         `benchmark/run.sh --workload mixed --traced`, not `cargo test --test x` or `a--b`",
+    );
+    let flag = |line: usize, f: &str| (line, f.to_string());
+    assert_eq!(
+        refs,
+        [
+            flag(1, "--wal-dir"),
+            flag(1, "--slow-query-ms"),
+            flag(2, "--workload"),
+            flag(2, "--traced"),
+        ]
+    );
+    let accepted = accepted_flags();
+    assert!(accepted.contains("--fsync-batch") && accepted.contains("--trace-out"));
+    assert!(accepted.contains("--traced") && !accepted.contains("--threads"));
 }

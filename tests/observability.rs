@@ -3,15 +3,18 @@
 //! span-tree validity of the traces both the pipeline and the serving
 //! path record.
 
+#[path = "support/demo.rs"]
+mod demo;
+
 use s3pg::pipeline::transform;
 use s3pg::Mode;
-use s3pg_bench::serving::{demo_data_turtle, demo_shapes_turtle};
 use s3pg_bolt::message::{self, ClientMessage, ServerMessage};
 use s3pg_bolt::packstream::Value as BoltValue;
 use s3pg_bolt::{frame, handshake, DEFAULT_MAX_MESSAGE_BYTES};
-use s3pg_obs::{parse_exposition, tracer, validate_span_tree, EventKind};
+use s3pg_obs::{parse_exposition, tracer, validate_span_tree, EventKind, TraceEvent};
 use s3pg_rdf::parser::parse_turtle;
 use s3pg_server::client::Client;
+use s3pg_server::json::{self, Json};
 use s3pg_server::protocol::{Request, Response};
 use s3pg_server::server::{serve, ServerConfig, ServerHandle};
 use s3pg_server::store::{GraphStore, StoreParts};
@@ -21,10 +24,39 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn start_server(config: ServerConfig) -> ServerHandle {
-    let rdf = parse_turtle(demo_data_turtle()).unwrap();
-    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let rdf = parse_turtle(demo::DATA).unwrap();
+    let shapes = parse_shacl_turtle(demo::SHAPES).unwrap();
     let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     serve("127.0.0.1:0", store, config).unwrap()
+}
+
+fn cypher_request(query: &str) -> Request {
+    Request::Cypher {
+        query: query.to_string(),
+        params: Vec::new(),
+    }
+}
+
+/// `(trace, name)` of every span begun in the server's trace ring tail,
+/// oldest first.
+fn begun_spans(client: &mut Client) -> Vec<(u64, String)> {
+    let request = Request::Trace {
+        limit: 4096,
+        since: 0,
+    };
+    let Response::Trace { events } = client.call(&request).unwrap() else {
+        panic!("expected trace response");
+    };
+    let begins = events
+        .iter()
+        .map(|line| json::parse(line).unwrap())
+        .filter(|v| v.get("ev").and_then(Json::as_str) == Some("begin"));
+    begins
+        .map(|v| {
+            let trace = v.get("trace").and_then(Json::as_u64).unwrap();
+            (trace, v.get("name").and_then(Json::as_str).unwrap().into())
+        })
+        .collect()
 }
 
 #[test]
@@ -37,10 +69,7 @@ fn metrics_endpoint_exposes_counters_and_memory_gauges() {
         client.call(&Request::Ping).unwrap();
     }
     client
-        .call(&Request::Cypher {
-            query: "MATCH (p:Person) RETURN p.name".to_string(),
-            params: Vec::new(),
-        })
+        .call(&cypher_request("MATCH (p:Person) RETURN p.name"))
         .unwrap();
     client.call(&Request::Stats).unwrap();
 
@@ -79,6 +108,8 @@ fn metrics_endpoint_exposes_counters_and_memory_gauges() {
         get("s3pg_mem_total_bytes"),
         get("s3pg_mem_rdf_bytes") + get("s3pg_mem_pg_bytes")
     );
+    // The demo's `name` values are indexed, and the index is accounted.
+    assert!(get("s3pg_mem_pg_prop_index_bytes") > 0.0);
     assert_eq!(get("s3pg_snapshot_nodes"), 3.0);
     assert_eq!(get("s3pg_snapshot_conforms"), 1.0);
 
@@ -165,11 +196,11 @@ fn trace_endpoint_tails_request_span_trees() {
     // Every tailed line is a JSON object with the span fields; request
     // stages appear with the expected names.
     for line in &events {
-        let value = s3pg_server::json::parse(line).unwrap();
+        let value = json::parse(line).unwrap();
         for field in ["trace", "span", "parent", "t_us"] {
             assert!(value.get(field).is_some(), "{field} missing in {line}");
         }
-        let ev = value.get("ev").and_then(s3pg_server::json::Json::as_str);
+        let ev = value.get("ev").and_then(Json::as_str);
         assert!(matches!(ev, Some("begin") | Some("end")), "{line}");
     }
     for name in ["\"request\"", "\"decode\"", "\"execute\"", "\"serialize\""] {
@@ -181,6 +212,41 @@ fn trace_endpoint_tails_request_span_trees() {
     // Query endpoints nest engine spans under `execute`.
     assert!(events.iter().any(|l| l.contains("\"query_plan\"")));
     assert!(events.iter().any(|l| l.contains("\"query_eval\"")));
+
+    // A plan-cache hit skips the planner: of one text issued twice, the
+    // first request's span tree has `query_plan`, the second's only
+    // `query_eval`. The ring is shared with the other tests of this
+    // binary, so an attempt whose window holds someone else's query is
+    // retried with a fresh text.
+    let probed = (0..20).any(|attempt| {
+        let before = begun_spans(&mut client).iter().map(|s| s.0).max();
+        let query = format!("MATCH (p:Person) WHERE p.name = \"probe-{attempt}\" RETURN p.name");
+        for _ in 0..2 {
+            let response = client.call(&cypher_request(&query)).unwrap();
+            assert!(matches!(response, Response::Cypher { .. }), "{response:?}");
+        }
+        let spans = begun_spans(&mut client);
+        let spans: Vec<_> = spans.iter().filter(|s| Some(s.0) > before).collect();
+        let began = |trace: u64, name: &str| spans.iter().any(|s| s.0 == trace && s.1 == name);
+        let evaluated: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.1 == "query_eval")
+            .map(|s| s.0)
+            .collect();
+        let [miss, hit] = evaluated[..] else {
+            return false;
+        };
+        assert!(
+            began(miss, "query_plan"),
+            "the first issue must plan: {spans:?}"
+        );
+        assert!(
+            !began(hit, "query_plan"),
+            "the repeat must hit the cache: {spans:?}"
+        );
+        true
+    });
+    assert!(probed, "every attempt shared its window with another query");
 
     handle.shutdown();
     handle.join();
@@ -196,12 +262,7 @@ fn slow_query_log_records_stage_timings_and_rows() {
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
 
     let query = "MATCH (p:Person) RETURN p.name".to_string();
-    client
-        .call(&Request::Cypher {
-            query: query.clone(),
-            params: Vec::new(),
-        })
-        .unwrap();
+    client.call(&cypher_request(&query)).unwrap();
     client.call(&Request::Ping).unwrap();
 
     let log = handle.slow_queries();
@@ -269,8 +330,8 @@ impl BoltSession {
 
 #[test]
 fn slow_query_lines_and_counters_name_the_snapshot_form() {
-    let rdf = parse_turtle(demo_data_turtle()).unwrap();
-    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let rdf = parse_turtle(demo::DATA).unwrap();
+    let shapes = parse_shacl_turtle(demo::SHAPES).unwrap();
     let store = GraphStore::new(rdf, &shapes, Mode::Parsimonious);
     let config = ServerConfig {
         slow_query_threshold: Some(Duration::ZERO),
@@ -279,17 +340,15 @@ fn slow_query_lines_and_counters_name_the_snapshot_form() {
     let mut handle = serve("127.0.0.1:0", store, config).unwrap();
     let mut bolt = BoltSession::connect(handle.listen_bolt("127.0.0.1:0").unwrap());
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
-    let cypher = |query: &str| Request::Cypher {
-        query: query.to_string(),
-        params: Vec::new(),
-    };
     let query = "MATCH (p:Person) RETURN p.name";
 
     // Startup froze synchronously: both listeners are served compact.
-    client.call(&cypher(query)).unwrap();
+    client.call(&cypher_request(query)).unwrap();
     bolt.run(query);
     // Nothing is evaluated on a graph for EXPLAIN or for other endpoints.
-    client.call(&cypher(&format!("EXPLAIN {query}"))).unwrap();
+    client
+        .call(&cypher_request(&format!("EXPLAIN {query}")))
+        .unwrap();
     client.call(&Request::Ping).unwrap();
     let log = handle.slow_queries();
     let forms: Vec<(&str, &str, Option<&str>)> = log
@@ -316,7 +375,7 @@ fn slow_query_lines_and_counters_name_the_snapshot_form() {
             deletions: String::new(),
         })
         .unwrap();
-    client.call(&cypher(query)).unwrap();
+    client.call(&cypher_request(query)).unwrap();
     bolt.run(query);
     let log = handle.slow_queries();
     let Response::Metrics { exposition } = client.call(&Request::Metrics).unwrap() else {
@@ -353,8 +412,8 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     let _ = std::fs::remove_dir_all(&dir);
     let registry = Arc::new(s3pg_obs::Registry::new());
     let (wal, _) = Wal::open(&dir, WalOptions::default(), &registry).unwrap();
-    let rdf = parse_turtle(demo_data_turtle()).unwrap();
-    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let rdf = parse_turtle(demo::DATA).unwrap();
+    let shapes = parse_shacl_turtle(demo::SHAPES).unwrap();
     let out = transform(&rdf, &shapes, Mode::Parsimonious);
     let parts = StoreParts {
         rdf,
@@ -415,10 +474,9 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
     else {
         panic!("expected trace response");
     };
-    use s3pg_server::json::Json;
     let begins: Vec<Json> = events
         .iter()
-        .map(|line| s3pg_server::json::parse(line).unwrap())
+        .map(|line| json::parse(line).unwrap())
         .filter(|v| v.get("ev").and_then(Json::as_str) == Some("begin"))
         .collect();
     let id = |v: &Json, field: &str| v.get(field).and_then(Json::as_u64);
@@ -522,8 +580,8 @@ fn a_boot_times_its_four_steps() {
 
 #[test]
 fn pipeline_trace_forms_a_valid_span_tree() {
-    let rdf = parse_turtle(demo_data_turtle()).unwrap();
-    let shapes = parse_shacl_turtle(demo_shapes_turtle()).unwrap();
+    let rdf = parse_turtle(demo::DATA).unwrap();
+    let shapes = parse_shacl_turtle(demo::SHAPES).unwrap();
 
     let tracer = tracer();
     tracer.set_enabled(true);
@@ -575,6 +633,88 @@ fn pipeline_trace_forms_a_valid_span_tree() {
     assert_eq!(classify[0].parent, phase2[0].span);
 }
 
+/// `s3pg-convert --metrics --trace-out` leaves a trace file that is a
+/// valid span tree with one `phase2_classify` span, beside a complete
+/// `metrics.json`.
+#[test]
+fn convert_writes_a_valid_trace_beside_a_complete_metrics_json() {
+    let dir = std::env::temp_dir().join(format!("s3pg-obs-convert-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("data.ttl"), demo::DATA).unwrap();
+    std::fs::write(dir.join("shapes.ttl"), demo::SHAPES).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().to_string();
+    let argv = [
+        "--data",
+        &path("data.ttl"),
+        "--shapes",
+        &path("shapes.ttl"),
+        "--out-dir",
+        &path("convert"),
+        "--metrics",
+        "--trace-out",
+        &path("convert/trace.jsonl"),
+    ];
+    let options = s3pg::cli::parse_args(argv.iter().map(|a| a.to_string())).unwrap();
+    s3pg::cli::run(&options).unwrap();
+
+    // Every line is one event with every field present and typed (an
+    // empty line does not parse).
+    let text = std::fs::read_to_string(path("convert/trace.jsonl")).unwrap();
+    let mut events = Vec::new();
+    for (n, line) in (1..).zip(text.lines()) {
+        let value = json::parse(line).unwrap_or_else(|e| panic!("line {n}: {e}"));
+        let field = |name: &str| {
+            value
+                .get(name)
+                .unwrap_or_else(|| panic!("line {n}: no {name}"))
+        };
+        let num = |name: &str| {
+            field(name)
+                .as_u64()
+                .unwrap_or_else(|| panic!("line {n}: {name}"))
+        };
+        let kind = match field("ev").as_str() {
+            Some("begin") => EventKind::Begin,
+            Some("end") => EventKind::End,
+            other => panic!("line {n}: bad \"ev\" field {other:?}"),
+        };
+        let name = field("name")
+            .as_str()
+            .unwrap_or_else(|| panic!("line {n}: name"));
+        events.push(TraceEvent {
+            trace: num("trace"),
+            span: num("span"),
+            parent: num("parent"),
+            name: Box::leak(name.to_string().into_boxed_str()),
+            kind,
+            t_us: num("t_us"),
+        });
+    }
+    assert!(!events.is_empty() && events.len() % 2 == 0, "{text}");
+    validate_span_tree(&events).unwrap();
+    let classify = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name == "phase2_classify");
+    assert_eq!(classify.count(), 1, "{text}");
+
+    let text = std::fs::read_to_string(path("convert/metrics.json")).unwrap();
+    let value = json::parse(text.trim()).unwrap();
+    let phases = value.get("phases").and_then(Json::as_array).unwrap();
+    assert!(!phases.is_empty(), "{text}");
+    for phase in phases {
+        assert!(phase.get("name").and_then(Json::as_str).is_some(), "{text}");
+        for field in ["wall_micros", "items"] {
+            assert!(phase.get(field).and_then(Json::as_u64).is_some(), "{text}");
+        }
+    }
+    assert!(value
+        .get("total_wall_micros")
+        .and_then(Json::as_u64)
+        .is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// OPERATIONS.md §7's metric rows: `(family, documented type, subsection)`.
 fn documented_metrics() -> Vec<(String, String, String)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OPERATIONS.md");
@@ -623,9 +763,9 @@ fn operations_metric_reference_matches_the_registry() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let data = dir.join("data.ttl");
-    std::fs::write(&data, demo_data_turtle()).unwrap();
+    std::fs::write(&data, demo::DATA).unwrap();
     let shapes = dir.join("shapes.ttl");
-    std::fs::write(&shapes, demo_shapes_turtle()).unwrap();
+    std::fs::write(&shapes, demo::SHAPES).unwrap();
     let path = |p: &std::path::Path| p.to_string_lossy().to_string();
     let argv = [
         "--data",
@@ -649,10 +789,7 @@ fn operations_metric_reference_matches_the_registry() {
         })
         .unwrap();
     client
-        .call(&Request::Cypher {
-            query: "MATCH (p:Person) RETURN p.name".to_string(),
-            params: Vec::new(),
-        })
+        .call(&cypher_request("MATCH (p:Person) RETURN p.name"))
         .unwrap();
     client
         .call(&Request::Sparql {
