@@ -82,7 +82,7 @@ pub struct Prepared {
 }
 
 /// Generate a dataset and extract its shapes.
-pub fn prepare(dataset: Dataset, scale: Scale) -> Prepared {
+fn prepare(dataset: Dataset, scale: Scale) -> Prepared {
     let generated = generate(&dataset.spec(scale.0));
     let t = Instant::now();
     let shapes = extract_shapes(&generated.graph);
@@ -218,7 +218,7 @@ pub fn table4(scale: Scale) -> (Table, Vec<Table4Row>) {
         let out = pipeline::transform(graph, &prepared.shapes, Mode::Parsimonious);
         let (_, s3pg_load) = pipeline::load(&out.pg);
         let s3pg_times = MethodTimes {
-            transform: out.timings.total(),
+            transform: out.metrics.transform_wall(),
             load: s3pg_load,
         };
 
@@ -346,7 +346,7 @@ pub struct AccuracyContext {
 }
 
 /// Build the three transformed graphs for a dataset.
-pub fn accuracy_context(dataset: Dataset, scale: Scale) -> AccuracyContext {
+fn accuracy_context(dataset: Dataset, scale: Scale) -> AccuracyContext {
     let prepared = prepare(dataset, scale);
     let s3pg = pipeline::transform(
         &prepared.generated.graph,
@@ -364,7 +364,7 @@ pub fn accuracy_context(dataset: Dataset, scale: Scale) -> AccuracyContext {
 }
 
 /// Evaluate one query in an accuracy context.
-pub fn evaluate_query(cx: &AccuracyContext, q: &QuerySpec) -> AccuracyRow {
+fn evaluate_query(cx: &AccuracyContext, q: &QuerySpec) -> AccuracyRow {
     let graph = &cx.prepared.generated.graph;
     let sols = sparql::execute(graph, &q.sparql).expect("ground-truth query");
     let gt = ResultSet::from_sparql(graph, &sols);

@@ -4,12 +4,10 @@
 //! * [`experiments`] — one function per paper artifact (Tables 2–7,
 //!   Figure 6, the §5.4 monotonicity analysis), each returning structured
 //!   results and printable tables. The `run_experiments` binary drives
-//!   them; the `Instant`-timed benches in `benches/` measure the hot paths.
-//! * [`timing`] — the dependency-free micro-benchmark harness those
-//!   benches run on (the offline build cannot resolve Criterion).
+//!   them, and is the one timer of the paper's Table 4, Figure 6 and
+//!   §5.4 numbers.
 
 pub mod experiments;
 pub mod report;
-pub mod timing;
 
 pub use experiments::{Dataset, Scale};

@@ -36,7 +36,7 @@ const NEWEST_MINOR_5: u8 = 4;
 
 /// Pick a version from the client's four proposals, honoring proposal
 /// order (the client lists its preference first).
-pub fn negotiate(proposals: &[[u8; 4]; 4]) -> Option<Version> {
+fn negotiate(proposals: &[[u8; 4]; 4]) -> Option<Version> {
     for proposal in proposals {
         let [_, range, minor, major] = *proposal;
         // Newest minor the proposal covers, walking down through `range`.

@@ -33,27 +33,6 @@ pub fn map_bytes<K, V>(capacity: usize) -> usize {
     capacity * (std::mem::size_of::<(K, V)>() + 1)
 }
 
-/// Approximate heap bytes of a hash set with `capacity` slots of `T`.
-pub fn set_bytes<T>(capacity: usize) -> usize {
-    capacity * (std::mem::size_of::<T>() + 1)
-}
-
-/// Render a byte count for humans: `1234` → `"1.2 KiB"`.
-pub fn format_bytes(bytes: usize) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut value = bytes as f64;
-    let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +49,5 @@ mod tests {
     #[test]
     fn map_bytes_counts_entries_and_control_bytes() {
         assert_eq!(map_bytes::<u32, u32>(8), 8 * (8 + 1));
-        assert_eq!(set_bytes::<u64>(16), 16 * 9);
-    }
-
-    #[test]
-    fn format_bytes_picks_readable_units() {
-        assert_eq!(format_bytes(0), "0 B");
-        assert_eq!(format_bytes(999), "999 B");
-        assert_eq!(format_bytes(2048), "2.0 KiB");
-        assert_eq!(format_bytes(5 * 1024 * 1024), "5.0 MiB");
-        assert_eq!(format_bytes(3 * 1024 * 1024 * 1024), "3.0 GiB");
     }
 }

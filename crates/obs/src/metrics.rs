@@ -162,11 +162,6 @@ impl HistogramSnapshot {
     pub fn max_micros(&self) -> Option<u64> {
         self.quantile_micros(1.0)
     }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> u64 {
-        self.sum_micros.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.quantile_micros(0.5), None);
         assert_eq!(s.max_micros(), None);
-        assert_eq!(s.mean_micros(), 0);
+        assert_eq!(s.sum_micros, 0);
     }
 
     #[test]
@@ -258,9 +253,11 @@ mod tests {
 
     #[test]
     fn mean_reflects_sum() {
+        // The exposition's `_sum` / `_count` is the mean a scraper derives.
         let h = Histogram::new();
         h.record_micros(100);
         h.record_micros(300);
-        assert_eq!(h.snapshot().mean_micros(), 200);
+        let s = h.snapshot();
+        assert_eq!((s.sum_micros, s.count), (400, 2));
     }
 }

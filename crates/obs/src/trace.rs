@@ -156,7 +156,7 @@ impl Tracer {
 
     /// Whether recording is on.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -206,11 +206,6 @@ impl Tracer {
             };
         };
         self.begin_at(trace, parent, name)
-    }
-
-    /// The trace of this thread's innermost open span, if any.
-    pub fn current_trace(&self) -> Option<u64> {
-        SPAN_STACK.with(|s| s.borrow().last().map(|&(trace, _)| trace))
     }
 
     fn begin_at(&self, trace: u64, parent: u64, name: &'static str) -> SpanGuard<'_> {
@@ -498,11 +493,9 @@ mod tests {
             let _orphan = t.span_here("orphan");
         }
         assert!(t.tail(64).is_empty());
-        assert_eq!(t.current_trace(), None);
         let trace = t.new_trace();
         {
             let _root = t.span(trace, "root");
-            assert_eq!(t.current_trace(), Some(trace));
             let _inner = t.span_here("inner");
         }
         let events = t.events_for(trace);

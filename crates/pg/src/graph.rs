@@ -603,16 +603,6 @@ impl PropertyGraph {
             .unwrap_or(0)
     }
 
-    /// Number of live edges carrying `label`. Edge postings keep tombstones,
-    /// so this filters — still one bucket walk, not an edge-set scan.
-    pub fn edge_label_cardinality(&self, label: &str) -> usize {
-        self.interner
-            .get(label)
-            .and_then(|sym| self.by_edge_label.get(&sym))
-            .map(|v| v.iter().filter(|&&e| self.edge_live[e.0 as usize]).count())
-            .unwrap_or(0)
-    }
-
     /// Estimated heap footprint of the property value index alone. Feeds
     /// the `s3pg_mem_pg_prop_index_bytes` gauge.
     pub fn prop_index_size_bytes(&self) -> usize {
@@ -787,20 +777,6 @@ impl PropertyGraph {
             .iter()
             .map(|&l| self.interner.resolve(l))
             .collect()
-    }
-
-    /// All live edge ids with `label`.
-    pub fn edges_with_label(&self, label: &str) -> Vec<EdgeId> {
-        self.interner
-            .get(label)
-            .and_then(|sym| self.by_edge_label.get(&sym))
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|&e| self.edge_live[e.0 as usize])
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// Live outgoing edges of a node. Borrowing iterator over the adjacency
@@ -1036,8 +1012,6 @@ mod tests {
         let (pg, ..) = figure2c();
         assert_eq!(pg.edge_count(), 2);
         assert_eq!(pg.relationship_type_count(), 2);
-        assert_eq!(pg.edges_with_label("advisedBy").len(), 1);
-        assert_eq!(pg.edges_with_label("nothing").len(), 0);
     }
 
     #[test]
@@ -1084,7 +1058,7 @@ mod tests {
                 Value::String("y".into())
             ]))
         );
-        assert_eq!(pg.edges_with_label("knows"), vec![e]);
+        assert_eq!(pg.edge_labels_of(e), ["knows"]);
         assert!(pg.out_edges(a).eq([e]));
         assert!(pg.in_edges(b).eq([e]));
         assert!(pg.has_edge(a, b, "knows"));
@@ -1191,12 +1165,11 @@ mod tests {
         assert_eq!(pg.label_cardinality("Person"), 2);
         assert_eq!(pg.label_cardinality("Department"), 1);
         assert_eq!(pg.label_cardinality("nothing"), 0);
-        assert_eq!(pg.edge_label_cardinality("advisedBy"), 1);
+        assert_eq!(pg.edge_count(), 2);
         let e = pg.add_edge(bob, alice, "advisedBy");
-        assert_eq!(pg.edge_label_cardinality("advisedBy"), 2);
+        assert_eq!(pg.edge_count(), 3);
         pg.remove_edge_by_id(e);
-        assert_eq!(pg.edge_label_cardinality("advisedBy"), 1);
-        assert_eq!(pg.edge_label_cardinality("nothing"), 0);
+        assert_eq!(pg.edge_count(), 2);
     }
 
     #[test]

@@ -177,29 +177,6 @@ impl PgSchema {
         out
     }
 
-    /// All labels a node of type `nt` is expected to carry: its own label
-    /// plus every ancestor's (bob in Figure 2c carries Person, Student, GS).
-    pub fn expected_labels(&self, nt: &NodeType) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut stack = vec![nt];
-        let mut visited: Vec<&str> = Vec::new();
-        while let Some(t) = stack.pop() {
-            if visited.contains(&t.name.as_str()) {
-                continue;
-            }
-            visited.push(&t.name);
-            if !out.contains(&t.label) {
-                out.push(t.label.clone());
-            }
-            for parent in &t.extends {
-                if let Some(p) = self.node_type(parent) {
-                    stack.push(p);
-                }
-            }
-        }
-        out
-    }
-
     /// Number of node types.
     pub fn node_type_count(&self) -> usize {
         self.node_types.len()
@@ -266,15 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_labels_include_ancestors() {
-        let s = sample();
-        let student = s.node_type("studentType").unwrap();
-        let labels = s.expected_labels(student);
-        assert!(labels.contains(&"Student".to_string()));
-        assert!(labels.contains(&"Person".to_string()));
-    }
-
-    #[test]
     fn add_replaces_by_name() {
         let mut s = sample();
         let replacement = NodeType::entity("personType", "Human", "http://ex/Human");
@@ -321,12 +289,15 @@ mod tests {
         let mut s = PgSchema::new();
         let mut a = NodeType::entity("aType", "A", "http://ex/A");
         a.extends.push("bType".into());
+        a.properties
+            .push(PropertySpec::required("x", ContentType::String));
         let mut b = NodeType::entity("bType", "B", "http://ex/B");
         b.extends.push("aType".into());
+        b.properties
+            .push(PropertySpec::required("y", ContentType::String));
         s.add_node_type(a);
         s.add_node_type(b);
         let a = s.node_type("aType").unwrap();
-        let labels = s.expected_labels(a);
-        assert_eq!(labels.len(), 2);
+        assert_eq!(s.effective_properties(a).len(), 2);
     }
 }

@@ -229,13 +229,8 @@ impl Cursor<'_> {
             self.pos += c.len_utf8();
             Ok(())
         } else {
-            err(
-                self.line,
-                format!(
-                    "expected '{c}' at '{}'",
-                    &self.text[self.pos..self.text.len().min(self.pos + 20)]
-                ),
-            )
+            let head: String = self.text[self.pos..].chars().take(20).collect();
+            err(self.line, format!("expected '{c}' at '{head}'"))
         }
     }
 
@@ -446,6 +441,10 @@ mod tests {
         assert_eq!(e.line, 1);
         let e = from_yarspg("# ok\n(\"n0\"{\"A\"[])\n").unwrap_err();
         assert_eq!(e.line, 2);
+        // The error message quotes the text at the failure without
+        // cutting a character in two.
+        let e = from_yarspg("(\"n0\"{\"A\"[éééééééééééé])\n").unwrap_err();
+        assert_eq!(e.line, 1);
     }
 
     #[test]

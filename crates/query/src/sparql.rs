@@ -239,7 +239,11 @@ impl<'a> Parser<'a> {
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let len = kw.len();
-        if self.rest.len() >= len && self.rest[..len].eq_ignore_ascii_case(kw) {
+        if self
+            .rest
+            .get(..len)
+            .is_some_and(|head| head.eq_ignore_ascii_case(kw))
+        {
             let boundary_ok = self.rest[len..]
                 .chars()
                 .next()
@@ -447,28 +451,16 @@ impl<'a> Parser<'a> {
                 if !self.eat_keyword("BY") {
                     return err("expected BY after ORDER");
                 }
-                let descending = if self.eat_keyword("DESC") {
-                    if !self.eat_char('(') {
-                        return err("expected '(' after DESC");
-                    }
-                    true
-                } else if self.eat_keyword("ASC") {
-                    if !self.eat_char('(') {
-                        return err("expected '(' after ASC");
-                    }
-                    false
-                } else {
-                    false
-                };
-                let wrapped = descending || {
-                    // ASC( case consumed '(' above; plain `ORDER BY ?v` has none.
-                    false
-                };
+                let descending = self.eat_keyword("DESC");
+                let wrapped = descending || self.eat_keyword("ASC");
+                if wrapped && !self.eat_char('(') {
+                    return err("expected '(' after ASC or DESC");
+                }
                 if !self.eat_char('?') {
                     return err("expected '?var' in ORDER BY");
                 }
                 let var = self.name();
-                if (wrapped || descending) && !self.eat_char(')') {
+                if wrapped && !self.eat_char(')') {
                     return err("expected ')' closing ORDER BY direction");
                 }
                 order_by = Some((var, descending));
@@ -486,10 +478,8 @@ impl<'a> Parser<'a> {
         }
         self.skip_ws();
         if !self.rest.is_empty() {
-            return err(format!(
-                "trailing input: {}",
-                &self.rest[..self.rest.len().min(30)]
-            ));
+            let head: String = self.rest.chars().take(30).collect();
+            return err(format!("trailing input: {head}"));
         }
         Ok(SelectQuery {
             vars,
@@ -1892,6 +1882,10 @@ mod tests {
             "PREFIX ex: <http://ex/> SELECT ?x WHERE { ?x a nope:Y . }"
         )
         .is_err());
+        // Text that a byte offset would cut inside `é`: in `eat_keyword`,
+        // and in the `trailing input` message.
+        assert!(parse("SELECT ?s WHERE { ?abcdé ?p ?o }").is_err());
+        assert!(parse("SELECT ?s WHERE { ?s ?p ?o } abcdefgéééééééééééé").is_err());
     }
 
     #[test]
@@ -1980,8 +1974,8 @@ mod tests {
     #[test]
     fn order_by_ascending_and_descending() {
         let q = "PREFIX ex: <http://ex/> SELECT ?a WHERE { ?s ex:age ?a . } ORDER BY ?a";
-        let sols = execute(&graph(), q).unwrap();
-        let ages: Vec<String> = sols
+        let ascending = execute(&graph(), q).unwrap();
+        let ages: Vec<String> = ascending
             .rows
             .iter()
             .map(|r| match r[0] {
@@ -1993,6 +1987,8 @@ mod tests {
         let q = "PREFIX ex: <http://ex/> SELECT ?a WHERE { ?s ex:age ?a . } ORDER BY DESC(?a)";
         let sols = execute(&graph(), q).unwrap();
         assert_eq!(sols.len(), 2);
+        let q = "PREFIX ex: <http://ex/> SELECT ?a WHERE { ?s ex:age ?a . } ORDER BY ASC(?a)";
+        assert_eq!(execute(&graph(), q).unwrap().rows, ascending.rows);
     }
 
     #[test]

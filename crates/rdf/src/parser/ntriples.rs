@@ -40,7 +40,7 @@ const BATCH: usize = 1 << 20;
 /// Returns the number of triples inserted (duplicates not counted). The
 /// statements before a malformed line are inserted, as they would be
 /// reading line by line.
-pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
+fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
     let mut tokenizer = Tokenizer::default();
     let mut batch: Vec<Triple> = Vec::new();
     let mut added = 0;

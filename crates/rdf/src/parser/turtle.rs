@@ -29,7 +29,7 @@ pub fn parse_turtle(input: &str) -> Result<Graph, RdfError> {
 }
 
 /// Parse a Turtle document into an existing graph. Returns inserted count.
-pub fn parse_turtle_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
+fn parse_turtle_into(input: &str, graph: &mut Graph) -> Result<usize, RdfError> {
     let tokens = tokenize(input)?;
     let mut parser = Parser {
         tokens,

@@ -44,7 +44,7 @@ impl XorShiftRng {
     }
 
     /// Uniform `f64` in `[0, 1)` from the top 53 bits.
-    pub fn random_f64(&mut self) -> f64 {
+    fn random_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

@@ -1,9 +1,6 @@
-//! RDF serializers: N-Triples (canonical, round-trippable) and a compact
-//! Turtle-ish pretty printer for human inspection of small graphs.
+//! RDF serializer: N-Triples (canonical, round-trippable).
 
 use crate::graph::Graph;
-use crate::term::Term;
-use crate::vocab;
 use std::fmt::Write as _;
 
 /// Serialize a graph as N-Triples, one statement per line, in insertion
@@ -22,43 +19,6 @@ pub fn to_ntriples(graph: &Graph) -> String {
         );
     }
     out
-}
-
-/// Serialize a graph grouped by subject with abbreviated IRIs — lossy with
-/// respect to prefixes, intended for debugging and examples.
-pub fn to_pretty(graph: &Graph) -> String {
-    let mut out = String::new();
-    let mut subjects = graph.subjects_distinct();
-    subjects.sort_by_key(|s| match s {
-        Term::Iri(sym) | Term::Blank(sym) => graph.resolve(*sym).to_string(),
-        Term::Literal(l) => graph.resolve(l.lexical).to_string(),
-    });
-    for s in subjects {
-        let stmts = graph.match_pattern(Some(s), None, None);
-        if stmts.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "{}", short(graph, s));
-        for t in &stmts {
-            let pred = vocab::abbreviate(graph.resolve(t.p));
-            let pred = if graph.resolve(t.p) == vocab::rdf::TYPE {
-                "a".to_string()
-            } else {
-                pred
-            };
-            let _ = writeln!(out, "    {} {} ;", pred, short(graph, t.o));
-        }
-        let _ = writeln!(out, "    .");
-    }
-    out
-}
-
-fn short(graph: &Graph, term: Term) -> String {
-    match term {
-        Term::Iri(s) => vocab::abbreviate(graph.resolve(s)),
-        Term::Blank(s) => format!("_:{}", graph.resolve(s)),
-        Term::Literal(_) => term.display(graph.interner()).to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -107,15 +67,5 @@ mod tests {
         g.insert(s, p, o);
         let g2 = parse_ntriples(&to_ntriples(&g)).unwrap();
         assert!(g.same_triples(&g2));
-    }
-
-    #[test]
-    fn pretty_output_groups_by_subject() {
-        let g = sample();
-        let text = to_pretty(&g);
-        assert!(text.contains("a http://ex/Student"));
-        assert!(text.contains("\"Bs12\""));
-        // One subject block only.
-        assert_eq!(text.matches("    .").count(), 1);
     }
 }

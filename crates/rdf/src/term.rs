@@ -117,7 +117,7 @@ impl fmt::Display for TermDisplay<'_> {
 }
 
 /// Escape a literal lexical form for N-Triples output.
-pub fn escape_literal(s: &str) -> String {
+fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

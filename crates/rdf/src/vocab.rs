@@ -65,23 +65,13 @@ pub mod sh {
     pub const BLANK_NODE_KIND: &str = "http://www.w3.org/ns/shacl#BlankNode";
 }
 
-/// Default prefix table used by the Turtle parser/serializer and examples.
+/// Default prefix table the Turtle parser starts from.
 pub const COMMON_PREFIXES: &[(&str, &str)] = &[
     ("rdf", rdf::NS),
     ("rdfs", rdfs::NS),
     ("xsd", xsd::NS),
     ("sh", sh::NS),
 ];
-
-/// Abbreviate an IRI using the common prefixes, for human-readable output.
-pub fn abbreviate(iri: &str) -> String {
-    for (pfx, ns) in COMMON_PREFIXES {
-        if let Some(local) = iri.strip_prefix(ns) {
-            return format!("{pfx}:{local}");
-        }
-    }
-    iri.to_string()
-}
 
 /// Derive a short local name from an IRI: the fragment after `#`, or the last
 /// path segment. Used when generating PG labels and property keys.
@@ -98,14 +88,6 @@ pub fn local_name(iri: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn abbreviate_known_namespaces() {
-        assert_eq!(abbreviate(rdf::TYPE), "rdf:type");
-        assert_eq!(abbreviate(xsd::STRING), "xsd:string");
-        assert_eq!(abbreviate(sh::TARGET_CLASS), "sh:targetClass");
-        assert_eq!(abbreviate("http://example.org/x"), "http://example.org/x");
-    }
 
     #[test]
     fn local_name_prefers_fragment() {

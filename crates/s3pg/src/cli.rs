@@ -235,7 +235,7 @@ pub fn run(options: &Options) -> Result<String, String> {
         stats.nodes,
         stats.edges,
         stats.rel_types,
-        out.timings.total()
+        out.metrics.transform_wall()
     );
     let _ = writeln!(
         report,

@@ -16,7 +16,7 @@ use crate::data_transform::LANG_KEY;
 use crate::error::S3pgError;
 use crate::mapping::{Mapping, RESERVED_KEYS};
 use crate::schema_transform::{SchemaTransform, ANY_IRI_DATATYPE, RESOURCE_TYPE};
-use s3pg_pg::{NodeTypeKind, PgSchema, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
+use s3pg_pg::{NodeTypeKind, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
 use s3pg_rdf::{vocab, Graph, Term};
 use s3pg_shacl::{Cardinality, NodeShape, PropertyShape, ShapeSchema, TypeConstraint};
 
@@ -135,11 +135,7 @@ fn term_from_ref(g: &mut Graph, entity: &str) -> Term {
 
 /// `N : S_PG → S_G` — reconstruct the SHACL shape schema.
 pub fn recover_schema(transform: &SchemaTransform) -> ShapeSchema {
-    recover_schema_parts(&transform.pg_schema, &transform.mapping)
-}
-
-/// As [`recover_schema`], from the parts.
-pub fn recover_schema_parts(pg_schema: &PgSchema, mapping: &Mapping) -> ShapeSchema {
+    let (pg_schema, mapping) = (&transform.pg_schema, &transform.mapping);
     let mut schema = ShapeSchema::new();
     for nt in pg_schema.node_types() {
         if nt.kind != NodeTypeKind::Entity || nt.name == RESOURCE_TYPE {

@@ -14,7 +14,7 @@
 //!   `N : S_PG → S_G` witnessing information preservation (Prop. 4.1).
 //! * [`query_translate`] — `F_qt`, SPARQL → Cypher over the transformed
 //!   graph (§4.3).
-//! * [`pipeline`] — end-to-end API with stage timings: parse → `F_st` →
+//! * [`pipeline`] — end-to-end API with per-phase metrics: parse → `F_st` →
 //!   `F_dt` → `PG ⊨ S_PG`, one sequential pass on the calling thread
 //!   (`phase2.rs` holds phase 2's classifier and the driver of both
 //!   phases).

@@ -183,12 +183,12 @@ pub fn sanitize(name: &str) -> String {
 }
 
 /// Carrier label `STRING` → type name `stringType` (Figure 5d).
-pub fn carrier_type_name(label: &str) -> String {
+fn carrier_type_name(label: &str) -> String {
     format!("{}Type", label.to_lowercase())
 }
 
 /// The paper's naming convention: class label `Person` → type `personType`.
-pub fn type_name_for(label: &str) -> String {
+fn type_name_for(label: &str) -> String {
     let mut chars = label.chars();
     let lowered = match chars.next() {
         Some(first) => first.to_ascii_lowercase().to_string() + chars.as_str(),

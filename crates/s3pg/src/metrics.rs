@@ -68,7 +68,7 @@ pub struct EncodingCounts {
 
 impl EncodingCounts {
     /// `(encoding label, count)` in report order.
-    pub fn by_encoding(&self) -> [(&'static str, u64); 3] {
+    fn by_encoding(&self) -> [(&'static str, u64); 3] {
         [
             ("key_value", self.key_values),
             ("edge", self.edges),
@@ -94,8 +94,18 @@ impl PipelineMetrics {
     }
 
     /// Sum of all recorded phase wall-clocks.
-    pub fn total_wall(&self) -> Duration {
+    fn total_wall(&self) -> Duration {
         self.phases.iter().map(|p| p.wall).sum()
+    }
+
+    /// `F_st` + `F_dt` wall-clock, without the closing conformance check:
+    /// the "T" column of Table 4.
+    pub fn transform_wall(&self) -> Duration {
+        ["schema_transform", "phase1_nodes", "phase2_props"]
+            .into_iter()
+            .filter_map(|name| self.phase(name))
+            .map(|p| p.wall)
+            .sum()
     }
 
     /// Human-readable multi-line report.

@@ -194,14 +194,6 @@ pub fn parsimonize(pg: &mut PropertyGraph, transform: &mut SchemaTransform) -> P
     report
 }
 
-/// Convenience: how many bytes of CSV the optimization saves (a proxy for
-/// the storage question the paper raises).
-pub fn storage_savings(before: &PropertyGraph, after: &PropertyGraph) -> (usize, usize) {
-    let before = s3pg_pg::csv::export(before).size_bytes();
-    let after = s3pg_pg::csv::export(after).size_bytes();
-    (before, after)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +308,9 @@ mod tests {
         let mut pg = out.pg;
         let mut st = out.schema;
         parsimonize(&mut pg, &mut st);
-        let (b, a) = storage_savings(&before, &pg);
+        // CSV bytes: a proxy for the storage question the paper raises.
+        let b = s3pg_pg::csv::export(&before).size_bytes();
+        let a = s3pg_pg::csv::export(&pg).size_bytes();
         assert!(a < b, "expected smaller CSV, got {a} >= {b}");
     }
 

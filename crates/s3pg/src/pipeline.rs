@@ -1,4 +1,4 @@
-//! End-to-end transformation pipeline with stage timings.
+//! End-to-end transformation pipeline.
 //!
 //! Mirrors the measurement methodology of Table 4 of the paper, which
 //! separates transformation (T) from loading (L): [`transform`] runs
@@ -25,22 +25,6 @@ use s3pg_rdf::Graph;
 use s3pg_shacl::ShapeSchema;
 use std::time::{Duration, Instant};
 
-/// Wall-clock timings of the pipeline stages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// `F_st` duration.
-    pub schema_transform: Duration,
-    /// `F_dt` duration (Algorithm 1, both phases).
-    pub data_transform: Duration,
-}
-
-impl StageTimings {
-    /// Total transformation time (the "T" column of Table 4).
-    pub fn total(&self) -> Duration {
-        self.schema_transform + self.data_transform
-    }
-}
-
 /// The argument of [`transform_with`]. The pipeline runs on the calling
 /// thread and ignores `threads`; the struct stays only for
 /// `benchmark/src/replay.rs` and goes with ROADMAP 1(b).
@@ -65,9 +49,8 @@ pub struct TransformOutput {
     pub counters: TransformCounters,
     /// `PG ⊨ S_PG` check result (Definition 2.6).
     pub conformance: ConformanceReport,
-    /// Stage timings.
-    pub timings: StageTimings,
-    /// Per-phase spans, throughput, and phase 2's table sizes.
+    /// Per-phase spans, throughput, and phase 2's table sizes; Table 4's
+    /// "T" is [`PipelineMetrics::transform_wall`].
     pub metrics: PipelineMetrics,
 }
 
@@ -75,7 +58,7 @@ pub struct TransformOutput {
 /// Phase spans (`schema_transform`, `phase1_nodes`, `phase2_props`,
 /// `conformance`) land in [`TransformOutput::metrics`].
 pub fn transform(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
-    let (schema, data, timings, mut metrics) = transform_stages(graph, shapes, mode);
+    let (schema, data, mut metrics) = transform_stages(graph, shapes, mode);
     let t2 = Instant::now();
     let conformance = {
         let _span = s3pg_obs::tracer().span_here("conformance");
@@ -94,7 +77,6 @@ pub fn transform(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOu
         state: data.state,
         counters: data.counters,
         conformance,
-        timings,
         metrics,
     }
 }
@@ -128,12 +110,7 @@ fn transform_stages(
     graph: &Graph,
     shapes: &ShapeSchema,
     mode: Mode,
-) -> (
-    SchemaTransform,
-    DataTransform,
-    StageTimings,
-    PipelineMetrics,
-) {
+) -> (SchemaTransform, DataTransform, PipelineMetrics) {
     let mut metrics = PipelineMetrics::default();
 
     let t0 = Instant::now();
@@ -141,16 +118,10 @@ fn transform_stages(
         let _span = s3pg_obs::tracer().span_here("schema_transform");
         transform_schema(shapes, mode)
     };
-    let schema_time = t0.elapsed();
-    metrics.record("schema_transform", schema_time, 0, "");
+    metrics.record("schema_transform", t0.elapsed(), 0, "");
 
-    let t1 = Instant::now();
     let data = transform_data_with(graph, &mut schema, mode, &mut metrics);
-    let timings = StageTimings {
-        schema_transform: schema_time,
-        data_transform: t1.elapsed(),
-    };
-    (schema, data, timings, metrics)
+    (schema, data, metrics)
 }
 
 /// Simulate the loading stage: CSV bulk export + indexed re-ingest.
@@ -205,7 +176,7 @@ shape:Course a sh:NodeShape ; sh:targetClass :Course ;
         let out = transform(&g, &s, Mode::Parsimonious);
         assert!(out.conformance.conforms(), "{:?}", out.conformance.failures);
         assert_eq!(out.pg.node_count(), 2 + 1); // bob, db, "Self Study" carrier
-        assert!(out.timings.total() > Duration::ZERO);
+        assert!(out.metrics.transform_wall() > Duration::ZERO);
     }
 
     #[test]

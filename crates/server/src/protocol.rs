@@ -320,7 +320,7 @@ impl ErrorKind {
         }
     }
 
-    pub fn parse_kind(s: &str) -> Option<ErrorKind> {
+    fn parse_kind(s: &str) -> Option<ErrorKind> {
         Some(match s {
             "bad_request" => ErrorKind::BadRequest,
             "parse" => ErrorKind::Parse,
@@ -512,7 +512,7 @@ pub fn plan_to_json(node: &PlanNode) -> Json {
 }
 
 /// Parse an operator tree produced by [`plan_to_json`].
-pub fn plan_from_json(value: &Json) -> Result<PlanNode, String> {
+fn plan_from_json(value: &Json) -> Result<PlanNode, String> {
     let text = |name: &str| -> Result<String, String> {
         value
             .get(name)

@@ -204,8 +204,10 @@ pub(crate) fn strip_introspection(query: &str) -> (Introspect, &str) {
         ("EXPLAIN", Introspect::Explain),
         ("PROFILE", Introspect::Profile),
     ] {
-        if trimmed.len() > word.len()
-            && trimmed[..word.len()].eq_ignore_ascii_case(word)
+        // `get` because `word.len()` need not be a char boundary of the text.
+        if trimmed
+            .get(..word.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(word))
             && trimmed[word.len()..].starts_with(char::is_whitespace)
         {
             return (mode, trimmed[word.len()..].trim_start());

@@ -529,6 +529,12 @@ fn explain_profile_and_stats_over_bolt() {
         "{profiled:?}"
     );
 
+    // A query whose 7th byte is inside a character: a typed failure, and
+    // the slow-query entry's plan lookup must not panic the session.
+    let failure = bolt.run("ééééé MATCH (n) RETURN n", vec![]);
+    assert!(failure.is_err(), "{failure:?}");
+    assert_eq!(bolt.run(text, vec![]).unwrap().1, plain);
+
     bolt.send(ClientMessage::Goodbye);
     handle.shutdown();
     handle.join();

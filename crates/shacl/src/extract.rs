@@ -50,7 +50,7 @@ pub fn extract_shapes(graph: &Graph) -> ShapeSchema {
 }
 
 /// Extract a shape schema with explicit configuration.
-pub fn extract_shapes_with(graph: &Graph, config: &ExtractConfig) -> ShapeSchema {
+fn extract_shapes_with(graph: &Graph, config: &ExtractConfig) -> ShapeSchema {
     let Some(type_p) = graph.type_predicate_opt() else {
         return ShapeSchema::new();
     };

@@ -11,15 +11,10 @@ use crate::schema::{Cardinality, NodeShape, PropertyShape, ShapeSchema, TypeCons
 use s3pg_rdf::parser::parse_turtle;
 use s3pg_rdf::{vocab, Graph, Term};
 
-/// Parse a Turtle SHACL document.
+/// Parse a Turtle SHACL document and read it as a shapes graph.
 pub fn parse_shacl_turtle(input: &str) -> Result<ShapeSchema, ShaclError> {
     let graph = parse_turtle(input)?;
-    from_graph(&graph)
-}
-
-/// Interpret an RDF graph as a SHACL shapes graph.
-pub fn from_graph(graph: &Graph) -> Result<ShapeSchema, ShaclError> {
-    let reader = Reader::new(graph);
+    let reader = Reader::new(&graph);
     let mut schema = ShapeSchema::new();
     for shape_term in reader.node_shapes() {
         schema.add(reader.node_shape(shape_term)?);

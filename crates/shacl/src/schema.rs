@@ -295,40 +295,6 @@ impl ShapeSchema {
         }
         out
     }
-
-    /// Merge another schema into this one monotonically: new shapes are
-    /// added; for existing shapes, new property shapes are appended, and
-    /// matching property shapes have their alternatives unioned and
-    /// cardinalities widened (never narrowed), as required by the schema
-    /// monotonicity argument of §4.3.
-    pub fn merge_monotone(&mut self, delta: &ShapeSchema) {
-        for d in delta.shapes() {
-            match self.by_name.get(&d.name).copied() {
-                None => self.add(d.clone()),
-                Some(i) => {
-                    let existing = &mut self.shapes[i];
-                    for parent in &d.extends {
-                        if !existing.extends.contains(parent) {
-                            existing.extends.push(parent.clone());
-                        }
-                    }
-                    for dps in &d.properties {
-                        match existing.properties.iter_mut().find(|p| p.path == dps.path) {
-                            None => existing.properties.push(dps.clone()),
-                            Some(eps) => {
-                                for alt in &dps.alternatives {
-                                    if !eps.alternatives.contains(alt) {
-                                        eps.alternatives.push(alt.clone());
-                                    }
-                                }
-                                eps.cardinality = eps.cardinality.widen(dps.cardinality);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,34 +430,6 @@ mod tests {
         // Must not loop forever.
         let eff = schema.effective_properties(&a);
         assert!(eff.is_empty());
-    }
-
-    #[test]
-    fn merge_monotone_widens_and_unions() {
-        let mut base = ShapeSchema::new();
-        let mut s = NodeShape::for_class("http://sh/S", "http://ex/S");
-        s.properties.push(PropertyShape::single(
-            "http://ex/regNo",
-            TypeConstraint::Datatype(vocab::xsd::STRING.into()),
-            Cardinality::ONE,
-        ));
-        base.add(s);
-
-        let mut delta = ShapeSchema::new();
-        let mut s2 = NodeShape::for_class("http://sh/S", "http://ex/S");
-        s2.properties.push(PropertyShape::single(
-            "http://ex/regNo",
-            TypeConstraint::Datatype(vocab::xsd::INTEGER.into()),
-            Cardinality::new(0, Some(2)),
-        ));
-        delta.add(s2);
-
-        base.merge_monotone(&delta);
-        let shape = base.by_name("http://sh/S").unwrap();
-        let ps = &shape.properties[0];
-        assert_eq!(ps.alternatives.len(), 2);
-        assert_eq!(ps.cardinality, Cardinality::new(0, Some(2)));
-        assert_eq!(ps.category(), PsCategory::MultiTypeHomoLiteral);
     }
 
     #[test]

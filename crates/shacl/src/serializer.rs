@@ -5,7 +5,6 @@
 //! schema representation is lossless — `parse(serialize(S)) == S`.
 
 use crate::schema::{Cardinality, NodeShape, PropertyShape, ShapeSchema, TypeConstraint};
-use s3pg_rdf::vocab;
 use std::fmt::Write as _;
 
 /// Serialize the schema as a SHACL Turtle document.
@@ -99,30 +98,11 @@ fn write_constraint_inline(out: &mut String, tc: &TypeConstraint) {
     }
 }
 
-/// Human-readable one-line summary of a property shape, used in reports.
-pub fn summarize_property(ps: &PropertyShape) -> String {
-    let alts: Vec<String> = ps
-        .alternatives
-        .iter()
-        .map(|a| match a {
-            TypeConstraint::Datatype(dt) => vocab::abbreviate(dt),
-            TypeConstraint::Class(c) => vocab::abbreviate(c),
-            TypeConstraint::NodeShape(n) => format!("shape {}", vocab::abbreviate(n)),
-            TypeConstraint::AnyIri => "IRI".to_string(),
-        })
-        .collect();
-    format!(
-        "{} : {} {}",
-        vocab::local_name(&ps.path),
-        alts.join(" | "),
-        ps.cardinality
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_shacl_turtle;
+    use s3pg_rdf::vocab;
 
     fn sample_schema() -> ShapeSchema {
         let mut schema = ShapeSchema::new();
@@ -188,20 +168,5 @@ mod tests {
         let text = to_turtle(&sample_schema());
         assert!(text.contains("sh:or ("));
         assert!(text.contains("sh:class <http://ex/GradCourse>"));
-    }
-
-    #[test]
-    fn summarize_is_compact() {
-        let ps = PropertyShape {
-            path: "http://ex/takesCourse".into(),
-            alternatives: vec![
-                TypeConstraint::Class("http://ex/Course".into()),
-                TypeConstraint::Datatype(vocab::xsd::STRING.into()),
-            ],
-            cardinality: Cardinality::AT_LEAST_ONE,
-        };
-        let s = summarize_property(&ps);
-        assert!(s.contains("takesCourse"));
-        assert!(s.contains("[1..*]"));
     }
 }

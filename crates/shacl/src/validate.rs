@@ -86,20 +86,6 @@ pub fn validate(graph: &Graph, schema: &ShapeSchema) -> ValidationReport {
     report
 }
 
-/// Check whether a single entity conforms to a named shape (no report).
-pub fn entity_conforms(
-    graph: &Graph,
-    schema: &ShapeSchema,
-    entity: Term,
-    shape_name: &str,
-) -> bool {
-    let Some(shape) = schema.by_name(shape_name) else {
-        return false;
-    };
-    let mut cx = Context::new(graph, schema);
-    cx.conforms(entity, shape)
-}
-
 struct Context<'a> {
     graph: &'a Graph,
     schema: &'a ShapeSchema,
@@ -462,13 +448,11 @@ shape:A a sh:NodeShape ;
         )
         .unwrap();
         let db = Term::Iri(g.interner().get("http://ex/db").unwrap());
-        assert!(entity_conforms(&g, &schema(), db, "http://ex/shape/Course"));
-        assert!(!entity_conforms(
-            &g,
-            &schema(),
-            db,
-            "http://ex/shape/Student"
-        ));
+        let schema = schema();
+        let mut cx = Context::new(&g, &schema);
+        let shape = |name| schema.by_name(name).unwrap();
+        assert!(cx.conforms(db, shape("http://ex/shape/Course")));
+        assert!(!cx.conforms(db, shape("http://ex/shape/Student")));
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Record {
 
     /// Decode one frame starting at `buf[at..]`. Returns the record and
     /// the offset just past its frame.
-    pub fn decode_at(buf: &[u8], at: usize) -> Result<(Record, usize), DecodeError> {
+    fn decode_at(buf: &[u8], at: usize) -> Result<(Record, usize), DecodeError> {
         let truncated = || DecodeError::Truncated { offset: at };
         let corrupt = |reason: &str| DecodeError::Corrupt {
             offset: at,

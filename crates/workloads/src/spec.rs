@@ -50,7 +50,7 @@ impl DatasetSpec {
     }
 
     /// Total property shapes across categories.
-    pub fn total_properties(&self) -> usize {
+    fn total_properties(&self) -> usize {
         self.single_literal
             + self.single_non_literal
             + self.mt_homo_literal

@@ -48,7 +48,7 @@ fn main() {
     let pg_stats = PgStats::of(&loaded);
     println!(
         "S3PG transform: {:?} (+ {:?} load) → {} nodes, {} edges, {} rel types",
-        out.timings.total(),
+        out.metrics.transform_wall(),
         load_time,
         pg_stats.nodes,
         pg_stats.edges,

@@ -254,9 +254,11 @@ fn trace_endpoint_tails_request_span_trees() {
 
 #[test]
 fn slow_query_log_records_stage_timings_and_rows() {
-    // Threshold zero: every request is a slow query.
+    // Threshold zero: every request is a slow query. One worker, so a
+    // request that killed it would leave nobody to serve the next one.
     let handle = start_server(ServerConfig {
         slow_query_threshold: Some(Duration::ZERO),
+        workers: 1,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(&handle.addr.to_string()).unwrap();
@@ -279,6 +281,14 @@ fn slow_query_log_records_stage_timings_and_rows() {
     assert_eq!(log[1].endpoint, "ping");
     assert_eq!(log[1].rows, 0);
     assert_eq!(log[1].form, None);
+
+    // A query whose 7th byte is inside a character: a typed error, and
+    // the slow-query entry's plan lookup must not panic the one worker,
+    // which then serves the next request on this connection.
+    let answer = client.call(&cypher_request("ééééé MATCH (n) RETURN n"));
+    assert!(matches!(answer, Ok(Response::Error(_))), "{answer:?}");
+    assert_eq!(handle.slow_queries().len(), 3);
+    assert!(matches!(client.call(&Request::Ping), Ok(Response::Pong)));
 
     handle.shutdown();
     handle.join();
