@@ -41,6 +41,7 @@ use crate::read::PgRead;
 use crate::value::Value;
 use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::{Interner, Sym};
+use std::borrow::Cow;
 
 /// A dictionary-encoded property value. Strings hold a symbol into the
 /// graph's value dictionary; floats hold raw bits so `CValue` is `Eq` and
@@ -522,6 +523,35 @@ impl CompactGraph {
         }
     }
 
+    /// The equality index's postings for `(label, key, value)`: id-sorted,
+    /// empty when the triple never occurs.
+    fn eq_postings(&self, label: &str, key: &str, value: &Value) -> &[NodeId] {
+        let (Some(l), Some(k)) = (self.keys.get(label), self.keys.get(key)) else {
+            return &[];
+        };
+        let Some(cv) = self.encode_probe(value) else {
+            return &[];
+        };
+        let probe = (l, k, cv);
+        if self.eq_slots.is_empty() {
+            return &[];
+        }
+        let mask = self.eq_slots.len() - 1;
+        let mut at = home_slot(eq_key_hash(&probe), mask);
+        loop {
+            match self.eq_slots[at] {
+                0 => return &[],
+                slot => {
+                    let (key, (s, t)) = &self.eq_index[slot as usize - 1];
+                    if *key == probe {
+                        return &self.eq_postings[*s as usize..*t as usize];
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
     /// Number of distinct strings in the value dictionary.
     pub fn dict_len(&self) -> usize {
         self.dict.len()
@@ -644,31 +674,8 @@ impl PgRead for CompactGraph {
         self.nodes_with_label(label).len()
     }
 
-    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId] {
-        let (Some(l), Some(k)) = (self.keys.get(label), self.keys.get(key)) else {
-            return &[];
-        };
-        let Some(cv) = self.encode_probe(value) else {
-            return &[];
-        };
-        let probe = (l, k, cv);
-        if self.eq_slots.is_empty() {
-            return &[];
-        }
-        let mask = self.eq_slots.len() - 1;
-        let mut at = home_slot(eq_key_hash(&probe), mask);
-        loop {
-            match self.eq_slots[at] {
-                0 => return &[],
-                slot => {
-                    let (key, (s, t)) = &self.eq_index[slot as usize - 1];
-                    if *key == probe {
-                        return &self.eq_postings[*s as usize..*t as usize];
-                    }
-                }
-            }
-            at = (at + 1) & mask;
-        }
+    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> Cow<'_, [NodeId]> {
+        Cow::Borrowed(self.eq_postings(label, key, value))
     }
 
     #[inline]

@@ -6,13 +6,13 @@
 //! properties. Labels and keys are interned.
 //!
 //! The store maintains the indexes the transformation and the Cypher engine
-//! need: nodes by label, edges by label, in/out adjacency, a unique
-//! index over the `iri` property — S3PG stores each RDF entity's IRI as a
-//! node property (Figure 2c), and Algorithm 1's second phase resolves
-//! subjects/objects through this index — and a `(label, key, value)` hash
-//! index over scalar node properties that backs equality-predicate pushdown
-//! in the Cypher planner. Every property mutator maintains the value index,
-//! so the incremental transformation keeps it consistent for free.
+//! need: nodes by label, in/out adjacency, and a unique index over the
+//! `iri` property — S3PG stores each RDF entity's IRI as a node property
+//! (Figure 2c), and Algorithm 1's second phase resolves subjects/objects
+//! through this index. It keeps no property value index: an equality probe
+//! filters the label's postings, and the frozen
+//! [`CompactGraph`](crate::compact::CompactGraph) that serves reads builds
+//! the `(label, key, value)` index once per snapshot.
 //!
 //! A long-lived graph can also record what its mutators touch (see
 //! [`PropertyGraph::drain_touched`]), which is what lets the conformance
@@ -21,6 +21,7 @@
 use crate::value::Value;
 use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::{Interner, Sym};
+use std::borrow::Cow;
 
 /// Identifier of a node in a [`PropertyGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,16 +88,10 @@ pub struct PropertyGraph {
     edge_live: Vec<bool>,
     live_edge_count: usize,
     by_label: FxHashMap<Sym, Vec<NodeId>>,
-    by_edge_label: FxHashMap<Sym, Vec<EdgeId>>,
     out_edges: Vec<Vec<EdgeId>>,
     in_edges: Vec<Vec<EdgeId>>,
     by_iri: FxHashMap<String, NodeId>,
     iri_key: Option<Sym>,
-    /// `(label, key) → value → nodes` over scalar property values. Lists are
-    /// never indexed: Cypher equality compares a list to a scalar as
-    /// "incomparable", so an equality probe can never select a list-valued
-    /// property. Buckets hold only live nodes (removal deindexes).
-    prop_index: FxHashMap<(Sym, Sym), FxHashMap<Value, Vec<NodeId>>>,
     /// What changed since the last drain; `None` until the first drain
     /// turns recording on, so bulk transforms pay nothing.
     touched: Option<Touched>,
@@ -211,10 +206,8 @@ impl PropertyGraph {
         // write path removes repaired carrier nodes on every delta),
         // tombstones would otherwise accumulate unboundedly and every
         // label scan would pay to skip them.
-        let labels = self.nodes[id.0 as usize].labels.clone();
-        for sym in labels {
-            self.deindex_props_for_label(id, sym);
-            if let Some(postings) = self.by_label.get_mut(&sym) {
+        for sym in &self.nodes[id.0 as usize].labels {
+            if let Some(postings) = self.by_label.get_mut(sym) {
                 postings.retain(|&n| n != id);
             }
         }
@@ -228,8 +221,6 @@ impl PropertyGraph {
     }
 
     /// Add a label to an existing node (λ is a set: duplicates are ignored).
-    /// The node's scalar properties become reachable under the new label in
-    /// the property value index.
     pub fn add_label(&mut self, node: NodeId, label: &str) {
         let sym = self.interner.intern(label);
         self.add_label_sym(node, sym);
@@ -247,7 +238,6 @@ impl PropertyGraph {
             if let Err(pos) = postings.binary_search(&node) {
                 postings.insert(pos, node);
             }
-            self.index_props_for_label(node, sym);
             self.touch_node(node);
         }
     }
@@ -265,7 +255,6 @@ impl PropertyGraph {
         if let Some(postings) = self.by_label.get_mut(&sym) {
             postings.retain(|&id| id != node);
         }
-        self.deindex_props_for_label(node, sym);
         self.touch_node(node);
         true
     }
@@ -386,11 +375,8 @@ impl PropertyGraph {
             + adjacency(&self.in_edges)
             + map_bytes::<Sym, Vec<NodeId>>(self.by_label.capacity())
             + self.by_label.values().map(vec_bytes).sum::<usize>()
-            + map_bytes::<Sym, Vec<EdgeId>>(self.by_edge_label.capacity())
-            + self.by_edge_label.values().map(vec_bytes).sum::<usize>()
             + map_bytes::<String, NodeId>(self.by_iri.capacity())
             + self.by_iri.keys().map(|k| k.capacity()).sum::<usize>()
-            + self.prop_index_size_bytes()
             + self
                 .touched
                 .as_ref()
@@ -442,7 +428,6 @@ impl PropertyGraph {
         });
         self.edge_live.push(true);
         self.live_edge_count += 1;
-        self.by_edge_label.entry(label).or_default().push(id);
         self.out_edges[src.0 as usize].push(id);
         self.in_edges[dst.0 as usize].push(id);
         self.touch_edge(id);
@@ -450,8 +435,7 @@ impl PropertyGraph {
     }
 
     /// [`Self::set_prop`] with a pre-interned key. Maintains the unique IRI
-    /// index when `key` resolves to [`IRI_KEY`], and the property value
-    /// index for scalar values.
+    /// index when `key` resolves to [`IRI_KEY`].
     pub fn set_prop_sym(&mut self, node: NodeId, key: Sym, value: Value) {
         if self.interner.resolve(key) == IRI_KEY {
             self.iri_key = Some(key);
@@ -459,15 +443,6 @@ impl PropertyGraph {
                 self.by_iri.insert(iri.clone(), node);
             }
         }
-        let old = self.nodes[node.0 as usize]
-            .props
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone());
-        if let Some(old) = &old {
-            self.deindex_prop(node, key, old);
-        }
-        self.index_prop(node, key, &value);
         let props = &mut self.nodes[node.0 as usize].props;
         match props.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => *v = value,
@@ -476,120 +451,38 @@ impl PropertyGraph {
         self.touch_node(node);
     }
 
-    /// [`Self::push_prop`] with a pre-interned key. The scalar → list
-    /// transition removes the old scalar from the property value index
-    /// (lists are not indexed).
+    /// [`Self::push_prop`] with a pre-interned key.
     pub fn push_prop_sym(&mut self, node: NodeId, key: Sym, value: Value) {
-        let pos = self.nodes[node.0 as usize]
-            .props
-            .iter()
-            .position(|(k, _)| *k == key);
-        match pos {
-            Some(pos) => {
-                let old = self.nodes[node.0 as usize].props[pos].1.clone();
-                self.deindex_prop(node, key, &old);
-                self.nodes[node.0 as usize].props[pos].1.push(value);
-            }
-            None => {
-                self.index_prop(node, key, &value);
-                self.nodes[node.0 as usize].props.push((key, value));
-            }
+        let props = &mut self.nodes[node.0 as usize].props;
+        match props.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => v.push(value),
+            None => props.push((key, value)),
         }
         self.touch_node(node);
     }
 
-    // ---- property value index --------------------------------------------
-
-    /// Add one `(label, key) → value → node` posting, id-sorted so probe
-    /// enumeration matches label-scan order. No-op for lists.
-    fn index_entry(&mut self, label: Sym, key: Sym, value: &Value, node: NodeId) {
-        if matches!(value, Value::List(_)) {
-            return;
-        }
-        let bucket = self
-            .prop_index
-            .entry((label, key))
-            .or_default()
-            .entry(value.clone())
-            .or_default();
-        if let Err(pos) = bucket.binary_search(&node) {
-            bucket.insert(pos, node);
-        }
-    }
-
-    /// Remove one `(label, key) → value → node` posting, dropping the value
-    /// bucket when it empties so removal churn cannot accumulate.
-    fn deindex_entry(&mut self, label: Sym, key: Sym, value: &Value, node: NodeId) {
-        if matches!(value, Value::List(_)) {
-            return;
-        }
-        if let Some(by_value) = self.prop_index.get_mut(&(label, key)) {
-            if let Some(bucket) = by_value.get_mut(value) {
-                bucket.retain(|&n| n != node);
-                if bucket.is_empty() {
-                    by_value.remove(value);
-                }
-            }
-        }
-    }
-
-    /// Index a scalar value under every label the node currently carries.
-    fn index_prop(&mut self, node: NodeId, key: Sym, value: &Value) {
-        if matches!(value, Value::List(_)) {
-            return;
-        }
-        for i in 0..self.nodes[node.0 as usize].labels.len() {
-            let label = self.nodes[node.0 as usize].labels[i];
-            self.index_entry(label, key, value, node);
-        }
-    }
-
-    /// Remove a scalar value from the index under every current label.
-    fn deindex_prop(&mut self, node: NodeId, key: Sym, value: &Value) {
-        if matches!(value, Value::List(_)) {
-            return;
-        }
-        for i in 0..self.nodes[node.0 as usize].labels.len() {
-            let label = self.nodes[node.0 as usize].labels[i];
-            self.deindex_entry(label, key, value, node);
-        }
-    }
-
-    /// Index all of a node's scalar properties under one label (label was
-    /// just added to the node).
-    fn index_props_for_label(&mut self, node: NodeId, label: Sym) {
-        // The record is lent out for the walk so values are indexed by
-        // reference; `index_entry` touches the index only.
-        let props = std::mem::take(&mut self.nodes[node.0 as usize].props);
-        for (key, value) in &props {
-            self.index_entry(label, *key, value, node);
-        }
-        self.nodes[node.0 as usize].props = props;
-    }
-
-    /// Remove all of a node's scalar properties from the index under one
-    /// label (label removal / node removal).
-    fn deindex_props_for_label(&mut self, node: NodeId, label: Sym) {
-        let props = std::mem::take(&mut self.nodes[node.0 as usize].props);
-        for (key, value) in &props {
-            self.deindex_entry(label, *key, value, node);
-        }
-        self.nodes[node.0 as usize].props = props;
-    }
-
     /// Live nodes carrying `label` whose scalar property `key` equals
-    /// `value`, answered from the `(label, key, value)` hash index in O(1)
-    /// plus the bucket size. Buckets are unordered — callers needing
-    /// deterministic enumeration sort the slice themselves.
-    pub fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId] {
-        let (Some(l), Some(k)) = (self.interner.get(label), self.interner.get(key)) else {
-            return &[];
+    /// `value`, in id order: a filter over the label's postings. A list
+    /// never matches — Cypher equality compares a list to a scalar as
+    /// "incomparable" — so this answers exactly what the frozen form's
+    /// equality index answers.
+    pub fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> Vec<NodeId> {
+        let Some(key) = self.interner.get(key) else {
+            return Vec::new();
         };
-        self.prop_index
-            .get(&(l, k))
-            .and_then(|by_value| by_value.get(value))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        if matches!(value, Value::List(_)) {
+            return Vec::new();
+        }
+        self.nodes_with_label(label)
+            .iter()
+            .copied()
+            .filter(|&id| {
+                self.nodes[id.0 as usize]
+                    .props
+                    .iter()
+                    .any(|(k, v)| *k == key && v == value)
+            })
+            .collect()
     }
 
     /// Exact number of live nodes carrying `label` — O(1), since label
@@ -601,24 +494,6 @@ impl PropertyGraph {
             .and_then(|sym| self.by_label.get(&sym))
             .map(Vec::len)
             .unwrap_or(0)
-    }
-
-    /// Estimated heap footprint of the property value index alone. Feeds
-    /// the `s3pg_mem_pg_prop_index_bytes` gauge.
-    pub fn prop_index_size_bytes(&self) -> usize {
-        use s3pg_obs::mem::{map_bytes, vec_bytes};
-        map_bytes::<(Sym, Sym), FxHashMap<Value, Vec<NodeId>>>(self.prop_index.capacity())
-            + self
-                .prop_index
-                .values()
-                .map(|by_value| {
-                    map_bytes::<Value, Vec<NodeId>>(by_value.capacity())
-                        + by_value
-                            .iter()
-                            .map(|(v, bucket)| v.heap_size_bytes() + vec_bytes(bucket))
-                            .sum::<usize>()
-                })
-                .sum::<usize>()
     }
 
     // ---- edges -----------------------------------------------------------
@@ -635,7 +510,6 @@ impl PropertyGraph {
         });
         self.edge_live.push(true);
         self.live_edge_count += 1;
-        self.by_edge_label.entry(sym).or_default().push(id);
         self.out_edges[src.0 as usize].push(id);
         self.in_edges[dst.0 as usize].push(id);
         self.touch_edge(id);
@@ -690,7 +564,6 @@ impl PropertyGraph {
         let props = &mut self.nodes[node.0 as usize].props;
         let pos = props.iter().position(|(k, _)| *k == sym)?;
         let value = props.remove(pos).1;
-        self.deindex_prop(node, sym, &value);
         self.touch_node(node);
         Some(value)
     }
@@ -702,44 +575,26 @@ impl PropertyGraph {
         let Some(sym) = self.interner.get(key) else {
             return false;
         };
-        // Mutate the record first, then reconcile the value index: a removed
-        // scalar is deindexed; a list collapsing to one element becomes a
-        // scalar and enters the index.
-        let mut deindexed: Option<Value> = None;
-        let mut indexed: Option<Value> = None;
-        {
-            let props = &mut self.nodes[node.0 as usize].props;
-            let Some(pos) = props.iter().position(|(k, _)| *k == sym) else {
-                return false;
-            };
-            match &mut props[pos].1 {
-                Value::List(items) => {
-                    let Some(i) = items.iter().position(|v| v == value) else {
-                        return false;
-                    };
-                    items.remove(i);
-                    if items.len() == 1 {
-                        let last = items.pop().unwrap();
-                        props[pos].1 = last.clone();
-                        indexed = Some(last);
-                    } else if items.is_empty() {
-                        props.remove(pos);
-                    }
-                }
-                scalar => {
-                    if scalar == value {
-                        deindexed = Some(props.remove(pos).1);
-                    } else {
-                        return false;
-                    }
+        let props = &mut self.nodes[node.0 as usize].props;
+        let Some(pos) = props.iter().position(|(k, _)| *k == sym) else {
+            return false;
+        };
+        match &mut props[pos].1 {
+            Value::List(items) => {
+                let Some(i) = items.iter().position(|v| v == value) else {
+                    return false;
+                };
+                items.remove(i);
+                if items.len() == 1 {
+                    props[pos].1 = items.pop().unwrap();
+                } else if items.is_empty() {
+                    props.remove(pos);
                 }
             }
-        }
-        if let Some(v) = deindexed {
-            self.deindex_prop(node, sym, &v);
-        }
-        if let Some(v) = indexed {
-            self.index_prop(node, sym, &v);
+            scalar if scalar == value => {
+                props.remove(pos);
+            }
+            _ => return false,
         }
         self.touch_node(node);
         true
@@ -809,11 +664,12 @@ impl PropertyGraph {
     }
 
     /// Number of distinct edge labels with at least one live edge
-    /// ("# of Rel Types" in Table 5).
+    /// ("# of Rel Types" in Table 5): one pass over the live edges.
     pub fn relationship_type_count(&self) -> usize {
-        self.by_edge_label
-            .values()
-            .filter(|v| v.iter().any(|&e| self.edge_live[e.0 as usize]))
+        let mut seen = vec![false; self.interner.len()];
+        self.edge_ids()
+            .flat_map(|e| &self.edges[e.0 as usize].labels)
+            .filter(|l| !std::mem::replace(&mut seen[l.index()], true))
             .count()
     }
 
@@ -859,8 +715,10 @@ impl crate::read::PgRead for PropertyGraph {
         PropertyGraph::label_cardinality(self, label)
     }
 
-    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId] {
-        PropertyGraph::nodes_with_label_prop(self, label, key, value)
+    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> Cow<'_, [NodeId]> {
+        Cow::Owned(PropertyGraph::nodes_with_label_prop(
+            self, label, key, value,
+        ))
     }
 
     fn key_sym(&self, name: &str) -> Option<Sym> {
@@ -1009,9 +867,16 @@ mod tests {
 
     #[test]
     fn edge_label_index_and_counts() {
-        let (pg, ..) = figure2c();
+        let (mut pg, bob, alice, _) = figure2c();
         assert_eq!(pg.edge_count(), 2);
         assert_eq!(pg.relationship_type_count(), 2);
+        // A second edge of a known label adds no type; a label whose last
+        // live edge goes stops counting.
+        pg.add_edge(alice, bob, "advisedBy");
+        assert_eq!(pg.relationship_type_count(), 2);
+        assert!(pg.remove_edge(alice, bob, "advisedBy"));
+        assert!(pg.remove_edge(bob, alice, "advisedBy"));
+        assert_eq!(pg.relationship_type_count(), 1);
     }
 
     #[test]
@@ -1065,7 +930,7 @@ mod tests {
     }
 
     #[test]
-    fn prop_index_answers_equality_probes() {
+    fn equality_probes_filter_label_postings() {
         let (pg, bob, alice, _) = figure2c();
         assert_eq!(
             pg.nodes_with_label_prop("Person", "name", &Value::String("Alice".into())),
@@ -1093,21 +958,20 @@ mod tests {
     }
 
     #[test]
-    fn prop_index_follows_set_remove_and_relabel() {
+    fn equality_probes_follow_set_remove_and_relabel() {
         let (mut pg, bob, ..) = figure2c();
         let probe = |pg: &PropertyGraph, v: &str| {
             pg.nodes_with_label_prop("Person", "regNo", &Value::String(v.into()))
-                .to_vec()
         };
-        // set_prop replaces: the old value leaves the index.
+        // set_prop replaces: the old value no longer matches.
         pg.set_prop(bob, "regNo", Value::String("Bs99".into()));
         assert!(probe(&pg, "Bs12").is_empty());
         assert_eq!(probe(&pg, "Bs99"), vec![bob]);
-        // remove_prop deindexes.
+        // remove_prop: nothing matches.
         pg.remove_prop(bob, "regNo");
         assert!(probe(&pg, "Bs99").is_empty());
-        // add_label indexes existing props under the new label; remove_label
-        // takes them back out.
+        // add_label makes existing props reachable under the new label;
+        // remove_label takes them back out.
         pg.set_prop(bob, "regNo", Value::String("Bs99".into()));
         pg.add_label(bob, "Alum");
         assert_eq!(
@@ -1121,20 +985,19 @@ mod tests {
     }
 
     #[test]
-    fn prop_index_skips_lists_and_tracks_collapse() {
+    fn equality_probes_skip_lists_and_track_collapse() {
         let mut pg = PropertyGraph::new();
         let n = pg.add_node(["Person"]);
         let probe = |pg: &PropertyGraph, v: &str| {
             pg.nodes_with_label_prop("Person", "nick", &Value::String(v.into()))
-                .to_vec()
         };
         pg.push_prop(n, "nick", Value::String("bobby".into()));
-        assert_eq!(probe(&pg, "bobby"), vec![n]); // scalar: indexed
+        assert_eq!(probe(&pg, "bobby"), vec![n]); // scalar: matches
         pg.push_prop(n, "nick", Value::String("rob".into()));
         // Now a list: neither element is an equality match.
         assert!(probe(&pg, "bobby").is_empty());
         assert!(probe(&pg, "rob").is_empty());
-        // Removing one occurrence collapses back to an indexed scalar.
+        // Removing one occurrence collapses back to a matching scalar.
         assert!(pg.remove_prop_value(n, "nick", &Value::String("rob".into())));
         assert_eq!(probe(&pg, "bobby"), vec![n]);
         assert!(pg.remove_prop_value(n, "nick", &Value::String("bobby".into())));
@@ -1142,7 +1005,7 @@ mod tests {
     }
 
     #[test]
-    fn prop_index_purged_on_node_removal() {
+    fn equality_probes_skip_removed_nodes() {
         let mut pg = PropertyGraph::new();
         let a = pg.add_node(["Person"]);
         pg.set_prop(a, "name", Value::String("A".into()));
@@ -1170,13 +1033,6 @@ mod tests {
         assert_eq!(pg.edge_count(), 3);
         pg.remove_edge_by_id(e);
         assert_eq!(pg.edge_count(), 2);
-    }
-
-    #[test]
-    fn prop_index_counted_in_deep_size() {
-        let (pg, ..) = figure2c();
-        assert!(pg.prop_index_size_bytes() > 0);
-        assert!(pg.deep_size_bytes() > pg.prop_index_size_bytes());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the mutable [`PropertyGraph`](crate::graph::PropertyGraph) or the
 //! frozen, read-optimized [`CompactGraph`](crate::compact::CompactGraph).
 //! The trait is shaped so both implementations answer from slices with no
-//! per-call allocation:
+//! per-call allocation, except the equality probe:
 //!
 //! * labels and property keys resolve to [`Sym`]s once ([`key_sym`]); the
 //!   executor then reads label rows and properties by symbol, with no
@@ -15,7 +15,11 @@
 //!   skip, while the compact form returns contiguous CSR rows where every
 //!   edge is live (the predicate is constant `true`);
 //! * property reads return owned [`Value`]s — the compact form decodes
-//!   from its dictionary on the fly.
+//!   from its dictionary on the fly;
+//! * an equality probe ([`nodes_with_label_prop`]) borrows the compact
+//!   form's index postings, while the mutable graph, which keeps no value
+//!   index, filters its label postings into an owned list. Both answer the
+//!   same ids in the same order.
 //!
 //! The string-keyed reads ([`has_label`], [`prop_value`], …) are provided
 //! on top of the symbol-keyed ones, for callers that touch one row.
@@ -24,10 +28,12 @@
 //! [`edge_live`]: PgRead::edge_live
 //! [`has_label`]: PgRead::has_label
 //! [`prop_value`]: PgRead::prop_value
+//! [`nodes_with_label_prop`]: PgRead::nodes_with_label_prop
 
 use crate::graph::{EdgeId, NodeId};
 use crate::value::Value;
 use s3pg_rdf::Sym;
+use std::borrow::Cow;
 
 /// Read-only access to a property graph, sufficient for query planning and
 /// evaluation. `Sync` so parallel evaluation can share the graph across
@@ -49,8 +55,8 @@ pub trait PgRead: Sync {
     fn label_cardinality(&self, label: &str) -> usize;
 
     /// Live nodes carrying `label` whose scalar property `key` equals
-    /// `value` — the equality-pushdown index probe.
-    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> &[NodeId];
+    /// `value`, in id order — the equality-pushdown probe.
+    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> Cow<'_, [NodeId]>;
 
     /// Resolve a label or property key to this graph's symbol. `None`
     /// means the graph has never seen the string — nothing carries it.

@@ -227,11 +227,12 @@ fn collect_param_names(expr: &Expr, out: &mut std::collections::BTreeSet<String>
 // ---- planning --------------------------------------------------------------
 
 /// One equality-predicate pushdown: the start binding of a pattern is
-/// enumerated from the `(label, key, value)` property index instead of a
-/// label scan. The predicate itself stays in the WHERE clause — the probe
-/// only has to produce a superset of the matching nodes, so cross-type
-/// numeric equality (`Int`/`Float`/`Year`) is handled by probing every
-/// equivalent key representation.
+/// enumerated from a `(label, key, value)` equality probe
+/// ([`PgRead::nodes_with_label_prop`]) instead of a label scan. The
+/// predicate itself stays in the WHERE clause — the probe only has to
+/// produce a superset of the matching nodes, so cross-type numeric
+/// equality (`Int`/`Float`/`Year`) is handled by probing every equivalent
+/// key representation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Probe {
     pub(crate) label: String,
@@ -896,7 +897,9 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, CypherError> {
                     }
                 }
                 if pos == start {
-                    return err(format!("unexpected character '{}'", b as char));
+                    let c = input.get(pos..).and_then(|r| r.chars().next());
+                    let c = c.unwrap_or(b as char);
+                    return err(format!("unexpected character '{c}'"));
                 }
                 out.push(Tok::Ident(
                     std::str::from_utf8(&bytes[start..pos]).unwrap().to_string(),
@@ -1802,7 +1805,7 @@ pub(crate) fn start_candidates<'a, G: PgRead>(
     {
         let mut out: Vec<NodeId> = Vec::new();
         for k in keys {
-            out.extend_from_slice(pg.nodes_with_label_prop(label, key, k));
+            out.extend_from_slice(&pg.nodes_with_label_prop(label, key, k));
         }
         out.sort_unstable();
         out.dedup();
@@ -2411,6 +2414,11 @@ mod tests {
             "MATCH (n) RETURN n.x UNION ALL MATCH (n) RETURN n.x, n.y"
         )
         .is_err());
+        // The error names the character, not its UTF-8 lead byte.
+        assert_eq!(
+            parse("MATCH (ñ) RETURN ñ.x").unwrap_err().0,
+            "unexpected character 'ñ'"
+        );
     }
 
     #[test]

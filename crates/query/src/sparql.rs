@@ -209,6 +209,14 @@ pub fn parse(input: &str) -> Result<SelectQuery, SparqlError> {
     p.query()
 }
 
+/// Whether `c` may occur in a variable or a prefixed name: SPARQL 1.1's
+/// `PN_CHARS` (Unicode letters and digits, `_`, `-`, U+00B7 and the
+/// combining ranges), so `?naïve` and `ex:café` are names.
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric()
+        || matches!(c, '_' | '-' | '\u{B7}' | '\u{300}'..='\u{36F}' | '\u{203F}'..='\u{2040}')
+}
+
 struct Parser<'a> {
     rest: &'a str,
     prefixes: FxHashMap<String, String>,
@@ -247,7 +255,7 @@ impl<'a> Parser<'a> {
             let boundary_ok = self.rest[len..]
                 .chars()
                 .next()
-                .is_none_or(|c| !c.is_ascii_alphanumeric() && c != '_');
+                .is_none_or(|c| !is_name_char(c));
             if boundary_ok {
                 self.rest = &self.rest[len..];
                 return true;
@@ -275,7 +283,7 @@ impl<'a> Parser<'a> {
     fn name(&mut self) -> String {
         let end = self
             .rest
-            .find(|c: char| !c.is_ascii_alphanumeric() && c != '_' && c != '-')
+            .find(|c: char| !is_name_char(c))
             .unwrap_or(self.rest.len());
         let (name, rest) = self.rest.split_at(end);
         self.rest = rest;
@@ -543,8 +551,11 @@ impl<'a> Parser<'a> {
                     datatype: Some(s3pg_rdf::vocab::xsd::INTEGER.into()),
                 })
             }
-            Some(_) => {
+            Some(c) => {
                 let word = self.name();
+                if word.is_empty() {
+                    return err(format!("unexpected character '{c}'"));
+                }
                 if word == "a" {
                     return Ok(PatternTerm::Iri(s3pg_rdf::vocab::rdf::TYPE.into()));
                 }
@@ -1883,9 +1894,28 @@ mod tests {
         )
         .is_err());
         // Text that a byte offset would cut inside `é`: in `eat_keyword`,
-        // and in the `trailing input` message.
-        assert!(parse("SELECT ?s WHERE { ?abcdé ?p ?o }").is_err());
+        // and in the `trailing input` message. `?abcdé` is a name, so the
+        // first is an error only for projecting the unbound `?s`.
+        assert!(execute(&graph(), "SELECT ?s WHERE { ?abcdé ?p ?o }").is_err());
         assert!(parse("SELECT ?s WHERE { ?s ?p ?o } abcdefgéééééééééééé").is_err());
+    }
+
+    #[test]
+    fn names_take_unicode_letters_and_other_characters_are_named() {
+        let q = parse("SELECT ?naïve WHERE { ?naïve ?p ?o }").unwrap();
+        assert_eq!(q.vars, ["naïve"]);
+        let q = parse("PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:café ?o }").unwrap();
+        assert_eq!(
+            q.patterns[0].p,
+            PatternTerm::Iri("http://ex/café".to_string())
+        );
+        // A keyword ends where the name characters end.
+        assert!(parse("SELECTé ?s WHERE { ?s ?p ?o }").is_err());
+        // Language tags are not supported: the error names the `@`.
+        assert_eq!(
+            parse("SELECT ?s WHERE { ?s <p> \"x\"@en }").unwrap_err().0,
+            "unexpected character '@'"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use crate::json::Json;
 use crate::protocol::{ErrorKind, Response};
-use crate::server::{panic_message, Shared, SlowQuery, ACCEPT_POLL, POLL_INTERVAL};
+use crate::server::{caught_panic, Shared, SlowQuery, ACCEPT_POLL, POLL_INTERVAL};
 use s3pg_bolt::message::{self, ClientMessage};
 use s3pg_bolt::packstream::Value;
 use s3pg_bolt::{frame, handshake, DEFAULT_MAX_MESSAGE_BYTES};
@@ -371,10 +371,7 @@ impl Session<'_> {
             self.shared.run_cypher(store, query, &params, "bolt")
         }))
         .unwrap_or_else(|panic| {
-            let frame = crate::protocol::ErrorFrame {
-                kind: ErrorKind::Internal,
-                message: format!("handler panicked: {}", panic_message(&panic)),
-            };
+            let frame = caught_panic(self.shared.registry(), "bolt", panic);
             (Response::Error(frame), None)
         });
         let elapsed = started.elapsed();

@@ -97,6 +97,14 @@ struct EndpointHandles {
 /// `s3pg_cypher_evaluations_total{form}` name them with these strings.
 const FORMS: [&str; 2] = ["compact", "mutable"];
 
+/// The two listeners whose caught handler panics
+/// `s3pg_handler_panics_total{listener}` counts.
+const LISTENERS: [&str; 2] = ["json", "bolt"];
+
+fn handler_panics_total(listener: &str) -> String {
+    format!("s3pg_handler_panics_total{{listener=\"{listener}\"}}")
+}
+
 /// Per-endpoint metric handles, in [`Request::ENDPOINTS`] order, backed
 /// by the store's [`Registry`].
 struct ServerMetrics {
@@ -107,6 +115,9 @@ struct ServerMetrics {
 
 impl ServerMetrics {
     fn new(registry: &Registry) -> Self {
+        for listener in LISTENERS {
+            registry.counter(&handler_panics_total(listener));
+        }
         ServerMetrics {
             cypher_evaluations: FORMS.map(|form| {
                 registry.counter(&format!("s3pg_cypher_evaluations_total{{form=\"{form}\"}}"))
@@ -954,10 +965,7 @@ fn respond(line: &str, shared: &Shared) -> Reply {
                 let _span = tracer.span_here("execute");
                 catch_unwind(AssertUnwindSafe(|| dispatch(&request, shared, &mut form)))
                     .unwrap_or_else(|panic| {
-                        Response::Error(ErrorFrame {
-                            kind: ErrorKind::Internal,
-                            message: format!("handler panicked: {}", panic_message(&panic)),
-                        })
+                        Response::Error(caught_panic(&shared.registry, "json", panic))
                     })
             };
             (response, endpoint, query)
@@ -1070,12 +1078,26 @@ fn record_slow_query(shared: &Shared, entry: SlowQuery) {
     log.push_back(entry);
 }
 
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    panic
+/// A handler panic that `listener` caught: count it in
+/// `s3pg_handler_panics_total{listener}` and turn it into the typed
+/// internal error the client gets, so the worker keeps serving. Takes the
+/// payload by value: a `&Box<dyn Any>` would coerce to `&dyn Any` as the
+/// box itself, and the panic text would be lost.
+pub(crate) fn caught_panic(
+    registry: &Registry,
+    listener: &str,
+    panic: Box<dyn std::any::Any + Send>,
+) -> ErrorFrame {
+    registry.counter(&handler_panics_total(listener)).inc();
+    let text = panic
         .downcast_ref::<&str>()
         .copied()
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("unknown panic")
+        .unwrap_or("unknown panic");
+    ErrorFrame {
+        kind: ErrorKind::Internal,
+        message: format!("handler panicked: {text}"),
+    }
 }
 
 /// Answer one decoded request. `form` receives the snapshot form a Cypher
@@ -1249,5 +1271,34 @@ fn dispatch(request: &Request, shared: &Shared, form: &mut Option<&'static str>)
         | Request::QueryStats => {
             unreachable!("stateless endpoints answered before store lookup")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn caught_panic_counts_and_keeps_the_panic_text() {
+        let registry = Registry::new();
+        ServerMetrics::new(&registry);
+        let count = |listener| registry.counter(&handler_panics_total(listener)).get();
+        assert_eq!((count("json"), count("bolt")), (0, 0));
+
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let literal = catch_unwind(|| panic!("boom")).unwrap_err();
+        let formatted = catch_unwind(|| panic!("bad row {}", 7)).unwrap_err();
+        let opaque = catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        std::panic::set_hook(hook);
+
+        let frame = caught_panic(&registry, "json", literal);
+        assert_eq!(frame.kind, ErrorKind::Internal);
+        assert_eq!(frame.message, "handler panicked: boom");
+        let frame = caught_panic(&registry, "bolt", formatted);
+        assert_eq!(frame.message, "handler panicked: bad row 7");
+        let frame = caught_panic(&registry, "bolt", opaque);
+        assert_eq!(frame.message, "handler panicked: unknown panic");
+        assert_eq!((count("json"), count("bolt")), (1, 2));
     }
 }

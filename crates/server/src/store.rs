@@ -306,9 +306,6 @@ fn memory_gauges(registry: &Registry, snap: &Snapshot) {
     registry.gauge("s3pg_mem_rdf_bytes").set_u64(rdf_bytes);
     registry.gauge("s3pg_mem_pg_bytes").set_u64(pg_bytes);
     registry
-        .gauge("s3pg_mem_pg_prop_index_bytes")
-        .set_u64(snap.pg.prop_index_size_bytes() as u64);
-    registry
         .gauge("s3pg_mem_total_bytes")
         .set_u64(rdf_bytes + pg_bytes);
 }

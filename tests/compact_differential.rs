@@ -219,7 +219,7 @@ fn assert_reads_match(pg: &PropertyGraph, compact: &CompactGraph, context: &str)
                 for label in pg.labels_of(old) {
                     assert_eq!(
                         compact.nodes_with_label_prop(label, name, item),
-                        dense(PgRead::nodes_with_label_prop(pg, label, name, item)),
+                        dense(&PgRead::nodes_with_label_prop(pg, label, name, item)),
                         "{context}: eq probe ({label}, {name}, {item:?})"
                     );
                     probes += 1;

@@ -96,6 +96,9 @@ fn metrics_endpoint_exposes_counters_and_memory_gauges() {
     // form; both form series are registered from the start.
     assert_eq!(get("s3pg_cypher_evaluations_total{form=\"compact\"}"), 1.0);
     assert_eq!(get("s3pg_cypher_evaluations_total{form=\"mutable\"}"), 0.0);
+    // Both listeners' caught-panic series exist from boot.
+    assert_eq!(get("s3pg_handler_panics_total{listener=\"json\"}"), 0.0);
+    assert_eq!(get("s3pg_handler_panics_total{listener=\"bolt\"}"), 0.0);
     // Latency summaries carry counts and quantiles.
     assert_eq!(
         get("s3pg_request_latency_microseconds_count{endpoint=\"ping\"}"),
@@ -108,8 +111,6 @@ fn metrics_endpoint_exposes_counters_and_memory_gauges() {
         get("s3pg_mem_total_bytes"),
         get("s3pg_mem_rdf_bytes") + get("s3pg_mem_pg_bytes")
     );
-    // The demo's `name` values are indexed, and the index is accounted.
-    assert!(get("s3pg_mem_pg_prop_index_bytes") > 0.0);
     assert_eq!(get("s3pg_snapshot_nodes"), 3.0);
     assert_eq!(get("s3pg_snapshot_conforms"), 1.0);
 

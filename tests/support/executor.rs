@@ -3,13 +3,16 @@
 //! and the check that holds the batch pipeline to the scan oracle on
 //! every snapshot form — the frozen [`CompactGraph`], the same snapshot
 //! after a round trip through its binary codec, and the mutable
-//! [`PropertyGraph`] it was frozen from.
+//! [`PropertyGraph`] it was frozen from — and holds the planner to one
+//! plan per query across those forms, which a server's plan cache relies
+//! on when one epoch's entry serves whichever form is current.
 
 use s3pg::pipeline::{transform, TransformOutput};
 use s3pg::query_translate;
 use s3pg::Mode;
 use s3pg_pg::{CompactGraph, PgRead, PropertyGraph};
 use s3pg_query::cypher;
+use s3pg_query::profile::PlanNode;
 use s3pg_shacl::extract_shapes;
 use s3pg_workloads::generate_queries;
 use s3pg_workloads::spec::{generate, DatasetSpec, GeneratedDataset};
@@ -166,8 +169,13 @@ pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> 
 }
 
 /// One query on one form: the executor's rows agree with the oracle as a
-/// multiset. Returns the rows.
-fn check_form<G: PgRead>(pg: &G, query: &Query, oracle: &[String], ctx: &str) -> cypher::Rows {
+/// multiset. Returns the rows and the `EXPLAIN` of the plan they ran.
+fn check_form<G: PgRead>(
+    pg: &G,
+    query: &Query,
+    oracle: &[String],
+    ctx: &str,
+) -> (cypher::Rows, PlanNode) {
     let q =
         cypher::parse(&query.text).unwrap_or_else(|e| panic!("{ctx}: parse {}: {e}", query.text));
     let plan = cypher::plan(pg, &q);
@@ -179,11 +187,11 @@ fn check_form<G: PgRead>(pg: &G, query: &Query, oracle: &[String], ctx: &str) ->
         "{ctx}: executor != scan for {}",
         query.text
     );
-    rows
+    (rows, cypher::explain(&q, &plan))
 }
 
 /// Every query on every form of `pg` against the scan oracle over the
-/// mutable graph.
+/// mutable graph, with the same plan on every form.
 pub fn assert_executor_matches(pg: &PropertyGraph, queries: &[Query], ctx: &str) {
     let compact = pg.freeze();
     let mut image = Vec::new();
@@ -195,14 +203,26 @@ pub fn assert_executor_matches(pg: &PropertyGraph, queries: &[Query], ctx: &str)
         let scan = cypher::evaluate_scan_params(pg, &q, &query.params)
             .unwrap_or_else(|e| panic!("{ctx}: scan {}: {e}", query.text));
         let oracle = sorted_rows(&scan);
-        let frozen = check_form(&compact, query, &oracle, &format!("{ctx}, compact"));
-        let roundtripped = check_form(&decoded, query, &oracle, &format!("{ctx}, decoded"));
+        let (frozen, frozen_plan) =
+            check_form(&compact, query, &oracle, &format!("{ctx}, compact"));
+        let (roundtripped, decoded_plan) =
+            check_form(&decoded, query, &oracle, &format!("{ctx}, decoded"));
         assert_eq!(
             frozen, roundtripped,
             "{ctx}: codec roundtrip diverges for {}",
             query.text
         );
-        check_form(pg, query, &oracle, &format!("{ctx}, mutable"));
+        let (_, mutable_plan) = check_form(pg, query, &oracle, &format!("{ctx}, mutable"));
+        assert_eq!(
+            frozen_plan, decoded_plan,
+            "{ctx}: compact and decoded forms plan {} differently",
+            query.text
+        );
+        assert_eq!(
+            frozen_plan, mutable_plan,
+            "{ctx}: compact and mutable forms plan {} differently",
+            query.text
+        );
         nonempty += usize::from(!scan.is_empty());
     }
     assert!(nonempty > 0, "{ctx}: every query returned no rows");
