@@ -385,21 +385,9 @@ impl PropertyGraph {
 
     // ---- bulk insertion --------------------------------------------------
     //
-    // Symbol-level entry points for the parallel transform's merge step:
-    // workers emit operation buffers whose labels/keys are resolved to
-    // symbols once per worker, so applying an operation is pure integer
-    // work (no hashing, no string allocation).
-
-    /// Reserve capacity ahead of a bulk insertion of roughly `nodes` nodes
-    /// and `edges` edges.
-    pub fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.nodes.reserve(nodes);
-        self.node_live.reserve(nodes);
-        self.out_edges.reserve(nodes);
-        self.in_edges.reserve(nodes);
-        self.edges.reserve(edges);
-        self.edge_live.reserve(edges);
-    }
+    // Symbol-level entry points for the transform's phase 2: it resolves a
+    // label or key to its symbol once per pass, so each element it writes
+    // is pure integer work (no hashing, no string allocation).
 
     /// Add a node carrying one pre-interned label; returns its id.
     pub fn add_node_with_label_sym(&mut self, label: Sym) -> NodeId {
@@ -900,12 +888,11 @@ mod tests {
 
     #[test]
     fn sym_entry_points_match_string_entry_points() {
-        let mut pg = PropertyGraph::new();
+        let mut pg = PropertyGraph::with_capacity(2, 1);
         let person = pg.intern("Person");
         let knows = pg.intern("knows");
         let iri = pg.intern(IRI_KEY);
         let nick = pg.intern("nick");
-        pg.reserve(2, 1);
         let a = pg.add_node_with_label_sym(person);
         let b = pg.add_node_with_label_sym(person);
         pg.set_prop_sym(a, iri, Value::String("http://ex/a".into()));

@@ -1517,11 +1517,6 @@ impl ProfHook for Prof<'_> {
         self.sink
             .record(&format!("p{}.{id}", self.part), rows as u64, elapsed);
     }
-
-    fn note_batches(self, id: std::fmt::Arguments<'_>, batches: usize) {
-        self.sink
-            .note_batches(&format!("p{}.{id}", self.part), batches as u64);
-    }
 }
 
 /// Resolve a plan's probes against the parameter map: param probes become

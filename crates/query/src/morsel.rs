@@ -473,7 +473,6 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
             let (seeded, anchors) = seed_candidates(pg, &pattern.start, candidates.as_slice());
             let mut batch = expand_hops_batch(pg, pattern, seeded, anchors)?;
             prof.record(format_args!("pat{first}"), batch.len, started);
-            prof.note_batches(format_args!("pat{first}"), 1);
             for &pi in rest {
                 if batch.len == 0 {
                     break;
@@ -487,7 +486,6 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
                     batch,
                 )?;
                 prof.record(format_args!("pat{pi}"), batch.len, started);
-                prof.note_batches(format_args!("pat{pi}"), 1);
             }
             batch
         }
@@ -510,7 +508,6 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
         }
         let mut rows = table.finish(q);
         prof.record(format_args!("aggregate"), rows.len(), started);
-        prof.note_batches(format_args!("aggregate"), 1);
         shape_rows(q, &mut rows, prof);
         rows
     } else if topk_eligible(q) {
@@ -522,7 +519,6 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
             heap.push(row(i));
         }
         prof.record(format_args!("project"), batch.len, started);
-        prof.note_batches(format_args!("project"), 1);
         // Sort, SKIP and LIMIT record under the ids the full-sort path
         // uses, so PROFILE output stays joinable.
         let started = prof.begin();
@@ -543,7 +539,6 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
         let started = prof.begin();
         let mut rows: Vec<Vec<Option<Value>>> = (0..batch.len).map(row).collect();
         prof.record(format_args!("project"), rows.len(), started);
-        prof.note_batches(format_args!("project"), 1);
         shape_rows(q, &mut rows, prof);
         rows
     };

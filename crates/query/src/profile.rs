@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 /// One operator in a rendered execution plan.
 ///
-/// `rows`/`time_us`/`batches` are `None` for `EXPLAIN` (nothing executed)
+/// `rows`/`time_us` are `None` for `EXPLAIN` (nothing executed)
 /// and filled in by [`PlanNode::annotate`] after a `PROFILE` run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlanNode {
@@ -40,9 +40,6 @@ pub struct PlanNode {
     pub rows: Option<u64>,
     /// Cumulative time spent in this operator, microseconds (profile only).
     pub time_us: Option<u64>,
-    /// Column batches this operator processed on the vectorized path
-    /// (profile only; absent for interpreted operators).
-    pub batches: Option<u64>,
     /// Input operators (leaf-first execution: children run before parents).
     pub children: Vec<PlanNode>,
 }
@@ -70,16 +67,13 @@ impl PlanNode {
         parent
     }
 
-    /// Fill `rows`/`time_us`/`batches` from `sink` wherever an operator id
+    /// Fill `rows`/`time_us` from `sink` wherever an operator id
     /// has a recorded stat; untouched operators keep `None` (e.g. stages
     /// skipped because an earlier stage produced no rows).
     pub fn annotate(&mut self, sink: &ProfSink) {
         if let Some(stat) = sink.get(&self.id) {
             self.rows = Some(stat.rows);
             self.time_us = Some(stat.time_us);
-            if stat.batches > 0 {
-                self.batches = Some(stat.batches);
-            }
         }
         for child in &mut self.children {
             child.annotate(sink);
@@ -118,9 +112,6 @@ pub struct OpStat {
     pub time_us: u64,
     /// Times the operator ran.
     pub invocations: u64,
-    /// Column batches recorded via [`ProfSink::note_batches`] (vectorized
-    /// operators only; zero on the interpreted path).
-    pub batches: u64,
 }
 
 /// A sink collecting per-operator stats during one profiled evaluation.
@@ -146,13 +137,6 @@ impl ProfSink {
         stat.rows += rows;
         stat.time_us += u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         stat.invocations += 1;
-    }
-
-    /// Record that operator `id` processed `n` column batches (the
-    /// vectorized physical path).
-    pub fn note_batches(&self, id: &str, n: u64) {
-        let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.entry(id.to_string()).or_default().batches += n;
     }
 
     /// The accumulated stat for `id`, if any invocation recorded.
@@ -188,9 +172,6 @@ pub(crate) trait ProfHook: Copy {
     fn begin(self) -> Option<Instant>;
     /// Record `rows` emitted by stage `id` since `started`.
     fn record(self, id: Arguments<'_>, rows: usize, started: Option<Instant>);
-    /// Record that stage `id` processed `batches` column batches
-    /// (vectorized operators only).
-    fn note_batches(self, id: Arguments<'_>, batches: usize);
 }
 
 /// The disabled hook: all methods compile away.
@@ -204,8 +185,6 @@ impl ProfHook for NoProf {
     }
     #[inline(always)]
     fn record(self, _id: Arguments<'_>, _rows: usize, _started: Option<Instant>) {}
-    #[inline(always)]
-    fn note_batches(self, _id: Arguments<'_>, _batches: usize) {}
 }
 
 /// The enabled hook with unprefixed ids (the SPARQL engine).
@@ -216,9 +195,6 @@ impl ProfHook for &ProfSink {
     fn record(self, id: Arguments<'_>, rows: usize, started: Option<Instant>) {
         let elapsed = started.map(|s| s.elapsed()).unwrap_or_default();
         ProfSink::record(self, &id.to_string(), rows as u64, elapsed);
-    }
-    fn note_batches(self, id: Arguments<'_>, batches: usize) {
-        ProfSink::note_batches(self, &id.to_string(), batches as u64);
     }
 }
 
@@ -231,7 +207,6 @@ mod tests {
         let sink = ProfSink::new();
         sink.record("scan", 10, Duration::from_micros(5));
         sink.record("scan", 7, Duration::from_micros(3));
-        sink.note_batches("scan", 2);
         let mut tree = PlanNode::new("NodeByLabelScan", "scan")
             .arg("label", "Person")
             .feed(PlanNode::new("Filter", "filter"));
@@ -239,7 +214,7 @@ mod tests {
         let scan = tree.find("scan").unwrap();
         assert_eq!(scan.rows, Some(17));
         assert_eq!(scan.time_us, Some(8));
-        assert_eq!(scan.batches, Some(2));
+        assert_eq!(sink.get("scan").unwrap().invocations, 2);
         // Unrecorded operators stay unannotated.
         assert_eq!(tree.rows, None);
         assert_eq!(tree.ops(), ["Filter", "NodeByLabelScan"]);

@@ -1138,7 +1138,6 @@ fn join_in_order<P: ProfHook>(
         flat = next;
         n_rows = next_rows;
         prof.record(format_args!("pat{}", step.pattern), n_rows, started);
-        prof.note_batches(format_args!("pat{}", step.pattern), 1);
         for &j in &step.filters {
             let started = prof.begin();
             let mut kept = 0;

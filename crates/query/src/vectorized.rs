@@ -558,7 +558,6 @@ pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
         }
         batch = batch.gather(&sel);
         prof.record(format_args!("filter"), batch.len, started);
-        prof.note_batches(format_args!("filter"), 1);
     }
     for (k, (expr, var)) in q.unwind.iter().enumerate() {
         let started = prof.begin();
@@ -577,7 +576,6 @@ pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
         batch = batch.gather(&sel);
         batch.set_col(var, Col::Val(vals));
         prof.record(format_args!("unwind{k}"), batch.len, started);
-        prof.note_batches(format_args!("unwind{k}"), 1);
     }
     if let Some(unwind_where) = &q.unwind_where {
         let started = prof.begin();
@@ -590,7 +588,6 @@ pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
         }
         batch = batch.gather(&sel);
         prof.record(format_args!("unwind_filter"), batch.len, started);
-        prof.note_batches(format_args!("unwind_filter"), 1);
     }
     Ok(batch)
 }

@@ -580,7 +580,6 @@ mod tests {
             "schema_transform",
             "phase1_nodes",
             "phase2_props",
-            "phase2_classify",
             "conformance",
             "compact",
             "emit",

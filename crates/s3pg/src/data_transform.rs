@@ -14,9 +14,9 @@
 //!    cardinality at most one and the mode is parsimonious, encode the value
 //!    as a key/value property (lines 21–23). Otherwise create a
 //!    literal-carrier node labelled by the value's datatype, store the value
-//!    under `ov`, and link it (lines 24–31). One classifier does this for
-//!    the one-shot transform and for a delta; it lives with the driver of
-//!    both phases in `phase2.rs`.
+//!    under `ov`, and link it (lines 24–31). One loop classifies and writes
+//!    each statement, for the one-shot transform and for a delta; it lives
+//!    with the driver of both phases in `phase2.rs`.
 //!
 //! Data that falls outside the schema (unknown predicates, unexpected
 //! datatypes, untyped subjects) never loses information: the schema is
@@ -267,11 +267,11 @@ struct ClassEntry {
 ///
 /// All entity nodes — typed entities *and* untyped subjects (which get the
 /// `Resource` fallback) — are created here, before any property is
-/// processed, in one order whatever the thread count: typed entities by
-/// their first `rdf:type` statement, then untyped `subjects` as given.
-/// After this phase `state.entity_types` and the set of entity nodes are
-/// frozen for the rest of the pass and every subject has its [`Slot`] in
-/// `tables`, which is what lets phase 2 run sharded on a read-only view.
+/// processed: typed entities by their first `rdf:type` statement, then
+/// untyped `subjects` as given. After this phase `state.entity_types` and
+/// the set of entity nodes are frozen for the rest of the pass and every
+/// subject has its [`Slot`] in `tables`, which is what lets phase 2 decide
+/// edge versus carrier in one look-up per object.
 pub(crate) fn ingest_phase1(
     graph: &Graph,
     subjects: &[Term],

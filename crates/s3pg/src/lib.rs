@@ -16,8 +16,7 @@
 //!   graph (§4.3).
 //! * [`pipeline`] — end-to-end API with per-phase metrics: parse → `F_st` →
 //!   `F_dt` → `PG ⊨ S_PG`, one sequential pass on the calling thread
-//!   (`phase2.rs` holds phase 2's classifier and the driver of both
-//!   phases).
+//!   (`phase2.rs` holds phase 2's loop and the driver of both phases).
 //! * [`metrics`] — per-phase wall-clock spans, throughput, and phase 2's
 //!   table sizes for that pipeline.
 //!

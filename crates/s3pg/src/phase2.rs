@@ -1,26 +1,25 @@
-//! Phase 2 of Algorithm 1 — classify, then apply — and the driver that
-//! runs both phases.
+//! Phase 2 of Algorithm 1 (lines 15–31) and the driver that runs both
+//! phases.
 //!
 //! Phase 1 (`data_transform::ingest_phase1`) assigns every entity its
 //! `NodeId` and mutates the mapping, and it leaves the mapping, the
 //! entity-type map and the node set frozen. Phase 2 (properties →
-//! key/values, edges, carriers) is then a classification of each statement
-//! against that frozen view, done in two halves:
+//! key/values, edges, carriers) is then one loop over the subjects in term
+//! order that classifies each statement against that frozen view and
+//! writes it at once through the property graph's `*_sym` entry points:
 //!
-//! * `classify` streams the subjects in term order and emits an
-//!   **operation buffer** (`Op`) that refers to pass-local label / key /
-//!   datatype tables. Per statement it does array indexing only: the
-//!   subject's and object's `(NodeId, type-set id)` come from the pass's
-//!   `PassTables`; `(type-set id, predicate symbol)` resolves once to an
-//!   encoding (key/value key, edge label, fallback); and a
-//!   `(type-set, label, target)` memo stands in front of
-//!   `TransformState::widen_cache`, so a schema-widening request is emitted
-//!   once per combination.
-//! * `apply` replays the buffer through the property graph's `*_sym` bulk
-//!   entry points. Labels, keys and carrier types are registered and
-//!   interned *lazily, when the first operation that uses them is applied*,
-//!   so `register_edge_label`, `ensure_carrier` and `widen_edge_type` run in
-//!   statement order.
+//! * the subject's and object's `(NodeId, type-set id)` come from the
+//!   pass's `PassTables`, so a statement costs array indexing;
+//! * `(type-set id, predicate symbol)` resolves once to an `Encoding`
+//!   (key/value key, edge label, fallback), whose names are registered and
+//!   interned *when the first statement that needs them is written* — an
+//!   edge label at the first edge or carrier, a key at the first key/value,
+//!   a carrier type by `ensure_carrier` at the first carrier of its
+//!   datatype — so the mapping, the schema and the PG's interner see names
+//!   in statement order;
+//! * a `(type-set, predicate, target)` memo stands in front of
+//!   `TransformState::widen_cache`, so a schema widening is checked once
+//!   per combination.
 //!
 //! The one-shot transform and every delta run the same [`ingest`] on the
 //! calling thread, so F_dt's output — node ids, carrier ids, edge ids,
@@ -28,8 +27,7 @@
 //! `(G, S_G, mode)` alone; `tests/fdt_golden.rs` pins it.
 //!
 //! For the one-shot pipeline, when a trace is active (the caller opened a
-//! span on this thread), each phase records a span and `classify` a
-//! `phase2_classify` span inside `phase2_props`. A delta is not
+//! span on this thread), each phase records a span. A delta is not
 //! instrumented here.
 
 use crate::data_transform::{
@@ -40,7 +38,7 @@ use crate::mapping::Handling;
 use crate::metrics::{EncodingCounts, PipelineMetrics};
 use crate::schema_transform::{ensure_carrier, SchemaTransform, ANY_IRI_DATATYPE};
 use s3pg_obs::tracer;
-use s3pg_pg::{NodeId, PropertyGraph, Value, VALUE_KEY};
+use s3pg_pg::{PropertyGraph, Value, VALUE_KEY};
 use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use s3pg_rdf::{Graph, Sym, Term};
 use std::time::Instant;
@@ -82,137 +80,66 @@ pub(crate) fn ingest(
 
     let t1 = Instant::now();
     let phase2_span = span("phase2_props");
-    let classify_span = span("phase2_classify");
-    let classified = classify(graph, transform, state, pg, &subjects, tables);
-    drop(classify_span);
-    let statements = classified.statements;
-    if let Some(metrics) = metrics.as_deref_mut() {
-        metrics.type_sets = classified.type_sets.len();
-        metrics.resolved_pairs = classified.resolved_pairs;
-        let done = &classified.counters;
-        metrics.phase2_items = EncodingCounts {
-            key_values: done.key_values as u64,
-            carriers: done.carrier_nodes as u64,
-            edges: (done.edges - done.carrier_nodes) as u64,
-        };
-    }
-    apply(graph, classified, transform, pg, state, counters);
+    let before = *counters;
+    let pass = phase2(graph, transform, pg, state, counters, &subjects, tables);
     drop(phase2_span);
     if let Some(metrics) = metrics {
-        metrics.record("phase2_props", t1.elapsed(), statements, "triples");
+        metrics.type_sets = pass.type_sets;
+        metrics.resolved_pairs = pass.resolved_pairs;
+        let carriers = counters.carrier_nodes - before.carrier_nodes;
+        metrics.phase2_items = EncodingCounts {
+            key_values: (counters.key_values - before.key_values) as u64,
+            carriers: carriers as u64,
+            edges: (counters.edges - before.edges - carriers) as u64,
+        };
+        metrics.record("phase2_props", t1.elapsed(), pass.statements, "triples");
     }
 }
 
-/// Pass-local reference to an edge label that may not be registered yet.
-enum LabelRef {
-    /// Label known from the schema mapping (`Handling::Edge`).
-    Known(String),
-    /// No edge handling: the label is derived from this predicate by the
-    /// apply step via `register_edge_label`.
-    Fallback(Sym),
-}
-
-/// How statements of one `(subject type set, predicate)` pair are encoded,
-/// as indexes into the pass's tables.
-#[derive(Clone, Copy)]
+/// How statements of one `(subject type set, predicate)` pair are written.
+/// Each name is resolved at its first use (see the module docs).
+#[derive(Default)]
 struct Encoding {
-    /// Key/value key for plain literals (`Handling::KeyValue`).
-    key: Option<u32>,
-    /// Edge label for everything else.
-    label: u32,
+    /// Key/value key for plain literals (`Handling::KeyValue`), with its PG
+    /// symbol once the first key/value has interned it.
+    key: Option<(String, Option<Sym>)>,
+    /// Edge label for everything else: the schema's, or — with no edge
+    /// handling — the predicate's fallback label, registered with the
+    /// mapping by the first edge or carrier.
+    label: Option<String>,
+    /// The label's PG symbol, interned when the first edge takes it.
+    label_sym: Option<Sym>,
     /// No handling in the schema: counts as a fallback triple.
     fallback: bool,
 }
 
-/// What a schema-widening request adds to an edge type's targets.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Target {
-    /// The node types of type-set `id`.
-    Types(u32),
-    /// The carrier type of datatype-table entry `i` (its name is allocated
-    /// by `ensure_carrier` during apply).
-    CarrierOf(u32),
-}
-
-/// One fully-resolved phase-2 effect, referencing pass-local tables and
-/// the input graph's symbols.
-enum Op {
-    /// First use of `(types, label, target)` in this pass: the edge type
-    /// may need widening. Precedes the edge or carrier that caused it.
-    Widen {
-        types: u32,
-        label: u32,
-        predicate: Sym,
-        target: Target,
-    },
-    Edge {
-        src: NodeId,
-        dst: NodeId,
-        label: u32,
-    },
-    KeyValue {
-        node: NodeId,
-        key: u32,
-        value: Value,
-    },
-    Carrier {
-        src: NodeId,
-        label: u32,
-        datatype: u32,
-        value: Value,
-        lang: Option<Sym>,
-        predicate: Sym,
-    },
-}
-
-/// Everything `classify` produced: the buffer, its tables and counts.
-struct Classified {
-    ops: Vec<Op>,
-    labels: Vec<LabelRef>,
-    keys: Vec<String>,
-    /// Carrier datatypes; `None` is the pseudo-datatype of resource objects.
-    datatypes: Vec<Option<Sym>>,
-    type_sets: Vec<Vec<String>>,
+/// What one phase-2 pass saw, for the pipeline's metrics.
+struct Pass {
+    type_sets: usize,
     resolved_pairs: usize,
-    counters: TransformCounters,
     statements: u64,
 }
 
-/// Index of `item` in `table`, appended on first sight through `index`.
-fn table_index<K: std::hash::Hash + Eq, T>(
-    index: &mut FxHashMap<K, u32>,
-    table: &mut Vec<T>,
-    key: K,
-    item: impl FnOnce() -> T,
-) -> u32 {
-    *index.entry(key).or_insert_with(|| {
-        table.push(item());
-        (table.len() - 1) as u32
-    })
-}
-
-/// Phase 2's first half: stream `subjects` against the transform state
-/// phase 1 froze, emitting an operation buffer. Reads only.
-fn classify(
+/// Phase 2: stream `subjects` against the entities phase 1 froze, writing
+/// each statement as an edge, a key/value or a literal carrier.
+fn phase2(
     graph: &Graph,
-    transform: &SchemaTransform,
-    state: &TransformState,
-    pg: &PropertyGraph,
+    transform: &mut SchemaTransform,
+    pg: &mut PropertyGraph,
+    state: &mut TransformState,
+    counters: &mut TransformCounters,
     subjects: &[Term],
     mut tables: PassTables,
-) -> Classified {
+) -> Pass {
     let type_p = graph.type_predicate_opt();
-    // About one operation per statement.
-    let mut ops = Vec::with_capacity(graph.len());
-    let (mut labels, mut keys, mut datatypes) = (Vec::new(), Vec::new(), Vec::new());
-    let mut counters = TransformCounters::default();
     let mut statements = 0u64;
     let mut encodings: FxHashMap<(u32, Sym), Encoding> = FxHashMap::default();
-    let mut known_labels: FxHashMap<&str, u32> = FxHashMap::default();
-    let mut fallback_labels: FxHashMap<Sym, u32> = FxHashMap::default();
-    let mut key_index: FxHashMap<&str, u32> = FxHashMap::default();
-    let mut datatype_index: FxHashMap<Option<Sym>, u32> = FxHashMap::default();
-    let mut widened: FxHashSet<(u32, u32, Target)> = FxHashSet::default();
+    // Carrier datatype (`None` for resource objects) → carrier type name
+    // and label symbol.
+    let mut carriers: FxHashMap<Option<Sym>, (String, Sym)> = FxHashMap::default();
+    let mut widened_edges: FxHashSet<(u32, Sym, u32)> = FxHashSet::default();
+    let mut widened_carriers: FxHashSet<(u32, Sym, Option<Sym>)> = FxHashSet::default();
+    let (mut value_key, mut lang_key) = (None, None);
 
     for &s_term in subjects {
         // Phase 1 gave every subject with a data statement its slot.
@@ -228,50 +155,29 @@ fn classify(
                 continue;
             }
             statements += 1;
-            let encoding = *encodings.entry((types, t.p)).or_insert_with(|| {
+            let encoding = encodings.entry((types, t.p)).or_insert_with(|| {
                 let predicate = graph.resolve(t.p);
                 let handling = tables.type_sets[types as usize]
                     .iter()
                     .find_map(|tn| transform.mapping.handling_for(tn, predicate));
-                let mut fallback_label = || {
-                    table_index(&mut fallback_labels, &mut labels, t.p, || {
-                        LabelRef::Fallback(t.p)
-                    })
-                };
                 match handling {
                     Some(Handling::Edge { label }) => Encoding {
-                        key: None,
-                        label: table_index(&mut known_labels, &mut labels, label, || {
-                            LabelRef::Known(label.clone())
-                        }),
-                        fallback: false,
+                        label: Some(label.clone()),
+                        ..Encoding::default()
                     },
                     // A key/value property still needs an edge label for
                     // the objects a key/value cannot hold.
                     Some(Handling::KeyValue { key, .. }) => Encoding {
-                        key: Some(table_index(&mut key_index, &mut keys, key, || key.clone())),
-                        label: fallback_label(),
-                        fallback: false,
+                        key: Some((key.clone(), None)),
+                        ..Encoding::default()
                     },
                     None => Encoding {
-                        key: None,
-                        label: fallback_label(),
                         fallback: true,
+                        ..Encoding::default()
                     },
                 }
             });
             counters.fallback_triples += usize::from(encoding.fallback);
-            let label = encoding.label;
-            let mut widen_once = |ops: &mut Vec<Op>, target: Target| {
-                if widened.insert((types, label, target)) {
-                    ops.push(Op::Widen {
-                        types,
-                        label,
-                        predicate: t.p,
-                        target,
-                    });
-                }
-            };
 
             // Object is a typed entity → edge (Algorithm 1, line 16).
             let object = match t.o {
@@ -283,12 +189,17 @@ fn classify(
                 types: target,
             } = object
             {
-                widen_once(&mut ops, Target::Types(target));
-                ops.push(Op::Edge {
-                    src: s_node,
-                    dst,
-                    label,
+                let label = encoding.label.get_or_insert_with(|| {
+                    transform.mapping.register_edge_label(graph.resolve(t.p))
                 });
+                if widened_edges.insert((types, t.p, target)) {
+                    let targets = tables.type_sets[target as usize].clone();
+                    let subject_types = &tables.type_sets[types as usize];
+                    let predicate = graph.resolve(t.p);
+                    widen(transform, state, subject_types, label, predicate, targets);
+                }
+                let label = *encoding.label_sym.get_or_insert_with(|| pg.intern(label));
+                pg.add_edge_sym(s_node, dst, label);
                 counters.edges += 1;
                 continue;
             }
@@ -296,233 +207,101 @@ fn classify(
             // Parsimonious key/value (lines 21–23). Language-tagged values
             // need the carrier to keep the tag, and an IRI the schema did
             // not anticipate takes the lossless carrier path too.
-            if let (Some(key), Term::Literal(lit)) = (encoding.key, t.o) {
+            if let (Some((key, key_sym)), Term::Literal(lit)) = (&mut encoding.key, t.o) {
                 if lit.lang.is_none() {
                     let value =
                         preserve_value(graph.resolve(lit.lexical), graph.resolve(lit.datatype));
-                    ops.push(Op::KeyValue {
-                        node: s_node,
-                        key,
-                        value,
-                    });
+                    let key = *key_sym.get_or_insert_with(|| pg.intern(key));
+                    pg.push_prop_sym(s_node, key, value);
                     counters.key_values += 1;
                     continue;
                 }
             }
 
-            // Carrier node (lines 24–31).
+            // Carrier node (lines 24–31). Schema first — carrier type, then
+            // edge label, then the widening — then the PG names, each
+            // interned as the element that needs it is added.
             let datatype = t.o.as_literal().map(|lit| lit.datatype);
-            let datatype = table_index(&mut datatype_index, &mut datatypes, datatype, || datatype);
-            let (value, lang) = carrier_value(graph, t.o);
-            widen_once(&mut ops, Target::CarrierOf(datatype));
-            ops.push(Op::Carrier {
-                src: s_node,
-                label,
-                datatype,
-                value,
-                lang,
-                predicate: t.p,
+            let (carrier_type, carrier_label) = carriers.entry(datatype).or_insert_with(|| {
+                let datatype = datatype.map_or(ANY_IRI_DATATYPE, |dt| graph.resolve(dt));
+                let (type_name, label) =
+                    ensure_carrier(&mut transform.pg_schema, &mut transform.mapping, datatype);
+                (type_name, pg.intern(&label))
             });
+            let label = encoding
+                .label
+                .get_or_insert_with(|| transform.mapping.register_edge_label(graph.resolve(t.p)));
+            if widened_carriers.insert((types, t.p, datatype)) {
+                let targets = vec![carrier_type.clone()];
+                let subject_types = &tables.type_sets[types as usize];
+                let predicate = graph.resolve(t.p);
+                widen(transform, state, subject_types, label, predicate, targets);
+            }
+            let (value, lang) = carrier_value(graph, t.o);
+            // A carrier standing in for a resource holds that entity's
+            // reference: a pending forward reference, so a later delta can
+            // repair it into a real edge.
+            let pending = match (datatype, &value) {
+                (None, Value::String(entity)) => Some(entity.clone()),
+                _ => None,
+            };
+            let o_node = pg.add_node_with_label_sym(*carrier_label);
+            let value_key = *value_key.get_or_insert_with(|| pg.intern(VALUE_KEY));
+            pg.set_prop_sym(o_node, value_key, value);
+            if let Some(lang) = lang {
+                let lang_key = *lang_key.get_or_insert_with(|| pg.intern(LANG_KEY));
+                let lang = graph.resolve(lang).to_string();
+                pg.set_prop_sym(o_node, lang_key, Value::String(lang));
+            }
+            let edge_label = *encoding.label_sym.get_or_insert_with(|| pg.intern(label));
+            pg.add_edge_sym(s_node, o_node, edge_label);
+            if let Some(entity) = pending {
+                state
+                    .pending_refs
+                    .entry(entity)
+                    .or_default()
+                    .push(PendingRef {
+                        src: s_node,
+                        label: label.clone(),
+                        predicate: graph.resolve(t.p).to_string(),
+                        carrier: o_node,
+                    });
+            }
             counters.carrier_nodes += 1;
             counters.edges += 1;
         }
     }
-    Classified {
-        ops,
-        labels,
-        keys,
-        datatypes,
-        type_sets: tables.type_sets,
+    Pass {
+        type_sets: tables.type_sets.len(),
         resolved_pairs: encodings.len(),
-        counters,
         statements,
     }
 }
 
-/// An edge label of the pass, registered and interned on first use.
-struct EdgeLabel {
-    label: LabelRef,
-    sym: Option<Sym>,
-}
-
-impl EdgeLabel {
-    /// The label's name, registering a fallback predicate with the mapping
-    /// the first time it is asked for.
-    fn name(&mut self, graph: &Graph, transform: &mut SchemaTransform) -> &str {
-        if let LabelRef::Fallback(predicate) = self.label {
-            let predicate = graph.resolve(predicate);
-            self.label = LabelRef::Known(transform.mapping.register_edge_label(predicate));
-        }
-        match &self.label {
-            LabelRef::Known(name) => name,
-            LabelRef::Fallback(_) => unreachable!("registered above"),
-        }
-    }
-
-    /// The label's PG symbol, interned when the first edge takes it.
-    fn sym(&mut self, graph: &Graph, schema: &mut SchemaTransform, pg: &mut PropertyGraph) -> Sym {
-        if self.sym.is_none() {
-            self.sym = Some(pg.intern(self.name(graph, schema)));
-        }
-        self.sym.expect("interned above")
-    }
-}
-
-/// A carrier datatype of the pass: its node type is declared and its label
-/// interned on first use.
-struct CarrierType {
-    datatype: Option<Sym>,
-    /// `(carrier type name, carrier label)` once `ensure_carrier` ran.
-    names: Option<(String, String)>,
-    sym: Option<Sym>,
-}
-
-impl CarrierType {
-    fn names(&mut self, graph: &Graph, transform: &mut SchemaTransform) -> &(String, String) {
-        let datatype = self.datatype;
-        self.names.get_or_insert_with(|| {
-            let datatype = datatype.map_or(ANY_IRI_DATATYPE, |dt| graph.resolve(dt));
-            ensure_carrier(&mut transform.pg_schema, &mut transform.mapping, datatype)
-        })
-    }
-
-    /// The carrier label's PG symbol, interned when the first node takes it.
-    fn sym(&mut self, graph: &Graph, schema: &mut SchemaTransform, pg: &mut PropertyGraph) -> Sym {
-        if self.sym.is_none() {
-            self.sym = Some(pg.intern(&self.names(graph, schema).1));
-        }
-        self.sym.expect("interned above")
-    }
-}
-
-/// Phase 2's second half: apply the operation buffer. Table entries
-/// are registered and interned when the first operation that uses them is
-/// reached — so the mapping, the schema and the PG's interner see names in
-/// statement order — and from then on an operation is symbols and
-/// `NodeId`s only.
-fn apply(
-    graph: &Graph,
-    output: Classified,
+/// The memoised monotone widening of `label`'s edge type from
+/// `subject_types` to `targets`: `TransformState::widen_cache` skips the
+/// schema walk for a combination an earlier pass admitted already.
+fn widen(
     transform: &mut SchemaTransform,
-    pg: &mut PropertyGraph,
     state: &mut TransformState,
-    counters: &mut TransformCounters,
+    subject_types: &[String],
+    label: &str,
+    predicate: &str,
+    targets: Vec<String>,
 ) {
-    let type_sets = output.type_sets;
-    let mut labels: Vec<EdgeLabel> = output
-        .labels
-        .into_iter()
-        .map(|label| EdgeLabel { label, sym: None })
-        .collect();
-    let mut keys: Vec<(String, Option<Sym>)> =
-        output.keys.into_iter().map(|key| (key, None)).collect();
-    let mut carriers: Vec<CarrierType> = output
-        .datatypes
-        .into_iter()
-        .map(|datatype| CarrierType {
-            datatype,
-            names: None,
-            sym: None,
-        })
-        .collect();
-    let (mut value_key, mut lang_key) = (None, None);
-
-    pg.reserve(output.counters.carrier_nodes, output.counters.edges);
-    for op in output.ops {
-        match op {
-            Op::Widen {
-                types,
-                label,
-                predicate,
-                target,
-            } => {
-                // The memoised monotone widening: the pass's memo only
-                // spares the string-keyed check.
-                let targets = match target {
-                    Target::Types(id) => type_sets[id as usize].clone(),
-                    Target::CarrierOf(i) => {
-                        vec![carriers[i as usize].names(graph, transform).0.clone()]
-                    }
-                };
-                let label = labels[label as usize].name(graph, transform);
-                let subject_types = &type_sets[types as usize];
-                let cache_key = widen_cache_key(subject_types, label);
-                let cached = state
-                    .widen_cache
-                    .get(&cache_key)
-                    .is_some_and(|ok| targets.iter().all(|t| ok.contains(t)));
-                if !cached {
-                    let predicate = graph.resolve(predicate);
-                    widen_edge_type(transform, subject_types, label, predicate, targets.clone());
-                    state
-                        .widen_cache
-                        .entry(cache_key)
-                        .or_default()
-                        .extend(targets);
-                }
-            }
-            Op::Edge { src, dst, label } => {
-                let label = labels[label as usize].sym(graph, transform, pg);
-                pg.add_edge_sym(src, dst, label);
-            }
-            Op::KeyValue { node, key, value } => {
-                let (key, sym) = &mut keys[key as usize];
-                let sym = *sym.get_or_insert_with(|| pg.intern(key));
-                pg.push_prop_sym(node, sym, value);
-            }
-            Op::Carrier {
-                src,
-                label,
-                datatype,
-                value,
-                lang,
-                predicate,
-            } => {
-                // Schema first — carrier type, then edge label — then the
-                // PG names, each interned as the element that needs it is
-                // added.
-                let carrier = &mut carriers[datatype as usize];
-                carrier.names(graph, transform);
-                let label = &mut labels[label as usize];
-                label.name(graph, transform);
-                // A carrier standing in for a resource holds that entity's
-                // reference: a pending forward reference, so a later delta
-                // can repair it into a real edge.
-                let pending = match (carrier.datatype, &value) {
-                    (None, Value::String(entity)) => Some(entity.clone()),
-                    _ => None,
-                };
-                let carrier = carrier.sym(graph, transform, pg);
-                let o_node = pg.add_node_with_label_sym(carrier);
-                let value_key = *value_key.get_or_insert_with(|| pg.intern(VALUE_KEY));
-                pg.set_prop_sym(o_node, value_key, value);
-                if let Some(lang) = lang {
-                    let lang_key = *lang_key.get_or_insert_with(|| pg.intern(LANG_KEY));
-                    let lang = graph.resolve(lang).to_string();
-                    pg.set_prop_sym(o_node, lang_key, Value::String(lang));
-                }
-                let edge_label = label.sym(graph, transform, pg);
-                pg.add_edge_sym(src, o_node, edge_label);
-                if let Some(entity) = pending {
-                    state
-                        .pending_refs
-                        .entry(entity)
-                        .or_default()
-                        .push(PendingRef {
-                            src,
-                            label: label.name(graph, transform).to_string(),
-                            predicate: graph.resolve(predicate).to_string(),
-                            carrier: o_node,
-                        });
-                }
-            }
-        }
+    let cache_key = widen_cache_key(subject_types, label);
+    let cached = state
+        .widen_cache
+        .get(&cache_key)
+        .is_some_and(|ok| targets.iter().all(|t| ok.contains(t)));
+    if !cached {
+        widen_edge_type(transform, subject_types, label, predicate, targets.clone());
+        state
+            .widen_cache
+            .entry(cache_key)
+            .or_default()
+            .extend(targets);
     }
-
-    counters.carrier_nodes += output.counters.carrier_nodes;
-    counters.edges += output.counters.edges;
-    counters.key_values += output.counters.key_values;
-    counters.fallback_triples += output.counters.fallback_triples;
 }
 
 #[cfg(test)]

@@ -369,7 +369,7 @@ pub enum Response {
         plan: PlanNode,
     },
     /// Result rows of a `PROFILE`-prefixed query plus its operator tree
-    /// annotated with per-operator rows/time/batches. `columns` carries the
+    /// annotated with per-operator rows and time. `columns` carries the
     /// projection for both languages (SPARQL variables appear as columns).
     Profile {
         language: String,
@@ -474,7 +474,7 @@ pub struct QueryStatEntry {
 }
 
 /// Serialize an operator tree as a JSON object: `op`, `id`, then `args`
-/// (object), `rows`/`time_us`/`batches` (profile annotations), and
+/// (object), `rows`/`time_us` (profile annotations), and
 /// `children` — each omitted when empty/absent, so
 /// `EXPLAIN` plans carry no profile fields at all.
 pub fn plan_to_json(node: &PlanNode) -> Json {
@@ -498,9 +498,6 @@ pub fn plan_to_json(node: &PlanNode) -> Json {
     }
     if let Some(time_us) = node.time_us {
         fields.push(("time_us".to_string(), time_us.into()));
-    }
-    if let Some(batches) = node.batches {
-        fields.push(("batches".to_string(), batches.into()));
     }
     if !node.children.is_empty() {
         fields.push((
@@ -532,7 +529,6 @@ fn plan_from_json(value: &Json) -> Result<PlanNode, String> {
     }
     node.rows = value.get("rows").and_then(Json::as_u64);
     node.time_us = value.get("time_us").and_then(Json::as_u64);
-    node.batches = value.get("batches").and_then(Json::as_u64);
     if let Some(children) = value.get("children") {
         for child in children
             .as_array()
@@ -1022,7 +1018,6 @@ mod tests {
                         PlanNode::new("TriplePatternScan", "pat0").arg("pattern", "?s ?p ?o");
                     scan.rows = Some(3);
                     scan.time_us = Some(17);
-                    scan.batches = Some(4);
                     scan.feed(PlanNode::new("Projection", "project"))
                 },
             },

@@ -10,6 +10,13 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# The benchmark package has its own workspace and path-depends on
+# crates/*, so the root `cargo test` never compiles it: a change to a
+# crate API the harness calls (`transform_with`, `PipelineMetrics::phase`,
+# `conformance::check`, the WAL checkpoint writer, ...) fails here.
+echo "== cargo test -q --manifest-path benchmark/Cargo.toml =="
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -1,12 +1,14 @@
-//! Golden digests of `F_dt` at `threads = 1`: the property graph (node
-//! ids, edge ids, labels, records), the widened `S_PG`, and the writer-side
-//! state (`Mapping`, `TransformState`, the PG's label/key interning order)
-//! for every generator × mode, one-shot and after a delta sequence.
+//! Golden digests of `F_dt`: the property graph (node ids, edge ids,
+//! labels, records), the widened `S_PG`, and the writer-side state
+//! (`Mapping`, `TransformState`, the PG's label/key interning order) for
+//! every generator × mode, one-shot, after a delta sequence, and after a
+//! sample of the triples is deleted and re-added (`churn`).
 //!
-//! The digests were recorded from the string-keyed phase-2 loop
-//! (`ingest_phase2` at bcb45ff) before it was deleted in favour of the
-//! symbol-table classifier shared with the sharded driver; they must never
-//! change unasked. A `compact.bin` adopted on restart was frozen from a PG
+//! The one-shot and delta digests were recorded from the string-keyed
+//! phase-2 loop (`ingest_phase2` at bcb45ff) before it was replaced by the
+//! symbol-table phase 2; the `churn` digests from the classify-then-apply
+//! phase 2 (c737683) before its two passes were fused into one. They must
+//! never change unasked. A `compact.bin` adopted on restart was frozen from a PG
 //! with these node and edge ids, and a replica replaying the same WAL
 //! re-derives them, so "isomorphic" is not enough here: ids, label
 //! registration order and schema registration order are all pinned.
@@ -34,6 +36,9 @@ use s3pg_workloads::{bio2rdf, dbpedia, generate_skewed};
 /// Seed of every random split below (in every assertion message too).
 const SPLIT_SEED: u64 = 0x601D;
 const BATCHES: usize = 5;
+/// Seed of the `churn` path's sample, and the share of triples it takes.
+const CHURN_SEED: u64 = 0xC4A2;
+const CHURN_SHARE: f64 = 0.1;
 
 /// What the paper's generators never emit but the mapping must still pin:
 /// blank-node subjects and objects, language tags, a non-canonical
@@ -164,8 +169,38 @@ fn batched(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
     out
 }
 
-/// `(dataset, mode, path) → (output digest, state digest)`, recorded at
-/// bcb45ff.
+/// [`batched`], then a seeded sample of about [`CHURN_SHARE`] of `graph`'s
+/// triples deleted in one N-Triples delta and re-added in the next: the
+/// deleting deltas the server's write path takes.
+fn churned(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
+    let mut out = batched(graph, shapes, mode);
+    let mut rng = XorShiftRng::seed_from_u64(CHURN_SEED);
+    let mut sample = Graph::new();
+    for t in graph.triples() {
+        if rng.random_bool(CHURN_SHARE) {
+            let s = sample.import_term(graph, t.s);
+            let p = sample.import_sym(graph, t.p);
+            let o = sample.import_term(graph, t.o);
+            sample.insert(s, p, o);
+        }
+    }
+    let sample = to_ntriples(&sample);
+    for (additions, deletions) in [("", sample.as_str()), (sample.as_str(), "")] {
+        apply_ntriples_delta(
+            &mut out.pg,
+            &mut out.schema,
+            &mut out.state,
+            additions,
+            deletions,
+        )
+        .expect("own serialisation parses");
+    }
+    out
+}
+
+/// `(dataset, mode, path) → (output digest, state digest)`. The one-shot
+/// and `deltas` entries were recorded at bcb45ff, the `churn` entries at
+/// c737683, before phase 2's classify and apply passes were fused.
 const GOLDEN: &[(&str, &str, &str, u32, u32)] = &[
     (
         "dbpedia",
@@ -277,6 +312,52 @@ const GOLDEN: &[(&str, &str, &str, u32, u32)] = &[
         0xea613101,
         0x9bc673a7,
     ),
+    ("dbpedia", "parsimonious", "churn", 0x641875f5, 0x3f4df4dc),
+    (
+        "dbpedia",
+        "non-parsimonious",
+        "churn",
+        0x73df9afb,
+        0xda6476ab,
+    ),
+    ("skew", "parsimonious", "churn", 0xcd5bdea6, 0xe89646a8),
+    ("skew", "non-parsimonious", "churn", 0x1dd8ae12, 0xadd2e417),
+    (
+        "university",
+        "parsimonious",
+        "churn",
+        0x9ccf8b75,
+        0x0ca746c9,
+    ),
+    (
+        "university",
+        "non-parsimonious",
+        "churn",
+        0x08db1aca,
+        0x7f87cd94,
+    ),
+    ("bio2rdf", "parsimonious", "churn", 0x507dd328, 0xc9f79a97),
+    (
+        "bio2rdf",
+        "non-parsimonious",
+        "churn",
+        0x4b050c56,
+        0xc2c7e2c4,
+    ),
+    (
+        "edge-cases",
+        "parsimonious",
+        "churn",
+        0x2ac98efe,
+        0xe40ad45b,
+    ),
+    (
+        "edge-cases",
+        "non-parsimonious",
+        "churn",
+        0xbfc37c5d,
+        0x9bc673a7,
+    ),
 ];
 
 #[test]
@@ -293,6 +374,7 @@ fn f_dt_output_is_pinned_for_every_generator_mode_and_path() {
             let runs = [
                 ("one-shot", transform(&graph, &shapes, mode)),
                 ("deltas", batched(&graph, &shapes, mode)),
+                ("churn", churned(&graph, &shapes, mode)),
             ];
             for (path, out) in runs {
                 let (output, state) = digests(&out);
@@ -302,8 +384,9 @@ fn f_dt_output_is_pinned_for_every_generator_mode_and_path() {
                     .unwrap_or_else(|| panic!("no golden entry for {name} {mode_name} {path}"));
                 assert!(
                     (output, state) == (golden.3, golden.4),
-                    "{name} {mode_name} {path} (split seed {SPLIT_SEED:#x}, {BATCHES} batches): \
-                     F_dt at threads = 1 no longer produces the recorded (output, state) digests: \
+                    "{name} {mode_name} {path} (split seed {SPLIT_SEED:#x}, {BATCHES} batches, \
+                     churn seed {CHURN_SEED:#x}): \
+                     F_dt no longer produces the recorded (output, state) digests: \
                      actual ({output:#010x}, {state:#010x}), recorded ({:#010x}, {:#010x})",
                     golden.3,
                     golden.4

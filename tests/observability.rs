@@ -516,9 +516,9 @@ fn one_update_publishes_its_write_path_metrics_and_spans() {
             "{name} must hang under the update's execute span"
         );
     }
-    // The delta goes through the pipeline's classifier but not its
+    // The delta goes through the pipeline's phases but not its
     // instrument: an update's trace holds the server's spans only.
-    for name in ["phase1_nodes", "phase2_props", "phase2_classify"] {
+    for name in ["phase1_nodes", "phase2_props"] {
         let leaked = begins
             .iter()
             .any(|v| v.get("name").and_then(Json::as_str) == Some(name) && id(v, "trace") == trace);
@@ -627,25 +627,24 @@ fn pipeline_trace_forms_a_valid_span_tree() {
         "schema_transform",
         "phase1_nodes",
         "phase2_props",
-        "phase2_classify",
         "conformance",
     ] {
         assert!(begins.contains(&name), "{name} missing from {begins:?}");
     }
-    // One pass: phase 2 classifies once, inside its own span.
+    // One pass: each phase runs once, the two side by side.
     let begun = |name: &str| {
         events
             .iter()
             .filter(|e| e.kind == EventKind::Begin && e.name == name)
             .collect::<Vec<_>>()
     };
-    let (phase2, classify) = (begun("phase2_props"), begun("phase2_classify"));
-    assert_eq!((phase2.len(), classify.len()), (1, 1), "{begins:?}");
-    assert_eq!(classify[0].parent, phase2[0].span);
+    let (phase1, phase2) = (begun("phase1_nodes"), begun("phase2_props"));
+    assert_eq!((phase1.len(), phase2.len()), (1, 1), "{begins:?}");
+    assert_eq!(phase2[0].parent, phase1[0].parent);
 }
 
 /// `s3pg-convert --metrics --trace-out` leaves a trace file that is a
-/// valid span tree with one `phase2_classify` span, beside a complete
+/// valid span tree with one `phase2_props` span, beside a complete
 /// `metrics.json`.
 #[test]
 fn convert_writes_a_valid_trace_beside_a_complete_metrics_json() {
@@ -704,10 +703,10 @@ fn convert_writes_a_valid_trace_beside_a_complete_metrics_json() {
     }
     assert!(!events.is_empty() && events.len() % 2 == 0, "{text}");
     validate_span_tree(&events).unwrap();
-    let classify = events
+    let phase2 = events
         .iter()
-        .filter(|e| e.kind == EventKind::Begin && e.name == "phase2_classify");
-    assert_eq!(classify.count(), 1, "{text}");
+        .filter(|e| e.kind == EventKind::Begin && e.name == "phase2_props");
+    assert_eq!(phase2.count(), 1, "{text}");
 
     let text = std::fs::read_to_string(path("convert/metrics.json")).unwrap();
     let value = json::parse(text.trim()).unwrap();
