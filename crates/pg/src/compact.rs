@@ -38,7 +38,7 @@
 
 use crate::graph::{EdgeId, NodeId, PropertyGraph};
 use crate::read::PgRead;
-use crate::value::Value;
+use crate::value::{Scalar, Value};
 use s3pg_rdf::fxhash::FxHashMap;
 use s3pg_rdf::{Interner, Sym};
 use std::borrow::Cow;
@@ -496,15 +496,28 @@ impl CompactGraph {
     /// Decode a stored value back to the engine's owned [`Value`] form.
     pub fn decode(&self, value: &CValue) -> Value {
         match value {
-            CValue::Str(s) => Value::String(self.dict.resolve(*s).to_string()),
-            CValue::Int(i) => Value::Int(*i),
-            CValue::Float(bits) => Value::Float(f64::from_bits(*bits)),
-            CValue::Bool(b) => Value::Bool(*b),
-            CValue::Date(s) => Value::Date(self.dict.resolve(*s).to_string()),
-            CValue::DateTime(s) => Value::DateTime(self.dict.resolve(*s).to_string()),
-            CValue::Year(y) => Value::Year(*y),
             CValue::List(items) => Value::List(items.iter().map(|v| self.decode(v)).collect()),
+            _ => self
+                .scalar(value)
+                .map(Scalar::to_value)
+                .expect("only a list has no scalar form"),
         }
+    }
+
+    /// A stored scalar, borrowed: strings resolve through the dictionary.
+    /// `None` for a list.
+    #[inline]
+    fn scalar(&self, value: &CValue) -> Option<Scalar<'_>> {
+        Some(match value {
+            CValue::Str(s) => Scalar::String(self.dict.resolve(*s)),
+            CValue::Int(i) => Scalar::Int(*i),
+            CValue::Float(bits) => Scalar::Float(f64::from_bits(*bits)),
+            CValue::Bool(b) => Scalar::Bool(*b),
+            CValue::Date(s) => Scalar::Date(self.dict.resolve(*s)),
+            CValue::DateTime(s) => Scalar::DateTime(self.dict.resolve(*s)),
+            CValue::Year(y) => Scalar::Year(*y),
+            CValue::List(_) => return None,
+        })
     }
 
     /// Encode an equality-probe value against the frozen dictionary.
@@ -707,6 +720,18 @@ impl PgRead for CompactGraph {
             .iter()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| self.decode(v))
+    }
+
+    #[inline]
+    fn node_scalar(&self, id: NodeId, key: Sym) -> Option<Scalar<'_>> {
+        let (_, v) = self.node_props_row(id).iter().find(|(k, _)| *k == key)?;
+        self.scalar(v)
+    }
+
+    #[inline]
+    fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<Scalar<'_>> {
+        let (_, v) = self.edge_props_row(id).iter().find(|(k, _)| *k == key)?;
+        self.scalar(v)
     }
 
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {

@@ -737,6 +737,16 @@ impl crate::read::PgRead for PropertyGraph {
             .map(|(_, v)| v.clone())
     }
 
+    fn node_scalar(&self, id: NodeId, key: Sym) -> Option<crate::value::Scalar<'_>> {
+        let props = &self.nodes[id.0 as usize].props;
+        props.iter().find(|(k, _)| *k == key)?.1.as_scalar()
+    }
+
+    fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<crate::value::Scalar<'_>> {
+        let props = &self.edges[id.0 as usize].props;
+        props.iter().find(|(k, _)| *k == key)?.1.as_scalar()
+    }
+
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         let e = &self.edges[id.0 as usize];
         (e.src, e.dst)

@@ -41,4 +41,4 @@ pub use graph::{Edge, EdgeId, Node, NodeId, PropertyGraph, Touched, IRI_KEY, VAL
 pub use read::PgRead;
 pub use schema::{CountKey, EdgeType, NodeType, NodeTypeKind, PgSchema, PropertySpec};
 pub use stats::PgStats;
-pub use value::{ContentType, Value};
+pub use value::{ContentType, Scalar, Value};

@@ -14,8 +14,11 @@
 //!   predicate — the mutable graph's rows contain tombstones that callers
 //!   skip, while the compact form returns contiguous CSR rows where every
 //!   edge is live (the predicate is constant `true`);
-//! * property reads return owned [`Value`]s — the compact form decodes
-//!   from its dictionary on the fly;
+//! * a scalar property read ([`node_scalar`]) borrows: a [`Scalar`] holds
+//!   numbers inline and strings as `&str` into the mutable graph's value
+//!   or the compact form's dictionary. Lists, and callers that keep the
+//!   value, read an owned [`Value`] ([`node_prop_sym`]) — the compact
+//!   form decodes it from its dictionary;
 //! * an equality probe ([`nodes_with_label_prop`]) borrows the compact
 //!   form's index postings, while the mutable graph, which keeps no value
 //!   index, filters its label postings into an owned list. Both answer the
@@ -25,13 +28,15 @@
 //! on top of the symbol-keyed ones, for callers that touch one row.
 //!
 //! [`key_sym`]: PgRead::key_sym
+//! [`node_scalar`]: PgRead::node_scalar
+//! [`node_prop_sym`]: PgRead::node_prop_sym
 //! [`edge_live`]: PgRead::edge_live
 //! [`has_label`]: PgRead::has_label
 //! [`prop_value`]: PgRead::prop_value
 //! [`nodes_with_label_prop`]: PgRead::nodes_with_label_prop
 
 use crate::graph::{EdgeId, NodeId};
-use crate::value::Value;
+use crate::value::{Scalar, Value};
 use s3pg_rdf::Sym;
 use std::borrow::Cow;
 
@@ -73,6 +78,16 @@ pub trait PgRead: Sync {
 
     /// An edge property by resolved key symbol, as an owned value.
     fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value>;
+
+    /// A node property by resolved key symbol, borrowed. `None` when the
+    /// node has no such property *or* holds a list there, which has no
+    /// scalar form; a caller that must tell the two apart reads
+    /// [`PgRead::node_prop_sym`].
+    fn node_scalar(&self, id: NodeId, key: Sym) -> Option<Scalar<'_>>;
+
+    /// An edge property by resolved key symbol, borrowed (see
+    /// [`PgRead::node_scalar`]).
+    fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<Scalar<'_>>;
 
     /// Source and destination of an edge.
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId);

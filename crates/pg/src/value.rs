@@ -213,6 +213,20 @@ impl Value {
         }
     }
 
+    /// This value as a borrowed [`Scalar`]; `None` for a list.
+    pub fn as_scalar(&self) -> Option<Scalar<'_>> {
+        Some(match self {
+            Value::String(s) => Scalar::String(s),
+            Value::Int(i) => Scalar::Int(*i),
+            Value::Float(f) => Scalar::Float(*f),
+            Value::Bool(b) => Scalar::Bool(*b),
+            Value::Date(s) => Scalar::Date(s),
+            Value::DateTime(s) => Scalar::DateTime(s),
+            Value::Year(y) => Scalar::Year(*y),
+            Value::List(_) => return None,
+        })
+    }
+
     /// Treat this value as a list: a `List` yields its items, a scalar
     /// yields itself. Mirrors Cypher's `UNWIND` coercion.
     pub fn iter_flat(&self) -> Box<dyn Iterator<Item = &Value> + '_> {
@@ -253,6 +267,51 @@ impl Value {
     }
 }
 
+/// A scalar property value borrowed from its store: numbers, booleans and
+/// years inline, strings, dates and datetimes as `&str` into the graph
+/// (the mutable graph's [`Value`], the compact form's dictionary). It is
+/// what the Cypher executor's row kernels read, so a property read costs
+/// no allocation; a list has no scalar form and is read as an owned
+/// [`Value`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
+    String(&'a str),
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Date(&'a str),
+    DateTime(&'a str),
+    Year(i32),
+}
+
+impl Scalar<'_> {
+    /// The owned value this scalar borrows from.
+    pub fn to_value(self) -> Value {
+        match self {
+            Scalar::String(s) => Value::String(s.to_string()),
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Float(f) => Value::Float(f),
+            Scalar::Bool(b) => Value::Bool(b),
+            Scalar::Date(s) => Value::Date(s.to_string()),
+            Scalar::DateTime(s) => Value::DateTime(s.to_string()),
+            Scalar::Year(y) => Value::Year(y),
+        }
+    }
+}
+
+/// The same text [`Value`]'s `Display` writes for the scalar it borrows.
+impl fmt::Display for Scalar<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Scalar::String(s) | Scalar::Date(s) | Scalar::DateTime(s) => f.write_str(s),
+            Scalar::Int(i) => write!(f, "{i}"),
+            Scalar::Float(x) => f.write_str(&format_float(*x)),
+            Scalar::Bool(b) => write!(f, "{b}"),
+            Scalar::Year(y) => write!(f, "{y}"),
+        }
+    }
+}
+
 fn format_float(f: f64) -> String {
     if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
         format!("{f:.1}")
@@ -263,23 +322,18 @@ fn format_float(f: f64) -> String {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::String(s) | Value::Date(s) | Value::DateTime(s) => write!(f, "{s}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{}", format_float(*x)),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Year(y) => write!(f, "{y}"),
-            Value::List(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
+        let Value::List(items) = self else {
+            // Every other variant has a scalar form.
+            return self.as_scalar().map_or(Ok(()), |s| write!(f, "{s}"));
+        };
+        write!(f, "[")?;
+        for (i, v) in items.iter().enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
             }
+            write!(f, "{v}")?;
         }
+        write!(f, "]")
     }
 }
 
@@ -419,5 +473,26 @@ mod tests {
             "[1, 2]"
         );
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
+    }
+
+    #[test]
+    fn scalars_render_like_their_values() {
+        let values = [
+            Value::String("a \"q\"".into()),
+            Value::Int(-3),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Date("2024-01-01".into()),
+            Value::DateTime("2024-01-01T00:00:00".into()),
+            Value::Year(1999),
+        ];
+        for v in values {
+            let s = v.as_scalar().unwrap();
+            assert_eq!(format!("{s:?}"), format!("{v:?}"));
+            assert_eq!(s.to_string(), v.to_string());
+            assert_eq!(format!("{:?}", s.to_value()), format!("{v:?}"));
+        }
+        assert!(Value::List(vec![]).as_scalar().is_none());
     }
 }

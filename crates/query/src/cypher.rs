@@ -26,7 +26,8 @@
 //! NULL produces no rows.
 
 use crate::profile::{NoProf, PlanNode, ProfHook, ProfSink};
-use s3pg_pg::{EdgeId, NodeId, PgRead, Value};
+use crate::vectorized::{Cell, KeySet};
+use s3pg_pg::{EdgeId, NodeId, PgRead, Scalar, Value};
 use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::time::Instant;
@@ -107,6 +108,21 @@ pub enum CmpOp {
     Le,
     Gt,
     Ge,
+}
+
+impl CmpOp {
+    /// Whether the operator holds between two operands that compare as
+    /// `ord`.
+    pub(crate) fn holds(self, ord: std::cmp::Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
 }
 
 /// One `MATCH … RETURN …` block.
@@ -1675,14 +1691,16 @@ pub(crate) fn finish_single_inner<G: PgRead, P: ProfHook>(
 pub(crate) fn shape_rows<P: ProfHook>(q: &SingleQuery, out: &mut Vec<Vec<Option<Value>>>, prof: P) {
     if q.distinct {
         let started = prof.begin();
-        let mut seen = FxHashSet::default();
-        out.retain(|r| {
-            let key: Vec<String> = r
-                .iter()
-                .map(|v| v.as_ref().map_or("∅".to_string(), |v| format!("{v:?}")))
-                .collect();
-            seen.insert(key)
-        });
+        // Rows key on their cells (the group key's equality), so the
+        // first of equal rows stays.
+        let keep: Vec<bool> = {
+            let mut seen: KeySet<Vec<Cell<'_>>> = KeySet::default();
+            out.iter()
+                .map(|r| seen.insert(r.iter().map(Cell::of_option).collect()))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        out.retain(|_| keep.next().unwrap_or(false));
         prof.record(format_args!("distinct"), out.len(), started);
     }
     if let Some((index, descending)) = q.order_by {
@@ -1709,10 +1727,15 @@ pub(crate) fn has_aggregate(q: &SingleQuery) -> bool {
         .any(|(item, _)| matches!(item, ReturnItem::Agg { .. }))
 }
 
-/// The total ordering ORDER BY and MIN/MAX share: typed [`compare`] where
-/// defined, rendered-string comparison across incomparable types.
-pub(crate) fn total_cmp_values(x: &Value, y: &Value) -> std::cmp::Ordering {
-    compare(x, y).unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
+/// The total ordering ORDER BY and MIN/MAX share, over non-NULL values:
+/// [`compare_scalars`] where defined, rendered-string comparison across
+/// incomparable types (and for lists).
+pub(crate) fn total_cmp(x: &Cell<'_>, y: &Cell<'_>) -> std::cmp::Ordering {
+    let typed = match (x, y) {
+        (Cell::Scalar(a), Cell::Scalar(b)) => compare_scalars(*a, *b),
+        _ => None,
+    };
+    typed.unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
 }
 
 /// The exact ORDER BY comparator [`shape_rows`] sorts with, factored out so
@@ -1724,12 +1747,21 @@ pub(crate) fn order_cmp(
     index: usize,
     descending: bool,
 ) -> std::cmp::Ordering {
-    let ord = match (&a[index], &b[index]) {
-        (Some(x), Some(y)) => total_cmp_values(x, y),
-        (None, None) => std::cmp::Ordering::Equal,
+    order_cmp_cells(
+        &Cell::of_option(&a[index]),
+        &Cell::of_option(&b[index]),
+        descending,
+    )
+}
+
+/// [`order_cmp`] over two ORDER BY keys.
+pub(crate) fn order_cmp_cells(x: &Cell<'_>, y: &Cell<'_>, descending: bool) -> std::cmp::Ordering {
+    let ord = match (x, y) {
+        (Cell::Null, Cell::Null) => std::cmp::Ordering::Equal,
         // NULL sorts last (Cypher default ascending).
-        (None, Some(_)) => std::cmp::Ordering::Greater,
-        (Some(_), None) => std::cmp::Ordering::Less,
+        (Cell::Null, _) => std::cmp::Ordering::Greater,
+        (_, Cell::Null) => std::cmp::Ordering::Less,
+        _ => total_cmp(x, y),
     };
     if descending {
         ord.reverse()
@@ -1742,7 +1774,8 @@ pub(crate) fn order_cmp(
 /// key; each aggregate accumulates within its group. `count(expr)` and
 /// `sum(expr)` skip NULLs; `count(DISTINCT expr)` / `sum(DISTINCT expr)`
 /// deduplicate non-NULL values first; `min`/`max` pick extremes under the
-/// ORDER BY comparator. Rows flow through the executor's
+/// ORDER BY comparator; `count(n)` over a node or edge variable counts its
+/// bindings. Rows flow through the executor's
 /// [`GroupTable`](crate::morsel::GroupTable), so both evaluators aggregate
 /// by identical rules.
 fn aggregate_rows<G: PgRead>(
@@ -1751,20 +1784,37 @@ fn aggregate_rows<G: PgRead>(
     rows: &[Row],
     params: &Params,
 ) -> Vec<Vec<Option<Value>>> {
-    let mut table = crate::morsel::GroupTable::default();
-    for row in rows {
-        table.add_row(q, |item| {
-            let expr = match &q.return_items[item].0 {
-                ReturnItem::Expr(e) => e,
-                // Only called for aggregate items that carry an argument.
-                ReturnItem::Agg { arg, .. } => {
-                    arg.as_ref().expect("aggregate item has an argument")
-                }
-            };
-            eval(pg, expr, row, params)
-        });
-    }
-    table.finish(q)
+    // The table's cells borrow their values, so evaluate every row first.
+    let inputs: Vec<Vec<Option<Binding>>> = rows
+        .iter()
+        .map(|row| {
+            q.return_items
+                .iter()
+                .map(|(item, _)| match item {
+                    ReturnItem::Expr(e) => eval(pg, e, row, params).map(Binding::Val),
+                    ReturnItem::Agg { arg: None, .. } => None,
+                    // A bare node or edge variable is its binding.
+                    ReturnItem::Agg {
+                        arg: Some(Expr::Var(name)),
+                        ..
+                    } if matches!(row.get(name), Some(Binding::Node(_) | Binding::Edge(_))) => {
+                        row.get(name).cloned()
+                    }
+                    ReturnItem::Agg { arg: Some(e), .. } => {
+                        eval(pg, e, row, params).map(Binding::Val)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut table = crate::morsel::GroupTable::new(q);
+    table.add_batch(inputs.len(), |k, i| match &inputs[i][k] {
+        None => Cell::Null,
+        Some(Binding::Val(v)) => Cell::of(v),
+        Some(Binding::Node(n)) => Cell::Node(*n),
+        Some(Binding::Edge(e)) => Cell::Edge(*e),
+    });
+    table.finish()
 }
 
 /// Start-binding candidates for an unbound pattern start: index probe if
@@ -1958,15 +2008,7 @@ fn eval<G: PgRead>(pg: &G, expr: &Expr, row: &Row, params: &Params) -> Option<Va
         Expr::Cmp(op, left, right) => {
             let l = eval(pg, left, row, params)?;
             let r = eval(pg, right, row, params)?;
-            let ord = compare(&l, &r)?;
-            Some(Value::Bool(match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            }))
+            Some(Value::Bool(op.holds(compare(&l, &r)?)))
         }
         Expr::And(a, b) => match (eval(pg, a, row, params), eval(pg, b, row, params)) {
             (Some(Value::Bool(x)), Some(Value::Bool(y))) => Some(Value::Bool(x && y)),
@@ -1991,20 +2033,30 @@ fn eval<G: PgRead>(pg: &G, expr: &Expr, row: &Row, params: &Params) -> Option<Va
     }
 }
 
+/// The one comparison both evaluators use, over owned values: a thin
+/// wrapper over [`compare_scalars`]. A list compares with nothing.
 pub(crate) fn compare(l: &Value, r: &Value) -> Option<std::cmp::Ordering> {
-    use Value::*;
+    compare_scalars(l.as_scalar()?, r.as_scalar()?)
+}
+
+/// Cypher's comparison of two scalars: numbers compare across int and
+/// float, a year compares with an int, strings, dates and datetimes
+/// lexically within their type, and values of any other pair of types are
+/// incomparable (`None`, which a predicate reads as NULL).
+pub(crate) fn compare_scalars(l: Scalar<'_>, r: Scalar<'_>) -> Option<std::cmp::Ordering> {
+    use Scalar::*;
     match (l, r) {
-        (Int(a), Int(b)) => Some(a.cmp(b)),
-        (Float(a), Float(b)) => a.partial_cmp(b),
-        (Int(a), Float(b)) => (*a as f64).partial_cmp(b),
-        (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)),
+        (Int(a), Int(b)) => Some(a.cmp(&b)),
+        (Float(a), Float(b)) => a.partial_cmp(&b),
+        (Int(a), Float(b)) => (a as f64).partial_cmp(&b),
+        (Float(a), Int(b)) => a.partial_cmp(&(b as f64)),
         (String(a), String(b)) => Some(a.cmp(b)),
-        (Bool(a), Bool(b)) => Some(a.cmp(b)),
+        (Bool(a), Bool(b)) => Some(a.cmp(&b)),
         (Date(a), Date(b)) => Some(a.cmp(b)),
         (DateTime(a), DateTime(b)) => Some(a.cmp(b)),
-        (Year(a), Year(b)) => Some(a.cmp(b)),
-        (Year(a), Int(b)) => Some((*a as i64).cmp(b)),
-        (Int(a), Year(b)) => Some(a.cmp(&(*b as i64))),
+        (Year(a), Year(b)) => Some(a.cmp(&b)),
+        (Year(a), Int(b)) => Some((a as i64).cmp(&b)),
+        (Int(a), Year(b)) => Some(a.cmp(&(b as i64))),
         _ => None,
     }
 }
@@ -2528,5 +2580,99 @@ mod tests {
     fn anonymous_nodes_and_rels() {
         let rows = execute(&graph(), "MATCH (:Student)-[]->(m:Course) RETURN m.title").unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    /// Four nodes, answers written by hand: `count(v)` over a node or edge
+    /// variable counts its bindings, `count(DISTINCT v)` its ids.
+    #[test]
+    fn count_over_bindings_counts_ids() {
+        let mut pg = PropertyGraph::new();
+        let ids: Vec<_> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| {
+                let id = pg.add_node(["Person"]);
+                pg.set_prop(id, "name", Value::String(name.into()));
+                id
+            })
+            .collect();
+        let course = pg.add_node(["Course"]);
+        for (src, dst) in [(0, 1), (0, 2), (1, 2)] {
+            pg.add_edge(ids[src], ids[dst], "knows");
+        }
+        pg.add_edge(ids[0], course, "takes");
+        pg.add_edge(ids[2], course, "takes");
+        let int = |n: i64| Some(Value::Int(n));
+        let name = |n: &str| Some(Value::String(n.into()));
+        let cases: Vec<(&str, Vec<Vec<Option<Value>>>)> = vec![
+            (
+                "MATCH (p:Person) RETURN count(p) AS n, count(*) AS m, count(DISTINCT p) AS d",
+                vec![vec![int(3), int(3), int(3)]],
+            ),
+            (
+                "MATCH (p:Person)-[k:knows]->(q) \
+                 RETURN count(k) AS e, count(DISTINCT q) AS t, count(DISTINCT p) AS s",
+                vec![vec![int(3), int(2), int(2)]],
+            ),
+            (
+                "MATCH (p:Person)-[:knows]->(q) RETURN p.name AS p, count(q) AS n",
+                vec![vec![name("a"), int(2)], vec![name("b"), int(1)]],
+            ),
+            (
+                "MATCH (x)-[:takes]->(c:Course) RETURN count(x) AS n, count(DISTINCT c) AS d",
+                vec![vec![int(2), int(1)]],
+            ),
+            (
+                "MATCH (p:Person) OPTIONAL MATCH (p)-[:takes]->(c) RETURN p.name AS p, count(c) AS n",
+                vec![
+                    vec![name("a"), int(1)],
+                    vec![name("b"), int(0)],
+                    vec![name("c"), int(1)],
+                ],
+            ),
+        ];
+        let compact = pg.freeze();
+        for (text, expected) in cases {
+            let q = parse(text).unwrap();
+            let params = Params::default();
+            let planned = evaluate_planned_params(&pg, &q, &plan(&pg, &q), &params, 1).unwrap();
+            assert_eq!(planned.rows, expected, "mutable: {text}");
+            let frozen =
+                evaluate_planned_params(&compact, &q, &plan(&compact, &q), &params, 1).unwrap();
+            assert_eq!(frozen.rows, expected, "compact: {text}");
+            assert_eq!(
+                evaluate_scan(&pg, &q).unwrap().rows,
+                expected,
+                "scan: {text}"
+            );
+        }
+    }
+
+    /// PROFILE annotates a pattern's seed and every hop, not only the
+    /// pattern's outermost operator, and the pattern total is unchanged.
+    #[test]
+    fn profile_records_the_seed_and_each_hop() {
+        let pg = graph();
+        let q = parse(
+            "MATCH (p:Student)-[:advisedBy]->(a)<-[:advisedBy]-(o:Student) \
+             MATCH (o)-[:takesCourse]->(c:Course) RETURN p.regNo, c.title",
+        )
+        .unwrap();
+        let p = plan(&pg, &q);
+        let sink = ProfSink::new();
+        let rows = evaluate_planned_profiled(&pg, &q, &p, &Params::default(), 1, &sink).unwrap();
+        let mut tree = explain(&q, &p);
+        tree.annotate(&sink);
+        let rows_of = |id: &str| tree.find(id).and_then(|n| n.rows);
+        // Two students seed pattern 0; each reaches alice, who is advised
+        // to both: 2 rows after the first hop, 4 after the second.
+        assert_eq!(rows_of("p0.pat0.start"), Some(2), "{tree:?}");
+        assert_eq!(rows_of("p0.pat0.hop0"), Some(2), "{tree:?}");
+        assert_eq!(rows_of("p0.pat0"), Some(4), "{tree:?}");
+        // Pattern 1 starts from the bound `o`: 4 rows, one course each.
+        assert_eq!(rows_of("p0.pat1.start"), Some(4), "{tree:?}");
+        assert_eq!(rows_of("p0.pat1"), Some(4), "{tree:?}");
+        assert_eq!(rows.len(), 4);
+        let timed = |id: &str| tree.find(id).and_then(|n| n.time_us).is_some();
+        assert!(timed("p0.pat0.start") && timed("p0.pat0.hop0") && timed("p0.pat1.start"));
     }
 }

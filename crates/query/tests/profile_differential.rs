@@ -10,7 +10,7 @@
 
 use s3pg_pg::{CompactGraph, EdgeId, PropertyGraph, Value, IRI_KEY};
 use s3pg_query::cypher::{self, Params, Rows};
-use s3pg_query::profile::ProfSink;
+use s3pg_query::profile::{PlanNode, ProfSink};
 use s3pg_query::sparql::{self, Outcome};
 use s3pg_rdf::rng::XorShiftRng;
 
@@ -115,7 +115,19 @@ const CYPHER_QUERIES: &[&str] = &[
     "MATCH (a:Person) RETURN count(*) AS c",
     "MATCH (a:Person) UNWIND a.nums AS v RETURN a.iri, v",
     "MATCH (a:Person) RETURN a.iri UNION ALL MATCH (c:Course) RETURN c.iri",
+    "MATCH (a:Person)-[:knows]->(b)-[:takesCourse]->(c) RETURN a.iri, c.iri",
+    "MATCH (a:Person)-[:knows]->(b) MATCH (b)-[:takesCourse]->(c:Course) RETURN a.iri, c.iri",
 ];
+
+/// Ids of the operators in `tree` that carry no row count.
+fn unprofiled(tree: &PlanNode, out: &mut Vec<String>) {
+    if tree.rows.is_none() {
+        out.push(tree.id.clone());
+    }
+    for child in &tree.children {
+        unprofiled(child, out);
+    }
+}
 
 /// One graph form (mutable or compact): every query, profiled vs
 /// unprofiled vs scan, plus the explain-tree join.
@@ -149,6 +161,14 @@ fn check_cypher_form<G: s3pg_pg::PgRead>(pg: &G, seed: u64, form: &str) {
                 tree.rows,
                 Some(plain.rows.len() as u64),
                 "root rows: seed {seed} {form} {text}"
+            );
+            // Every operator of a query that answered rows ran, so every
+            // one is annotated: the seed and each hop of a pattern too.
+            let mut missing = Vec::new();
+            unprofiled(&tree, &mut missing);
+            assert!(
+                plain.rows.is_empty() || missing.is_empty(),
+                "unannotated {missing:?}: seed {seed} {form} {text}"
             );
         } else {
             let total: u64 = tree.children.iter().map(|c| c.rows.unwrap_or(0)).sum();

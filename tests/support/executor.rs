@@ -68,7 +68,7 @@ pub fn plain(text: String) -> Query {
 
 /// Order-independent row rendering for the multiset comparison with the
 /// scan oracle.
-fn sorted_rows(rows: &cypher::Rows) -> Vec<String> {
+pub fn sorted_rows(rows: &cypher::Rows) -> Vec<String> {
     let mut out: Vec<String> = rows.rows.iter().map(|r| format!("{r:?}")).collect();
     out.sort();
     out
@@ -166,6 +166,134 @@ pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> 
         format!("MATCH (a:{l0}) WHERE a.iri = 'nope' RETURN a.iri"),
     ]);
     queries.into_iter().map(plain).collect()
+}
+
+/// A hand-built graph whose values exercise the row kernels' typed
+/// semantics: int and float properties that compare equal, a string where
+/// a number is expected, a missing property, list-valued properties,
+/// `-0.0` beside `0.0`, and NaN. Every `:Item` has an `iri`; `n` is an
+/// int everywhere it is set.
+pub fn kernel_graph() -> PropertyGraph {
+    use s3pg_pg::{Value, IRI_KEY};
+    let strings =
+        |xs: &[&str]| Value::List(xs.iter().map(|x| Value::String(x.to_string())).collect());
+    let items: Vec<Vec<(&str, Value)>> = vec![
+        vec![
+            ("v", Value::Int(1)),
+            ("w", Value::Float(-0.0)),
+            ("tag", Value::String("a".into())),
+            ("tags", strings(&["x", "y"])),
+            ("n", Value::Int(3)),
+        ],
+        vec![
+            ("v", Value::Float(1.0)),
+            ("w", Value::Float(0.0)),
+            ("tag", Value::String("b".into())),
+            ("tags", strings(&["x", "y"])),
+            ("n", Value::Int(4)),
+        ],
+        vec![
+            ("v", Value::Int(2)),
+            ("w", Value::Float(0.0)),
+            ("tag", Value::Int(7)),
+            ("tags", strings(&["y"])),
+        ],
+        vec![
+            ("v", Value::String("2".into())),
+            ("w", Value::Float(f64::NAN)),
+            ("tag", Value::String("c".into())),
+            ("tags", Value::String("x".into())),
+            ("n", Value::Int(5)),
+        ],
+        vec![
+            ("w", Value::Float(-0.0)),
+            ("tag", Value::Float(7.0)),
+            ("tags", Value::List(vec![Value::Int(1), Value::Float(1.0)])),
+        ],
+        vec![
+            ("v", Value::Float(2.5)),
+            ("w", Value::Float(-f64::NAN)),
+            ("tag", Value::Year(2020)),
+            ("n", Value::Int(-2)),
+        ],
+        vec![
+            ("v", Value::Int(1)),
+            ("w", Value::Float(0.0)),
+            ("tag", Value::Int(2020)),
+        ],
+    ];
+    let mut pg = PropertyGraph::new();
+    let mut ids = Vec::new();
+    for (i, props) in items.into_iter().enumerate() {
+        let id = pg.add_node(["Item"]);
+        pg.set_prop(
+            id,
+            IRI_KEY,
+            Value::String(format!("http://kernel.test/i{i}")),
+        );
+        for (key, value) in props {
+            pg.set_prop(id, key, value);
+        }
+        ids.push(id);
+    }
+    for (src, dst) in [(0, 1), (0, 2), (1, 2), (3, 4), (5, 0), (6, 0)] {
+        let e = pg.add_edge(ids[src], ids[dst], "next");
+        pg.set_edge_prop(e, "weight", Value::Float(src as f64 - dst as f64 / 2.0));
+    }
+    pg
+}
+
+/// Queries over [`kernel_graph`], one per typed rule of the row kernels,
+/// each held to the scan oracle on every form.
+pub fn kernel_queries() -> Vec<Query> {
+    use s3pg_pg::Value;
+    let with = |text: &str, params: &[(&str, Value)]| Query {
+        text: text.to_string(),
+        params: params
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    };
+    vec![
+        // Int and float parameters against int properties, and `<>`.
+        with("MATCH (i:Item) WHERE i.v = $one RETURN i.iri", &[("one", Value::Int(1))]),
+        with("MATCH (i:Item) WHERE i.v = $one RETURN i.iri", &[("one", Value::Float(1.0))]),
+        with("MATCH (i:Item) WHERE i.n > $x RETURN i.iri, i.n", &[("x", Value::Float(3.5))]),
+        with("MATCH (i:Item) WHERE i.v <> 1 RETURN i.iri, i.v", &[]),
+        with("MATCH (i:Item) WHERE i.tag = 2020 RETURN i.iri, i.tag", &[]),
+        // A string compared with a number is NULL, under NOT too.
+        with("MATCH (i:Item) WHERE i.tag = 7 RETURN i.iri", &[]),
+        with("MATCH (i:Item) WHERE NOT (i.tag < 'b') RETURN i.iri", &[]),
+        with("MATCH (i:Item) WHERE i.v > 1 OR i.tag = 'a' RETURN i.iri", &[]),
+        with("MATCH (i:Item) WHERE i.v >= 1 AND i.tag <> 'b' RETURN i.iri", &[]),
+        // A missing property.
+        with("MATCH (i:Item) WHERE i.v IS NULL RETURN i.iri", &[]),
+        with("MATCH (i:Item) WHERE i.nope IS NOT NULL RETURN count(*) AS n", &[]),
+        with("MATCH (i:Item) RETURN coalesce(i.v, i.tag) AS c, count(*) AS n", &[]),
+        // Lists in WHERE and as a group key.
+        with("MATCH (i:Item) WHERE i.tags = 'x' RETURN i.iri", &[]),
+        with("MATCH (i:Item) WHERE i.tags IS NOT NULL RETURN i.iri, i.tags", &[]),
+        with("MATCH (i:Item) RETURN i.tags AS tags, count(*) AS n, min(i.tags) AS lo", &[]),
+        with("MATCH (i:Item) RETURN DISTINCT i.tags", &[]),
+        // min/max ties between Int(1) and Float(1.0): the first row wins.
+        with("MATCH (i:Item) WHERE i.v <= 1 RETURN min(i.v) AS lo, max(i.v) AS hi", &[]),
+        with("MATCH (i:Item) RETURN min(i.v) AS lo, max(i.v) AS hi, min(i.tag) AS t", &[]),
+        // A sum that promotes int to float, and one that stays int.
+        with("MATCH (i:Item) RETURN sum(i.v) AS s, sum(i.n) AS n, sum(DISTINCT i.v) AS d", &[]),
+        with("MATCH (a:Item)-[e:next]->(b) RETURN a.iri, sum(e.weight) AS w, max(e.weight) AS m", &[]),
+        // count(DISTINCT) over mixed types, and over bindings.
+        with("MATCH (i:Item) RETURN count(DISTINCT i.v) AS v, count(DISTINCT i.tag) AS t, count(i.v) AS c", &[]),
+        with("MATCH (a:Item)-[e:next]->(b) RETURN count(e) AS e, count(DISTINCT b) AS b, count(DISTINCT a) AS a", &[]),
+        // A float group key with -0.0 and 0.0 (and NaN of both signs).
+        with("MATCH (i:Item) RETURN i.w AS w, count(*) AS n", &[]),
+        with("MATCH (i:Item) RETURN DISTINCT i.w", &[]),
+        // ORDER BY … LIMIT over groups, cut inside a tie.
+        with("MATCH (i:Item) RETURN i.w AS w, count(*) AS n ORDER BY n DESC LIMIT 2", &[]),
+        with("MATCH (i:Item) RETURN i.v AS v, count(*) AS n ORDER BY v SKIP 1 LIMIT 2", &[]),
+        // Top-K over mixed types.
+        with("MATCH (i:Item) RETURN i.iri, i.v ORDER BY i.v DESC LIMIT 3", &[]),
+        with("MATCH (i:Item) RETURN i.iri, i.tag ORDER BY i.tag SKIP 1 LIMIT 4", &[]),
+    ]
 }
 
 /// One query on one form: the executor's rows agree with the oracle as a
