@@ -722,28 +722,31 @@ impl PgRead for CompactGraph {
             .map(|(_, v)| self.decode(v))
     }
 
-    #[inline]
+    #[inline(always)]
     fn node_scalar(&self, id: NodeId, key: Sym) -> Option<Scalar<'_>> {
         let (_, v) = self.node_props_row(id).iter().find(|(k, _)| *k == key)?;
         self.scalar(v)
     }
 
-    #[inline]
+    #[inline(always)]
     fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<Scalar<'_>> {
         let (_, v) = self.edge_props_row(id).iter().find(|(k, _)| *k == key)?;
         self.scalar(v)
     }
 
+    #[inline]
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         self.edge_endpoints[id.0 as usize]
     }
 
+    #[inline]
     fn out_adjacency(&self, id: NodeId) -> &[EdgeId] {
         let s = self.out_offsets[id.0 as usize] as usize;
         let t = self.out_offsets[id.0 as usize + 1] as usize;
         &self.out_csr[s..t]
     }
 
+    #[inline]
     fn in_adjacency(&self, id: NodeId) -> &[EdgeId] {
         let s = self.in_offsets[id.0 as usize] as usize;
         let t = self.in_offsets[id.0 as usize + 1] as usize;

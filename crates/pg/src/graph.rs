@@ -713,10 +713,12 @@ impl crate::read::PgRead for PropertyGraph {
         self.interner.get(name)
     }
 
+    #[inline]
     fn node_label_syms(&self, id: NodeId) -> &[Sym] {
         &self.nodes[id.0 as usize].labels
     }
 
+    #[inline]
     fn edge_label_syms(&self, id: EdgeId) -> &[Sym] {
         &self.edges[id.0 as usize].labels
     }
@@ -737,29 +739,35 @@ impl crate::read::PgRead for PropertyGraph {
             .map(|(_, v)| v.clone())
     }
 
+    #[inline(always)]
     fn node_scalar(&self, id: NodeId, key: Sym) -> Option<crate::value::Scalar<'_>> {
         let props = &self.nodes[id.0 as usize].props;
         props.iter().find(|(k, _)| *k == key)?.1.as_scalar()
     }
 
+    #[inline(always)]
     fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<crate::value::Scalar<'_>> {
         let props = &self.edges[id.0 as usize].props;
         props.iter().find(|(k, _)| *k == key)?.1.as_scalar()
     }
 
+    #[inline]
     fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
         let e = &self.edges[id.0 as usize];
         (e.src, e.dst)
     }
 
+    #[inline]
     fn out_adjacency(&self, id: NodeId) -> &[EdgeId] {
         &self.out_edges[id.0 as usize]
     }
 
+    #[inline]
     fn in_adjacency(&self, id: NodeId) -> &[EdgeId] {
         &self.in_edges[id.0 as usize]
     }
 
+    #[inline]
     fn edge_live(&self, id: EdgeId) -> bool {
         self.edge_live[id.0 as usize]
     }

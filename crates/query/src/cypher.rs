@@ -26,7 +26,7 @@
 //! NULL produces no rows.
 
 use crate::profile::{NoProf, PlanNode, ProfHook, ProfSink};
-use crate::vectorized::{Cell, KeySet};
+use crate::vectorized::Cell;
 use s3pg_pg::{EdgeId, NodeId, PgRead, Scalar, Value};
 use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 use std::fmt;
@@ -113,6 +113,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// Whether the operator holds between two operands that compare as
     /// `ord`.
+    #[inline]
     pub(crate) fn holds(self, ord: std::cmp::Ordering) -> bool {
         match self {
             CmpOp::Eq => ord.is_eq(),
@@ -1694,7 +1695,7 @@ pub(crate) fn shape_rows<P: ProfHook>(q: &SingleQuery, out: &mut Vec<Vec<Option<
         // Rows key on their cells (the group key's equality), so the
         // first of equal rows stays.
         let keep: Vec<bool> = {
-            let mut seen: KeySet<Vec<Cell<'_>>> = KeySet::default();
+            let mut seen: FxHashSet<Vec<Cell<'_>>> = FxHashSet::default();
             out.iter()
                 .map(|r| seen.insert(r.iter().map(Cell::of_option).collect()))
                 .collect()
@@ -1731,11 +1732,16 @@ pub(crate) fn has_aggregate(q: &SingleQuery) -> bool {
 /// [`compare_scalars`] where defined, rendered-string comparison across
 /// incomparable types (and for lists).
 pub(crate) fn total_cmp(x: &Cell<'_>, y: &Cell<'_>) -> std::cmp::Ordering {
-    let typed = match (x, y) {
-        (Cell::Scalar(a), Cell::Scalar(b)) => compare_scalars(*a, *b),
-        _ => None,
-    };
-    typed.unwrap_or_else(|| x.to_string().cmp(&y.to_string()))
+    match (x, y) {
+        (Cell::Scalar(a), Cell::Scalar(b)) => total_cmp_scalars(*a, *b),
+        _ => x.to_string().cmp(&y.to_string()),
+    }
+}
+
+/// [`total_cmp`] over two scalars.
+#[inline]
+pub(crate) fn total_cmp_scalars(a: Scalar<'_>, b: Scalar<'_>) -> std::cmp::Ordering {
+    compare_scalars(a, b).unwrap_or_else(|| a.to_string().cmp(&b.to_string()))
 }
 
 /// The exact ORDER BY comparator [`shape_rows`] sorts with, factored out so
@@ -1808,12 +1814,13 @@ fn aggregate_rows<G: PgRead>(
         })
         .collect();
     let mut table = crate::morsel::GroupTable::new(q);
-    table.add_batch(inputs.len(), |k, i| match &inputs[i][k] {
+    let item = |k: usize, i: usize| match &inputs[i][k] {
         None => Cell::Null,
         Some(Binding::Val(v)) => Cell::of(v),
         Some(Binding::Node(n)) => Cell::Node(*n),
         Some(Binding::Edge(e)) => Cell::Edge(*e),
-    });
+    };
+    table.add_batch(inputs.len(), item, &[]);
     table.finish()
 }
 
@@ -2043,6 +2050,7 @@ pub(crate) fn compare(l: &Value, r: &Value) -> Option<std::cmp::Ordering> {
 /// float, a year compares with an int, strings, dates and datetimes
 /// lexically within their type, and values of any other pair of types are
 /// incomparable (`None`, which a predicate reads as NULL).
+#[inline(always)]
 pub(crate) fn compare_scalars(l: Scalar<'_>, r: Scalar<'_>) -> Option<std::cmp::Ordering> {
     use Scalar::*;
     match (l, r) {

@@ -31,14 +31,16 @@
 
 use crate::cypher::{
     finish_single_inner, has_aggregate, order_cmp, order_cmp_cells, shape_rows, start_candidates,
-    total_cmp, AggFunc, CypherError, Params, Probe, ReturnItem, Rows, SinglePlan, SingleQuery,
+    total_cmp, total_cmp_scalars, AggFunc, CypherError, Params, Probe, ReturnItem, Rows,
+    SinglePlan, SingleQuery,
 };
 use crate::profile::ProfHook;
 use crate::vectorized::{
     apply_row_stages, batch_to_rows, compile_return_items, expand_hops_batch, expand_pattern,
-    seed_candidates, Batch, Cell, KeyMap, KeySet,
+    seed_candidates, Batch, Cell, Prop, PropRows, VExpr,
 };
 use s3pg_pg::{PgRead, Scalar, Value};
+use s3pg_rdf::fxhash::{FxHashMap, FxHashSet};
 
 /// Whether the executor may satisfy this part's `ORDER BY` with the
 /// bounded top-K heap: an ORDER BY plus LIMIT, no DISTINCT (dedup needs
@@ -150,10 +152,17 @@ struct SumAcc {
 
 impl SumAcc {
     fn add(&mut self, v: &Cell<'_>) {
-        match v {
-            Cell::Scalar(Scalar::Int(i)) => self.int = self.int.wrapping_add(*i),
-            Cell::Scalar(Scalar::Float(f)) => {
-                self.float.add(*f);
+        if let Cell::Scalar(s) = v {
+            self.add_scalar(*s);
+        }
+    }
+
+    #[inline]
+    fn add_scalar(&mut self, s: Scalar<'_>) {
+        match s {
+            Scalar::Int(i) => self.int = self.int.wrapping_add(i),
+            Scalar::Float(f) => {
+                self.float.add(f);
                 self.saw_float = true;
             }
             // Non-numeric values are skipped, like NULLs.
@@ -180,12 +189,12 @@ enum AggAcc<'a> {
     /// `count(expr)`: non-NULL values and bindings.
     Count(i64),
     /// `count(DISTINCT expr)`.
-    CountDistinct(KeySet<Cell<'a>>),
+    CountDistinct(FxHashSet<Cell<'a>>),
     /// `sum(expr)`.
     Sum(SumAcc),
     /// `sum(DISTINCT expr)` — the distinct numbers, summed in rendered-key
     /// order at finish, so the result is arrival-order-free.
-    SumDistinct(KeySet<Cell<'a>>),
+    SumDistinct(FxHashSet<Cell<'a>>),
     /// `min(expr)` / `max(expr)`: the champion value (NULL until the first
     /// value). Ties under [`total_cmp`] keep the champion — first row wins.
     MinMax { is_min: bool, best: Cell<'a> },
@@ -195,9 +204,9 @@ impl<'a> AggAcc<'a> {
     fn new(func: AggFunc, distinct: bool, has_arg: bool) -> AggAcc<'a> {
         match (func, distinct) {
             (AggFunc::Count, _) if !has_arg => AggAcc::CountRows(0),
-            (AggFunc::Count, true) => AggAcc::CountDistinct(KeySet::default()),
+            (AggFunc::Count, true) => AggAcc::CountDistinct(FxHashSet::default()),
             (AggFunc::Count, false) => AggAcc::Count(0),
-            (AggFunc::Sum, true) => AggAcc::SumDistinct(KeySet::default()),
+            (AggFunc::Sum, true) => AggAcc::SumDistinct(FxHashSet::default()),
             (AggFunc::Sum, false) => AggAcc::Sum(SumAcc::default()),
             (AggFunc::Min | AggFunc::Max, _) => AggAcc::MinMax {
                 is_min: func == AggFunc::Min,
@@ -240,6 +249,62 @@ impl<'a> AggAcc<'a> {
         }
     }
 
+    /// [`AggAcc::fold`] over a property column, reading `Copy` scalars:
+    /// `count`, `sum`, and `min`/`max` over a column with no list, run
+    /// without building a cell per row.
+    fn fold_props(&mut self, rows: PropRows<'a>) {
+        let vals = rows.vals;
+        match self {
+            AggAcc::CountRows(n) => *n += vals.len() as i64,
+            AggAcc::Count(n) => {
+                *n += vals.iter().filter(|p| !matches!(p, Prop::Null)).count() as i64
+            }
+            AggAcc::Sum(acc) => {
+                for p in vals {
+                    if let Prop::Scalar(s) = p {
+                        acc.add_scalar(*s);
+                    }
+                }
+            }
+            AggAcc::MinMax { is_min, best }
+                if rows.scalars_only() && matches!(best, Cell::Null | Cell::Scalar(_)) =>
+            {
+                let mut champion = match best {
+                    Cell::Scalar(s) => Some(*s),
+                    _ => None,
+                };
+                let is_int = |s: &Scalar<'_>| matches!(s, Scalar::Int(_));
+                if champion.as_ref().is_none_or(is_int) && ints_or_nulls(vals) {
+                    // The case S_PG promises for an integer key: equal
+                    // integers are one value, so the first-seen rule is
+                    // moot and the fold is a plain integer min or max.
+                    let ints = vals.iter().filter_map(|p| match p {
+                        Prop::Scalar(Scalar::Int(i)) => Some(*i),
+                        _ => None,
+                    });
+                    let ints = ints.chain(champion.and_then(|c| match c {
+                        Scalar::Int(i) => Some(i),
+                        _ => None,
+                    }));
+                    let folded = if *is_min { ints.min() } else { ints.max() };
+                    champion = folded.map(Scalar::Int);
+                } else {
+                    for p in vals {
+                        if let Prop::Scalar(v) = *p {
+                            if champion.is_none_or(|c| wins(*is_min, total_cmp_scalars(v, c))) {
+                                champion = Some(v);
+                            }
+                        }
+                    }
+                }
+                if let Some(c) = champion {
+                    *best = Cell::Scalar(c);
+                }
+            }
+            _ => (0..vals.len()).for_each(|i| self.add(rows.cell(i))),
+        }
+    }
+
     fn finish(self) -> Option<Value> {
         match self {
             AggAcc::CountRows(n) | AggAcc::Count(n) => Some(Value::Int(n)),
@@ -277,14 +342,24 @@ fn min_max<'a>(is_min: bool, best: &mut Cell<'a>, v: Cell<'a>) {
     if !matches!(v, Cell::Scalar(_) | Cell::List(_)) {
         return;
     }
-    let better = matches!(best, Cell::Null)
-        || match total_cmp(&v, best) {
-            std::cmp::Ordering::Less => is_min,
-            std::cmp::Ordering::Greater => !is_min,
-            std::cmp::Ordering::Equal => false,
-        };
-    if better {
+    if matches!(best, Cell::Null) || wins(is_min, total_cmp(&v, best)) {
         *best = v;
+    }
+}
+
+/// Whether every row holds an integer or NULL.
+fn ints_or_nulls(vals: &[Prop<'_>]) -> bool {
+    vals.iter()
+        .all(|p| matches!(p, Prop::Null | Prop::Scalar(Scalar::Int(_))))
+}
+
+/// Whether a value that orders `ord` against the champion replaces it.
+#[inline]
+fn wins(is_min: bool, ord: std::cmp::Ordering) -> bool {
+    match ord {
+        std::cmp::Ordering::Less => is_min,
+        std::cmp::Ordering::Greater => !is_min,
+        std::cmp::Ordering::Equal => false,
     }
 }
 
@@ -304,7 +379,7 @@ pub(crate) struct GroupTable<'a> {
     /// Per aggregate item: `(func, distinct, has an argument)`.
     aggs: Vec<(AggFunc, bool, bool)>,
     /// Group index by key: the grouping cells of the row that created it.
-    index: KeyMap<Box<[Cell<'a>]>, usize>,
+    index: FxHashMap<Box<[Cell<'a>]>, usize>,
     /// Each group's aggregate slots, in return-item order.
     groups: Vec<Vec<AggAcc<'a>>>,
 }
@@ -329,7 +404,7 @@ impl<'a> GroupTable<'a> {
                     ReturnItem::Expr(_) => None,
                 })
                 .collect(),
-            index: KeyMap::default(),
+            index: FxHashMap::default(),
             groups: Vec::new(),
         }
     }
@@ -339,8 +414,14 @@ impl<'a> GroupTable<'a> {
     /// of an aggregate (any cell for `count(*)`). Rows first resolve to
     /// their groups, then each aggregate folds its argument column; with
     /// no grouping key there is one group, and each aggregate folds its
-    /// column without a per-row dispatch.
-    pub(crate) fn add_batch(&mut self, len: usize, item: impl Fn(usize, usize) -> Cell<'a>) {
+    /// column without a per-row dispatch, reading `columns[k]` where item
+    /// `k` is a property column.
+    pub(crate) fn add_batch(
+        &mut self,
+        len: usize,
+        item: impl Fn(usize, usize) -> Cell<'a>,
+        columns: &[Option<PropRows<'a>>],
+    ) {
         if len == 0 {
             return;
         }
@@ -349,7 +430,10 @@ impl<'a> GroupTable<'a> {
         if keys.is_empty() {
             let g = self.group_of(&[]);
             for (slot, &k) in self.groups[g].iter_mut().zip(&aggs) {
-                slot.fold(len, |i| item(k, i));
+                match columns.get(k).copied().flatten() {
+                    Some(rows) => slot.fold_props(rows),
+                    None => slot.fold(len, |i| item(k, i)),
+                }
             }
             return;
         }
@@ -530,6 +614,7 @@ impl TopK {
     /// Whether a row whose ORDER BY value is `key` can enter the top K:
     /// not once K rows are held whose keys are no greater (a later row
     /// loses every tie). The executor asks before it builds the row.
+    #[inline]
     pub(crate) fn admits(&self, key: &Cell<'_>) -> bool {
         self.k > 0
             && self.bound.as_ref().is_none_or(|(_, bound)| {
@@ -633,9 +718,16 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
     let rows = if has_aggregate(q) {
         let started = prof.begin();
         let mut table = GroupTable::new(q);
-        table.add_batch(batch.len, |k, i| {
-            compiled[k].as_ref().map_or(Cell::Null, |ve| ve.cell(pg, i))
-        });
+        let columns: Vec<Option<PropRows<'_>>> = compiled
+            .iter()
+            .map(|ve| match ve {
+                Some(VExpr::Props(rows)) => Some(*rows),
+                _ => None,
+            })
+            .collect();
+        let item =
+            |k: usize, i: usize| compiled[k].as_ref().map_or(Cell::Null, |ve| ve.cell(pg, i));
+        table.add_batch(batch.len, item, &columns);
         let groups = table.len();
         let mut rows = match (q.order_by, q.limit) {
             // ORDER BY … LIMIT over groups: only the groups that can make
@@ -692,7 +784,7 @@ pub(crate) fn evaluate_part<G: PgRead, P: ProfHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vectorized::KeyHasher;
+    use s3pg_rdf::fxhash::FxHasher;
     use std::hash::{Hash, Hasher};
 
     #[test]
@@ -750,7 +842,7 @@ mod tests {
     #[test]
     fn cell_keys_are_rendered_key_equality() {
         fn key(v: &Value) -> (Cell<'_>, u64) {
-            let mut h = KeyHasher::default();
+            let mut h = FxHasher::default();
             Cell::of(v).hash(&mut h);
             (Cell::of(v), h.finish())
         }
@@ -794,10 +886,14 @@ mod tests {
         for (descending, k) in [(true, 5), (false, 7), (true, 1), (false, 100)] {
             let table = || {
                 let mut t = GroupTable::new(q);
-                t.add_batch(values.len(), |item, i| match item {
-                    0 => Cell::of(&values[i]),
-                    _ => Cell::Null,
-                });
+                t.add_batch(
+                    values.len(),
+                    |item, i| match item {
+                        0 => Cell::of(&values[i]),
+                        _ => Cell::Null,
+                    },
+                    &[],
+                );
                 t
             };
             let mut full = table().finish();

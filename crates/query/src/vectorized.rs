@@ -4,22 +4,31 @@
 //! as a `FxHashMap<String, Binding>` — every pattern hop clones the map,
 //! re-hashes variable names, and re-probes the key dictionary per property
 //! read. The executor runs the plan (pattern order, index pushdown, reverse
-//! anchoring) through batched physical operators instead:
+//! anchoring) through batched physical operators instead, each of which
+//! resolves its shape once per batch and then runs one monomorphic loop:
 //!
 //! * label scans and eq-index probes emit sorted id runs (postings
 //!   slices) that become a node **column**;
 //! * adjacency expansion is a gather — one pass over each anchor's
 //!   adjacency row appends to a selection vector plus edge/target columns,
-//!   then every existing column is gathered by the selection vector.
-//!   Tombstoned edges are skipped by [`PgRead::edge_live`], which is
-//!   constant `true` on the compact form's CSR rows and compiles away
-//!   there;
+//!   then every existing column is gathered by the selection vector. The
+//!   pattern's labels are resolved to a [`LabelTest`] before the loop,
+//!   and whether the edges are kept and the target is pre-bound are
+//!   compile-time flags of the loop. Tombstoned edges are skipped by
+//!   [`PgRead::edge_live`], which is constant `true` on the compact
+//!   form's CSR rows and compiles away there;
+//! * a property that more than one expression of a part reads is read
+//!   once per row into a per-batch **property column** of `Copy`
+//!   [`Prop`]s, which the gathers carry and the later stages share (see
+//!   [`StageReads`]); so is an aggregate's property argument;
 //! * property predicates and projections compile to [`VExpr`] trees whose
-//!   columns, key symbols and parameters are resolved **once per batch**,
+//!   columns, key symbols and parameters are resolved once per batch,
 //!   then evaluated over id vectors. A row reads borrowed [`Cell`]s — a
 //!   scalar property is a [`PgRead::node_scalar`] read, with strings as
 //!   `&str` into the store — so the row kernels allocate nothing per row;
-//!   a WHERE comparison with a constant runs as its own loop.
+//!   a WHERE comparison with a constant runs as its own loop, and when a
+//!   later stage reads its property again, that loop keeps the passing
+//!   rows' values as their column.
 //!
 //! [`crate::morsel`] drives these operators on the calling thread and
 //! owns the shaping tail. Answers agree with the
@@ -31,16 +40,14 @@
 
 use crate::cypher::{
     compare_scalars, err, start_candidates, Binding, CmpOp, CypherError, Direction, Expr,
-    NodePattern, Params, PathPattern, Probe, ReturnItem, Row, SingleQuery,
+    NodePattern, Params, PathPattern, Probe, RelPattern, ReturnItem, Row, SingleQuery,
 };
-use crate::profile::{NoProf, ProfHook};
+use crate::profile::ProfHook;
 use s3pg_pg::{EdgeId, NodeId, PgRead, Scalar, Value};
-use s3pg_rdf::fxhash::FxHasher;
 use s3pg_rdf::Sym;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// One column of a batch: homogeneous bindings for a variable across all
 /// rows. Node/edge columns are plain id vectors; `Val` columns (UNWIND
@@ -55,30 +62,149 @@ pub(crate) enum Col {
 impl Col {
     fn gather(&self, sel: &[u32]) -> Col {
         match self {
-            Col::Node(v) => Col::Node(sel.iter().map(|&i| v[i as usize]).collect()),
-            Col::Edge(v) => Col::Edge(sel.iter().map(|&i| v[i as usize]).collect()),
+            Col::Node(v) => Col::Node(gather(v, sel)),
+            Col::Edge(v) => Col::Edge(gather(v, sel)),
             Col::Val(v) => Col::Val(sel.iter().map(|&i| v[i as usize].clone()).collect()),
         }
     }
 }
 
+fn gather<T: Copy>(v: &[T], sel: &[u32]) -> Vec<T> {
+    sel.iter().map(|&i| v[i as usize]).collect()
+}
+
+/// One row's value in a [`PropCol`]: NULL (the key is missing), a scalar
+/// borrowed from the store, or a list, held by index beside the column.
+/// It is `Copy`, so the row kernels read it with no drop glue.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Prop<'g> {
+    Null,
+    Scalar(Scalar<'g>),
+    List(u32),
+}
+
+/// A property `var.key` read once per row of a batch. The stage that
+/// first reads it fills the column, the gathers carry it along, and every
+/// later expression that reads `var.key` reads the column instead of the
+/// store.
+#[derive(Debug)]
+struct PropCol<'g> {
+    var: String,
+    key: String,
+    vals: Vec<Prop<'g>>,
+    /// The values of the rows that hold a list.
+    lists: Vec<Value>,
+}
+
+/// A property column as compiled expressions and aggregate folds read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PropRows<'a> {
+    pub(crate) vals: &'a [Prop<'a>],
+    lists: &'a [Value],
+}
+
+impl<'a> PropRows<'a> {
+    #[inline]
+    pub(crate) fn cell(self, i: usize) -> Cell<'a> {
+        match self.vals[i] {
+            Prop::Null => Cell::Null,
+            Prop::Scalar(s) => Cell::Scalar(s),
+            Prop::List(j) => Cell::List(Cow::Borrowed(&self.lists[j as usize])),
+        }
+    }
+
+    #[inline]
+    fn scalar(self, i: usize) -> Option<Scalar<'a>> {
+        match self.vals[i] {
+            Prop::Scalar(s) => Some(s),
+            Prop::Null | Prop::List(_) => None,
+        }
+    }
+
+    /// Whether every row is a scalar or NULL.
+    pub(crate) fn scalars_only(self) -> bool {
+        self.lists.is_empty()
+    }
+}
+
+/// A node or an edge id, whose properties the row kernels read: a trait
+/// rather than a closure, so each kernel's loop is one monomorphic body
+/// with the read inlined.
+trait Entity: Copy {
+    fn scalar<G: PgRead>(self, pg: &G, key: Sym) -> Option<Scalar<'_>>;
+    fn owned<G: PgRead>(self, pg: &G, key: Sym) -> Option<Value>;
+}
+
+impl Entity for NodeId {
+    #[inline(always)]
+    fn scalar<G: PgRead>(self, pg: &G, key: Sym) -> Option<Scalar<'_>> {
+        pg.node_scalar(self, key)
+    }
+
+    fn owned<G: PgRead>(self, pg: &G, key: Sym) -> Option<Value> {
+        pg.node_prop_sym(self, key)
+    }
+}
+
+impl Entity for EdgeId {
+    #[inline(always)]
+    fn scalar<G: PgRead>(self, pg: &G, key: Sym) -> Option<Scalar<'_>> {
+        pg.edge_scalar(self, key)
+    }
+
+    fn owned<G: PgRead>(self, pg: &G, key: Sym) -> Option<Value> {
+        pg.edge_prop_sym(self, key)
+    }
+}
+
+/// Read one property of every id into a column: the borrowed scalar, and
+/// the owned value only where there is none (a list, or a missing key).
+fn read_col<'g, G: PgRead, T: Entity>(
+    pg: &'g G,
+    ids: &[T],
+    key: Sym,
+    lists: &mut Vec<Value>,
+) -> Vec<Prop<'g>> {
+    let mut vals = Vec::with_capacity(ids.len());
+    for &id in ids {
+        vals.push(match id.scalar(pg, key) {
+            Some(s) => Prop::Scalar(s),
+            None => match id.owned(pg, key) {
+                None => Prop::Null,
+                Some(v) => {
+                    lists.push(v);
+                    Prop::List(lists.len() as u32 - 1)
+                }
+            },
+        });
+    }
+    vals
+}
+
 /// A batch of intermediate rows in columnar form: named columns of equal
-/// length. The scan oracle's per-row hash maps become one `(name, column)`
-/// pair per variable for the whole batch.
-#[derive(Debug, Clone)]
-pub(crate) struct Batch {
+/// length, plus the property columns read so far. The scan oracle's
+/// per-row hash maps become one `(name, column)` pair per variable for
+/// the whole batch.
+#[derive(Debug)]
+pub(crate) struct Batch<'g> {
     pub(crate) cols: Vec<(String, Col)>,
+    props: Vec<PropCol<'g>>,
     pub(crate) len: usize,
 }
 
-impl Batch {
-    /// The expansion seed: one row binding nothing (the scan oracle's
-    /// `vec![Row::default()]`).
-    pub(crate) fn unit() -> Batch {
+impl<'g> Batch<'g> {
+    fn new(len: usize) -> Batch<'g> {
         Batch {
             cols: Vec::new(),
-            len: 1,
+            props: Vec::new(),
+            len,
         }
+    }
+
+    /// The expansion seed: one row binding nothing (the scan oracle's
+    /// `vec![Row::default()]`).
+    pub(crate) fn unit() -> Batch<'g> {
+        Batch::new(1)
     }
 
     fn col_index(&self, name: &str) -> Option<usize> {
@@ -92,123 +218,170 @@ impl Batch {
     /// Regenerate every column through a selection vector of row indices
     /// (repeats allowed — fan-out gathers repeat the source row index once
     /// per emitted candidate).
-    fn gather(&self, sel: &[u32]) -> Batch {
+    fn gather(&self, sel: &[u32]) -> Batch<'g> {
+        let props = self.props.iter().map(|p| PropCol {
+            var: p.var.clone(),
+            key: p.key.clone(),
+            vals: gather(&p.vals, sel),
+            lists: p.lists.clone(),
+        });
         Batch {
             cols: self
                 .cols
                 .iter()
                 .map(|(n, c)| (n.clone(), c.gather(sel)))
                 .collect(),
+            props: props.collect(),
             len: sel.len(),
         }
     }
 
     /// Bind (or rebind) a variable column, mirroring `Row::insert`'s
-    /// overwrite semantics.
+    /// overwrite semantics; a rebound variable's property columns go.
     fn set_col(&mut self, name: &str, col: Col) {
+        self.props.retain(|p| p.var != name);
         match self.col_index(name) {
             Some(i) => self.cols[i].1 = col,
             None => self.cols.push((name.to_string(), col)),
         }
     }
+
+    fn prop(&self, var: &str, key: &str) -> Option<PropRows<'_>> {
+        self.props
+            .iter()
+            .find(|p| p.key == key && p.var == var)
+            .map(|p| PropRows {
+                vals: &p.vals,
+                lists: &p.lists,
+            })
+    }
+
+    /// Read `var.key` into a property column, unless the batch holds one
+    /// or `var` is not bound to nodes or edges (it then reads as NULL).
+    fn read_prop<G: PgRead>(&mut self, pg: &'g G, var: &str, key: &str) {
+        let Some(sym) = pg.key_sym(key) else {
+            return;
+        };
+        if self.prop(var, key).is_some() {
+            return;
+        }
+        let mut lists = Vec::new();
+        let vals = match self.col(var) {
+            Some(Col::Node(ids)) => read_col(pg, ids, sym, &mut lists),
+            Some(Col::Edge(ids)) => read_col(pg, ids, sym, &mut lists),
+            _ => return,
+        };
+        self.props.push(PropCol {
+            var: var.to_string(),
+            key: key.to_string(),
+            vals,
+            lists,
+        });
+    }
 }
 
-/// Node-pattern labels resolved to symbols once per batch. `None` means a
-/// label the dictionary has never seen — no node can match.
-fn resolve_node_labels<G: PgRead>(pg: &G, labels: &[String]) -> Option<Vec<Sym>> {
-    labels.iter().map(|l| pg.key_sym(l)).collect()
+/// A pattern's labels resolved to symbols once per batch: the test a
+/// node's or an edge's label row must pass. A node pattern needs all its
+/// labels, a relationship pattern any of them; a label the dictionary
+/// has never seen matches nothing, and no label matches everything
+/// without reading the row.
+enum LabelTest {
+    Any,
+    Never,
+    One(Sym),
+    All(Vec<Sym>),
+    AnyOf(Vec<Sym>),
 }
 
-#[inline]
-fn labels_match<G: PgRead>(pg: &G, labels: &Option<Vec<Sym>>, n: NodeId) -> bool {
-    match labels {
-        None => false,
-        Some(syms) => {
-            let row = pg.node_label_syms(n);
-            syms.iter().all(|s| row.contains(s))
+impl LabelTest {
+    fn node<G: PgRead>(pg: &G, labels: &[String]) -> LabelTest {
+        match labels
+            .iter()
+            .map(|l| pg.key_sym(l))
+            .collect::<Option<Vec<Sym>>>()
+        {
+            None => LabelTest::Never,
+            Some(syms) => match syms[..] {
+                [] => LabelTest::Any,
+                [s] => LabelTest::One(s),
+                _ => LabelTest::All(syms),
+            },
         }
     }
-}
 
-/// Relationship labels resolved once per batch; an empty pattern matches
-/// every edge, and unresolvable labels can never match.
-struct RelSyms {
-    match_all: bool,
-    syms: Vec<Sym>,
-}
-
-fn resolve_rel_labels<G: PgRead>(pg: &G, labels: &[String]) -> RelSyms {
-    RelSyms {
-        match_all: labels.is_empty(),
-        syms: labels.iter().filter_map(|l| pg.key_sym(l)).collect(),
+    fn rel<G: PgRead>(pg: &G, labels: &[String]) -> LabelTest {
+        if labels.is_empty() {
+            return LabelTest::Any;
+        }
+        let syms: Vec<Sym> = labels.iter().filter_map(|l| pg.key_sym(l)).collect();
+        match syms[..] {
+            [] => LabelTest::Never,
+            [s] => LabelTest::One(s),
+            _ => LabelTest::AnyOf(syms),
+        }
     }
-}
 
-#[inline]
-fn edge_label_ok<G: PgRead>(pg: &G, rs: &RelSyms, e: EdgeId) -> bool {
-    if rs.match_all {
-        return true;
+    /// Whether the label row `row()` passes; the row is read only when
+    /// the test depends on it.
+    #[inline]
+    fn holds<'r>(&self, row: impl FnOnce() -> &'r [Sym]) -> bool {
+        match self {
+            LabelTest::Any => true,
+            LabelTest::Never => false,
+            LabelTest::One(s) => row().contains(s),
+            LabelTest::All(syms) => {
+                let row = row();
+                syms.iter().all(|s| row.contains(s))
+            }
+            LabelTest::AnyOf(syms) => {
+                let row = row();
+                syms.iter().any(|s| row.contains(s))
+            }
+        }
     }
-    let row = pg.edge_label_syms(e);
-    rs.syms.iter().any(|s| row.contains(s))
+
+    /// The ids of `ids` whose node passes.
+    fn nodes<G: PgRead>(&self, pg: &G, ids: &[NodeId]) -> Vec<NodeId> {
+        let keep = |&&n: &&NodeId| self.holds(|| pg.node_label_syms(n));
+        ids.iter().filter(keep).copied().collect()
+    }
 }
 
 /// Seed a pattern's start binding over an incoming batch: filter an
 /// already-bound node column, or cross-product with the (probe or label
 /// scan) candidate run. Returns the seeded batch plus the anchor column
 /// the hops expand from.
-fn seed_batch<G: PgRead>(
-    pg: &G,
-    pattern: &PathPattern,
+fn seed_batch<'g, G: PgRead>(
+    pg: &'g G,
+    start: &NodePattern,
     probe: Option<&Probe>,
-    batch: Batch,
-) -> Result<(Batch, Vec<NodeId>), CypherError> {
-    let start = &pattern.start;
-    match start.var.as_deref().and_then(|v| batch.col_index(v)) {
-        Some(ci) => match &batch.cols[ci].1 {
-            Col::Node(ids) => {
-                let labels = resolve_node_labels(pg, &start.labels);
-                let mut sel: Vec<u32> = Vec::with_capacity(ids.len());
-                for (i, &n) in ids.iter().enumerate() {
-                    if labels_match(pg, &labels, n) {
-                        sel.push(i as u32);
-                    }
-                }
-                let anchors: Vec<NodeId> = sel.iter().map(|&i| ids[i as usize]).collect();
-                Ok((batch.gather(&sel), anchors))
-            }
-            _ => {
-                if batch.len > 0 {
-                    err("pattern variable already bound to a non-node")
-                } else {
-                    Ok((batch, Vec::new()))
+    batch: Batch<'g>,
+) -> Result<(Batch<'g>, Vec<NodeId>), CypherError> {
+    match start.var.as_deref().and_then(|v| batch.col(v)) {
+        Some(Col::Node(ids)) => {
+            let labels = LabelTest::node(pg, &start.labels);
+            let mut sel: Vec<u32> = Vec::with_capacity(ids.len());
+            for (i, &n) in ids.iter().enumerate() {
+                if labels.holds(|| pg.node_label_syms(n)) {
+                    sel.push(i as u32);
                 }
             }
-        },
+            let anchors = gather(ids, &sel);
+            Ok((batch.gather(&sel), anchors))
+        }
+        Some(_) if batch.len > 0 => err("pattern variable already bound to a non-node"),
+        Some(_) => Ok((batch, Vec::new())),
         None => {
             let candidates = start_candidates(pg, start, probe);
-            let labels = resolve_node_labels(pg, &start.labels);
-            let matching: Vec<NodeId> = candidates
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|&n| labels_match(pg, &labels, n))
-                .collect();
+            let matching = LabelTest::node(pg, &start.labels).nodes(pg, candidates.as_slice());
             let n = batch.len;
-            let m = matching.len();
             // Row-major cross product, matching the interpreter's
             // per-row candidate enumeration order.
-            let mut sel: Vec<u32> = Vec::with_capacity(n * m);
-            for i in 0..n as u32 {
-                for _ in 0..m {
-                    sel.push(i);
-                }
-            }
+            let sel: Vec<u32> = (0..n as u32)
+                .flat_map(|i| std::iter::repeat_n(i, matching.len()))
+                .collect();
             let mut out = batch.gather(&sel);
-            let mut anchors: Vec<NodeId> = Vec::with_capacity(n * m);
-            for _ in 0..n {
-                anchors.extend_from_slice(&matching);
-            }
+            let anchors = matching.repeat(n);
             if let Some(v) = &start.var {
                 out.set_col(v, Col::Node(anchors.clone()));
             }
@@ -219,92 +392,145 @@ fn seed_batch<G: PgRead>(
 
 /// Seed the first pattern from its candidate run (the oracle's
 /// `seed_rows` over a slice).
-pub(crate) fn seed_candidates<G: PgRead>(
-    pg: &G,
+pub(crate) fn seed_candidates<'g, G: PgRead>(
+    pg: &'g G,
     start: &NodePattern,
     candidates: &[NodeId],
-) -> (Batch, Vec<NodeId>) {
-    let labels = resolve_node_labels(pg, &start.labels);
-    let matching: Vec<NodeId> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| labels_match(pg, &labels, n))
-        .collect();
-    let mut batch = Batch {
-        cols: Vec::new(),
-        len: matching.len(),
-    };
+) -> (Batch<'g>, Vec<NodeId>) {
+    let matching = LabelTest::node(pg, &start.labels).nodes(pg, candidates);
+    let mut batch = Batch::new(matching.len());
     if let Some(v) = &start.var {
         batch.set_col(v, Col::Node(matching.clone()));
     }
     (batch, matching)
 }
 
-/// Expand a pattern's hops: for each hop, one pass over every anchor's
-/// adjacency row builds a selection vector plus edge/target columns, then
-/// the batch is gathered through it. Check order (liveness, edge label,
-/// target label, pre-bound target equality) matches the scan oracle's, so
-/// rows come out in the oracle's adjacency order.
-pub(crate) fn expand_hops_batch<G: PgRead, P: ProfHook>(
+/// The output of one hop: per emitted row, its source row, its edge
+/// (kept only when the relationship is bound) and the node it reached.
+#[derive(Default)]
+struct HopRows {
+    sel: Vec<u32>,
+    edges: Vec<EdgeId>,
+    targets: Vec<NodeId>,
+}
+
+/// One hop's row loop: each anchor's adjacency row, in order, through the
+/// pre-resolved label tests. `BIND` keeps the edges; `PRE` keeps only
+/// edges that reach the row's `prebound` node. Both are compile-time
+/// constants, so an edge costs no check the pattern does not ask for.
+fn hop_rows<G: PgRead, const BIND: bool, const PRE: bool>(
+    pg: &G,
+    anchors: &[NodeId],
+    direction: Direction,
+    rel: &LabelTest,
+    node: &LabelTest,
+    prebound: &[NodeId],
+) -> HopRows {
+    let degree = |a: NodeId| match direction {
+        Direction::Out => pg.out_adjacency(a).len(),
+        Direction::In => pg.in_adjacency(a).len(),
+        Direction::Undirected => pg.out_adjacency(a).len() + pg.in_adjacency(a).len(),
+    };
+    let bound: usize = anchors.iter().map(|&a| degree(a)).sum();
+    let mut sel = Vec::with_capacity(bound);
+    let mut edges = Vec::with_capacity(if BIND { bound } else { 0 });
+    let mut targets = Vec::with_capacity(bound);
+    for (i, &anchor) in anchors.iter().enumerate() {
+        let rows: [(&[EdgeId], bool); 2] = match direction {
+            Direction::Out => [(pg.out_adjacency(anchor), true), (&[], true)],
+            Direction::In => [(pg.in_adjacency(anchor), false), (&[], false)],
+            Direction::Undirected => [
+                (pg.out_adjacency(anchor), true),
+                (pg.in_adjacency(anchor), false),
+            ],
+        };
+        for (adj, outgoing) in rows {
+            for &e in adj {
+                if !pg.edge_live(e) || !rel.holds(|| pg.edge_label_syms(e)) {
+                    continue;
+                }
+                let (src, dst) = pg.edge_endpoints(e);
+                let other = if outgoing { dst } else { src };
+                if (PRE && other != prebound[i]) || !node.holds(|| pg.node_label_syms(other)) {
+                    continue;
+                }
+                sel.push(i as u32);
+                if BIND {
+                    edges.push(e);
+                }
+                targets.push(other);
+            }
+        }
+    }
+    HopRows {
+        sel,
+        edges,
+        targets,
+    }
+}
+
+/// One hop from `anchors` (one per row of `batch`) along `rel` in
+/// `direction` to `node`: a pass over the anchors' adjacency rows builds
+/// a selection vector plus edge/target columns, then the batch is
+/// gathered through it. Rows come out in the scan oracle's adjacency
+/// order. Returns the gathered batch and, if `keep_anchors`, the nodes
+/// reached, which the next hop expands from.
+fn hop<'g, G: PgRead>(
+    pg: &G,
+    batch: Batch<'g>,
+    anchors: &[NodeId],
+    (rel, direction): (&RelPattern, Direction),
+    node: &NodePattern,
+    keep_anchors: bool,
+) -> (Batch<'g>, Vec<NodeId>) {
+    let r = &LabelTest::rel(pg, &rel.labels);
+    let n = &LabelTest::node(pg, &node.labels);
+    // Respect pre-bound node variables (joins between patterns): a
+    // non-node binding never equals a node.
+    let rows = match (
+        rel.var.is_some(),
+        node.var.as_deref().and_then(|v| batch.col(v)),
+    ) {
+        (false, None) => hop_rows::<G, false, false>(pg, anchors, direction, r, n, &[]),
+        (true, None) => hop_rows::<G, true, false>(pg, anchors, direction, r, n, &[]),
+        (false, Some(Col::Node(to))) => {
+            hop_rows::<G, false, true>(pg, anchors, direction, r, n, to)
+        }
+        (true, Some(Col::Node(to))) => hop_rows::<G, true, true>(pg, anchors, direction, r, n, to),
+        (_, Some(_)) => HopRows::default(),
+    };
+    let mut next = batch.gather(&rows.sel);
+    if let Some(v) = &rel.var {
+        next.set_col(v, Col::Edge(rows.edges));
+    }
+    let anchors = match &node.var {
+        Some(v) => {
+            let anchors = if keep_anchors {
+                rows.targets.clone()
+            } else {
+                Vec::new()
+            };
+            next.set_col(v, Col::Node(rows.targets));
+            anchors
+        }
+        None => rows.targets,
+    };
+    (next, anchors)
+}
+
+/// Expand a pattern's hops from its seeded batch, one [`hop`] at a time.
+pub(crate) fn expand_hops_batch<'g, G: PgRead, P: ProfHook>(
     pg: &G,
     pattern: &PathPattern,
-    mut batch: Batch,
+    mut batch: Batch<'g>,
     mut anchors: Vec<NodeId>,
     prof: P,
     pi: usize,
-) -> Result<Batch, CypherError> {
+) -> Result<Batch<'g>, CypherError> {
     for (h, (rel, node)) in pattern.hops.iter().enumerate() {
         let started = prof.begin();
-        let rel_syms = resolve_rel_labels(pg, &rel.labels);
-        let node_labels = resolve_node_labels(pg, &node.labels);
-        let prebound = node.var.as_deref().and_then(|v| batch.col(v));
-        let bind_edges = rel.var.is_some();
-        let mut sel: Vec<u32> = Vec::new();
-        let mut edges: Vec<EdgeId> = Vec::new();
-        let mut targets: Vec<NodeId> = Vec::new();
-        for (i, &anchor) in anchors.iter().enumerate() {
-            let mut scan = |adj: &[EdgeId], outgoing: bool| {
-                for &e in adj {
-                    if !pg.edge_live(e) || !edge_label_ok(pg, &rel_syms, e) {
-                        continue;
-                    }
-                    let (src, dst) = pg.edge_endpoints(e);
-                    let other = if outgoing { dst } else { src };
-                    if !labels_match(pg, &node_labels, other) {
-                        continue;
-                    }
-                    // Respect pre-bound node variables (joins between
-                    // patterns): a non-node binding never equals a node.
-                    match prebound {
-                        Some(Col::Node(ids)) if ids[i] != other => continue,
-                        Some(Col::Node(_)) | None => {}
-                        Some(_) => continue,
-                    }
-                    sel.push(i as u32);
-                    if bind_edges {
-                        edges.push(e);
-                    }
-                    targets.push(other);
-                }
-            };
-            match rel.direction {
-                Direction::Out => scan(pg.out_adjacency(anchor), true),
-                Direction::In => scan(pg.in_adjacency(anchor), false),
-                Direction::Undirected => {
-                    scan(pg.out_adjacency(anchor), true);
-                    scan(pg.in_adjacency(anchor), false);
-                }
-            }
-        }
-        let mut next = batch.gather(&sel);
-        if let Some(v) = &rel.var {
-            next.set_col(v, Col::Edge(edges));
-        }
-        if let Some(v) = &node.var {
-            next.set_col(v, Col::Node(targets.clone()));
-        }
-        anchors = targets;
-        batch = next;
+        let more = h + 1 < pattern.hops.len();
+        (batch, anchors) = hop(pg, batch, &anchors, (rel, rel.direction), node, more);
         prof.record(format_args!("pat{pi}.hop{h}"), batch.len, started);
         if batch.len == 0 {
             break;
@@ -313,105 +539,52 @@ pub(crate) fn expand_hops_batch<G: PgRead, P: ProfHook>(
     Ok(batch)
 }
 
-/// Evaluate a single-hop pattern anchored at its already-bound end node —
-/// the [`ExpandReverse`] operator: walk the opposite adjacency row of each
-/// end binding and gather matching start nodes. Same row multiset as the
-/// forward expansion, in the end node's adjacency order.
-///
-/// [`ExpandReverse`]: crate::cypher::explain
-fn expand_reversed<G: PgRead>(
-    pg: &G,
-    pattern: &PathPattern,
-    batch: Batch,
-) -> Result<Batch, CypherError> {
-    let (rel, end) = &pattern.hops[0];
-    let end_var = end
-        .var
-        .as_deref()
-        .expect("reversed pattern has an end variable");
-    let Some(ci) = batch.col_index(end_var) else {
-        // Defensive: the planner only reverses patterns whose end variable
-        // is bound by an earlier pattern, but fall back to the forward
-        // expansion rather than miscompute.
-        let (seeded, anchors) = seed_batch(pg, pattern, None, batch)?;
-        return expand_hops_batch(pg, pattern, seeded, anchors, NoProf, 0);
-    };
-    let Col::Node(ends) = &batch.cols[ci].1 else {
-        // A non-node binding never matches a node pattern: no rows.
-        let mut out = batch.gather(&[]);
-        if let Some(v) = &rel.var {
-            out.set_col(v, Col::Edge(Vec::new()));
-        }
-        if let Some(v) = &pattern.start.var {
-            out.set_col(v, Col::Node(Vec::new()));
-        }
-        return Ok(out);
-    };
-    let end_labels = resolve_node_labels(pg, &end.labels);
-    let start_labels = resolve_node_labels(pg, &pattern.start.labels);
-    let rel_syms = resolve_rel_labels(pg, &rel.labels);
-    let mut sel: Vec<u32> = Vec::new();
-    let mut edges: Vec<EdgeId> = Vec::new();
-    let mut starts: Vec<NodeId> = Vec::new();
-    for (i, &anchor) in ends.iter().enumerate() {
-        if !labels_match(pg, &end_labels, anchor) {
-            continue;
-        }
-        let mut scan = |adj: &[EdgeId], incoming: bool| {
-            for &e in adj {
-                if !pg.edge_live(e) || !edge_label_ok(pg, &rel_syms, e) {
-                    continue;
-                }
-                let (src, dst) = pg.edge_endpoints(e);
-                let other = if incoming { src } else { dst };
-                if !labels_match(pg, &start_labels, other) {
-                    continue;
-                }
-                sel.push(i as u32);
-                edges.push(e);
-                starts.push(other);
-            }
-        };
-        // The hop direction is written relative to the start node; anchored
-        // at the end we walk the opposite adjacency list.
-        match rel.direction {
-            Direction::Out => scan(pg.in_adjacency(anchor), true),
-            Direction::In => scan(pg.out_adjacency(anchor), false),
-            Direction::Undirected => {
-                scan(pg.out_adjacency(anchor), false);
-                scan(pg.in_adjacency(anchor), true);
-            }
-        }
+/// The direction of a hop walked from its end node back to its start.
+fn reverse(direction: Direction) -> Direction {
+    match direction {
+        Direction::Out => Direction::In,
+        Direction::In => Direction::Out,
+        Direction::Undirected => Direction::Undirected,
     }
-    let mut out = batch.gather(&sel);
-    if let Some(v) = &rel.var {
-        out.set_col(v, Col::Edge(edges));
-    }
-    if let Some(v) = &pattern.start.var {
-        out.set_col(v, Col::Node(starts));
-    }
-    Ok(out)
 }
 
 /// One planned pattern (`pi`): reverse-anchored or seed-then-expand. The
 /// seed records as `pat{pi}.start` and each hop as `pat{pi}.hop{h}`.
-pub(crate) fn expand_pattern<G: PgRead, P: ProfHook>(
-    pg: &G,
+///
+/// A reversed pattern — the [`ExpandReverse`] operator — is a single hop
+/// whose end variable is already bound: its end bindings are filtered by
+/// the end labels and walked back along the opposite adjacency rows to
+/// the start nodes. Same row multiset as the forward expansion, in the
+/// end node's adjacency order.
+///
+/// [`ExpandReverse`]: crate::cypher::explain
+pub(crate) fn expand_pattern<'g, G: PgRead, P: ProfHook>(
+    pg: &'g G,
     pattern: &PathPattern,
     probe: Option<&Probe>,
     reversed: bool,
-    batch: Batch,
+    batch: Batch<'g>,
     prof: P,
     pi: usize,
-) -> Result<Batch, CypherError> {
+) -> Result<Batch<'g>, CypherError> {
+    let started = prof.begin();
     if reversed {
-        expand_reversed(pg, pattern, batch)
-    } else {
-        let started = prof.begin();
-        let (seeded, anchors) = seed_batch(pg, pattern, probe, batch)?;
-        prof.record(format_args!("pat{pi}.start"), seeded.len, started);
-        expand_hops_batch(pg, pattern, seeded, anchors, prof, pi)
+        let (rel, end) = &pattern.hops[0];
+        let end_col = end.var.as_deref().and_then(|v| batch.col(v));
+        // The planner reverses only a pattern whose end is bound.
+        if let Some(end_col) = end_col {
+            let (seeded, anchors) = match end_col {
+                Col::Node(_) => seed_batch(pg, end, None, batch)?,
+                // A non-node binding never matches a node pattern: no rows.
+                _ => (batch.gather(&[]), Vec::new()),
+            };
+            let back = (rel, reverse(rel.direction));
+            return Ok(hop(pg, seeded, &anchors, back, &pattern.start, false).0);
+        }
     }
+    let (seeded, anchors) = seed_batch(pg, &pattern.start, probe, batch)?;
+    prof.record(format_args!("pat{pi}.start"), seeded.len, started);
+    expand_hops_batch(pg, pattern, seeded, anchors, prof, pi)
 }
 
 /// One evaluated expression in the row kernels: NULL, a scalar borrowed
@@ -480,56 +653,6 @@ impl<'a> Cell<'a> {
         }
     }
 }
-
-/// The hasher of every set keyed by [`Cell`]: FxHash with a final
-/// avalanche (MurmurHash3's `fmix64`). A plain Fx hash's low bits, which
-/// pick the bucket, are a function of the low bits of the last words
-/// written, so IRIs that differ only before a constant suffix, or floats
-/// with zero low mantissa bits, crowd into a few buckets.
-#[derive(Default)]
-pub(crate) struct KeyHasher(FxHasher);
-
-impl Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0.finish();
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.0.write_u8(v);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0.write_u32(v);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0.write_u64(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.0.write_usize(v);
-    }
-}
-
-/// A map keyed by cells under key equality.
-pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-/// A set of cells under key equality.
-pub(crate) type KeySet<T> = HashSet<T, BuildHasherDefault<KeyHasher>>;
 
 /// Key equality of two scalars (see [`Cell`]): same variant, same
 /// payload, floats by bits except that every NaN is one key.
@@ -638,6 +761,8 @@ pub(crate) enum VExpr<'b> {
     /// bindings).
     Const(Option<Value>),
     Vals(&'b [Value]),
+    /// A property read into one of the batch's property columns.
+    Props(PropRows<'b>),
     NodeProp(&'b [NodeId], Sym),
     EdgeProp(&'b [EdgeId], Sym),
     /// A bare node or edge variable as an aggregate's argument.
@@ -655,7 +780,7 @@ impl<'b> VExpr<'b> {
     pub(crate) fn compile<G: PgRead>(
         pg: &G,
         expr: &Expr,
-        batch: &'b Batch,
+        batch: &'b Batch<'_>,
         params: &Params,
     ) -> VExpr<'b> {
         let compile = |e: &Expr| Box::new(VExpr::compile(pg, e, batch, params));
@@ -669,9 +794,10 @@ impl<'b> VExpr<'b> {
                 Some(Col::Val(v)) => VExpr::Vals(v),
                 _ => VExpr::Const(None),
             },
-            Expr::Prop(var, key) => match (batch.col(var), pg.key_sym(key)) {
-                (Some(Col::Node(ids)), Some(k)) => VExpr::NodeProp(ids, k),
-                (Some(Col::Edge(ids)), Some(k)) => VExpr::EdgeProp(ids, k),
+            Expr::Prop(var, key) => match (batch.prop(var, key), batch.col(var), pg.key_sym(key)) {
+                (Some(rows), ..) => VExpr::Props(rows),
+                (None, Some(Col::Node(ids)), Some(k)) => VExpr::NodeProp(ids, k),
+                (None, Some(Col::Edge(ids)), Some(k)) => VExpr::EdgeProp(ids, k),
                 _ => VExpr::Const(None),
             },
             Expr::Coalesce(args) => VExpr::Coalesce(
@@ -693,7 +819,7 @@ impl<'b> VExpr<'b> {
     fn compile_agg_arg<G: PgRead>(
         pg: &G,
         expr: &Expr,
-        batch: &'b Batch,
+        batch: &'b Batch<'_>,
         params: &Params,
     ) -> VExpr<'b> {
         match expr {
@@ -712,6 +838,7 @@ impl<'b> VExpr<'b> {
         match self {
             VExpr::Const(v) => Cell::of_option(v),
             VExpr::Vals(v) => Cell::of(&v[i]),
+            VExpr::Props(rows) => rows.cell(i),
             VExpr::NodeProp(ids, k) => match pg.node_scalar(ids[i], *k) {
                 Some(s) => Cell::Scalar(s),
                 None => Cell::list(pg.node_prop_sym(ids[i], *k)),
@@ -753,6 +880,7 @@ impl<'b> VExpr<'b> {
         match self {
             VExpr::Const(v) => v.as_ref()?.as_scalar(),
             VExpr::Vals(v) => v[i].as_scalar(),
+            VExpr::Props(rows) => rows.scalar(i),
             VExpr::NodeProp(ids, k) => pg.node_scalar(ids[i], *k),
             VExpr::EdgeProp(ids, k) => pg.edge_scalar(ids[i], *k),
             _ => match self.cell(pg, i) {
@@ -805,11 +933,11 @@ impl<'b> VExpr<'b> {
         if let VExpr::Cmp(op, l, r) = self {
             match (&**l, &**r) {
                 (x, VExpr::Const(c)) => {
-                    let c = c.as_ref().and_then(Value::as_scalar);
+                    let c = const_scalar(c);
                     return select_rows(len, |i| cmp_holds(*op, x.scalar(pg, i), c));
                 }
                 (VExpr::Const(c), x) => {
-                    let c = c.as_ref().and_then(Value::as_scalar);
+                    let c = const_scalar(c);
                     return select_rows(len, |i| cmp_holds(*op, c, x.scalar(pg, i)));
                 }
                 _ => {}
@@ -819,9 +947,13 @@ impl<'b> VExpr<'b> {
     }
 }
 
+fn const_scalar(c: &Option<Value>) -> Option<Scalar<'_>> {
+    c.as_ref().and_then(Value::as_scalar)
+}
+
 /// Whether `op` holds between two operands; NULL (a missing operand or an
 /// incomparable pair) never holds.
-#[inline]
+#[inline(always)]
 fn cmp_holds(op: CmpOp, l: Option<Scalar<'_>>, r: Option<Scalar<'_>>) -> bool {
     match (l, r) {
         (Some(l), Some(r)) => compare_scalars(l, r).is_some_and(|ord| op.holds(ord)),
@@ -845,7 +977,7 @@ fn select_rows(len: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
 
 /// Materialize a batch back into binding rows (the `OPTIONAL MATCH`
 /// tail).
-pub(crate) fn batch_to_rows(batch: &Batch) -> Vec<Row> {
+pub(crate) fn batch_to_rows(batch: &Batch<'_>) -> Vec<Row> {
     (0..batch.len)
         .map(|i| {
             let mut row = Row::default();
@@ -862,24 +994,119 @@ pub(crate) fn batch_to_rows(batch: &Batch) -> Vec<Row> {
         .collect()
 }
 
+/// The `(variable, key)` property reads of an expression, repeats kept.
+fn prop_reads<'q>(expr: &'q Expr, out: &mut Vec<(&'q str, &'q str)>) {
+    match expr {
+        Expr::Prop(var, key) => out.push((var, key)),
+        Expr::Coalesce(args) => args.iter().for_each(|a| prop_reads(a, out)),
+        Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+            prop_reads(a, out);
+            prop_reads(b, out);
+        }
+        Expr::Not(a) | Expr::IsNull(a, _) => prop_reads(a, out),
+        Expr::Var(_) | Expr::Lit(_) | Expr::Param(_) | Expr::Null => {}
+    }
+}
+
+/// The property reads of a part's row stages, in stage order: the WHERE,
+/// each UNWIND, the post-UNWIND WHERE, then the return items (aggregate
+/// arguments and the ORDER BY key among them). A read that several
+/// expressions make, counting repeats, goes into a property column at
+/// the first stage that makes it, and the column is carried to the last
+/// stage that reads it, so each row reads it once; so does every
+/// aggregate's property argument, which the folds then read as `Copy`
+/// scalars.
+struct StageReads<'q> {
+    stages: Vec<Vec<(&'q str, &'q str)>>,
+    agg_args: Vec<(&'q str, &'q str)>,
+}
+
+impl<'q> StageReads<'q> {
+    fn of(q: &'q SingleQuery) -> StageReads<'q> {
+        let reads = |e: Option<&'q Expr>| {
+            let mut out = Vec::new();
+            e.inspect(|e| prop_reads(e, &mut out));
+            out
+        };
+        let mut stages = vec![reads(q.where_clause.as_ref())];
+        stages.extend(q.unwind.iter().map(|(e, _)| reads(Some(e))));
+        stages.push(reads(q.unwind_where.as_ref()));
+        let mut returns = Vec::new();
+        let mut agg_args = Vec::new();
+        for (item, _) in &q.return_items {
+            match item {
+                ReturnItem::Expr(e) => prop_reads(e, &mut returns),
+                ReturnItem::Agg { arg: Some(e), .. } => {
+                    if let Expr::Prop(var, key) = e {
+                        agg_args.push((var.as_str(), key.as_str()));
+                    }
+                    prop_reads(e, &mut returns);
+                }
+                ReturnItem::Agg { arg: None, .. } => {}
+            }
+        }
+        // Top-K reads the ORDER BY item to test a row, then again for
+        // the rows it admits.
+        if let (Some((index, _)), true) = (q.order_by, crate::morsel::topk_eligible(q)) {
+            if let ReturnItem::Expr(e) = &q.return_items[index].0 {
+                prop_reads(e, &mut returns);
+            }
+        }
+        stages.push(returns);
+        StageReads { stages, agg_args }
+    }
+
+    /// Whether stage `s` reads `read` into a column: it or a later stage
+    /// reads it again, or it is an aggregate's argument at the return
+    /// stage.
+    fn wants(&self, s: usize, read: (&str, &str)) -> bool {
+        let again = self.stages[s..].iter().flatten().filter(|&&r| r == read);
+        again.count() > 1 || (s + 1 == self.stages.len() && self.agg_args.contains(&read))
+    }
+
+    /// Fill the property columns stage `s` wants.
+    fn fill<'g, G: PgRead>(&self, pg: &'g G, batch: &mut Batch<'g>, s: usize) {
+        for &read in &self.stages[s] {
+            if self.wants(s, read) {
+                batch.read_prop(pg, read.0, read.1);
+            }
+        }
+    }
+
+    /// Drop the property columns no stage after `s` reads, before the
+    /// gather that ends stage `s`.
+    fn drop_after(&self, batch: &mut Batch<'_>, s: usize) {
+        let later = &self.stages[s + 1..];
+        batch.props.retain(|p| {
+            later
+                .iter()
+                .flatten()
+                .any(|&(v, k)| v == p.var && k == p.key)
+        });
+    }
+}
+
 /// The row-stage middle of a part: WHERE / UNWIND / post-UNWIND WHERE as
 /// selection-vector filters over compiled expressions, recorded under the
-/// operator ids EXPLAIN assigns.
-pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
-    pg: &G,
+/// operator ids EXPLAIN assigns. The batch it returns holds the property
+/// columns the return items read.
+pub(crate) fn apply_row_stages<'g, G: PgRead, P: ProfHook>(
+    pg: &'g G,
     q: &SingleQuery,
-    mut batch: Batch,
+    mut batch: Batch<'g>,
     params: &Params,
     prof: P,
-) -> Result<Batch, CypherError> {
+) -> Result<Batch<'g>, CypherError> {
+    let reads = StageReads::of(q);
+    let unwinds = q.unwind.len();
     if let Some(where_clause) = &q.where_clause {
         let started = prof.begin();
-        let sel = VExpr::compile(pg, where_clause, &batch, params).select(pg, batch.len);
-        batch = batch.gather(&sel);
+        batch = filter(pg, &reads, 0, where_clause, batch, params);
         prof.record(format_args!("filter"), batch.len, started);
     }
     for (k, (expr, var)) in q.unwind.iter().enumerate() {
         let started = prof.begin();
+        reads.fill(pg, &mut batch, 1 + k);
         let mut sel: Vec<u32> = Vec::new();
         let mut vals: Vec<Value> = Vec::new();
         let ve = VExpr::compile(pg, expr, &batch, params);
@@ -893,17 +1120,149 @@ pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
             }
         }
         drop(ve);
+        reads.drop_after(&mut batch, 1 + k);
         batch = batch.gather(&sel);
         batch.set_col(var, Col::Val(vals));
         prof.record(format_args!("unwind{k}"), batch.len, started);
     }
     if let Some(unwind_where) = &q.unwind_where {
         let started = prof.begin();
-        let sel = VExpr::compile(pg, unwind_where, &batch, params).select(pg, batch.len);
-        batch = batch.gather(&sel);
+        batch = filter(pg, &reads, 1 + unwinds, unwind_where, batch, params);
         prof.record(format_args!("unwind_filter"), batch.len, started);
     }
+    reads.fill(pg, &mut batch, 2 + unwinds);
     Ok(batch)
+}
+
+/// One WHERE stage `s` over a batch: fill the stage's property columns,
+/// select the rows whose predicate holds, and gather them, dropping the
+/// columns no later stage reads.
+fn filter<'g, G: PgRead>(
+    pg: &'g G,
+    reads: &StageReads<'_>,
+    s: usize,
+    pred: &Expr,
+    mut batch: Batch<'g>,
+    params: &Params,
+) -> Batch<'g> {
+    if let Some((sel, col)) = select_kept(pg, reads, s, pred, &batch, params) {
+        reads.drop_after(&mut batch, s);
+        let mut out = batch.gather(&sel);
+        out.props.push(col);
+        return out;
+    }
+    reads.fill(pg, &mut batch, s);
+    let sel = VExpr::compile(pg, pred, &batch, params).select(pg, batch.len);
+    reads.drop_after(&mut batch, s);
+    batch.gather(&sel)
+}
+
+/// The common predicate, one property compared with a constant, when a
+/// later stage reads the property again: one loop reads the property,
+/// tests it, and keeps the values of the rows that pass as their column
+/// (a comparison holds only between scalars, so those rows all hold
+/// one). Returns the selection vector and the column; `None` for any
+/// other predicate.
+fn select_kept<'g, G: PgRead>(
+    pg: &'g G,
+    reads: &StageReads<'_>,
+    s: usize,
+    pred: &Expr,
+    batch: &Batch<'g>,
+    params: &Params,
+) -> Option<(Vec<u32>, PropCol<'g>)> {
+    let Expr::Cmp(op, l, r) = pred else {
+        return None;
+    };
+    let ((var, key), other, flipped) = match (&**l, &**r) {
+        (Expr::Prop(var, key), other) => ((var, key), other, false),
+        (other, Expr::Prop(var, key)) => ((var, key), other, true),
+        _ => return None,
+    };
+    if !reads.wants(s, (var, key)) || batch.prop(var, key).is_some() {
+        return None;
+    }
+    let sym = pg.key_sym(key)?;
+    let VExpr::Const(c) = VExpr::compile(pg, other, batch, params) else {
+        return None;
+    };
+    let c = const_scalar(&c);
+    let test = CmpConst {
+        op: *op,
+        c,
+        flipped,
+    };
+    let (sel, vals) = match batch.col(var)? {
+        Col::Node(ids) => select_props(pg, ids, sym, test),
+        Col::Edge(ids) => select_props(pg, ids, sym, test),
+        Col::Val(_) => return None,
+    };
+    let (var, key, lists) = (var.clone(), key.clone(), Vec::new());
+    Some((
+        sel,
+        PropCol {
+            var,
+            key,
+            vals,
+            lists,
+        },
+    ))
+}
+
+/// A comparison with a constant, `v op c` (or `c op v` when `flipped`),
+/// as the test of one row's value.
+#[derive(Clone, Copy)]
+struct CmpConst<'c> {
+    op: CmpOp,
+    c: Option<Scalar<'c>>,
+    flipped: bool,
+}
+
+impl CmpConst<'_> {
+    #[inline(always)]
+    fn holds(self, v: Option<Scalar<'_>>) -> bool {
+        match self.flipped {
+            false => cmp_holds(self.op, v, self.c),
+            true => cmp_holds(self.op, self.c, v),
+        }
+    }
+}
+
+/// The rows of `ids` whose property `key` passes `test`, and the values
+/// they hold. An integer constant, the case S_PG promises for an integer
+/// key, gets a loop of its own in which the constant's type is known.
+fn select_props<'g, G: PgRead, T: Entity>(
+    pg: &'g G,
+    ids: &[T],
+    key: Sym,
+    test: CmpConst<'_>,
+) -> (Vec<u32>, Vec<Prop<'g>>) {
+    match test.c {
+        Some(Scalar::Int(c)) => select_loop(pg, ids, key, |v| {
+            let c = Some(Scalar::Int(c));
+            CmpConst { c, ..test }.holds(v)
+        }),
+        _ => select_loop(pg, ids, key, |v| test.holds(v)),
+    }
+}
+
+#[inline(always)]
+fn select_loop<'g, G: PgRead, T: Entity>(
+    pg: &'g G,
+    ids: &[T],
+    key: Sym,
+    holds: impl Fn(Option<Scalar<'_>>) -> bool,
+) -> (Vec<u32>, Vec<Prop<'g>>) {
+    let mut sel = Vec::with_capacity(ids.len());
+    let mut vals = Vec::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        let v = id.scalar(pg, key);
+        if holds(v) {
+            sel.push(i as u32);
+            vals.push(v.map_or(Prop::Null, Prop::Scalar));
+        }
+    }
+    (sel, vals)
 }
 
 /// Compile every return item against a batch's column layout: `Some` for
@@ -912,7 +1271,7 @@ pub(crate) fn apply_row_stages<G: PgRead, P: ProfHook>(
 pub(crate) fn compile_return_items<'b, G: PgRead>(
     pg: &G,
     q: &SingleQuery,
-    batch: &'b Batch,
+    batch: &'b Batch<'_>,
     params: &Params,
 ) -> Vec<Option<VExpr<'b>>> {
     q.return_items

@@ -23,6 +23,13 @@ cargo fmt --check
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+# The harness is its own workspace, so the two checks above never see it.
+echo "== cargo fmt --check --manifest-path benchmark/Cargo.toml =="
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+
+echo "== cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings =="
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "== cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

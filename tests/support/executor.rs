@@ -10,13 +10,16 @@
 use s3pg::pipeline::{transform, TransformOutput};
 use s3pg::query_translate;
 use s3pg::Mode;
-use s3pg_pg::{CompactGraph, PgRead, PropertyGraph};
+use s3pg_pg::{CompactGraph, EdgeId, NodeId, PgRead, PropertyGraph, Scalar, Value};
 use s3pg_query::cypher;
 use s3pg_query::profile::PlanNode;
+use s3pg_rdf::Sym;
 use s3pg_shacl::extract_shapes;
 use s3pg_workloads::generate_queries;
 use s3pg_workloads::spec::{generate, DatasetSpec, GeneratedDataset};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Seed of the uniform workload generator.
 pub const WORKLOAD_SEED: u64 = 0x5EED;
@@ -172,7 +175,10 @@ pub fn workload_queries(generated: &GeneratedDataset, out: &TransformOutput) -> 
 /// semantics: int and float properties that compare equal, a string where
 /// a number is expected, a missing property, list-valued properties,
 /// `-0.0` beside `0.0`, and NaN. Every `:Item` has an `iri`; `n` is an
-/// int everywhere it is set.
+/// int everywhere it is set. `k` (on nodes) and `w` (on edges) hold an
+/// int on some rows and a float, a year, a string, a list or nothing on
+/// others, for the per-batch property columns; `back` edges give the
+/// relationship-label checks a second label.
 pub fn kernel_graph() -> PropertyGraph {
     use s3pg_pg::{Value, IRI_KEY};
     let strings =
@@ -236,9 +242,44 @@ pub fn kernel_graph() -> PropertyGraph {
         }
         ids.push(id);
     }
-    for (src, dst) in [(0, 1), (0, 2), (1, 2), (3, 4), (5, 0), (6, 0)] {
+    let ks = [
+        Some(Value::Int(10)),
+        Some(Value::Float(10.0)),
+        Some(Value::Int(3)),
+        Some(Value::String("7".into())),
+        Some(Value::List(vec![Value::Int(1), Value::Int(2)])),
+        Some(Value::Year(2021)),
+        None,
+    ];
+    for (&id, k) in ids.iter().zip(ks) {
+        if let Some(k) = k {
+            pg.set_prop(id, "k", k);
+        }
+    }
+    let ws = [
+        Some(Value::Int(2)),
+        Some(Value::Float(2.0)),
+        Some(Value::Int(-1)),
+        Some(Value::String("x".into())),
+        None,
+        Some(Value::Float(7.5)),
+    ];
+    let next = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 0), (6, 0)];
+    for ((src, dst), w) in next.into_iter().zip(ws) {
         let e = pg.add_edge(ids[src], ids[dst], "next");
         pg.set_edge_prop(e, "weight", Value::Float(src as f64 - dst as f64 / 2.0));
+        if let Some(w) = w {
+            pg.set_edge_prop(e, "w", w);
+        }
+    }
+    let back = [
+        (2, 0, Value::Int(5)),
+        (4, 3, Value::List(vec![Value::Int(1)])),
+        (1, 0, Value::Float(-3.0)),
+    ];
+    for (src, dst, w) in back {
+        let e = pg.add_edge(ids[src], ids[dst], "back");
+        pg.set_edge_prop(e, "w", w);
     }
     pg
 }
@@ -293,7 +334,131 @@ pub fn kernel_queries() -> Vec<Query> {
         // Top-K over mixed types.
         with("MATCH (i:Item) RETURN i.iri, i.v ORDER BY i.v DESC LIMIT 3", &[]),
         with("MATCH (i:Item) RETURN i.iri, i.tag ORDER BY i.tag SKIP 1 LIMIT 4", &[]),
+        // One key read by WHERE and by two aggregates, or by ORDER BY,
+        // holding an int, a float, a year, a string, a list or nothing.
+        with("MATCH (i:Item) WHERE i.k > $x RETURN count(*) AS n, min(i.k) AS lo, max(i.k) AS hi", &[("x", Value::Int(2))]),
+        with("MATCH (i:Item) WHERE i.k IS NOT NULL RETURN min(i.k) AS lo, max(i.k) AS hi, count(i.k) AS c, sum(i.k) AS s", &[]),
+        with("MATCH (i:Item) WHERE i.k > 2 AND i.k < 100 RETURN min(i.k) AS lo, max(i.k) AS hi", &[]),
+        with("MATCH (i:Item) WHERE i.k >= 3 RETURN i.tag AS tag, min(i.k) AS lo, max(i.k) AS hi", &[]),
+        with("MATCH (i:Item) WHERE i.k <> 3 RETURN i.iri, i.k ORDER BY i.k DESC LIMIT 4", &[]),
+        with("MATCH (i:Item) WHERE i.k > 0 RETURN i.k ORDER BY i.k", &[]),
+        with("MATCH (i:Item) WHERE i.k IS NOT NULL RETURN count(DISTINCT i.k) AS d, sum(DISTINCT i.k) AS s", &[]),
+        with("MATCH (i:Item) WHERE i.k IS NOT NULL UNWIND i.k AS x RETURN x, count(*) AS n", &[]),
+        // The same over an edge property.
+        with("MATCH (a:Item)-[r:next]->(b) WHERE r.w > $x RETURN count(*) AS n, min(r.w) AS lo, max(r.w) AS hi", &[("x", Value::Float(0.5))]),
+        with("MATCH (a:Item)-[r:next]->(b) WHERE r.w >= $x RETURN a.iri, min(r.w) AS lo, sum(r.w) AS s", &[("x", Value::Int(-1))]),
+        // Two relationship labels, one of them unknown, and a node
+        // pattern with two labels.
+        with("MATCH (a:Item)-[r:next:back]->(b) WHERE r.w > $x RETURN a.iri, b.iri, r.w", &[("x", Value::Int(0))]),
+        with("MATCH (a:Item)-[:back:nosuch]->(b:Item) RETURN a.iri, b.iri", &[]),
+        with("MATCH (a:Item)-[:next]->(b:Item:Nope) RETURN count(*) AS n", &[]),
+        with("MATCH (a:Item)<-[:next:back]-(b) RETURN a.iri, count(*) AS n", &[]),
+        // A pre-bound target: a triangle, and an undirected hop between
+        // two bound nodes.
+        with("MATCH (a:Item)-[:next]->(b)-[:next]->(c) MATCH (a)-[r:next]->(c) RETURN a.iri, c.iri, r.weight", &[]),
+        with("MATCH (a:Item)-[:back]->(b) MATCH (a)-[:next]-(b) RETURN a.iri, b.iri", &[]),
     ]
+}
+
+/// A [`PgRead`] that counts its property reads by key: `node_scalar`,
+/// `node_prop_sym` and their edge twins, and every provided read built on
+/// them. Everything else passes through.
+pub struct CountingReads<'a, G> {
+    inner: &'a G,
+    reads: Mutex<BTreeMap<Sym, u64>>,
+}
+
+impl<'a, G: PgRead> CountingReads<'a, G> {
+    pub fn new(inner: &'a G) -> Self {
+        CountingReads {
+            inner,
+            reads: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The reads of `key` so far.
+    pub fn reads_of(&self, key: &str) -> u64 {
+        let key = self.inner.key_sym(key).expect("known key");
+        self.reads.lock().unwrap().get(&key).copied().unwrap_or(0)
+    }
+
+    fn count(&self, key: Sym) {
+        *self.reads.lock().unwrap().entry(key).or_insert(0) += 1;
+    }
+}
+
+impl<G: PgRead> PgRead for CountingReads<'_, G> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn edge_count(&self) -> usize {
+        self.inner.edge_count()
+    }
+
+    fn all_node_ids(&self) -> Vec<NodeId> {
+        self.inner.all_node_ids()
+    }
+
+    fn nodes_with_label(&self, label: &str) -> &[NodeId] {
+        self.inner.nodes_with_label(label)
+    }
+
+    fn label_cardinality(&self, label: &str) -> usize {
+        self.inner.label_cardinality(label)
+    }
+
+    fn nodes_with_label_prop(&self, label: &str, key: &str, value: &Value) -> Cow<'_, [NodeId]> {
+        self.inner.nodes_with_label_prop(label, key, value)
+    }
+
+    fn key_sym(&self, name: &str) -> Option<Sym> {
+        self.inner.key_sym(name)
+    }
+
+    fn node_label_syms(&self, id: NodeId) -> &[Sym] {
+        self.inner.node_label_syms(id)
+    }
+
+    fn edge_label_syms(&self, id: EdgeId) -> &[Sym] {
+        self.inner.edge_label_syms(id)
+    }
+
+    fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<Value> {
+        self.count(key);
+        self.inner.node_prop_sym(id, key)
+    }
+
+    fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<Value> {
+        self.count(key);
+        self.inner.edge_prop_sym(id, key)
+    }
+
+    fn node_scalar(&self, id: NodeId, key: Sym) -> Option<Scalar<'_>> {
+        self.count(key);
+        self.inner.node_scalar(id, key)
+    }
+
+    fn edge_scalar(&self, id: EdgeId, key: Sym) -> Option<Scalar<'_>> {
+        self.count(key);
+        self.inner.edge_scalar(id, key)
+    }
+
+    fn edge_endpoints(&self, id: EdgeId) -> (NodeId, NodeId) {
+        self.inner.edge_endpoints(id)
+    }
+
+    fn out_adjacency(&self, id: NodeId) -> &[EdgeId] {
+        self.inner.out_adjacency(id)
+    }
+
+    fn in_adjacency(&self, id: NodeId) -> &[EdgeId] {
+        self.inner.in_adjacency(id)
+    }
+
+    fn edge_live(&self, id: EdgeId) -> bool {
+        self.inner.edge_live(id)
+    }
 }
 
 /// One query on one form: the executor's rows agree with the oracle as a
