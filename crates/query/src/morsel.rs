@@ -275,9 +275,10 @@ impl<'a> AggAcc<'a> {
                 };
                 let is_int = |s: &Scalar<'_>| matches!(s, Scalar::Int(_));
                 if champion.as_ref().is_none_or(is_int) && ints_or_nulls(vals) {
-                    // The case S_PG promises for an integer key: equal
-                    // integers are one value, so the first-seen rule is
-                    // moot and the fold is a plain integer min or max.
+                    // The case S_PG promises for an `xsd:integer` key, and
+                    // every `min`/`max` the benchmark's workloads fold:
+                    // equal integers are one value, so the first-seen rule
+                    // is moot and the fold is a plain integer min or max.
                     let ints = vals.iter().filter_map(|p| match p {
                         Prop::Scalar(Scalar::Int(i)) => Some(*i),
                         _ => None,

@@ -1145,124 +1145,10 @@ fn filter<'g, G: PgRead>(
     mut batch: Batch<'g>,
     params: &Params,
 ) -> Batch<'g> {
-    if let Some((sel, col)) = select_kept(pg, reads, s, pred, &batch, params) {
-        reads.drop_after(&mut batch, s);
-        let mut out = batch.gather(&sel);
-        out.props.push(col);
-        return out;
-    }
     reads.fill(pg, &mut batch, s);
     let sel = VExpr::compile(pg, pred, &batch, params).select(pg, batch.len);
     reads.drop_after(&mut batch, s);
     batch.gather(&sel)
-}
-
-/// The common predicate, one property compared with a constant, when a
-/// later stage reads the property again: one loop reads the property,
-/// tests it, and keeps the values of the rows that pass as their column
-/// (a comparison holds only between scalars, so those rows all hold
-/// one). Returns the selection vector and the column; `None` for any
-/// other predicate.
-fn select_kept<'g, G: PgRead>(
-    pg: &'g G,
-    reads: &StageReads<'_>,
-    s: usize,
-    pred: &Expr,
-    batch: &Batch<'g>,
-    params: &Params,
-) -> Option<(Vec<u32>, PropCol<'g>)> {
-    let Expr::Cmp(op, l, r) = pred else {
-        return None;
-    };
-    let ((var, key), other, flipped) = match (&**l, &**r) {
-        (Expr::Prop(var, key), other) => ((var, key), other, false),
-        (other, Expr::Prop(var, key)) => ((var, key), other, true),
-        _ => return None,
-    };
-    if !reads.wants(s, (var, key)) || batch.prop(var, key).is_some() {
-        return None;
-    }
-    let sym = pg.key_sym(key)?;
-    let VExpr::Const(c) = VExpr::compile(pg, other, batch, params) else {
-        return None;
-    };
-    let c = const_scalar(&c);
-    let test = CmpConst {
-        op: *op,
-        c,
-        flipped,
-    };
-    let (sel, vals) = match batch.col(var)? {
-        Col::Node(ids) => select_props(pg, ids, sym, test),
-        Col::Edge(ids) => select_props(pg, ids, sym, test),
-        Col::Val(_) => return None,
-    };
-    let (var, key, lists) = (var.clone(), key.clone(), Vec::new());
-    Some((
-        sel,
-        PropCol {
-            var,
-            key,
-            vals,
-            lists,
-        },
-    ))
-}
-
-/// A comparison with a constant, `v op c` (or `c op v` when `flipped`),
-/// as the test of one row's value.
-#[derive(Clone, Copy)]
-struct CmpConst<'c> {
-    op: CmpOp,
-    c: Option<Scalar<'c>>,
-    flipped: bool,
-}
-
-impl CmpConst<'_> {
-    #[inline(always)]
-    fn holds(self, v: Option<Scalar<'_>>) -> bool {
-        match self.flipped {
-            false => cmp_holds(self.op, v, self.c),
-            true => cmp_holds(self.op, self.c, v),
-        }
-    }
-}
-
-/// The rows of `ids` whose property `key` passes `test`, and the values
-/// they hold. An integer constant, the case S_PG promises for an integer
-/// key, gets a loop of its own in which the constant's type is known.
-fn select_props<'g, G: PgRead, T: Entity>(
-    pg: &'g G,
-    ids: &[T],
-    key: Sym,
-    test: CmpConst<'_>,
-) -> (Vec<u32>, Vec<Prop<'g>>) {
-    match test.c {
-        Some(Scalar::Int(c)) => select_loop(pg, ids, key, |v| {
-            let c = Some(Scalar::Int(c));
-            CmpConst { c, ..test }.holds(v)
-        }),
-        _ => select_loop(pg, ids, key, |v| test.holds(v)),
-    }
-}
-
-#[inline(always)]
-fn select_loop<'g, G: PgRead, T: Entity>(
-    pg: &'g G,
-    ids: &[T],
-    key: Sym,
-    holds: impl Fn(Option<Scalar<'_>>) -> bool,
-) -> (Vec<u32>, Vec<Prop<'g>>) {
-    let mut sel = Vec::with_capacity(ids.len());
-    let mut vals = Vec::with_capacity(ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        let v = id.scalar(pg, key);
-        if holds(v) {
-            sel.push(i as u32);
-            vals.push(v.map_or(Prop::Null, Prop::Scalar));
-        }
-    }
-    (sel, vals)
 }
 
 /// Compile every return item against a batch's column layout: `Some` for

@@ -268,7 +268,8 @@ const KERNEL_ANSWERS: [&[&str]; 44] = [
             "[Some(String(\"http://kernel.test/i4\")), Some(Float(7.0))]",
             "[Some(String(\"http://kernel.test/i5\")), Some(Year(2020))]",
             "[Some(String(\"http://kernel.test/i6\")), Some(Int(2020))]",
-        ],        // MATCH (i:Item) WHERE i.k > $x RETURN count(*) AS n, min(i.k) AS lo, max(i.k) AS hi {"x": Int(2)}
+        ],
+        // MATCH (i:Item) WHERE i.k > $x RETURN count(*) AS n, min(i.k) AS lo, max(i.k) AS hi {"x": Int(2)}
         &[
             "[Some(Int(4)), Some(Int(3)), Some(Year(2021))]",
         ],
