@@ -210,9 +210,19 @@ pub fn encode_success(fields: &[(String, Value)]) -> Vec<u8> {
 /// Encode one `RECORD` response carrying a row of values.
 pub fn encode_record(values: Vec<Value>) -> Vec<u8> {
     let mut out = Vec::new();
-    packstream::struct_header(1, T_RECORD, &mut out);
-    packstream::encode(&Value::List(values), &mut out);
+    encode_record_into(&values, &mut out);
     out
+}
+
+/// Append one `RECORD` response carrying a row of values to `out`, the
+/// same bytes [`encode_record`] returns. A server streaming many records
+/// clears and reuses one payload buffer.
+pub fn encode_record_into(values: &[Value], out: &mut Vec<u8>) {
+    packstream::struct_header(1, T_RECORD, out);
+    packstream::list_header(values.len(), out);
+    for value in values {
+        packstream::encode(value, out);
+    }
 }
 
 /// Encode an `IGNORED` response.
@@ -346,6 +356,42 @@ mod tests {
                 message: "nope".into(),
             }
         );
+    }
+
+    #[test]
+    fn records_written_into_a_reused_buffer_match_encode_record() {
+        // The row as one packed list: what `encode_record` wrote before it
+        // delegated to `encode_record_into`.
+        let reference = |values: &[Value]| {
+            let mut out = Vec::new();
+            packstream::struct_header(1, T_RECORD, &mut out);
+            packstream::encode(&Value::List(values.to_vec()), &mut out);
+            out
+        };
+        let controls: String = (0u8..0x20).chain([0x7f]).map(char::from).collect();
+        let cells = [
+            Value::String(controls),
+            Value::String(r#"say "hi" \ C:\dir\"#.to_string()),
+            Value::String("é ß € 中文 😀 𝄞".to_string()),
+            Value::String(String::new()),
+            Value::Null,
+            Value::String("x".repeat(300)),
+            Value::Int(-7),
+        ];
+        let rows: Vec<Vec<Value>> = vec![
+            Vec::new(),
+            cells.to_vec(),
+            vec![Value::Null; 20],
+            cells.iter().cycle().take(300).cloned().collect(),
+        ];
+        let mut payload = Vec::new();
+        for row in rows {
+            payload.clear();
+            encode_record_into(&row, &mut payload);
+            assert_eq!(payload, reference(&row), "{} values", row.len());
+            assert_eq!(encode_record(row.clone()), payload);
+            assert_eq!(decode_server(&payload).unwrap(), ServerMessage::Record(row));
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn encode(value: &Value, out: &mut Vec<u8>) {
         }
         Value::String(s) => encode_string(s, out),
         Value::List(items) => {
-            size_header(items.len(), 0x90, M_LIST8, out);
+            list_header(items.len(), out);
             for item in items {
                 encode(item, out);
             }
@@ -128,7 +128,7 @@ pub fn encode(value: &Value, out: &mut Vec<u8>) {
         Value::Node(node) => {
             struct_header(4, TAG_NODE, out);
             encode_int(node.id, out);
-            size_header(node.labels.len(), 0x90, M_LIST8, out);
+            list_header(node.labels.len(), out);
             for label in &node.labels {
                 encode_string(label, out);
             }
@@ -147,6 +147,11 @@ pub fn encode(value: &Value, out: &mut Vec<u8>) {
             encode_string(&rel.end_element_id, out);
         }
     }
+}
+
+/// Append the header of a list of `len` items; the items follow it.
+pub(crate) fn list_header(len: usize, out: &mut Vec<u8>) {
+    size_header(len, 0x90, M_LIST8, out);
 }
 
 /// Append a structure header (`0xB0 | size`, then the tag byte).

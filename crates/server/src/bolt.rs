@@ -486,10 +486,13 @@ impl Session<'_> {
         } else {
             (n as usize).min(self.pending.len())
         };
-        for _ in 0..take {
-            let row = self.pending.pop_front().expect("take bounded by len");
+        // One payload buffer for every record of this `PULL`.
+        let mut payload = Vec::new();
+        for row in self.pending.drain(..take) {
             if emit {
-                push(out, message::encode_record(row));
+                payload.clear();
+                message::encode_record_into(&row, &mut payload);
+                frame::write_message(out, &payload).expect("writing to a Vec cannot fail");
             }
         }
         if self.pending.is_empty() {

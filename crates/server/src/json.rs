@@ -166,20 +166,36 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Write `s` as a JSON string literal: `"`, `\`, `\n`, `\r` and `\t` get
+/// their short escapes, every other byte below 0x20 a `\u00xx` escape, and
+/// everything else (DEL and non-ASCII included) passes through raw. Each
+/// run of bytes between two escapes is copied with one `write_str`.
+///
+/// The one escaper of the wire protocol: [`Json`]'s `Display` and the row
+/// writer of result frames (`Response::encode`) both call it.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a character boundary.
+        out.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A JSON parse error: byte offset plus message.
@@ -449,6 +465,37 @@ mod tests {
         let line = original.to_line();
         assert!(!line.contains('\n'), "frames must stay one line: {line}");
         assert_eq!(parse(&line).unwrap(), original);
+    }
+
+    #[test]
+    fn escaper_matches_the_per_character_rule() {
+        // The rule, one character at a time.
+        let reference = |s: &str| {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let chars: Vec<char> = (0u32..0x800)
+            .chain([0x20AC, 0xFFFD, 0x1F600])
+            .filter_map(char::from_u32)
+            .collect();
+        let all: String = chars.iter().collect();
+        let mut cases: Vec<String> = chars.iter().map(char::to_string).collect();
+        cases.extend([all, String::new(), "a\"b\\c\u{7f}\u{1}é".to_string()]);
+        for s in cases {
+            assert_eq!(Json::Str(s.clone()).to_line(), reference(&s), "{s:?}");
+        }
     }
 
     #[test]

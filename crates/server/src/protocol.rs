@@ -28,7 +28,9 @@ pub const DEFAULT_TRACE_LIMIT: u64 = 256;
 /// `write`. On an unbuffered `TCP_NODELAY` socket `writeln!` makes two —
 /// the frame, then `"\n"` — which is two system calls and two segments,
 /// and the peer's `read_line` cannot return before the second arrives.
-pub(crate) fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
+/// A result frame from [`Response::encode`] has room for the newline, so
+/// appending it does not copy the line.
+pub fn write_frame(writer: &mut impl Write, mut frame: String) -> io::Result<()> {
     frame.push('\n');
     writer.write_all(frame.as_bytes())
 }
@@ -540,6 +542,90 @@ fn plan_from_json(value: &Json) -> Result<PlanNode, String> {
     Ok(node)
 }
 
+/// Encode a result frame: `ok`, then `language` (`Profile` only), the
+/// column names under the key `names.0` (`columns` or `vars`), the rows,
+/// and the plan (`Profile` only).
+///
+/// Cells go through [`json::write_escaped`] straight into the line, which
+/// is sized from the rows with room for the newline [`write_frame`]
+/// appends: a frame whose cells need no escapes is one allocation.
+fn result_frame(
+    language: Option<&str>,
+    names: (&str, &[String]),
+    rows: &[Vec<Option<String>>],
+    plan: Option<&PlanNode>,
+) -> String {
+    let plan = plan.map(|plan| plan_to_json(plan).to_line());
+    // Quotes and a comma per string, `null,` per NULL, brackets and a comma
+    // per row, then the fixed keys.
+    let quoted = |s: &String| s.len() + 3;
+    let cells: usize = rows
+        .iter()
+        .map(|row| {
+            3 + row
+                .iter()
+                .map(|cell| cell.as_ref().map_or(5, quoted))
+                .sum::<usize>()
+        })
+        .sum();
+    let capacity = 64
+        + language.map_or(0, str::len)
+        + names.1.iter().map(quoted).sum::<usize>()
+        + cells
+        + plan.as_ref().map_or(0, String::len);
+    let mut line = String::with_capacity(capacity);
+    write_result_frame(&mut line, language, names, rows, plan.as_deref())
+        .expect("writing to a String cannot fail");
+    line
+}
+
+fn write_result_frame(
+    out: &mut String,
+    language: Option<&str>,
+    (key, names): (&str, &[String]),
+    rows: &[Vec<Option<String>>],
+    plan: Option<&str>,
+) -> fmt::Result {
+    out.push_str("{\"ok\":true,");
+    if let Some(language) = language {
+        out.push_str("\"language\":");
+        json::write_escaped(out, language)?;
+        out.push(',');
+    }
+    json::write_escaped(out, key)?;
+    out.push_str(":[");
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_escaped(out, name)?;
+    }
+    out.push_str("],\"rows\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, cell) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match cell {
+                Some(text) => json::write_escaped(out, text)?,
+                None => out.push_str("null"),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
+    if let Some(plan) = plan {
+        out.push_str(",\"plan\":");
+        out.push_str(plan);
+    }
+    out.push('}');
+    Ok(())
+}
+
 impl Response {
     /// Whether this is a success frame.
     pub fn is_ok(&self) -> bool {
@@ -547,51 +633,27 @@ impl Response {
     }
 
     /// Encode as one protocol line (no newline).
+    ///
+    /// Result frames (`Cypher`, `Sparql`, `Profile`) are written straight
+    /// from their rows into one line sized for them, newline included; the
+    /// other frames are small and serialise a [`Json`] tree.
     pub fn encode(&self) -> String {
-        let rows_json = |rows: &[Vec<Option<String>>]| {
-            Json::Arr(
-                rows.iter()
-                    .map(|row| {
-                        Json::Arr(
-                            row.iter()
-                                .map(|cell| match cell {
-                                    Some(s) => Json::Str(s.clone()),
-                                    None => Json::Null,
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            )
-        };
-        let strings =
-            |items: &[String]| Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect());
         let json = match self {
-            Response::Cypher { columns, rows } => Json::obj([
-                ("ok", true.into()),
-                ("columns", strings(columns)),
-                ("rows", rows_json(rows)),
-            ]),
-            Response::Sparql { vars, rows } => Json::obj([
-                ("ok", true.into()),
-                ("vars", strings(vars)),
-                ("rows", rows_json(rows)),
-            ]),
-            Response::Explain { language, plan } => Json::obj([
-                ("ok", true.into()),
-                ("language", language.as_str().into()),
-                ("plan", plan_to_json(plan)),
-            ]),
+            Response::Cypher { columns, rows } => {
+                return result_frame(None, ("columns", columns), rows, None)
+            }
+            Response::Sparql { vars, rows } => {
+                return result_frame(None, ("vars", vars), rows, None)
+            }
             Response::Profile {
                 language,
                 columns,
                 rows,
                 plan,
-            } => Json::obj([
+            } => return result_frame(Some(language), ("columns", columns), rows, Some(plan)),
+            Response::Explain { language, plan } => Json::obj([
                 ("ok", true.into()),
                 ("language", language.as_str().into()),
-                ("columns", strings(columns)),
-                ("rows", rows_json(rows)),
                 ("plan", plan_to_json(plan)),
             ]),
             Response::QueryStats { queries } => Json::obj([
@@ -660,9 +722,13 @@ impl Response {
                 ("healthy", true.into()),
                 ("uptime_micros", (*uptime_micros).into()),
             ]),
-            Response::Trace { events } => {
-                Json::obj([("ok", true.into()), ("events", strings(events))])
-            }
+            Response::Trace { events } => Json::obj([
+                ("ok", true.into()),
+                (
+                    "events",
+                    Json::Arr(events.iter().map(|e| e.as_str().into()).collect()),
+                ),
+            ]),
             Response::Pong => Json::obj([("ok", true.into()), ("pong", true.into())]),
             Response::ShuttingDown => {
                 Json::obj([("ok", true.into()), ("shutting_down", true.into())])

@@ -882,20 +882,22 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Bytes, not a `String`: a read that times out inside a multi-byte
+    // character must keep its half, so UTF-8 is checked once per line.
+    let mut line = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             shed_open(&mut writer);
             return;
         }
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
             Ok(_) => {
-                if !line.ends_with('\n') {
+                if line.last() != Some(&b'\n') {
                     // Timed out mid-line; keep accumulating.
                     continue;
                 }
-                if line.trim().is_empty() {
+                if line.trim_ascii().is_empty() {
                     line.clear();
                     continue;
                 }
@@ -939,13 +941,18 @@ struct Reply {
 /// Decode, dispatch, serialize, and meter one request line. Each request
 /// gets its own trace with a `request` → `decode`/`execute`/`serialize`
 /// span tree, and the same stage boundaries feed the slow-query log.
-fn respond(line: &str, shared: &Shared) -> Reply {
+fn respond(line: &[u8], shared: &Shared) -> Reply {
     let tracer = tracer();
     let request_span = tracer.span(tracer.new_trace(), "request");
     let start = Instant::now();
     let decoded = {
         let _span = tracer.span_here("decode");
-        Request::decode(line)
+        std::str::from_utf8(line)
+            .map_err(|e| ErrorFrame {
+                kind: ErrorKind::BadRequest,
+                message: format!("request line is not UTF-8: {e}"),
+            })
+            .and_then(Request::decode)
     };
     let decoded_at = Instant::now();
     let mut form = None;

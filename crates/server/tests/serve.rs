@@ -762,3 +762,69 @@ fn concurrent_clients_see_consistent_monotonic_state() {
     handle.shutdown();
     handle.join();
 }
+
+/// Write `bytes` as one request line on a raw socket, pausing for
+/// `pause` after the first `split` bytes, and read the answer.
+fn send_split(
+    writer: &mut TcpStream,
+    client: &mut Client,
+    bytes: &[u8],
+    split: usize,
+    pause: Duration,
+) -> Result<Response, ClientError> {
+    use std::io::Write;
+    writer.write_all(&bytes[..split])?;
+    writer.flush()?;
+    std::thread::sleep(pause);
+    writer.write_all(&bytes[split..])?;
+    writer.write_all(b"\n")?;
+    client.read_response()
+}
+
+#[test]
+fn a_request_paused_inside_a_character_is_answered() {
+    let handle = start_server(ServerConfig::default());
+    let request = Request::cypher("MATCH (p:Person) WHERE p.name <> \"é\" RETURN p.name");
+    let expected = connect(&handle).call(&request).unwrap();
+    let Response::Cypher { rows, .. } = &expected else {
+        panic!("expected cypher rows, got {expected:?}");
+    };
+    assert_eq!(rows.len(), 2);
+
+    let mut writer = TcpStream::connect(handle.addr).unwrap();
+    let mut client = Client::from_stream(writer.try_clone().unwrap()).unwrap();
+    let line = request.encode();
+    // Split between the two bytes of `é` and pause for longer than the
+    // server's read timeout, so one read ends inside the character.
+    let split = line.find('é').unwrap() + 1;
+    let response = send_split(
+        &mut writer,
+        &mut client,
+        line.as_bytes(),
+        split,
+        Duration::from_millis(60),
+    )
+    .unwrap();
+    assert_eq!(response, expected);
+    // The connection still serves.
+    assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_line_of_invalid_utf8_gets_bad_request_and_the_connection_survives() {
+    let handle = start_server(ServerConfig::default());
+    let mut writer = TcpStream::connect(handle.addr).unwrap();
+    let mut client = Client::from_stream(writer.try_clone().unwrap()).unwrap();
+    let response = send_split(&mut writer, &mut client, b"\xFF", 1, Duration::ZERO).unwrap();
+    let Response::Error(e) = response else {
+        panic!("expected a bad_request frame, got {response:?}");
+    };
+    assert_eq!(e.kind, ErrorKind::BadRequest);
+    assert_eq!(client.call(&Request::Ping).unwrap(), Response::Pong);
+
+    handle.shutdown();
+    handle.join();
+}
