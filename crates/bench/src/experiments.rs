@@ -580,7 +580,7 @@ pub fn monotonicity(scale: Scale) -> (Table, MonotonicityResult) {
         s3pg::transform_schema(&extract_shapes(&snapshot2), Mode::NonParsimonious);
     let full = s3pg::transform_data(&snapshot2, &mut schema_full, Mode::NonParsimonious);
     let incremental_matches_full =
-        pg.node_count() >= full.pg.node_count() && pg.edge_count() == full.pg.edge_count();
+        pg.node_count() == full.pg.node_count() && pg.edge_count() == full.pg.edge_count();
 
     let result = MonotonicityResult {
         pars_full_base,

@@ -206,12 +206,21 @@ impl PropertyGraph {
         // write path removes repaired carrier nodes on every delta),
         // tombstones would otherwise accumulate unboundedly and every
         // label scan would pay to skip them.
-        for sym in &self.nodes[id.0 as usize].labels {
-            if let Some(postings) = self.by_label.get_mut(sym) {
-                postings.retain(|&n| n != id);
-            }
+        for i in 0..self.nodes[id.0 as usize].labels.len() {
+            self.unpost(self.nodes[id.0 as usize].labels[i], id);
         }
         true
+    }
+
+    /// Drop `node` from `label`'s postings. They are id-sorted (see
+    /// [`Self::add_label_sym`]), so this is a binary search, not a scan of
+    /// every node with the label.
+    fn unpost(&mut self, label: Sym, node: NodeId) {
+        if let Some(postings) = self.by_label.get_mut(&label) {
+            if let Ok(pos) = postings.binary_search(&node) {
+                postings.remove(pos);
+            }
+        }
     }
 
     /// Whether a node id refers to a live node.
@@ -252,11 +261,17 @@ impl PropertyGraph {
             return false;
         };
         n.labels.remove(pos);
-        if let Some(postings) = self.by_label.get_mut(&sym) {
-            postings.retain(|&id| id != node);
-        }
+        self.unpost(sym, node);
         self.touch_node(node);
         true
+    }
+
+    /// Remove every label of a node.
+    pub fn clear_labels(&mut self, node: NodeId) {
+        for sym in std::mem::take(&mut self.nodes[node.0 as usize].labels) {
+            self.unpost(sym, node);
+        }
+        self.touch_node(node);
     }
 
     /// Set a property on a node, replacing any existing value for the key.
@@ -546,6 +561,15 @@ impl PropertyGraph {
         }
     }
 
+    /// Remove every property of a node whose key `drop` admits, except
+    /// [`IRI_KEY`]: the node keeps its identity.
+    pub fn remove_props_where(&mut self, node: NodeId, drop: impl Fn(Sym) -> bool) {
+        let iri_key = self.iri_key;
+        let props = &mut self.nodes[node.0 as usize].props;
+        props.retain(|&(key, _)| Some(key) == iri_key || !drop(key));
+        self.touch_node(node);
+    }
+
     /// Remove a property from a node; returns the removed value.
     pub fn remove_prop(&mut self, node: NodeId, key: &str) -> Option<Value> {
         let sym = self.interner.get(key)?;
@@ -554,38 +578,6 @@ impl PropertyGraph {
         let value = props.remove(pos).1;
         self.touch_node(node);
         Some(value)
-    }
-
-    /// Remove one occurrence of `value` from a node property: scalars are
-    /// removed entirely, arrays lose one matching element (collapsing to a
-    /// scalar when one element remains).
-    pub fn remove_prop_value(&mut self, node: NodeId, key: &str, value: &Value) -> bool {
-        let Some(sym) = self.interner.get(key) else {
-            return false;
-        };
-        let props = &mut self.nodes[node.0 as usize].props;
-        let Some(pos) = props.iter().position(|(k, _)| *k == sym) else {
-            return false;
-        };
-        match &mut props[pos].1 {
-            Value::List(items) => {
-                let Some(i) = items.iter().position(|v| v == value) else {
-                    return false;
-                };
-                items.remove(i);
-                if items.len() == 1 {
-                    props[pos].1 = items.pop().unwrap();
-                } else if items.is_empty() {
-                    props.remove(pos);
-                }
-            }
-            scalar if scalar == value => {
-                props.remove(pos);
-            }
-            _ => return false,
-        }
-        self.touch_node(node);
-        true
     }
 
     /// Set a property on an edge.
@@ -1002,11 +994,32 @@ mod tests {
         // Now a list: neither element is an equality match.
         assert!(probe(&pg, "bobby").is_empty());
         assert!(probe(&pg, "rob").is_empty());
-        // Removing one occurrence collapses back to a matching scalar.
-        assert!(pg.remove_prop_value(n, "nick", &Value::String("rob".into())));
+        // Collapsing back to a scalar matches again.
+        pg.set_prop(n, "nick", Value::String("bobby".into()));
         assert_eq!(probe(&pg, "bobby"), vec![n]);
-        assert!(pg.remove_prop_value(n, "nick", &Value::String("bobby".into())));
+        assert_eq!(
+            pg.remove_prop(n, "nick"),
+            Some(Value::String("bobby".into()))
+        );
         assert!(probe(&pg, "bobby").is_empty());
+    }
+
+    #[test]
+    fn clearing_a_node_keeps_its_iri_and_its_edges() {
+        let mut pg = PropertyGraph::new();
+        let a = pg.add_node(["Person", "Agent"]);
+        pg.set_prop(a, IRI_KEY, Value::String("http://ex/a".into()));
+        pg.set_prop(a, "name", Value::String("A".into()));
+        let b = pg.add_node(["Person"]);
+        pg.add_edge(a, b, "knows");
+        pg.clear_labels(a);
+        pg.remove_props_where(a, |_| true);
+        assert!(pg.labels_of(a).is_empty());
+        assert_eq!(pg.nodes_with_label("Person"), &[b]);
+        assert!(pg.nodes_with_label("Agent").is_empty());
+        assert_eq!(pg.prop(a, "name"), None);
+        assert_eq!(pg.node_by_iri("http://ex/a"), Some(a));
+        assert!(pg.has_edge(a, b, "knows"));
     }
 
     #[test]

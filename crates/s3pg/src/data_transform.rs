@@ -38,7 +38,7 @@ use crate::mode::Mode;
 use crate::schema_transform::{ensure_entity_type, SchemaTransform, RESOURCE_LABEL, RESOURCE_TYPE};
 use s3pg_pg::{CountKey, EdgeType, NodeId, PropertyGraph, Value, IRI_KEY};
 use s3pg_rdf::fxhash::FxHashMap;
-use s3pg_rdf::{vocab, Graph, Sym, Term};
+use s3pg_rdf::{Graph, Sym, Term};
 use std::borrow::Cow;
 
 /// Key under which language tags of `rdf:langString` carrier nodes are kept.
@@ -147,19 +147,6 @@ pub(crate) fn transform_data_with(
         state,
         counters,
     }
-}
-
-/// Run both phases of Algorithm 1 over `graph`, adding to an existing PG.
-/// This is exactly the incremental-addition path: calling it with a delta
-/// graph extends the output monotonically.
-pub fn ingest(
-    graph: &Graph,
-    transform: &mut SchemaTransform,
-    pg: &mut PropertyGraph,
-    state: &mut TransformState,
-    counters: &mut TransformCounters,
-) {
-    crate::phase2::ingest(graph, transform, pg, state, counters, None);
 }
 
 /// What a pass knows about one resource term of its input graph.
@@ -372,19 +359,19 @@ fn ensure_entity_node(
     entity: &str,
     counters: &mut TransformCounters,
 ) -> NodeId {
+    // Untyped entity: Resource fallback keeps PG ⊨ S_PG.
+    // (resourceType is always present in the schema.)
+    let untyped = (!state.entity_types.contains_key(entity)).then_some(RESOURCE_LABEL);
+    if untyped.is_some() {
+        let types = vec![RESOURCE_TYPE.to_string()];
+        state.entity_types.insert(entity.to_string(), types);
+    }
+    // A subject that a deletion re-derives keeps its node.
     if let Some(node) = pg.node_by_iri(entity) {
+        untyped.inspect(|label| pg.add_label(node, label));
         return node;
     }
-    let node = if state.entity_types.contains_key(entity) {
-        pg.add_node(Vec::<&str>::new())
-    } else {
-        // Untyped entity: Resource fallback keeps PG ⊨ S_PG.
-        // (resourceType is always present in the schema.)
-        state
-            .entity_types
-            .insert(entity.to_string(), vec![RESOURCE_TYPE.to_string()]);
-        pg.add_node([RESOURCE_LABEL])
-    };
+    let node = pg.add_node(untyped);
     pg.set_prop(node, IRI_KEY, Value::String(entity.to_string()));
     counters.entity_nodes += 1;
     repair_pending_refs(pg, transform, state, entity, node);
@@ -416,13 +403,10 @@ fn repair_pending_refs(
         }
         pg.remove_node(r.carrier);
         pg.add_edge(r.src, node, &r.label);
-        let subject_types = pg
-            .prop(r.src, IRI_KEY)
-            .and_then(|v| match v {
-                Value::String(iri) => state.entity_types.get(iri).cloned(),
-                _ => None,
-            })
-            .unwrap_or_default();
+        let subject_types = match pg.prop(r.src, IRI_KEY) {
+            Some(Value::String(iri)) => state.entity_types.get(iri).cloned().unwrap_or_default(),
+            _ => Vec::new(),
+        };
         widen_edge_type(
             transform,
             &subject_types,
@@ -530,17 +514,13 @@ pub(crate) fn widen_edge_type(
     }
 }
 
-/// Re-exported for callers needing to classify literal datatypes.
-pub fn is_lang_string(datatype: &str) -> bool {
-    datatype == vocab::rdf::LANG_STRING
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema_transform::transform_schema;
     use s3pg_pg::{conformance, VALUE_KEY};
     use s3pg_rdf::parser::parse_turtle;
+    use s3pg_rdf::vocab;
     use s3pg_shacl::parser::parse_shacl_turtle;
 
     const SCHEMA: &str = r#"

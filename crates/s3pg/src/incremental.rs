@@ -1,22 +1,34 @@
-//! Monotone incremental updates (§4.2.1 and §5.4 of the paper).
+//! Incremental updates (§4.2.1 and §5.4 of the paper).
 //!
 //! When the source RDF graph evolves, S3PG does not recompute the whole
 //! transformation: additions are ingested with the same two-phase algorithm
 //! restricted to the delta (`F_dt(G ∪ Δ) = F_dt(G) ∪ F_dt(Δ)`), and
-//! deletions remove exactly the PG elements the deleted triples produced.
+//! deletions re-derive what they can change through that same `ingest`.
 //! Schema changes only ever widen the PG schema (new types, new edge-type
 //! targets, widened cardinality keys), never invalidate existing data —
 //! which is the point of the non-parsimonious encoding.
+//!
+//! Phase 2 encodes a statement from its subject's types, its predicate and
+//! its object alone. So a subject of `Δ⁻` re-derives the keys and edge
+//! labels of the predicates `Δ⁻` names on it, or all its statements when it
+//! loses a type or every statement; then the edges into it are re-derived
+//! too, and widen to its new types (`Resource` when it has none) or become
+//! `ANYURI` carriers pending it, as in a recompute. Their sources keep their
+//! types, so nothing widens further. [`recover_node`] (`M` on one node)
+//! reads the statements back from the PG; their footprint is cleared, an
+//! emptied subject's node goes, and what was read minus `Δ⁻` runs through
+//! one `ingest`: a recompute of `G \ Δ⁻` up to ids, in `O(statements
+//! re-derived)` rather than `O(|Δ⁻|)`.
 
-use crate::data_transform::{
-    carrier_value, entity_ref, ingest, preserve_value, TransformCounters, TransformState, LANG_KEY,
-};
+use crate::data_transform::{entity_ref, TransformCounters, TransformState};
 use crate::error::S3pgError;
-use crate::mapping::Handling;
+use crate::inverse::recover_node;
+use crate::phase2::ingest;
 use crate::schema_transform::SchemaTransform;
-use s3pg_pg::{PropertyGraph, Value, VALUE_KEY};
+use s3pg_pg::{NodeId, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
+use s3pg_rdf::fxhash::FxHashSet;
 use s3pg_rdf::parser::parse_ntriples;
-use s3pg_rdf::Graph;
+use s3pg_rdf::{Graph, Sym};
 
 /// Apply an additions-only delta. Returns the counters for the delta pass.
 pub fn apply_additions(
@@ -26,118 +38,114 @@ pub fn apply_additions(
     delta: &Graph,
 ) -> TransformCounters {
     let mut counters = TransformCounters::default();
-    ingest(delta, transform, pg, state, &mut counters);
+    ingest(delta, transform, pg, state, &mut counters, None);
     counters
 }
 
-/// Apply a deletions-only delta: every triple in `removed` is assumed to
-/// have been part of the source graph. Returns the number of PG mutations.
-pub fn apply_deletions(
+/// Apply a deletions-only delta by re-deriving what it can change (see the
+/// module docs). Returns how many of `removed`'s statements were present.
+fn apply_deletions(
     pg: &mut PropertyGraph,
-    transform: &SchemaTransform,
+    transform: &mut SchemaTransform,
     state: &mut TransformState,
     removed: &Graph,
 ) -> usize {
+    let mapping = &transform.mapping;
+    let m = |pg: &PropertyGraph, node, scope: Option<&_>, keep: &mut Graph| {
+        recover_node(pg, mapping, node, scope, keep).expect("M is total on F_dt's output")
+    };
+    // What the subjects of `Δ⁻` stand for, within their scopes, minus `Δ⁻`.
+    // A subject is cleared once read; the edges into a changed one are read
+    // after every subject is, so no statement of `Δ⁻` is read back.
+    let mut keep = Graph::new();
     let type_p = removed.type_predicate_opt();
-    let mut changes = 0;
-
-    for t in removed.triples() {
-        let subject = entity_ref(removed, t.s);
-        let Some(s_node) = pg.node_by_iri(&subject) else {
+    let (mut changed, mut present) = (Vec::new(), 0);
+    for s in removed.subjects_distinct() {
+        let Some(node) = pg.node_by_iri(&entity_ref(removed, s)) else {
             continue;
         };
-
-        // Deleting a type statement removes the label (the node itself stays
-        // while other statements may still refer to it).
-        if Some(t.p) == type_p {
-            if let Some(class_sym) = t.o.as_iri() {
-                let class_iri = removed.resolve(class_sym);
-                if let Some(label) = transform.mapping.label_of_class.get(class_iri) {
-                    if pg.remove_label(s_node, label) {
-                        changes += 1;
-                    }
-                    if let Some(type_name) = transform.mapping.type_of_class.get(class_iri) {
-                        if let Some(types) = state.entity_types.get_mut(subject.as_ref()) {
-                            types.retain(|t| t != type_name);
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        let predicate = removed.resolve(t.p).to_string();
-        let subject_types = state
-            .entity_types
-            .get(subject.as_ref())
-            .cloned()
-            .unwrap_or_default();
-        let handling = subject_types
-            .iter()
-            .find_map(|tn| transform.mapping.handling_for(tn, &predicate).cloned());
-
-        // Entity-to-entity edge?
-        if t.o.is_resource() {
-            let object = entity_ref(removed, t.o);
-            if let Some(o_node) = pg.node_by_iri(&object) {
-                let label = match &handling {
-                    Some(Handling::Edge { label }) => label.clone(),
-                    _ => transform
-                        .mapping
-                        .edge_label_of_pred
-                        .get(&predicate)
-                        .cloned()
-                        .unwrap_or_else(|| predicate.clone()),
-                };
-                if pg.remove_edge(s_node, o_node, &label) {
-                    changes += 1;
-                    continue;
-                }
-            }
-        }
-
-        // Key/value property?
-        if let Some(Handling::KeyValue { key, .. }) = &handling {
-            if let Some(lit) = t.o.as_literal() {
-                if lit.lang.is_none() {
-                    let value =
-                        preserve_value(removed.resolve(lit.lexical), removed.resolve(lit.datatype));
-                    if pg.remove_prop_value(s_node, key, &value) {
-                        changes += 1;
-                        continue;
-                    }
-                }
-            }
-        }
-
-        // Carrier node: find the edge from s with the predicate's label to a
-        // carrier whose `ov` (and `lang`) matches, and remove the edge.
-        let label = match &handling {
-            Some(Handling::Edge { label }) => label.clone(),
-            _ => match transform.mapping.edge_label_of_pred.get(&predicate) {
-                Some(l) => l.clone(),
-                None => continue,
-            },
-        };
-        let (value, lang) = carrier_value(removed, t.o);
-        let lang = lang.map(|tag| Value::String(removed.resolve(tag).to_string()));
-        let candidate = pg.out_edges(s_node).find(|&e| {
-            let edge = pg.edge(e);
-            if !pg.edge_labels_of(e).contains(&label.as_str()) {
-                return false;
-            }
-            pg.prop(edge.dst, VALUE_KEY) == Some(&value)
-                && pg.prop(edge.dst, LANG_KEY) == lang.as_ref()
+        // The PG names `s` re-derives; `None` is all of them and its types.
+        let scope = (!removed.statements_of(s).any(|st| Some(st.p) == type_p)).then(|| {
+            (removed.statements_of(s))
+                .flat_map(|st| mapping.names_of_pred(removed.resolve(st.p)))
+                .filter_map(|name| pg.interner().get(name?))
+                .collect::<FxHashSet<Sym>>()
         });
-        if let Some(e) = candidate {
-            let dst = pg.edge(e).dst;
-            let edge_removed = pg.remove_edge(s_node, dst, &label);
-            if edge_removed {
-                changes += 1;
-            }
+        let total = m(pg, node, scope.as_ref(), &mut keep);
+        let subject = keep.import_term(removed, s);
+        let types = keep.types_of(subject).len();
+        let gone = removed
+            .statements_of(s)
+            .filter(|st| {
+                let p = keep.import_sym(removed, st.p);
+                let o = keep.import_term(removed, st.o);
+                keep.remove(subject, p, o)
+            })
+            .count();
+        present += gone;
+        // Every statement of `s` was deleted, so `M` read them all.
+        let emptied = gone == total;
+        if emptied || keep.types_of(subject).len() != types {
+            changed.push((node, emptied));
+        }
+        clear_footprint(pg, state, node, scope.filter(|_| !emptied).as_ref());
+    }
+    for (s, emptied) in changed {
+        let sources: Vec<(NodeId, FxHashSet<Sym>)> = pg
+            .in_edges(s)
+            .map(|e| (pg.edge(e).src, pg.edge(e).labels.iter().copied().collect()))
+            .collect();
+        for (u, labels) in sources {
+            m(pg, u, Some(&labels), &mut keep);
+            clear_footprint(pg, state, u, Some(&labels));
+        }
+        if emptied {
+            let unlinked = pg.remove_node(s);
+            debug_assert!(unlinked, "a node with no statement kept a live edge");
         }
     }
-    changes
+    ingest(&keep, transform, pg, state, &mut Default::default(), None);
+    present
+}
+
+/// Remove what F_dt wrote for the statements of `node`'s subject that
+/// `scope` covers: key/values, and out-edges with the carriers at their
+/// ends and their pending references; for the whole subject also its
+/// labels and entity types. The node and its `iri` stay.
+fn clear_footprint(
+    pg: &mut PropertyGraph,
+    state: &mut TransformState,
+    node: NodeId,
+    scope: Option<&FxHashSet<Sym>>,
+) {
+    let in_scope = |name: &Sym| scope.is_none_or(|names| names.contains(name));
+    let out: Vec<_> = pg
+        .out_edges(node)
+        .filter(|&e| pg.edge(e).labels.iter().any(in_scope))
+        .collect();
+    for e in out {
+        let dst = pg.edge(e).dst;
+        pg.remove_edge_by_id(e);
+        if pg.prop(dst, IRI_KEY).is_some() {
+            continue;
+        }
+        if let Some(Value::String(entity)) = pg.prop(dst, VALUE_KEY) {
+            if let Some(refs) = state.pending_refs.get_mut(entity) {
+                refs.retain(|r| r.carrier != dst);
+                if refs.is_empty() {
+                    state.pending_refs.remove(entity);
+                }
+            }
+        }
+        pg.remove_node(dst);
+    }
+    pg.remove_props_where(node, |key| in_scope(&key));
+    if scope.is_none() {
+        if let Some(Value::String(iri)) = pg.prop(node, IRI_KEY) {
+            state.entity_types.remove(iri);
+        }
+        pg.clear_labels(node);
+    }
 }
 
 /// Apply a full update: deletions then additions, as §5.4 does when moving
@@ -155,7 +163,7 @@ pub fn apply_delta(
 }
 
 /// What [`apply_ntriples_delta`] did: the delta pass counters, the number
-/// of PG mutations the deletions caused, and the parsed delta graphs (so a
+/// of the deletions that were present, and the parsed delta graphs (so a
 /// caller maintaining the source RDF graph can absorb/remove the same
 /// triples without re-parsing).
 #[derive(Debug, Clone)]
@@ -200,7 +208,7 @@ pub fn apply_ntriples_delta(
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MirroredOutcome {
     pub counters: TransformCounters,
-    /// PG mutations the deletions caused.
+    /// Deleted statements that were present.
     pub removed: usize,
     /// Triples newly absorbed into the source RDF graph.
     pub added_triples: usize,
@@ -249,7 +257,7 @@ pub struct ReplayOutcome {
     pub batches: u64,
     /// Triples newly absorbed into the source RDF graph.
     pub added_triples: usize,
-    /// Property-graph mutations caused by deletion records.
+    /// Statements of deletion records that were present.
     pub removed: usize,
 }
 
@@ -321,8 +329,10 @@ pub fn replay_deltas<'a>(
 mod tests {
     use super::*;
     use crate::data_transform::transform_data;
+    use crate::inverse::recover_graph;
     use crate::mode::Mode;
     use crate::schema_transform::transform_schema;
+    use s3pg_pg::conformance;
     use s3pg_rdf::parser::parse_turtle;
     use s3pg_shacl::parser::parse_shacl_turtle;
 
@@ -464,7 +474,7 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 
     #[test]
     fn deleting_an_edge_triple() {
-        let (st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
         let removed = parse_turtle(
             r#"
 @prefix : <http://ex/> .
@@ -472,7 +482,7 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 "#,
         )
         .unwrap();
-        let n = apply_deletions(&mut pg, &st, &mut state, &removed);
+        let n = apply_deletions(&mut pg, &mut st, &mut state, &removed);
         assert_eq!(n, 1);
         let a = pg.node_by_iri("http://ex/a").unwrap();
         let b = pg.node_by_iri("http://ex/b").unwrap();
@@ -481,7 +491,7 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 
     #[test]
     fn deleting_a_key_value_triple() {
-        let (st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
         let removed = parse_turtle(
             r#"
 @prefix : <http://ex/> .
@@ -489,14 +499,14 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 "#,
         )
         .unwrap();
-        assert_eq!(apply_deletions(&mut pg, &st, &mut state, &removed), 1);
+        assert_eq!(apply_deletions(&mut pg, &mut st, &mut state, &removed), 1);
         let a = pg.node_by_iri("http://ex/a").unwrap();
         assert_eq!(pg.prop(a, "name"), None);
     }
 
     #[test]
     fn deleting_a_carrier_value_triple() {
-        let (st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
         let edges_before = pg.edge_count();
         let removed = parse_turtle(
             r#"
@@ -505,13 +515,13 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 "#,
         )
         .unwrap();
-        assert_eq!(apply_deletions(&mut pg, &st, &mut state, &removed), 1);
+        assert_eq!(apply_deletions(&mut pg, &mut st, &mut state, &removed), 1);
         assert_eq!(pg.edge_count(), edges_before - 1);
     }
 
     #[test]
     fn deleting_a_type_statement_drops_label() {
-        let (st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
         let removed = parse_turtle(
             r#"
 @prefix : <http://ex/> .
@@ -519,10 +529,71 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 "#,
         )
         .unwrap();
-        assert_eq!(apply_deletions(&mut pg, &st, &mut state, &removed), 1);
+        assert_eq!(apply_deletions(&mut pg, &mut st, &mut state, &removed), 1);
+        // `b` keeps its name, so it stays an entity: the untyped fallback,
+        // as a recompute of the remaining statements would write it.
         let b = pg.node_by_iri("http://ex/b").unwrap();
-        assert!(pg.labels_of(b).is_empty());
-        assert!(state.entity_types["http://ex/b"].is_empty());
+        assert_eq!(pg.labels_of(b), vec!["Resource"]);
+        assert_eq!(state.entity_types["http://ex/b"], vec!["resourceType"]);
+        assert_eq!(pg.prop(b, "name"), None, "a Resource has no key/values");
+        let a = pg.node_by_iri("http://ex/a").unwrap();
+        assert!(pg.has_edge(a, b, "knows"));
+        let mut rest = parse_turtle(BASE).unwrap();
+        let b_type = rest
+            .triples()
+            .find(|t| {
+                t.o.is_iri()
+                    && rest.resolve(t.p).ends_with("#type")
+                    && rest.resolve(t.s.as_iri().unwrap()) == "http://ex/b"
+            })
+            .unwrap();
+        rest.remove(b_type.s, b_type.p, b_type.o);
+        assert!(recover_graph(&pg, &st.mapping).unwrap().same_triples(&rest));
+        assert!(conformance::check(&pg, &st.pg_schema).conforms());
+    }
+
+    #[test]
+    fn deleting_every_statement_of_a_referenced_subject() {
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let removed = parse_turtle(
+            r#"
+@prefix : <http://ex/> .
+:b a :Person ; :name "B" .
+"#,
+        )
+        .unwrap();
+        let nodes_before = pg.node_count();
+        assert_eq!(apply_deletions(&mut pg, &mut st, &mut state, &removed), 2);
+        // `b` is no entity any more: its node goes, and `a knows b` is
+        // kept on an `ANYURI` carrier pending `b`'s return.
+        assert!(pg.node_by_iri("http://ex/b").is_none());
+        assert!(!state.entity_types.contains_key("http://ex/b"));
+        assert_eq!(pg.node_count(), nodes_before, "b's node for one carrier");
+        assert_eq!(state.pending_refs["http://ex/b"].len(), 1);
+        let rest = parse_turtle(
+            r#"
+@prefix : <http://ex/> .
+:a a :Person ; :name "A" ; :knows :b ; :nick "ay" .
+"#,
+        )
+        .unwrap();
+        assert!(recover_graph(&pg, &st.mapping).unwrap().same_triples(&rest));
+        // `b` coming back repairs the carrier into an edge again.
+        let back = parse_turtle(
+            r#"
+@prefix : <http://ex/> .
+:b a :Person ; :name "B" .
+"#,
+        )
+        .unwrap();
+        apply_additions(&mut pg, &mut st, &mut state, &back);
+        let (a, b) = (
+            pg.node_by_iri("http://ex/a").unwrap(),
+            pg.node_by_iri("http://ex/b").unwrap(),
+        );
+        assert!(pg.has_edge(a, b, "knows"));
+        assert_eq!(pg.node_count(), nodes_before);
+        assert!(state.pending_refs.is_empty());
     }
 
     #[test]
@@ -595,7 +666,7 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 
     #[test]
     fn deletion_of_absent_triple_is_noop() {
-        let (st, mut pg, mut state) = setup(Mode::Parsimonious);
+        let (mut st, mut pg, mut state) = setup(Mode::Parsimonious);
         let removed = parse_turtle(
             r#"
 @prefix : <http://ex/> .
@@ -604,7 +675,7 @@ shape:Person a sh:NodeShape ; sh:targetClass :Person ;
 "#,
         )
         .unwrap();
-        assert_eq!(apply_deletions(&mut pg, &st, &mut state, &removed), 0);
+        assert_eq!(apply_deletions(&mut pg, &mut st, &mut state, &removed), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The computable inverse mappings of Proposition 4.1.
 //!
 //! * [`recover_graph`] is `M : PG → G` — reconstructs the original RDF
-//!   graph from a transformed property graph.
+//!   graph from a transformed property graph, one [`recover_node`] a node.
 //! * [`recover_schema`] is `N : S_PG → S_G` — reconstructs the original
 //!   SHACL shape schema from a transformed PG-Schema.
 //!
@@ -16,88 +16,93 @@ use crate::data_transform::LANG_KEY;
 use crate::error::S3pgError;
 use crate::mapping::{Mapping, RESERVED_KEYS};
 use crate::schema_transform::{SchemaTransform, ANY_IRI_DATATYPE, RESOURCE_TYPE};
-use s3pg_pg::{NodeTypeKind, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
-use s3pg_rdf::{vocab, Graph, Term};
+use s3pg_pg::{NodeId, NodeTypeKind, PropertyGraph, Value, IRI_KEY, VALUE_KEY};
+use s3pg_rdf::fxhash::FxHashSet;
+use s3pg_rdf::{vocab, Graph, Sym, Term};
 use s3pg_shacl::{Cardinality, NodeShape, PropertyShape, ShapeSchema, TypeConstraint};
 
-/// `M : PG → G` — reconstruct the RDF graph.
+/// `M : PG → G` — reconstruct the RDF graph node by node.
 pub fn recover_graph(pg: &PropertyGraph, mapping: &Mapping) -> Result<Graph, S3pgError> {
     let mut g = Graph::with_capacity(pg.edge_count() + pg.node_count());
-    let type_p = g.type_predicate();
-
-    for node_id in pg.node_ids() {
-        let node = pg.node(node_id);
-        // Entity nodes carry `iri`; carrier nodes do not.
-        let Some(Value::String(entity)) = pg.prop(node_id, IRI_KEY) else {
-            continue;
-        };
-        let subject = term_from_ref(&mut g, entity);
-
-        // Labels → rdf:type triples.
-        let mut type_names: Vec<String> = Vec::new();
-        for &l in &node.labels {
-            let label = pg.resolve(l);
-            if let Some(class) = mapping.class_of_label.get(label) {
-                let class_term = g.intern_iri(class);
-                g.insert(subject, type_p, class_term);
-                if let Some(tn) = mapping.type_of_class.get(class) {
-                    type_names.push(tn.clone());
-                }
-            }
-        }
-
-        // Key/value properties → literal triples.
-        for (key_sym, value) in &node.props {
-            let key = pg.resolve(*key_sym);
-            if RESERVED_KEYS.contains(&key) {
-                continue;
-            }
-            let Some(predicate) = mapping.pred_of_key.get(key) else {
-                return Err(S3pgError::Inverse(format!(
-                    "property key '{key}' has no predicate mapping"
-                )));
-            };
-            let datatype = type_names
-                .iter()
-                .find_map(|tn| mapping.kv_datatype.get(&(tn.clone(), key.to_string())))
-                .cloned();
-            let p = g.intern(predicate);
-            for item in value.iter_flat() {
-                let dt = datatype
-                    .clone()
-                    .unwrap_or_else(|| item.content_type().to_xsd().to_string());
-                let object = g.typed_literal(&item.lexical(), &dt);
-                g.insert(subject, p, object);
-            }
-        }
+    for node in pg.node_ids() {
+        recover_node(pg, mapping, node, None, &mut g)?;
     }
+    Ok(g)
+}
 
-    // Edges → entity links or literal triples (via carrier nodes).
-    for edge_id in pg.edge_ids() {
-        let edge = pg.edge(edge_id);
-        let Some(Value::String(src_ref)) = pg.prop(edge.src, IRI_KEY).cloned() else {
-            continue; // edges never originate from carriers in S3PG output
-        };
-        let subject = term_from_ref(&mut g, &src_ref);
-        for &label_sym in &pg.edge(edge_id).labels {
-            let label = pg.resolve(label_sym);
-            let Some(predicate) = mapping.pred_of_edge_label.get(label) else {
-                return Err(S3pgError::Inverse(format!(
-                    "edge label '{label}' has no predicate mapping"
-                )));
-            };
-            let p = g.intern(predicate);
-            let object = recover_object(pg, mapping, edge.dst, &mut g)?;
+/// `M` on one node: its labels as `rdf:type`, key/values and out-edges
+/// (nothing for a carrier), inserted into `g` if their key or edge label is
+/// in `scope` (`None` admits all, and only `None` admits `rdf:type`).
+/// Returns how many statements the node stands for, in scope or not.
+pub fn recover_node(
+    pg: &PropertyGraph,
+    mapping: &Mapping,
+    node_id: NodeId,
+    scope: Option<&FxHashSet<Sym>>,
+    g: &mut Graph,
+) -> Result<usize, S3pgError> {
+    let node = pg.node(node_id);
+    let Some(Value::String(entity)) = pg.prop(node_id, IRI_KEY) else {
+        return Ok(0);
+    };
+    let subject = term_from_ref(g, entity);
+    let in_scope = |name: &Sym| scope.is_none_or(|names| names.contains(name));
+
+    // Labels → rdf:type triples.
+    let type_p = g.type_predicate();
+    let classes: Vec<&String> = (node.labels.iter())
+        .filter_map(|&l| mapping.class_of_label.get(pg.resolve(l)))
+        .collect();
+    for class in classes.iter().filter(|_| scope.is_none()) {
+        let class_term = g.intern_iri(class);
+        g.insert(subject, type_p, class_term);
+    }
+    let mut walked = classes.len();
+
+    // Key/value properties → literal triples.
+    for (key_sym, value) in &node.props {
+        let key = pg.resolve(*key_sym);
+        if RESERVED_KEYS.contains(&key) {
+            continue;
+        }
+        walked += value.iter_flat().count();
+        if !in_scope(key_sym) {
+            continue;
+        }
+        let predicate = mapping.pred_of_key.get(key).ok_or_else(|| {
+            S3pgError::Inverse(format!("property key '{key}' has no predicate mapping"))
+        })?;
+        let datatype = (classes.iter().filter_map(|&c| mapping.type_of_class.get(c)))
+            .find_map(|tn| mapping.kv_datatype.get(&(tn.clone(), key.to_string())));
+        let p = g.intern(predicate);
+        for item in value.iter_flat() {
+            let dt = datatype.map_or(item.content_type().to_xsd(), String::as_str);
+            let object = g.typed_literal(&item.lexical(), dt);
             g.insert(subject, p, object);
         }
     }
-    Ok(g)
+
+    // Out-edges → entity links, or literal triples via carrier nodes.
+    for edge_id in pg.out_edges(node_id) {
+        let edge = pg.edge(edge_id);
+        for label_sym in edge.labels.iter().filter(|l| in_scope(l)) {
+            let label = pg.resolve(*label_sym);
+            let predicate = mapping.pred_of_edge_label.get(label).ok_or_else(|| {
+                S3pgError::Inverse(format!("edge label '{label}' has no predicate mapping"))
+            })?;
+            let p = g.intern(predicate);
+            let object = recover_object(pg, mapping, edge.dst, g)?;
+            g.insert(subject, p, object);
+        }
+        walked += edge.labels.len();
+    }
+    Ok(walked)
 }
 
 fn recover_object(
     pg: &PropertyGraph,
     mapping: &Mapping,
-    dst: s3pg_pg::NodeId,
+    dst: NodeId,
     g: &mut Graph,
 ) -> Result<Term, S3pgError> {
     if let Some(Value::String(entity)) = pg.prop(dst, IRI_KEY) {

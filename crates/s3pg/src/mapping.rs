@@ -157,6 +157,12 @@ impl Mapping {
             .insert(predicate_iri.to_string(), handling);
     }
 
+    /// The PG names a predicate can be written under, whichever encoding
+    /// phase 2 chose: its property key and its edge label, if registered.
+    pub fn names_of_pred(&self, predicate_iri: &str) -> [Option<&String>; 2] {
+        [&self.key_of_pred, &self.edge_label_of_pred].map(|of| of.get(predicate_iri))
+    }
+
     /// Look up the handling for one node type. Allocation-free.
     pub fn handling_for(&self, type_name: &str, predicate_iri: &str) -> Option<&Handling> {
         self.handling.get(type_name)?.get(predicate_iri)

@@ -148,7 +148,7 @@ fn transform_property(
         && ps.alternatives.iter().all(TypeConstraint::is_literal)
         && ps.alternatives.len() == 1
         && !matches!(&ps.alternatives[0], TypeConstraint::Datatype(dt)
-            if crate::data_transform::is_lang_string(dt));
+            if dt == s3pg_rdf::vocab::rdf::LANG_STRING);
 
     if parsimonious_kv {
         // Single-type literal → key/value property per Table 1.

@@ -217,6 +217,7 @@ impl std::error::Error for JsonError {}
 /// content is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -230,6 +231,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -355,16 +357,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 character (input is a &str, so the
-                    // byte sequence is valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    // A run of unescaped bytes, copied in one push. The
+                    // bytes that end a run are ASCII, so both ends are
+                    // character boundaries of the `&str` input.
+                    let start = self.pos;
+                    while let Some(b) = self.peek().filter(|&b| b != b'"' && b != b'\\') {
+                        if b < 0x20 {
+                            return Err(self.err("raw control character in string"));
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

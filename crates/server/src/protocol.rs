@@ -1288,4 +1288,51 @@ mod tests {
             }
         );
     }
+
+    #[test]
+    fn decoding_time_is_linear_in_the_line() {
+        // From n to 16n bytes a linear decode takes 16× as long and a
+        // quadratic one 256×; the bound sits between the two.
+        fn best_of(runs: usize, decode: impl Fn()) -> std::time::Duration {
+            (0..runs)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    decode();
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let statement = "<http://ex/s> <http://ex/p> \"café \\\"quoted\\\" value\" .\n";
+        let update = |n: usize| {
+            Request::Update {
+                additions: statement.repeat(n / statement.len()),
+                deletions: String::new(),
+            }
+            .encode()
+        };
+        let response = |n: usize| {
+            let cell = Some("naïve \"row\" text".repeat(4));
+            Response::Cypher {
+                columns: vec!["v".to_string()],
+                rows: vec![vec![cell]; n / 100],
+            }
+            .encode()
+        };
+        let n = 20_000;
+        let (small, large) = (update(n), update(16 * n));
+        let ratio = best_of(5, || drop(Request::decode(&large).unwrap())).as_secs_f64()
+            / best_of(5, || drop(Request::decode(&small).unwrap())).as_secs_f64();
+        assert!(
+            ratio < 64.0,
+            "request decode grew {ratio:.1}× for 16× the bytes"
+        );
+        let (small, large) = (response(n), response(16 * n));
+        let ratio = best_of(5, || drop(Response::decode(&large).unwrap())).as_secs_f64()
+            / best_of(5, || drop(Response::decode(&small).unwrap())).as_secs_f64();
+        assert!(
+            ratio < 64.0,
+            "response decode grew {ratio:.1}× for 16× the bytes"
+        );
+    }
 }

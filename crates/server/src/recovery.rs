@@ -12,7 +12,10 @@
 //!    coalesces runs of additions-only records into single batched
 //!    ingests (monotonicity, §4.2.1: additions commute into one delta).
 //! 3. **Adopt** — when the tail was empty the checkpoint's `compact.bin`
-//!    is served as-is, skipping the startup freeze.
+//!    is served as-is, skipping the startup freeze, provided it was
+//!    frozen under the current mapping semantics
+//!    ([`s3pg_wal::MAPPING_SEMANTICS`]); an older one is re-frozen from
+//!    the transformed `rdf.nt`.
 //!
 //! `PG ⊨ S_PG` is checked once per boot: by the transform when nothing
 //! replays on top of it, else after the replay.
@@ -30,7 +33,7 @@ use s3pg_rdf::parser::parse_ntriples;
 use s3pg_rdf::Graph;
 use s3pg_shacl::parser::parse_shacl_turtle;
 use s3pg_shacl::{extract_shapes, ShapeSchema};
-use s3pg_wal::{load_latest, Wal, WalOptions};
+use s3pg_wal::{load_latest, Wal, WalOptions, MAPPING_SEMANTICS};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -138,9 +141,14 @@ fn recover_durable(
                 cp.seq,
                 graph.len(),
                 if cp.compact.is_some() {
-                    ", with compact snapshot"
+                    ", with compact snapshot".to_string()
+                } else if cp.semantics != MAPPING_SEMANTICS {
+                    format!(
+                        "; its compact snapshot predates mapping semantics \
+                         {MAPPING_SEMANTICS} and is re-frozen"
+                    )
                 } else {
-                    ""
+                    String::new()
                 }
             ));
             (graph, cp.seq, cp.compact)
@@ -321,6 +329,47 @@ mod tests {
         assert!(second.report.iter().any(|l| l.contains("checkpoint seq=5")));
         assert!(!second.report.iter().any(|l| l.contains("replayed")));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_from_older_semantics_is_re_frozen_not_adopted() {
+        let dir = temp_dir("semantics");
+        let data = dir.join("base.nt");
+        std::fs::write(&data, BASE).unwrap();
+        let cfg = config(&dir, &data);
+        let first = recover(&cfg, Arc::new(Registry::new())).unwrap();
+        first
+            .store
+            .apply_update("<http://ex/n0> <http://ex/name> \"N0\" .\n", "")
+            .unwrap();
+        assert_eq!(first.store.checkpoint().unwrap(), Some(1));
+        let nodes = first.store.snapshot().pg.node_count();
+        drop(first);
+
+        // Strip the stamp, as a checkpoint written before it existed.
+        let checkpoint = cfg
+            .wal_dir
+            .clone()
+            .unwrap()
+            .join("checkpoint-0000000000000001");
+        let meta = std::fs::read_to_string(checkpoint.join("META")).unwrap();
+        assert!(meta.contains("compact=present"), "{meta}");
+        let unstamped: String = meta
+            .lines()
+            .filter(|l| !l.starts_with("semantics="))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(checkpoint.join("META"), unstamped).unwrap();
+
+        let second = recover(&cfg, Arc::new(Registry::new())).unwrap();
+        assert_eq!(second.store.applied_seq(), 1);
+        assert!(
+            second.report.iter().any(|l| l.contains("is re-frozen")),
+            "{:?}",
+            second.report
+        );
+        assert_eq!(second.store.snapshot().pg.node_count(), nodes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -306,6 +306,91 @@ fn checkpointed_restart_recovers_including_deletions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `carol`'s name, as the Cypher read path serves it.
+fn carol_name(client: &mut Client) -> Vec<Vec<Option<String>>> {
+    let response = client
+        .call(&Request::cypher(
+            "MATCH (n) WHERE n.iri = 'http://ex/carol' RETURN n.name",
+        ))
+        .unwrap();
+    let Response::Cypher { rows, .. } = response else {
+        panic!("expected cypher rows, got {response:?}");
+    };
+    rows
+}
+
+fn conforms(client: &mut Client) -> bool {
+    let Response::Stats { conforms, .. } = client.call(&Request::Stats).unwrap() else {
+        panic!("expected stats");
+    };
+    conforms
+}
+
+#[test]
+fn deleting_a_type_with_its_values_leaks_nothing_across_kill9() {
+    const TYPED: &str = "<http://ex/alice> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
+                         <http://ex/alice> <http://ex/name> \"Alice\" .\n\
+                         <http://ex/alice> <http://ex/knows> <http://ex/carol> .\n\
+                         <http://ex/carol> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
+                         <http://ex/carol> <http://ex/name> \"Carol\" .\n\
+                         <http://ex/carol> <http://ex/knows> <http://ex/alice> .\n";
+    // `carol` loses her type and her key/value in one delta, and stays an
+    // entity through her `knows` edge.
+    const DELETIONS: &str = "<http://ex/carol> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex/Person> .\n\
+                             <http://ex/carol> <http://ex/name> \"Carol\" .\n";
+    let dir = temp_dir("retype");
+    let data = dir.join("base.nt");
+    std::fs::write(&data, TYPED).unwrap();
+    let data = data.to_str().unwrap();
+    let wal = dir.join("wal");
+    let wal = wal.to_str().unwrap();
+    let update = Request::Update {
+        additions: String::new(),
+        deletions: DELETIONS.to_string(),
+    };
+    // The reply counts the deletions that were present and no re-derived
+    // statement.
+    let reply = Response::Update {
+        added_nodes: 0,
+        added_edges: 0,
+        added_properties: 0,
+        removed: 2,
+        conforms: true,
+    };
+
+    let mut victim = Server::spawn(&["--data", data, "--wal-dir", wal, "--fsync-ms", "0"]);
+    let mut victim_client = victim.client();
+    assert_eq!(victim_client.call(&update).unwrap(), reply);
+    assert_eq!(carol_name(&mut victim_client), vec![vec![None]]);
+    victim.kill9();
+
+    let mut recovered = Server::spawn(&["--data", data, "--wal-dir", wal]);
+    let mut recovered_client = recovered.client();
+    let mut reference = Server::spawn(&["--data", data]);
+    let mut reference_client = reference.client();
+    assert_eq!(reference_client.call(&update).unwrap(), reply);
+
+    assert_eq!(
+        carol_name(&mut recovered_client),
+        vec![vec![None]],
+        "a deleted value came back"
+    );
+    assert_eq!(
+        carol_name(&mut reference_client),
+        carol_name(&mut recovered_client)
+    );
+    assert!(conforms(&mut recovered_client), "recovered graph ⊭ S_PG");
+    assert!(conforms(&mut reference_client), "reference graph ⊭ S_PG");
+    assert_eq!(
+        (stats(&mut recovered_client), names(&mut recovered_client)),
+        (stats(&mut reference_client), names(&mut reference_client))
+    );
+
+    recovered.shutdown();
+    reference.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stale_cursor_after_prune_gets_reseed_required() {
     let dir = temp_dir("reseed");

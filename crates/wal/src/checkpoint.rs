@@ -12,9 +12,10 @@
 //! * `compact.bin` — the frozen [`CompactGraph`] serialized by
 //!   [`CompactGraph::write_to`], letting a restart with no WAL tail skip
 //!   the synchronous re-freeze too;
-//! * `META` — written last: the sequence number plus CRC-32s of the other
-//!   two files. A directory without a valid `META` is an unfinished
-//!   checkpoint and is ignored.
+//! * `META` — written last: the sequence number, the CRC-32 of `rdf.nt`,
+//!   whether `compact.bin` is present, and the mapping semantics it was
+//!   frozen under ([`MAPPING_SEMANTICS`]). A directory without a valid
+//!   `META` is an unfinished checkpoint and is ignored.
 //!
 //! Writes go to a `.tmp` sibling first and are renamed into place after
 //! an fsync of every file, so a crash mid-checkpoint leaves either the
@@ -34,6 +35,16 @@ use crate::log::fsync_dir;
 
 const META_HEADER: &str = "s3pg-checkpoint v1";
 
+/// The version of F_dt's semantics a `compact.bin` is frozen under,
+/// stamped into `META` as `semantics=N`. `rdf.nt` is the source graph and
+/// means the same under every version; `compact.bin` is a PG that the
+/// writer built delta by delta, so it is only adopted when its stamp is
+/// this version. Version 2: a deleting delta re-derives the subjects it
+/// touches. Unstamped checkpoints are version 1, whose delete path could
+/// leave a deleted value on its node. Bump it whenever the PG the write
+/// path builds from the same deltas changes.
+pub const MAPPING_SEMANTICS: u32 = 2;
+
 /// A validated checkpoint loaded from disk.
 pub struct Checkpoint {
     /// WAL sequence number the checkpoint covers: every record with
@@ -41,9 +52,12 @@ pub struct Checkpoint {
     pub seq: u64,
     /// The source RDF graph as an N-Triples document.
     pub rdf: String,
-    /// The frozen read snapshot, when `compact.bin` was present and
-    /// intact. `None` downgrades recovery to an in-process re-freeze.
+    /// The frozen read snapshot, when `compact.bin` was present, intact
+    /// and frozen under [`MAPPING_SEMANTICS`]. `None` downgrades recovery
+    /// to an in-process re-freeze.
     pub compact: Option<CompactGraph>,
+    /// The `semantics=` stamp in `META`; 1 when there is none.
+    pub semantics: u32,
 }
 
 fn checkpoint_dir_name(seq: u64) -> String {
@@ -100,7 +114,7 @@ pub fn write_checkpoint(
         compact_crc_line = "compact=present\n".to_string();
     }
     let meta = format!(
-        "{META_HEADER}\nseq={seq}\nrdf_crc={:08x}\n{compact_crc_line}",
+        "{META_HEADER}\nseq={seq}\nrdf_crc={:08x}\n{compact_crc_line}semantics={MAPPING_SEMANTICS}\n",
         crc32(rdf_ntriples.as_bytes())
     );
     write_file_synced(&tmp_dir.join("META"), meta.as_bytes())?;
@@ -142,6 +156,7 @@ fn load_one(dir: &Path) -> io::Result<Checkpoint> {
     let mut seq = None;
     let mut rdf_crc = None;
     let mut compact_present = false;
+    let mut semantics = 1;
     for line in lines {
         if let Some(v) = line.strip_prefix("seq=") {
             seq = v.parse::<u64>().ok();
@@ -149,6 +164,10 @@ fn load_one(dir: &Path) -> io::Result<Checkpoint> {
             rdf_crc = u32::from_str_radix(v, 16).ok();
         } else if line == "compact=present" {
             compact_present = true;
+        } else if let Some(v) = line.strip_prefix("semantics=") {
+            semantics = v
+                .parse::<u32>()
+                .map_err(|_| corrupt("bad semantics stamp"))?;
         }
     }
     let seq = seq.ok_or_else(|| corrupt("META missing seq"))?;
@@ -160,15 +179,21 @@ fn load_one(dir: &Path) -> io::Result<Checkpoint> {
         return Err(corrupt("rdf.nt checksum mismatch"));
     }
 
-    // compact.bin validates itself; failure only costs the shortcut.
-    let compact = if compact_present {
+    // compact.bin validates itself; failure, or a PG frozen under other
+    // semantics, only costs the shortcut.
+    let compact = if compact_present && semantics == MAPPING_SEMANTICS {
         File::open(dir.join("compact.bin"))
             .and_then(|f| CompactGraph::read_from(BufReader::new(f)))
             .ok()
     } else {
         None
     };
-    Ok(Checkpoint { seq, rdf, compact })
+    Ok(Checkpoint {
+        seq,
+        rdf,
+        compact,
+        semantics,
+    })
 }
 
 /// Load the newest valid checkpoint under `wal_dir`, or `None` if no
@@ -276,6 +301,57 @@ mod tests {
         let cp = load_latest(&dir).unwrap().unwrap();
         assert_eq!(cp.seq, 7);
         assert_eq!(cp.rdf, RDF);
+        assert!(cp.compact.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrite `META` of the checkpoint at `path` with its `semantics=`
+    /// line replaced by `stamp` (dropped when `None`).
+    fn restamp(path: &Path, stamp: Option<&str>) {
+        let meta = fs::read_to_string(path.join("META")).unwrap();
+        let mut lines: Vec<&str> = meta
+            .lines()
+            .filter(|l| !l.starts_with("semantics="))
+            .collect();
+        lines.extend(stamp);
+        fs::write(path.join("META"), lines.join("\n") + "\n").unwrap();
+    }
+
+    #[test]
+    fn current_semantics_stamp_keeps_the_compact_snapshot() {
+        let dir = tmpdir("stamp-current");
+        let path = write_checkpoint(&dir, 3, RDF, Some(&sample_compact())).unwrap();
+        let meta = fs::read_to_string(path.join("META")).unwrap();
+        assert!(
+            meta.contains(&format!("semantics={MAPPING_SEMANTICS}\n")),
+            "{meta}"
+        );
+        let cp = load_latest(&dir).unwrap().unwrap();
+        assert_eq!(cp.semantics, MAPPING_SEMANTICS);
+        assert!(cp.compact.is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unstamped_checkpoint_loads_its_rdf_but_not_its_compact_snapshot() {
+        let dir = tmpdir("stamp-absent");
+        let path = write_checkpoint(&dir, 3, RDF, Some(&sample_compact())).unwrap();
+        restamp(&path, None);
+        let cp = load_latest(&dir).unwrap().unwrap();
+        assert_eq!((cp.seq, cp.rdf.as_str(), cp.semantics), (3, RDF, 1));
+        assert!(cp.compact.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_semantics_stamp_loads_its_rdf_but_not_its_compact_snapshot() {
+        let dir = tmpdir("stamp-older");
+        let path = write_checkpoint(&dir, 3, RDF, Some(&sample_compact())).unwrap();
+        let older = format!("semantics={}", MAPPING_SEMANTICS - 1);
+        restamp(&path, Some(&older));
+        let cp = load_latest(&dir).unwrap().unwrap();
+        assert_eq!((cp.seq, cp.rdf.as_str()), (3, RDF));
+        assert_eq!(cp.semantics, MAPPING_SEMANTICS - 1);
         assert!(cp.compact.is_none());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -49,6 +49,6 @@ pub mod checkpoint;
 pub mod log;
 pub mod record;
 
-pub use checkpoint::{load_latest, write_checkpoint, Checkpoint};
+pub use checkpoint::{load_latest, write_checkpoint, Checkpoint, MAPPING_SEMANTICS};
 pub use log::{Recovered, Wal, WalError, WalOptions};
 pub use record::{Record, MAX_RECORD_BYTES};

@@ -17,7 +17,7 @@
 //! Randomness is the in-tree xorshift; every assertion message carries the
 //! seed that reproduces it.
 
-use s3pg::incremental::{apply_deletions, apply_ntriples_delta};
+use s3pg::incremental::{apply_delta, apply_ntriples_delta};
 use s3pg::pipeline::{transform, TransformOutput};
 use s3pg::schema_transform::SchemaTransform;
 use s3pg::Mode;
@@ -470,14 +470,15 @@ fn graphs_after_deletions_agree() {
             let mut rng = XorShiftRng::seed_from_u64(seed);
             let TransformOutput {
                 mut pg,
-                schema,
+                mut schema,
                 mut state,
                 ..
             } = transform(&d.graph, &d.shapes, mode);
             let context = format!("{} {mode:?} seed {seed:#x}", d.name);
 
             let removed = random_deletions(&d.graph, &mut rng);
-            let changes = apply_deletions(&mut pg, &schema, &mut state, &removed);
+            let (_, changes) =
+                apply_delta(&mut pg, &mut schema, &mut state, &Graph::new(), &removed);
             assert!(changes > 0, "{context}: deletions changed nothing");
             assert_same(
                 &pg,

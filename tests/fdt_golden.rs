@@ -6,9 +6,9 @@
 //!
 //! The one-shot and delta digests were recorded from the string-keyed
 //! phase-2 loop (`ingest_phase2` at bcb45ff) before it was replaced by the
-//! symbol-table phase 2; the `churn` digests from the classify-then-apply
-//! phase 2 (c737683) before its two passes were fused into one. They must
-//! never change unasked. A `compact.bin` adopted on restart was frozen from a PG
+//! symbol-table phase 2; the `churn` digests from the first delete path
+//! that re-derives every subject a deletion touches. They must never
+//! change unasked. A `compact.bin` adopted on restart was frozen from a PG
 //! with these node and edge ids, and a replica replaying the same WAL
 //! re-derives them, so "isomorphic" is not enough here: ids, label
 //! registration order and schema registration order are all pinned.
@@ -17,6 +17,7 @@
 //! `actual` digests a failing assertion prints.
 
 use s3pg::incremental::apply_ntriples_delta;
+use s3pg::inverse::recover_node;
 use s3pg::pipeline::{transform, TransformOutput};
 use s3pg::{Mode, SchemaTransform, TransformState};
 use s3pg_pg::ddl::to_ddl;
@@ -199,8 +200,8 @@ fn churned(graph: &Graph, shapes: &ShapeSchema, mode: Mode) -> TransformOutput {
 }
 
 /// `(dataset, mode, path) → (output digest, state digest)`. The one-shot
-/// and `deltas` entries were recorded at bcb45ff, the `churn` entries at
-/// c737683, before phase 2's classify and apply passes were fused.
+/// and `deltas` entries were recorded at bcb45ff, the `churn` entries when
+/// deletions began to re-derive the subjects they touch.
 const GOLDEN: &[(&str, &str, &str, u32, u32)] = &[
     (
         "dbpedia",
@@ -312,57 +313,58 @@ const GOLDEN: &[(&str, &str, &str, u32, u32)] = &[
         0xea613101,
         0x9bc673a7,
     ),
-    ("dbpedia", "parsimonious", "churn", 0x641875f5, 0x3f4df4dc),
+    ("dbpedia", "parsimonious", "churn", 0x560ae3c2, 0x58089cd1),
     (
         "dbpedia",
         "non-parsimonious",
         "churn",
-        0x73df9afb,
-        0xda6476ab,
+        0x5e5bf279,
+        0x95f8aea1,
     ),
-    ("skew", "parsimonious", "churn", 0xcd5bdea6, 0xe89646a8),
-    ("skew", "non-parsimonious", "churn", 0x1dd8ae12, 0xadd2e417),
+    ("skew", "parsimonious", "churn", 0xf9709038, 0xad8c3fa7),
+    ("skew", "non-parsimonious", "churn", 0xe603d63a, 0x241c5647),
     (
         "university",
         "parsimonious",
         "churn",
-        0x9ccf8b75,
-        0x0ca746c9,
+        0xdecff05e,
+        0xfcbd1536,
     ),
     (
         "university",
         "non-parsimonious",
         "churn",
-        0x08db1aca,
-        0x7f87cd94,
+        0x352df559,
+        0xa3a5e147,
     ),
-    ("bio2rdf", "parsimonious", "churn", 0x507dd328, 0xc9f79a97),
+    ("bio2rdf", "parsimonious", "churn", 0x1967c312, 0x6b835b73),
     (
         "bio2rdf",
         "non-parsimonious",
         "churn",
-        0x4b050c56,
-        0xc2c7e2c4,
+        0xef17e932,
+        0xb263c425,
     ),
     (
         "edge-cases",
         "parsimonious",
         "churn",
-        0x2ac98efe,
-        0xe40ad45b,
+        0x6adbb13f,
+        0xb7adfdca,
     ),
     (
         "edge-cases",
         "non-parsimonious",
         "churn",
-        0xbfc37c5d,
-        0x9bc673a7,
+        0xb80c8088,
+        0x006cdd6f,
     ),
 ];
 
 #[test]
 fn f_dt_output_is_pinned_for_every_generator_mode_and_path() {
     let mut seen = 0;
+    let mut mismatches: Vec<String> = Vec::new();
     for (name, graph, shapes) in datasets() {
         // The text the pipeline really starts from: interning order is the
         // parser's, not the generator's.
@@ -377,23 +379,43 @@ fn f_dt_output_is_pinned_for_every_generator_mode_and_path() {
                 ("churn", churned(&graph, &shapes, mode)),
             ];
             for (path, out) in runs {
+                let context = format!(
+                    "{name} {mode_name} {path} (split seed {SPLIT_SEED:#x}, {BATCHES} batches, \
+                     churn seed {CHURN_SEED:#x})"
+                );
+                // Deleting and re-adding a sample gives G back: as many
+                // statements as G holds, none twice.
+                let mut back = Graph::new();
+                let walked: usize = out
+                    .pg
+                    .node_ids()
+                    .map(|n| {
+                        recover_node(&out.pg, &out.schema.mapping, n, None, &mut back).unwrap()
+                    })
+                    .sum();
+                assert!(
+                    walked == graph.len() && back.same_triples(&graph),
+                    "{context}: M walked {walked} statements, {} distinct, G holds {}",
+                    back.len(),
+                    graph.len()
+                );
                 let (output, state) = digests(&out);
                 let golden = GOLDEN
                     .iter()
                     .find(|g| (g.0, g.1, g.2) == (name, mode_name, path))
                     .unwrap_or_else(|| panic!("no golden entry for {name} {mode_name} {path}"));
-                assert!(
-                    (output, state) == (golden.3, golden.4),
-                    "{name} {mode_name} {path} (split seed {SPLIT_SEED:#x}, {BATCHES} batches, \
-                     churn seed {CHURN_SEED:#x}): \
-                     F_dt no longer produces the recorded (output, state) digests: \
-                     actual ({output:#010x}, {state:#010x}), recorded ({:#010x}, {:#010x})",
-                    golden.3,
-                    golden.4
-                );
+                if (output, state) != (golden.3, golden.4) {
+                    mismatches.push(format!(
+                        "{context}: F_dt no longer produces the recorded (output, state) \
+                         digests: actual ({output:#010x}, {state:#010x}), recorded \
+                         ({:#010x}, {:#010x})",
+                        golden.3, golden.4
+                    ));
+                }
                 seen += 1;
             }
         }
     }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
     assert_eq!(seen, GOLDEN.len(), "stale golden entries");
 }

@@ -1,18 +1,25 @@
 //! Monotonicity (Definition 3.4, Proposition 4.3):
 //! `F_dt(S1) ⊆ F_dt(S2)` for `S1 ⊆ S2`, and
 //! `F_dt(S2) ≅ F_dt(S1) ∪ F_dt(Δ)` — incremental application equals full
-//! recomputation, including under schema evolution.
+//! recomputation, including under schema evolution. A deleting delta
+//! equals a recompute too: `M(PG)` is `G \ Δ⁻` as a multiset, with the
+//! recompute's node and edge counts and its conformance verdict.
 
-use s3pg::incremental::{apply_additions, apply_delta};
+use s3pg::incremental::{apply_additions, apply_delta, apply_ntriples_delta};
+use s3pg::inverse::recover_node;
 use s3pg::pipeline::transform;
 use s3pg::{transform_data, transform_schema, Mode};
+use s3pg_pg::conformance;
 use s3pg_query::cypher;
 use s3pg_rdf::rng::XorShiftRng;
-use s3pg_rdf::Graph;
-use s3pg_shacl::extract_shapes;
-use s3pg_workloads::dbpedia;
+use s3pg_rdf::serializer::to_ntriples;
+use s3pg_rdf::{Graph, Triple};
+use s3pg_shacl::parser::parse_shacl_turtle;
+use s3pg_shacl::{extract_shapes, ShapeSchema};
 use s3pg_workloads::evolution::{evolve, EvolutionSpec};
 use s3pg_workloads::spec::{generate, DatasetSpec};
+use s3pg_workloads::university::{self, UniversitySpec};
+use s3pg_workloads::{bio2rdf, dbpedia, generate_skewed};
 
 /// Compare two PGs structurally: node/edge/rel-type counts and the answers
 /// to a label-scan probe query.
@@ -83,11 +90,152 @@ fn incremental_equals_full_with_deletions_and_updates() {
     let mut schema_full = transform_schema(&shapes2, Mode::NonParsimonious);
     let full = transform_data(&snapshot2, &mut schema_full, Mode::NonParsimonious);
 
-    // Deleted entities' nodes remain (tombstoned edges, orphan nodes are
-    // kept), so edges — the data content — must match exactly; nodes may
-    // exceed the full path's count.
     assert_eq!(pg.edge_count(), full.pg.edge_count(), "edges after delta");
-    assert!(pg.node_count() >= full.pg.node_count());
+    assert_eq!(pg.node_count(), full.pg.node_count(), "nodes after delta");
+}
+
+/// Seed of the deletion sample, and the share of `G` it takes.
+const DELETE_SEED: u64 = 0xC4A2;
+const DELETE_SHARE: f64 = 0.1;
+
+/// The generators `tests/fdt_golden.rs` pins, with the same shapes.
+fn deletion_datasets() -> Vec<(&'static str, Graph, ShapeSchema)> {
+    let extracted = |graph: Graph| {
+        let shapes = extract_shapes(&graph);
+        (graph, shapes)
+    };
+    let (dbpedia, dbpedia_shapes) = extracted(generate(&dbpedia::dbpedia2022(0.25)).graph);
+    let (skew, skew_shapes) = extracted(generate_skewed(0.5, 0xD1CE).graph);
+    let (bio, bio_shapes) = extracted(generate(&bio2rdf::bio2rdf_ct(0.1)).graph);
+    vec![
+        ("dbpedia", dbpedia, dbpedia_shapes),
+        ("skew", skew, skew_shapes),
+        (
+            "university",
+            university::generate(&UniversitySpec::default()),
+            parse_shacl_turtle(university::shacl_schema()).expect("university schema"),
+        ),
+        ("bio2rdf", bio, bio_shapes),
+    ]
+}
+
+/// The statements of `graph` that `keep` admits, as a graph of their own.
+fn sub_graph(graph: &Graph, keep: impl Fn(&Triple) -> bool) -> Graph {
+    let mut out = Graph::new();
+    for t in graph.triples().filter(|t| keep(t)) {
+        let s = out.import_term(graph, t.s);
+        let p = out.import_sym(graph, t.p);
+        let o = out.import_term(graph, t.o);
+        out.insert(s, p, o);
+    }
+    out
+}
+
+/// The `Δ⁻` variants: a seeded sample of about [`DELETE_SHARE`] of `G`
+/// (any triple, its non-type triples, its `rdf:type` triples), and every
+/// statement of the first subject that another subject references.
+fn deletion_variants(graph: &Graph) -> Vec<(&'static str, Graph)> {
+    let mut rng = XorShiftRng::seed_from_u64(DELETE_SEED);
+    let mut sampled: Vec<Triple> = graph
+        .triples()
+        .filter(|_| rng.random_bool(DELETE_SHARE))
+        .collect();
+    sampled.sort_unstable();
+    let in_sample = |t: &Triple| sampled.binary_search(t).is_ok();
+    let is_type = |t: &Triple| Some(t.p) == graph.type_predicate_opt();
+    let referenced = graph
+        .triples()
+        .find(|t| t.o.is_resource() && t.o != t.s && graph.statements_of(t.o).next().is_some())
+        .expect("some subject is referenced")
+        .o;
+    vec![
+        ("any", sub_graph(graph, |t| in_sample(t))),
+        (
+            "non-type",
+            sub_graph(graph, |t| in_sample(t) && !is_type(t)),
+        ),
+        (
+            "type-only",
+            sub_graph(graph, |t| in_sample(t) && is_type(t)),
+        ),
+        (
+            "referenced subject",
+            sub_graph(graph, |t| t.s == referenced),
+        ),
+    ]
+}
+
+/// `Δ⁻` through the write path against a recompute of `G \ Δ⁻` under the
+/// same shapes, on every dataset and mode: `M(PG)` equals `G \ Δ⁻` as a
+/// multiset (the same set, and as many statements walked as it holds),
+/// the live node and edge counts are equal, and so is the conformance
+/// verdict, each side checked against its own schema.
+#[test]
+fn deleting_delta_equals_recompute() {
+    let mut failures: Vec<String> = Vec::new();
+    for (name, graph, shapes) in deletion_datasets() {
+        for (variant, deletions) in deletion_variants(&graph) {
+            let rest = graph.difference(&deletions);
+            for mode in [Mode::Parsimonious, Mode::NonParsimonious] {
+                let context = format!(
+                    "{name} {mode:?} {variant} (seed {DELETE_SEED:#x}, {} of {} deleted)",
+                    deletions.len(),
+                    graph.len()
+                );
+                let mut out = transform(&graph, &shapes, mode);
+                apply_ntriples_delta(
+                    &mut out.pg,
+                    &mut out.schema,
+                    &mut out.state,
+                    "",
+                    &to_ntriples(&deletions),
+                )
+                .expect("own serialisation parses");
+                let full = transform(&rest, &shapes, mode);
+
+                let mut back = Graph::new();
+                let walked: usize = out
+                    .pg
+                    .node_ids()
+                    .map(|n| {
+                        recover_node(&out.pg, &out.schema.mapping, n, None, &mut back).unwrap()
+                    })
+                    .sum();
+                if !back.same_triples(&rest) {
+                    let leaked = back.difference(&rest).len();
+                    let lost = rest.difference(&back).len();
+                    failures.push(format!(
+                        "{context}: M(PG) != G \\ Δ⁻ ({leaked} leaked, {lost} lost)"
+                    ));
+                }
+                if walked != rest.len() {
+                    failures.push(format!(
+                        "{context}: M walked {walked} statements, G \\ Δ⁻ holds {}",
+                        rest.len()
+                    ));
+                }
+                let counts = |pg: &s3pg_pg::PropertyGraph| (pg.node_count(), pg.edge_count());
+                if counts(&out.pg) != counts(&full.pg) {
+                    failures.push(format!(
+                        "{context}: (nodes, edges) {:?}, recompute {:?}",
+                        counts(&out.pg),
+                        counts(&full.pg)
+                    ));
+                }
+                let verdict = conformance::check(&out.pg, &out.schema.pg_schema);
+                if verdict.conforms() != full.conformance.conforms() {
+                    failures.push(format!(
+                        "{context}: conforms {} with {} failures, recompute {} with {}",
+                        verdict.conforms(),
+                        verdict.failures.len(),
+                        full.conformance.conforms(),
+                        full.conformance.failures.len()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]
